@@ -24,7 +24,7 @@ from .lattice import (ColumnProfile, Direction, EmptySet, LatticeSet,
                       MultiplicitySpec, WitnessSelection, WitnessTooLarge,
                       column_profile, expected_dimension, max_parallel_witness,
                       scaled_points, select_witness_subset, split_by_affine)
-from .oracle import (ArityMismatch, GenericPointSet, OracleVerdict,
+from .oracle import (ArityMismatch, BadModulus, GenericPointSet, OracleVerdict,
                      PrimeTooSmall, SizeGuardrail, interpolation_matrix,
                      points_on_curve, system_dimension_exact,
                      system_dimension_modp)
@@ -52,9 +52,9 @@ __all__ = [
     "column_profile", "expected_dimension", "max_parallel_witness",
     "scaled_points", "select_witness_subset", "split_by_affine",
     # oracle
-    "ArityMismatch", "GenericPointSet", "OracleVerdict", "PrimeTooSmall",
-    "SizeGuardrail", "interpolation_matrix", "points_on_curve",
-    "system_dimension_exact", "system_dimension_modp",
+    "ArityMismatch", "BadModulus", "GenericPointSet", "OracleVerdict",
+    "PrimeTooSmall", "SizeGuardrail", "interpolation_matrix",
+    "points_on_curve", "system_dimension_exact", "system_dimension_modp",
     # certify
     "AsymptoticReport", "CertificateBound", "CutStep", "Dissection",
     "EcklSequenceReport", "EmptyPolygonAtScale", "FiniteCertificate",

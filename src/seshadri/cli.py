@@ -17,7 +17,7 @@ from typing import Optional
 from . import certify as cert
 from .geometry import parse_rational
 from .lattice import LatticeSet
-from .oracle import (ArityMismatch, GenericPointSet, PrimeTooSmall,
+from .oracle import (ArityMismatch, BadModulus, GenericPointSet, PrimeTooSmall,
                      SizeGuardrail, MODULAR_DEFAULT_PRIME,
                      system_dimension_exact, system_dimension_modp)
 from .render import RenderSpec, render_svg
@@ -209,8 +209,8 @@ def run(argv=None) -> int:
     except SizeGuardrail as exc:
         print(f"guardrail: {exc}", file=sys.stderr)
         return EXIT_GUARDRAIL
-    except (InputError, cert.InvalidDissection, ArityMismatch, PrimeTooSmall,
-            ValueError) as exc:
+    except (InputError, cert.InvalidDissection, ArityMismatch, BadModulus,
+            PrimeTooSmall, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -1,10 +1,19 @@
-"""Brute-force (non-)specialty verification by interpolation-matrix rank.
+"""Brute-force (non-)specialty verification by condition-matrix rank.
 
 A linear system restricted to monomial exponents D with multiplicities
 m1, ..., mr at chosen points is non-special exactly when its vanishing
 conditions are independent to the expected extent; this module builds the
 condition matrix and computes its rank, either exactly over the rationals
-(fraction-free elimination) or over a prime field at seeded random points.
+(fraction-free elimination) or over a prime field.
+
+A one-point system (D, m) needs no point at all.  At any point (x, y) with
+xy != 0, scaling row (a, b) of the interpolation matrix by
+x^a y^b / (a! b!) and column (alpha, beta) by x^-alpha y^-beta turns it
+into the integer matrix B[(a, b), (alpha, beta)] = C(alpha, a) * C(beta, b).
+So rank over Q of B is the rank at every such point, the generic rank, and
+as B has integer entries its rank modulo any prime is at most that.  Every
+finite-scale witness is a one-point system and is ranked this way, without
+a seed.  Systems of several points keep seeded random points.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, perm
+from math import comb, lcm, perm
 from typing import List, Optional, Sequence, Tuple
 
 from ._kernels import modrank
@@ -23,9 +32,15 @@ from .lattice import LatticeSet, _coerce_spec
 Matrix = List[List[Fraction]]
 
 MODULAR_DEFAULT_PRIME = 2**61 - 1
+MODULUS_LIMIT = 2**63  # the compiled rank kernel refuses larger primes
 EXACT_CELL_CAP = 4_000_000
 _SEED_NUMERATOR_MAX = 2**16
 _SEED_DENOMINATOR = 2**16 + 1
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# every composite below this fails Miller-Rabin to one of the bases above
+_MILLER_RABIN_PROVEN = 318_665_857_834_031_151_167_461
+_POINT_FREE = ("point-free: the binomial matrix C(alpha,a)*C(beta,b) has the rank "
+               "of the one-point system at every point with xy != 0")
 
 
 class ArityMismatch(ValueError):
@@ -34,6 +49,10 @@ class ArityMismatch(ValueError):
 
 class PrimeTooSmall(ValueError):
     """Prime cannot represent the derivative coefficients faithfully."""
+
+
+class BadModulus(ValueError):
+    """Modulus of the modular oracle is not a prime below MODULUS_LIMIT."""
 
 
 class SizeGuardrail(RuntimeError):
@@ -146,12 +165,27 @@ def interpolation_matrix(D: LatticeSet, points: GenericPointSet, spec) -> Matrix
     return rows
 
 
+def _binomial_matrix(D: LatticeSet, m: int) -> List[List[int]]:
+    """Point-free condition matrix of the one-point system (D, m).
+
+    Row (a, b), in the order of ``_derivative_orders``, holds
+    C(alpha, a) * C(beta, b) for each exponent of D after shifting D to
+    touch both axes.
+    """
+    cols = list(D)
+    s = min((alpha for alpha, _ in cols), default=0)
+    t = min((beta for _, beta in cols), default=0)
+    xs = [[comb(alpha - s, a) for alpha, _ in cols] for a in range(m)]
+    ys = [[comb(beta - t, b) for _, beta in cols] for b in range(m)]
+    return [[u * v for u, v in zip(xs[a], ys[b])] for a, b in _derivative_orders(m)]
+
+
 def fraction_free_rank(rows: Matrix) -> int:
     """Exact rank over Q by one-step fraction-free elimination.
 
-    Rows are first scaled to integers; the elimination keeps every
-    intermediate entry an exact minor of the integer matrix, so divisions
-    are exact and there is no rational blow-up mid-run.
+    Entries are Fractions or ints.  Rows are first scaled to integers; the
+    elimination keeps every intermediate entry an exact minor of the integer
+    matrix, so divisions are exact and there is no rational blow-up mid-run.
     """
     m = []
     for row in rows:
@@ -194,20 +228,28 @@ def system_dimension_exact(D: LatticeSet, spec,
                            seed: int = 0, force: bool = False) -> OracleVerdict:
     """Projective dimension of the system over Q, |D| - 1 - rank.
 
-    With no explicit points, a seeded sample is used; if the sampled rank
+    With no explicit points, a one-point system is ranked point-free, which
+    gives the generic rank exactly and ignores ``seed``.  Several points
+    without explicit coordinates are a seeded sample; if the sampled rank
     falls short of making the system non-special, one retry with a fresh
     seed guards against an unlucky (non-generic) sample, and a differing
     outcome is recorded in the caveat.
     """
     spec = _coerce_spec(spec)
-    if points is None:
-        points = GenericPointSet.seeded(len(spec), seed)
     cells = spec.conditions() * len(D)
     if cells > _cell_cap() and not force:
         raise SizeGuardrail(
             f"{spec.conditions()}x{len(D)} exact matrix exceeds the cell cap; "
             "set SESHADRI_MAX_CELLS or pass force=True")
     expected = max(-1, len(D) - 1 - spec.conditions())
+    if points is None and len(spec) == 1:
+        rank = fraction_free_rank(_binomial_matrix(D, spec.multiplicities[0]))
+        actual = len(D) - 1 - rank
+        caveat = _POINT_FREE + "; its rank over Q is exact: either verdict is conclusive"
+        return OracleVerdict(actual, expected, actual == expected, "exact-rational",
+                             None, caveat, rank, None)
+    if points is None:
+        points = GenericPointSet.seeded(len(spec), seed)
 
     def run(ps: GenericPointSet):
         rank = fraction_free_rank(interpolation_matrix(D, ps, spec))
@@ -228,20 +270,76 @@ def system_dimension_exact(D: LatticeSet, spec,
                          "exact-rational", None, caveat, rank, used_seed)
 
 
+def is_prime(n: int) -> bool:
+    """Whether n is prime, by Miller-Rabin to the first twelve primes.
+
+    The answer is proven, not probable, for every n below 3.18 * 10^23;
+    larger n raise ValueError.
+    """
+    if n >= _MILLER_RABIN_PROVEN:
+        raise ValueError(f"{n} is beyond the proven range of the primality test")
+    if n < 2:
+        return False
+    for p in _MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def system_dimension_modp(D: LatticeSet, spec, seed: int = 0,
                           prime: int = MODULAR_DEFAULT_PRIME) -> OracleVerdict:
-    """Dimension via rank over GF(prime) at seeded random points.
+    """Dimension via rank over GF(prime), an upper bound for the generic one.
 
-    Specialization can only lower the rank, so the reported dimension is
-    an upper bound for the generic one: a non-special verdict is a genuine
-    certificate, while a special verdict may just mean an unlucky sample
+    ``prime`` must be a prime below MODULUS_LIMIT, larger than every
+    exponent in D.  A one-point system is ranked point-free (see the module
+    docstring) and ignores ``seed``; several points are placed at seeded
+    random points of GF(prime)^2.  Either way the rank never exceeds the
+    generic rank over Q, so a non-special verdict is a genuine certificate,
+    while a special verdict may just mean an unlucky prime or sample
     (Schwartz-Zippel).  The caveat field records this asymmetry.
     """
     spec = _coerce_spec(spec)
+    if prime >= MODULUS_LIMIT:
+        raise BadModulus(f"modulus {prime} is not below 2^63, the rank kernels' limit")
+    if not is_prime(prime):
+        raise BadModulus(f"modulus {prime} is not prime")
     max_exp = max((max(a, b) for a, b in D), default=0)
     if prime <= max(max_exp, 2):
         raise PrimeTooSmall(
             f"prime {prime} must exceed every derivative factor (max exponent {max_exp})")
+    if len(spec) == 1:
+        rows = _binomial_matrix(D, spec.multiplicities[0])  # modrank reduces mod prime
+        used_seed = None
+        caveat = (_POINT_FREE + "; its rank mod p never exceeds that rank: a non-special "
+                  "verdict is a certificate; a special verdict is inconclusive")
+    else:
+        rows = _random_point_rows(D, spec, seed, prime)
+        used_seed = seed
+        caveat = ("rank over a prime field at random points never exceeds the generic "
+                  "rank: a non-special verdict is a certificate; a special verdict is "
+                  "inconclusive")
+    rank = modrank(rows, prime) if rows else 0
+    actual = len(D) - 1 - rank
+    expected = max(-1, len(D) - 1 - spec.conditions())
+    return OracleVerdict(actual, expected, actual == expected, "modular", prime,
+                         caveat, rank, used_seed)
+
+
+def _random_point_rows(D: LatticeSet, spec, seed: int, prime: int) -> List[List[int]]:
+    """Condition matrix over GF(prime) at seeded random points."""
     rng = random.Random(seed)
     pts = []
     seen = set()
@@ -263,14 +361,7 @@ def system_dimension_modp(D: LatticeSet, spec, seed: int = 0,
                     row.append(coeff * pow(x, alpha - a, prime)
                                * pow(y, beta - b, prime) % prime)
             rows.append(row)
-    rank = modrank(rows, prime) if rows else 0
-    actual = len(D) - 1 - rank
-    expected = max(-1, len(D) - 1 - spec.conditions())
-    non_special = actual == expected
-    caveat = ("rank over a prime field at random points never exceeds the generic rank: "
-              "a non-special verdict is a certificate; a special verdict is inconclusive")
-    return OracleVerdict(actual, expected, non_special, "modular", prime,
-                         caveat, rank, seed)
+    return rows
 
 
 def _perm_mod(n: int, k: int, p: int) -> int:

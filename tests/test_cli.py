@@ -166,3 +166,17 @@ def test_render_determinism(tmp_path):
 def test_bad_usage_is_exit_two(capsys):
     assert run(["verify", "--dissection", BUILTIN]) == 2   # missing --m
     assert run(["frobnicate"]) == 2
+
+
+def test_oracle_composite_modulus_refused(tmp_path, capsys):
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps({
+        "D": [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]],
+        "multiplicities": [2, 2],
+        "seed": 1,
+    }))
+    for modulus in ("15", "21", "35"):
+        assert run(["oracle", "--system", str(system), "--mode", "modular",
+                    "--prime", modulus]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and modulus in captured.err

@@ -1,0 +1,122 @@
+"""The point-free one-point oracle and the modulus check of the modular path.
+
+One-point systems are ranked through the binomial matrix C(alpha,a)*C(beta,b)
+instead of a sampled point; these tests reach the same ranks by other
+routes (explicit points, translation, the other field) and pin the
+primality check that guards every modular verdict.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from seshadri.certify import builtin_dissection_eckl10, finite_certificate
+from seshadri.lattice import LatticeSet
+from seshadri.oracle import (MODULUS_LIMIT, BadModulus, GenericPointSet,
+                             fraction_free_rank, interpolation_matrix, is_prime,
+                             system_dimension_exact, system_dimension_modp)
+
+BUILTIN = builtin_dissection_eckl10()
+DEG2 = LatticeSet(((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
+# points with xy != 0, including (1, 1) and negative coordinates
+TORUS_POINTS = [(1, 1), (-2, 3), (F(1, 3), F(-5, 7)), (F(-7, 2), F(-2, 9))]
+
+
+def small_systems(count=200, seed=2024):
+    """Seeded small one-point systems (D, m), some away from both axes."""
+    rng = random.Random(seed)
+    systems = []
+    while len(systems) < count:
+        s, t = rng.randint(0, 3), rng.randint(0, 3)
+        D = LatticeSet(tuple((s + rng.randint(0, 5), t + rng.randint(0, 5))
+                             for _ in range(rng.randint(1, 12))))
+        systems.append((D, rng.randint(1, 4)))
+    return systems
+
+
+SYSTEMS = small_systems()
+
+
+class TestPointFreeRank:
+    def test_rank_equals_rank_at_explicit_points(self):
+        for D, m in SYSTEMS:
+            verdict = system_dimension_exact(D, (m,))
+            for pt in TORUS_POINTS:
+                points = GenericPointSet.explicit([pt])
+                assert fraction_free_rank(interpolation_matrix(D, points, (m,))) \
+                    == verdict.rank, (D, m, pt)
+
+    def test_translation_leaves_verdict_unchanged(self):
+        rng = random.Random(7)
+        for D, m in SYSTEMS[:100]:
+            s, t = rng.randint(0, 9), rng.randint(0, 9)
+            moved = LatticeSet(tuple((a + s, b + t) for a, b in D))
+            assert system_dimension_exact(moved, (m,)) == system_dimension_exact(D, (m,))
+            assert system_dimension_modp(moved, (m,)) == system_dimension_modp(D, (m,))
+
+    def test_modular_agrees_with_exact(self):
+        specials = 0
+        for D, m in SYSTEMS:
+            exact = system_dimension_exact(D, (m,))
+            modular = system_dimension_modp(D, (m,))
+            assert (modular.rank, modular.actual_dimension, modular.non_special) \
+                == (exact.rank, exact.actual_dimension, exact.non_special)
+            specials += not exact.non_special
+        assert 0 < specials < len(SYSTEMS)  # both verdicts are exercised
+
+    def test_seed_is_ignored_and_null(self):
+        for oracle in (system_dimension_exact, system_dimension_modp):
+            a, b = oracle(DEG2, (3,), seed=0), oracle(DEG2, (3,), seed=99)
+            assert a == b
+            assert a.seed is None and a.to_json()["seed"] is None
+            assert a.caveat.startswith("point-free")
+
+    def test_multi_point_systems_keep_their_seed(self):
+        assert system_dimension_modp(DEG2, (1, 1), seed=5).seed == 5
+        assert system_dimension_exact(DEG2, (1, 1), seed=5).seed == 5
+
+
+@pytest.mark.parametrize("mode,n", [("exact", 13), ("exact", 26),
+                                    ("modular", 13), ("modular", 26),
+                                    ("modular", 39), ("modular", 52),
+                                    ("modular", 65)])
+def test_eckl10_witnesses_full_rank(mode, n):
+    cert = finite_certificate(BUILTIN, n, oracle_mode=mode, seed=3)
+    for row in cert.per_polygon:
+        v = row.oracle
+        assert v.rank == len(row.witness.subset) == row.m * (row.m + 1) // 2
+        assert v.non_special and v.actual_dimension == -1
+        assert v.seed is None
+
+
+class TestModulus:
+    @pytest.mark.parametrize("modulus", [15, 21, 33, 35, 561, 3215031751])
+    def test_composites_refused(self, modulus):
+        assert not is_prime(modulus)
+        with pytest.raises(BadModulus, match=str(modulus)):
+            system_dimension_modp(DEG2, (2, 2), seed=1, prime=modulus)
+        with pytest.raises(BadModulus, match=str(modulus)):
+            system_dimension_modp(DEG2, (3,), prime=modulus)
+
+    @pytest.mark.parametrize("modulus", [97, 2**61 - 1])
+    def test_primes_accepted(self, modulus):
+        assert system_dimension_modp(DEG2, (3,), prime=modulus).non_special
+
+    def test_prime_beyond_kernel_limit_refused(self):
+        modulus = 2**64 - 59
+        assert is_prime(modulus) and modulus >= MODULUS_LIMIT
+        with pytest.raises(BadModulus, match=str(modulus)):
+            system_dimension_modp(DEG2, (3,), prime=modulus)
+
+    def test_miller_rabin_matches_sieve(self):
+        limit = 10**4
+        sieve = [False, False] + [True] * (limit - 2)
+        for i in range(2, int(limit**0.5) + 1):
+            if sieve[i]:
+                sieve[i * i::i] = [False] * len(sieve[i * i::i])
+        assert [is_prime(k) for k in range(limit)] == sieve
+
+    def test_unproven_range_refused(self):
+        with pytest.raises(ValueError):
+            is_prime(10**24 + 7)
