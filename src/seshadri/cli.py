@@ -173,6 +173,9 @@ def _cmd_oracle(args) -> int:
                 [(parse_rational(x), parse_rational(y)) for x, y in data["points"]])
         verdict = system_dimension_exact(D, spec, points=points, seed=seed)
     else:
+        if data.get("points"):
+            raise InputError("system file field 'points' is honoured only by "
+                             "--mode exact; --mode modular ranks at random points")
         verdict = system_dimension_modp(D, spec, seed=seed, prime=args.prime)
     _emit(cert.dump_json(verdict.to_json()), args.out)
     return EXIT_OK if verdict.non_special else EXIT_REFUTED

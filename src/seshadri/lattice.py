@@ -8,11 +8,12 @@ deterministic selection of a subset whose columns carry exactly
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import ceil, comb, floor
+from math import ceil, comb, floor, lcm
 from typing import Dict, Optional, Sequence, Tuple
 
 from .geometry import AffineForm, ConvexPolygon
@@ -32,9 +33,6 @@ class Direction(Enum):
 
     def line_index(self, pt) -> int:
         return pt[0] if self is Direction.VERTICAL else pt[1]
-
-    def along(self, pt) -> int:
-        return pt[1] if self is Direction.VERTICAL else pt[0]
 
 
 @dataclass(frozen=True)
@@ -57,10 +55,22 @@ class LatticeSet:
         return iter(self.points)
 
     def __contains__(self, pt):
-        return tuple(pt) in set(self.points)
+        pt = tuple(pt)
+        i = bisect_left(self.points, pt)
+        return i < len(self.points) and self.points[i] == pt
 
     def issubset(self, other: "LatticeSet") -> bool:
-        return set(self.points) <= set(other.points)
+        # Both point tuples are sorted: one merge pass decides inclusion.
+        theirs = iter(other.points)
+        for p in self.points:
+            for q in theirs:
+                if q == p:
+                    break
+                if q > p:
+                    return False
+            else:
+                return False
+        return True
 
     def to_json(self) -> list:
         return [list(p) for p in self.points]
@@ -158,16 +168,22 @@ def split_by_affine(D: LatticeSet, F: AffineForm, scale: int):
     """Split D by the scale companion of F: strictly negative side first.
 
     Points on the cut line go to the second (nonnegative) part, so the two
-    parts always partition D.
+    parts always partition D.  The form is multiplied once by the positive
+    lcm L of its denominators, so each point is classified by the sign of
+    the integer c0 + c1*alpha + c2*beta, which is L times the scaled value.
     """
     if scale < 1:
         raise ValueError("scale must be a positive integer")
+    L = lcm(F.r0.denominator, F.r1.denominator, F.r2.denominator)
+    c0 = scale * F.r0.numerator * (L // F.r0.denominator)
+    c1 = F.r1.numerator * (L // F.r1.denominator)
+    c2 = F.r2.numerator * (L // F.r2.denominator)
     d1, d2 = [], []
-    for alpha, beta in D:
-        if F.scaled_eval(scale, alpha, beta) < 0:
-            d1.append((alpha, beta))
+    for pt in D.points:
+        if c0 + c1 * pt[0] + c2 * pt[1] < 0:
+            d1.append(pt)
         else:
-            d2.append((alpha, beta))
+            d2.append(pt)
     return (LatticeSet(tuple(d1)), LatticeSet(tuple(d2)))
 
 
@@ -204,17 +220,17 @@ def select_witness_subset(D: LatticeSet, direction: Direction, m: int) -> "Witne
     if max_parallel_witness(profile) < m:
         raise WitnessTooLarge(f"profile cannot host a witness of size {m}")
     ordered = sorted(profile.counts, key=lambda ic: (-ic[1], ic[0]))
-    assignment = []
-    chosen = []
-    for j in range(m):
-        line, _count = ordered[j]
-        size = m - j
-        members = sorted((p for p in D if direction.line_index(p) == line),
-                         key=direction.along)
-        assignment.append((line, size))
-        chosen.extend(members[:size])
-    return WitnessSelection(m, direction, tuple(assignment),
-                            LatticeSet(tuple(chosen)))
+    assignment = tuple((line, m - j) for j, (line, _count) in enumerate(ordered[:m]))
+    # One pass over D fills the chosen lines.  D is sorted, so the points
+    # of a line arrive in increasing along-coordinate and the first `size`
+    # of them are the lowest.
+    members = {line: [] for line, _size in assignment}
+    for p in D.points:
+        bucket = members.get(direction.line_index(p))
+        if bucket is not None:
+            bucket.append(p)
+    chosen = [p for line, size in assignment for p in members[line][:size]]
+    return WitnessSelection(m, direction, assignment, LatticeSet(tuple(chosen)))
 
 
 @dataclass(frozen=True)

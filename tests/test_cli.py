@@ -180,3 +180,21 @@ def test_oracle_composite_modulus_refused(tmp_path, capsys):
                     "--prime", modulus]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and modulus in captured.err
+
+
+def test_oracle_modular_refuses_explicit_points(tmp_path, capsys):
+    # The line y = 0 passes through all three collinear points, so at these
+    # points the linear system {1, x, y} has dimension 0, not the expected -1.
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps({
+        "D": [[0, 0], [1, 0], [0, 1]],
+        "multiplicities": [1, 1, 1],
+        "points": [["0", "0"], ["1", "0"], ["2", "0"]],
+    }))
+    assert run(["oracle", "--system", str(system), "--mode", "exact"]) == 1
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["non_special"] is False and verdict["actual_dimension"] == 0
+    assert run(["oracle", "--system", str(system), "--mode", "modular"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'points'" in captured.err and "--mode exact" in captured.err

@@ -100,6 +100,36 @@ class TestSplitByAffine:
             assert set(d1) | set(d2) == set(pts)
             assert not set(d1) & set(d2)
 
+    def test_integer_split_matches_rational_value(self):
+        # The split must agree point by point with the sign of the exact
+        # rational value n*r0 + r1*a + r2*b, ties going to the second part.
+        rng = random.Random(2024)
+        ties = 0
+        for trial in range(600):
+            pts = LatticeSet(tuple((rng.randint(0, 40), rng.randint(0, 40))
+                                   for _ in range(rng.randint(1, 60))))
+            scale = rng.randint(1, 12)
+            r1 = F(rng.randint(-30, 30), rng.randint(1, 60))
+            r2 = F(rng.randint(-30, 30), rng.randint(1, 60))
+            if trial % 3 == 1:
+                r1 = F(0)
+            elif trial % 3 == 2:
+                r2 = F(0)
+            if r1 == 0 and r2 == 0:
+                r1 = F(rng.choice([-1, 1]), rng.randint(1, 60))
+            if rng.random() < 0.5:
+                a, b = rng.choice(pts.points)  # put this point on the cut
+                r0 = -(r1 * a + r2 * b) / scale
+            else:
+                r0 = F(rng.randint(-400, 400), rng.randint(1, 60))
+            form = AffineForm(r0, r1, r2)
+            d1, d2 = split_by_affine(pts, form, scale)
+            values = [form.scaled_eval(scale, a, b) for a, b in pts]
+            assert d1.points == tuple(p for p, v in zip(pts, values) if v < 0)
+            assert d2.points == tuple(p for p, v in zip(pts, values) if v >= 0)
+            ties += any(v == 0 for v in values)
+        assert ties >= 250
+
 
 class TestColumnProfile:
     def test_simplex_profiles(self):
@@ -232,3 +262,17 @@ class TestLatticeSet:
 
     def test_json_round_trip(self):
         assert LatticeSet.from_json(SIMPLEX2.to_json()) == SIMPLEX2
+
+    def test_membership_and_inclusion_match_sets(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            a = LatticeSet(tuple((rng.randint(0, 5), rng.randint(0, 5))
+                                 for _ in range(rng.randint(0, 12))))
+            b = LatticeSet(tuple((rng.randint(0, 5), rng.randint(0, 5))
+                                 for _ in range(rng.randint(0, 12))))
+            sub = LatticeSet(tuple(p for p in b if rng.random() < 0.6))
+            assert a.issubset(b) == (set(a) <= set(b))
+            assert sub.issubset(b) and LatticeSet(()).issubset(a)
+            for q in [(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(5)]:
+                assert (q in a) == (q in set(a))
+                assert (list(q) in a) == (q in set(a))
