@@ -238,6 +238,11 @@ def certified_bound(dis: Dissection) -> Fraction:
     check = validate_dissection(dis)
     if not check.ok:
         raise InvalidDissection("; ".join(check.violations))
+    return _bound_of_valid(dis)
+
+
+def _bound_of_valid(dis: Dissection) -> Fraction:
+    """:func:`certified_bound` of a dissection already validated."""
     best = None
     for poly in dis.polygons():
         scores = []
@@ -338,7 +343,7 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
     check = validate_dissection(dis)
     if not check.ok:
         raise InvalidDissection("; ".join(check.violations))
-    target = certified_bound(dis)
+    target = _bound_of_valid(dis)
     remaining = scaled_points(dis.region, n)
     pieces: List[Tuple[int, str, LatticeSet]] = []
     for i, step in enumerate(dis.steps, start=1):

@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import certify as cert
 from .geometry import parse_rational
-from .lattice import LatticeSet
+from .lattice import LatticeSet, MultiplicitySpec, _is_int
 from .oracle import (ArityMismatch, BadModulus, GenericPointSet, PrimeTooSmall,
                      SizeGuardrail, MODULAR_DEFAULT_PRIME,
                      system_dimension_exact, system_dimension_modp)
@@ -162,10 +162,14 @@ def _cmd_oracle(args) -> int:
         with open(args.system, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         D = LatticeSet.from_json(data["D"])
-        spec = tuple(int(m) for m in data["multiplicities"])
+        spec = MultiplicitySpec(tuple(data["multiplicities"]))
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed system file: {exc}") from None
-    seed = args.seed if args.seed is not None else int(data.get("seed", 0))
+    seed = args.seed
+    if seed is None:
+        seed = data.get("seed", 0)
+        if not _is_int(seed):
+            raise InputError(f"malformed system file: seed {seed!r} is not an integer")
     if args.mode == "exact":
         points = None
         if data.get("points"):

@@ -12,8 +12,9 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from itertools import repeat
 from math import ceil, comb, floor, lcm
+from operator import itemgetter
 from typing import Dict, Optional, Sequence, Tuple
 
 from .geometry import AffineForm, ConvexPolygon
@@ -31,22 +32,46 @@ class Direction(Enum):
     VERTICAL = "vertical"      # lines of constant first coordinate
     HORIZONTAL = "horizontal"  # lines of constant second coordinate
 
-    def line_index(self, pt) -> int:
-        return pt[0] if self is Direction.VERTICAL else pt[1]
+    @property
+    def coordinate(self) -> int:
+        """Index into a point (alpha, beta) of its line's coordinate."""
+        return 0 if self is Direction.VERTICAL else 1
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
 class LatticeSet:
-    """Finite subset of N^2, kept sorted and duplicate-free."""
+    """Finite subset of N^2, kept sorted and duplicate-free.
+
+    The public constructor takes untrusted points: each must be a pair of
+    nonnegative ints (not bools, not floats), and the set is sorted and
+    de-duplicated.  Code whose output already has that form builds sets
+    through :meth:`_trusted` instead.
+    """
 
     points: Tuple[Tuple[int, int], ...]
 
     def __post_init__(self):
-        pts = tuple(sorted({(int(a), int(b)) for a, b in self.points}))
-        for a, b in pts:
+        pts = set()
+        for pt in self.points:
+            a, b = pt
+            if not (_is_int(a) and _is_int(b)):
+                raise ValueError(f"lattice point {list(pt)!r}: exponents must be integers")
             if a < 0 or b < 0:
-                raise ValueError("lattice points must be nonnegative")
-        object.__setattr__(self, "points", pts)
+                raise ValueError(f"lattice point {list(pt)!r}: exponents must be nonnegative")
+            pts.add((a, b))
+        object.__setattr__(self, "points", tuple(sorted(pts)))
+
+    @classmethod
+    def _trusted(cls, points: Tuple[Tuple[int, int], ...]) -> "LatticeSet":
+        """Wrap a tuple of int pairs that is already sorted, duplicate-free
+        and nonnegative, without checking it."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "points", points)
+        return obj
 
     def __len__(self):
         return len(self.points)
@@ -77,7 +102,7 @@ class LatticeSet:
 
     @classmethod
     def from_json(cls, data: Sequence) -> "LatticeSet":
-        return cls(tuple((int(a), int(b)) for a, b in data))
+        return cls(tuple(data))
 
 
 @dataclass(frozen=True)
@@ -87,9 +112,12 @@ class MultiplicitySpec:
     multiplicities: Tuple[int, ...]
 
     def __post_init__(self):
-        ms = tuple(int(m) for m in self.multiplicities)
-        if any(m < 1 for m in ms):
-            raise ValueError("multiplicities must be positive")
+        ms = tuple(self.multiplicities)
+        for m in ms:
+            if not _is_int(m):
+                raise ValueError(f"multiplicity {m!r} is not an integer")
+            if m < 1:
+                raise ValueError(f"multiplicity {m!r} is not positive")
         object.__setattr__(self, "multiplicities", ms)
 
     def __len__(self):
@@ -127,41 +155,45 @@ class ColumnProfile:
         return sum(c for _, c in self.counts)
 
 
+def _cleared_form(r0, r1, r2, scale: int) -> Tuple[int, int, int]:
+    """Integers (c0, c1, c2) with c0 + c1*alpha + c2*beta equal to L times
+    scale*r0 + r1*alpha + r2*beta, for the positive lcm L of the
+    denominators of the rationals r0, r1, r2; the sign is unchanged."""
+    L = lcm(r0.denominator, r1.denominator, r2.denominator)
+    return (scale * r0.numerator * (L // r0.denominator),
+            r1.numerator * (L // r1.denominator),
+            r2.numerator * (L // r2.denominator))
+
+
 def scaled_points(P: ConvexPolygon, n: int) -> LatticeSet:
     """Integer points of the closed scaled polygon n*P.
 
-    Membership is decided column by column: each edge of the CCW polygon
-    contributes one exact half-plane inequality, which pins the admissible
-    integer range of the second coordinate for every integer first
-    coordinate.
+    Membership is decided column by column: each edge (a, b) of the CCW
+    polygon contributes the half-plane (b - a) x (q - a) >= 0, cleared of
+    denominators once, so every integer first coordinate alpha gets an
+    integer bound on the second coordinate by floor division.
     """
     if n < 1:
         raise ValueError("scale must be a positive integer")
     if not P.in_first_quadrant():
         raise ValueError("polygon must lie in the first quadrant")
+    lower, upper, walls = [], [], []
+    for a, b in P.edges():
+        # -dy*x + dx*y + (dy*a.x - dx*a.y) >= 0 inside, with (dx, dy) = b - a
+        dx, dy = b.x - a.x, b.y - a.y
+        c0, c1, c2 = _cleared_form(dy * a.x - dx * a.y, -dy, dx, n)
+        # c2 > 0 bounds beta from below, c2 < 0 from above, c2 = 0 is a wall
+        (lower if c2 > 0 else upper if c2 < 0 else walls).append((c0, c1, c2))
     xs = [v.x for v in P.vertices]
     pts = []
     for alpha in range(ceil(n * min(xs)), floor(n * max(xs)) + 1):
-        lo, hi = None, None
-        empty = False
-        for a, b in P.edges():
-            # inside n*P iff (b-a) x (q - n*a) >= 0 for q = (alpha, y)
-            c = b.x - a.x
-            rhs = (b.y - a.y) * (alpha - n * a.x) + c * n * a.y
-            if c > 0:
-                bound = Fraction(rhs, c)
-                lo = bound if lo is None else max(lo, bound)
-            elif c < 0:
-                bound = Fraction(rhs, c)
-                hi = bound if hi is None else min(hi, bound)
-            elif (b.y - a.y) * (alpha - n * a.x) > 0:
-                empty = True
-                break
-        if empty or lo is None or hi is None:
+        if any(c0 + c1 * alpha < 0 for c0, c1, _ in walls):
             continue
-        for beta in range(max(0, ceil(lo)), floor(hi) + 1):
-            pts.append((alpha, beta))
-    return LatticeSet(tuple(pts))
+        lo = max(-((c0 + c1 * alpha) // c2) for c0, c1, c2 in lower)
+        hi = min((c0 + c1 * alpha) // -c2 for c0, c1, c2 in upper)
+        pts.extend(zip(repeat(alpha), range(max(0, lo), hi + 1)))
+    # columns in increasing alpha, each in increasing beta >= 0
+    return LatticeSet._trusted(tuple(pts))
 
 
 def split_by_affine(D: LatticeSet, F: AffineForm, scale: int):
@@ -169,45 +201,62 @@ def split_by_affine(D: LatticeSet, F: AffineForm, scale: int):
 
     Points on the cut line go to the second (nonnegative) part, so the two
     parts always partition D.  The form is multiplied once by the positive
-    lcm L of its denominators, so each point is classified by the sign of
-    the integer c0 + c1*alpha + c2*beta, which is L times the scaled value.
+    lcm L of its denominators, so a point's side is the sign of the integer
+    c0 + c1*alpha + c2*beta, which is L times the scaled value.  Along one
+    column that sign changes at most once, so each column of the sorted D
+    is cut by a single bisection at an integer threshold on beta.
     """
     if scale < 1:
         raise ValueError("scale must be a positive integer")
-    L = lcm(F.r0.denominator, F.r1.denominator, F.r2.denominator)
-    c0 = scale * F.r0.numerator * (L // F.r0.denominator)
-    c1 = F.r1.numerator * (L // F.r1.denominator)
-    c2 = F.r2.numerator * (L // F.r2.denominator)
+    c0, c1, c2 = _cleared_form(F.r0, F.r1, F.r2, scale)
+    pts = D.points
     d1, d2 = [], []
-    for pt in D.points:
-        if c0 + c1 * pt[0] + c2 * pt[1] < 0:
-            d1.append(pt)
+    i = 0
+    while i < len(pts):
+        alpha = pts[i][0]
+        j = bisect_left(pts, (alpha + 1,), i)  # the column of alpha is pts[i:j]
+        v = c0 + c1 * alpha
+        if c2 == 0:
+            (d1 if v < 0 else d2).extend(pts[i:j])
+        elif c2 > 0:
+            # v + c2*beta < 0 iff beta < ceil(-v / c2)
+            k = bisect_left(pts, (alpha, -(v // c2)), i, j)
+            d1.extend(pts[i:k])
+            d2.extend(pts[k:j])
         else:
-            d2.append(pt)
-    return (LatticeSet(tuple(d1)), LatticeSet(tuple(d2)))
+            # v + c2*beta < 0 iff beta > floor(v / -c2)
+            k = bisect_left(pts, (alpha, v // -c2 + 1), i, j)
+            d2.extend(pts[i:k])
+            d1.extend(pts[k:j])
+        i = j
+    # both parts are subsequences of the sorted D
+    return (LatticeSet._trusted(tuple(d1)), LatticeSet._trusted(tuple(d2)))
 
 
 def column_profile(D: LatticeSet, direction: Direction) -> ColumnProfile:
     """Exact per-line counts of D along the given direction."""
     if len(D) == 0:
         raise EmptySet("cannot profile an empty set")
-    counter = Counter(direction.line_index(p) for p in D)
+    counter = Counter(map(itemgetter(direction.coordinate), D.points))
     return ColumnProfile(direction, tuple(sorted(counter.items())))
 
 
 def max_parallel_witness(profile: ColumnProfile) -> int:
     """Largest m hostable as lines carrying exactly 1, ..., m points.
 
-    With counts sorted descending h1 >= h2 >= ..., size m is feasible iff
-    hj >= m - j + 1 for every j <= m (assign the largest demand to the
-    fullest line); the answer is the largest feasible m.
+    With counts sorted descending h0 >= h1 >= ..., size m is feasible iff
+    hj >= m - j for every j < m (assign the largest demand to the fullest
+    line), i.e. iff min over j < m of hj + j is at least m.  That minimum
+    falls as m grows, so the feasible sizes run from 1 up to the answer,
+    and one pass finds the first infeasible size.
     """
     counts = sorted(profile.count_list(), reverse=True)
-    best = 0
-    for m in range(1, len(counts) + 1):
-        if all(counts[j] >= m - j for j in range(m)):
-            best = m
-    return best
+    low = len(counts)  # m never exceeds the number of lines
+    for j, h in enumerate(counts):
+        low = min(low, h + j)
+        if low <= j:
+            return j
+    return len(counts)
 
 
 def select_witness_subset(D: LatticeSet, direction: Direction, m: int) -> "WitnessSelection":
@@ -225,12 +274,14 @@ def select_witness_subset(D: LatticeSet, direction: Direction, m: int) -> "Witne
     # of a line arrive in increasing along-coordinate and the first `size`
     # of them are the lowest.
     members = {line: [] for line, _size in assignment}
+    k = direction.coordinate
     for p in D.points:
-        bucket = members.get(direction.line_index(p))
+        bucket = members.get(p[k])
         if bucket is not None:
             bucket.append(p)
-    chosen = [p for line, size in assignment for p in members[line][:size]]
-    return WitnessSelection(m, direction, assignment, LatticeSet(tuple(chosen)))
+    # distinct points of D, sorted here
+    chosen = sorted(p for line, size in assignment for p in members[line][:size])
+    return WitnessSelection(m, direction, assignment, LatticeSet._trusted(tuple(chosen)))
 
 
 @dataclass(frozen=True)

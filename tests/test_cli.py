@@ -198,3 +198,41 @@ def test_oracle_modular_refuses_explicit_points(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "'points'" in captured.err and "--mode exact" in captured.err
+
+
+def _oracle_on(tmp_path, system, mode="exact"):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(system))
+    return run(["oracle", "--system", str(path), "--mode", mode])
+
+
+def test_oracle_refuses_non_integer_exponents(tmp_path, capsys):
+    # Truncating with int() would rank (1.5, 0) as (1, 0) and report this
+    # system non-special; it must be refused instead.
+    for bad, shown in ((1.5, "[1.5, 0]"), (True, "[True, 0]")):
+        system = {"D": [[0, 0], [bad, 0], [0, 1]], "multiplicities": [1]}
+        for mode in ("exact", "modular"):
+            assert _oracle_on(tmp_path, system, mode) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert shown in captured.err and "integer" in captured.err
+
+
+def test_oracle_refuses_non_integer_multiplicities(tmp_path, capsys):
+    for bad in (1.9, True, "2"):
+        system = {"D": [[0, 0], [1, 0], [0, 1]], "multiplicities": [bad]}
+        assert _oracle_on(tmp_path, system) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"multiplicity {bad!r}" in captured.err
+
+
+def test_oracle_refuses_non_integer_seed(tmp_path, capsys):
+    for bad in (1.5, False, "3"):
+        system = {"D": [[0, 0], [1, 0], [0, 1]], "multiplicities": [1, 1],
+                  "seed": bad}
+        assert _oracle_on(tmp_path, system) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"seed {bad!r}" in captured.err
+    system["seed"] = 4
+    assert _oracle_on(tmp_path, system) == 0

@@ -3,11 +3,12 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
-from math import comb, gcd
+from math import ceil, comb, floor, gcd
 
 import pytest
 
-from seshadri.geometry import AffineForm, make_polygon
+from seshadri.certify import builtin_dissection_eckl10
+from seshadri.geometry import AffineForm, DegenerateInput, make_polygon
 from seshadri.lattice import (ColumnProfile, Direction, EmptySet, LatticeSet,
                               MultiplicitySpec, WitnessTooLarge,
                               column_profile, expected_dimension,
@@ -28,6 +29,70 @@ def _boundary_points(poly, n):
         dx, dy = n * (b.x - a.x), n * (b.y - a.y)
         total += gcd(int(abs(dx)), int(abs(dy)))
     return total
+
+
+def _scaled_points_reference(poly, n):
+    """Integer points of n*poly, each column bounded by one Fraction per edge."""
+    xs = [v.x for v in poly.vertices]
+    pts = []
+    for alpha in range(ceil(n * min(xs)), floor(n * max(xs)) + 1):
+        lo, hi = None, None
+        empty = False
+        for a, b in poly.edges():
+            # inside n*poly iff (b-a) x (q - n*a) >= 0 for q = (alpha, y)
+            c = b.x - a.x
+            rhs = (b.y - a.y) * (alpha - n * a.x) + c * n * a.y
+            if c > 0:
+                bound = F(rhs, c)
+                lo = bound if lo is None else max(lo, bound)
+            elif c < 0:
+                bound = F(rhs, c)
+                hi = bound if hi is None else min(hi, bound)
+            elif (b.y - a.y) * (alpha - n * a.x) > 0:
+                empty = True
+                break
+        if empty or lo is None or hi is None:
+            continue
+        for beta in range(max(0, ceil(lo)), floor(hi) + 1):
+            pts.append((alpha, beta))
+    return tuple(pts)
+
+
+def _rational_polygon(rng):
+    """Convex polygon in the first quadrant, vertex denominators up to 60,
+    often with a vertical edge and with vertices on the axes."""
+    def coord():
+        den = rng.randint(1, 60)
+        return F(rng.randint(0, den), den)
+
+    while True:
+        pts = [(coord(), coord()) for _ in range(rng.randint(3, 7))]
+        if rng.random() < 0.5:  # a vertical edge on the left or right side
+            x = rng.choice([min, max])(p[0] for p in pts)
+            pts += [(x, coord()), (x, coord())]
+        if rng.random() < 0.5:
+            pts[0] = (F(0), pts[0][1])
+        if rng.random() < 0.5:
+            pts[1] = (pts[1][0], F(0))
+        try:
+            return make_polygon(pts)
+        except DegenerateInput:
+            continue
+
+
+def _eckl10_lattice_sets(n):
+    """Every set the finite certificate builds for eckl10 at scale n."""
+    dis = builtin_dissection_eckl10()
+    remaining = scaled_points(dis.region, n)
+    sets = [remaining]
+    for step in dis.steps:
+        mine, remaining = split_by_affine(remaining, step.cut, n)
+        sets += [mine, remaining]
+    for piece in sets[1::2] + [remaining]:
+        for direction in Direction:
+            m = max_parallel_witness(column_profile(piece, direction))
+            sets.append(select_witness_subset(piece, direction, m).subset)
+    return sets
 
 
 class TestScaledPoints:
@@ -60,6 +125,17 @@ class TestScaledPoints:
             small = scaled_points(poly, n)
             big = scaled_points(poly, n * k)
             assert all((k * a, k * b) in big for a, b in small)
+
+    def test_integer_bounds_match_fraction_reference(self):
+        rng = random.Random(60)
+        vertical = on_axis = 0
+        for trial in range(300):
+            poly = _rational_polygon(rng)
+            n = 300 if trial % 50 == 0 else rng.randint(1, 60)
+            assert scaled_points(poly, n).points == _scaled_points_reference(poly, n)
+            vertical += any(a.x == b.x for a, b in poly.edges())
+            on_axis += any(v.x == 0 or v.y == 0 for v in poly.vertices)
+        assert vertical >= 100 and on_axis >= 150
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -252,6 +328,26 @@ class TestExpectedDimension:
 
 
 class TestLatticeSet:
+    @pytest.mark.parametrize("n", [13, 52, 208])
+    def test_built_sets_satisfy_the_validated_form(self, n):
+        # Enumeration, splits and witness subsets skip the validating
+        # constructor; rebuilding through it must change nothing.
+        for s in _eckl10_lattice_sets(n):
+            assert type(s.points) is tuple
+            assert LatticeSet(s.points).points == s.points
+            assert all(type(p) is tuple and type(p[0]) is int and type(p[1]) is int
+                       for p in s.points)
+
+    def test_rejects_non_integer_exponents(self):
+        for bad in ((1.5, 0), (0, True), (F(1), 0), ("1", 0)):
+            with pytest.raises(ValueError, match="integers"):
+                LatticeSet((bad,))
+            with pytest.raises(ValueError, match="integers"):
+                LatticeSet.from_json([[0, 0], list(bad)])
+        for bad in ((1.9,), (True,), (F(2),)):
+            with pytest.raises(ValueError, match="not an integer"):
+                MultiplicitySpec(bad)
+
     def test_sorted_dedup(self):
         pts = LatticeSet(((2, 0), (0, 1), (2, 0)))
         assert pts.points == ((0, 1), (2, 0))
