@@ -13,12 +13,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import __about__
-from .geometry import (AffineForm, Axis, ConvexPolygon, Point,
+from .geometry import (AffineForm, Axis, ConvexPolygon, Point, cut_polygon,
                        height_profile, make_polygon, parse_rational,
-                       point, polygon_area, x_projection)
+                       point, x_projection)
 from .lattice import (Direction, LatticeSet, WitnessSelection, column_profile,
                       expected_dimension, max_parallel_witness, scaled_points,
                       select_witness_subset, split_by_affine)
@@ -63,6 +63,24 @@ class Dissection:
         return [s.peeled for s in self.steps] + [self.final]
 
 
+def _peel(region: ConvexPolygon, cuts: Iterable[AffineForm]
+          ) -> Iterator[Tuple[CutStep, ConvexPolygon]]:
+    """Yield (step, remainder) as each cut in turn peels the remainder.
+
+    Cut i peels the part of the remainder where it is negative and leaves
+    the rest to cut i + 1; a cut that leaves either side without area is
+    refused, naming it.  This is the one place a dissection is cut.
+    """
+    remainder = region
+    for i, cut in enumerate(cuts, start=1):
+        peeled, remainder = cut_polygon(remainder, cut)
+        if peeled is None or remainder is None:
+            side = "negative" if peeled is None else "positive"
+            raise InvalidDissection(f"cut {i} leaves the {side} side of the "
+                                    "remainder without area")
+        yield CutStep(cut, peeled), remainder
+
+
 @dataclass(frozen=True)
 class DissectionValidation:
     ok: bool
@@ -73,34 +91,36 @@ class DissectionValidation:
 
 
 def validate_dissection(dis: Dissection) -> DissectionValidation:
-    """Check cut signs, the exact area partition and containment.
+    """Re-derive every piece by cutting the region with the cuts.
 
+    The region must lie in the first quadrant, every cut must leave area
+    on both sides, and each stated piece must equal the derived one.
     Every violation is reported; an empty list means the dissection
     satisfies the hypotheses the verification pipeline relies on.
     """
     v: List[str] = []
-    polys = dis.polygons()
     if not dis.region.in_first_quadrant():
         v.append("region leaves the first quadrant")
-    for idx, poly in enumerate(polys, start=1):
-        if not poly.in_first_quadrant():
-            v.append(f"P{idx} leaves the first quadrant")
-        for vert in poly.vertices:
-            if not dis.region.contains(vert):
-                v.append(f"P{idx} vertex {vert} lies outside the region")
-    total = sum((polygon_area(p) for p in polys), Fraction(0))
-    if total != polygon_area(dis.region):
-        v.append(f"areas sum to {total}, region has {polygon_area(dis.region)}")
-    for i, step in enumerate(dis.steps, start=1):
-        vals = [step.cut(vert) for vert in step.peeled.vertices]
-        if any(val > 0 for val in vals) or all(val == 0 for val in vals):
-            v.append(f"cut {i} is not negative on the interior of P{i}")
-        for j in range(i, len(polys)):
-            later = polys[j]
-            lvals = [step.cut(vert) for vert in later.vertices]
-            if any(val < 0 for val in lvals) or all(val == 0 for val in lvals):
-                v.append(f"cut {i} is not positive on the interior of P{j + 1}")
+    final = dis.region
+    try:
+        derived = _peel(dis.region, (s.cut for s in dis.steps))
+        for i, (stated, (step, final)) in enumerate(zip(dis.steps, derived),
+                                                    start=1):
+            if stated != step:
+                v.append(f"P{i} is not the piece cut {i} peels off")
+    except InvalidDissection as exc:
+        v.append(str(exc))
+    else:
+        if dis.final != final:
+            v.append(f"P{dis.r} is not the remainder the cuts leave")
     return DissectionValidation(not v, tuple(v))
+
+
+def _require_valid(dis: Dissection) -> None:
+    """Raise :class:`InvalidDissection` listing every violation, if any."""
+    check = validate_dissection(dis)
+    if not check.ok:
+        raise InvalidDissection("; ".join(check.violations))
 
 
 # --- builtin ten-piece dissection -----------------------------------------
@@ -125,31 +145,18 @@ BUILTIN_POINT_TABLE: Dict[str, Point] = {
 def builtin_dissection_eckl10() -> Dissection:
     """The builtin ten-piece dissection of the simplex certifying 4/13.
 
-    Vertex membership of the pieces is read off a drawing, so the result
-    is validated structurally at construction time instead of trusted.
+    The pieces are peeled off the simplex OAB by the nine cuts;
+    ``BUILTIN_POINT_TABLE`` names their vertices.
     """
-    table = BUILTIN_POINT_TABLE
-
-    def piece(*names):
-        return make_polygon([table[n] for n in names])
-
-    steps = (
-        CutStep(AffineForm(-4 * _T, 1, 1), piece("O", "I", "J")),
-        CutStep(AffineForm(9 * _T, -1, 0), piece("C", "A", "E")),
-        CutStep(AffineForm(9 * _T, 0, -1), piece("D", "B", "F")),
-        CutStep(AffineForm(5 * _T, -1, 1), piece("G", "C", "E")),
-        CutStep(AffineForm(5 * _T, 1, -1), piece("H", "D", "F")),
-        CutStep(AffineForm(15 * _T, -3, 1), piece("G", "K", "E")),
-        CutStep(AffineForm(15 * _T, 1, -3), piece("H", "L", "F")),
-        CutStep(AffineForm(9 * _T, -1, -1), piece("N", "M", "K", "L")),
-        CutStep(AffineForm(0, -1, 1), piece("Q", "I", "G", "M", "P")),
-    )
-    dis = Dissection("eckl10", piece("O", "A", "B"), steps,
-                     piece("Q", "P", "N", "H", "J"))
-    check = validate_dissection(dis)
-    if not check.ok:
-        raise AssertionError(f"builtin dissection invalid: {check.violations}")
-    return dis
+    cuts = (AffineForm(-4 * _T, 1, 1), AffineForm(9 * _T, -1, 0),
+            AffineForm(9 * _T, 0, -1), AffineForm(5 * _T, -1, 1),
+            AffineForm(5 * _T, 1, -1), AffineForm(15 * _T, -3, 1),
+            AffineForm(15 * _T, 1, -3), AffineForm(9 * _T, -1, -1),
+            AffineForm(0, -1, 1))
+    region = make_polygon([(0, 0), (1, 0), (0, 1)])
+    peeled = list(_peel(region, cuts))
+    return Dissection("eckl10", region, tuple(step for step, _ in peeled),
+                      peeled[-1][1])
 
 
 # --- asymptotic verification -----------------------------------------------
@@ -220,9 +227,7 @@ def verify_asymptotic(dis: Dissection, m) -> AsymptoticReport:
     m = Fraction(m)
     if m <= 0:
         raise ValueError("m must be positive")
-    check = validate_dissection(dis)
-    if not check.ok:
-        raise InvalidDissection("; ".join(check.violations))
+    _require_valid(dis)
     rows = tuple(_check_polygon(i, p, m)
                  for i, p in enumerate(dis.polygons(), start=1))
     return AsymptoticReport(m, rows, all(r.passed for r in rows))
@@ -235,9 +240,7 @@ def certified_bound(dis: Dissection) -> Fraction:
     identity crossing of the rearranged profile); the bound is the minimum
     over pieces and is approached but not attained.
     """
-    check = validate_dissection(dis)
-    if not check.ok:
-        raise InvalidDissection("; ".join(check.violations))
+    _require_valid(dis)
     return _bound_of_valid(dis)
 
 
@@ -340,9 +343,7 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
         raise ValueError("scale must be a positive integer")
     if oracle_mode not in ("none", "modular", "exact"):
         raise ValueError(f"unknown oracle mode {oracle_mode!r}")
-    check = validate_dissection(dis)
-    if not check.ok:
-        raise InvalidDissection("; ".join(check.violations))
+    _require_valid(dis)
     target = _bound_of_valid(dis)
     remaining = scaled_points(dis.region, n)
     pieces: List[Tuple[int, str, LatticeSet]] = []
@@ -502,12 +503,24 @@ def dissection_to_json(dis: Dissection) -> dict:
             "final": dis.final.to_json()}
 
 
+def _parsed(field: str, parse, data):
+    """``parse(data)``, refusing bad input with a message naming the field."""
+    try:
+        return parse(data)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{field}: {exc}") from None
+
+
 def dissection_from_json(data: dict) -> Dissection:
-    steps = tuple(CutStep(AffineForm.from_json(s["cut"]),
-                          ConvexPolygon.from_json(s["polygon"]))
-                  for s in data["steps"])
-    return Dissection(data["name"], ConvexPolygon.from_json(data["region"]),
-                      steps, ConvexPolygon.from_json(data["final"]))
+    name = data["name"]
+    if not isinstance(name, str):
+        raise ValueError(f"name: {name!r} is not a string")
+    polygon = ConvexPolygon.from_json
+    steps = tuple(CutStep(_parsed(f"step {i} cut", AffineForm.from_json, s["cut"]),
+                          _parsed(f"step {i} polygon", polygon, s["polygon"]))
+                  for i, s in enumerate(data["steps"], start=1))
+    return Dissection(name, _parsed("region", polygon, data["region"]), steps,
+                      _parsed("final", polygon, data["final"]))
 
 
 def dump_json(data: dict) -> str:

@@ -39,8 +39,9 @@ def format_rational(x: Fraction) -> str:
 
 
 def _rat(x) -> Fraction:
-    if isinstance(x, float):
-        raise TypeError("floating-point coordinates rejected; pass Fraction, int or 'p/q'")
+    if isinstance(x, (bool, float)):
+        raise TypeError(f"{type(x).__name__} value {x!r} rejected; "
+                        "pass Fraction, int or 'p/q'")
     if isinstance(x, str):
         return parse_rational(x)
     return Fraction(x)
@@ -93,8 +94,7 @@ class AffineForm:
 
     @classmethod
     def from_json(cls, data: dict) -> "AffineForm":
-        return cls(parse_rational(data["r0"]), parse_rational(data["r1"]),
-                   parse_rational(data["r2"]))
+        return cls(data["r0"], data["r1"], data["r2"])
 
 
 @dataclass(frozen=True)

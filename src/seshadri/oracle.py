@@ -220,7 +220,11 @@ def fraction_free_rank(rows: Matrix) -> int:
 
 def _cell_cap() -> int:
     env = os.environ.get("SESHADRI_MAX_CELLS")
-    return int(env) if env else EXACT_CELL_CAP
+    if not env:
+        return EXACT_CELL_CAP
+    if not (env.isascii() and env.isdigit() and int(env) > 0):
+        raise ValueError(f"SESHADRI_MAX_CELLS={env!r} is not a positive integer")
+    return int(env)
 
 
 def system_dimension_exact(D: LatticeSet, spec,

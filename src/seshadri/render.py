@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .certify import Dissection, InvalidDissection, validate_dissection
-from .geometry import AffineForm, Point
+from .certify import Dissection, _require_valid
+from .geometry import Point, cut_polygon
 
 
 @dataclass(frozen=True)
@@ -38,29 +38,10 @@ def _decimal6(x: Fraction) -> str:
     return f"{sign}{n // 10**6}.{n % 10**6:06d}"
 
 
-def _region_chord(dis: Dissection, cut: AffineForm):
-    """Endpoints of the cut line clipped to the region, or None."""
-    hits = []
-    n = len(dis.region.vertices)
-    for i in range(n):
-        a = dis.region.vertices[i]
-        b = dis.region.vertices[(i + 1) % n]
-        fa, fb = cut(a), cut(b)
-        if fa == 0:
-            hits.append(a)
-        if (fa < 0 < fb) or (fb < 0 < fa):
-            t = fa / (fa - fb)
-            hits.append(Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
-    uniq = sorted(set(hits))
-    return (uniq[0], uniq[-1]) if len(uniq) >= 2 else None
-
-
 def render_svg(dis: Dissection, spec: RenderSpec,
                point_names: Optional[Dict[str, Point]] = None) -> str:
     """Render the dissection to an SVG document string."""
-    check = validate_dissection(dis)
-    if not check.ok:
-        raise InvalidDissection("; ".join(check.violations))
+    _require_valid(dis)
     xs = [v.x for v in dis.region.vertices]
     ys = [v.y for v in dis.region.vertices]
     lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
@@ -89,10 +70,10 @@ def render_svg(dis: Dissection, spec: RenderSpec,
     lines.append(f'  <g stroke="{spec.stroke}" stroke-width="0.8" '
                  'stroke-dasharray="6 4">')
     for idx, step in enumerate(dis.steps, start=1):
-        chord = _region_chord(dis, step.cut)
-        if chord is None:
-            continue
-        a, b = chord
+        # a valid cut splits the region too: the chord is the edge of its
+        # negative part that lies on the cut line
+        part = cut_polygon(dis.region, step.cut)[0]
+        a, b = sorted(v for v in part.vertices if step.cut(v) == 0)
         lines.append(f'    <line id="cut-{idx}" x1="{sx(a.x)}" y1="{sy(a.y)}" '
                      f'x2="{sx(b.x)}" y2="{sy(b.y)}"/>')
     lines.append("  </g>")

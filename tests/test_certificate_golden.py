@@ -1,16 +1,22 @@
-"""Byte-level regression pins for oracle-free certificates of eckl10.
+"""Byte-level regression pins for the machine output on eckl10.
 
-Each digest is the sha256 of the canonical JSON of
-``finite_certificate(eckl10, n, "none")``.  A change to the lattice layer
-(enumeration, cut-by-cut split, witness selection) that alters any point
-of any piece changes the digest.
+Each digest is the sha256 of a canonical text: the JSON of
+``finite_certificate(eckl10, n, "none")``, the dissection file written by
+``seshadri builtin``, the ``validate`` report, two ``verify`` reports and
+the rendered SVG.  A change to the lattice layer (enumeration,
+cut-by-cut split, witness selection) or to how the pieces are derived,
+checked, scored or drawn that alters any byte changes a digest.
 """
 
 import hashlib
+from fractions import Fraction as F
 
 import pytest
 
-from seshadri.certify import builtin_dissection_eckl10, dump_json, finite_certificate
+from seshadri.certify import (BUILTIN_POINT_TABLE, builtin_dissection_eckl10,
+                              dissection_to_json, dump_json, finite_certificate,
+                              validate_dissection, verify_asymptotic)
+from seshadri.render import RenderSpec, render_svg
 
 GOLDEN = {
     13: "9d7ebd409acc39d5281d3ec659ce0b1ada85fe8c50fecff50a26c02cecc315bf",
@@ -20,9 +26,34 @@ GOLDEN = {
     208: "643a13aa1765383f069ad6b620e0f1db079b47a5e57394b7da69f40ec670f0a5",
 }
 
+BUILTIN = builtin_dissection_eckl10()
+
+ASYMPTOTIC_GOLDEN = {
+    "dissection": ("dde7caaa3a0d7c1040ad9667d8934ac8bad6aa3f9e3aa7bc5226925a12aa4e64",
+                   lambda: dump_json(dissection_to_json(BUILTIN))),
+    "validate": ("7e4bbee3892d39c5c8fc726c86996477282e22c33f15d1d845e4370ee818544c",
+                 lambda: dump_json(validate_dissection(BUILTIN).to_json())),
+    "verify 3/10": ("9296d48bf36104029b4f5ac363775cafa33c77ab887a92ec178b662a70df1e4b",
+                    lambda: dump_json(verify_asymptotic(BUILTIN, F(3, 10)).to_json())),
+    "verify 4/13": ("bfc78adf3165fe1ccb758bce550c8c95ff82df05e0b81dea60980b3d639f2801",
+                    lambda: dump_json(verify_asymptotic(BUILTIN, F(4, 13)).to_json())),
+    "render": ("383675cb691d3f5249c4dffc5652708ec9b6d74e04eac42304b70a1b64bc0417",
+               lambda: render_svg(BUILTIN, RenderSpec(),
+                                  point_names=BUILTIN_POINT_TABLE)),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
 
 @pytest.mark.parametrize("n", sorted(GOLDEN))
 def test_certificate_bytes_pinned(n):
-    cert = finite_certificate(builtin_dissection_eckl10(), n, "none")
-    text = dump_json(cert.to_json())
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[n]
+    cert = finite_certificate(BUILTIN, n, "none")
+    assert _sha256(dump_json(cert.to_json())) == GOLDEN[n]
+
+
+@pytest.mark.parametrize("what", sorted(ASYMPTOTIC_GOLDEN))
+def test_asymptotic_bytes_pinned(what):
+    digest, text = ASYMPTOTIC_GOLDEN[what]
+    assert _sha256(text()) == digest

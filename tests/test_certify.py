@@ -1,6 +1,7 @@
 """Tests for dissection validation, verification and finite certificates."""
 
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,62 @@ from seshadri.lattice import scaled_points
 
 BUILTIN = builtin_dissection_eckl10()
 SIMPLEX = make_polygon([(0, 0), (1, 0), (0, 1)])
+
+
+def _validate_reference(dis):
+    """The former validator: cut signs, area partition and containment.
+
+    It reconciles the stated pieces with the cuts instead of re-deriving
+    them; a dissection passes it exactly when every stated piece is the
+    piece its cut peels.
+    """
+    v = []
+    polys = dis.polygons()
+    if not dis.region.in_first_quadrant():
+        v.append("region leaves the first quadrant")
+    for idx, poly in enumerate(polys, start=1):
+        if not poly.in_first_quadrant():
+            v.append(f"P{idx} leaves the first quadrant")
+        for vert in poly.vertices:
+            if not dis.region.contains(vert):
+                v.append(f"P{idx} vertex {vert} lies outside the region")
+    total = sum((polygon_area(p) for p in polys), F(0))
+    if total != polygon_area(dis.region):
+        v.append(f"areas sum to {total}, region has {polygon_area(dis.region)}")
+    for i, step in enumerate(dis.steps, start=1):
+        vals = [step.cut(vert) for vert in step.peeled.vertices]
+        if any(val > 0 for val in vals) or all(val == 0 for val in vals):
+            v.append(f"cut {i} is not negative on the interior of P{i}")
+        for j in range(i, len(polys)):
+            later = polys[j]
+            lvals = [step.cut(vert) for vert in later.vertices]
+            if any(val < 0 for val in lvals) or all(val == 0 for val in lvals):
+                v.append(f"cut {i} is not positive on the interior of P{j + 1}")
+    return not v, v
+
+
+def _mutated_eckl10(rng):
+    """eckl10's JSON with one seeded mutation: a nudged piece vertex, a
+    perturbed cut coefficient, two swapped steps or a dropped step."""
+    data = dissection_to_json(BUILTIN)
+    steps = data["steps"]
+    kind = rng.choice(("nudge", "cut", "swap", "drop"))
+    delta = F(rng.choice((-1, 1)), rng.randint(2, 200))
+    if kind == "nudge":
+        polygon = rng.choice([s["polygon"] for s in steps] + [data["final"]])
+        vertex = rng.choice(polygon)
+        k = rng.randrange(2)
+        vertex[k] = str(F(vertex[k]) + delta)
+    elif kind == "cut":
+        cut = rng.choice(steps)["cut"]
+        key = rng.choice(("r0", "r1", "r2"))
+        cut[key] = str(F(cut[key]) + delta)
+    elif kind == "swap":
+        i, j = rng.sample(range(len(steps)), 2)
+        steps[i], steps[j] = steps[j], steps[i]
+    else:
+        del steps[rng.randrange(len(steps))]
+    return dissection_from_json(data)
 
 
 def toy_half_split():
@@ -77,7 +134,33 @@ class TestBuiltin:
         bad = Dissection("overlap", SIMPLEX, BUILTIN.steps[:1], SIMPLEX)
         report = validate_dissection(bad)
         assert not report.ok
-        assert any("areas sum" in v for v in report.violations)
+        assert any("P2 is not the remainder" in v for v in report.violations)
+
+    def test_repeated_cut_named(self):
+        bad = Dissection(BUILTIN.name, BUILTIN.region,
+                         BUILTIN.steps[:1] + BUILTIN.steps[:1] + BUILTIN.steps[2:],
+                         BUILTIN.final)
+        report = validate_dissection(bad)
+        assert not report.ok
+        assert any("cut 2" in v for v in report.violations)
+
+    def test_nudged_piece_named(self):
+        data = dissection_to_json(BUILTIN)
+        vertex = data["steps"][4]["polygon"][0]
+        vertex[1] = str(F(vertex[1]) + F(1, 1000))
+        report = validate_dissection(dissection_from_json(data))
+        assert not report.ok
+        assert report.violations == ("P5 is not the piece cut 5 peels off",)
+
+    def test_agrees_with_reference_on_mutations(self):
+        rng = random.Random(17)
+        outcomes = []
+        for _ in range(400):
+            dis = _mutated_eckl10(rng)
+            ok = validate_dissection(dis).ok
+            assert ok == _validate_reference(dis)[0], dissection_to_json(dis)
+            outcomes.append(ok)
+        assert outcomes.count(True) >= 10 and outcomes.count(False) >= 300
 
 
 class TestVerifyAsymptotic:

@@ -2,6 +2,7 @@
 
 import json
 
+from seshadri import certify as cert
 from seshadri.cli import run
 
 BUILTIN = "builtin:eckl10"
@@ -236,3 +237,68 @@ def test_oracle_refuses_non_integer_seed(tmp_path, capsys):
         assert captured.out == "" and f"seed {bad!r}" in captured.err
     system["seed"] = 4
     assert _oracle_on(tmp_path, system) == 0
+
+
+def _one_point_system(tmp_path):
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps({"D": [[0, 0], [1, 0], [0, 1]],
+                                  "multiplicities": [1]}))
+    return str(system)
+
+
+def test_cell_cap_must_be_an_integer(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SESHADRI_MAX_CELLS", "abc")
+    assert run(["oracle", "--system", _one_point_system(tmp_path),
+                "--mode", "exact"]) == 2
+    err = capsys.readouterr().err
+    assert "SESHADRI_MAX_CELLS" in err and "'abc'" in err
+
+
+def test_cell_cap_must_be_positive(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SESHADRI_MAX_CELLS", "-5")
+    assert run(["certify", "--dissection", BUILTIN, "--n", "13",
+                "--oracle", "exact"]) == 2
+    err = capsys.readouterr().err
+    assert "SESHADRI_MAX_CELLS" in err and "'-5'" in err
+
+
+def _edited_builtin(tmp_path, edit):
+    """Path of eckl10's dissection file after ``edit(data)``."""
+    data = cert.dissection_to_json(cert.builtin_dissection_eckl10())
+    edit(data)
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_integer_cut_coefficient_accepted(tmp_path, capsys):
+    def edit(data):
+        data["steps"][0]["cut"]["r1"] = 1
+        data["region"][1][0] = 1
+    assert run(["bound", "--dissection", _edited_builtin(tmp_path, edit)]) == 0
+    assert capsys.readouterr().out == "4/13\n"
+
+
+def test_bool_coordinate_refused(tmp_path, capsys):
+    def edit(data):
+        data["region"][1][0] = True
+    path = _edited_builtin(tmp_path, edit)
+    for command in ("validate", "bound"):
+        assert run([command, "--dissection", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "region" in captured.err
+
+
+def test_bool_cut_coefficient_refused(tmp_path, capsys):
+    def edit(data):
+        data["steps"][2]["cut"]["r2"] = False
+    assert run(["bound", "--dissection", _edited_builtin(tmp_path, edit)]) == 2
+    err = capsys.readouterr().err
+    assert "step 3 cut" in err and "False" in err
+
+
+def test_non_string_name_refused(tmp_path, capsys):
+    def edit(data):
+        data["name"] = 10
+    assert run(["validate", "--dissection", _edited_builtin(tmp_path, edit)]) == 2
+    assert "name" in capsys.readouterr().err
