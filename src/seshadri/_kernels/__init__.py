@@ -1,10 +1,13 @@
 """Hot-kernel dispatch: compiled extension when built, pure Python otherwise.
 
-The only compiled kernel is prime-field row reduction, which dominates the
-runtime of modular rank checks on large certificates.  Everything exact
-and rational stays in pure Python, where arbitrary-precision integers are
-already native.  Set ``SESHADRI_FORCE_PY_KERNELS=1`` to ignore a compiled
-extension that is present.
+The only compiled kernel is prime-field row reduction.  The modular oracle
+calls it for systems of several points and for one-point systems whose
+rank mod 2 falls short; one-point systems of full rank mod 2, such as
+every eckl10 certificate witness, are decided by the oracle's GF(2) step
+without it.  Everything exact and rational stays in pure Python, where
+arbitrary-precision integers are already native.  Set
+``SESHADRI_FORCE_PY_KERNELS=1`` to ignore a compiled extension that is
+present.
 """
 
 from __future__ import annotations

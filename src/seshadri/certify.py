@@ -19,9 +19,9 @@ from . import __about__
 from .geometry import (AffineForm, Axis, ConvexPolygon, Point, cut_polygon,
                        height_profile, make_polygon, parse_rational,
                        point, x_projection)
-from .lattice import (Direction, LatticeSet, WitnessSelection, column_profile,
-                      expected_dimension, max_parallel_witness, scaled_points,
-                      select_witness_subset, split_by_affine)
+from .lattice import (Direction, LatticeSet, WitnessSelection, _json_bool, _json_int,
+                      column_profile, expected_dimension, max_parallel_witness,
+                      scaled_points, select_witness_subset, split_by_affine)
 from .oracle import OracleVerdict, system_dimension_exact, system_dimension_modp
 from .reorder import PiecewiseLinear, monotone_reorder, sup_admissible
 
@@ -281,9 +281,11 @@ class PolygonWitness:
 
     @classmethod
     def from_json(cls, data: dict) -> "PolygonWitness":
-        return cls(int(data["polygon"]), data["role"], int(data["lattice_count"]),
-                   int(data["m"]), WitnessSelection.from_json(data["witness"]),
-                   parse_rational(data["deviation"]), data.get("padding_ok"),
+        return cls(_json_int("polygon", data["polygon"]), data["role"],
+                   _json_int("lattice_count", data["lattice_count"]),
+                   _json_int("m", data["m"]), WitnessSelection.from_json(data["witness"]),
+                   parse_rational(data["deviation"]),
+                   _json_bool("padding_ok", data.get("padding_ok"), optional=True),
                    OracleVerdict.from_json(data["oracle"]) if data.get("oracle") else None)
 
 
@@ -318,8 +320,9 @@ class FiniteCertificate:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteCertificate":
-        return cls(data["dissection"], int(data["scale"]), int(data["degree"]),
-                   data["oracle_mode"], int(data["seed"]),
+        return cls(data["dissection"], _json_int("scale", data["scale"]),
+                   _json_int("degree", data["degree"]), data["oracle_mode"],
+                   _json_int("seed", data["seed"]),
                    tuple(PolygonWitness.from_json(p) for p in data["per_polygon"]),
                    parse_rational(data["min_ratio"]),
                    data["tool_version"])

@@ -42,6 +42,25 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _json_int(name: str, value, optional: bool = False) -> Optional[int]:
+    """A JSON field that must be an int: floats, bools and strings raise
+    ValueError naming the field.  With ``optional``, None passes."""
+    if optional and value is None:
+        return None
+    if not _is_int(value):
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return value
+
+
+def _json_bool(name: str, value, optional: bool = False) -> Optional[bool]:
+    """A JSON field that must be a boolean; see ``_json_int``."""
+    if optional and value is None:
+        return None
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} {value!r} is not a boolean")
+    return value
+
+
 @dataclass(frozen=True)
 class LatticeSet:
     """Finite subset of N^2, kept sorted and duplicate-free.
@@ -308,8 +327,9 @@ class WitnessSelection:
 
     @classmethod
     def from_json(cls, data: dict) -> "WitnessSelection":
-        return cls(int(data["m"]), Direction(data["direction"]),
-                   tuple((int(i), int(s)) for i, s in data["assignment"]),
+        return cls(_json_int("m", data["m"]), Direction(data["direction"]),
+                   tuple((_json_int("assignment line", i), _json_int("assignment size", s))
+                         for i, s in data["assignment"]),
                    LatticeSet.from_json(data["subset"]))
 
 

@@ -11,9 +11,17 @@ xy != 0, scaling row (a, b) of the interpolation matrix by
 x^a y^b / (a! b!) and column (alpha, beta) by x^-alpha y^-beta turns it
 into the integer matrix B[(a, b), (alpha, beta)] = C(alpha, a) * C(beta, b).
 So rank over Q of B is the rank at every such point, the generic rank, and
-as B has integer entries its rank modulo any prime is at most that.  Every
-finite-scale witness is a one-point system and is ranked this way, without
-a seed.  Systems of several points keep seeded random points.
+as B has integer entries its rank modulo any prime is at most that.
+
+Both modes rank B over GF(2) first.  By Lucas's theorem C(x, k) is odd
+exactly when k & ~x == 0, so with one bit per column of D every row of B
+mod 2 is the AND of a mask for a and a mask for b, and the rank is an XOR
+basis of these ints.  A full rank mod 2 forces full rank over Q, so that
+verdict is conclusive in either mode.  Only when the GF(2) rank falls short
+does the modular mode rank B modulo its prime and the exact mode rank it
+over Q.  Every finite-scale witness is a one-point system and is ranked
+this way, without a seed.  Systems of several points keep seeded random
+points.
 """
 
 from __future__ import annotations
@@ -23,11 +31,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm, perm
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ._kernels import modrank
 from .geometry import Point
-from .lattice import LatticeSet, _coerce_spec
+from .lattice import LatticeSet, _coerce_spec, _json_bool, _json_int
 
 Matrix = List[List[Fraction]]
 
@@ -41,6 +49,8 @@ _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MILLER_RABIN_PROVEN = 318_665_857_834_031_151_167_461
 _POINT_FREE = ("point-free: the binomial matrix C(alpha,a)*C(beta,b) has the rank "
                "of the one-point system at every point with xy != 0")
+_GF2_FULL = (_POINT_FREE + "; it has full rank mod 2, which forces full rank over Q: "
+             "the verdict is conclusive")
 
 
 class ArityMismatch(ValueError):
@@ -126,10 +136,12 @@ class OracleVerdict:
 
     @classmethod
     def from_json(cls, data: dict) -> "OracleVerdict":
-        return cls(int(data["actual_dimension"]), int(data["expected_dimension"]),
-                   bool(data["non_special"]), data["method"],
-                   data.get("prime"), data.get("caveat"),
-                   int(data.get("rank", 0)), data.get("seed"))
+        return cls(_json_int("actual_dimension", data["actual_dimension"]),
+                   _json_int("expected_dimension", data["expected_dimension"]),
+                   _json_bool("non_special", data["non_special"]), data["method"],
+                   _json_int("prime", data.get("prime"), optional=True),
+                   data.get("caveat"), _json_int("rank", data.get("rank", 0)),
+                   _json_int("seed", data.get("seed"), optional=True))
 
 
 def _derivative_orders(m: int):
@@ -165,6 +177,14 @@ def interpolation_matrix(D: LatticeSet, points: GenericPointSet, spec) -> Matrix
     return rows
 
 
+def _shifted_columns(D: LatticeSet) -> List[Tuple[int, int]]:
+    """Exponents of D, in its order, shifted to touch both axes."""
+    cols = list(D)
+    s = min((alpha for alpha, _ in cols), default=0)
+    t = min((beta for _, beta in cols), default=0)
+    return [(alpha - s, beta - t) for alpha, beta in cols]
+
+
 def _binomial_matrix(D: LatticeSet, m: int) -> List[List[int]]:
     """Point-free condition matrix of the one-point system (D, m).
 
@@ -172,12 +192,75 @@ def _binomial_matrix(D: LatticeSet, m: int) -> List[List[int]]:
     C(alpha, a) * C(beta, b) for each exponent of D after shifting D to
     touch both axes.
     """
-    cols = list(D)
-    s = min((alpha for alpha, _ in cols), default=0)
-    t = min((beta for _, beta in cols), default=0)
-    xs = [[comb(alpha - s, a) for alpha, _ in cols] for a in range(m)]
-    ys = [[comb(beta - t, b) for _, beta in cols] for b in range(m)]
+    cols = _shifted_columns(D)
+    xs = [[comb(alpha, a) for alpha, _ in cols] for a in range(m)]
+    ys = [[comb(beta, b) for _, beta in cols] for b in range(m)]
     return [[u * v for u, v in zip(xs[a], ys[b])] for a, b in _derivative_orders(m)]
+
+
+def _lucas_rows(D: LatticeSet, m: int) -> List[int]:
+    """Rows of ``_binomial_matrix(D, m)`` mod 2, bit j standing for column j.
+
+    By Lucas's theorem C(x, k) is odd exactly when k & ~x == 0, so row
+    (a, b) is the mask of columns whose alpha passes that test for a,
+    ANDed with the mask of those whose beta passes it for b.
+    """
+    by_alpha: Dict[int, int] = {}
+    by_beta: Dict[int, int] = {}
+    for j, (alpha, beta) in enumerate(_shifted_columns(D)):
+        by_alpha[alpha] = by_alpha.get(alpha, 0) | 1 << j
+        by_beta[beta] = by_beta.get(beta, 0) | 1 << j
+
+    def odd(masks: Dict[int, int], k: int) -> int:
+        out = 0
+        for x, mask in masks.items():
+            if not k & ~x:
+                out |= mask
+        return out
+
+    xs = [odd(by_alpha, a) for a in range(m)]
+    ys = [odd(by_beta, b) for b in range(m)]
+    return [xs[a] & ys[b] for a, b in _derivative_orders(m)]
+
+
+def _gf2_rank(rows: Sequence[int]) -> int:
+    """Rank over GF(2) of rows packed one bit per column into ints.
+
+    Each row is reduced against an XOR basis keyed by top bit and joins it
+    when something is left.
+    """
+    basis: Dict[int, int] = {}
+    for v in rows:
+        while v:
+            top = v.bit_length()
+            w = basis.get(top)
+            if w is None:
+                basis[top] = v
+                break
+            v ^= w
+    return len(basis)
+
+
+def _point_free_verdict(D: LatticeSet, m: int, method: str, prime: Optional[int],
+                        caveat: str, fallback_rank: Callable[[List[List[int]]], int]
+                        ) -> OracleVerdict:
+    """Verdict of the one-point system (D, m) from its point-free matrix B.
+
+    B has integer entries, so its rank mod 2 is at most its rank over Q: a
+    full rank mod 2 is full rank over Q and the verdict, recorded with
+    prime 2, is conclusive.  Otherwise ``fallback_rank(B)`` decides, and
+    the verdict records ``prime`` and ``caveat``.
+    """
+    conditions = comb(m + 1, 2)
+    rank = _gf2_rank(_lucas_rows(D, m))
+    if rank == min(len(D), conditions):
+        prime, caveat = 2, _GF2_FULL
+    else:
+        rank = fallback_rank(_binomial_matrix(D, m))
+    actual = len(D) - 1 - rank
+    expected = max(-1, len(D) - 1 - conditions)
+    return OracleVerdict(actual, expected, actual == expected, method, prime,
+                         caveat, rank, None)
 
 
 def fraction_free_rank(rows: Matrix) -> int:
@@ -233,11 +316,12 @@ def system_dimension_exact(D: LatticeSet, spec,
     """Projective dimension of the system over Q, |D| - 1 - rank.
 
     With no explicit points, a one-point system is ranked point-free, which
-    gives the generic rank exactly and ignores ``seed``.  Several points
-    without explicit coordinates are a seeded sample; if the sampled rank
-    falls short of making the system non-special, one retry with a fresh
-    seed guards against an unlucky (non-generic) sample, and a differing
-    outcome is recorded in the caveat.
+    gives the generic rank exactly and ignores ``seed``: over GF(2) when
+    that rank is full (the verdict then records prime 2), else over Q.
+    Several points without explicit coordinates are a seeded sample; if
+    the sampled rank falls short of making the system non-special, one
+    retry with a fresh seed guards against an unlucky (non-generic)
+    sample, and a differing outcome is recorded in the caveat.
     """
     spec = _coerce_spec(spec)
     cells = spec.conditions() * len(D)
@@ -245,13 +329,11 @@ def system_dimension_exact(D: LatticeSet, spec,
         raise SizeGuardrail(
             f"{spec.conditions()}x{len(D)} exact matrix exceeds the cell cap; "
             "set SESHADRI_MAX_CELLS or pass force=True")
-    expected = max(-1, len(D) - 1 - spec.conditions())
     if points is None and len(spec) == 1:
-        rank = fraction_free_rank(_binomial_matrix(D, spec.multiplicities[0]))
-        actual = len(D) - 1 - rank
         caveat = _POINT_FREE + "; its rank over Q is exact: either verdict is conclusive"
-        return OracleVerdict(actual, expected, actual == expected, "exact-rational",
-                             None, caveat, rank, None)
+        return _point_free_verdict(D, spec.multiplicities[0], "exact-rational", None,
+                                   caveat, fraction_free_rank)
+    expected = max(-1, len(D) - 1 - spec.conditions())
     if points is None:
         points = GenericPointSet.seeded(len(spec), seed)
 
@@ -309,11 +391,13 @@ def system_dimension_modp(D: LatticeSet, spec, seed: int = 0,
 
     ``prime`` must be a prime below MODULUS_LIMIT, larger than every
     exponent in D.  A one-point system is ranked point-free (see the module
-    docstring) and ignores ``seed``; several points are placed at seeded
-    random points of GF(prime)^2.  Either way the rank never exceeds the
-    generic rank over Q, so a non-special verdict is a genuine certificate,
-    while a special verdict may just mean an unlucky prime or sample
-    (Schwartz-Zippel).  The caveat field records this asymmetry.
+    docstring) and ignores ``seed``: over GF(2) first, and over GF(prime)
+    only when the rank mod 2 is short, so the verdict records the field
+    that decided it.  Several points are placed at seeded random points of
+    GF(prime)^2.  Either way the rank never exceeds the generic rank over
+    Q, so a non-special verdict is a genuine certificate, while a special
+    verdict may just mean an unlucky prime or sample (Schwartz-Zippel).
+    The caveat field records this asymmetry.
     """
     spec = _coerce_spec(spec)
     if prime >= MODULUS_LIMIT:
@@ -325,21 +409,20 @@ def system_dimension_modp(D: LatticeSet, spec, seed: int = 0,
         raise PrimeTooSmall(
             f"prime {prime} must exceed every derivative factor (max exponent {max_exp})")
     if len(spec) == 1:
-        rows = _binomial_matrix(D, spec.multiplicities[0])  # modrank reduces mod prime
-        used_seed = None
         caveat = (_POINT_FREE + "; its rank mod p never exceeds that rank: a non-special "
                   "verdict is a certificate; a special verdict is inconclusive")
-    else:
-        rows = _random_point_rows(D, spec, seed, prime)
-        used_seed = seed
-        caveat = ("rank over a prime field at random points never exceeds the generic "
-                  "rank: a non-special verdict is a certificate; a special verdict is "
-                  "inconclusive")
+        # modrank reduces B's entries mod prime
+        return _point_free_verdict(D, spec.multiplicities[0], "modular", prime, caveat,
+                                   lambda rows: modrank(rows, prime))
+    rows = _random_point_rows(D, spec, seed, prime)
     rank = modrank(rows, prime) if rows else 0
     actual = len(D) - 1 - rank
     expected = max(-1, len(D) - 1 - spec.conditions())
+    caveat = ("rank over a prime field at random points never exceeds the generic "
+              "rank: a non-special verdict is a certificate; a special verdict is "
+              "inconclusive")
     return OracleVerdict(actual, expected, actual == expected, "modular", prime,
-                         caveat, rank, used_seed)
+                         caveat, rank, seed)
 
 
 def _random_point_rows(D: LatticeSet, spec, seed: int, prime: int) -> List[List[int]]:

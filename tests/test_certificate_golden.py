@@ -3,21 +3,25 @@
 Each digest is the sha256 of a canonical text: the JSON of
 ``finite_certificate(eckl10, n, "none")``, the dissection file written by
 ``seshadri builtin``, the ``validate`` report, two ``verify`` reports and
-the rendered SVG.  A change to the lattice layer (enumeration,
+the rendered SVG.  Certificates are hashed with the tool version at which
+their digests were recorded.  A change to the lattice layer (enumeration,
 cut-by-cut split, witness selection) or to how the pieces are derived,
 checked, scored or drawn that alters any byte changes a digest.
 """
 
+import dataclasses
 import hashlib
 from fractions import Fraction as F
 
 import pytest
 
+from seshadri import __version__
 from seshadri.certify import (BUILTIN_POINT_TABLE, builtin_dissection_eckl10,
                               dissection_to_json, dump_json, finite_certificate,
                               validate_dissection, verify_asymptotic)
 from seshadri.render import RenderSpec, render_svg
 
+GOLDEN_TOOL_VERSION = "0.2.0"
 GOLDEN = {
     13: "9d7ebd409acc39d5281d3ec659ce0b1ada85fe8c50fecff50a26c02cecc315bf",
     26: "92384bef5144af295e1659be3c14fc89dfa4169ebfd9a660e013d4ecabcfb342",
@@ -50,7 +54,9 @@ def _sha256(text: str) -> str:
 @pytest.mark.parametrize("n", sorted(GOLDEN))
 def test_certificate_bytes_pinned(n):
     cert = finite_certificate(BUILTIN, n, "none")
-    assert _sha256(dump_json(cert.to_json())) == GOLDEN[n]
+    assert cert.tool_version == __version__
+    pinned = dataclasses.replace(cert, tool_version=GOLDEN_TOOL_VERSION)
+    assert _sha256(dump_json(pinned.to_json())) == GOLDEN[n]
 
 
 @pytest.mark.parametrize("what", sorted(ASYMPTOTIC_GOLDEN))

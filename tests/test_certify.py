@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -17,7 +18,9 @@ from seshadri.certify import (BUILTIN_POINT_TABLE, CutStep, Dissection,
                               FiniteCertificate)
 from seshadri.geometry import (AffineForm, make_polygon, max_chord, point,
                                polygon_area, x_projection)
-from seshadri.lattice import scaled_points
+from seshadri.certify import PolygonWitness
+from seshadri.lattice import WitnessSelection, scaled_points
+from seshadri.oracle import OracleVerdict
 
 BUILTIN = builtin_dissection_eckl10()
 SIMPLEX = make_polygon([(0, 0), (1, 0), (0, 1)])
@@ -349,3 +352,75 @@ class TestDissectionFiles:
         data = dissection_to_json(BUILTIN)
         assert data["region"][0] == ["0", "0"]
         assert ["9/13", "4/13"] in data["steps"][1]["polygon"]
+
+
+class TestStrictCertificateLoaders:
+    """Certificate loaders refuse mistyped fields instead of coercing them."""
+
+    CERT = finite_certificate(BUILTIN, 13, oracle_mode="modular").to_json()
+    BAD_INTS = (1.9, True, "3")
+    BAD_BOOLS = ("false", 1, None)
+
+    @staticmethod
+    def _refused(loader, data, path, bad, name=None):
+        """Set data[path] to bad: loading must fail naming the field."""
+        data = json.loads(json.dumps(data))
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = bad
+        with pytest.raises(ValueError, match=re.escape(f"{name or path[-1]} {bad!r} ")):
+            loader(data)
+
+    def test_mistyped_verdict_refused(self):
+        verdict = dict(self.CERT["per_polygon"][0]["oracle"],
+                       non_special="false", actual_dimension=1.9, rank=True)
+        with pytest.raises(ValueError):
+            OracleVerdict.from_json(verdict)
+
+    @pytest.mark.parametrize("field", ["actual_dimension", "expected_dimension",
+                                       "rank", "prime", "seed"])
+    def test_verdict_integers(self, field):
+        verdict = self.CERT["per_polygon"][0]["oracle"]
+        for bad in self.BAD_INTS:
+            self._refused(OracleVerdict.from_json, verdict, [field], bad)
+
+    def test_verdict_non_special(self):
+        verdict = self.CERT["per_polygon"][0]["oracle"]
+        for bad in self.BAD_BOOLS:
+            self._refused(OracleVerdict.from_json, verdict, ["non_special"], bad)
+
+    def test_verdict_optional_fields_accept_null(self):
+        verdict = dict(self.CERT["per_polygon"][0]["oracle"], prime=None, seed=None)
+        assert OracleVerdict.from_json(verdict).prime is None
+
+    @pytest.mark.parametrize("path,name", [(["m"], "m"),
+                                           (["assignment", 0, 0], "assignment line"),
+                                           (["assignment", 0, 1], "assignment size")])
+    def test_witness_integers(self, path, name):
+        witness = self.CERT["per_polygon"][0]["witness"]
+        for bad in self.BAD_INTS:
+            self._refused(WitnessSelection.from_json, witness, path, bad, name)
+
+    @pytest.mark.parametrize("field", ["polygon", "lattice_count", "m"])
+    def test_polygon_integers(self, field):
+        row = self.CERT["per_polygon"][0]
+        for bad in self.BAD_INTS:
+            self._refused(PolygonWitness.from_json, row, [field], bad)
+
+    def test_polygon_padding_ok(self):
+        row = self.CERT["per_polygon"][-1]
+        assert row["padding_ok"] is True
+        for bad in ("true", 1):
+            self._refused(PolygonWitness.from_json, row, ["padding_ok"], bad)
+
+    @pytest.mark.parametrize("field", ["scale", "degree", "seed"])
+    def test_certificate_integers(self, field):
+        for bad in self.BAD_INTS:
+            self._refused(FiniteCertificate.from_json, self.CERT, [field], bad)
+
+    def test_nested_fields_refused_through_the_certificate(self):
+        for path in (["per_polygon", 2, "oracle", "rank"],
+                     ["per_polygon", 2, "witness", "m"],
+                     ["per_polygon", 2, "lattice_count"]):
+            self._refused(FiniteCertificate.from_json, self.CERT, path, 2.0)

@@ -302,3 +302,19 @@ def test_non_string_name_refused(tmp_path, capsys):
         data["name"] = 10
     assert run(["validate", "--dissection", _edited_builtin(tmp_path, edit)]) == 2
     assert "name" in capsys.readouterr().err
+
+
+def test_oracle_modular_records_the_field_that_decided(tmp_path, capsys):
+    # Full rank mod 2 decides without the requested prime; a system whose
+    # rank mod 2 is short is ranked mod that prime instead.
+    full = {"D": [[0, 0], [1, 0], [0, 1]], "multiplicities": [2]}
+    short = {"D": [[0, 0], [2, 0], [0, 2]], "multiplicities": [2]}
+    for system, prime in ((full, 2), (short, 97)):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(system))
+        assert run(["oracle", "--system", str(path), "--mode", "modular",
+                    "--prime", "97"]) == 0
+        out = capsys.readouterr().out
+        assert f'"prime": {prime},' in out
+        verdict = json.loads(out)
+        assert verdict["non_special"] is True and verdict["rank"] == 3

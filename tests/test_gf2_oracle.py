@@ -1,0 +1,156 @@
+"""The GF(2) step of the point-free one-point oracle.
+
+Both oracle modes rank the binomial matrix B of a one-point system mod 2
+first, from Lucas bitmask rows, and fall back to their own field only when
+that rank is short.  These tests pin the masks and the XOR rank against the
+integer matrix and the reference kernel, drive both fallbacks, and check
+the eckl10 witnesses by a second route: det B = +-1 over the integers.
+"""
+
+import itertools
+import random
+
+import pytest
+
+import seshadri.oracle as oracle
+from seshadri._kernels import pyref
+from seshadri.certify import builtin_dissection_eckl10, finite_certificate
+from seshadri.lattice import LatticeSet
+from seshadri.oracle import (_binomial_matrix, _gf2_rank, _lucas_rows,
+                             fraction_free_rank, system_dimension_exact,
+                             system_dimension_modp)
+
+BUILTIN = builtin_dissection_eckl10()
+# GF(2) rank 1, rank 3 over Q: C(2, 1) = 2 vanishes mod 2
+SHORT_MOD_2 = LatticeSet(((0, 0), (2, 0), (0, 2)))
+# rank 2 over Q as well: three points on a line cannot carry multiplicity 2
+SPECIAL = LatticeSet(((0, 0), (1, 0), (2, 0)))
+
+
+def seeded_systems(count, seed, offset):
+    """Seeded one-point systems (D, m) with D shifted off the axes by up to
+    ``offset``."""
+    rng = random.Random(seed)
+    systems = []
+    while len(systems) < count:
+        s, t = rng.randint(offset[0], offset[1]), rng.randint(offset[0], offset[1])
+        D = LatticeSet(tuple((s + rng.randint(0, 9), t + rng.randint(0, 9))
+                             for _ in range(rng.randint(1, 24))))
+        systems.append((D, rng.randint(1, 6)))
+    return systems
+
+
+def bareiss_det(rows):
+    """Determinant of a square integer matrix by fraction-free elimination."""
+    m = [list(r) for r in rows]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1] if n else 1
+
+
+def leibniz_det(rows):
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+class TestLucasRows:
+    def test_masks_equal_binomial_matrix_mod_2(self):
+        for D, m in seeded_systems(150, seed=31, offset=(1, 5)):
+            B = _binomial_matrix(D, m)
+            masks = _lucas_rows(D, m)
+            assert len(masks) == len(B)
+            for mask, row in zip(masks, B):
+                assert [mask >> j & 1 for j in range(len(row))] == [e % 2 for e in row]
+                assert mask >> len(row) == 0
+
+    def test_rank_equals_reference_kernel_mod_2(self):
+        systems = seeded_systems(300, seed=47, offset=(0, 3))
+        short = 0
+        for D, m in systems:
+            B = _binomial_matrix(D, m)
+            rank = _gf2_rank(_lucas_rows(D, m))
+            assert rank == pyref.modrank(B, 2), (D, m)
+            short += rank < min(len(D), m * (m + 1) // 2)
+        assert 0 < short < len(systems)  # full and short ranks both occur
+
+    def test_rank_of_random_bit_matrices(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            nrows, ncols = rng.randint(0, 12), rng.randint(1, 12)
+            rows = [[rng.random() < 0.3 for _ in range(ncols)] for _ in range(nrows)]
+            packed = [sum(bit << j for j, bit in enumerate(row)) for row in rows]
+            assert _gf2_rank(packed) == pyref.modrank([[int(b) for b in row]
+                                                       for row in rows], 2)
+
+
+class TestFallback:
+    def test_short_rank_mod_2_is_not_final(self):
+        assert _gf2_rank(_lucas_rows(SHORT_MOD_2, 2)) == 1
+        assert fraction_free_rank(_binomial_matrix(SHORT_MOD_2, 2)) == 3
+
+    def test_both_modes_fall_back_to_full_rank(self):
+        modular = system_dimension_modp(SHORT_MOD_2, (2,), prime=97)
+        exact = system_dimension_exact(SHORT_MOD_2, (2,))
+        for v in (modular, exact):
+            assert v.non_special and v.rank == 3 and v.actual_dimension == -1
+            assert v.caveat.startswith("point-free:") and "mod 2" not in v.caveat
+        assert modular.prime == 97 and modular.to_json()["prime"] == 97
+        assert exact.prime is None and exact.to_json()["prime"] is None
+        assert system_dimension_modp(SHORT_MOD_2, (2,)).prime == oracle.MODULAR_DEFAULT_PRIME
+
+    def test_special_system_stays_special(self):
+        for v in (system_dimension_modp(SPECIAL, (2,), prime=97),
+                  system_dimension_exact(SPECIAL, (2,))):
+            assert not v.non_special
+            assert (v.rank, v.actual_dimension, v.expected_dimension) == (2, 0, -1)
+        assert system_dimension_modp(SPECIAL, (2,), prime=97).prime == 97
+
+    def test_full_rank_mod_2_decides_without_the_fallback(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("fallback rank ran on a full GF(2) rank")
+        monkeypatch.setattr(oracle, "modrank", refuse)
+        monkeypatch.setattr(oracle, "fraction_free_rank", refuse)
+        for mode in ("modular", "exact"):
+            cert = finite_certificate(BUILTIN, 26, oracle_mode=mode)
+            for row in cert.per_polygon:
+                v = row.oracle
+                assert v.non_special and v.prime == 2 and v.seed is None
+                assert v.caveat.startswith("point-free:")
+                assert "full rank mod 2" in v.caveat
+
+
+@pytest.mark.parametrize("n", [13, 26])
+def test_eckl10_witness_matrices_are_unimodular(n):
+    # An independent route to full rank over Q; soundness rests on the
+    # GF(2) rank alone.
+    cert = finite_certificate(BUILTIN, n, "none")
+    for row in cert.per_polygon:
+        B = _binomial_matrix(row.witness.subset, row.m)
+        assert len(B) == len(row.witness.subset)
+        assert bareiss_det(B) in (1, -1), (n, row.polygon)
+
+
+def test_bareiss_matches_leibniz():
+    rng = random.Random(11)
+    for _ in range(60):
+        k = rng.randint(1, 5)
+        rows = [[rng.randint(-3, 3) * (rng.random() < 0.7) for _ in range(k)]
+                for _ in range(k)]
+        assert bareiss_det(rows) == leibniz_det(rows)
