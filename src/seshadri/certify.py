@@ -10,18 +10,23 @@ non-specialty the rank oracle can confirm independently.
 
 from __future__ import annotations
 
-import json
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import __about__
 from .geometry import (AffineForm, Axis, ConvexPolygon, Point, cut_polygon,
                        height_profile, make_polygon, parse_rational,
                        point, x_projection)
+# select_witness_subset is not called here but stays a module attribute,
+# like every lattice step, so that tracing can rebind it.
 from .lattice import (Direction, LatticeSet, WitnessSelection, _json_bool, _json_int,
-                      column_profile, expected_dimension, max_parallel_witness,
-                      scaled_points, select_witness_subset, split_by_affine)
+                      _witness_from_profile, column_profile, expected_dimension,
+                      max_parallel_witness, scaled_points, select_witness_subset,
+                      split_by_affine)
 from .oracle import OracleVerdict, system_dimension_exact, system_dimension_modp
 from .reorder import PiecewiseLinear, monotone_reorder, sup_admissible
 
@@ -116,11 +121,23 @@ def validate_dissection(dis: Dissection) -> DissectionValidation:
     return DissectionValidation(not v, tuple(v))
 
 
+# Dissections that passed validation.  A Dissection is a frozen value,
+# so validity is a property of the value; members are matched by equality
+# and held weakly.  Failures are never recorded.
+_VALIDATED: weakref.WeakSet[Dissection] = weakref.WeakSet()
+
+
 def _require_valid(dis: Dissection) -> None:
-    """Raise :class:`InvalidDissection` listing every violation, if any."""
+    """Raise :class:`InvalidDissection` listing every violation, if any.
+
+    A dissection equal to one that already passed is not checked again.
+    """
+    if dis in _VALIDATED:
+        return
     check = validate_dissection(dis)
     if not check.ok:
         raise InvalidDissection("; ".join(check.violations))
+    _VALIDATED.add(dis)
 
 
 # --- builtin ten-piece dissection -----------------------------------------
@@ -359,14 +376,15 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
     for idx, role, pts in pieces:
         if len(pts) == 0:
             raise EmptyPolygonAtScale(f"P{idx} holds no lattice points at scale {n}")
-        best_m, best_dir = 0, directions[0]
+        best_m, best_profile = 0, None
         for d in directions:
-            m_d = max_parallel_witness(column_profile(pts, d))
+            profile = column_profile(pts, d)
+            m_d = max_parallel_witness(profile)
             if m_d > best_m:
-                best_m, best_dir = m_d, d
+                best_m, best_profile = m_d, profile
         if best_m == 0:
             raise EmptyPolygonAtScale(f"P{idx} hosts no witness at scale {n}")
-        witness = select_witness_subset(pts, best_dir, best_m)
+        witness = _witness_from_profile(pts, best_profile, best_m)
         verdict = None
         if oracle_mode == "exact":
             verdict = system_dimension_exact(witness.subset, (best_m,),
@@ -527,5 +545,68 @@ def dissection_from_json(data: dict) -> Dissection:
 
 
 def dump_json(data: dict) -> str:
-    """Canonical serialization used for all machine output."""
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """Canonical serialization used for all machine output.
+
+    The text is byte-for-byte ``json.dumps(data, indent=2, sort_keys=True)``
+    plus a newline: keys sorted, two-space indent, ASCII escapes.  Only
+    dicts with str keys, lists, str, int, bool and None are written;
+    anything else, a float above all, raises TypeError naming its type.
+    """
+    parts: List[str] = []
+    _encode(data, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _encode(o, nl: str, out) -> None:
+    """Append the canonical text of ``o``, whose lines start with ``nl``."""
+    t = type(o)
+    if t is str:
+        out(_quote(o))
+    elif t is int:
+        out(str(o))
+    elif o is None:
+        out("null")
+    elif t is bool:
+        out("true" if o else "false")
+    elif t is dict:
+        if not o:
+            out("{}")
+            return
+        if set(map(type, o)) != {str}:
+            bad = next(k for k in o if type(k) is not str)
+            raise TypeError(f"keys must be str, not {type(bad).__name__}")
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(o):
+            out(sep + _quote(key) + ": ")
+            _encode(o[key], inner, out)
+            sep = "," + inner
+        out(nl + "}")
+    elif t is list:
+        if not o:
+            out("[]")
+            return
+        inner = nl + "  "
+        kinds = set(map(type, o))
+        if kinds == {int}:
+            out("[" + inner + ("," + inner).join(map(str, o)) + nl + "]")
+            return
+        if kinds == {list}:
+            widths = set(map(len, o))
+            if len(widths) == 1 and set(map(type, chain.from_iterable(o))) == {int}:
+                # Equal-length int rows: one %-template per row; exact
+                # ints only, so a bool never prints as 1.
+                cell = "," + inner + "  "
+                row = "[" + inner + "  " + cell.join(["%d"] * widths.pop()) + inner + "]"
+                out("[" + inner + ("," + inner).join(map(row.__mod__, map(tuple, o)))
+                    + nl + "]")
+                return
+        sep = "[" + inner
+        for item in o:
+            out(sep)
+            _encode(item, inner, out)
+            sep = "," + inner
+        out(nl + "]")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")

@@ -287,6 +287,14 @@ def select_witness_subset(D: LatticeSet, direction: Direction, m: int) -> "Witne
     profile = column_profile(D, direction)
     if max_parallel_witness(profile) < m:
         raise WitnessTooLarge(f"profile cannot host a witness of size {m}")
+    return _witness_from_profile(D, profile, m)
+
+
+def _witness_from_profile(D: LatticeSet, profile: ColumnProfile,
+                          m: int) -> "WitnessSelection":
+    """:func:`select_witness_subset` for a caller that already holds D's
+    profile along the direction and knows it hosts size m."""
+    direction = profile.direction
     ordered = sorted(profile.counts, key=lambda ic: (-ic[1], ic[0]))
     assignment = tuple((line, m - j) for j, (line, _count) in enumerate(ordered[:m]))
     # One pass over D fills the chosen lines.  D is sorted, so the points

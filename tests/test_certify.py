@@ -1,5 +1,6 @@
 """Tests for dissection validation, verification and finite certificates."""
 
+import dataclasses
 import json
 import random
 import re
@@ -236,6 +237,39 @@ class TestCertifiedBound:
             assert verify_asymptotic(BUILTIN, bound - F(1, k)).overall
         assert not verify_asymptotic(BUILTIN, bound).overall
         assert not verify_asymptotic(BUILTIN, bound + F(1, 10**6)).overall
+
+
+class TestValidatedOnce:
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        import seshadri.certify as certify
+        calls = []
+
+        def counted(dis):
+            calls.append(dis.name)
+            return validate_dissection(dis)
+        monkeypatch.setattr(certify, "validate_dissection", counted)
+        return calls
+
+    def test_a_valid_dissection_is_checked_once(self, validations):
+        # a name no other test uses, so no equal dissection passed before
+        dis = dataclasses.replace(BUILTIN, name="validated-once")
+        assert certified_bound(dis) == F(4, 13)
+        assert verify_asymptotic(dis, F(3, 10)).overall
+        assert certified_bound(dissection_from_json(dissection_to_json(dis))) == F(4, 13)
+        finite_certificate(dis, 13)
+        assert validations == ["validated-once"]
+
+    def test_a_refusal_is_never_remembered(self, validations):
+        data = dissection_to_json(dataclasses.replace(BUILTIN, name="refused-each-time"))
+        data["steps"][4]["polygon"][0][1] = str(F(data["steps"][4]["polygon"][0][1])
+                                                + F(1, 1000))
+        bad = dissection_from_json(data)
+        for call in (certified_bound, lambda d: verify_asymptotic(d, F(3, 10)),
+                     certified_bound, lambda d: finite_certificate(d, 13)):
+            with pytest.raises(InvalidDissection, match="P5"):
+                call(bad)
+        assert validations == ["refused-each-time"] * 4
 
 
 class TestFiniteCertificate:

@@ -1,9 +1,15 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+from fractions import Fraction
+
+import pytest
 
 from seshadri import certify as cert
 from seshadri.cli import run
+from seshadri.lattice import LatticeSet, MultiplicitySpec
+from seshadri.oracle import system_dimension_exact, system_dimension_modp
+from test_canonical_json import _dump_json_reference
 
 BUILTIN = "builtin:eckl10"
 
@@ -318,3 +324,55 @@ def test_oracle_modular_records_the_field_that_decided(tmp_path, capsys):
         assert f'"prime": {prime},' in out
         verdict = json.loads(out)
         assert verdict["non_special"] is True and verdict["rank"] == 3
+
+
+_SYSTEMS = {
+    "one point": {"D": [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]],
+                  "multiplicities": [3], "seed": 0},
+    "three points": {"D": [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1]],
+                     "multiplicities": [1, 1, 2], "seed": 5},
+}
+
+
+def _in_process(argv):
+    """The value each byte-identity command prints, computed in process."""
+    dis = cert.builtin_dissection_eckl10()
+    command = argv[0]
+    if command == "builtin":
+        return cert.dissection_to_json(dis)
+    if command == "validate":
+        return cert.validate_dissection(dis).to_json()
+    if command == "verify":
+        return cert.verify_asymptotic(dis, Fraction(argv[-1])).to_json()
+    if command == "certify":
+        return cert.finite_certificate(dis, int(argv[4]), argv[6], seed=3).to_json()
+    system = _SYSTEMS[argv[2]]
+    D, spec = LatticeSet.from_json(system["D"]), MultiplicitySpec(tuple(system["multiplicities"]))
+    if argv[4] == "exact":
+        return system_dimension_exact(D, spec, seed=system["seed"]).to_json()
+    return system_dimension_modp(D, spec, seed=system["seed"]).to_json()
+
+
+@pytest.mark.parametrize("argv", [
+    ["builtin", "--name", "eckl10"],
+    ["validate", "--dissection", BUILTIN],
+    ["verify", "--dissection", BUILTIN, "--m", "3/10"],
+    ["verify", "--dissection", BUILTIN, "--m", "4/13"],
+    ["certify", "--dissection", BUILTIN, "--n", "13", "--oracle", "none", "--seed", "3"],
+    ["certify", "--dissection", BUILTIN, "--n", "26", "--oracle", "modular", "--seed", "3"],
+    ["certify", "--dissection", BUILTIN, "--n", "13", "--oracle", "exact", "--seed", "3"],
+    ["oracle", "--system", "one point", "--mode", "exact"],
+    ["oracle", "--system", "one point", "--mode", "modular"],
+    ["oracle", "--system", "three points", "--mode", "exact"],
+    ["oracle", "--system", "three points", "--mode", "modular"],
+], ids=" ".join)
+def test_stdout_is_the_reference_encoding(argv, tmp_path, capsys):
+    # Machine output must be byte-identical to json.dumps(indent=2,
+    # sort_keys=True) of the same value, whatever the exit code.
+    expected = _dump_json_reference(_in_process(argv))
+    if argv[0] == "oracle":
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(_SYSTEMS[argv[2]]))
+        argv = [argv[0], "--system", str(path)] + argv[3:]
+    assert run(argv) in (0, 1)
+    assert capsys.readouterr().out == expected
