@@ -588,11 +588,7 @@ def _encode(o, nl: str, out) -> None:
             out("[]")
             return
         inner = nl + "  "
-        kinds = set(map(type, o))
-        if kinds == {int}:
-            out("[" + inner + ("," + inner).join(map(str, o)) + nl + "]")
-            return
-        if kinds == {list}:
+        if set(map(type, o)) == {list}:
             widths = set(map(len, o))
             if len(widths) == 1 and set(map(type, chain.from_iterable(o))) == {int}:
                 # Equal-length int rows: one %-template per row; exact

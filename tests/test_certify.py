@@ -4,6 +4,7 @@ import dataclasses
 import json
 import random
 import re
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -249,10 +250,10 @@ class TestValidatedOnce:
             calls.append(dis.name)
             return validate_dissection(dis)
         monkeypatch.setattr(certify, "validate_dissection", counted)
+        monkeypatch.setattr(certify, "_VALIDATED", weakref.WeakSet())
         return calls
 
     def test_a_valid_dissection_is_checked_once(self, validations):
-        # a name no other test uses, so no equal dissection passed before
         dis = dataclasses.replace(BUILTIN, name="validated-once")
         assert certified_bound(dis) == F(4, 13)
         assert verify_asymptotic(dis, F(3, 10)).overall
