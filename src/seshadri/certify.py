@@ -21,14 +21,16 @@ from . import __about__
 from .geometry import (AffineForm, Axis, ConvexPolygon, Point, cut_polygon,
                        height_profile, make_polygon, parse_rational,
                        point, x_projection)
-# select_witness_subset is not called here but stays a module attribute,
-# like every lattice step, so that tracing can rebind it.
+# select_witness_subset and sup_admissible are not called here but stay
+# module attributes, like every lattice and rearrangement step, so that
+# tracing can rebind them.
 from .lattice import (Direction, LatticeSet, WitnessSelection, _json_bool, _json_int,
                       _witness_from_profile, column_profile, expected_dimension,
                       max_parallel_witness, scaled_points, select_witness_subset,
                       split_by_affine)
 from .oracle import OracleVerdict, system_dimension_exact, system_dimension_modp
-from .reorder import PiecewiseLinear, monotone_reorder, sup_admissible
+from .reorder import (PiecewiseLinear, _first_crossing, monotone_reorder,
+                      sup_admissible)
 
 
 class InvalidDissection(ValueError):
@@ -101,7 +103,8 @@ def validate_dissection(dis: Dissection) -> DissectionValidation:
     The region must lie in the first quadrant, every cut must leave area
     on both sides, and each stated piece must equal the derived one.
     Every violation is reported; an empty list means the dissection
-    satisfies the hypotheses the verification pipeline relies on.
+    satisfies the hypotheses the verification pipeline relies on, and
+    enters it in ``_VALIDATED`` unless an equal one is there already.
     """
     v: List[str] = []
     if not dis.region.in_first_quadrant():
@@ -118,26 +121,79 @@ def validate_dissection(dis: Dissection) -> DissectionValidation:
     else:
         if dis.final != final:
             v.append(f"P{dis.r} is not the remainder the cuts leave")
+    if not v:
+        _VALIDATED.setdefault(dis, _Analysis(dis.polygons()))
     return DissectionValidation(not v, tuple(v))
 
 
-# Dissections that passed validation.  A Dissection is a frozen value,
-# so validity is a property of the value; members are matched by equality
-# and held weakly.  Failures are never recorded.
-_VALIDATED: weakref.WeakSet[Dissection] = weakref.WeakSet()
+@dataclass(frozen=True)
+class _AxisData:
+    """What the checks read of one piece along one axis; none of it
+    depends on the ratio m or the scale n."""
+
+    profile: PiecewiseLinear
+    width: Fraction
+    sup: Fraction
+    reordered: PiecewiseLinear
 
 
-def _require_valid(dis: Dissection) -> None:
-    """Raise :class:`InvalidDissection` listing every violation, if any.
+class _Analysis:
+    """Per-piece axis data and the certified bound of a valid dissection,
+    each computed on first use.
+
+    It holds the pieces, never the dissection, so that the dissection
+    stays collectable as a weak key of ``_VALIDATED``.
+    """
+
+    def __init__(self, polygons: Sequence[ConvexPolygon]) -> None:
+        self.polygons = tuple(polygons)
+        self._axes: Dict[Tuple[int, Axis], _AxisData] = {}
+        self._bound: Optional[Fraction] = None
+
+    def axis(self, i: int, axis: Axis) -> _AxisData:
+        """Data of piece ``i`` (0-based, dissection order) along ``axis``."""
+        data = self._axes.get((i, axis))
+        if data is None:
+            poly = self.polygons[i]
+            profile = height_profile(poly, axis)
+            reordered = monotone_reorder(profile)
+            data = _AxisData(profile, x_projection(poly, axis).length,
+                             _first_crossing(reordered), reordered)
+            self._axes[(i, axis)] = data
+        return data
+
+    @property
+    def bound(self) -> Fraction:
+        """See :func:`certified_bound`."""
+        if self._bound is None:
+            scores = []
+            for i in range(len(self.polygons)):
+                axes = (self.axis(i, Axis.X), self.axis(i, Axis.Y))
+                scores.append(max(min(d.width, d.sup) for d in axes))
+            self._bound = min(scores)
+        return self._bound
+
+
+# Dissections that passed validation, each with its analysis.  A
+# Dissection is a frozen value, so validity and analysis are properties of
+# the value; keys are matched by equality and held weakly.  Failures are
+# never recorded.
+_VALIDATED: weakref.WeakKeyDictionary[Dissection, _Analysis] = weakref.WeakKeyDictionary()
+
+
+def _require_valid(dis: Dissection) -> _Analysis:
+    """The analysis of ``dis``, raising :class:`InvalidDissection` listing
+    every violation, if any.
 
     A dissection equal to one that already passed is not checked again.
     """
-    if dis in _VALIDATED:
-        return
-    check = validate_dissection(dis)
-    if not check.ok:
-        raise InvalidDissection("; ".join(check.violations))
-    _VALIDATED.add(dis)
+    analysis = _VALIDATED.get(dis)
+    if analysis is None:
+        check = validate_dissection(dis)
+        if not check.ok:
+            raise InvalidDissection("; ".join(check.violations))
+        analysis = _VALIDATED[dis]   # entered by validate_dissection
+    return analysis
 
 
 # --- builtin ten-piece dissection -----------------------------------------
@@ -215,22 +271,17 @@ class AsymptoticReport:
                         "not an attained maximum"}
 
 
-def _axis_data(poly: ConvexPolygon, axis: Axis):
-    profile = height_profile(poly, axis)
-    return profile, x_projection(poly, axis).length, sup_admissible(profile)
-
-
-def _check_polygon(idx: int, poly: ConvexPolygon, m: Fraction) -> PolygonCheck:
+def _check_polygon(analysis: _Analysis, i: int, m: Fraction) -> PolygonCheck:
     """Try the x-axis first, then the y-axis; keep the better failure."""
     candidates = []
     for axis in (Axis.X, Axis.Y):
-        profile, width, sup = _axis_data(poly, axis)
-        passed = m < width and m < sup
-        check = PolygonCheck(idx, axis, width, sup, passed, profile,
-                             monotone_reorder(profile))
+        d = analysis.axis(i, axis)
+        passed = m < d.width and m < d.sup
+        check = PolygonCheck(i + 1, axis, d.width, d.sup, passed, d.profile,
+                             d.reordered)
         if passed:
             return check
-        candidates.append((min(width, sup), check))
+        candidates.append((min(d.width, d.sup), check))
     return max(candidates, key=lambda c: c[0])[1]
 
 
@@ -244,9 +295,8 @@ def verify_asymptotic(dis: Dissection, m) -> AsymptoticReport:
     m = Fraction(m)
     if m <= 0:
         raise ValueError("m must be positive")
-    _require_valid(dis)
-    rows = tuple(_check_polygon(i, p, m)
-                 for i, p in enumerate(dis.polygons(), start=1))
+    analysis = _require_valid(dis)
+    rows = tuple(_check_polygon(analysis, i, m) for i in range(dis.r))
     return AsymptoticReport(m, rows, all(r.passed for r in rows))
 
 
@@ -257,20 +307,7 @@ def certified_bound(dis: Dissection) -> Fraction:
     identity crossing of the rearranged profile); the bound is the minimum
     over pieces and is approached but not attained.
     """
-    _require_valid(dis)
-    return _bound_of_valid(dis)
-
-
-def _bound_of_valid(dis: Dissection) -> Fraction:
-    """:func:`certified_bound` of a dissection already validated."""
-    best = None
-    for poly in dis.polygons():
-        scores = []
-        for axis in (Axis.X, Axis.Y):
-            _profile, width, sup = _axis_data(poly, axis)
-            scores.append(min(width, sup))
-        best = max(scores) if best is None else min(best, max(scores))
-    return best
+    return _require_valid(dis).bound
 
 
 # --- finite certificates -----------------------------------------------------
@@ -363,8 +400,7 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
         raise ValueError("scale must be a positive integer")
     if oracle_mode not in ("none", "modular", "exact"):
         raise ValueError(f"unknown oracle mode {oracle_mode!r}")
-    _require_valid(dis)
-    target = _bound_of_valid(dis)
+    target = _require_valid(dis).bound
     remaining = scaled_points(dis.region, n)
     pieces: List[Tuple[int, str, LatticeSet]] = []
     for i, step in enumerate(dis.steps, start=1):

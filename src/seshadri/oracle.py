@@ -389,31 +389,33 @@ def system_dimension_modp(D: LatticeSet, spec, seed: int = 0,
                           prime: int = MODULAR_DEFAULT_PRIME) -> OracleVerdict:
     """Dimension via rank over GF(prime), an upper bound for the generic one.
 
-    ``prime`` must be a prime below MODULUS_LIMIT, larger than every
-    exponent in D.  A one-point system is ranked point-free (see the module
-    docstring) and ignores ``seed``: over GF(2) first, and over GF(prime)
-    only when the rank mod 2 is short, so the verdict records the field
-    that decided it.  Several points are placed at seeded random points of
-    GF(prime)^2.  Either way the rank never exceeds the generic rank over
-    Q, so a non-special verdict is a genuine certificate, while a special
-    verdict may just mean an unlucky prime or sample (Schwartz-Zippel).
-    The caveat field records this asymmetry.
+    ``prime`` must be a prime below MODULUS_LIMIT.  A one-point system is
+    ranked point-free (see the module docstring) and ignores ``seed``: over
+    GF(2) first, and over GF(prime) only when the rank mod 2 is short, so
+    the verdict records the field that decided it.  Its matrix has integer
+    entries, so any prime will do.  Several points are placed at seeded
+    random points of GF(prime)^2, and there the prime must also exceed
+    every exponent in D, so that no derivative factor vanishes mod prime.
+    Either way the rank never exceeds the generic rank over Q, so a
+    non-special verdict is a genuine certificate, while a special verdict
+    may just mean an unlucky prime or sample (Schwartz-Zippel).  The
+    caveat field records this asymmetry.
     """
     spec = _coerce_spec(spec)
     if prime >= MODULUS_LIMIT:
         raise BadModulus(f"modulus {prime} is not below 2^63, the rank kernels' limit")
     if not is_prime(prime):
         raise BadModulus(f"modulus {prime} is not prime")
-    max_exp = max((max(a, b) for a, b in D), default=0)
-    if prime <= max(max_exp, 2):
-        raise PrimeTooSmall(
-            f"prime {prime} must exceed every derivative factor (max exponent {max_exp})")
     if len(spec) == 1:
         caveat = (_POINT_FREE + "; its rank mod p never exceeds that rank: a non-special "
                   "verdict is a certificate; a special verdict is inconclusive")
         # modrank reduces B's entries mod prime
         return _point_free_verdict(D, spec.multiplicities[0], "modular", prime, caveat,
                                    lambda rows: modrank(rows, prime))
+    max_exp = max((max(a, b) for a, b in D), default=0)
+    if prime <= max(max_exp, 2):
+        raise PrimeTooSmall(
+            f"prime {prime} must exceed every derivative factor (max exponent {max_exp})")
     rows = _random_point_rows(D, spec, seed, prime)
     rank = modrank(rows, prime) if rows else 0
     actual = len(D) - 1 - rank

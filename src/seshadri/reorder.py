@@ -347,9 +347,18 @@ def sup_admissible(f: PiecewiseLinear) -> Fraction:
     returned.  Can be 0 when the rearrangement drops below the identity
     immediately.
     """
-    if f.min_value() < 0:
+    return _first_crossing(monotone_reorder(f))
+
+
+def _first_crossing(fs: PiecewiseLinear) -> Fraction:
+    """:func:`sup_admissible` of the function whose rearrangement is ``fs``.
+
+    The rearrangement starts at the minimum of the function, so a
+    negative first value refuses the function as :func:`sup_admissible`
+    does.
+    """
+    if fs.values[0] < 0:
         raise ValueError("profile must be nonnegative")
-    fs = monotone_reorder(f)
     for t0, t1, v0, v1 in fs.segments():
         g0, g1 = v0 - t0, v1 - t1
         if g1 >= 0:

@@ -5,6 +5,7 @@ import json
 import random
 import re
 import weakref
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -18,9 +19,10 @@ from seshadri.certify import (BUILTIN_POINT_TABLE, CutStep, Dissection,
                               nagata_report, ten_point_bound_ladder,
                               validate_dissection, verify_asymptotic,
                               FiniteCertificate)
-from seshadri.geometry import (AffineForm, make_polygon, max_chord, point,
-                               polygon_area, x_projection)
-from seshadri.certify import PolygonWitness
+from seshadri.geometry import (AffineForm, Axis, height_profile, make_polygon,
+                               max_chord, point, polygon_area, x_projection)
+from seshadri.certify import AsymptoticReport, PolygonCheck, PolygonWitness
+from seshadri.reorder import monotone_reorder, sup_admissible
 from seshadri.lattice import WitnessSelection, scaled_points
 from seshadri.oracle import OracleVerdict
 
@@ -98,6 +100,12 @@ def toy_sliver():
     neg = make_polygon([(0, 0), (F(1, 100), 0), (F(1, 100), F(99, 100)), (0, 1)])
     pos = make_polygon([(F(1, 100), 0), (1, 0), (F(1, 100), F(99, 100))])
     return Dissection("sliver", SIMPLEX, (CutStep(cut, neg),), pos)
+
+
+def diagonal_sliver():
+    """One thin diagonal piece whose certified bound is 0."""
+    sliver = make_polygon([(0, 0), (F(7, 13), F(5, 13)), (F(5, 13), F(7, 13))])
+    return Dissection("diagonal", sliver, (), sliver)
 
 
 class TestBuiltin:
@@ -224,8 +232,7 @@ class TestCertifiedBound:
         # thin diagonal sliver: the rearranged profile drops below the
         # identity immediately on both axes, so no positive m is accepted,
         # yet scale-n witnesses still exist
-        sliver = make_polygon([(0, 0), (F(7, 13), F(5, 13)), (F(5, 13), F(7, 13))])
-        dis = Dissection("diagonal", sliver, (), sliver)
+        dis = diagonal_sliver()
         assert validate_dissection(dis).ok
         assert certified_bound(dis) == 0
         cert = finite_certificate(dis, 13)
@@ -240,9 +247,25 @@ class TestCertifiedBound:
         assert not verify_asymptotic(BUILTIN, bound + F(1, 10**6)).overall
 
 
+def _tampered(dis):
+    """Equal to ``dis`` but for one vertex of P5, moved off its cut."""
+    data = dissection_to_json(dis)
+    data["steps"][4]["polygon"][0][1] = str(F(data["steps"][4]["polygon"][0][1])
+                                            + F(1, 1000))
+    return dissection_from_json(data)
+
+
+def _seeded_ms(seed):
+    """Ratios on both sides of 4/13, below 1/3, and 4/13 itself."""
+    rng = random.Random(seed)
+    below = [F(rng.randint(1, 399), 1300) for _ in range(8)]
+    above = [F(rng.randint(401, 433), 1300) for _ in range(7)]
+    return below + above + [F(4, 13)]
+
+
 class TestValidatedOnce:
     @pytest.fixture
-    def validations(self, monkeypatch):
+    def validations(self, monkeypatch, fresh_record):
         import seshadri.certify as certify
         calls = []
 
@@ -250,7 +273,6 @@ class TestValidatedOnce:
             calls.append(dis.name)
             return validate_dissection(dis)
         monkeypatch.setattr(certify, "validate_dissection", counted)
-        monkeypatch.setattr(certify, "_VALIDATED", weakref.WeakSet())
         return calls
 
     def test_a_valid_dissection_is_checked_once(self, validations):
@@ -262,15 +284,109 @@ class TestValidatedOnce:
         assert validations == ["validated-once"]
 
     def test_a_refusal_is_never_remembered(self, validations):
-        data = dissection_to_json(dataclasses.replace(BUILTIN, name="refused-each-time"))
-        data["steps"][4]["polygon"][0][1] = str(F(data["steps"][4]["polygon"][0][1])
-                                                + F(1, 1000))
-        bad = dissection_from_json(data)
+        bad = _tampered(dataclasses.replace(BUILTIN, name="refused-each-time"))
         for call in (certified_bound, lambda d: verify_asymptotic(d, F(3, 10)),
                      certified_bound, lambda d: finite_certificate(d, 13)):
             with pytest.raises(InvalidDissection, match="P5"):
                 call(bad)
         assert validations == ["refused-each-time"] * 4
+
+
+class TestAnalysedOnce:
+    """Profiles, rearrangements and the bound are computed once for each
+    validated dissection value, whatever m, n and oracle mode ask."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch, fresh_record):
+        import seshadri.certify as certify
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+        for name in ("validate_dissection", "height_profile", "monotone_reorder"):
+            monkeypatch.setattr(certify, name, counted(name, getattr(certify, name)))
+        return calls
+
+    # (question, check of its answer on eckl10)
+    QUESTIONS = ([(certified_bound, lambda b: b == F(4, 13))]
+                 + [(lambda d, m=m: verify_asymptotic(d, m).overall,
+                     lambda ok, m=m: ok == (m < F(4, 13))) for m in _seeded_ms(8)]
+                 + [(lambda d, n=n, mode=mode: finite_certificate(d, n, mode).scale,
+                     lambda scale, n=n: scale == n)
+                    for n in (13, 26) for mode in ("none", "exact")])
+
+    def test_each_piece_and_axis_once(self, computed):
+        dis = dataclasses.replace(BUILTIN, name="analysed-once")
+        copy = dissection_from_json(json.loads(dump_json(dissection_to_json(dis))))
+        for ask, check in self.QUESTIONS:
+            assert check(ask(dis))
+        assert computed["validate_dissection"] == 1
+        assert 0 < computed["height_profile"] <= 2 * dis.r
+        assert 0 < computed["monotone_reorder"] <= 2 * dis.r
+        before = dict(computed)
+        for ask, check in self.QUESTIONS:
+            assert check(ask(copy))
+        assert computed == before
+
+    def test_a_refused_copy_computes_nothing(self, computed):
+        bad = _tampered(dataclasses.replace(BUILTIN, name="refused"))
+        for ask, _check in self.QUESTIONS:
+            with pytest.raises(InvalidDissection, match="P5"):
+                ask(bad)
+        assert computed == {"validate_dissection": len(self.QUESTIONS)}
+
+
+def _report_reference(dis, m):
+    """verify_asymptotic from direct profile calls, with no record."""
+    rows = []
+    for idx, poly in enumerate(dis.polygons(), start=1):
+        candidates = []
+        for axis in (Axis.X, Axis.Y):
+            profile = height_profile(poly, axis)
+            width, sup = x_projection(poly, axis).length, sup_admissible(profile)
+            passed = m < width and m < sup
+            check = PolygonCheck(idx, axis, width, sup, passed, profile,
+                                 monotone_reorder(profile))
+            if passed:
+                break
+            candidates.append((min(width, sup), check))
+        else:
+            check = max(candidates, key=lambda c: c[0])[1]
+        rows.append(check)
+    return AsymptoticReport(m, tuple(rows), all(r.passed for r in rows))
+
+
+class TestRecordMatchesFreshComputation:
+    @pytest.mark.parametrize("dis", [BUILTIN, diagonal_sliver()],
+                             ids=["eckl10", "diagonal"])
+    def test_axis_data(self, dis, fresh_record):
+        import seshadri.certify as certify
+        analysis = certify._require_valid(dis)
+        for i, poly in enumerate(dis.polygons()):
+            for axis in (Axis.X, Axis.Y):
+                data = analysis.axis(i, axis)
+                profile = height_profile(poly, axis)
+                assert data.profile == profile, (i, axis)
+                assert data.width == x_projection(poly, axis).length, (i, axis)
+                assert data.sup == sup_admissible(profile), (i, axis)
+                assert data.reordered == monotone_reorder(profile), (i, axis)
+
+    @pytest.mark.parametrize("dis, bound", [(BUILTIN, F(4, 13)), (diagonal_sliver(), 0)],
+                             ids=["eckl10", "diagonal"])
+    def test_reports_warm_cold_and_direct(self, dis, bound, monkeypatch, fresh_record):
+        import seshadri.certify as certify
+        ms = _seeded_ms(13)
+        assert certified_bound(dis) == bound
+        warm = [dump_json(verify_asymptotic(dis, m).to_json()) for m in ms]
+        for m, text in zip(ms, warm):
+            monkeypatch.setattr(certify, "_VALIDATED", weakref.WeakKeyDictionary())
+            assert dump_json(verify_asymptotic(dis, m).to_json()) == text
+            assert dump_json(_report_reference(dis, m).to_json()) == text
+        monkeypatch.setattr(certify, "_VALIDATED", weakref.WeakKeyDictionary())
+        assert certified_bound(dis) == bound
 
 
 class TestFiniteCertificate:

@@ -326,6 +326,24 @@ def test_oracle_modular_records_the_field_that_decided(tmp_path, capsys):
         assert verdict["non_special"] is True and verdict["rank"] == 3
 
 
+def test_oracle_small_prime_guards_only_random_points(tmp_path, capsys):
+    # A one-point system is ranked point-free, so a prime below its
+    # exponents is no reason to refuse it; two points are placed at random
+    # points mod the prime, where the derivative factors must survive.
+    path = tmp_path / "sys.json"
+    system = {"D": [[0, 0], [3, 0], [0, 1]], "multiplicities": [1]}
+    path.write_text(json.dumps(system))
+    assert run(["oracle", "--system", str(path), "--mode", "modular",
+                "--prime", "3"]) == 0
+    out = capsys.readouterr().out
+    assert '"prime": 2,' in out and json.loads(out)["non_special"] is True
+    path.write_text(json.dumps(dict(system, multiplicities=[1, 1])))
+    assert run(["oracle", "--system", str(path), "--mode", "modular",
+                "--prime", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "derivative factor" in captured.err
+
+
 _SYSTEMS = {
     "one point": {"D": [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]],
                   "multiplicities": [3], "seed": 0},

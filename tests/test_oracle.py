@@ -9,8 +9,8 @@ from seshadri.geometry import make_polygon
 from seshadri.lattice import (Direction, LatticeSet, column_profile,
                               max_parallel_witness, scaled_points,
                               select_witness_subset)
-from seshadri.oracle import (ArityMismatch, GenericPointSet, PrimeTooSmall,
-                             SizeGuardrail, MODULAR_DEFAULT_PRIME,
+from seshadri.oracle import (ArityMismatch, BadModulus, GenericPointSet,
+                             PrimeTooSmall, SizeGuardrail, MODULAR_DEFAULT_PRIME,
                              fraction_free_rank, interpolation_matrix,
                              monomials_up_to, points_on_curve,
                              system_dimension_exact, system_dimension_modp)
@@ -146,9 +146,17 @@ class TestModularOracle:
             assert v.actual_dimension == len(DEG2) - 1
 
     def test_prime_too_small(self):
+        # the guard protects the derivative factors at random points; a
+        # one-point system is ranked point-free and needs no such bound
         big = LatticeSet(((11, 0), (0, 11)))
         with pytest.raises(PrimeTooSmall):
-            system_dimension_modp(big, (1,), seed=0, prime=11)
+            system_dimension_modp(big, (1, 1), seed=0, prime=11)
+        verdict = system_dimension_modp(big, (1,), seed=0, prime=11)
+        assert verdict.prime == 2 and verdict.non_special
+        # a composite modulus is refused first, on either path
+        for spec in ((1,), (1, 1)):
+            with pytest.raises(BadModulus):
+                system_dimension_modp(big, spec, seed=0, prime=9)
 
     def test_witness_from_scaled_triangle(self):
         gke = make_polygon([("5/13", 0), ("7/13", "6/13"), ("9/13", "4/13")])
