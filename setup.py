@@ -1,21 +1,6 @@
-"""Build script: compiles the prime-field row-reduction kernel when
-Cython is available; the package falls back to the pure-Python kernel
-otherwise, so the extension is strictly optional."""
+"""Build script.  The package is pure Python, so ``build_ext --inplace``
+has nothing to compile and exits without producing any file."""
 
 from setuptools import setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-    from setuptools import Extension
-
-    ext_modules = cythonize(
-        [Extension("seshadri._kernels._modrank",
-                   ["src/seshadri/_kernels/_modrank.pyx"],
-                   extra_compile_args=["-O3"])],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    pass
-
-setup(ext_modules=ext_modules)
+setup()

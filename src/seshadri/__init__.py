@@ -7,19 +7,18 @@ witnesses an interpolation-rank oracle can confirm independently.
 """
 
 from .__about__ import __version__
-from .certify import (AsymptoticReport, CertificateBound, CutStep, Dissection,
-                      EcklSequenceReport, EmptyPolygonAtScale,
-                      FiniteCertificate, InvalidDissection, NagataReport,
-                      PolygonWitness, bound_from_certificate,
+from .certify import (AsymptoticReport, CutStep, Dissection,
+                      EmptyPolygonAtScale, FiniteCertificate,
+                      InvalidDissection, NagataReport, PolygonWitness,
                       builtin_dissection_eckl10, certified_bound,
                       dissection_from_json, dissection_to_json,
-                      eckl_sequence_check, finite_certificate, nagata_report,
+                      finite_certificate, nagata_report,
                       ten_point_bound_ladder, validate_dissection,
                       verify_asymptotic)
 from .geometry import (AffineForm, Axis, ConvexPolygon, DegenerateInput,
                        Interval, Point, cut_polygon, format_rational,
                        height_profile, make_polygon, max_chord, parse_rational,
-                       point, polygon_area, x_projection)
+                       point, x_projection)
 from .lattice import (ColumnProfile, Direction, EmptySet, LatticeSet,
                       MultiplicitySpec, WitnessSelection, WitnessTooLarge,
                       column_profile, expected_dimension, max_parallel_witness,
@@ -29,21 +28,18 @@ from .oracle import (ArityMismatch, BadModulus, GenericPointSet, OracleVerdict,
                      points_on_curve, system_dimension_exact,
                      system_dimension_modp)
 from .render import RenderSpec, render_svg
-from .reorder import (OutOfRange, PiecewiseLinear, PointMassDistribution,
-                      ReorderCriterion, distribution, dominates_identity,
-                      max_norm_distance, monotone_reorder, sublevel_measure,
-                      sup_admissible)
+from .reorder import (OutOfRange, PiecewiseLinear, ReorderCriterion,
+                      dominates_identity, max_norm_distance, monotone_reorder,
+                      sublevel_measure, sup_admissible)
 
 __all__ = [
     "__version__",
     # geometry
     "AffineForm", "Axis", "ConvexPolygon", "DegenerateInput", "Interval",
     "Point", "cut_polygon", "format_rational", "height_profile",
-    "make_polygon", "max_chord", "parse_rational", "point", "polygon_area",
-    "x_projection",
+    "make_polygon", "max_chord", "parse_rational", "point", "x_projection",
     # reorder
-    "OutOfRange", "PiecewiseLinear", "PointMassDistribution",
-    "ReorderCriterion", "distribution", "dominates_identity",
+    "OutOfRange", "PiecewiseLinear", "ReorderCriterion", "dominates_identity",
     "max_norm_distance", "monotone_reorder", "sublevel_measure",
     "sup_admissible",
     # lattice
@@ -56,13 +52,12 @@ __all__ = [
     "PrimeTooSmall", "SizeGuardrail", "interpolation_matrix",
     "points_on_curve", "system_dimension_exact", "system_dimension_modp",
     # certify
-    "AsymptoticReport", "CertificateBound", "CutStep", "Dissection",
-    "EcklSequenceReport", "EmptyPolygonAtScale", "FiniteCertificate",
-    "InvalidDissection", "NagataReport", "PolygonWitness",
-    "bound_from_certificate", "builtin_dissection_eckl10", "certified_bound",
-    "dissection_from_json", "dissection_to_json", "eckl_sequence_check",
-    "finite_certificate", "nagata_report", "ten_point_bound_ladder",
-    "validate_dissection", "verify_asymptotic",
+    "AsymptoticReport", "CutStep", "Dissection", "EmptyPolygonAtScale",
+    "FiniteCertificate", "InvalidDissection", "NagataReport",
+    "PolygonWitness", "builtin_dissection_eckl10", "certified_bound",
+    "dissection_from_json", "dissection_to_json", "finite_certificate",
+    "nagata_report", "ten_point_bound_ladder", "validate_dissection",
+    "verify_asymptotic",
     # render
     "RenderSpec", "render_svg",
 ]

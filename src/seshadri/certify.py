@@ -441,69 +441,7 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
                              tuple(rows), min_ratio)
 
 
-@dataclass(frozen=True)
-class CertificateBound:
-    """Degree/multiplicity reading of a finite certificate."""
-
-    d: int
-    m_min: int
-    ratio: Fraction
-    sequence_pair: Tuple[int, int]   # (d, m_min - 1) for the sequence criterion
-
-    def to_json(self) -> dict:
-        return {"d": self.d, "m_min": self.m_min, "ratio": str(self.ratio),
-                "sequence_pair": list(self.sequence_pair)}
-
-
-def bound_from_certificate(cert: FiniteCertificate) -> CertificateBound:
-    m_min = min(p.m for p in cert.per_polygon)
-    return CertificateBound(cert.scale, m_min, Fraction(m_min, cert.scale),
-                            (cert.scale, m_min - 1))
-
-
-# --- sequence criterion and bound reporting ---------------------------------
-
-@dataclass(frozen=True)
-class EcklSequenceReport:
-    """Expected-dimension checks along a (d, m) sequence for r points."""
-
-    r: int
-    pairs: Tuple[Tuple[int, int], ...]
-    checks: Tuple[bool, ...]
-    ratios: Tuple[Fraction, ...]     # d^2 / (m^2 r)
-    limit_estimate: Fraction
-    warning: Optional[str] = None
-
-    def to_json(self) -> dict:
-        return {"r": self.r, "pairs": [list(p) for p in self.pairs],
-                "checks": list(self.checks),
-                "ratios": [str(q) for q in self.ratios],
-                "limit_estimate": str(self.limit_estimate),
-                "warning": self.warning}
-
-
-def eckl_sequence_check(pairs: Sequence[Tuple[int, int]], r: int) -> EcklSequenceReport:
-    """Check that each system of degree d with r-fold multiplicity m + 1
-    has expected dimension >= 0, and report the exact ratios d^2/(m^2 r)."""
-    if r < 1:
-        raise ValueError("r must be positive")
-    norm = []
-    for d, m in pairs:
-        d, m = int(d), int(m)
-        if m < 1:
-            raise ValueError("multiplicities in the sequence must be >= 1")
-        if d < 1:
-            raise ValueError("degrees in the sequence must be >= 1")
-        norm.append((d, m))
-    if not norm:
-        raise ValueError("need at least one (d, m) pair")
-    checks = tuple(expected_dimension((m + 1,) * r, degree=d) >= 0
-                   for d, m in norm)
-    ratios = tuple(Fraction(d * d, m * m * r) for d, m in norm)
-    warning = None if r > 9 else (
-        f"r = {r} <= 9: the bound target 1/sqrt(r) is not in the interesting range")
-    return EcklSequenceReport(r, tuple(norm), checks, ratios, ratios[-1], warning)
-
+# --- bound reporting ----------------------------------------------------------
 
 @dataclass(frozen=True)
 class NagataReport:

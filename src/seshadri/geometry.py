@@ -141,17 +141,11 @@ class ConvexPolygon:
 
     @property
     def area(self) -> Fraction:
+        """Exact shoelace area; positive by the CCW convention."""
         total = Fraction(0)
         for a, b in self.edges():
             total += a.x * b.y - b.x * a.y
         return total / 2
-
-    def centroid(self) -> Point:
-        """Vertex average; interior for a strictly convex polygon."""
-        n = len(self.vertices)
-        sx = sum((v.x for v in self.vertices), Fraction(0))
-        sy = sum((v.y for v in self.vertices), Fraction(0))
-        return Point(sx / n, sy / n)
 
     def contains(self, p: Point) -> bool:
         """Closed containment test via edge cross products."""
@@ -189,11 +183,6 @@ def make_polygon(points: Iterable) -> ConvexPolygon:
         raise DegenerateInput("points are collinear (zero-area hull)")
     start = min(range(len(hull)), key=lambda i: (hull[i].y, hull[i].x))
     return ConvexPolygon(tuple(hull[start:] + hull[:start]))
-
-
-def polygon_area(P: ConvexPolygon) -> Fraction:
-    """Exact shoelace area; positive by the CCW convention."""
-    return P.area
 
 
 def cut_polygon(P: ConvexPolygon, F: AffineForm):

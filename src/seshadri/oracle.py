@@ -40,7 +40,7 @@ from .lattice import LatticeSet, _coerce_spec, _json_bool, _json_int
 Matrix = List[List[Fraction]]
 
 MODULAR_DEFAULT_PRIME = 2**61 - 1
-MODULUS_LIMIT = 2**63  # the compiled rank kernel refuses larger primes
+MODULUS_LIMIT = 2**63  # bound on a modulus from outside input (`oracle --prime`)
 EXACT_CELL_CAP = 4_000_000
 _SEED_NUMERATOR_MAX = 2**16
 _SEED_DENOMINATOR = 2**16 + 1
@@ -403,7 +403,7 @@ def system_dimension_modp(D: LatticeSet, spec, seed: int = 0,
     """
     spec = _coerce_spec(spec)
     if prime >= MODULUS_LIMIT:
-        raise BadModulus(f"modulus {prime} is not below 2^63, the rank kernels' limit")
+        raise BadModulus(f"modulus {prime} is not below 2^63, the oracle's limit")
     if not is_prime(prime):
         raise BadModulus(f"modulus {prime} is not prime")
     if len(spec) == 1:

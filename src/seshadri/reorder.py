@@ -152,44 +152,6 @@ class PiecewiseLinear:
                    tuple(Fraction(v) for v in data["values"]))
 
 
-@dataclass(frozen=True)
-class PointMassDistribution:
-    """Sublevel-measure law of a function with flat pieces.
-
-    Flat pieces of the input concentrate measure at single levels, so the
-    distribution jumps there and cannot be written as a continuous
-    piecewise-linear function of the level.  ``levels`` are the attained
-    breakpoint values, ``masses[i]`` the measure concentrated exactly at
-    ``levels[i]`` and ``densities[j]`` the constant rate of the absolutely
-    continuous part on (levels[j], levels[j+1]).  A constant function is
-    the extreme case: one level carrying the whole domain length.
-    """
-
-    levels: tuple
-    masses: tuple
-    densities: tuple
-
-    @property
-    def total(self) -> Fraction:
-        t = sum(self.masses, Fraction(0))
-        for j, d in enumerate(self.densities):
-            t += d * (self.levels[j + 1] - self.levels[j])
-        return t
-
-    def __call__(self, s: RationalLike) -> Fraction:
-        """Measure of the sublevel set at level s."""
-        s = _rat(s)
-        acc = Fraction(0)
-        for i, lev in enumerate(self.levels):
-            if lev <= s:
-                acc += self.masses[i]
-            if i < len(self.densities):
-                hi = min(s, self.levels[i + 1])
-                if hi > lev:
-                    acc += self.densities[i] * (hi - lev)
-        return acc
-
-
 def _level_decomposition(f: PiecewiseLinear):
     """Split f's pieces into point masses at levels and densities between them.
 
@@ -230,24 +192,6 @@ def sublevel_measure(f: PiecewiseLinear, s: RationalLike) -> Fraction:
             elif s > lo:
                 acc += w * (s - lo) / (hi - lo)
     return acc
-
-
-def distribution(f: PiecewiseLinear):
-    """Sublevel-measure function s -> length{f <= s} on [min f, max f].
-
-    Returns a nondecreasing :class:`PiecewiseLinear` whenever that law is
-    continuous, i.e. when f has no flat pieces.  Flat pieces put positive
-    measure on single levels; those inputs (constants included) get the
-    flagged :class:`PointMassDistribution` instead of a broken
-    interpolation.
-    """
-    levels, masses, densities = _level_decomposition(f)
-    if len(levels) == 1 or any(m > 0 for m in masses):
-        return PointMassDistribution(levels, masses, densities)
-    vals = [Fraction(0)]
-    for j, d in enumerate(densities):
-        vals.append(vals[-1] + d * (levels[j + 1] - levels[j]))
-    return PiecewiseLinear(levels, tuple(vals))
 
 
 def monotone_reorder(f: PiecewiseLinear) -> PiecewiseLinear:

@@ -16,7 +16,7 @@ from seshadri.certify import (builtin_dissection_eckl10, certified_bound,
                               ten_point_bound_ladder, validate_dissection,
                               verify_asymptotic)
 from seshadri.geometry import (Axis, Interval, height_profile, max_chord,
-                               polygon_area, x_projection)
+                               x_projection)
 from seshadri.lattice import LatticeSet, expected_dimension
 from seshadri.oracle import points_on_curve, system_dimension_exact
 from seshadri.reorder import (max_norm_distance, monotone_reorder,
@@ -67,7 +67,7 @@ def test_criterion_03_strictness_boundary():
 
 def test_criterion_04_partition_validation():
     t0 = time.time()
-    total = sum(polygon_area(p) for p in BUILTIN.polygons())
+    total = sum(p.area for p in BUILTIN.polygons())
     report = validate_dissection(BUILTIN)
     elapsed = time.time() - t0
     _verdict(4, total == F(1, 2) and report.ok and elapsed < 1.0,

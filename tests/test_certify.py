@@ -12,15 +12,14 @@ import pytest
 
 from seshadri.certify import (BUILTIN_POINT_TABLE, CutStep, Dissection,
                               EmptyPolygonAtScale, InvalidDissection,
-                              bound_from_certificate, builtin_dissection_eckl10,
-                              certified_bound, dissection_from_json,
-                              dissection_to_json, dump_json,
-                              eckl_sequence_check, finite_certificate,
+                              builtin_dissection_eckl10, certified_bound,
+                              dissection_from_json, dissection_to_json,
+                              dump_json, finite_certificate,
                               nagata_report, ten_point_bound_ladder,
                               validate_dissection, verify_asymptotic,
                               FiniteCertificate)
 from seshadri.geometry import (AffineForm, Axis, height_profile, make_polygon,
-                               max_chord, point, polygon_area, x_projection)
+                               max_chord, point, x_projection)
 from seshadri.certify import AsymptoticReport, PolygonCheck, PolygonWitness
 from seshadri.reorder import monotone_reorder, sup_admissible
 from seshadri.lattice import WitnessSelection, scaled_points
@@ -47,9 +46,9 @@ def _validate_reference(dis):
         for vert in poly.vertices:
             if not dis.region.contains(vert):
                 v.append(f"P{idx} vertex {vert} lies outside the region")
-    total = sum((polygon_area(p) for p in polys), F(0))
-    if total != polygon_area(dis.region):
-        v.append(f"areas sum to {total}, region has {polygon_area(dis.region)}")
+    total = sum((p.area for p in polys), F(0))
+    if total != dis.region.area:
+        v.append(f"areas sum to {total}, region has {dis.region.area}")
     for i, step in enumerate(dis.steps, start=1):
         vals = [step.cut(vert) for vert in step.peeled.vertices]
         if any(val > 0 for val in vals) or all(val == 0 for val in vals):
@@ -130,7 +129,7 @@ class TestBuiltin:
         assert report.ok and not report.violations
 
     def test_areas_sum_to_half(self):
-        assert sum(polygon_area(p) for p in BUILTIN.polygons()) == F(1, 2)
+        assert sum(p.area for p in BUILTIN.polygons()) == F(1, 2)
 
     def test_flipped_cut_sign_detected(self):
         step2 = BUILTIN.steps[1]
@@ -428,40 +427,12 @@ class TestFiniteCertificate:
         b = finite_certificate(BUILTIN, 13, oracle_mode="modular", seed=5)
         assert a == b
 
-    def test_bound_from_certificate(self):
-        cert = finite_certificate(BUILTIN, 13)
-        reading = bound_from_certificate(cert)
-        assert (reading.d, reading.m_min) == (13, 3)
-        assert reading.ratio == F(3, 13)
-        assert reading.sequence_pair == (13, 2)
-
     def test_certificate_json_round_trip(self):
         cert = finite_certificate(BUILTIN, 13, oracle_mode="modular", seed=1)
         blob = dump_json(cert.to_json())
         again = FiniteCertificate.from_json(json.loads(blob))
         assert again == cert
         assert dump_json(again.to_json()) == blob
-
-
-class TestSequenceCheck:
-    def test_reference_pair(self):
-        report = eckl_sequence_check([(132, 40)], 10)
-        assert report.checks == (True,)
-        assert report.ratios == (F(1089, 1000),)
-        assert report.limit_estimate == F(1089, 1000)
-        assert report.warning is None
-
-    def test_failing_pair(self):
-        report = eckl_sequence_check([(10, 3)], 10)
-        assert report.checks == (False,)
-
-    def test_zero_multiplicity_rejected(self):
-        with pytest.raises(ValueError):
-            eckl_sequence_check([(10, 0)], 10)
-
-    def test_small_r_warns(self):
-        report = eckl_sequence_check([(30, 10)], 9)
-        assert report.warning is not None
 
 
 class TestNagataReport:

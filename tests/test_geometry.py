@@ -8,8 +8,7 @@ import pytest
 from seshadri.geometry import (AffineForm, Axis, DegenerateInput, Interval,
                                Point, cut_polygon, format_rational,
                                height_profile, make_polygon, max_chord,
-                               parse_rational, point, polygon_area,
-                               x_projection)
+                               parse_rational, point, x_projection)
 
 from conftest import random_polygon
 
@@ -39,11 +38,11 @@ class TestRationalStrings:
 
 class TestMakePolygon:
     def test_unit_simplex(self):
-        assert polygon_area(SIMPLEX) == F(1, 2)
+        assert SIMPLEX.area == F(1, 2)
         assert SIMPLEX.vertices[0] == Point(F(0), F(0))
 
     def test_table_triangle(self):
-        assert polygon_area(GKE) == F(8, 169)
+        assert GKE.area == F(8, 169)
         assert Point(F(9, 13), F(4, 13)) in GKE.vertices
 
     def test_collinear_rejected(self):
@@ -77,12 +76,12 @@ class TestMakePolygon:
 
 class TestArea:
     def test_square(self):
-        assert polygon_area(SQUARE) == 1
+        assert SQUARE.area == 1
 
     def test_pentagon_piece(self):
         pent = make_polygon([("2/13", "2/13"), ("4/13", 0), ("5/13", 0),
                              ("6/13", "3/13"), ("9/26", "9/26")])
-        assert polygon_area(pent) == F(41, 676)
+        assert pent.area == F(41, 676)
 
 
 class TestCutPolygon:
@@ -90,8 +89,8 @@ class TestCutPolygon:
         cut = AffineForm(F(-4, 13), 1, 1)
         neg, pos = cut_polygon(SIMPLEX, cut)
         assert neg == make_polygon([(0, 0), (F(4, 13), 0), (0, F(4, 13))])
-        assert polygon_area(neg) == F(8, 169)
-        assert polygon_area(neg) + polygon_area(pos) == F(1, 2)
+        assert neg.area == F(8, 169)
+        assert neg.area + pos.area == F(1, 2)
         assert len(pos.vertices) == 4
 
     def test_missing_cut(self):
@@ -100,8 +99,8 @@ class TestCutPolygon:
 
     def test_symmetric_halves(self):
         neg, pos = cut_polygon(SIMPLEX, AffineForm(0, 1, -1))  # x - y
-        assert polygon_area(neg) == F(1, 4)
-        assert polygon_area(pos) == F(1, 4)
+        assert neg.area == F(1, 4)
+        assert pos.area == F(1, 4)
 
     def test_touching_cut_reports_absent_side(self):
         neg, pos = cut_polygon(SIMPLEX, AffineForm(-1, 1, 1))  # x + y - 1
@@ -118,8 +117,8 @@ class TestCutPolygon:
                 continue
             form = AffineForm(F(rng.randint(-8, 8), rng.randint(1, 3)), r1, r2)
             neg, pos = cut_polygon(p, form)
-            total = sum(polygon_area(q) for q in (neg, pos) if q is not None)
-            assert total == polygon_area(p)
+            total = sum(q.area for q in (neg, pos) if q is not None)
+            assert total == p.area
             for part in (neg, pos):
                 if part is None:
                     continue
@@ -165,7 +164,7 @@ class TestHeightProfile:
         for _ in range(150):
             p = random_polygon(rng)
             for axis in (Axis.X, Axis.Y):
-                assert height_profile(p, axis).integral() == polygon_area(p)
+                assert height_profile(p, axis).integral() == p.area
 
     def test_concavity_sampled(self):
         rng = random.Random(13)

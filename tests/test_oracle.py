@@ -15,11 +15,6 @@ from seshadri.oracle import (ArityMismatch, BadModulus, GenericPointSet,
                              monomials_up_to, points_on_curve,
                              system_dimension_exact, system_dimension_modp)
 
-try:
-    from seshadri._kernels import _modrank as compiled_kernel
-except ImportError:
-    compiled_kernel = None
-
 DEG2 = LatticeSet(((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
 COLLINEAR = LatticeSet(((0, 0), (1, 0), (2, 0)))
 
@@ -215,13 +210,3 @@ class TestKernels:
 
     def test_negative_entries_reduced(self):
         assert pyref.modrank([[-1, 1], [1, -1]], 5) == 1
-
-    @pytest.mark.skipif(compiled_kernel is None, reason="extension not built")
-    def test_compiled_matches_pyref(self):
-        rng = random.Random(17)
-        for _ in range(30):
-            rows = rng.randint(1, 12)
-            cols = rng.randint(1, 12)
-            p = rng.choice([97, 2**31 - 1, MODULAR_DEFAULT_PRIME])
-            mat = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
-            assert compiled_kernel.modrank(mat, p) == pyref.modrank(mat, p)

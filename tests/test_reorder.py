@@ -5,8 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from seshadri.reorder import (OutOfRange, PiecewiseLinear, PointMassDistribution,
-                              distribution, dominates_identity,
+from seshadri.reorder import (OutOfRange, PiecewiseLinear, dominates_identity,
                               max_norm_distance, monotone_reorder,
                               sublevel_measure, sup_admissible)
 
@@ -62,43 +61,6 @@ class TestPiecewiseLinear:
     def test_json_round_trip(self):
         again = PiecewiseLinear.from_json(P6_PROFILE.to_json())
         assert again == P6_PROFILE
-
-
-class TestDistribution:
-    def test_identity(self):
-        lam = distribution(IDENTITY)
-        assert lam == PiecewiseLinear((0, 1), (0, 1))
-
-    def test_tent(self):
-        # tent of height h over [0, 2t]: lambda(s) = 2 t s / h
-        lam = distribution(TENT)
-        assert lam == PiecewiseLinear((0, 2), (0, 2))
-        lam2 = distribution(PiecewiseLinear((0, 3, 6), (0, 2, 0)))
-        assert lam2 == PiecewiseLinear((0, 2), (0, 6))
-
-    def test_constant_is_flagged(self):
-        lam = distribution(PiecewiseLinear((0, 1), (F(1, 4), F(1, 4))))
-        assert isinstance(lam, PointMassDistribution)
-        assert lam.levels == (F(1, 4),)
-        assert lam.masses == (1,)
-        assert lam(F(1, 4)) == 1
-        assert lam(F(1, 8)) == 0
-        assert lam.total == 1
-
-    def test_flat_piece_is_flagged(self):
-        trap = PiecewiseLinear((0, F(1, 2), 1), (F(1, 2), F(1, 2), 0))
-        lam = distribution(trap)
-        assert isinstance(lam, PointMassDistribution)
-        assert lam(F(1, 4)) == F(1, 4)      # sloped part only
-        assert lam(F(1, 2)) == 1            # jump of mass 1/2 at the top
-
-    def test_matches_sublevel_measure(self):
-        rng = random.Random(7)
-        for _ in range(100):
-            f = random_pl(rng)
-            lam = distribution(f)
-            for s in set(f.values):
-                assert lam(s) == sublevel_measure(f, s)
 
 
 class TestMonotoneReorder:
