@@ -10,8 +10,7 @@ non-specialty the rank oracle can confirm independently.
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
@@ -55,12 +54,19 @@ class CutStep:
 
 @dataclass(frozen=True)
 class Dissection:
-    """Ordered peeling of a region into r pieces by r - 1 affine cuts."""
+    """Ordered peeling of a region into r pieces by r - 1 affine cuts.
+
+    ``_analysis`` is set by the first successful validation of this
+    object; it takes no part in equality, and ``dataclasses.replace``
+    leaves the new object unvalidated.
+    """
 
     name: str
     region: ConvexPolygon
     steps: Tuple[CutStep, ...]
     final: ConvexPolygon
+    _analysis: Optional["_Analysis"] = field(default=None, init=False,
+                                             compare=False, repr=False)
 
     @property
     def r(self) -> int:
@@ -104,7 +110,7 @@ def validate_dissection(dis: Dissection) -> DissectionValidation:
     on both sides, and each stated piece must equal the derived one.
     Every violation is reported; an empty list means the dissection
     satisfies the hypotheses the verification pipeline relies on, and
-    enters it in ``_VALIDATED`` unless an equal one is there already.
+    gives the dissection its analysis unless it has one already.
     """
     v: List[str] = []
     if not dis.region.in_first_quadrant():
@@ -121,8 +127,8 @@ def validate_dissection(dis: Dissection) -> DissectionValidation:
     else:
         if dis.final != final:
             v.append(f"P{dis.r} is not the remainder the cuts leave")
-    if not v:
-        _VALIDATED.setdefault(dis, _Analysis(dis.polygons()))
+    if not v and dis._analysis is None:
+        object.__setattr__(dis, "_analysis", _Analysis(dis.polygons()))
     return DissectionValidation(not v, tuple(v))
 
 
@@ -139,11 +145,7 @@ class _AxisData:
 
 class _Analysis:
     """Per-piece axis data and the certified bound of a valid dissection,
-    each computed on first use.
-
-    It holds the pieces, never the dissection, so that the dissection
-    stays collectable as a weak key of ``_VALIDATED``.
-    """
+    each computed on first use."""
 
     def __init__(self, polygons: Sequence[ConvexPolygon]) -> None:
         self.polygons = tuple(polygons)
@@ -174,26 +176,18 @@ class _Analysis:
         return self._bound
 
 
-# Dissections that passed validation, each with its analysis.  A
-# Dissection is a frozen value, so validity and analysis are properties of
-# the value; keys are matched by equality and held weakly.  Failures are
-# never recorded.
-_VALIDATED: weakref.WeakKeyDictionary[Dissection, _Analysis] = weakref.WeakKeyDictionary()
-
-
 def _require_valid(dis: Dissection) -> _Analysis:
     """The analysis of ``dis``, raising :class:`InvalidDissection` listing
     every violation, if any.
 
-    A dissection equal to one that already passed is not checked again.
+    Each dissection object is checked until it passes once; a refusal is
+    never remembered.
     """
-    analysis = _VALIDATED.get(dis)
-    if analysis is None:
+    if dis._analysis is None:
         check = validate_dissection(dis)
         if not check.ok:
             raise InvalidDissection("; ".join(check.violations))
-        analysis = _VALIDATED[dis]   # entered by validate_dissection
-    return analysis
+    return dis._analysis
 
 
 # --- builtin ten-piece dissection -----------------------------------------
@@ -383,15 +377,12 @@ class FiniteCertificate:
 
 
 def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
-                       seed: int = 0,
-                       directions: Sequence[Direction] = (Direction.VERTICAL,
-                                                          Direction.HORIZONTAL)
-                       ) -> FiniteCertificate:
+                       seed: int = 0) -> FiniteCertificate:
     """Instantiate the dissection at scale n and certify every piece.
 
     The integer points of the scaled region are consumed cut by cut (ties
     stay with the remainder), each piece gets its best parallel-lines
-    witness over the configured directions, and optionally an oracle
+    witness over both directions, and optionally an oracle
     verdict on the witness system.  The final piece additionally records
     whether its full lattice set pads the witness to expected dimension
     at least 0.
@@ -413,7 +404,7 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
         if len(pts) == 0:
             raise EmptyPolygonAtScale(f"P{idx} holds no lattice points at scale {n}")
         best_m, best_profile = 0, None
-        for d in directions:
+        for d in (Direction.VERTICAL, Direction.HORIZONTAL):
             profile = column_profile(pts, d)
             m_d = max_parallel_witness(profile)
             if m_d > best_m:

@@ -187,7 +187,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_render(args) -> int:
     dis = _load_dissection(args.dissection)
-    spec = RenderSpec(out_path=args.out, size=args.size, labels=not args.no_labels)
+    spec = RenderSpec(size=args.size, labels=not args.no_labels)
     names = cert.BUILTIN_POINT_TABLE if dis.name in _BUILTINS else None
     svg = render_svg(dis, spec, point_names=names)
     _emit(svg, args.out)

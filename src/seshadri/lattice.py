@@ -15,7 +15,7 @@ from enum import Enum
 from itertools import repeat
 from math import ceil, comb, floor, lcm
 from operator import itemgetter
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .geometry import AffineForm, ConvexPolygon
 
@@ -163,15 +163,8 @@ class ColumnProfile:
     direction: Direction
     counts: Tuple[Tuple[int, int], ...]  # (line index, count), sorted by index
 
-    def count_map(self) -> Dict[int, int]:
-        return dict(self.counts)
-
     def count_list(self) -> list:
         return [c for _, c in self.counts]
-
-    @property
-    def total(self) -> int:
-        return sum(c for _, c in self.counts)
 
 
 def _cleared_form(r0, r1, r2, scale: int) -> Tuple[int, int, int]:

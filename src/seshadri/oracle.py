@@ -312,7 +312,7 @@ def _cell_cap() -> int:
 
 def system_dimension_exact(D: LatticeSet, spec,
                            points: Optional[GenericPointSet] = None,
-                           seed: int = 0, force: bool = False) -> OracleVerdict:
+                           seed: int = 0) -> OracleVerdict:
     """Projective dimension of the system over Q, |D| - 1 - rank.
 
     With no explicit points, a one-point system is ranked point-free, which
@@ -325,10 +325,10 @@ def system_dimension_exact(D: LatticeSet, spec,
     """
     spec = _coerce_spec(spec)
     cells = spec.conditions() * len(D)
-    if cells > _cell_cap() and not force:
+    if cells > _cell_cap():
         raise SizeGuardrail(
             f"{spec.conditions()}x{len(D)} exact matrix exceeds the cell cap; "
-            "set SESHADRI_MAX_CELLS or pass force=True")
+            "set SESHADRI_MAX_CELLS")
     if points is None and len(spec) == 1:
         caveat = _POINT_FREE + "; its rank over Q is exact: either verdict is conclusive"
         return _point_free_verdict(D, spec.multiplicities[0], "exact-rational", None,

@@ -18,10 +18,7 @@ from .geometry import Point, cut_polygon
 
 @dataclass(frozen=True)
 class RenderSpec:
-    out_path: Optional[str] = None
     size: int = 600
-    stroke: str = "#1d1d1d"
-    fill: str = "none"
     labels: bool = True
 
     def __post_init__(self):
@@ -55,10 +52,11 @@ def render_svg(dis: Dissection, spec: RenderSpec,
     def sy(y: Fraction) -> str:
         return _decimal6(spec.size - margin - (y - lo_y) * scale)
 
+    stroke = "#1d1d1d"
     lines: List[str] = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.size}" '
         f'height="{spec.size}" viewBox="0 0 {spec.size} {spec.size}">',
-        f'  <g fill="{spec.fill}" stroke="{spec.stroke}" stroke-width="1.5">',
+        f'  <g fill="none" stroke="{stroke}" stroke-width="1.5">',
     ]
     for idx, poly in enumerate(dis.polygons(), start=1):
         d = " ".join(
@@ -67,7 +65,7 @@ def render_svg(dis: Dissection, spec: RenderSpec,
         ) + " Z"
         lines.append(f'    <path id="piece-{idx}" d="{d}"/>')
     lines.append("  </g>")
-    lines.append(f'  <g stroke="{spec.stroke}" stroke-width="0.8" '
+    lines.append(f'  <g stroke="{stroke}" stroke-width="0.8" '
                  'stroke-dasharray="6 4">')
     for idx, step in enumerate(dis.steps, start=1):
         # a valid cut splits the region too: the chord is the edge of its
@@ -79,7 +77,7 @@ def render_svg(dis: Dissection, spec: RenderSpec,
     lines.append("  </g>")
     if spec.labels and point_names:
         lines.append('  <g font-family="monospace" font-size="14" '
-                     f'fill="{spec.stroke}" stroke="none">')
+                     f'fill="{stroke}" stroke="none">')
         for name in sorted(point_names):
             p = point_names[name]
             lines.append(f'    <text x="{sx(p.x)}" y="{sy(p.y)}" dx="4" dy="-4" '

@@ -1,26 +1,12 @@
-"""Shared deterministic generators for the property suites, and fixtures."""
+"""Shared deterministic generators for the property suites."""
 
 from __future__ import annotations
 
 import random
-import weakref
 from fractions import Fraction
 
-import pytest
-
-from seshadri import certify
 from seshadri.geometry import DegenerateInput, make_polygon
 from seshadri.reorder import PiecewiseLinear
-
-
-@pytest.fixture
-def fresh_record(monkeypatch):
-    """A new, empty record of validated dissections and their analyses in
-    ``certify``, so that counted validations and analyses do not depend on
-    which tests ran before."""
-    record = weakref.WeakKeyDictionary()
-    monkeypatch.setattr(certify, "_VALIDATED", record)
-    return record
 
 
 def random_pl(rng: random.Random, max_breaks: int = 12, domain=None,

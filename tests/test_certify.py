@@ -2,11 +2,14 @@
 
 import dataclasses
 import json
+import os
 import random
 import re
-import weakref
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,7 @@ from seshadri.reorder import monotone_reorder, sup_admissible
 from seshadri.lattice import WitnessSelection, scaled_points
 from seshadri.oracle import OracleVerdict
 
+ROOT = Path(__file__).resolve().parent.parent
 BUILTIN = builtin_dissection_eckl10()
 SIMPLEX = make_polygon([(0, 0), (1, 0), (0, 1)])
 
@@ -262,9 +266,34 @@ def _seeded_ms(seed):
     return below + above + [F(4, 13)]
 
 
+# Prints {seed: [validations in the second pass, failures]} for seeds 1-8.
+_PASS_VALIDATIONS = """
+import json
+import seshadri.certify as certify
+from workloads import Asymptotic, Runner
+
+calls = []
+validate = certify.validate_dissection
+
+def counted(dis):
+    calls.append(dis.name)
+    return validate(dis)
+
+certify.validate_dissection = counted
+out = {}
+for seed in range(1, 9):
+    workload, runner = Asymptotic(seed), Runner()
+    workload.run_pass(runner)
+    calls.clear()
+    workload.run_pass(runner)
+    out[seed] = [len(calls), runner.failures]
+print(json.dumps(out))
+"""
+
+
 class TestValidatedOnce:
     @pytest.fixture
-    def validations(self, monkeypatch, fresh_record):
+    def validations(self, monkeypatch):
         import seshadri.certify as certify
         calls = []
 
@@ -276,11 +305,14 @@ class TestValidatedOnce:
 
     def test_a_valid_dissection_is_checked_once(self, validations):
         dis = dataclasses.replace(BUILTIN, name="validated-once")
-        assert certified_bound(dis) == F(4, 13)
-        assert verify_asymptotic(dis, F(3, 10)).overall
-        assert certified_bound(dissection_from_json(dissection_to_json(dis))) == F(4, 13)
-        finite_certificate(dis, 13)
-        assert validations == ["validated-once"]
+        copy = dissection_from_json(dissection_to_json(dis))
+        assert copy == dis
+        for d in (dis, copy, dis, copy):
+            assert certified_bound(d) == F(4, 13)
+            assert verify_asymptotic(d, F(3, 10)).overall
+            finite_certificate(d, 13)
+        # the equal copy is proved on its own, once
+        assert validations == ["validated-once"] * 2
 
     def test_a_refusal_is_never_remembered(self, validations):
         bad = _tampered(dataclasses.replace(BUILTIN, name="refused-each-time"))
@@ -290,13 +322,26 @@ class TestValidatedOnce:
                 call(bad)
         assert validations == ["refused-each-time"] * 4
 
+    def test_asymptotic_pass_validates_each_copy_once(self):
+        """A warm pass of the benchmark's ``asymptotic`` workload validates
+        its four loaded copies once each, and the tampered one once more
+        when ``certified_bound`` refuses it.  It runs in a fresh
+        interpreter, as the benchmark does, so that no dissection another
+        test made can take part."""
+        proc = subprocess.run([sys.executable, "-c", _PASS_VALIDATIONS], cwd=ROOT,
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                                  [str(ROOT / "src"), str(ROOT / "perfbench")])})
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout) == {str(seed): [5, []] for seed in range(1, 9)}
+
 
 class TestAnalysedOnce:
     """Profiles, rearrangements and the bound are computed once for each
-    validated dissection value, whatever m, n and oracle mode ask."""
+    validated dissection object, whatever m, n and oracle mode ask."""
 
     @pytest.fixture
-    def computed(self, monkeypatch, fresh_record):
+    def computed(self, monkeypatch):
         import seshadri.certify as certify
         calls = Counter()
 
@@ -328,6 +373,14 @@ class TestAnalysedOnce:
         before = dict(computed)
         for ask, check in self.QUESTIONS:
             assert check(ask(copy))
+        # the equal copy is validated and analysed on its own, once
+        assert computed["validate_dissection"] == 2
+        for name in ("height_profile", "monotone_reorder"):
+            assert 0 < computed[name] - before[name] <= 2 * dis.r
+        before = dict(computed)
+        for d in (dis, copy):
+            for ask, check in self.QUESTIONS:
+                assert check(ask(d))
         assert computed == before
 
     def test_a_refused_copy_computes_nothing(self, computed):
@@ -361,7 +414,7 @@ def _report_reference(dis, m):
 class TestRecordMatchesFreshComputation:
     @pytest.mark.parametrize("dis", [BUILTIN, diagonal_sliver()],
                              ids=["eckl10", "diagonal"])
-    def test_axis_data(self, dis, fresh_record):
+    def test_axis_data(self, dis):
         import seshadri.certify as certify
         analysis = certify._require_valid(dis)
         for i, poly in enumerate(dis.polygons()):
@@ -375,17 +428,15 @@ class TestRecordMatchesFreshComputation:
 
     @pytest.mark.parametrize("dis, bound", [(BUILTIN, F(4, 13)), (diagonal_sliver(), 0)],
                              ids=["eckl10", "diagonal"])
-    def test_reports_warm_cold_and_direct(self, dis, bound, monkeypatch, fresh_record):
-        import seshadri.certify as certify
+    def test_reports_warm_cold_and_direct(self, dis, bound):
         ms = _seeded_ms(13)
         assert certified_bound(dis) == bound
         warm = [dump_json(verify_asymptotic(dis, m).to_json()) for m in ms]
         for m, text in zip(ms, warm):
-            monkeypatch.setattr(certify, "_VALIDATED", weakref.WeakKeyDictionary())
-            assert dump_json(verify_asymptotic(dis, m).to_json()) == text
+            cold = dataclasses.replace(dis)
+            assert dump_json(verify_asymptotic(cold, m).to_json()) == text
             assert dump_json(_report_reference(dis, m).to_json()) == text
-        monkeypatch.setattr(certify, "_VALIDATED", weakref.WeakKeyDictionary())
-        assert certified_bound(dis) == bound
+        assert certified_bound(dataclasses.replace(dis)) == bound
 
 
 class TestFiniteCertificate:

@@ -216,7 +216,7 @@ class TestColumnProfile:
 
     def test_table_triangle_profile(self):
         prof = column_profile(scaled_points(GKE, 13), Direction.VERTICAL)
-        assert prof.count_map() == {5: 1, 6: 3, 7: 5, 8: 3, 9: 1}
+        assert dict(prof.counts) == {5: 1, 6: 3, 7: 5, 8: 3, 9: 1}
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySet):
