@@ -9,16 +9,14 @@ witnesses an interpolation-rank oracle can confirm independently.
 from .__about__ import __version__
 from .certify import (AsymptoticReport, CutStep, Dissection,
                       EmptyPolygonAtScale, FiniteCertificate,
-                      InvalidDissection, NagataReport, PolygonWitness,
+                      InvalidDissection, PolygonWitness,
                       builtin_dissection_eckl10, certified_bound,
                       dissection_from_json, dissection_to_json,
-                      finite_certificate, nagata_report,
-                      ten_point_bound_ladder, validate_dissection,
+                      finite_certificate, validate_dissection,
                       verify_asymptotic)
 from .geometry import (AffineForm, Axis, ConvexPolygon, DegenerateInput,
-                       Interval, Point, cut_polygon, format_rational,
-                       height_profile, make_polygon, max_chord, parse_rational,
-                       point, x_projection)
+                       Interval, Point, cut_polygon, height_profile,
+                       make_polygon, parse_rational, point, x_projection)
 from .lattice import (ColumnProfile, Direction, EmptySet, LatticeSet,
                       MultiplicitySpec, WitnessSelection, WitnessTooLarge,
                       column_profile, expected_dimension, max_parallel_witness,
@@ -36,8 +34,8 @@ __all__ = [
     "__version__",
     # geometry
     "AffineForm", "Axis", "ConvexPolygon", "DegenerateInput", "Interval",
-    "Point", "cut_polygon", "format_rational", "height_profile",
-    "make_polygon", "max_chord", "parse_rational", "point", "x_projection",
+    "Point", "cut_polygon", "height_profile", "make_polygon", "parse_rational",
+    "point", "x_projection",
     # reorder
     "OutOfRange", "PiecewiseLinear", "ReorderCriterion", "dominates_identity",
     "max_norm_distance", "monotone_reorder", "sublevel_measure",
@@ -53,10 +51,9 @@ __all__ = [
     "points_on_curve", "system_dimension_exact", "system_dimension_modp",
     # certify
     "AsymptoticReport", "CutStep", "Dissection", "EmptyPolygonAtScale",
-    "FiniteCertificate", "InvalidDissection", "NagataReport",
-    "PolygonWitness", "builtin_dissection_eckl10", "certified_bound",
-    "dissection_from_json", "dissection_to_json", "finite_certificate",
-    "nagata_report", "ten_point_bound_ladder", "validate_dissection",
+    "FiniteCertificate", "InvalidDissection", "PolygonWitness",
+    "builtin_dissection_eckl10", "certified_bound", "dissection_from_json",
+    "dissection_to_json", "finite_certificate", "validate_dissection",
     "verify_asymptotic",
     # render
     "RenderSpec", "render_svg",

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
+from math import ceil, floor
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import __about__
@@ -27,7 +28,8 @@ from .lattice import (Direction, LatticeSet, WitnessSelection, _json_bool, _json
                       _witness_from_profile, column_profile, expected_dimension,
                       max_parallel_witness, scaled_points, select_witness_subset,
                       split_by_affine)
-from .oracle import OracleVerdict, system_dimension_exact, system_dimension_modp
+from .oracle import (OracleVerdict, SizeGuardrail, _cell_cap, system_dimension_exact,
+                     system_dimension_modp)
 from .reorder import (PiecewiseLinear, _first_crossing, monotone_reorder,
                       sup_admissible)
 
@@ -385,13 +387,23 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
     witness over both directions, and optionally an oracle
     verdict on the witness system.  The final piece additionally records
     whether its full lattice set pads the witness to expected dimension
-    at least 0.
+    at least 0.  A scale at which the scaled region's bounding box holds
+    more integer points than the cell cap raises SizeGuardrail before any
+    point is enumerated.
     """
     if n < 1:
         raise ValueError("scale must be a positive integer")
     if oracle_mode not in ("none", "modular", "exact"):
         raise ValueError(f"unknown oracle mode {oracle_mode!r}")
     target = _require_valid(dis).bound
+    box = 1
+    for axis in Axis:
+        cs = [axis.coord(v) for v in dis.region.vertices]
+        box *= floor(n * max(cs)) - ceil(n * min(cs)) + 1
+    if box > _cell_cap():
+        raise SizeGuardrail(f"scale n = {n}: the scaled region's bounding box holds "
+                            f"{box} integer points, more than the cell cap; "
+                            "set SESHADRI_MAX_CELLS")
     remaining = scaled_points(dis.region, n)
     pieces: List[Tuple[int, str, LatticeSet]] = []
     for i, step in enumerate(dis.steps, start=1):
@@ -430,53 +442,6 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
     min_ratio = Fraction(min(r.m for r in rows), n)
     return FiniteCertificate(dis.name, n, n, oracle_mode, seed,
                              tuple(rows), min_ratio)
-
-
-# --- bound reporting ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class NagataReport:
-    """Exact comparison of a certified ratio against 1/sqrt(r)."""
-
-    r: int
-    bound: Fraction
-    nagata_target: str
-    comparison: str        # "below" | "equal" | "above"
-    nef_statement: str
-
-    def to_json(self) -> dict:
-        return {"r": self.r, "bound": str(self.bound),
-                "nagata_target": self.nagata_target,
-                "comparison": self.comparison,
-                "nef_statement": self.nef_statement}
-
-
-def nagata_report(r: int, bound) -> NagataReport:
-    """Render the nef statement for the certified ratio and compare it
-    with 1/sqrt(r) by exact cross-multiplied squares."""
-    bound = Fraction(bound)
-    if r < 1:
-        raise ValueError("r must be positive")
-    if bound <= 0:
-        raise ValueError("bound must be positive")
-    square = bound * bound * r
-    comparison = "below" if square < 1 else ("equal" if square == 1 else "above")
-    statement = (f"H - {bound} * (E_1 + ... + E_{r}) is nef on the blow-up of "
-                 f"the projective plane at {r} very general points")
-    return NagataReport(r, bound, f"1/sqrt({r})", comparison, statement)
-
-
-def ten_point_bound_ladder() -> Tuple[Tuple[str, Fraction], ...]:
-    """Published lower bounds for ten very general points, as squared
-    rationals so that irrational entries compare exactly."""
-    return (
-        ("40/132", Fraction(40, 132) ** 2),
-        ("4/13", Fraction(4, 13) ** 2),
-        ("2*sqrt(3)/11", Fraction(12, 121)),
-        ("6/19", Fraction(6, 19) ** 2),
-        ("177/560", Fraction(177, 560) ** 2),
-        ("1/sqrt(10)", Fraction(1, 10)),
-    )
 
 
 # --- file formats -------------------------------------------------------------

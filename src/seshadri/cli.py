@@ -188,7 +188,10 @@ def _cmd_oracle(args) -> int:
 def _cmd_render(args) -> int:
     dis = _load_dissection(args.dissection)
     spec = RenderSpec(size=args.size, labels=not args.no_labels)
-    names = cert.BUILTIN_POINT_TABLE if dis.name in _BUILTINS else None
+    names = None
+    if dis == cert.builtin_dissection_eckl10():
+        # the table names eckl10's vertices: label by equality, not by name
+        names = cert.BUILTIN_POINT_TABLE
     svg = render_svg(dis, spec, point_names=names)
     _emit(svg, args.out)
     return EXIT_OK

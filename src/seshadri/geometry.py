@@ -17,8 +17,6 @@ from typing import Iterable, NamedTuple, Sequence, Tuple
 
 from .reorder import PiecewiseLinear
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
 
 
@@ -32,10 +30,6 @@ def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational 'p/q' literal: {text!r}")
     return Fraction(text)
-
-
-def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
 
 
 def _rat(x) -> Fraction:
@@ -249,7 +243,3 @@ def height_profile(P: ConvexPolygon, axis: Axis = Axis.X) -> PiecewiseLinear:
     ts = sorted({axis.coord(v) for v in P.vertices})
     return PiecewiseLinear(tuple(ts), tuple(_chord_span(P, axis, t) for t in ts))
 
-
-def max_chord(P: ConvexPolygon, axis: Axis = Axis.X) -> Fraction:
-    """Maximum slice length; attained at a breakpoint of the profile."""
-    return height_profile(P, axis).max_value()

@@ -41,7 +41,7 @@ Matrix = List[List[Fraction]]
 
 MODULAR_DEFAULT_PRIME = 2**61 - 1
 MODULUS_LIMIT = 2**63  # bound on a modulus from outside input (`oracle --prime`)
-EXACT_CELL_CAP = 4_000_000
+CELL_CAP = 4_000_000
 _SEED_NUMERATOR_MAX = 2**16
 _SEED_DENOMINATOR = 2**16 + 1
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -66,7 +66,7 @@ class BadModulus(ValueError):
 
 
 class SizeGuardrail(RuntimeError):
-    """Exact-mode matrix exceeds the desk-scale cell cap."""
+    """A request exceeds the desk-scale cell cap."""
 
 
 @dataclass(frozen=True)
@@ -106,9 +106,6 @@ class GenericPointSet:
                 seen.add(p)
                 pts.append(p)
         return cls(tuple(pts), source="seeded-random", seed=seed)
-
-    def to_json(self) -> list:
-        return [[str(p.x), str(p.y)] for p in self.points]
 
 
 @dataclass(frozen=True)
@@ -304,10 +301,18 @@ def fraction_free_rank(rows: Matrix) -> int:
 def _cell_cap() -> int:
     env = os.environ.get("SESHADRI_MAX_CELLS")
     if not env:
-        return EXACT_CELL_CAP
+        return CELL_CAP
     if not (env.isascii() and env.isdigit() and int(env) > 0):
         raise ValueError(f"SESHADRI_MAX_CELLS={env!r} is not a positive integer")
     return int(env)
+
+
+def _check_cells(D: LatticeSet, spec, mode: str) -> None:
+    """Refuse a condition matrix of more cells than the cap."""
+    if spec.conditions() * len(D) > _cell_cap():
+        raise SizeGuardrail(
+            f"{spec.conditions()}x{len(D)} {mode} matrix exceeds the cell cap; "
+            "set SESHADRI_MAX_CELLS")
 
 
 def system_dimension_exact(D: LatticeSet, spec,
@@ -324,11 +329,7 @@ def system_dimension_exact(D: LatticeSet, spec,
     sample, and a differing outcome is recorded in the caveat.
     """
     spec = _coerce_spec(spec)
-    cells = spec.conditions() * len(D)
-    if cells > _cell_cap():
-        raise SizeGuardrail(
-            f"{spec.conditions()}x{len(D)} exact matrix exceeds the cell cap; "
-            "set SESHADRI_MAX_CELLS")
+    _check_cells(D, spec, "exact")
     if points is None and len(spec) == 1:
         caveat = _POINT_FREE + "; its rank over Q is exact: either verdict is conclusive"
         return _point_free_verdict(D, spec.multiplicities[0], "exact-rational", None,
@@ -416,6 +417,7 @@ def system_dimension_modp(D: LatticeSet, spec, seed: int = 0,
     if prime <= max(max_exp, 2):
         raise PrimeTooSmall(
             f"prime {prime} must exceed every derivative factor (max exponent {max_exp})")
+    _check_cells(D, spec, "modular")
     rows = _random_point_rows(D, spec, seed, prime)
     rank = modrank(rows, prime) if rows else 0
     actual = len(D) - 1 - rank

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 
@@ -78,20 +77,6 @@ class PiecewiseLinear:
             yield (self.breakpoints[i], self.breakpoints[i + 1],
                    self.values[i], self.values[i + 1])
 
-    def min_value(self) -> Fraction:
-        return min(self.values)
-
-    def max_value(self) -> Fraction:
-        return max(self.values)
-
-    def argmax(self) -> tuple:
-        """Leftmost breakpoint attaining the maximum, as (t, value)."""
-        m = self.max_value()
-        for t, v in zip(self.breakpoints, self.values):
-            if v == m:
-                return (t, v)
-        raise AssertionError("unreachable")
-
     def is_nondecreasing(self) -> bool:
         return all(a <= b for a, b in zip(self.values, self.values[1:]))
 
@@ -118,21 +103,6 @@ class PiecewiseLinear:
                 vals.append(v)
         bps.append(hi)
         vals.append(self(hi))
-        return PiecewiseLinear(tuple(bps), tuple(vals))
-
-    def canonical(self) -> "PiecewiseLinear":
-        """Drop interior breakpoints where the slope does not change."""
-        bps = [self.breakpoints[0]]
-        vals = [self.values[0]]
-        for i in range(1, len(self.breakpoints) - 1):
-            t0, t1, t2 = bps[-1], self.breakpoints[i], self.breakpoints[i + 1]
-            v0, v1, v2 = vals[-1], self.values[i], self.values[i + 1]
-            # collinear iff (v1-v0)/(t1-t0) == (v2-v1)/(t2-t1)
-            if (v1 - v0) * (t2 - t1) != (v2 - v1) * (t1 - t0):
-                bps.append(t1)
-                vals.append(v1)
-        bps.append(self.breakpoints[-1])
-        vals.append(self.values[-1])
         return PiecewiseLinear(tuple(bps), tuple(vals))
 
     def equivalent(self, other: "PiecewiseLinear") -> bool:

@@ -18,15 +18,14 @@ from seshadri.certify import (BUILTIN_POINT_TABLE, CutStep, Dissection,
                               builtin_dissection_eckl10, certified_bound,
                               dissection_from_json, dissection_to_json,
                               dump_json, finite_certificate,
-                              nagata_report, ten_point_bound_ladder,
                               validate_dissection, verify_asymptotic,
                               FiniteCertificate)
 from seshadri.geometry import (AffineForm, Axis, height_profile, make_polygon,
-                               max_chord, point, x_projection)
+                               point, x_projection)
 from seshadri.certify import AsymptoticReport, PolygonCheck, PolygonWitness
 from seshadri.reorder import monotone_reorder, sup_admissible
 from seshadri.lattice import WitnessSelection, scaled_points
-from seshadri.oracle import OracleVerdict
+from seshadri.oracle import OracleVerdict, SizeGuardrail
 
 ROOT = Path(__file__).resolve().parent.parent
 BUILTIN = builtin_dissection_eckl10()
@@ -200,7 +199,7 @@ class TestVerifyAsymptotic:
         for check in report.per_polygon:
             poly = BUILTIN.polygons()[check.polygon - 1]
             assert x_projection(poly, check.axis).length > F(3, 10)
-            assert max_chord(poly, check.axis) > F(3, 10)
+            assert max(height_profile(poly, check.axis).values) > F(3, 10)
 
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
@@ -473,6 +472,13 @@ class TestFiniteCertificate:
         with pytest.raises(EmptyPolygonAtScale):
             finite_certificate(BUILTIN, 1)
 
+    def test_scale_guardrail_counts_the_bounding_box(self, monkeypatch):
+        # the unit square around the simplex holds (n + 1)^2 points at scale n
+        monkeypatch.setenv("SESHADRI_MAX_CELLS", str(14 ** 2))
+        assert finite_certificate(BUILTIN, 13).min_ratio == F(3, 13)
+        with pytest.raises(SizeGuardrail, match="n = 14: .* 225 integer points"):
+            finite_certificate(BUILTIN, 14)
+
     def test_seed_determinism(self):
         a = finite_certificate(BUILTIN, 13, oracle_mode="modular", seed=5)
         b = finite_certificate(BUILTIN, 13, oracle_mode="modular", seed=5)
@@ -484,34 +490,6 @@ class TestFiniteCertificate:
         again = FiniteCertificate.from_json(json.loads(blob))
         assert again == cert
         assert dump_json(again.to_json()) == blob
-
-
-class TestNagataReport:
-    def test_ten_points_four_thirteenths(self):
-        report = nagata_report(10, F(4, 13))
-        assert report.comparison == "below"
-        assert F(4, 13) ** 2 * 10 == F(160, 169)
-        assert "nef" in report.nef_statement
-
-    def test_nine_points_equal(self):
-        assert nagata_report(9, F(1, 3)).comparison == "equal"
-
-    def test_above(self):
-        assert nagata_report(9, F(1, 2)).comparison == "above"
-
-    def test_known_harder_bound_also_below(self):
-        report = nagata_report(10, F(177, 560))
-        assert report.comparison == "below"
-        # 177/560 beats 4/13 by cross multiplication: 177*13 > 4*560
-        assert 177 * 13 > 4 * 560
-
-    def test_ladder_strictly_increasing(self):
-        ladder = ten_point_bound_ladder()
-        labels = [name for name, _ in ladder]
-        assert labels == ["40/132", "4/13", "2*sqrt(3)/11", "6/19",
-                          "177/560", "1/sqrt(10)"]
-        squares = [sq for _, sq in ladder]
-        assert all(a < b for a, b in zip(squares, squares[1:]))
 
 
 class TestDissectionFiles:

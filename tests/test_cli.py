@@ -1,12 +1,14 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from seshadri import certify as cert
 from seshadri.cli import run
+from seshadri.geometry import AffineForm, cut_polygon, make_polygon
 from seshadri.lattice import LatticeSet, MultiplicitySpec
 from seshadri.oracle import system_dimension_exact, system_dimension_modp
 from test_canonical_json import _dump_json_reference
@@ -86,6 +88,16 @@ def test_certify_refuted_at_tiny_scale(capsys):
     assert "refuted" in capsys.readouterr().err
 
 
+def test_certify_scale_guardrail(capsys):
+    t0 = time.perf_counter()
+    assert run(["certify", "--dissection", BUILTIN, "--n", "5000",
+                "--oracle", "none"]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n = 5000" in captured.err and "SESHADRI_MAX_CELLS" in captured.err
+
+
 def test_certify_determinism(capsys):
     argv = ["certify", "--dissection", BUILTIN, "--n", "13",
             "--oracle", "modular", "--seed", "7"]
@@ -140,6 +152,19 @@ def test_oracle_guardrail_exit_code(tmp_path, monkeypatch):
     assert run(["oracle", "--system", str(system), "--mode", "exact"]) == 3
 
 
+def test_oracle_multi_point_guardrail_both_modes(tmp_path, capsys):
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps({
+        "D": [[a, b] for a in range(60) for b in range(60)],
+        "multiplicities": [40, 40, 40],
+    }))
+    for mode in ("exact", "modular"):
+        t0 = time.perf_counter()
+        assert run(["oracle", "--system", str(system), "--mode", mode]) == 3
+        assert time.perf_counter() - t0 < 1.0
+        assert f"2460x3600 {mode} matrix" in capsys.readouterr().err
+
+
 def test_render_svg_structure(tmp_path):
     out = tmp_path / "d.svg"
     assert run(["render", "--dissection", BUILTIN, "--out", str(out)]) == 0
@@ -155,6 +180,22 @@ def test_render_no_labels(tmp_path):
     assert run(["render", "--dissection", BUILTIN, "--out", str(out),
                 "--no-labels"]) == 0
     assert out.read_text().count("<text") == 0
+
+
+def test_render_labels_only_the_builtin(tmp_path):
+    builtin = tmp_path / "eckl10.json"
+    assert run(["builtin", "--name", "eckl10", "--out", str(builtin)]) == 0
+    # a valid dissection of the doubled simplex that only borrows the name
+    region = make_polygon([(0, 0), (2, 0), (0, 2)])
+    cut = AffineForm(-1, 1, 1)
+    peeled, final = cut_polygon(region, cut)
+    impostor = tmp_path / "impostor.json"
+    impostor.write_text(cert.dump_json(cert.dissection_to_json(
+        cert.Dissection("eckl10", region, (cert.CutStep(cut, peeled),), final))))
+    for path, labels in ((builtin, 19), (impostor, 0)):
+        out = tmp_path / "d.svg"
+        assert run(["render", "--dissection", str(path), "--out", str(out)]) == 0
+        assert out.read_text().count("<text") == labels
 
 
 def test_render_canvas_guardrail(tmp_path):

@@ -6,9 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 from seshadri.geometry import (AffineForm, Axis, DegenerateInput, Interval,
-                               Point, cut_polygon, format_rational,
-                               height_profile, make_polygon, max_chord,
-                               parse_rational, point, x_projection)
+                               Point, cut_polygon, height_profile,
+                               make_polygon, parse_rational, point,
+                               x_projection)
 
 from conftest import random_polygon
 
@@ -29,11 +29,6 @@ class TestRationalStrings:
         for bad in ("0.5", "1e3", "4/0", "4/-13", "", "a/b", "1/03"):
             with pytest.raises(ValueError):
                 parse_rational(bad)
-
-    def test_format(self):
-        assert format_rational(F(4, 13)) == "4/13"
-        assert format_rational(F(6, 2)) == "3"
-        assert format_rational(F(-1, 2)) == "-1/2"
 
 
 class TestMakePolygon:
@@ -149,15 +144,14 @@ class TestHeightProfile:
     def test_table_chords(self):
         prof = height_profile(GKE)
         assert prof(F(7, 13)) == F(4, 13)
-        assert max_chord(GKE) == F(4, 13)
-        assert prof.argmax() == (F(7, 13), F(4, 13))
+        assert max(prof.values) == F(4, 13)
         prof8 = height_profile(NMKL)
-        assert max_chord(NMKL) == F(4, 13)
-        assert prof8.argmax() == (F(6, 13), F(4, 13))
+        assert max(prof8.values) == F(4, 13)
+        assert prof8(F(6, 13)) == F(4, 13)
 
-    def test_max_chord_simplex(self):
-        assert max_chord(SIMPLEX) == 1
-        assert max_chord(SIMPLEX, Axis.Y) == 1
+    def test_widest_chord_simplex(self):
+        assert max(height_profile(SIMPLEX).values) == 1
+        assert max(height_profile(SIMPLEX, Axis.Y).values) == 1
 
     def test_integral_equals_area(self):
         rng = random.Random(11)
@@ -183,7 +177,7 @@ class TestHeightProfile:
         rng = random.Random(17)
         for _ in range(100):
             p = random_polygon(rng)
-            assert height_profile(p).min_value() >= 0
+            assert min(height_profile(p).values) >= 0
 
 
 class TestAffineForm:

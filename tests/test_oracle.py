@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from seshadri._kernels import pyref
-from seshadri.geometry import make_polygon
+from seshadri.geometry import Point, make_polygon
 from seshadri.lattice import (Direction, LatticeSet, column_profile,
                               max_parallel_witness, scaled_points,
                               select_witness_subset)
@@ -101,6 +101,29 @@ class TestExactOracle:
         monkeypatch.setenv("SESHADRI_MAX_CELLS", "1000000")
         assert system_dimension_exact(DEG2, (3,), seed=0).non_special
 
+    def test_seed_retry_replaces_a_non_generic_sample(self, monkeypatch):
+        seeded = GenericPointSet.seeded
+        # four of five points on the line y = x: every conic through them
+        # contains that line, so the sample leaves a pencil (dimension 1)
+        collinear = GenericPointSet(tuple(Point(F(k), F(k)) for k in (1, 2, 3, 4))
+                                    + (Point(F(1), F(5)),), "seeded-random", 0)
+
+        def fake(cls, r, seed):
+            return collinear if seed == 0 else seeded(r, seed)
+
+        monkeypatch.setattr(GenericPointSet, "seeded", classmethod(fake))
+        v = system_dimension_exact(DEG2, (1, 1, 1, 1, 1), seed=0)
+        assert v.non_special and v.actual_dimension == 0 and v.seed == 1
+        assert v.caveat == ("seed 0 sampled a non-generic configuration "
+                            "(dimension 1); seed 1 gives 0")
+
+    def test_special_system_keeps_its_seed(self):
+        # two double points impose six conditions on conics, but the double
+        # line through them survives: special at every sample
+        v = system_dimension_exact(DEG2, (2, 2), seed=0)
+        assert v.actual_dimension == 0 and v.expected_dimension == -1
+        assert not v.non_special and v.seed == 0 and v.caveat is None
+
     def test_actual_at_least_expected(self):
         rng = random.Random(5)
         for _ in range(40):
@@ -132,6 +155,13 @@ class TestModularOracle:
         assert a == b
         c = system_dimension_modp(DEG2, (3,), seed=43)
         assert c.prime == a.prime
+
+    def test_guardrail_on_several_points(self, monkeypatch):
+        monkeypatch.setenv("SESHADRI_MAX_CELLS", "10")
+        with pytest.raises(SizeGuardrail, match="^3x6 modular matrix"):
+            system_dimension_modp(DEG2, (1, 1, 1), seed=0)
+        monkeypatch.setenv("SESHADRI_MAX_CELLS", "1000000")
+        assert system_dimension_modp(DEG2, (1, 1, 1), seed=0).non_special
 
     def test_empty_spec_dimension(self):
         for seed in (0, 1, 2):

