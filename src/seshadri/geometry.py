@@ -118,8 +118,10 @@ def _cross(o: Point, a: Point, b: Point) -> Fraction:
 class ConvexPolygon:
     """Strictly convex closed polygon, counterclockwise, canonical start.
 
-    Built through :func:`make_polygon`; direct construction expects an
-    already canonical vertex chain.
+    Built by :func:`make_polygon` from any points, or by
+    :func:`cut_polygon` from a polygon; direct construction expects an
+    already canonical vertex chain.  Every function here that takes a
+    polygon relies on it being strictly convex and canonical.
     """
 
     vertices: Tuple[Point, ...]
@@ -175,16 +177,26 @@ def make_polygon(points: Iterable) -> ConvexPolygon:
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
         raise DegenerateInput("points are collinear (zero-area hull)")
-    start = min(range(len(hull)), key=lambda i: (hull[i].y, hull[i].x))
-    return ConvexPolygon(tuple(hull[start:] + hull[:start]))
+    return _canonical(hull)
+
+
+def _canonical(chain: Sequence[Point]) -> ConvexPolygon:
+    """The polygon of a strictly convex CCW vertex chain, rotated to start
+    at its lowest, then leftmost vertex."""
+    start = min(range(len(chain)), key=lambda i: (chain[i].y, chain[i].x))
+    return ConvexPolygon(tuple(chain[start:]) + tuple(chain[:start]))
 
 
 def cut_polygon(P: ConvexPolygon, F: AffineForm):
-    """Split P along F = 0 into (neg, pos) closed parts.
+    """Split the strictly convex canonical polygon P along F = 0 into
+    (neg, pos) closed parts, in time linear in its vertex count.
 
     A part whose open side is empty (cut missing P, or touching only a
     vertex or edge) is reported as None; when both parts exist their areas
-    add up to the area of P exactly.
+    add up to the area of P exactly.  Each part is built as the CCW chain
+    the walk along P's boundary visits and only rotated to its canonical
+    start: both chord ends lie on F = 0 and every other point on one edge
+    of P, so no three of its points are collinear and none repeats.
     """
     vals = [F(v) for v in P.vertices]
     if all(v >= 0 for v in vals):
@@ -205,7 +217,7 @@ def cut_polygon(P: ConvexPolygon, F: AffineForm):
             crossing = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
             neg.append(crossing)
             pos.append(crossing)
-    return (make_polygon(neg), make_polygon(pos))
+    return (_canonical(neg), _canonical(pos))
 
 
 def x_projection(P: ConvexPolygon, axis: Axis = Axis.X) -> Interval:
@@ -214,32 +226,54 @@ def x_projection(P: ConvexPolygon, axis: Axis = Axis.X) -> Interval:
     return Interval(min(coords), max(coords))
 
 
-def _chord_span(P: ConvexPolygon, axis: Axis, t: Fraction) -> Fraction:
-    """Length of the slice of P over coordinate value t on the given axis."""
-    hits = []
-    for a, b in P.edges():
-        ca, cb = axis.coord(a), axis.coord(b)
-        if ca == cb:
-            if ca == t:
-                hits.append(axis.other(a))
-                hits.append(axis.other(b))
-            continue
-        if (ca - t) * (cb - t) <= 0:
-            s = (t - ca) / (cb - ca)
-            hits.append(axis.other(a) + s * (axis.other(b) - axis.other(a)))
-    if not hits:
-        raise ValueError(f"coordinate {t} outside the polygon's projection")
-    return max(hits) - min(hits)
-
-
 def height_profile(P: ConvexPolygon, axis: Axis = Axis.X) -> PiecewiseLinear:
     """Slice-length profile f(t) = length of the axis-perpendicular chord.
 
-    For a convex polygon the upper and lower boundary chains are linear
-    between vertex abscissae, so f is piecewise linear with breakpoints
-    exactly at the distinct vertex coordinates, concave, nonnegative, and
-    integrates to the polygon area.
+    P must be strictly convex and canonical, as :func:`make_polygon` and
+    :func:`cut_polygon` build it.  Its two boundary chains from a vertex of
+    least coordinate to one of greatest are linear between vertex
+    coordinates, so f is piecewise linear with breakpoints exactly at the
+    distinct vertex coordinates, concave, nonnegative, and integrates to
+    the polygon area.  One walk along both chains finds every breakpoint
+    in order, in time linear in the vertex count.  At an extreme
+    coordinate each chain ends at its own end of the axis-parallel edge
+    there, if any, so the chord is that edge.
     """
-    ts = sorted({axis.coord(v) for v in P.vertices})
-    return PiecewiseLinear(tuple(ts), tuple(_chord_span(P, axis, t) for t in ts))
+    coords = [(axis.coord(v), axis.other(v)) for v in P.vertices]
+    n = len(coords)
+    low = min(coords)
+    lo, hi = low[0], max(coords)[0]
+    first = coords.index(low)
+    chains = []
+    for step in (1, -1):
+        i = first
+        if coords[(i + step) % n][0] == lo:
+            i += step
+        chain = [coords[i % n]]
+        while chain[-1][0] != hi:
+            i += step
+            chain.append(coords[i % n])
+        chains.append(chain)
+    a, b = chains
+    ts = [lo]
+    vals = [abs(a[0][1] - b[0][1])]
+    ia = ib = 0
+    while ia + 1 < len(a):
+        t = min(a[ia + 1][0], b[ib + 1][0])
+        if a[ia + 1][0] == t:
+            ia += 1
+        if b[ib + 1][0] == t:
+            ib += 1
+        ts.append(t)
+        vals.append(abs(_chain_at(a, ia, t) - _chain_at(b, ib, t)))
+    return PiecewiseLinear(tuple(ts), tuple(vals))
 
+
+def _chain_at(chain, i: int, t: Fraction) -> Fraction:
+    """Other coordinate of the chain at coordinate t, given chain[i][0] <= t
+    < chain[i + 1][0] or t == chain[i][0]."""
+    c0, o0 = chain[i]
+    if t == c0:
+        return o0
+    c1, o1 = chain[i + 1]
+    return o0 + (t - c0) * (o1 - o0) / (c1 - c0)

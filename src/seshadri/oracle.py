@@ -246,13 +246,17 @@ def _point_free_verdict(D: LatticeSet, m: int, method: str, prime: Optional[int]
     B has integer entries, so its rank mod 2 is at most its rank over Q: a
     full rank mod 2 is full rank over Q and the verdict, recorded with
     prime 2, is conclusive.  Otherwise ``fallback_rank(B)`` decides, and
-    the verdict records ``prime`` and ``caveat``.
+    the verdict records ``prime`` and ``caveat``.  The cell cap is checked
+    before each matrix is built, in both modes: the GF(2) rows count one
+    cell per 64-bit word, B one cell per entry.
     """
     conditions = comb(m + 1, 2)
+    _check_cells(conditions, -(-len(D) // 64), "GF(2) word")
     rank = _gf2_rank(_lucas_rows(D, m))
     if rank == min(len(D), conditions):
         prime, caveat = 2, _GF2_FULL
     else:
+        _check_cells(conditions, len(D), "point-free")
         rank = fallback_rank(_binomial_matrix(D, m))
     actual = len(D) - 1 - rank
     expected = max(-1, len(D) - 1 - conditions)
@@ -307,12 +311,11 @@ def _cell_cap() -> int:
     return int(env)
 
 
-def _check_cells(D: LatticeSet, spec, mode: str) -> None:
-    """Refuse a condition matrix of more cells than the cap."""
-    if spec.conditions() * len(D) > _cell_cap():
-        raise SizeGuardrail(
-            f"{spec.conditions()}x{len(D)} {mode} matrix exceeds the cell cap; "
-            "set SESHADRI_MAX_CELLS")
+def _check_cells(rows: int, cols: int, kind: str) -> None:
+    """Refuse a rows x cols matrix of more cells than the cap."""
+    if rows * cols > _cell_cap():
+        raise SizeGuardrail(f"{rows}x{cols} {kind} matrix exceeds the cell cap; "
+                            "set SESHADRI_MAX_CELLS")
 
 
 def system_dimension_exact(D: LatticeSet, spec,
@@ -329,11 +332,11 @@ def system_dimension_exact(D: LatticeSet, spec,
     sample, and a differing outcome is recorded in the caveat.
     """
     spec = _coerce_spec(spec)
-    _check_cells(D, spec, "exact")
     if points is None and len(spec) == 1:
         caveat = _POINT_FREE + "; its rank over Q is exact: either verdict is conclusive"
         return _point_free_verdict(D, spec.multiplicities[0], "exact-rational", None,
                                    caveat, fraction_free_rank)
+    _check_cells(spec.conditions(), len(D), "exact")
     expected = max(-1, len(D) - 1 - spec.conditions())
     if points is None:
         points = GenericPointSet.seeded(len(spec), seed)
@@ -417,7 +420,7 @@ def system_dimension_modp(D: LatticeSet, spec, seed: int = 0,
     if prime <= max(max_exp, 2):
         raise PrimeTooSmall(
             f"prime {prime} must exceed every derivative factor (max exponent {max_exp})")
-    _check_cells(D, spec, "modular")
+    _check_cells(spec.conditions(), len(D), "modular")
     rows = _random_point_rows(D, spec, seed, prime)
     rank = modrank(rows, prime) if rows else 0
     actual = len(D) - 1 - rank

@@ -185,8 +185,10 @@ def monotone_reorder(f: PiecewiseLinear) -> PiecewiseLinear:
         vals.append(levels[0])
     for j in range(len(levels) - 1):
         dt = densities[j] * (levels[j + 1] - levels[j])
-        # continuity of f forces every value gap to be crossed by a sloped piece
-        assert dt > 0
+        if dt <= 0:
+            raise RuntimeError(f"rearrangement invariant broken: no sloped piece "
+                               f"crosses the value gap ({levels[j]}, {levels[j + 1]}), "
+                               "which a continuous f must cross")
         t += dt
         bps.append(t)
         vals.append(levels[j + 1])
@@ -199,7 +201,9 @@ def monotone_reorder(f: PiecewiseLinear) -> PiecewiseLinear:
         t += masses[0]
         bps.append(t)
         vals.append(levels[0])
-    assert t == f.width
+    if t != f.width:
+        raise RuntimeError(f"rearrangement invariant broken: the level sets measure "
+                           f"{t}, not the domain width {f.width} (equimeasurability)")
     return PiecewiseLinear(tuple(bps), tuple(vals))
 
 

@@ -390,6 +390,38 @@ class TestAnalysedOnce:
         assert computed == {"validate_dissection": len(self.QUESTIONS)}
 
 
+class TestNoRehulling:
+    """Cutting builds each side as the chain it walks: a hull is built only
+    for the builtin's region, never for a derived piece."""
+
+    @pytest.fixture
+    def hulls(self, monkeypatch):
+        import seshadri.certify as certify
+        import seshadri.geometry as geometry
+        calls = []
+
+        def counted(module):
+            real = module.make_polygon
+
+            def wrapper(points):
+                calls.append(module.__name__)
+                return real(points)
+            return wrapper
+        for module in (geometry, certify):
+            monkeypatch.setattr(module, "make_polygon", counted(module))
+        return calls
+
+    def test_validation_builds_no_hull(self, hulls):
+        copy = dissection_from_json(dissection_to_json(BUILTIN))
+        hulls.clear()  # loading builds one hull per stated polygon
+        assert validate_dissection(copy).ok
+        assert hulls == []
+
+    def test_builtin_builds_one_hull_for_its_region(self, hulls):
+        assert builtin_dissection_eckl10() == BUILTIN
+        assert hulls == ["seshadri.certify"]
+
+
 def _report_reference(dis, m):
     """verify_asymptotic from direct profile calls, with no record."""
     rows = []

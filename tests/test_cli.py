@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from seshadri import certify as cert
+from seshadri import oracle
 from seshadri.cli import run
 from seshadri.geometry import AffineForm, cut_polygon, make_polygon
 from seshadri.lattice import LatticeSet, MultiplicitySpec
@@ -146,10 +147,47 @@ def test_oracle_guardrail_exit_code(tmp_path, monkeypatch):
     system = tmp_path / "sys.json"
     system.write_text(json.dumps({
         "D": [[0, 0], [1, 0], [0, 1]],
-        "multiplicities": [1],
+        "multiplicities": [2],
         "seed": 0,
     }))
-    assert run(["oracle", "--system", str(system), "--mode", "exact"]) == 3
+    # three GF(2) rows of one word each
+    for mode in ("exact", "modular"):
+        assert run(["oracle", "--system", str(system), "--mode", mode]) == 3
+    monkeypatch.setenv("SESHADRI_MAX_CELLS", "3")
+    for mode in ("exact", "modular"):
+        assert run(["oracle", "--system", str(system), "--mode", mode]) == 0
+
+
+def test_oracle_huge_multiplicity_guardrail_both_modes(tmp_path, monkeypatch, capsys):
+    def refuse(*_args):
+        raise AssertionError("a row was built")
+    # 2 * 10^8 rows would exhaust memory, so building any is a failure
+    monkeypatch.setattr(oracle, "_lucas_rows", refuse)
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps({"D": [[0, 0], [1, 0], [2, 0]],
+                                  "multiplicities": [20000]}))
+    for mode in ("exact", "modular"):
+        t0 = time.perf_counter()
+        assert run(["oracle", "--system", str(system), "--mode", mode]) == 3
+        assert time.perf_counter() - t0 < 1.0
+        assert "200010000x1 GF(2) word matrix" in capsys.readouterr().err
+
+
+def test_certify_exact_at_208_matches_modular(capsys):
+    """GF(2) decides every witness at n = 208, so exact mode certifies
+    what modular mode does, although a rational 2080x2080 matrix would
+    exceed the cell cap."""
+    certs = {}
+    for mode in ("exact", "modular"):
+        assert run(["certify", "--dissection", BUILTIN, "--n", "208",
+                    "--oracle", mode]) == 0
+        certs[mode] = json.loads(capsys.readouterr().out)
+    for c in certs.values():
+        del c["tool_version"], c["oracle_mode"]
+        for row in c["per_polygon"]:
+            assert row["oracle"]["non_special"] and row["oracle"]["prime"] == 2
+            del row["oracle"]["method"], row["oracle"]["caveat"]
+    assert certs["exact"] == certs["modular"]
 
 
 def test_oracle_multi_point_guardrail_both_modes(tmp_path, capsys):

@@ -180,6 +180,88 @@ class TestHeightProfile:
             assert min(height_profile(p).values) >= 0
 
 
+def _slice_length(P, axis, t):
+    """Reference chord: the spread of P's boundary over coordinate t,
+    intersecting every edge with the slice."""
+    hits = []
+    for a, b in P.edges():
+        ca, cb = axis.coord(a), axis.coord(b)
+        if ca == cb:
+            if ca == t:
+                hits.append(axis.other(a))
+                hits.append(axis.other(b))
+            continue
+        if (ca - t) * (cb - t) <= 0:
+            s = (t - ca) / (cb - ca)
+            hits.append(axis.other(a) + s * (axis.other(b) - axis.other(a)))
+    return max(hits) - min(hits)
+
+
+def _axis_edged_polygon(rng):
+    """Random polygon with a horizontal bottom edge and a vertical right
+    edge: the corners of a box plus points inside it."""
+    x0, y0 = F(rng.randint(0, 4), rng.randint(1, 3)), F(rng.randint(0, 4), rng.randint(1, 3))
+    w, h = F(rng.randint(1, 6), rng.randint(1, 3)), F(rng.randint(1, 6), rng.randint(1, 3))
+    pts = [(x0, y0), (x0 + w, y0), (x0 + w, y0 + h)]
+    for _ in range(rng.randint(1, 5)):
+        pts.append((x0 + w * F(rng.randint(0, 6), 6), y0 + h * F(rng.randint(0, 6), 6)))
+    return make_polygon(pts)
+
+
+def _polygons(seed, count):
+    rng = random.Random(seed)
+    for k in range(count):
+        yield rng, (_axis_edged_polygon(rng) if k % 3 == 0 else random_polygon(rng))
+
+
+def _line_through(p, q):
+    """Affine form vanishing at the distinct points p and q."""
+    r1, r2 = p.y - q.y, q.x - p.x
+    return AffineForm(-(r1 * p.x + r2 * p.y), r1, r2)
+
+
+def _cuts(rng, P):
+    """Random cuts, diagonals through two vertices, lines along each edge
+    and axis-parallel lines at vertex coordinates, both orientations."""
+    vs = P.vertices
+    forms = [AffineForm(F(rng.randint(-8, 8), rng.randint(1, 3)), r1, r2)
+             for r1, r2 in ((rng.randint(-3, 3), rng.randint(1, 3)),
+                            (rng.randint(1, 3), rng.randint(-3, 3)))]
+    forms += [_line_through(*rng.sample(vs, 2)) for _ in range(3)]
+    forms += [_line_through(a, b) for a, b in P.edges()]
+    v = rng.choice(vs)
+    forms += [AffineForm(-v.x, 1, 0), AffineForm(-v.y, 0, 1)]
+    return forms + [AffineForm(-f.r0, -f.r1, -f.r2) for f in forms]
+
+
+class TestLinearCut:
+    """``cut_polygon`` builds each side as the chain it walks, rotated to
+    its canonical start; the hull of the same points must agree."""
+
+    def test_sides_are_their_own_hulls(self):
+        sides = 0
+        for rng, P in _polygons(19, 150):
+            for form in _cuts(rng, P):
+                for side in cut_polygon(P, form):
+                    if side is not None:
+                        assert side == make_polygon(side.vertices), (P, form)
+                        sides += 1
+        assert sides > 2000
+
+
+class TestLinearProfile:
+    """``height_profile`` walks both boundary chains once; the reference
+    slices every edge at every breakpoint."""
+
+    def test_equals_reference_slices(self):
+        for _, P in _polygons(23, 300):
+            for axis in (Axis.X, Axis.Y):
+                prof = height_profile(P, axis)
+                ts = sorted({axis.coord(v) for v in P.vertices})
+                assert prof.breakpoints == tuple(ts)
+                assert prof.values == tuple(_slice_length(P, axis, t) for t in ts)
+
+
 class TestAffineForm:
     def test_zero_linear_part_rejected(self):
         with pytest.raises(DegenerateInput):

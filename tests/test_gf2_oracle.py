@@ -136,6 +136,54 @@ class TestFallback:
                 assert "full rank mod 2" in v.caveat
 
 
+def _both_modes(D, m):
+    return (system_dimension_modp(D, (m,), prime=97), system_dimension_exact(D, (m,)))
+
+
+class TestCellCap:
+    """The cap counts the matrix each step of a one-point system builds,
+    the same in both modes: GF(2) rows in 64-bit words, then B in cells."""
+
+    def test_gf2_rows_count_64_bit_words(self, monkeypatch):
+        wide = LatticeSet(tuple((a, 0) for a in range(65)))
+        monkeypatch.setenv("SESHADRI_MAX_CELLS", "1")
+        for mode in (system_dimension_modp, system_dimension_exact):
+            with pytest.raises(oracle.SizeGuardrail,
+                               match="^1x2 GF\\(2\\) word matrix exceeds the cell cap"):
+                mode(wide, (1,))
+        monkeypatch.setenv("SESHADRI_MAX_CELLS", "2")
+        for v in _both_modes(wide, 1):
+            assert v.non_special and v.prime == 2
+
+    def test_fallback_matrix_counts_cells(self, monkeypatch):
+        # GF(2) needs 3 words, the fallback a 3x3 matrix
+        monkeypatch.setenv("SESHADRI_MAX_CELLS", "8")
+        for mode in (system_dimension_modp, system_dimension_exact):
+            with pytest.raises(oracle.SizeGuardrail, match="^3x3 point-free matrix"):
+                mode(SHORT_MOD_2, (2,))
+        monkeypatch.setenv("SESHADRI_MAX_CELLS", "9")
+        for v in _both_modes(SHORT_MOD_2, 2):
+            assert v.non_special and v.rank == 3
+
+    def test_gf2_decides_what_the_cells_of_b_would_refuse(self, monkeypatch):
+        # B is 3x4 = 12 cells; GF(2) ranks it in 3 words and decides
+        D = LatticeSet(((0, 0), (3, 0), (0, 1), (1, 1)))
+        monkeypatch.setenv("SESHADRI_MAX_CELLS", "5")
+        modular, exact = _both_modes(D, 2)
+        assert modular.non_special and exact.non_special
+        assert modular.prime == exact.prime == 2 and modular.rank == exact.rank == 3
+
+    def test_huge_multiplicity_refused_before_any_row(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("a row was built")
+        monkeypatch.setattr(oracle, "_lucas_rows", refuse)
+        monkeypatch.setattr(oracle, "_binomial_matrix", refuse)
+        D = LatticeSet(((0, 0), (1, 0), (2, 0)))
+        for mode in (system_dimension_modp, system_dimension_exact):
+            with pytest.raises(oracle.SizeGuardrail, match="^200010000x1 GF"):
+                mode(D, (20000,))
+
+
 @pytest.mark.parametrize("n", [13, 26])
 def test_eckl10_witness_matrices_are_unimodular(n):
     # An independent route to full rank over Q; soundness rests on the

@@ -95,9 +95,15 @@ class TestExactOracle:
         assert v1 == v2
 
     def test_guardrail(self, monkeypatch):
-        monkeypatch.setenv("SESHADRI_MAX_CELLS", "10")
+        # one point: the 6 GF(2) rows of one word each are what is counted
+        monkeypatch.setenv("SESHADRI_MAX_CELLS", "5")
         with pytest.raises(SizeGuardrail, match="set SESHADRI_MAX_CELLS$"):
             system_dimension_exact(DEG2, (3,), seed=0)
+        monkeypatch.setenv("SESHADRI_MAX_CELLS", "10")
+        assert system_dimension_exact(DEG2, (3,), seed=0).non_special
+        # several points: the 4x6 rational matrix
+        with pytest.raises(SizeGuardrail, match="^4x6 exact matrix"):
+            system_dimension_exact(DEG2, (2, 1), seed=0)
         monkeypatch.setenv("SESHADRI_MAX_CELLS", "1000000")
         assert system_dimension_exact(DEG2, (3,), seed=0).non_special
 

@@ -1,7 +1,12 @@
 """Unit and property tests for the exact rearrangement machinery."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -211,3 +216,45 @@ class TestSupAdmissible:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             sup_admissible(PiecewiseLinear((0, 1), (-1, 1)))
+
+
+# Run under ``python -O``: each fake decomposition breaks one invariant of
+# the rearrangement, and the explicit checks must still name it.
+_BROKEN_DECOMPOSITIONS = """
+import json, sys
+import seshadri.reorder as reorder
+from seshadri.reorder import PiecewiseLinear, monotone_reorder
+
+real = reorder._level_decomposition
+
+def drop_mass(f):
+    levels, masses, densities = real(f)
+    return levels, (0,) + masses[1:], densities
+
+def drop_density(f):
+    levels, masses, densities = real(f)
+    return levels, masses, (0,) + densities[1:]
+
+flat_then_rising = PiecewiseLinear((0, 1, 2), (0, 0, 1))
+out = {"optimize": sys.flags.optimize}
+for fake in (drop_mass, drop_density):
+    reorder._level_decomposition = fake
+    try:
+        monotone_reorder(flat_then_rising)
+    except RuntimeError as exc:
+        out[fake.__name__] = str(exc)
+print(json.dumps(out))
+"""
+
+
+def test_invariant_checks_survive_optimised_mode():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_DECOMPOSITIONS],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    out = json.loads(proc.stdout)
+    assert out["optimize"] == 1
+    assert "equimeasurability" in out["drop_mass"]
+    assert "measure 1, not the domain width 2" in out["drop_mass"]
+    assert "no sloped piece crosses the value gap (0, 1)" in out["drop_density"]
