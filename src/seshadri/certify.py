@@ -10,7 +10,7 @@ non-specialty the rank oracle can confirm independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
@@ -18,20 +18,22 @@ from math import ceil, floor
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import __about__
+from ._input import field, parsed, rational
 from .geometry import (AffineForm, Axis, ConvexPolygon, Point, cut_polygon,
-                       height_profile, make_polygon, parse_rational,
-                       point, x_projection)
+                       height_profile, make_polygon, point, x_projection)
 # select_witness_subset and sup_admissible are not called here but stay
 # module attributes, like every lattice and rearrangement step, so that
 # tracing can rebind them.
-from .lattice import (Direction, LatticeSet, WitnessSelection, _json_bool, _json_int,
-                      _witness_from_profile, column_profile, expected_dimension,
-                      max_parallel_witness, scaled_points, select_witness_subset,
-                      split_by_affine)
+from .lattice import (Direction, LatticeSet, WitnessSelection, _witness_from_profile,
+                      column_profile, expected_dimension, max_parallel_witness,
+                      scaled_points, select_witness_subset, split_by_affine)
 from .oracle import (OracleVerdict, SizeGuardrail, _cell_cap, system_dimension_exact,
                      system_dimension_modp)
 from .reorder import (PiecewiseLinear, _first_crossing, monotone_reorder,
                       sup_admissible)
+
+
+_ORACLE_MODES = ("none", "modular", "exact")
 
 
 class InvalidDissection(ValueError):
@@ -67,8 +69,8 @@ class Dissection:
     region: ConvexPolygon
     steps: Tuple[CutStep, ...]
     final: ConvexPolygon
-    _analysis: Optional["_Analysis"] = field(default=None, init=False,
-                                             compare=False, repr=False)
+    _analysis: Optional["_Analysis"] = dataclass_field(default=None, init=False,
+                                                       compare=False, repr=False)
 
     @property
     def r(self) -> int:
@@ -288,7 +290,7 @@ def verify_asymptotic(dis: Dissection, m) -> AsymptoticReport:
     width and the first crossing of the rearranged profile under the
     identity; the y-axis is consulted when the x-axis fails.
     """
-    m = Fraction(m)
+    m = parsed("m", rational, m)
     if m <= 0:
         raise ValueError("m must be positive")
     analysis = _require_valid(dis)
@@ -331,11 +333,12 @@ class PolygonWitness:
 
     @classmethod
     def from_json(cls, data: dict) -> "PolygonWitness":
-        return cls(_json_int("polygon", data["polygon"]), data["role"],
-                   _json_int("lattice_count", data["lattice_count"]),
-                   _json_int("m", data["m"]), WitnessSelection.from_json(data["witness"]),
-                   parse_rational(data["deviation"]),
-                   _json_bool("padding_ok", data.get("padding_ok"), optional=True),
+        return cls(field("polygon", data["polygon"], int),
+                   field("role", data["role"], str, choices=("dim-minus-one", "final")),
+                   field("lattice_count", data["lattice_count"], int),
+                   field("m", data["m"], int), WitnessSelection.from_json(data["witness"]),
+                   parsed("deviation", rational, data["deviation"]),
+                   field("padding_ok", data.get("padding_ok"), bool, optional=True),
                    OracleVerdict.from_json(data["oracle"]) if data.get("oracle") else None)
 
 
@@ -370,12 +373,13 @@ class FiniteCertificate:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteCertificate":
-        return cls(data["dissection"], _json_int("scale", data["scale"]),
-                   _json_int("degree", data["degree"]), data["oracle_mode"],
-                   _json_int("seed", data["seed"]),
+        return cls(field("dissection", data["dissection"], str),
+                   field("scale", data["scale"], int), field("degree", data["degree"], int),
+                   field("oracle_mode", data["oracle_mode"], str, choices=_ORACLE_MODES),
+                   field("seed", data["seed"], int),
                    tuple(PolygonWitness.from_json(p) for p in data["per_polygon"]),
-                   parse_rational(data["min_ratio"]),
-                   data["tool_version"])
+                   parsed("min_ratio", rational, data["min_ratio"]),
+                   field("tool_version", data["tool_version"], str))
 
 
 def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
@@ -391,10 +395,9 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
     more integer points than the cell cap raises SizeGuardrail before any
     point is enumerated.
     """
-    if n < 1:
+    if field("n", n, int) < 1:
         raise ValueError("scale must be a positive integer")
-    if oracle_mode not in ("none", "modular", "exact"):
-        raise ValueError(f"unknown oracle mode {oracle_mode!r}")
+    field("oracle_mode", oracle_mode, str, choices=_ORACLE_MODES)
     target = _require_valid(dis).bound
     box = 1
     for axis in Axis:
@@ -454,24 +457,14 @@ def dissection_to_json(dis: Dissection) -> dict:
             "final": dis.final.to_json()}
 
 
-def _parsed(field: str, parse, data):
-    """``parse(data)``, refusing bad input with a message naming the field."""
-    try:
-        return parse(data)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{field}: {exc}") from None
-
-
 def dissection_from_json(data: dict) -> Dissection:
-    name = data["name"]
-    if not isinstance(name, str):
-        raise ValueError(f"name: {name!r} is not a string")
+    name = field("name", data["name"], str)
     polygon = ConvexPolygon.from_json
-    steps = tuple(CutStep(_parsed(f"step {i} cut", AffineForm.from_json, s["cut"]),
-                          _parsed(f"step {i} polygon", polygon, s["polygon"]))
+    steps = tuple(CutStep(parsed(f"step {i} cut", AffineForm.from_json, s["cut"]),
+                          parsed(f"step {i} polygon", polygon, s["polygon"]))
                   for i, s in enumerate(data["steps"], start=1))
-    return Dissection(name, _parsed("region", polygon, data["region"]), steps,
-                      _parsed("final", polygon, data["final"]))
+    return Dissection(name, parsed("region", polygon, data["region"]), steps,
+                      parsed("final", polygon, data["final"]))
 
 
 def dump_json(data: dict) -> str:

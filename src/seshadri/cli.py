@@ -3,7 +3,7 @@
 Subcommands: builtin, validate, verify, bound, certify, oracle, render.
 Machine output (JSON, or the bare rational for ``bound``) goes to stdout
 or --out; diagnostics go to stderr.  Exit codes: 0 verified/success,
-1 refuted, 2 invalid input, 3 guardrail.
+1 refuted, 2 invalid input, 3 guardrail, 4 internal error.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ from fractions import Fraction
 from typing import Optional
 
 from . import certify as cert
-from .geometry import parse_rational
-from .lattice import LatticeSet, MultiplicitySpec, _is_int
-from .oracle import (ArityMismatch, BadModulus, GenericPointSet, PrimeTooSmall,
-                     SizeGuardrail, MODULAR_DEFAULT_PRIME,
+from ._input import field, parse_rational
+from .lattice import LatticeSet, MultiplicitySpec
+from .oracle import (GenericPointSet, SizeGuardrail, MODULAR_DEFAULT_PRIME,
                      system_dimension_exact, system_dimension_modp)
 from .render import RenderSpec, render_svg
 
@@ -26,12 +25,9 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INVALID = 2
 EXIT_GUARDRAIL = 3
+EXIT_INTERNAL = 4
 
 _BUILTINS = {"eckl10": cert.builtin_dissection_eckl10}
-
-
-class InputError(ValueError):
-    pass
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -45,16 +41,15 @@ def _load_dissection(ref: str) -> cert.Dissection:
     if ref.startswith("builtin:"):
         name = ref.split(":", 1)[1]
         if name not in _BUILTINS:
-            raise InputError(f"unknown builtin dissection {name!r}")
+            raise ValueError(f"unknown builtin dissection {name!r}")
         return _BUILTINS[name]()
     try:
         with open(ref, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return cert.dissection_from_json(data)
+            return cert.dissection_from_json(json.load(fh))
     except OSError as exc:
-        raise InputError(f"cannot read dissection file: {exc}") from None
+        raise ValueError(f"cannot read dissection file: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed dissection file: {exc}") from None
+        raise ValueError(f"malformed dissection file: {exc}") from None
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -92,8 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="generate a finite certificate at scale n")
     p.add_argument("--dissection", required=True)
     p.add_argument("--n", required=True, type=int)
-    p.add_argument("--oracle", choices=["none", "modular", "exact"],
-                   default="modular")
+    p.add_argument("--oracle", choices=cert._ORACLE_MODES, default="modular")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
 
@@ -114,9 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_builtin(args) -> int:
-    if args.name not in _BUILTINS:
-        raise InputError(f"unknown builtin dissection {args.name!r}")
-    dis = _BUILTINS[args.name]()
+    dis = _load_dissection("builtin:" + args.name)
     _emit(cert.dump_json(cert.dissection_to_json(dis)), args.out)
     return EXIT_OK
 
@@ -130,8 +122,6 @@ def _cmd_validate(args) -> int:
 
 def _cmd_verify(args) -> int:
     dis = _load_dissection(args.dissection)
-    if args.m <= 0:
-        raise InputError("m must be positive")
     report = cert.verify_asymptotic(dis, args.m)
     _emit(cert.dump_json(report.to_json()), args.out)
     return EXIT_OK if report.overall else EXIT_REFUTED
@@ -145,8 +135,6 @@ def _cmd_bound(args) -> int:
 
 def _cmd_certify(args) -> int:
     dis = _load_dissection(args.dissection)
-    if args.n < 1:
-        raise InputError("scale n must be a positive integer")
     try:
         c = cert.finite_certificate(dis, args.n, oracle_mode=args.oracle,
                                     seed=args.seed)
@@ -163,24 +151,16 @@ def _cmd_oracle(args) -> int:
             data = json.load(fh)
         D = LatticeSet.from_json(data["D"])
         spec = MultiplicitySpec(tuple(data["multiplicities"]))
+        seed = field("seed", data.get("seed", 0), int) if args.seed is None else args.seed
+        points = GenericPointSet.explicit(data["points"]) if data.get("points") else None
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed system file: {exc}") from None
-    seed = args.seed
-    if seed is None:
-        seed = data.get("seed", 0)
-        if not _is_int(seed):
-            raise InputError(f"malformed system file: seed {seed!r} is not an integer")
-    if args.mode == "exact":
-        points = None
-        if data.get("points"):
-            points = GenericPointSet.explicit(
-                [(parse_rational(x), parse_rational(y)) for x, y in data["points"]])
-        verdict = system_dimension_exact(D, spec, points=points, seed=seed)
-    else:
-        if data.get("points"):
-            raise InputError("system file field 'points' is honoured only by "
-                             "--mode exact; --mode modular ranks at random points")
-        verdict = system_dimension_modp(D, spec, seed=seed, prime=args.prime)
+        raise ValueError(f"malformed system file: {exc}") from None
+    if points is not None and args.mode == "modular":
+        raise ValueError("system file field 'points' is honoured only by "
+                         "--mode exact; --mode modular ranks at random points")
+    verdict = (system_dimension_exact(D, spec, points=points, seed=seed)
+               if args.mode == "exact"
+               else system_dimension_modp(D, spec, seed=seed, prime=args.prime))
     _emit(cert.dump_json(verdict.to_json()), args.out)
     return EXIT_OK if verdict.non_special else EXIT_REFUTED
 
@@ -219,10 +199,15 @@ def run(argv=None) -> int:
     except SizeGuardrail as exc:
         print(f"guardrail: {exc}", file=sys.stderr)
         return EXIT_GUARDRAIL
-    except (InputError, cert.InvalidDissection, ArityMismatch, BadModulus,
-            PrimeTooSmall, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as exc:
+        # a fault of the program, not of its input: never "refuted"
+        import traceback  # only a fault pays for this import
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -9,36 +9,17 @@ equality.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Tuple
 
+from ._input import parse_rational, rational  # parse_rational: re-exported
 from .reorder import PiecewiseLinear
-
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
 
 
 class DegenerateInput(ValueError):
     """Input describes a flat (zero-area) or otherwise unusable figure."""
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or 'p' with the sign on the numerator; no decimals."""
-    text = text.strip()
-    if not _RATIONAL_RE.match(text):
-        raise ValueError(f"not a rational 'p/q' literal: {text!r}")
-    return Fraction(text)
-
-
-def _rat(x) -> Fraction:
-    if isinstance(x, (bool, float)):
-        raise TypeError(f"{type(x).__name__} value {x!r} rejected; "
-                        "pass Fraction, int or 'p/q'")
-    if isinstance(x, str):
-        return parse_rational(x)
-    return Fraction(x)
 
 
 class Point(NamedTuple):
@@ -47,7 +28,7 @@ class Point(NamedTuple):
 
 
 def point(x, y) -> Point:
-    return Point(_rat(x), _rat(y))
+    return Point(rational(x), rational(y))
 
 
 class Axis(Enum):
@@ -70,9 +51,9 @@ class AffineForm:
     r2: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "r0", _rat(self.r0))
-        object.__setattr__(self, "r1", _rat(self.r1))
-        object.__setattr__(self, "r2", _rat(self.r2))
+        object.__setattr__(self, "r0", rational(self.r0))
+        object.__setattr__(self, "r1", rational(self.r1))
+        object.__setattr__(self, "r2", rational(self.r2))
         if self.r1 == 0 and self.r2 == 0:
             raise DegenerateInput("affine form must have a nonzero linear part")
 
@@ -81,7 +62,7 @@ class AffineForm:
 
     def scaled_eval(self, n: int, alpha, beta) -> Fraction:
         """Value of the scale-n companion form n*r0 + r1*a + r2*b."""
-        return n * self.r0 + self.r1 * Fraction(alpha) + self.r2 * Fraction(beta)
+        return n * self.r0 + self.r1 * rational(alpha) + self.r2 * rational(beta)
 
     def to_json(self) -> dict:
         return {"r0": str(self.r0), "r1": str(self.r1), "r2": str(self.r2)}
@@ -97,8 +78,8 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", _rat(self.lo))
-        object.__setattr__(self, "hi", _rat(self.hi))
+        object.__setattr__(self, "lo", rational(self.lo))
+        object.__setattr__(self, "hi", rational(self.hi))
         if self.lo > self.hi:
             raise ValueError("interval endpoints out of order")
 
@@ -160,7 +141,7 @@ class ConvexPolygon:
 
 def make_polygon(points: Iterable) -> ConvexPolygon:
     """Canonical CCW convex hull of the inputs; rejects zero-area hulls."""
-    pts = sorted({Point(_rat(p[0]), _rat(p[1])) for p in points})
+    pts = sorted({Point(rational(p[0]), rational(p[1])) for p in points})
     if len(pts) < 3:
         raise DegenerateInput("need at least three distinct points")
 

@@ -17,6 +17,7 @@ from math import ceil, comb, floor, lcm
 from operator import itemgetter
 from typing import Optional, Sequence, Tuple
 
+from ._input import field
 from .geometry import AffineForm, ConvexPolygon
 
 
@@ -38,29 +39,6 @@ class Direction(Enum):
         return 0 if self is Direction.VERTICAL else 1
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _json_int(name: str, value, optional: bool = False) -> Optional[int]:
-    """A JSON field that must be an int: floats, bools and strings raise
-    ValueError naming the field.  With ``optional``, None passes."""
-    if optional and value is None:
-        return None
-    if not _is_int(value):
-        raise ValueError(f"{name} {value!r} is not an integer")
-    return value
-
-
-def _json_bool(name: str, value, optional: bool = False) -> Optional[bool]:
-    """A JSON field that must be a boolean; see ``_json_int``."""
-    if optional and value is None:
-        return None
-    if not isinstance(value, bool):
-        raise ValueError(f"{name} {value!r} is not a boolean")
-    return value
-
-
 @dataclass(frozen=True)
 class LatticeSet:
     """Finite subset of N^2, kept sorted and duplicate-free.
@@ -77,7 +55,7 @@ class LatticeSet:
         pts = set()
         for pt in self.points:
             a, b = pt
-            if not (_is_int(a) and _is_int(b)):
+            if not (type(a) is int and type(b) is int):
                 raise ValueError(f"lattice point {list(pt)!r}: exponents must be integers")
             if a < 0 or b < 0:
                 raise ValueError(f"lattice point {list(pt)!r}: exponents must be nonnegative")
@@ -133,9 +111,7 @@ class MultiplicitySpec:
     def __post_init__(self):
         ms = tuple(self.multiplicities)
         for m in ms:
-            if not _is_int(m):
-                raise ValueError(f"multiplicity {m!r} is not an integer")
-            if m < 1:
+            if field("multiplicity", m, int) < 1:
                 raise ValueError(f"multiplicity {m!r} is not positive")
         object.__setattr__(self, "multiplicities", ms)
 
@@ -328,8 +304,8 @@ class WitnessSelection:
 
     @classmethod
     def from_json(cls, data: dict) -> "WitnessSelection":
-        return cls(_json_int("m", data["m"]), Direction(data["direction"]),
-                   tuple((_json_int("assignment line", i), _json_int("assignment size", s))
+        return cls(field("m", data["m"], int), Direction(data["direction"]),
+                   tuple((field("assignment line", i, int), field("assignment size", s, int))
                          for i, s in data["assignment"]),
                    LatticeSet.from_json(data["subset"]))
 

@@ -33,9 +33,10 @@ from fractions import Fraction
 from math import comb, lcm, perm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ._input import field
 from ._kernels import modrank
-from .geometry import Point
-from .lattice import LatticeSet, _coerce_spec, _json_bool, _json_int
+from .geometry import Point, point
+from .lattice import LatticeSet, _coerce_spec
 
 Matrix = List[List[Fraction]]
 
@@ -86,11 +87,14 @@ class GenericPointSet:
 
     @classmethod
     def explicit(cls, pts: Sequence) -> "GenericPointSet":
-        for x, y in pts:
-            if isinstance(x, float) or isinstance(y, float):
-                raise TypeError("floating-point coordinates rejected; "
-                                "pass Fraction, int or 'p/q'")
-        return cls(tuple(Point(Fraction(x), Fraction(y)) for x, y in pts))
+        """Points read by :func:`point`; a refusal names the point's index."""
+        out = []
+        for i, xy in enumerate(pts, start=1):
+            try:
+                out.append(point(*xy))
+            except (TypeError, ValueError) as exc:
+                raise type(exc)(f"point {i}: {exc}") from None
+        return cls(tuple(out))
 
     @classmethod
     def seeded(cls, r: int, seed: int) -> "GenericPointSet":
@@ -133,12 +137,15 @@ class OracleVerdict:
 
     @classmethod
     def from_json(cls, data: dict) -> "OracleVerdict":
-        return cls(_json_int("actual_dimension", data["actual_dimension"]),
-                   _json_int("expected_dimension", data["expected_dimension"]),
-                   _json_bool("non_special", data["non_special"]), data["method"],
-                   _json_int("prime", data.get("prime"), optional=True),
-                   data.get("caveat"), _json_int("rank", data.get("rank", 0)),
-                   _json_int("seed", data.get("seed"), optional=True))
+        return cls(field("actual_dimension", data["actual_dimension"], int),
+                   field("expected_dimension", data["expected_dimension"], int),
+                   field("non_special", data["non_special"], bool),
+                   field("method", data["method"], str,
+                         choices=("exact-rational", "modular")),
+                   field("prime", data.get("prime"), int, optional=True),
+                   field("caveat", data.get("caveat"), str, optional=True),
+                   field("rank", data.get("rank", 0), int),
+                   field("seed", data.get("seed"), int, optional=True))
 
 
 def _derivative_orders(m: int):

@@ -14,17 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from ._input import parsed, rational
+
 RationalLike = Union[Fraction, int, str]
 
 
 class OutOfRange(ValueError):
     """A parameter lies outside the function's domain."""
-
-
-def _rat(x: RationalLike) -> Fraction:
-    if isinstance(x, float):
-        raise TypeError("floating-point input rejected; pass Fraction, int or 'p/q'")
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -40,8 +36,8 @@ class PiecewiseLinear:
     values: tuple
 
     def __post_init__(self):
-        bps = tuple(_rat(t) for t in self.breakpoints)
-        vals = tuple(_rat(v) for v in self.values)
+        bps = tuple(rational(t) for t in self.breakpoints)
+        vals = tuple(rational(v) for v in self.values)
         if len(bps) < 2:
             raise ValueError("need at least two breakpoints")
         if len(bps) != len(vals):
@@ -60,7 +56,7 @@ class PiecewiseLinear:
         return self.breakpoints[-1] - self.breakpoints[0]
 
     def __call__(self, t: RationalLike) -> Fraction:
-        t = _rat(t)
+        t = rational(t)
         a, b = self.domain
         if t < a or t > b:
             raise OutOfRange(f"{t} outside domain [{a}, {b}]")
@@ -87,11 +83,11 @@ class PiecewiseLinear:
         return total
 
     def translate(self, dt: RationalLike) -> "PiecewiseLinear":
-        dt = _rat(dt)
+        dt = rational(dt)
         return PiecewiseLinear(tuple(t + dt for t in self.breakpoints), self.values)
 
     def restrict(self, lo: RationalLike, hi: RationalLike) -> "PiecewiseLinear":
-        lo, hi = _rat(lo), _rat(hi)
+        lo, hi = rational(lo), rational(hi)
         a, b = self.domain
         if lo < a or hi > b or lo >= hi:
             raise OutOfRange(f"[{lo}, {hi}] is not a sub-interval of [{a}, {b}]")
@@ -118,8 +114,8 @@ class PiecewiseLinear:
 
     @classmethod
     def from_json(cls, data: dict) -> "PiecewiseLinear":
-        return cls(tuple(Fraction(t) for t in data["breakpoints"]),
-                   tuple(Fraction(v) for v in data["values"]))
+        return cls(tuple(parsed("breakpoint", rational, t) for t in data["breakpoints"]),
+                   tuple(parsed("value", rational, v) for v in data["values"]))
 
 
 def _level_decomposition(f: PiecewiseLinear):
@@ -148,7 +144,7 @@ def _level_decomposition(f: PiecewiseLinear):
 
 def sublevel_measure(f: PiecewiseLinear, s: RationalLike) -> Fraction:
     """Exact length of {t in dom(f) : f(t) <= s}."""
-    s = _rat(s)
+    s = rational(s)
     acc = Fraction(0)
     for t0, t1, v0, v1 in f.segments():
         w = t1 - t0
@@ -226,7 +222,7 @@ def dominates_identity(fsharp: PiecewiseLinear, m: RationalLike) -> ReorderCrite
     the identity is itself piecewise linear, so a sign change inside a
     piece is excluded once both piece ends are nonnegative.
     """
-    m = _rat(m)
+    m = rational(m)
     if m <= 0:
         raise ValueError("m must be positive")
     a = fsharp.breakpoints[0]

@@ -23,7 +23,7 @@ from seshadri.certify import (BUILTIN_POINT_TABLE, CutStep, Dissection,
 from seshadri.geometry import (AffineForm, Axis, height_profile, make_polygon,
                                point, x_projection)
 from seshadri.certify import AsymptoticReport, PolygonCheck, PolygonWitness
-from seshadri.reorder import monotone_reorder, sup_admissible
+from seshadri.reorder import PiecewiseLinear, monotone_reorder, sup_admissible
 from seshadri.lattice import WitnessSelection, scaled_points
 from seshadri.oracle import OracleVerdict, SizeGuardrail
 
@@ -541,8 +541,12 @@ class TestStrictCertificateLoaders:
     """Certificate loaders refuse mistyped fields instead of coercing them."""
 
     CERT = finite_certificate(BUILTIN, 13, oracle_mode="modular").to_json()
+    ROW = CERT["per_polygon"][0]
+    VERDICT = ROW["oracle"]
     BAD_INTS = (1.9, True, "3")
     BAD_BOOLS = ("false", 1, None)
+    BAD_STRS = (7, None, ["x"])
+    BAD_RATIONALS = (0.25, True, "0.25")
 
     @staticmethod
     def _refused(loader, data, path, bad, name=None):
@@ -574,8 +578,61 @@ class TestStrictCertificateLoaders:
             self._refused(OracleVerdict.from_json, verdict, ["non_special"], bad)
 
     def test_verdict_optional_fields_accept_null(self):
-        verdict = dict(self.CERT["per_polygon"][0]["oracle"], prime=None, seed=None)
+        verdict = dict(self.CERT["per_polygon"][0]["oracle"], prime=None, seed=None,
+                       caveat=None)
         assert OracleVerdict.from_json(verdict).prime is None
+
+    @pytest.mark.parametrize("loader,data,key,bads", [
+        (OracleVerdict.from_json, VERDICT, "method", BAD_STRS),
+        (OracleVerdict.from_json, VERDICT, "caveat", (7, ["x"])),
+        (PolygonWitness.from_json, ROW, "role", BAD_STRS),
+        (FiniteCertificate.from_json, CERT, "dissection", BAD_STRS),
+        (FiniteCertificate.from_json, CERT, "oracle_mode", BAD_STRS),
+        (FiniteCertificate.from_json, CERT, "tool_version", BAD_STRS),
+    ], ids=["method", "caveat", "role", "dissection", "oracle_mode", "tool_version"])
+    def test_strings(self, loader, data, key, bads):
+        for bad in bads:
+            self._refused(loader, data, [key], bad)
+
+    @pytest.mark.parametrize("loader,data,key,bad", [
+        (OracleVerdict.from_json, VERDICT, "method", "exact"),
+        (PolygonWitness.from_json, ROW, "role", "final-ish"),
+        (FiniteCertificate.from_json, CERT, "oracle_mode", "fast"),
+    ], ids=["method", "role", "oracle_mode"])
+    def test_choices(self, loader, data, key, bad):
+        self._refused(loader, data, [key], bad)
+
+    @pytest.mark.parametrize("loader,data,path", [
+        (PolygonWitness.from_json, ROW, ["deviation"]),
+        (FiniteCertificate.from_json, CERT, ["min_ratio"]),
+        (FiniteCertificate.from_json, CERT, ["per_polygon", 0, "deviation"]),
+    ], ids=["deviation", "min_ratio", "nested deviation"])
+    def test_rationals(self, loader, data, path):
+        for bad in self.BAD_RATIONALS:
+            self._refused(loader, data, path, bad, path[-1])
+
+    def test_rationals_accept_json_integers(self):
+        data = json.loads(json.dumps(self.CERT))
+        data["per_polygon"][0]["deviation"] = 0
+        assert FiniteCertificate.from_json(data).per_polygon[0].deviation == 0
+
+    @pytest.mark.parametrize("loader,data,path,name", [
+        (PiecewiseLinear.from_json, {"breakpoints": ["0", "1/2", "1"],
+                                     "values": ["0", "1", "0"]}, ["breakpoints", 1],
+         "breakpoint"),
+        (PiecewiseLinear.from_json, {"breakpoints": ["0", "1"], "values": ["0", "1"]},
+         ["values", 0], "value"),
+        (lambda d: verify_asymptotic(BUILTIN, d["m"]), {"m": "3/10"}, ["m"], "m"),
+    ], ids=["breakpoints", "values", "verify_asymptotic"])
+    def test_library_rationals(self, loader, data, path, name):
+        loader(data)
+        for bad in (0.1, True):
+            self._refused(loader, data, path, bad, name)
+
+    def test_finite_certificate_scale(self):
+        for bad in (13.0, True):
+            self._refused(lambda d: finite_certificate(BUILTIN, d["n"]), {"n": 13},
+                          ["n"], bad)
 
     @pytest.mark.parametrize("path,name", [(["m"], "m"),
                                            (["assignment", 0, 0], "assignment line"),

@@ -1,8 +1,12 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +144,48 @@ def test_oracle_explicit_points(tmp_path, capsys):
     }))
     assert run(["oracle", "--system", str(system), "--mode", "exact"]) == 0
     assert json.loads(capsys.readouterr().out)["actual_dimension"] == -1
+
+
+def test_oracle_points_read_as_in_dissection_files(tmp_path, capsys):
+    # JSON integers are rationals, as in dissection files; floats and
+    # booleans are refused naming the point.
+    system = {"D": [[0, 0], [1, 0], [0, 1], [1, 1]], "multiplicities": [1, 2]}
+    outcomes = []
+    for points in ([["1", "2"], ["-3", "4"]], [[1, 2], [-3, 4]]):
+        outcomes.append((_oracle_on(tmp_path, dict(system, points=points)),
+                         capsys.readouterr().out))
+    assert outcomes[0] == outcomes[1] and outcomes[0][1]
+    for bad in (0.5, True):
+        code = _oracle_on(tmp_path, dict(system, points=[["1", "2"], ["3", bad]]))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "point 2" in captured.err and repr(bad) in captured.err
+
+
+_ZERO_DENSITIES = """
+import sys
+import seshadri.reorder as reorder
+from seshadri.cli import run
+
+real = reorder._level_decomposition
+
+def no_density(f):
+    levels, masses, densities = real(f)
+    return levels, masses, tuple(0 for _ in densities)
+
+reorder._level_decomposition = no_density
+sys.exit(run(["bound", "--dissection", "builtin:eckl10"]))
+"""
+
+
+def test_internal_error_is_not_refuted():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", _ZERO_DENSITIES],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 4, proc.stderr[-2000:]
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("internal error: RuntimeError: rearrangement")
 
 
 def test_oracle_guardrail_exit_code(tmp_path, monkeypatch):

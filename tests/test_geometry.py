@@ -9,6 +9,8 @@ from seshadri.geometry import (AffineForm, Axis, DegenerateInput, Interval,
                                Point, cut_polygon, height_profile,
                                make_polygon, parse_rational, point,
                                x_projection)
+from seshadri._input import rational
+from seshadri.reorder import PiecewiseLinear
 
 from conftest import random_polygon
 
@@ -29,6 +31,21 @@ class TestRationalStrings:
         for bad in ("0.5", "1e3", "4/0", "4/-13", "", "a/b", "1/03"):
             with pytest.raises(ValueError):
                 parse_rational(bad)
+
+    def test_rejects_non_strings(self):
+        for bad in (4, F(4, 13), 0.5, None):
+            with pytest.raises(TypeError, match=type(bad).__name__):
+                parse_rational(bad)
+
+    def test_one_rule_for_every_constructor(self):
+        # point, AffineForm and PiecewiseLinear read rationals alike
+        for good in (F(1, 3), 3, "1/3", " -2 "):
+            assert point(good, 0).x == rational(good)
+        for bad in (0.5, True, "0.5", "1e3", None, [1]):
+            for build in (lambda v: point(v, 0), lambda v: AffineForm(0, v, 1),
+                          lambda v: PiecewiseLinear((0, v), (0, 0))):
+                with pytest.raises((TypeError, ValueError)):
+                    build(bad)
 
 
 class TestMakePolygon:
