@@ -2,17 +2,34 @@
 from the package.  A rational is a ``Fraction``, an ``int`` that is not a
 ``bool``, or a ``"p/q"`` or ``"p"`` string: floats, booleans and decimal
 strings are refused.  A typed field must have exactly its type, so a bool
-is never an integer.  Every refusal names the value.
+is never an integer.  Every refusal names the value.  The cell cap, which
+bounds every size a request may claim, lives here too, so that every module
+can refuse an oversized request without importing another.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from fractions import Fraction
 from reprlib import repr as _shown
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
-_KINDS = {int: "an integer", bool: "a boolean", str: "a string"}
+_KINDS = {int: "an integer", bool: "a boolean", str: "a string", list: "a list"}
+CELL_CAP = 4_000_000
+
+
+class SizeGuardrail(RuntimeError):
+    """A request exceeds the desk-scale cell cap."""
+
+
+def _cell_cap() -> int:
+    env = os.environ.get("SESHADRI_MAX_CELLS")
+    if not env:
+        return CELL_CAP
+    if not (env.isascii() and env.isdigit() and int(env) > 0):
+        raise ValueError(f"SESHADRI_MAX_CELLS={env!r} is not a positive integer")
+    return int(env)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -39,7 +56,7 @@ def rational(x) -> Fraction:
 
 
 def field(name: str, value, kind: type, optional: bool = False, choices=None):
-    """``value`` if its type is exactly ``kind`` (int, bool or str) and it is
+    """``value`` if its type is exactly ``kind`` (int, bool, str or list) and it is
     one of ``choices``, if given, else ValueError; with ``optional``, None passes."""
     if optional and value is None:
         return None
@@ -56,3 +73,12 @@ def parsed(name: str, parse, value):
         return parse(value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} {_shown(value)} is not valid: {exc}") from None
+
+
+def items(name: str, value, k: int) -> tuple:
+    """``value`` as a tuple if it is a list or tuple of exactly ``k`` items,
+    else ValueError naming the field: a string is never a list of its
+    characters."""
+    if type(value) not in (list, tuple) or len(value) != k:
+        raise ValueError(f"{name} {_shown(value)} is not a list of {k} items")
+    return tuple(value)

@@ -18,7 +18,7 @@ from math import ceil, floor
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import __about__
-from ._input import field, parsed, rational
+from ._input import SizeGuardrail, _cell_cap, field, parsed, rational
 from .geometry import (AffineForm, Axis, ConvexPolygon, Point, cut_polygon,
                        height_profile, make_polygon, point, x_projection)
 # select_witness_subset and sup_admissible are not called here but stay
@@ -27,8 +27,7 @@ from .geometry import (AffineForm, Axis, ConvexPolygon, Point, cut_polygon,
 from .lattice import (Direction, LatticeSet, WitnessSelection, _witness_from_profile,
                       column_profile, expected_dimension, max_parallel_witness,
                       scaled_points, select_witness_subset, split_by_affine)
-from .oracle import (OracleVerdict, SizeGuardrail, _cell_cap, system_dimension_exact,
-                     system_dimension_modp)
+from .oracle import OracleVerdict, system_dimension_exact, system_dimension_modp
 from .reorder import (PiecewiseLinear, _first_crossing, monotone_reorder,
                       sup_admissible)
 

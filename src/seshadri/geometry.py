@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Tuple
 
-from ._input import parse_rational, rational  # parse_rational: re-exported
+from ._input import items, parse_rational, rational  # parse_rational: re-exported
 from .reorder import PiecewiseLinear
 
 
@@ -136,7 +136,8 @@ class ConvexPolygon:
 
     @classmethod
     def from_json(cls, data: Sequence) -> "ConvexPolygon":
-        return make_polygon([point(x, y) for x, y in data])
+        return make_polygon([point(*items(f"vertex {i}", xy, 2))
+                             for i, xy in enumerate(data, start=1)])
 
 
 def make_polygon(points: Iterable) -> ConvexPolygon:

@@ -12,12 +12,13 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from functools import cached_property
+from itertools import chain, repeat
 from math import ceil, comb, floor, lcm
 from operator import itemgetter
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from ._input import field
+from ._input import SizeGuardrail, _cell_cap, field, items
 from .geometry import AffineForm, ConvexPolygon
 
 
@@ -262,52 +263,128 @@ def select_witness_subset(D: LatticeSet, direction: Direction, m: int) -> "Witne
 def _witness_from_profile(D: LatticeSet, profile: ColumnProfile,
                           m: int) -> "WitnessSelection":
     """:func:`select_witness_subset` for a caller that already holds D's
-    profile along the direction and knows it hosts size m."""
+    profile along the direction and knows it hosts size m.
+
+    The points of D on one line are one slice of D sorted by line: D
+    itself for vertical lines, and for horizontal ones a copy stably
+    sorted by beta, which keeps each line's points in increasing alpha.
+    So each chosen line is found by bisection and its lowest points are
+    read as runs without visiting the rest of D.
+    """
     direction = profile.direction
     ordered = sorted(profile.counts, key=lambda ic: (-ic[1], ic[0]))
-    assignment = tuple((line, m - j) for j, (line, _count) in enumerate(ordered[:m]))
-    # One pass over D fills the chosen lines.  D is sorted, so the points
-    # of a line arrive in increasing along-coordinate and the first `size`
-    # of them are the lowest.
-    members = {line: [] for line, _size in assignment}
+    chosen = sorted((line, m - j) for j, (line, _count) in enumerate(ordered[:m]))
     k = direction.coordinate
-    for p in D.points:
-        bucket = members.get(p[k])
-        if bucket is not None:
-            bucket.append(p)
-    # distinct points of D, sorted here
-    chosen = sorted(p for line, size in assignment for p in members[line][:size])
-    return WitnessSelection(m, direction, assignment, LatticeSet._trusted(tuple(chosen)))
+    pts = D.points if k == 0 else sorted(D.points, key=itemgetter(1))
+    line_of = itemgetter(k)
+    runs = []
+    for line, size in chosen:
+        i = bisect_left(pts, line, key=line_of)
+        first = pts[i][1 - k]
+        # the line holds at least `size` distinct points from pts[i] on
+        if pts[i + size - 1][1 - k] - first == size - 1:
+            runs.append((line, first, size))
+            continue
+        # the line has gaps: one run per stretch of consecutive points
+        count = 0
+        for p in pts[i:i + size]:
+            if p[1 - k] != first + count:
+                runs.append((line, first, count))
+                first, count = p[1 - k], 0
+            count += 1
+        runs.append((line, first, count))
+    return WitnessSelection(m, direction, tuple(runs))
+
+
+def _expand(direction: Direction, runs) -> LatticeSet:
+    """The points the canonical ``runs`` state along ``direction``."""
+    if direction is Direction.VERTICAL:
+        # runs sorted by (line, first) and disjoint: already in D's order
+        return LatticeSet._trusted(tuple(chain.from_iterable(
+            zip(repeat(line), range(first, first + count)) for line, first, count in runs)))
+    # points in increasing beta: a stable sort by alpha gives D's order
+    return LatticeSet._trusted(tuple(sorted(chain.from_iterable(
+        zip(range(first, first + count), repeat(line)) for line, first, count in runs),
+        key=itemgetter(0))))
+
+
+def _refuse_run_values(i: int, run: tuple) -> None:
+    """Raise ValueError naming the first value of run ``i`` that is not a
+    nonnegative int, or its count if that is 0."""
+    for part, v in zip(("line", "first", "count"), run):
+        if field(f"run {i} {part}", v, int) < 0:
+            raise ValueError(f"run {i} {part} {v!r} is negative")
+    raise ValueError(f"run {i} count {run[2]!r} is not positive")
 
 
 @dataclass(frozen=True)
 class WitnessSelection:
-    """m parallel lines of D carrying exactly 1, ..., m of its points."""
+    """m parallel lines of D carrying exactly 1, ..., m of its points.
+
+    The points are stated as runs ``(line, first, count)``: the ``count``
+    consecutive points from ``first`` on along the line ``line`` of the
+    direction.  Runs are sorted by (line, first), and runs on one line
+    neither overlap nor touch, so each subset has exactly one list of
+    runs.  Construction checks all of this, and that the lines carry 1..m
+    points, in one pass over the runs; before that it refuses with
+    SizeGuardrail a witness whose m(m+1)/2 points exceed the cell cap.
+    ``subset`` expands the points on first use.
+    """
 
     m: int
     direction: Direction
-    assignment: Tuple[Tuple[int, int], ...]  # (line index, assigned size)
-    subset: LatticeSet
+    runs: Tuple[Tuple[int, int, int], ...]
 
     def __post_init__(self):
-        if len(self.subset) != self.m * (self.m + 1) // 2:
-            raise ValueError("witness subset has the wrong cardinality")
-        sizes = sorted(c for _, c in column_profile(self.subset, self.direction).counts)
-        if sizes != list(range(1, self.m + 1)):
-            raise ValueError("witness columns must carry exactly 1..m points")
+        m = field("m", self.m, int)
+        if m * (m + 1) // 2 > _cell_cap():
+            raise SizeGuardrail(f"witness of size m = {m} states {m * (m + 1) // 2} "
+                                "points, more than the cell cap; set SESHADRI_MAX_CELLS")
+        runs = []
+        totals: Dict[int, int] = {}
+        last = (-1, -1, 0)
+        for i, run in enumerate(self.runs, start=1):
+            if type(run) is not tuple or len(run) != 3:
+                run = items(f"run {i}", run, 3)
+            line, first, count = run
+            if not (type(line) is type(first) is type(count) is int
+                    and line >= 0 and first >= 0 and count >= 1):
+                _refuse_run_values(i, run)
+            if line == last[0] and first <= last[1] + last[2] or line < last[0]:
+                fault = "is out of order" if run[:2] <= last[:2] else \
+                    "overlaps or touches the run before it"
+                raise ValueError(f"run {i} {list(run)!r} {fault}")
+            totals[line] = totals.get(line, 0) + count
+            runs.append(run)
+            last = run
+        if len(totals) != m or set(totals.values()) != set(range(1, m + 1)):
+            raise ValueError("witness lines must carry exactly 1..m points")
+        object.__setattr__(self, "runs", tuple(runs))
+
+    @cached_property
+    def subset(self) -> LatticeSet:
+        """The witness points, sorted like any lattice set."""
+        return _expand(self.direction, self.runs)
+
+    @property
+    def assignment(self) -> Tuple[Tuple[int, int], ...]:
+        """(line, assigned size) of the chosen lines, largest size first."""
+        totals: Dict[int, int] = {}
+        for line, _first, count in self.runs:
+            totals[line] = totals.get(line, 0) + count
+        return tuple(sorted(totals.items(), key=lambda lc: -lc[1]))
 
     def to_json(self) -> dict:
         return {"m": self.m,
                 "direction": self.direction.value,
-                "assignment": [list(a) for a in self.assignment],
-                "subset": self.subset.to_json()}
+                "runs": [list(r) for r in self.runs]}
 
     @classmethod
     def from_json(cls, data: dict) -> "WitnessSelection":
-        return cls(field("m", data["m"], int), Direction(data["direction"]),
-                   tuple((field("assignment line", i, int), field("assignment size", s, int))
-                         for i, s in data["assignment"]),
-                   LatticeSet.from_json(data["subset"]))
+        directions = tuple(d.value for d in Direction)
+        return cls(data["m"],
+                   Direction(field("direction", data["direction"], str, choices=directions)),
+                   tuple(field("runs", data["runs"], list)))
 
 
 def expected_dimension(spec, *, degree: Optional[int] = None,

@@ -26,14 +26,15 @@ points.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm, perm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ._input import field
+# CELL_CAP and SizeGuardrail live in _input and are re-exported here.
+from ._input import CELL_CAP, SizeGuardrail, _cell_cap, field, items
 from ._kernels import modrank
 from .geometry import Point, point
 from .lattice import LatticeSet, _coerce_spec
@@ -42,7 +43,6 @@ Matrix = List[List[Fraction]]
 
 MODULAR_DEFAULT_PRIME = 2**61 - 1
 MODULUS_LIMIT = 2**63  # bound on a modulus from outside input (`oracle --prime`)
-CELL_CAP = 4_000_000
 _SEED_NUMERATOR_MAX = 2**16
 _SEED_DENOMINATOR = 2**16 + 1
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -66,10 +66,6 @@ class BadModulus(ValueError):
     """Modulus of the modular oracle is not a prime below MODULUS_LIMIT."""
 
 
-class SizeGuardrail(RuntimeError):
-    """A request exceeds the desk-scale cell cap."""
-
-
 @dataclass(frozen=True)
 class GenericPointSet:
     """Plane points standing in for points in general position."""
@@ -90,8 +86,9 @@ class GenericPointSet:
         """Points read by :func:`point`; a refusal names the point's index."""
         out = []
         for i, xy in enumerate(pts, start=1):
+            x, y = items(f"point {i}", xy, 2)
             try:
-                out.append(point(*xy))
+                out.append(point(x, y))
             except (TypeError, ValueError) as exc:
                 raise type(exc)(f"point {i}: {exc}") from None
         return cls(tuple(out))
@@ -309,15 +306,6 @@ def fraction_free_rank(rows: Matrix) -> int:
     return rank
 
 
-def _cell_cap() -> int:
-    env = os.environ.get("SESHADRI_MAX_CELLS")
-    if not env:
-        return CELL_CAP
-    if not (env.isascii() and env.isdigit() and int(env) > 0):
-        raise ValueError(f"SESHADRI_MAX_CELLS={env!r} is not a positive integer")
-    return int(env)
-
-
 def _check_cells(rows: int, cols: int, kind: str) -> None:
     """Refuse a rows x cols matrix of more cells than the cap."""
     if rows * cols > _cell_cap():
@@ -367,11 +355,13 @@ def system_dimension_exact(D: LatticeSet, spec,
                          "exact-rational", None, caveat, rank, used_seed)
 
 
+@lru_cache(maxsize=8)
 def is_prime(n: int) -> bool:
     """Whether n is prime, by Miller-Rabin to the first twelve primes.
 
     The answer is proven, not probable, for every n below 3.18 * 10^23;
-    larger n raise ValueError.
+    larger n raise ValueError.  The last few answers are kept, so a run
+    that ranks many systems modulo one prime proves it once.
     """
     if n >= _MILLER_RABIN_PROVEN:
         raise ValueError(f"{n} is beyond the proven range of the primality test")

@@ -3,12 +3,18 @@
 Each digest is the sha256 of a canonical text: the JSON of
 ``finite_certificate(eckl10, n, "none")``, the dissection file written by
 ``seshadri builtin``, the ``validate`` report, two ``verify`` reports and
-the rendered SVG.  Certificates are hashed with the tool version at which
-their digests were recorded.  A change to the lattice layer (enumeration,
+the rendered SVG.  A change to the lattice layer (enumeration,
 cut-by-cut split, witness selection) or to how the pieces are derived,
 checked, scored or drawn that alters any byte changes a digest.
+
+Certificates are pinned twice.  ``GOLDEN`` holds the digests recorded in
+the 0.2.0 layout, where a witness listed its ``subset`` point by point with
+its ``assignment``; a certificate is turned back into that layout by
+:func:`_as_0_2_0`, so the runs of today's witnesses must state exactly the
+points recorded then.  ``GOLDEN_0_5_0`` pins today's bytes.
 """
 
+import copy
 import dataclasses
 import hashlib
 from fractions import Fraction as F
@@ -28,6 +34,14 @@ GOLDEN = {
     52: "d79e3e0a01d46c08cb337354c38b0e33959e3026aa6e00844c41286f32189b4e",
     104: "80c0cab5b414c9b31781296ed357bc033a26fd63b7b219845dbc4afed25e2623",
     208: "643a13aa1765383f069ad6b620e0f1db079b47a5e57394b7da69f40ec670f0a5",
+}
+RUNS_TOOL_VERSION = "0.5.0"
+GOLDEN_0_5_0 = {
+    13: "b617e9972209953f2ee371f4f3c13c44ef06db64369a5058f11c1244d7507e91",
+    26: "953d27fdc2b83c9dc096f577e246e5d8d3b5a1b5d5f376f39750b22b615a5089",
+    52: "4f9678848663fde4e32db82392302c1e8d5b928aa57bc971da975e4c990d49e7",
+    104: "0e7592c8d368428fa89a108275ad54e6b404e3b93ebc036eace16b9567a264dd",
+    208: "1207be9cd3646fed30c6beabc8580310c148674af68124864ebf9cf7ca4d129c",
 }
 
 BUILTIN = builtin_dissection_eckl10()
@@ -51,12 +65,38 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _as_0_2_0(data: dict) -> dict:
+    """The certificate JSON ``data`` in the 0.2.0 layout: each witness's
+    runs expanded into its sorted ``subset`` points, its ``assignment``
+    restored as (line, size) largest first, and the tool version 0.2.0."""
+    old = copy.deepcopy(data)
+    old["tool_version"] = GOLDEN_TOOL_VERSION
+    for row in old["per_polygon"]:
+        witness = row["witness"]
+        vertical = witness["direction"] == "vertical"
+        points, sizes = [], {}
+        for line, first, count in witness.pop("runs"):
+            sizes[line] = sizes.get(line, 0) + count
+            for along in range(first, first + count):
+                points.append([line, along] if vertical else [along, line])
+        witness["subset"] = sorted(points)
+        witness["assignment"] = sorted(([line, size] for line, size in sizes.items()),
+                                       key=lambda a: -a[1])
+    return old
+
+
 @pytest.mark.parametrize("n", sorted(GOLDEN))
 def test_certificate_bytes_pinned(n):
     cert = finite_certificate(BUILTIN, n, "none")
     assert cert.tool_version == __version__
-    pinned = dataclasses.replace(cert, tool_version=GOLDEN_TOOL_VERSION)
-    assert _sha256(dump_json(pinned.to_json())) == GOLDEN[n]
+    assert _sha256(dump_json(_as_0_2_0(cert.to_json()))) == GOLDEN[n]
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_0_5_0))
+def test_certificate_runs_bytes_pinned(n):
+    cert = finite_certificate(BUILTIN, n, "none")
+    pinned = dataclasses.replace(cert, tool_version=RUNS_TOOL_VERSION)
+    assert _sha256(dump_json(pinned.to_json())) == GOLDEN_0_5_0[n]
 
 
 @pytest.mark.parametrize("what", sorted(ASYMPTOTIC_GOLDEN))

@@ -24,7 +24,8 @@ from seshadri.geometry import (AffineForm, Axis, height_profile, make_polygon,
                                point, x_projection)
 from seshadri.certify import AsymptoticReport, PolygonCheck, PolygonWitness
 from seshadri.reorder import PiecewiseLinear, monotone_reorder, sup_admissible
-from seshadri.lattice import WitnessSelection, scaled_points
+from seshadri import lattice
+from seshadri.lattice import Direction, WitnessSelection, scaled_points
 from seshadri.oracle import OracleVerdict, SizeGuardrail
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -521,7 +522,25 @@ class TestFiniteCertificate:
         blob = dump_json(cert.to_json())
         again = FiniteCertificate.from_json(json.loads(blob))
         assert again == cert
+        assert again.to_json() == json.loads(blob)
         assert dump_json(again.to_json()) == blob
+        # both directions occur at this scale
+        assert {p.witness.direction for p in again.per_polygon} == set(Direction)
+
+    def test_cost_guard_at_208(self, monkeypatch):
+        """Witnesses are written as runs, and mode none expands no witness
+        subset except the final piece's, for its padding check."""
+        expanded = []
+        expand = lattice._expand
+
+        def counted(direction, runs):
+            expanded.append(runs)
+            return expand(direction, runs)
+
+        monkeypatch.setattr(lattice, "_expand", counted)
+        cert = finite_certificate(BUILTIN, 208, "none")
+        assert len(dump_json(cert.to_json())) < 100_000
+        assert len(expanded) <= 1
 
 
 class TestDissectionFiles:
@@ -530,6 +549,15 @@ class TestDissectionFiles:
         again = dissection_from_json(json.loads(blob))
         assert again == BUILTIN
         assert dump_json(dissection_to_json(again)) == blob
+
+    def test_vertex_must_be_a_pair(self):
+        data = dissection_to_json(BUILTIN)
+        data["region"] = ["00", ["1", "0"], "01"]
+        with pytest.raises(ValueError, match=r"^region .* vertex 1 '00' is not a list of 2"):
+            dissection_from_json(data)
+        data["region"] = [["0", "0", "0"], ["1", "0"], ["0", "1"]]
+        with pytest.raises(ValueError, match=r"vertex 1 \['0', '0', '0'\] is not a list"):
+            dissection_from_json(data)
 
     def test_rational_strings_in_file(self):
         data = dissection_to_json(BUILTIN)
@@ -543,6 +571,7 @@ class TestStrictCertificateLoaders:
     CERT = finite_certificate(BUILTIN, 13, oracle_mode="modular").to_json()
     ROW = CERT["per_polygon"][0]
     VERDICT = ROW["oracle"]
+    WITNESS = ROW["witness"]
     BAD_INTS = (1.9, True, "3")
     BAD_BOOLS = ("false", 1, None)
     BAD_STRS = (7, None, ["x"])
@@ -598,7 +627,8 @@ class TestStrictCertificateLoaders:
         (OracleVerdict.from_json, VERDICT, "method", "exact"),
         (PolygonWitness.from_json, ROW, "role", "final-ish"),
         (FiniteCertificate.from_json, CERT, "oracle_mode", "fast"),
-    ], ids=["method", "role", "oracle_mode"])
+        (WitnessSelection.from_json, WITNESS, "direction", "diagonal"),
+    ], ids=["method", "role", "oracle_mode", "direction"])
     def test_choices(self, loader, data, key, bad):
         self._refused(loader, data, [key], bad)
 
@@ -635,12 +665,57 @@ class TestStrictCertificateLoaders:
                           ["n"], bad)
 
     @pytest.mark.parametrize("path,name", [(["m"], "m"),
-                                           (["assignment", 0, 0], "assignment line"),
-                                           (["assignment", 0, 1], "assignment size")])
+                                           (["runs", 0, 0], "run 1 line"),
+                                           (["runs", 0, 1], "run 1 first"),
+                                           (["runs", 0, 2], "run 1 count")])
     def test_witness_integers(self, path, name):
-        witness = self.CERT["per_polygon"][0]["witness"]
-        for bad in self.BAD_INTS:
-            self._refused(WitnessSelection.from_json, witness, path, bad, name)
+        for bad in self.BAD_INTS + (2.0, "1"):
+            self._refused(WitnessSelection.from_json, self.WITNESS, path, bad, name)
+
+    @pytest.mark.parametrize("path,bad,name", [
+        (["runs", 3, 2], 0, "run 4 count"),
+        (["runs", 1, 1], -1, "run 2 first"),
+        (["runs", 0], [0, 0], "run 1"),
+        (["runs", 0], [0, 0, 4, 0], "run 1"),
+        (["runs", 0], "004", "run 1"),
+        (["runs"], "0 0 4", "runs"),
+    ], ids=["count 0", "negative", "2 items", "4 items", "string", "runs string"])
+    def test_witness_runs(self, path, bad, name):
+        assert self.WITNESS["runs"] == [[0, 0, 4], [1, 0, 3], [2, 0, 2], [3, 0, 1]]
+        self._refused(WitnessSelection.from_json, self.WITNESS, path, bad, name)
+
+    @pytest.mark.parametrize("runs,message", [
+        ([[0, 0, 2], [0, 1, 2], [1, 0, 3], [2, 0, 2], [3, 0, 1]],
+         "run 2 [0, 1, 2] overlaps or touches the run before it"),
+        ([[0, 0, 2], [0, 2, 2], [1, 0, 3], [2, 0, 2], [3, 0, 1]],
+         "run 2 [0, 2, 2] overlaps or touches the run before it"),
+        ([[1, 0, 3], [0, 0, 4], [2, 0, 2], [3, 0, 1]], "run 2 [0, 0, 4] is out of order"),
+        ([[0, 0, 4], [1, 0, 2], [2, 0, 2], [3, 0, 1]], "exactly 1..m points"),
+        ([[0, 0, 4], [1, 0, 3], [2, 0, 2], [3, 0, 1], [4, 0, 1]], "exactly 1..m points"),
+        ([[0, 0, 4], [1, 0, 3], [2, 0, 3]], "exactly 1..m points"),
+    ], ids=["overlapping", "touching", "unsorted", "shortened", "extra line", "sizes"])
+    def test_witness_runs_not_canonical(self, runs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WitnessSelection.from_json(dict(self.WITNESS, runs=runs))
+
+    def test_witness_runs_with_gaps(self):
+        w = WitnessSelection.from_json(dict(self.WITNESS, runs=[
+            [0, 0, 2], [0, 3, 2], [1, 0, 3], [2, 0, 2], [3, 0, 1]]))
+        assert (0, 2) not in w.subset and (0, 4) in w.subset
+        assert w.assignment == ((0, 4), (1, 3), (2, 2), (3, 1))
+
+    def test_witness_over_the_cell_cap(self, monkeypatch):
+        expanded = []
+        monkeypatch.setattr(lattice, "_expand", lambda *args: expanded.append(args))
+        WitnessSelection.from_json(self.WITNESS)
+        monkeypatch.setenv("SESHADRI_MAX_CELLS", "9")
+        with pytest.raises(SizeGuardrail, match="m = 4 states 10 points"):
+            WitnessSelection.from_json(self.WITNESS)
+        monkeypatch.delenv("SESHADRI_MAX_CELLS")
+        # a few bytes may claim any size: the claim is refused unread
+        with pytest.raises(SizeGuardrail, match="m = 1000000000000 "):
+            WitnessSelection.from_json(dict(self.WITNESS, m=10**12))
+        assert expanded == []
 
     @pytest.mark.parametrize("field", ["polygon", "lattice_count", "m"])
     def test_polygon_integers(self, field):

@@ -420,6 +420,16 @@ def test_bool_coordinate_refused(tmp_path, capsys):
         assert captured.out == "" and "region" in captured.err
 
 
+def test_string_vertex_refused(tmp_path, capsys):
+    # "00" is not the vertex (0, 0): a vertex is a list of two rationals
+    def edit(data):
+        data["region"] = ["00", ["1", "0"], "01"]
+    assert run(["validate", "--dissection", _edited_builtin(tmp_path, edit)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "region" in captured.err and "vertex 1 '00' is not a list of 2 items" in captured.err
+
+
 def test_bool_cut_coefficient_refused(tmp_path, capsys):
     def edit(data):
         data["steps"][2]["cut"]["r2"] = False

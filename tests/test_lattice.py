@@ -1,6 +1,7 @@
 """Unit and property tests for lattice sets and the parallel-lines witness."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
 from math import ceil, comb, floor, gcd
@@ -10,7 +11,7 @@ import pytest
 from seshadri.certify import builtin_dissection_eckl10
 from seshadri.geometry import AffineForm, DegenerateInput, make_polygon
 from seshadri.lattice import (ColumnProfile, Direction, EmptySet, LatticeSet,
-                              MultiplicitySpec, WitnessTooLarge,
+                              MultiplicitySpec, WitnessSelection, WitnessTooLarge,
                               column_profile, expected_dimension,
                               max_parallel_witness, scaled_points,
                               select_witness_subset, split_by_affine)
@@ -300,6 +301,31 @@ class TestSelectWitness:
             assert len(w.subset) == m * (m + 1) // 2
             assert expected_dimension((m,), count=len(w.subset)) == -1
             assert w.subset.issubset(pts)
+
+    def test_runs_state_the_lowest_points_of_each_line(self):
+        """Runs built by bisection equal a one-pass fill of the chosen lines
+        (lines by count descending, then index; lowest points first), on
+        sets whose lines have gaps."""
+        rng = random.Random(12)
+        gaps = 0
+        for _ in range(200):
+            pts = LatticeSet(tuple((rng.randint(0, 12), rng.randint(0, 12))
+                                   for _ in range(rng.randint(1, 60))))
+            for direction in Direction:
+                k = direction.coordinate
+                m = max_parallel_witness(column_profile(pts, direction))
+                w = select_witness_subset(pts, direction, m)
+                counts = Counter(p[k] for p in pts)
+                lines = sorted(counts, key=lambda line: (-counts[line], line))[:m]
+                expected = []
+                for j, line in enumerate(lines):
+                    expected += sorted((p for p in pts if p[k] == line),
+                                       key=lambda p: p[1 - k])[:m - j]
+                assert w.subset == LatticeSet(tuple(expected))
+                assert w.assignment == tuple((line, m - j) for j, line in enumerate(lines))
+                assert WitnessSelection.from_json(w.to_json()) == w
+                gaps += len(w.runs) > m
+        assert gaps > 100
 
 
 class TestExpectedDimension:

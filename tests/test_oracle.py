@@ -1,6 +1,7 @@
 """Unit and cross-validation tests for the interpolation-rank oracle."""
 
 import random
+import re
 from fractions import Fraction as F
 import pytest
 
@@ -87,6 +88,14 @@ class TestExactOracle:
     def test_explicit_points_reject_floats(self):
         with pytest.raises(TypeError):
             GenericPointSet.explicit([(0.5, F(1, 3))])
+
+    @pytest.mark.parametrize("pts,message", [
+        (["12", "34"], "point 1 '12' is not a list of 2 items"),
+        ([(1, 2), (1, 2, 3)], "point 2 (1, 2, 3) is not a list of 2 items"),
+    ], ids=["strings", "three coordinates"])
+    def test_explicit_points_are_pairs(self, pts, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GenericPointSet.explicit(pts)
 
     def test_explicit_points_deterministic(self):
         pts = GenericPointSet.explicit([(F(1, 3), F(2, 5)), (F(3, 7), F(1, 2))])

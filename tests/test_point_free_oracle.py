@@ -109,6 +109,16 @@ class TestModulus:
         with pytest.raises(BadModulus, match=str(modulus)):
             system_dimension_modp(DEG2, (3,), prime=modulus)
 
+    def test_composite_refused_on_every_call(self):
+        # is_prime keeps its last answers: a prime proved just before must
+        # not let a composite through, and a refusal is not forgotten
+        for modulus in (97, 561, 97, 561, 561, 2**61 - 1, 3215031751):
+            if is_prime(modulus):
+                assert system_dimension_modp(DEG2, (3,), prime=modulus).non_special
+            else:
+                with pytest.raises(BadModulus, match=f"modulus {modulus} is not prime"):
+                    system_dimension_modp(DEG2, (3,), prime=modulus)
+
     def test_miller_rabin_matches_sieve(self):
         limit = 10**4
         sieve = [False, False] + [True] * (limit - 2)
