@@ -332,13 +332,22 @@ class PolygonWitness:
 
     @classmethod
     def from_json(cls, data: dict) -> "PolygonWitness":
-        return cls(field("polygon", data["polygon"], int),
-                   field("role", data["role"], str, choices=("dim-minus-one", "final")),
-                   field("lattice_count", data["lattice_count"], int),
-                   field("m", data["m"], int), WitnessSelection.from_json(data["witness"]),
-                   parsed("deviation", rational, data["deviation"]),
-                   field("padding_ok", data.get("padding_ok"), bool, optional=True),
-                   OracleVerdict.from_json(data["oracle"]) if data.get("oracle") else None)
+        """The row ``data``, refused unless its ``m`` is its witness's m and
+        its ``lattice_count`` covers the witness's m(m+1)/2 points."""
+        row = cls(field("polygon", data["polygon"], int),
+                  field("role", data["role"], str, choices=("dim-minus-one", "final")),
+                  field("lattice_count", data["lattice_count"], int),
+                  field("m", data["m"], int), WitnessSelection.from_json(data["witness"]),
+                  parsed("deviation", rational, data["deviation"]),
+                  field("padding_ok", data.get("padding_ok"), bool, optional=True),
+                  OracleVerdict.from_json(data["oracle"]) if data.get("oracle") else None)
+        w = row.witness.m
+        if row.m != w:
+            raise ValueError(f"polygon {row.polygon}: m {row.m} is not its witness's m {w}")
+        if row.lattice_count < w * (w + 1) // 2:
+            raise ValueError(f"polygon {row.polygon}: lattice_count {row.lattice_count} "
+                             f"is below the {w * (w + 1) // 2} points of its witness")
+        return row
 
 
 @dataclass(frozen=True)

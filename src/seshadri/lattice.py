@@ -9,11 +9,10 @@ deterministic selection of a subset whose columns carry exactly
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import accumulate, chain, compress, groupby, repeat
 from math import ceil, comb, floor, lcm
 from operator import itemgetter
 from typing import Dict, Optional, Sequence, Tuple
@@ -34,64 +33,90 @@ class Direction(Enum):
     VERTICAL = "vertical"      # lines of constant first coordinate
     HORIZONTAL = "horizontal"  # lines of constant second coordinate
 
-    @property
-    def coordinate(self) -> int:
-        """Index into a point (alpha, beta) of its line's coordinate."""
-        return 0 if self is Direction.VERTICAL else 1
+
+Run = Tuple[int, int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LatticeSet:
-    """Finite subset of N^2, kept sorted and duplicate-free.
+    """Finite subset of N^2, stored as its vertical runs.
+
+    A run ``(alpha, first, count)`` holds the ``count`` points (alpha,
+    first), ..., (alpha, first + count - 1).  Runs are sorted by (alpha,
+    first), and runs on one column neither overlap nor touch, so each set
+    has exactly one list of runs: equal sets have equal runs.  ``size`` is
+    the number of points, and ``points``, the sorted tuple of points, is
+    expanded from the runs on first use.  A convex piece of n*P has about
+    n runs, so every step below costs time linear in runs, not points.
 
     The public constructor takes untrusted points: each must be a pair of
-    nonnegative ints (not bools, not floats), and the set is sorted and
-    de-duplicated.  Code whose output already has that form builds sets
-    through :meth:`_trusted` instead.
+    nonnegative ints (not bools, not floats); duplicates are dropped.
+    Code whose output already has the run form builds sets through
+    :meth:`_of_runs` instead.
     """
 
-    points: Tuple[Tuple[int, int], ...]
+    runs: Tuple[Run, ...]
+    size: int = dataclass_field(compare=False)
 
-    def __post_init__(self):
+    def __init__(self, points: Sequence = ()):
         pts = set()
-        for pt in self.points:
-            a, b = pt
+        for i, pt in enumerate(points, start=1):
+            a, b = items(f"point {i}", pt, 2)
             if not (type(a) is int and type(b) is int):
-                raise ValueError(f"lattice point {list(pt)!r}: exponents must be integers")
+                raise ValueError(f"point {i} {list(pt)!r}: exponents must be integers")
             if a < 0 or b < 0:
-                raise ValueError(f"lattice point {list(pt)!r}: exponents must be nonnegative")
+                raise ValueError(f"point {i} {list(pt)!r}: exponents must be nonnegative")
             pts.add((a, b))
-        object.__setattr__(self, "points", tuple(sorted(pts)))
+        ordered = tuple(sorted(pts))
+        runs = []
+        for a, b in ordered:
+            if runs and runs[-1][0] == a and runs[-1][1] + runs[-1][2] == b:
+                runs[-1][2] += 1
+            else:
+                runs.append([a, b, 1])
+        object.__setattr__(self, "runs", tuple(map(tuple, runs)))
+        object.__setattr__(self, "size", len(ordered))
+        self.__dict__["points"] = ordered
 
     @classmethod
-    def _trusted(cls, points: Tuple[Tuple[int, int], ...]) -> "LatticeSet":
-        """Wrap a tuple of int pairs that is already sorted, duplicate-free
-        and nonnegative, without checking it."""
+    def _of_runs(cls, runs: Tuple[Run, ...], size: int) -> "LatticeSet":
+        """Wrap canonical runs of ``size`` points in total, without checking them."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "points", points)
+        object.__setattr__(obj, "runs", runs)
+        object.__setattr__(obj, "size", size)
         return obj
 
+    @cached_property
+    def points(self) -> Tuple[Tuple[int, int], ...]:
+        """The points, sorted by (alpha, beta)."""
+        return _points_of(self.runs)
+
     def __len__(self):
-        return len(self.points)
+        return self.size
 
     def __iter__(self):
         return iter(self.points)
 
     def __contains__(self, pt):
         pt = tuple(pt)
-        i = bisect_left(self.points, pt)
-        return i < len(self.points) and self.points[i] == pt
+        if len(pt) != 2:
+            return False
+        a, b = pt
+        # the last run starting at or before (a, b)
+        i = bisect_left(self.runs, (a, b + 1)) - 1
+        return i >= 0 and self.runs[i][0] == a and b < self.runs[i][1] + self.runs[i][2]
 
     def issubset(self, other: "LatticeSet") -> bool:
-        # Both point tuples are sorted: one merge pass decides inclusion.
-        theirs = iter(other.points)
-        for p in self.points:
-            for q in theirs:
-                if q == p:
-                    break
-                if q > p:
-                    return False
-            else:
+        # Both run lists are sorted, and a run, being consecutive points,
+        # lies in other only inside one run of other: one merge pass.
+        theirs = iter(other.runs)
+        line = end = -1
+        for a, first, count in self.runs:
+            while (line, end) <= (a, first):  # that run ends before this one
+                # past other's last run, a line after a refuses this run
+                line, start, n = next(theirs, (a + 1, 0, 0))
+                end = start + n
+            if line != a or start > first or first + count > end:
                 return False
         return True
 
@@ -101,6 +126,52 @@ class LatticeSet:
     @classmethod
     def from_json(cls, data: Sequence) -> "LatticeSet":
         return cls(tuple(data))
+
+
+def _points_of(runs: Sequence[Run]) -> Tuple[Tuple[int, int], ...]:
+    """The points the vertical ``runs`` hold, in their order."""
+    return tuple(chain.from_iterable(zip(repeat(a), range(f, f + c)) for a, f, c in runs))
+
+
+def _minus(spans, other) -> list:
+    """The parts of the sorted disjoint half-open intervals ``spans`` that
+    the sorted disjoint intervals ``other`` do not cover."""
+    out = []
+    j = 0
+    for lo, hi in spans:
+        while j < len(other) and other[j][1] <= lo:
+            j += 1
+        k = j
+        while lo < hi and k < len(other) and other[k][0] < hi:
+            if other[k][0] > lo:
+                out.append((lo, other[k][0]))
+            lo = max(lo, other[k][1])
+            k += 1
+        if lo < hi:
+            out.append((lo, hi))
+    return out
+
+
+def _transpose(runs: Sequence[Run]) -> Tuple[Run, ...]:
+    """The same points as canonical runs along the other direction.
+
+    A run along the other direction opens at a line that covers its
+    coordinate where the line before does not, and closes at a line that
+    covers it where the line after does not.  Sorted, the k-th opening and
+    the k-th closing on one coordinate bound its k-th run, so one pass over
+    the lines finds all runs, in time linear in input and output runs.
+    """
+    lines = {line: [(f, f + c) for _, f, c in group]
+             for line, group in groupby(runs, itemgetter(0))}
+    opens, closes = [], []  # (coordinate, line)
+    for line, spans in lines.items():
+        for lo, hi in _minus(spans, lines.get(line - 1, ())):
+            opens.extend(zip(range(lo, hi), repeat(line)))
+        for lo, hi in _minus(spans, lines.get(line + 1, ())):
+            closes.extend(zip(range(lo, hi), repeat(line)))
+    opens.sort()
+    closes.sort()
+    return tuple([(b, start, end - start + 1) for (b, start), (_, end) in zip(opens, closes)])
 
 
 @dataclass(frozen=True)
@@ -174,15 +245,18 @@ def scaled_points(P: ConvexPolygon, n: int) -> LatticeSet:
         # c2 > 0 bounds beta from below, c2 < 0 from above, c2 = 0 is a wall
         (lower if c2 > 0 else upper if c2 < 0 else walls).append((c0, c1, c2))
     xs = [v.x for v in P.vertices]
-    pts = []
+    runs = []
+    size = 0
     for alpha in range(ceil(n * min(xs)), floor(n * max(xs)) + 1):
         if any(c0 + c1 * alpha < 0 for c0, c1, _ in walls):
             continue
-        lo = max(-((c0 + c1 * alpha) // c2) for c0, c1, c2 in lower)
+        lo = max(0, max(-((c0 + c1 * alpha) // c2) for c0, c1, c2 in lower))
         hi = min((c0 + c1 * alpha) // -c2 for c0, c1, c2 in upper)
-        pts.extend(zip(repeat(alpha), range(max(0, lo), hi + 1)))
-    # columns in increasing alpha, each in increasing beta >= 0
-    return LatticeSet._trusted(tuple(pts))
+        if hi >= lo:
+            runs.append((alpha, lo, hi - lo + 1))
+            size += hi - lo + 1
+    # one run per nonempty column, in increasing alpha
+    return LatticeSet._of_runs(tuple(runs), size)
 
 
 def split_by_affine(D: LatticeSet, F: AffineForm, scale: int):
@@ -192,42 +266,58 @@ def split_by_affine(D: LatticeSet, F: AffineForm, scale: int):
     parts always partition D.  The form is multiplied once by the positive
     lcm L of its denominators, so a point's side is the sign of the integer
     c0 + c1*alpha + c2*beta, which is L times the scaled value.  Along one
-    column that sign changes at most once, so each column of the sorted D
-    is cut by a single bisection at an integer threshold on beta.
+    column that sign changes at most once, so each run of D is cut once,
+    at an integer threshold on beta.
     """
     if scale < 1:
         raise ValueError("scale must be a positive integer")
     c0, c1, c2 = _cleared_form(F.r0, F.r1, F.r2, scale)
-    pts = D.points
     d1, d2 = [], []
-    i = 0
-    while i < len(pts):
-        alpha = pts[i][0]
-        j = bisect_left(pts, (alpha + 1,), i)  # the column of alpha is pts[i:j]
+    # the k lowest points of a run go to `low`, the rest to `high`
+    low, high = (d1, d2) if c2 > 0 else (d2, d1)
+    size = 0  # of low
+    for alpha, first, count in D.runs:
         v = c0 + c1 * alpha
-        if c2 == 0:
-            (d1 if v < 0 else d2).extend(pts[i:j])
-        elif c2 > 0:
-            # v + c2*beta < 0 iff beta < ceil(-v / c2)
-            k = bisect_left(pts, (alpha, -(v // c2)), i, j)
-            d1.extend(pts[i:k])
-            d2.extend(pts[k:j])
+        if c2 > 0:
+            k = -(v // c2) - first      # v + c2*beta < 0 iff beta < ceil(-v / c2)
+        elif c2 < 0:
+            k = v // -c2 + 1 - first    # v + c2*beta < 0 iff beta > floor(v / -c2)
         else:
-            # v + c2*beta < 0 iff beta > floor(v / -c2)
-            k = bisect_left(pts, (alpha, v // -c2 + 1), i, j)
-            d2.extend(pts[i:k])
-            d1.extend(pts[k:j])
-        i = j
-    # both parts are subsequences of the sorted D
-    return (LatticeSet._trusted(tuple(d1)), LatticeSet._trusted(tuple(d2)))
+            k = count if v >= 0 else 0  # the whole column goes one way
+        k = min(max(k, 0), count)
+        if k:
+            low.append((alpha, first, k))
+        if k < count:
+            high.append((alpha, first + k, count - k))
+        size += k
+    # both parts keep D's order, and a cut run stays apart from its neighbours
+    sizes = (size, len(D) - size) if c2 > 0 else (len(D) - size, size)
+    return (LatticeSet._of_runs(tuple(d1), sizes[0]),
+            LatticeSet._of_runs(tuple(d2), sizes[1]))
 
 
 def column_profile(D: LatticeSet, direction: Direction) -> ColumnProfile:
-    """Exact per-line counts of D along the given direction."""
+    """Exact per-line counts of D along the given direction, in time
+    linear in runs and lines."""
     if len(D) == 0:
         raise EmptySet("cannot profile an empty set")
-    counter = Counter(map(itemgetter(direction.coordinate), D.points))
-    return ColumnProfile(direction, tuple(sorted(counter.items())))
+    if direction is Direction.VERTICAL:
+        counts: Dict[int, int] = {}
+        for alpha, _first, count in D.runs:  # sorted by alpha
+            counts[alpha] = counts.get(alpha, 0) + count
+        return ColumnProfile(direction, tuple(counts.items()))
+    # a run adds 1 to each of its rows: sum its ends as steps +1 and -1,
+    # then add up the steps row by row
+    low = min(map(itemgetter(1), D.runs))
+    steps = [0] * (max(f + c for _, f, c in D.runs) - low + 1)
+    for _alpha, first, count in D.runs:
+        steps[first - low] += 1
+        steps[first + count - low] -= 1
+    levels = list(accumulate(steps))
+    rows = list(compress(zip(range(low, low + len(levels)), levels), levels))
+    # tuple of a list: a tuple built from an iterator of unknown length is
+    # resized, and CPython's tuple free lists then keep the freed copies
+    return ColumnProfile(direction, tuple(rows))
 
 
 def max_parallel_witness(profile: ColumnProfile) -> int:
@@ -265,47 +355,31 @@ def _witness_from_profile(D: LatticeSet, profile: ColumnProfile,
     """:func:`select_witness_subset` for a caller that already holds D's
     profile along the direction and knows it hosts size m.
 
-    The points of D on one line are one slice of D sorted by line: D
-    itself for vertical lines, and for horizontal ones a copy stably
-    sorted by beta, which keeps each line's points in increasing alpha.
-    So each chosen line is found by bisection and its lowest points are
-    read as runs without visiting the rest of D.
+    D's runs along the direction (its own runs for vertical lines, their
+    transposition for horizontal ones) are sorted by line, so each chosen
+    line is found by bisection and its lowest runs are read, the last one
+    cut to the assigned size, without visiting the rest of D.
     """
     direction = profile.direction
     ordered = sorted(profile.counts, key=lambda ic: (-ic[1], ic[0]))
     chosen = sorted((line, m - j) for j, (line, _count) in enumerate(ordered[:m]))
-    k = direction.coordinate
-    pts = D.points if k == 0 else sorted(D.points, key=itemgetter(1))
-    line_of = itemgetter(k)
+    lines = D.runs if direction is Direction.VERTICAL else _transpose(D.runs)
     runs = []
     for line, size in chosen:
-        i = bisect_left(pts, line, key=line_of)
-        first = pts[i][1 - k]
-        # the line holds at least `size` distinct points from pts[i] on
-        if pts[i + size - 1][1 - k] - first == size - 1:
-            runs.append((line, first, size))
-            continue
-        # the line has gaps: one run per stretch of consecutive points
-        count = 0
-        for p in pts[i:i + size]:
-            if p[1 - k] != first + count:
-                runs.append((line, first, count))
-                first, count = p[1 - k], 0
-            count += 1
-        runs.append((line, first, count))
+        i = bisect_left(lines, (line,))
+        while size:  # the line holds at least `size` points from run i on
+            _line, first, count = lines[i]
+            runs.append((line, first, min(count, size)))
+            size -= runs[-1][2]
+            i += 1
     return WitnessSelection(m, direction, tuple(runs))
 
 
 def _expand(direction: Direction, runs) -> LatticeSet:
-    """The points the canonical ``runs`` state along ``direction``."""
-    if direction is Direction.VERTICAL:
-        # runs sorted by (line, first) and disjoint: already in D's order
-        return LatticeSet._trusted(tuple(chain.from_iterable(
-            zip(repeat(line), range(first, first + count)) for line, first, count in runs)))
-    # points in increasing beta: a stable sort by alpha gives D's order
-    return LatticeSet._trusted(tuple(sorted(chain.from_iterable(
-        zip(range(first, first + count), repeat(line)) for line, first, count in runs),
-        key=itemgetter(0))))
+    """The lattice set of the canonical ``runs`` along ``direction``."""
+    # vertical runs already have a lattice set's form
+    return LatticeSet._of_runs(runs if direction is Direction.VERTICAL else _transpose(runs),
+                               sum(map(itemgetter(2), runs)))
 
 
 def _refuse_run_values(i: int, run: tuple) -> None:
@@ -328,12 +402,12 @@ class WitnessSelection:
     runs.  Construction checks all of this, and that the lines carry 1..m
     points, in one pass over the runs; before that it refuses with
     SizeGuardrail a witness whose m(m+1)/2 points exceed the cell cap.
-    ``subset`` expands the points on first use.
+    ``subset``, the witness as a lattice set, is built on first use.
     """
 
     m: int
     direction: Direction
-    runs: Tuple[Tuple[int, int, int], ...]
+    runs: Tuple[Run, ...]
 
     def __post_init__(self):
         m = field("m", self.m, int)
@@ -363,7 +437,7 @@ class WitnessSelection:
 
     @cached_property
     def subset(self) -> LatticeSet:
-        """The witness points, sorted like any lattice set."""
+        """The witness points as a lattice set."""
         return _expand(self.direction, self.runs)
 
     @property

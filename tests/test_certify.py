@@ -528,19 +528,27 @@ class TestFiniteCertificate:
         assert {p.witness.direction for p in again.per_polygon} == set(Direction)
 
     def test_cost_guard_at_208(self, monkeypatch):
-        """Witnesses are written as runs, and mode none expands no witness
-        subset except the final piece's, for its padding check."""
-        expanded = []
-        expand = lattice._expand
+        """Witnesses are written as runs, mode none builds no witness subset
+        except the final piece's, for its padding check, and it expands the
+        points of no lattice set: every step works on runs."""
+        expanded, points = [], []
+        expand, points_of = lattice._expand, lattice._points_of
 
         def counted(direction, runs):
             expanded.append(runs)
             return expand(direction, runs)
 
+        def counted_points(runs):
+            points.append(runs)
+            return points_of(runs)
+
         monkeypatch.setattr(lattice, "_expand", counted)
+        monkeypatch.setattr(lattice, "_points_of", counted_points)
         cert = finite_certificate(BUILTIN, 208, "none")
         assert len(dump_json(cert.to_json())) < 100_000
         assert len(expanded) <= 1
+        assert points == []
+        assert cert.per_polygon[-1].padding_ok is True
 
 
 class TestDissectionFiles:
@@ -716,6 +724,21 @@ class TestStrictCertificateLoaders:
         with pytest.raises(SizeGuardrail, match="m = 1000000000000 "):
             WitnessSelection.from_json(dict(self.WITNESS, m=10**12))
         assert expanded == []
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"m": 5}, "polygon 1: m 5 is not its witness's m 4"),
+        ({"m": 3}, "polygon 1: m 3 is not its witness's m 4"),
+        ({"lattice_count": 9}, "polygon 1: lattice_count 9 is below the 10 points"),
+        ({"m": 5, "lattice_count": 1}, "polygon 1: m 5 is not its witness's m 4"),
+    ], ids=["m above", "m below", "lattice_count", "both"])
+    def test_row_agrees_with_its_witness(self, changes, message):
+        assert PolygonWitness.from_json(dict(self.ROW, lattice_count=10)).lattice_count == 10
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PolygonWitness.from_json(dict(self.ROW, **changes))
+        data = json.loads(json.dumps(self.CERT))
+        data["per_polygon"][0].update(changes)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FiniteCertificate.from_json(data)
 
     @pytest.mark.parametrize("field", ["polygon", "lattice_count", "m"])
     def test_polygon_integers(self, field):

@@ -350,6 +350,15 @@ def test_oracle_refuses_non_integer_exponents(tmp_path, capsys):
             assert shown in captured.err and "integer" in captured.err
 
 
+def test_oracle_names_a_malformed_point(tmp_path, capsys):
+    for D, shown in (([[0, 0, 0], [1, 0]], "point 1 [0, 0, 0] is not a list of 2 items"),
+                     (["12"], "point 1 '12' is not a list of 2 items")):
+        for mode in ("exact", "modular"):
+            assert _oracle_on(tmp_path, {"D": D, "multiplicities": [1]}, mode) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and shown in captured.err
+
+
 def test_oracle_refuses_non_integer_multiplicities(tmp_path, capsys):
     for bad in (1.9, True, "2"):
         system = {"D": [[0, 0], [1, 0], [0, 1]], "multiplicities": [bad]}

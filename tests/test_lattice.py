@@ -12,7 +12,7 @@ from seshadri.certify import builtin_dissection_eckl10
 from seshadri.geometry import AffineForm, DegenerateInput, make_polygon
 from seshadri.lattice import (ColumnProfile, Direction, EmptySet, LatticeSet,
                               MultiplicitySpec, WitnessSelection, WitnessTooLarge,
-                              column_profile, expected_dimension,
+                              _transpose, column_profile, expected_dimension,
                               max_parallel_witness, scaled_points,
                               select_witness_subset, split_by_affine)
 
@@ -79,6 +79,33 @@ def _rational_polygon(rng):
             return make_polygon(pts)
         except DegenerateInput:
             continue
+
+
+def _coordinate(direction):
+    """Index into a point (alpha, beta) of the coordinate fixed on a line."""
+    return 0 if direction is Direction.VERTICAL else 1
+
+
+def _runs_from_points(points, direction):
+    """Maximal runs (line, first, count) of the points along the direction,
+    built point by point from the points sorted by (line, along)."""
+    k = _coordinate(direction)
+    runs = []
+    for p in sorted(points, key=lambda p: (p[k], p[1 - k])):
+        line, along = p[k], p[1 - k]
+        if runs and runs[-1][0] == line and sum(runs[-1][1:]) == along:
+            runs[-1][2] += 1
+        else:
+            runs.append([line, along, 1])
+    return tuple(map(tuple, runs))
+
+
+def _random_sets(seed, count, side=12):
+    """Seeded random lattice sets, sparse to dense, so lines have gaps."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield LatticeSet(tuple((rng.randint(0, side), rng.randint(0, side))
+                               for _ in range(rng.randint(0, 4 * side * side // 3))))
 
 
 def _eckl10_lattice_sets(n):
@@ -208,7 +235,37 @@ class TestSplitByAffine:
         assert ties >= 250
 
 
+class TestTranspose:
+    def test_row_runs_match_the_points(self):
+        for D in _random_sets(45, 200):
+            rows = _transpose(D.runs)
+            assert rows == _runs_from_points(D.points, Direction.HORIZONTAL)
+            assert _transpose(rows) == D.runs
+
+    def test_both_directions_on_scaled_pieces(self):
+        # the transposed set of a set is the set of its reflected points
+        for D in _eckl10_lattice_sets(26):
+            flipped = LatticeSet(tuple((b, a) for a, b in D.points))
+            assert _transpose(D.runs) == flipped.runs
+            assert _transpose(flipped.runs) == D.runs
+
+    def test_lines_with_gaps_and_missing_lines(self):
+        runs = ((0, 0, 2), (0, 4, 1), (1, 1, 4), (3, 0, 1), (3, 2, 3))
+        assert _transpose(runs) == ((0, 0, 1), (0, 3, 1), (1, 0, 2), (2, 1, 1), (2, 3, 1),
+                                    (3, 1, 1), (3, 3, 1), (4, 0, 2), (4, 3, 1))
+        assert _transpose(_transpose(runs)) == runs
+        assert _transpose(()) == ()
+
+
 class TestColumnProfile:
+    def test_profiles_match_point_counts(self):
+        for D in _random_sets(44, 200):
+            if len(D) == 0:
+                continue
+            for direction in Direction:
+                counts = Counter(p[_coordinate(direction)] for p in D.points)
+                assert column_profile(D, direction).counts == tuple(sorted(counts.items()))
+
     def test_simplex_profiles(self):
         vert = column_profile(SIMPLEX2, Direction.VERTICAL)
         assert vert.counts == ((0, 3), (1, 2), (2, 1))
@@ -312,7 +369,7 @@ class TestSelectWitness:
             pts = LatticeSet(tuple((rng.randint(0, 12), rng.randint(0, 12))
                                    for _ in range(rng.randint(1, 60))))
             for direction in Direction:
-                k = direction.coordinate
+                k = _coordinate(direction)
                 m = max_parallel_witness(column_profile(pts, direction))
                 w = select_witness_subset(pts, direction, m)
                 counts = Counter(p[k] for p in pts)
@@ -357,12 +414,14 @@ class TestLatticeSet:
     @pytest.mark.parametrize("n", [13, 52, 208])
     def test_built_sets_satisfy_the_validated_form(self, n):
         # Enumeration, splits and witness subsets skip the validating
-        # constructor; rebuilding through it must change nothing.
+        # constructor; rebuilding their points through it must give the
+        # same canonical runs and size.
         for s in _eckl10_lattice_sets(n):
-            assert type(s.points) is tuple
-            assert LatticeSet(s.points).points == s.points
-            assert all(type(p) is tuple and type(p[0]) is int and type(p[1]) is int
-                       for p in s.points)
+            assert type(s.runs) is tuple
+            assert all(type(r) is tuple and len(r) == 3 and set(map(type, r)) == {int}
+                       and r[1] >= 0 and r[2] >= 1 for r in s.runs)
+            rebuilt = LatticeSet(s.points)
+            assert rebuilt.runs == s.runs and len(rebuilt) == len(s) == len(s.points)
 
     def test_rejects_non_integer_exponents(self):
         for bad in ((1.5, 0), (0, True), (F(1), 0), ("1", 0)):
@@ -384,6 +443,19 @@ class TestLatticeSet:
 
     def test_json_round_trip(self):
         assert LatticeSet.from_json(SIMPLEX2.to_json()) == SIMPLEX2
+
+    def test_runs_are_the_maximal_column_runs(self):
+        for D in _random_sets(43, 200):
+            assert D.runs == _runs_from_points(D.points, Direction.VERTICAL)
+            assert len(D) == len(set(D.points))
+
+    def test_malformed_point_is_named(self):
+        with pytest.raises(ValueError, match=r"^point 2 \[0, 0, 0\] is not a list of 2"):
+            LatticeSet.from_json([[1, 0], [0, 0, 0]])
+        with pytest.raises(ValueError, match=r"^point 1 '12' is not a list of 2"):
+            LatticeSet.from_json(["12"])
+        with pytest.raises(ValueError, match=r"^point 3 \[0, -1\]: .* nonnegative"):
+            LatticeSet.from_json([[0, 0], [1, 0], [0, -1]])
 
     def test_membership_and_inclusion_match_sets(self):
         rng = random.Random(41)
