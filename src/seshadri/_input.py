@@ -15,7 +15,8 @@ from fractions import Fraction
 from reprlib import repr as _shown
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
-_KINDS = {int: "an integer", bool: "a boolean", str: "a string", list: "a list"}
+_KINDS = {int: "an integer", bool: "a boolean", str: "a string", list: "a list",
+          dict: "an object"}
 CELL_CAP = 4_000_000
 
 
@@ -56,8 +57,9 @@ def rational(x) -> Fraction:
 
 
 def field(name: str, value, kind: type, optional: bool = False, choices=None):
-    """``value`` if its type is exactly ``kind`` (int, bool, str or list) and it is
-    one of ``choices``, if given, else ValueError; with ``optional``, None passes."""
+    """``value`` if its type is exactly ``kind`` (int, bool, str, list or dict) and
+    it is one of ``choices``, if given, else ValueError; with ``optional``, None
+    passes."""
     if optional and value is None:
         return None
     if type(value) is not kind:

@@ -148,11 +148,12 @@ def _cmd_certify(args) -> int:
 def _cmd_oracle(args) -> int:
     try:
         with open(args.system, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        D = LatticeSet.from_json(data["D"])
-        spec = MultiplicitySpec(tuple(data["multiplicities"]))
+            data = field("system file", json.load(fh), dict)
+        D = LatticeSet.from_json(field("D", data["D"], list))
+        spec = MultiplicitySpec(tuple(field("multiplicities", data["multiplicities"], list)))
         seed = field("seed", data.get("seed", 0), int) if args.seed is None else args.seed
-        points = GenericPointSet.explicit(data["points"]) if data.get("points") else None
+        pts = field("points", data.get("points"), list, optional=True)
+        points = GenericPointSet.explicit(pts) if pts else None
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed system file: {exc}") from None
     if points is not None and args.mode == "modular":

@@ -12,6 +12,11 @@ the 0.2.0 layout, where a witness listed its ``subset`` point by point with
 its ``assignment``; a certificate is turned back into that layout by
 :func:`_as_0_2_0`, so the runs of today's witnesses must state exactly the
 points recorded then.  ``GOLDEN_0_5_0`` pins today's bytes.
+
+``ORACLE_GOLDEN`` pins certificates whose rows carry an oracle verdict
+(seed 1), so the ``rank``, ``prime`` and ``caveat`` bytes of both oracle
+modes are pinned as well: a change to how the point-free matrix is built
+or ranked must leave every verdict as it was.
 """
 
 import copy
@@ -42,6 +47,14 @@ GOLDEN_0_5_0 = {
     52: "4f9678848663fde4e32db82392302c1e8d5b928aa57bc971da975e4c990d49e7",
     104: "0e7592c8d368428fa89a108275ad54e6b404e3b93ebc036eace16b9567a264dd",
     208: "1207be9cd3646fed30c6beabc8580310c148674af68124864ebf9cf7ca4d129c",
+}
+ORACLE_GOLDEN = {
+    ("modular", 26): "d45de5154e226c9fe95894207220521554845ebdee04eeed0f5faf30dee514f8",
+    ("modular", 39): "02f9ebcdc7e6d1297a6dc6f1022a2c8e88105ca3d6f9bf1f78e272835b9a04fe",
+    ("modular", 52): "774968b785e1e9a117b0a496e71a8563ac3c8975db29e35e1c260a30a5a832f0",
+    ("modular", 65): "77bcd079284bcc2d9da9f2fc6c46d7f856ae4210c306fc4b07fe43801344e064",
+    ("exact", 13): "3d4ddfbc7b068f5e371f1afb778ed99faddd1b3b05f92e46171b0aeeb16de6ed",
+    ("exact", 26): "281c00ebab608cdc7c9fa574a982ef86940f71bee9c049a4c22789f214524a5f",
 }
 
 BUILTIN = builtin_dissection_eckl10()
@@ -97,6 +110,13 @@ def test_certificate_runs_bytes_pinned(n):
     cert = finite_certificate(BUILTIN, n, "none")
     pinned = dataclasses.replace(cert, tool_version=RUNS_TOOL_VERSION)
     assert _sha256(dump_json(pinned.to_json())) == GOLDEN_0_5_0[n]
+
+
+@pytest.mark.parametrize("mode,n", sorted(ORACLE_GOLDEN))
+def test_oracle_certificate_bytes_pinned(mode, n):
+    cert = finite_certificate(BUILTIN, n, mode, seed=1)
+    pinned = dataclasses.replace(cert, tool_version=RUNS_TOOL_VERSION)
+    assert _sha256(dump_json(pinned.to_json())) == ORACLE_GOLDEN[mode, n]
 
 
 @pytest.mark.parametrize("what", sorted(ASYMPTOTIC_GOLDEN))

@@ -550,6 +550,22 @@ class TestFiniteCertificate:
         assert points == []
         assert cert.per_polygon[-1].padding_ok is True
 
+    def test_modular_cost_guard_at_208(self, monkeypatch):
+        """The GF(2) step reads each witness's runs: a modular certificate
+        expands the points of no lattice set."""
+        points = []
+        points_of = lattice._points_of
+
+        def counted_points(runs):
+            points.append(runs)
+            return points_of(runs)
+
+        monkeypatch.setattr(lattice, "_points_of", counted_points)
+        cert = finite_certificate(BUILTIN, 208, "modular")
+        assert all(row.oracle.non_special and row.oracle.prime == 2
+                   for row in cert.per_polygon)
+        assert points == []
+
 
 class TestDissectionFiles:
     def test_round_trip_builtin(self):

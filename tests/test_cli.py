@@ -359,6 +359,24 @@ def test_oracle_names_a_malformed_point(tmp_path, capsys):
             assert captured.out == "" and shown in captured.err
 
 
+def test_oracle_reads_system_file_fields_strictly(tmp_path, capsys):
+    # Each of these used to fail inside iteration or indexing, naming no
+    # field ("'int' object is not iterable"), or, for a string D, read it
+    # as characters.
+    good = {"D": [[0, 0], [1, 0], [0, 1]], "multiplicities": [1]}
+    cases = [(dict(good, D=5), "D 5 is not a list"),
+             (dict(good, D="0010"), "D '0010' is not a list"),
+             (dict(good, multiplicities=5), "multiplicities 5 is not a list"),
+             (dict(good, multiplicities="1"), "multiplicities '1' is not a list"),
+             (dict(good, points=5), "points 5 is not a list"),
+             ([1, 2], "system file [1, 2] is not an object")]
+    for system, shown in cases:
+        assert _oracle_on(tmp_path, system) == 2, system
+        captured = capsys.readouterr()
+        assert captured.out == "" and shown in captured.err
+    assert _oracle_on(tmp_path, good) == 0
+
+
 def test_oracle_refuses_non_integer_multiplicities(tmp_path, capsys):
     for bad in (1.9, True, "2"):
         system = {"D": [[0, 0], [1, 0], [0, 1]], "multiplicities": [bad]}

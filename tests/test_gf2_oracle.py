@@ -40,6 +40,28 @@ def seeded_systems(count, seed, offset):
     return systems
 
 
+def seeded_staircases(count, seed):
+    """Seeded witness shapes (D, m): 1..m points on m parallel lines, m up
+    to 12, in either direction, the lines consecutive or with gaps, the
+    counts shuffled and each line's first point drawn at random."""
+    rng = random.Random(seed)
+    systems = []
+    for _ in range(count):
+        m = rng.randint(2, 12)
+        lines = (range(m) if rng.random() < 0.5
+                 else sorted(rng.sample(range(3 * m), m)))
+        counts = list(range(1, m + 1))
+        rng.shuffle(counts)
+        vertical = rng.random() < 0.5
+        points = []
+        for line, size in zip(lines, counts):
+            first = rng.randint(0, 8)
+            for along in range(first, first + size):
+                points.append((line, along) if vertical else (along, line))
+        systems.append((LatticeSet(points), m))
+    return systems
+
+
 def bareiss_det(rows):
     """Determinant of a square integer matrix by fraction-free elimination."""
     m = [list(r) for r in rows]
@@ -89,6 +111,20 @@ class TestLucasRows:
             assert rank == pyref.modrank(B, 2), (D, m)
             short += rank < min(len(D), m * (m + 1) // 2)
         assert 0 < short < len(systems)  # full and short ranks both occur
+
+    def test_staircase_witnesses(self):
+        # Witness shapes are what the certificate ranks; most of these fall
+        # short mod 2, so both the full and the short path are checked.
+        systems = seeded_staircases(200, seed=59)
+        short = 0
+        for D, m in systems:
+            B = _binomial_matrix(D, m)
+            masks = _lucas_rows(D, m)
+            assert masks == [sum((e & 1) << j for j, e in enumerate(row)) for row in B]
+            rank = _gf2_rank(masks)
+            assert rank == pyref.modrank(B, 2), (D, m)
+            short += rank < len(D)
+        assert 0 < short < len(systems)
 
     def test_rank_of_random_bit_matrices(self):
         rng = random.Random(5)
