@@ -13,8 +13,9 @@ import os
 import re
 from fractions import Fraction
 from reprlib import repr as _shown
+from typing import Tuple
 
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
+_RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([1-9][0-9]*))?$")
 _KINDS = {int: "an integer", bool: "a boolean", str: "a string", list: "a list",
           dict: "an object"}
 CELL_CAP = 4_000_000
@@ -33,27 +34,37 @@ def _cell_cap() -> int:
     return int(env)
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or 'p' with the sign on the numerator; no decimals."""
+def parse_pair(text: str) -> Tuple[int, int]:
+    """The ints (p, q > 0) of 'p/q', or (p, 1) of 'p', not reduced."""
     if type(text) is not str:
         raise TypeError(f"{type(text).__name__} {_shown(text)} is not a 'p/q' string")
-    text = text.strip()
-    if not _RATIONAL_RE.match(text):
-        raise ValueError(f"not a rational 'p/q' literal: {text!r}")
-    return Fraction(text)
+    match = _RATIONAL_RE.match(text.strip())
+    if not match:
+        raise ValueError(f"not a rational 'p/q' literal: {text.strip()!r}")
+    return int(match[1]), int(match[2] or 1)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse 'p/q' or 'p' with the sign on the numerator; no decimals."""
+    return Fraction(*parse_pair(text))
+
+
+def rational_pair(x) -> Tuple[int, int]:
+    """(p, q > 0) of a Fraction, an int that is not a bool, or a string
+    through :func:`parse_pair`; anything else raises TypeError."""
+    if type(x) is Fraction:
+        return x.numerator, x.denominator
+    if type(x) is int:
+        return x, 1
+    if type(x) is str:
+        return parse_pair(x)
+    raise TypeError(f"{type(x).__name__} {_shown(x)} is not a rational: "
+                    "pass Fraction, int or 'p/q'")
 
 
 def rational(x) -> Fraction:
-    """A Fraction as is, an int that is not a bool, or a string through
-    :func:`parse_rational`; anything else raises TypeError."""
-    if type(x) is Fraction:
-        return x
-    if type(x) is int:
-        return Fraction(x)
-    if type(x) is str:
-        return parse_rational(x)
-    raise TypeError(f"{type(x).__name__} {_shown(x)} is not a rational: "
-                    "pass Fraction, int or 'p/q'")
+    """A Fraction as is, or the Fraction of :func:`rational_pair`."""
+    return x if type(x) is Fraction else Fraction(*rational_pair(x))
 
 
 def field(name: str, value, kind: type, optional: bool = False, choices=None):

@@ -293,7 +293,7 @@ def verify_asymptotic(dis: Dissection, m) -> AsymptoticReport:
     if m <= 0:
         raise ValueError("m must be positive")
     analysis = _require_valid(dis)
-    rows = tuple(_check_polygon(analysis, i, m) for i in range(dis.r))
+    rows = tuple([_check_polygon(analysis, i, m) for i in range(dis.r)])
     return AsymptoticReport(m, rows, all(r.passed for r in rows))
 
 
@@ -468,9 +468,9 @@ def dissection_to_json(dis: Dissection) -> dict:
 def dissection_from_json(data: dict) -> Dissection:
     name = field("name", data["name"], str)
     polygon = ConvexPolygon.from_json
-    steps = tuple(CutStep(parsed(f"step {i} cut", AffineForm.from_json, s["cut"]),
-                          parsed(f"step {i} polygon", polygon, s["polygon"]))
-                  for i, s in enumerate(data["steps"], start=1))
+    steps = tuple([CutStep(parsed(f"step {i} cut", AffineForm.from_json, s["cut"]),
+                           parsed(f"step {i} polygon", polygon, s["polygon"]))
+                   for i, s in enumerate(data["steps"], start=1)])
     return Dissection(name, parsed("region", polygon, data["region"]), steps,
                       parsed("final", polygon, data["final"]))
 

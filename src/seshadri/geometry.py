@@ -1,10 +1,11 @@
 """Exact rational planar primitives.
 
 Points, affine forms, convex polygons, half-plane cuts, axis projections
-and vertical-chord height profiles, all over ``fractions.Fraction``.
-Polygons are stored closed and canonical (counterclockwise, starting at
-the lowest-then-leftmost vertex), so structural equality is function
-equality.
+and vertical-chord height profiles, all exact.  A polygon is one
+denominator and its int vertex pairs, stored closed and canonical
+(counterclockwise, starting at the lowest-then-leftmost vertex, in lowest
+terms), so structural equality is function equality; cuts and profiles
+compute in ints and build ``Fraction``s only for what they return.
 """
 
 from __future__ import annotations
@@ -12,9 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence, Tuple
 
-from ._input import items, parse_rational, rational  # parse_rational: re-exported
+from ._input import items, parse_rational, rational, rational_pair  # parse_rational: re-exported
 from .reorder import PiecewiseLinear
 
 
@@ -91,58 +95,96 @@ class Interval:
         return self.lo <= other.lo and other.hi <= self.hi
 
 
-def _cross(o: Point, a: Point, b: Point) -> Fraction:
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+def _cross(o, a, b):
+    """Cross product of a - o and b - o, for Points or int pairs alike."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 @dataclass(frozen=True)
 class ConvexPolygon:
-    """Strictly convex closed polygon, counterclockwise, canonical start.
-
-    Built by :func:`make_polygon` from any points, or by
-    :func:`cut_polygon` from a polygon; direct construction expects an
-    already canonical vertex chain.  Every function here that takes a
-    polygon relies on it being strictly convex and canonical.
+    """Strictly convex closed polygon: vertices (x / den, y / den) for the
+    int ``pairs``, counterclockwise from the lowest, then leftmost one, and
+    ``den`` > 0 in lowest terms against them, so equal polygons have equal
+    fields.  Built by :func:`make_polygon` from any points, by
+    :meth:`from_json` from a vertex chain, or by :func:`cut_polygon`;
+    every function here relies on those canonical fields.  ``vertices``,
+    as ``Point``s, is built on first use.
     """
 
-    vertices: Tuple[Point, ...]
+    den: int
+    pairs: Tuple[Tuple[int, int], ...]
 
     def __post_init__(self):
-        if len(self.vertices) < 3:
+        if len(self.pairs) < 3:
             raise DegenerateInput("polygon needs at least three vertices")
 
+    @cached_property
+    def vertices(self) -> Tuple[Point, ...]:
+        return tuple([Point(Fraction(x, self.den), Fraction(y, self.den))
+                      for x, y in self.pairs])
+
     def edges(self):
-        n = len(self.vertices)
-        for i in range(n):
-            yield self.vertices[i], self.vertices[(i + 1) % n]
+        vs = self.vertices
+        return zip(vs, vs[1:] + vs[:1])
 
     @property
     def area(self) -> Fraction:
         """Exact shoelace area; positive by the CCW convention."""
-        total = Fraction(0)
-        for a, b in self.edges():
-            total += a.x * b.y - b.x * a.y
-        return total / 2
+        ps = self.pairs
+        twice = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(ps, ps[1:] + ps[:1]))
+        return Fraction(twice, 2 * self.den ** 2)
 
     def contains(self, p: Point) -> bool:
         """Closed containment test via edge cross products."""
         return all(_cross(a, b, p) >= 0 for a, b in self.edges())
 
     def in_first_quadrant(self) -> bool:
-        return all(v.x >= 0 and v.y >= 0 for v in self.vertices)
+        return all(x >= 0 and y >= 0 for x, y in self.pairs)
 
     def to_json(self) -> list:
         return [[str(v.x), str(v.y)] for v in self.vertices]
 
     @classmethod
     def from_json(cls, data: Sequence) -> "ConvexPolygon":
-        return make_polygon([point(*items(f"vertex {i}", xy, 2))
-                             for i, xy in enumerate(data, start=1)])
+        """The polygon whose vertices ``data`` lists in order, from any one
+        and either way round: one pass checks that it turns one way only and
+        winds once, without a hull; else DegenerateInput names the fault."""
+        den, ring = _cleared([[rational_pair(c) for c in items(f"vertex {i}", xy, 2)]
+                              for i, xy in enumerate(data, start=1)])
+        if len(ring) < 3:
+            raise DegenerateInput("polygon needs at least three vertices")
+        # along a chain winding w times, the edges switch between pointing
+        # up (or right, if level) and pointing down 2w times
+        sign = changes = 0
+        for i, b in enumerate(ring):
+            a, c = ring[i - 1], ring[(i + 1) % len(ring)]
+            turn = _cross(a, b, c)
+            if turn == 0:
+                fault = ("repeats a neighbour" if b in (a, c)
+                         else "is collinear with its neighbours")
+                raise DegenerateInput(f"vertex {i + 1} {fault}")
+            if sign and (turn > 0) != (sign > 0):
+                raise DegenerateInput(f"vertex {i + 1} turns the other way: "
+                                      "the polygon is not convex")
+            sign = turn
+            changes += ((b[1], b[0]) > (a[1], a[0])) != ((c[1], c[0]) > (b[1], b[0]))
+        if changes != 2:
+            raise DegenerateInput(f"the vertices wind around {changes // 2} times: "
+                                  "the polygon is not simple")
+        return _polygon(den, ring if sign > 0 else ring[::-1])
+
+
+def _cleared(pairs) -> Tuple[int, list]:
+    """The points of ``pairs`` ((p, q), (r, s)), each p/q, r/s, as int
+    pairs over their least common denominator, and that denominator."""
+    den = lcm(*[q for xy in pairs for _, q in xy])  # a list: see PiecewiseLinear
+    return den, [(p * (den // q), r * (den // s)) for (p, q), (r, s) in pairs]
 
 
 def make_polygon(points: Iterable) -> ConvexPolygon:
     """Canonical CCW convex hull of the inputs; rejects zero-area hulls."""
-    pts = sorted({Point(rational(p[0]), rational(p[1])) for p in points})
+    den, pts = _cleared([(rational_pair(p[0]), rational_pair(p[1])) for p in points])
+    pts = sorted(set(pts))
     if len(pts) < 3:
         raise DegenerateInput("need at least three distinct points")
 
@@ -159,14 +201,26 @@ def make_polygon(points: Iterable) -> ConvexPolygon:
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
         raise DegenerateInput("points are collinear (zero-area hull)")
-    return _canonical(hull)
+    return _polygon(den, hull)
 
 
-def _canonical(chain: Sequence[Point]) -> ConvexPolygon:
-    """The polygon of a strictly convex CCW vertex chain, rotated to start
-    at its lowest, then leftmost vertex."""
-    start = min(range(len(chain)), key=lambda i: (chain[i].y, chain[i].x))
-    return ConvexPolygon(tuple(chain[start:]) + tuple(chain[:start]))
+def _polygon(den: int, ring: list) -> ConvexPolygon:
+    """The polygon of a strictly convex CCW ring of int pairs over den."""
+    g = gcd(den, *[c for pair in ring for c in pair])
+    if g > 1:
+        den, ring = den // g, [(x // g, y // g) for x, y in ring]
+    start = ring.index(min(ring, key=itemgetter(1, 0)))
+    return ConvexPolygon(den, tuple(ring[start:] + ring[:start]))
+
+
+def _cleared_form(r0, r1, r2, scale: int) -> Tuple[int, int, int]:
+    """Integers (c0, c1, c2) with c0 + c1*alpha + c2*beta equal to L times
+    scale*r0 + r1*alpha + r2*beta, for the positive lcm L of the
+    denominators of the rationals r0, r1, r2; the sign is unchanged."""
+    L = lcm(r0.denominator, r1.denominator, r2.denominator)
+    return (scale * r0.numerator * (L // r0.denominator),
+            r1.numerator * (L // r1.denominator),
+            r2.numerator * (L // r2.denominator))
 
 
 def cut_polygon(P: ConvexPolygon, F: AffineForm):
@@ -175,37 +229,43 @@ def cut_polygon(P: ConvexPolygon, F: AffineForm):
 
     A part whose open side is empty (cut missing P, or touching only a
     vertex or edge) is reported as None; when both parts exist their areas
-    add up to the area of P exactly.  Each part is built as the CCW chain
-    the walk along P's boundary visits and only rotated to its canonical
-    start: both chord ends lie on F = 0 and every other point on one edge
-    of P, so no three of its points are collinear and none repeats.
+    add up to the area of P exactly.  F is cleared against P's
+    denominator, so a vertex's side is the sign of an int.  Each part is
+    built as the CCW chain the walk along P's boundary visits and only
+    rotated to its canonical start: both chord ends lie on F = 0 and every
+    other point on one edge of P, so no three of its points are collinear
+    and none repeats.  Chord ends off P's grid put both parts on a finer one.
     """
-    vals = [F(v) for v in P.vertices]
-    if all(v >= 0 for v in vals):
+    c0, c1, c2 = _cleared_form(F.r0, F.r1, F.r2, P.den)
+    vals = [c0 + c1 * x + c2 * y for x, y in P.pairs]
+    if min(vals) >= 0:
         return (None, P)
-    if all(v <= 0 for v in vals):
+    if max(vals) <= 0:
         return (P, None)
     neg, pos = [], []
-    n = len(P.vertices)
-    for i in range(n):
-        a, b = P.vertices[i], P.vertices[(i + 1) % n]
+    n = len(vals)
+    for i, (x, y) in enumerate(P.pairs):
         fa, fb = vals[i], vals[(i + 1) % n]
         if fa <= 0:
-            neg.append(a)
+            neg.append((x, y, 1))
         if fa >= 0:
-            pos.append(a)
+            pos.append((x, y, 1))
         if (fa < 0 < fb) or (fb < 0 < fa):
-            t = fa / (fa - fb)
-            crossing = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
-            neg.append(crossing)
-            pos.append(crossing)
-    return (_canonical(neg), _canonical(pos))
+            (bx, by), q = P.pairs[(i + 1) % n], fb - fa
+            cx, cy = fb * x - fa * bx, fb * y - fa * by  # where F vanishes, over q
+            g = gcd(cx, cy, q) if q > 0 else -gcd(cx, cy, q)
+            neg.append((cx // g, cy // g, q // g))
+            pos.append(neg[-1])
+    k = lcm(*[q for _, _, q in neg])
+    return tuple([_polygon(P.den * k, [(x * (k // q), y * (k // q)) for x, y, q in part])
+                  for part in (neg, pos)])
 
 
 def x_projection(P: ConvexPolygon, axis: Axis = Axis.X) -> Interval:
     """Exact projection of P onto the chosen coordinate axis."""
-    coords = [axis.coord(v) for v in P.vertices]
-    return Interval(min(coords), max(coords))
+    k = 0 if axis is Axis.X else 1
+    coords = [pair[k] for pair in P.pairs]
+    return Interval(Fraction(min(coords), P.den), Fraction(max(coords), P.den))
 
 
 def height_profile(P: ConvexPolygon, axis: Axis = Axis.X) -> PiecewiseLinear:
@@ -217,11 +277,11 @@ def height_profile(P: ConvexPolygon, axis: Axis = Axis.X) -> PiecewiseLinear:
     coordinates, so f is piecewise linear with breakpoints exactly at the
     distinct vertex coordinates, concave, nonnegative, and integrates to
     the polygon area.  One walk along both chains finds every breakpoint
-    in order, in time linear in the vertex count.  At an extreme
-    coordinate each chain ends at its own end of the axis-parallel edge
-    there, if any, so the chord is that edge.
+    in order, in time linear in the vertex count, in ints over P's
+    denominator.  At an extreme coordinate each chain ends at its own end
+    of the axis-parallel edge there, if any, so the chord is that edge.
     """
-    coords = [(axis.coord(v), axis.other(v)) for v in P.vertices]
+    coords = list(P.pairs) if axis is Axis.X else [(y, x) for x, y in P.pairs]
     n = len(coords)
     low = min(coords)
     lo, hi = low[0], max(coords)[0]
@@ -231,14 +291,15 @@ def height_profile(P: ConvexPolygon, axis: Axis = Axis.X) -> PiecewiseLinear:
         i = first
         if coords[(i + step) % n][0] == lo:
             i += step
-        chain = [coords[i % n]]
-        while chain[-1][0] != hi:
+        side = [coords[i % n]]
+        while side[-1][0] != hi:
             i += step
-            chain.append(coords[i % n])
-        chains.append(chain)
+            side.append(coords[i % n])
+        chains.append(side)
     a, b = chains
+    d = P.den
     ts = [lo]
-    vals = [abs(a[0][1] - b[0][1])]
+    vals = [Fraction(abs(a[0][1] - b[0][1]), d)]
     ia = ib = 0
     while ia + 1 < len(a):
         t = min(a[ia + 1][0], b[ib + 1][0])
@@ -247,15 +308,16 @@ def height_profile(P: ConvexPolygon, axis: Axis = Axis.X) -> PiecewiseLinear:
         if b[ib + 1][0] == t:
             ib += 1
         ts.append(t)
-        vals.append(abs(_chain_at(a, ia, t) - _chain_at(b, ib, t)))
-    return PiecewiseLinear(tuple(ts), tuple(vals))
+        (pa, qa), (pb, qb) = _chain_at(a, ia, t), _chain_at(b, ib, t)
+        vals.append(Fraction(abs(pa * qb - pb * qa), qa * qb * d))
+    return PiecewiseLinear(tuple([Fraction(t, d) for t in ts]), tuple(vals))
 
 
-def _chain_at(chain, i: int, t: Fraction) -> Fraction:
-    """Other coordinate of the chain at coordinate t, given chain[i][0] <= t
-    < chain[i + 1][0] or t == chain[i][0]."""
-    c0, o0 = chain[i]
+def _chain_at(side, i: int, t: int) -> Tuple[int, int]:
+    """(p, q > 0): p/q is the other coordinate of the chain at coordinate t,
+    given side[i][0] <= t < side[i + 1][0] or t == side[i][0]."""
+    c0, o0 = side[i]
     if t == c0:
-        return o0
-    c1, o1 = chain[i + 1]
-    return o0 + (t - c0) * (o1 - o0) / (c1 - c0)
+        return o0, 1
+    c1, o1 = side[i + 1]
+    return o0 * (c1 - c0) + (t - c0) * (o1 - o0), c1 - c0

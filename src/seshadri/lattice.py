@@ -13,12 +13,12 @@ from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain, compress, groupby, repeat
-from math import ceil, comb, floor, lcm
+from math import ceil, comb, floor
 from operator import itemgetter
 from typing import Dict, Optional, Sequence, Tuple
 
 from ._input import SizeGuardrail, _cell_cap, field, items
-from .geometry import AffineForm, ConvexPolygon
+from .geometry import AffineForm, ConvexPolygon, _cleared_form
 
 
 class EmptySet(ValueError):
@@ -213,16 +213,6 @@ class ColumnProfile:
 
     def count_list(self) -> list:
         return [c for _, c in self.counts]
-
-
-def _cleared_form(r0, r1, r2, scale: int) -> Tuple[int, int, int]:
-    """Integers (c0, c1, c2) with c0 + c1*alpha + c2*beta equal to L times
-    scale*r0 + r1*alpha + r2*beta, for the positive lcm L of the
-    denominators of the rationals r0, r1, r2; the sign is unchanged."""
-    L = lcm(r0.denominator, r1.denominator, r2.denominator)
-    return (scale * r0.numerator * (L // r0.denominator),
-            r1.numerator * (L // r1.denominator),
-            r2.numerator * (L // r2.denominator))
 
 
 def scaled_points(P: ConvexPolygon, n: int) -> LatticeSet:

@@ -222,20 +222,34 @@ def _lucas_rows(D: LatticeSet, m: int) -> List[int]:
     (a, b) is the mask of points whose shifted alpha passes that test for
     a, ANDed with the mask of those whose shifted beta passes it for b.
     Both tables are read off D's vertical runs, without expanding a point:
-    a run is one block of bits in its column's alpha mask, and hands each
-    of its bits to the beta mask of its row.
+    a run is one block of bits in its column's alpha mask.  The beta table
+    comes from one sweep up the covered rows: a run starting at bit j on
+    row r holds bit j + k on row r + k, so the next row's mask is this
+    row's shifted left by one, less the runs that end here, plus the runs
+    that start there; a row no run covers is skipped.
     """
     runs = D.runs
     s = runs[0][0] if runs else 0
     t = min((first for _, first, _ in runs), default=0)
     by_alpha: Dict[int, int] = {}
-    by_beta: Dict[int, int] = {}
+    starts: Dict[int, int] = {}  # row: the first bits of the runs starting there
+    ends: Dict[int, int] = {}    # row: the last bits of the runs ending there
     j = 0
     for alpha, first, count in runs:
         by_alpha[alpha - s] = by_alpha.get(alpha - s, 0) | ((1 << count) - 1) << j
-        for beta in range(first - t, first - t + count):
-            by_beta[beta] = by_beta.get(beta, 0) | 1 << j
-            j += 1
+        starts[first - t] = starts.get(first - t, 0) | 1 << j
+        ends[first - t + count - 1] = ends.get(first - t + count - 1, 0) | 1 << (j + count - 1)
+        j += count
+    by_beta: Dict[int, int] = {}
+    todo, mask, row = sorted(starts, reverse=True), 0, 0
+    while todo or mask:
+        if not mask:
+            row = todo[-1]
+        if todo and todo[-1] == row:
+            mask |= starts[todo.pop()]
+        by_beta[row] = mask
+        mask = (mask & ~ends.get(row, 0)) << 1
+        row += 1
     xs, ys = _odd_masks(by_alpha, m), _odd_masks(by_beta, m)
     # (a, b) in the order of _derivative_orders: a rises as b falls
     return [x & y for order in range(m) for x, y in zip(xs, ys[order::-1])]

@@ -4,7 +4,8 @@ A function is stored as breakpoints with linear interpolation in between,
 over exact rationals.  Rearrangements, sublevel measures and the
 identity-domination check therefore involve no tolerances at all: every
 comparison is an exact rational comparison, and crossings are isolated as
-exact roots of linear pieces.
+exact roots of linear pieces.  The rearrangement and the first crossing
+compute in ints over common denominators.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from math import lcm
+from typing import Optional, Tuple, Union
 
 from ._input import parsed, rational
 
@@ -36,8 +38,10 @@ class PiecewiseLinear:
     values: tuple
 
     def __post_init__(self):
-        bps = tuple(rational(t) for t in self.breakpoints)
-        vals = tuple(rational(v) for v in self.values)
+        # tuples of lists: a tuple built from an iterator of unknown length
+        # is resized, and CPython's tuple free lists then keep the freed copies
+        bps = tuple([rational(t) for t in self.breakpoints])
+        vals = tuple([rational(v) for v in self.values])
         if len(bps) < 2:
             raise ValueError("need at least two breakpoints")
         if len(bps) != len(vals):
@@ -118,28 +122,39 @@ class PiecewiseLinear:
                    tuple(parsed("value", rational, v) for v in data["values"]))
 
 
+def _over_common(xs) -> Tuple[list, int]:
+    """The rationals ``xs`` as ints over their least common denominator."""
+    den = lcm(*[x.denominator for x in xs])
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
 def _level_decomposition(f: PiecewiseLinear):
     """Split f's pieces into point masses at levels and densities between them.
 
-    Returns (levels, masses, densities): ``levels`` is the increasing tuple
-    of distinct breakpoint values; ``masses[i]`` sums the widths of flat
-    pieces sitting at levels[i]; ``densities[j]`` sums width/|value span|
-    over the sloped pieces covering the gap (levels[j], levels[j+1]).
+    Returns (levels, masses, densities, (tden, vden)), in ints over the
+    last two: ``levels`` is the increasing tuple of distinct breakpoint
+    values, over vden; ``masses[i]`` sums the widths of flat pieces sitting
+    at levels[i]; ``densities[j]`` sums width/|value span| over the sloped
+    pieces covering the gap (levels[j], levels[j+1]).  Widths are over tden,
+    a multiple of every span, so each density times a gap is a width.
     """
-    levels = sorted({v for v in f.values})
+    ts, tden = _over_common(f.breakpoints)
+    vs, vden = _over_common(f.values)
+    levels = sorted(set(vs))
     index = {v: i for i, v in enumerate(levels)}
-    masses = [Fraction(0)] * len(levels)
-    densities = [Fraction(0)] * (len(levels) - 1)
-    for t0, t1, v0, v1 in f.segments():
-        w = t1 - t0
+    spans = lcm(*[abs(v1 - v0) for v0, v1 in zip(vs, vs[1:]) if v0 != v1])
+    masses = [0] * len(levels)
+    densities = [0] * (len(levels) - 1)
+    for t0, t1, v0, v1 in zip(ts, ts[1:], vs, vs[1:]):
+        w = (t1 - t0) * spans
         if v0 == v1:
             masses[index[v0]] += w
         else:
             lo, hi = (v0, v1) if v0 < v1 else (v1, v0)
-            rate = w / (hi - lo)
+            rate = w // (hi - lo)
             for j in range(index[lo], index[hi]):
                 densities[j] += rate
-    return tuple(levels), tuple(masses), tuple(densities)
+    return tuple(levels), tuple(masses), tuple(densities), (tden * spans, vden)
 
 
 def sublevel_measure(f: PiecewiseLinear, s: RationalLike) -> Fraction:
@@ -171,10 +186,10 @@ def monotone_reorder(f: PiecewiseLinear) -> PiecewiseLinear:
     half-open left end is closed up by continuity, so the result starts at
     (0, min f).
     """
-    levels, masses, densities = _level_decomposition(f)
-    bps = [Fraction(0)]
+    levels, masses, densities, (tden, vden) = _level_decomposition(f)
+    bps = [0]
     vals = [levels[0]]
-    t = Fraction(0)
+    t = 0
     if masses[0] > 0:
         t += masses[0]
         bps.append(t)
@@ -183,7 +198,8 @@ def monotone_reorder(f: PiecewiseLinear) -> PiecewiseLinear:
         dt = densities[j] * (levels[j + 1] - levels[j])
         if dt <= 0:
             raise RuntimeError(f"rearrangement invariant broken: no sloped piece "
-                               f"crosses the value gap ({levels[j]}, {levels[j + 1]}), "
+                               f"crosses the value gap ({Fraction(levels[j], vden)}, "
+                               f"{Fraction(levels[j + 1], vden)}), "
                                "which a continuous f must cross")
         t += dt
         bps.append(t)
@@ -197,10 +213,12 @@ def monotone_reorder(f: PiecewiseLinear) -> PiecewiseLinear:
         t += masses[0]
         bps.append(t)
         vals.append(levels[0])
-    if t != f.width:
+    if Fraction(t, tden) != f.width:
         raise RuntimeError(f"rearrangement invariant broken: the level sets measure "
-                           f"{t}, not the domain width {f.width} (equimeasurability)")
-    return PiecewiseLinear(tuple(bps), tuple(vals))
+                           f"{Fraction(t, tden)}, not the domain width {f.width} "
+                           "(equimeasurability)")
+    return PiecewiseLinear(tuple([Fraction(b, tden) for b in bps]),
+                           tuple([Fraction(v, vden) for v in vals]))
 
 
 @dataclass(frozen=True)
@@ -273,13 +291,16 @@ def _first_crossing(fs: PiecewiseLinear) -> Fraction:
     """
     if fs.values[0] < 0:
         raise ValueError("profile must be nonnegative")
-    for t0, t1, v0, v1 in fs.segments():
-        g0, g1 = v0 - t0, v1 - t1
+    ts, tden = _over_common(fs.breakpoints)
+    vs, vden = _over_common(fs.values)
+    gs = [v * tden - t * vden for t, v in zip(ts, vs)]  # f# - identity, over tden * vden
+    for i, (g0, g1) in enumerate(zip(gs, gs[1:])):
         if g1 >= 0:
             continue
         if g0 < 0:
-            return t0
-        return t0 + (t1 - t0) * g0 / (g0 - g1)
+            return fs.breakpoints[i]
+        # t0 + (t1 - t0) * g0 / (g0 - g1)
+        return Fraction(ts[i] * (g0 - g1) + (ts[i + 1] - ts[i]) * g0, tden * (g0 - g1))
     return fs.width
 
 

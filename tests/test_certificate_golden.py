@@ -17,6 +17,12 @@ points recorded then.  ``GOLDEN_0_5_0`` pins today's bytes.
 (seed 1), so the ``rank``, ``prime`` and ``caveat`` bytes of both oracle
 modes are pinned as well: a change to how the point-free matrix is built
 or ranked must leave every verdict as it was.
+
+``REFUSAL_GOLDEN`` pins the ``validate`` reports of refused copies of
+eckl10's file, and ``CLI_GOLDEN`` the ``bound`` and ``verify --m`` output
+of a valid dissection whose pieces are not on eckl10's grid of 1/26: a
+change to how files are read, pieces cut or profiles computed must leave
+what is refused, and why, as it was.
 """
 
 import copy
@@ -27,9 +33,12 @@ from fractions import Fraction as F
 import pytest
 
 from seshadri import __version__
-from seshadri.certify import (BUILTIN_POINT_TABLE, builtin_dissection_eckl10,
+from seshadri.certify import (BUILTIN_POINT_TABLE, CutStep, Dissection,
+                              builtin_dissection_eckl10, dissection_from_json,
                               dissection_to_json, dump_json, finite_certificate,
                               validate_dissection, verify_asymptotic)
+from seshadri.cli import run
+from seshadri.geometry import AffineForm, make_polygon
 from seshadri.render import RenderSpec, render_svg
 
 GOLDEN_TOOL_VERSION = "0.2.0"
@@ -71,6 +80,67 @@ ASYMPTOTIC_GOLDEN = {
     "render": ("383675cb691d3f5249c4dffc5652708ec9b6d74e04eac42304b70a1b64bc0417",
                lambda: render_svg(BUILTIN, RenderSpec(),
                                   point_names=BUILTIN_POINT_TABLE)),
+}
+
+
+
+def _nudged(data: dict) -> dict:
+    """P4's third vertex moved outward across the chord of its neighbours
+    by 1/211 of that chord, as the benchmark tampers a copy."""
+    poly = data["steps"][3]["polygon"]
+    (px, py), (qx, qy) = poly[1], poly[3 % len(poly)]
+    dx, dy = F(qx) - F(px), F(qy) - F(py)
+    x, y = F(poly[2][0]), F(poly[2][1])
+    poly[2] = [str(x + dy / 211), str(y - dx / 211)]
+    return data
+
+
+def _moved_cut(data: dict) -> dict:
+    """Cut 1's r0 moved by 1/97: its crossings leave every stated grid."""
+    cut = data["steps"][0]["cut"]
+    cut["r0"] = str(F(cut["r0"]) + F(1, 97))
+    return data
+
+
+def _shifted(data: dict) -> dict:
+    """Every vertex and cut moved left by 1/7: a dissection that is valid
+    but for its region leaving the first quadrant."""
+    def moved(poly):
+        return [[str(F(x) - F(1, 7)), y] for x, y in poly]
+    data["region"], data["final"] = moved(data["region"]), moved(data["final"])
+    for step in data["steps"]:
+        step["polygon"] = moved(step["polygon"])
+        step["cut"]["r0"] = str(F(step["cut"]["r0"]) + F(step["cut"]["r1"]) / 7)
+    return data
+
+
+REFUSAL_GOLDEN = {
+    "nudged vertex": ("2ffc47f219495dad9e0d048f22a482b5f59ee558224eda750482bb4c22d9e0ad",
+                      _nudged),
+    "cut off the grid": ("7260a7f7caaddc710394ffe4293465c1fbb59c1e732ec55bcafd7b4efb5a5ce3",
+                         _moved_cut),
+    "region outside the quadrant": (
+        "8abc88482e1b959577c8e6f159efbfa70ebacb1cfe97f46cc3ccdcaa4a4466b4", _shifted),
+}
+
+
+def _sliver() -> Dissection:
+    """The simplex with a width-1/100 sliver peeled off its left edge."""
+    neg = make_polygon([(0, 0), (F(1, 100), 0), (F(1, 100), F(99, 100)), (0, 1)])
+    pos = make_polygon([(F(1, 100), 0), (1, 0), (F(1, 100), F(99, 100))])
+    return Dissection("sliver", make_polygon([(0, 0), (1, 0), (0, 1)]),
+                      (CutStep(AffineForm(F(-1, 100), 1, 0), neg),), pos)
+
+
+# (arguments after --dissection): (exit code, sha256 of stdout)
+CLI_GOLDEN = {
+    ("bound",): (0, "d8e1921ee861d7552766f500d96495868192a941c0e1f0863bf57bba1454645b"),
+    ("verify", "--m", "1/101"): (
+        0, "ed2871779f0407b57a06f5f184152b8a17b0fd643eab89d111c77a0e12f0b25f"),
+    ("verify", "--m", "3/400"): (
+        0, "c113f15be66a2d69935136fc2fa8ebe01d90a0ab7898b9af238e6a0f4e6b0d49"),
+    ("verify", "--m", "1/50"): (
+        1, "06dbba263ea9520b8d53d3eee977816586c05a9a734602c93a6dbc2a64618a46"),
 }
 
 
@@ -123,3 +193,19 @@ def test_oracle_certificate_bytes_pinned(mode, n):
 def test_asymptotic_bytes_pinned(what):
     digest, text = ASYMPTOTIC_GOLDEN[what]
     assert _sha256(text()) == digest
+
+
+@pytest.mark.parametrize("what", sorted(REFUSAL_GOLDEN))
+def test_refusal_bytes_pinned(what):
+    digest, tamper = REFUSAL_GOLDEN[what]
+    report = validate_dissection(dissection_from_json(tamper(dissection_to_json(BUILTIN))))
+    assert not report.ok
+    assert _sha256(dump_json(report.to_json())) == digest
+
+
+@pytest.mark.parametrize("args", sorted(CLI_GOLDEN))
+def test_cli_output_on_another_grid_pinned(args, tmp_path, capsys):
+    path = tmp_path / "sliver.json"
+    path.write_text(dump_json(dissection_to_json(_sliver())), encoding="utf-8")
+    rc = run([args[0], "--dissection", str(path), *args[1:]])
+    assert (rc, _sha256(capsys.readouterr().out)) == CLI_GOLDEN[args]

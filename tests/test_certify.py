@@ -392,8 +392,9 @@ class TestAnalysedOnce:
 
 
 class TestNoRehulling:
-    """Cutting builds each side as the chain it walks: a hull is built only
-    for the builtin's region, never for a derived piece."""
+    """Loading checks each stated chain and cutting builds each side as the
+    chain it walks: a hull is built only for the builtin's region, never
+    for a stated or derived piece."""
 
     @pytest.fixture
     def hulls(self, monkeypatch):
@@ -414,7 +415,7 @@ class TestNoRehulling:
 
     def test_validation_builds_no_hull(self, hulls):
         copy = dissection_from_json(dissection_to_json(BUILTIN))
-        hulls.clear()  # loading builds one hull per stated polygon
+        assert hulls == []  # loading checks each stated chain in one pass
         assert validate_dissection(copy).ok
         assert hulls == []
 
@@ -565,6 +566,52 @@ class TestFiniteCertificate:
         assert all(row.oracle.non_special and row.oracle.prime == 2
                    for row in cert.per_polygon)
         assert points == []
+
+
+def _p9(chain):
+    """eckl10's file with P9's stated chain replaced by ``chain``, a list
+    of the indices of P9's vertices or of literal vertices."""
+    data = dissection_to_json(BUILTIN)
+    vs = data["steps"][8]["polygon"]
+    data["steps"][8]["polygon"] = [vs[v] if type(v) is int else v for v in chain]
+    return data
+
+
+# name: (P9's chain, the fault named); P9 is the pentagon 0..4
+BAD_CHAINS = {
+    "pentagram": ([0, 2, 4, 1, 3], "the vertices wind around 2 times"),
+    "repeated vertex": ([0, 1, 1, 2, 3, 4], "vertex 2 repeats a neighbour"),
+    "collinear middle vertex": ([0, ["9/26", "0"], 1, 2, 3, 4],
+                                "vertex 2 is collinear with its neighbours"),
+    "interior point": ([0, ["9/26", "2/13"], 1, 2, 3, 4], "vertex 2 turns the other way"),
+    "two vertices": ([0, 1], "polygon needs at least three vertices"),
+}
+
+
+class TestStrictChains:
+    """A stated polygon is its vertex chain: strictly convex, winding once,
+    from any vertex and in either orientation; no hull repairs it."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_CHAINS))
+    def test_refused_naming_the_polygon(self, name):
+        chain, fault = BAD_CHAINS[name]
+        with pytest.raises(ValueError, match=rf"^step 9 polygon .* is not valid: {fault}"):
+            dissection_from_json(_p9(chain))
+
+    @pytest.mark.parametrize("chain", [[2, 3, 4, 0, 1], [4, 3, 2, 1, 0], [1, 0, 4, 3, 2]])
+    def test_rotated_or_clockwise_chain_loads_canonical(self, chain):
+        copy = dissection_from_json(_p9(chain))
+        assert copy == BUILTIN and copy.steps[8].peeled.pairs[0] == (8, 0)
+        assert validate_dissection(copy).ok
+
+    def test_unreduced_literals_load_in_lowest_terms(self):
+        # "4/13" as "12/39" and so on: P9 is still stated over 26
+        def tripled(r):
+            return f"{F(r).numerator * 3}/{F(r).denominator * 3}"
+        data = _p9([[tripled(x), tripled(y)] for x, y in _p9(range(5))["steps"][8]["polygon"]])
+        assert data["steps"][8]["polygon"][0] == ["12/39", "0/3"]
+        copy = dissection_from_json(data)
+        assert copy == BUILTIN and copy.steps[8].peeled.den == 26
 
 
 class TestDissectionFiles:

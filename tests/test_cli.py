@@ -17,6 +17,7 @@ from seshadri.geometry import AffineForm, cut_polygon, make_polygon
 from seshadri.lattice import LatticeSet, MultiplicitySpec
 from seshadri.oracle import system_dimension_exact, system_dimension_modp
 from test_canonical_json import _dump_json_reference
+from test_certify import BAD_CHAINS, _p9
 
 BUILTIN = "builtin:eckl10"
 
@@ -170,8 +171,8 @@ from seshadri.cli import run
 real = reorder._level_decomposition
 
 def no_density(f):
-    levels, masses, densities = real(f)
-    return levels, masses, tuple(0 for _ in densities)
+    levels, masses, densities, units = real(f)
+    return levels, masses, tuple(0 for _ in densities), units
 
 reorder._level_decomposition = no_density
 sys.exit(run(["bound", "--dissection", "builtin:eckl10"]))
@@ -350,6 +351,14 @@ def test_oracle_refuses_non_integer_exponents(tmp_path, capsys):
             assert shown in captured.err and "integer" in captured.err
 
 
+def test_oracle_on_two_points_far_apart_in_beta(tmp_path, capsys):
+    # the GF(2) rows visit the rows D covers, never the rows between
+    system = {"D": [[0, 0], [1, 10**18]], "multiplicities": [1]}
+    for mode in ("exact", "modular"):
+        assert _oracle_on(tmp_path, system, mode) == 0
+        assert json.loads(capsys.readouterr().out)["non_special"] is True
+
+
 def test_oracle_names_a_malformed_point(tmp_path, capsys):
     for D, shown in (([[0, 0, 0], [1, 0]], "point 1 [0, 0, 0] is not a list of 2 items"),
                      (["12"], "point 1 '12' is not a list of 2 items")):
@@ -455,6 +464,17 @@ def test_string_vertex_refused(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "region" in captured.err and "vertex 1 '00' is not a list of 2 items" in captured.err
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CHAINS))
+def test_validate_names_a_polygon_that_is_no_convex_chain(name, tmp_path, capsys):
+    chain, fault = BAD_CHAINS[name]
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(_p9(chain)))
+    assert run(["validate", "--dissection", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "step 9 polygon" in captured.err and fault in captured.err
 
 
 def test_bool_cut_coefficient_refused(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Unit and property tests for the exact planar primitives."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -10,8 +11,9 @@ from seshadri.geometry import (AffineForm, Axis, DegenerateInput, Interval,
                                make_polygon, parse_rational, point,
                                x_projection)
 from seshadri._input import rational
-from seshadri.reorder import PiecewiseLinear
+from seshadri.reorder import PiecewiseLinear, monotone_reorder
 
+import fraction_reference as ref
 from conftest import random_polygon
 
 SIMPLEX = make_polygon([(0, 0), (1, 0), (0, 1)])
@@ -277,6 +279,66 @@ class TestLinearProfile:
                 ts = sorted({axis.coord(v) for v in P.vertices})
                 assert prof.breakpoints == tuple(ts)
                 assert prof.values == tuple(_slice_length(P, axis, t) for t in ts)
+
+
+def _off_grid_cuts(rng, P):
+    """Cuts through a point near the middle of P, moved by a multiple of
+    1/97, so that their chord ends leave P's grid, in random directions."""
+    vs = P.vertices
+    cx, cy = sum(v.x for v in vs) / len(vs), sum(v.y for v in vs) / len(vs)
+    forms = []
+    for _ in range(3):
+        r1 = F(rng.randint(-5, 5), rng.randint(1, 5))
+        r2 = F(rng.randint(1, 5), rng.randint(1, 5))
+        if rng.random() < 0.5:
+            r1, r2 = r2, r1
+        forms.append(AffineForm(F(rng.randint(-3, 3), 97) - r1 * cx - r2 * cy, r1, r2))
+    return forms
+
+
+class TestEqualsFractionReference:
+    """The integer hull, cut and profile equal the former ``Fraction``
+    bodies kept in ``fraction_reference``."""
+
+    def test_hull(self):
+        rng = random.Random(29)
+        for _ in range(500):
+            pts = [(F(rng.randint(-9, 9), rng.randint(1, 7)),
+                    F(rng.randint(-9, 9), rng.randint(1, 7))) for _ in range(rng.randint(1, 9))]
+            try:
+                expected = ref.make_polygon(pts)
+            except DegenerateInput:
+                with pytest.raises(DegenerateInput):
+                    make_polygon(pts)
+                continue
+            assert make_polygon(pts).vertices == expected
+
+    def test_cuts_and_profiles(self):
+        seen = {"off grid": 0, "through a vertex": 0, "split": 0}
+        for rng, P in _polygons(31, 760):  # 506 random_polygons, 254 axis-edged
+            for form in _cuts(rng, P) + _off_grid_cuts(rng, P):
+                sides = cut_polygon(P, form)
+                expected = ref.cut_polygon(P.vertices, form)
+                assert tuple(s and s.vertices for s in sides) == expected, (P, form)
+                if None in sides:
+                    continue
+                seen["split"] += 1
+                seen["off grid"] += P.den % sides[0].den != 0
+                seen["through a vertex"] += any(form(v) == 0 for v in P.vertices)
+                for side in sides:
+                    for axis in (Axis.X, Axis.Y):
+                        profile = height_profile(side, axis)
+                        assert profile == ref.height_profile(side.vertices, axis)
+                        assert monotone_reorder(profile) == ref.monotone_reorder(profile)
+        assert seen["split"] > 3000 and seen["off grid"] > 2000
+        assert seen["through a vertex"] > 1000
+
+    def test_stated_fields_are_the_vertices_over_one_denominator(self):
+        for _, P in _polygons(37, 200):
+            assert P.den > 0 and math.gcd(P.den, *(c for xy in P.pairs for c in xy)) == 1
+            assert P.vertices == tuple(Point(F(x, P.den), F(y, P.den)) for x, y in P.pairs)
+            again = make_polygon(reversed(P.vertices))
+            assert again == P and hash(again) == hash(P)
 
 
 class TestAffineForm:

@@ -4,7 +4,10 @@ Every figure the package reports is exact, so its source holds no float
 literal, no call to ``float`` and no ``math`` function beyond the integer
 ones.  The walk is syntactic: it cannot see a true division of two ints
 (``1 / 2`` is a float in Python), nor a float that arrives from a caller;
-the strict readers refuse those at the boundary.
+the strict readers refuse those at the boundary.  The integer geometry
+(polygons, cuts, chord profiles, rearrangements and crossings, in ints over
+common denominators) must therefore never use ``/``: each quotient there
+is a ``Fraction(p, q)`` or an exact ``//``.
 """
 
 import ast

@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from seshadri.reorder import (OutOfRange, PiecewiseLinear, dominates_identity,
-                              max_norm_distance, monotone_reorder,
-                              sublevel_measure, sup_admissible)
+from seshadri.reorder import (OutOfRange, PiecewiseLinear, _first_crossing,
+                              dominates_identity, max_norm_distance,
+                              monotone_reorder, sublevel_measure, sup_admissible)
 
+import fraction_reference as ref
 from conftest import random_concave_profile, random_pl
 
 IDENTITY = PiecewiseLinear((0, 1), (0, 1))
@@ -218,6 +219,24 @@ class TestSupAdmissible:
             sup_admissible(PiecewiseLinear((0, 1), (-1, 1)))
 
 
+class TestEqualsFractionReference:
+    """The integer rearrangement and crossing equal the former ``Fraction``
+    bodies kept in ``fraction_reference``."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_functions(self, seed):
+        rng = random.Random(53 + seed)
+        for k in range(300):
+            f = (random_concave_profile(rng) if k % 3 == 0
+                 else random_pl(rng, lo=0 if k % 3 == 1 else -8))
+            fs = monotone_reorder(f)
+            assert fs == ref.monotone_reorder(f), f
+            if fs.values[0] >= 0:
+                assert _first_crossing(fs) == ref.first_crossing(fs), fs
+            if min(f.values) >= 0:
+                assert _first_crossing(f) == ref.first_crossing(f), f
+
+
 # Run under ``python -O``: each fake decomposition breaks one invariant of
 # the rearrangement, and the explicit checks must still name it.
 _BROKEN_DECOMPOSITIONS = """
@@ -228,12 +247,12 @@ from seshadri.reorder import PiecewiseLinear, monotone_reorder
 real = reorder._level_decomposition
 
 def drop_mass(f):
-    levels, masses, densities = real(f)
-    return levels, (0,) + masses[1:], densities
+    levels, masses, densities, units = real(f)
+    return levels, (0,) + masses[1:], densities, units
 
 def drop_density(f):
-    levels, masses, densities = real(f)
-    return levels, masses, (0,) + densities[1:]
+    levels, masses, densities, units = real(f)
+    return levels, masses, (0,) + densities[1:], units
 
 flat_then_rising = PiecewiseLinear((0, 1, 2), (0, 0, 1))
 out = {"optimize": sys.flags.optimize}
