@@ -23,11 +23,9 @@ from .lattice import (ColumnProfile, Direction, EmptySet, LatticeSet,
                       scaled_points, select_witness_subset, split_by_affine)
 from .oracle import (ArityMismatch, BadModulus, GenericPointSet, OracleVerdict,
                      PrimeTooSmall, SizeGuardrail, interpolation_matrix,
-                     points_on_curve, system_dimension_exact,
-                     system_dimension_modp)
+                     system_dimension_exact, system_dimension_modp)
 from .render import RenderSpec, render_svg
-from .reorder import (OutOfRange, PiecewiseLinear, ReorderCriterion,
-                      dominates_identity, max_norm_distance, monotone_reorder,
+from .reorder import (OutOfRange, PiecewiseLinear, monotone_reorder,
                       sublevel_measure, sup_admissible)
 
 __all__ = [
@@ -37,8 +35,7 @@ __all__ = [
     "Point", "cut_polygon", "height_profile", "make_polygon", "parse_rational",
     "point", "x_projection",
     # reorder
-    "OutOfRange", "PiecewiseLinear", "ReorderCriterion", "dominates_identity",
-    "max_norm_distance", "monotone_reorder", "sublevel_measure",
+    "OutOfRange", "PiecewiseLinear", "monotone_reorder", "sublevel_measure",
     "sup_admissible",
     # lattice
     "ColumnProfile", "Direction", "EmptySet", "LatticeSet",
@@ -48,7 +45,7 @@ __all__ = [
     # oracle
     "ArityMismatch", "BadModulus", "GenericPointSet", "OracleVerdict",
     "PrimeTooSmall", "SizeGuardrail", "interpolation_matrix",
-    "points_on_curve", "system_dimension_exact", "system_dimension_modp",
+    "system_dimension_exact", "system_dimension_modp",
     # certify
     "AsymptoticReport", "CutStep", "Dissection", "EmptyPolygonAtScale",
     "FiniteCertificate", "InvalidDissection", "PolygonWitness",

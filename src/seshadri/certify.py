@@ -401,7 +401,9 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
     whether its full lattice set pads the witness to expected dimension
     at least 0.  A scale at which the scaled region's bounding box holds
     more integer points than the cell cap raises SizeGuardrail before any
-    point is enumerated.
+    point is enumerated.  ``seed`` is recorded in the certificate and
+    reaches no verdict: every witness is a one-point system, ranked
+    point-free.
     """
     if field("n", n, int) < 1:
         raise ValueError("scale must be a positive integer")
@@ -432,16 +434,12 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
             m_d = max_parallel_witness(profile)
             if m_d > best_m:
                 best_m, best_profile = m_d, profile
-        if best_m == 0:
-            raise EmptyPolygonAtScale(f"P{idx} hosts no witness at scale {n}")
         witness = _witness_from_profile(pts, best_profile, best_m)
         verdict = None
         if oracle_mode == "exact":
-            verdict = system_dimension_exact(witness.subset, (best_m,),
-                                             seed=seed + idx)
+            verdict = system_dimension_exact(witness.subset, (best_m,))
         elif oracle_mode == "modular":
-            verdict = system_dimension_modp(witness.subset, (best_m,),
-                                            seed=seed + idx)
+            verdict = system_dimension_modp(witness.subset, (best_m,))
         padding = None
         if role == "final":
             padding = (witness.subset.issubset(pts)

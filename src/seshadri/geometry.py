@@ -42,9 +42,6 @@ class Axis(Enum):
     def coord(self, p: Point) -> Fraction:
         return p.x if self is Axis.X else p.y
 
-    def other(self, p: Point) -> Fraction:
-        return p.y if self is Axis.X else p.x
-
 
 @dataclass(frozen=True)
 class AffineForm:
@@ -91,9 +88,6 @@ class Interval:
     def length(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
 
 def _cross(o, a, b):
     """Cross product of a - o and b - o, for Points or int pairs alike."""
@@ -126,17 +120,6 @@ class ConvexPolygon:
     def edges(self):
         vs = self.vertices
         return zip(vs, vs[1:] + vs[:1])
-
-    @property
-    def area(self) -> Fraction:
-        """Exact shoelace area; positive by the CCW convention."""
-        ps = self.pairs
-        twice = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(ps, ps[1:] + ps[:1]))
-        return Fraction(twice, 2 * self.den ** 2)
-
-    def contains(self, p: Point) -> bool:
-        """Closed containment test via edge cross products."""
-        return all(_cross(a, b, p) >= 0 for a, b in self.edges())
 
     def in_first_quadrant(self) -> bool:
         return all(x >= 0 and y >= 0 for x, y in self.pairs)

@@ -84,15 +84,19 @@ class GenericPointSet:
 
     @classmethod
     def explicit(cls, pts: Sequence) -> "GenericPointSet":
-        """Points read by :func:`point`; a refusal names the point's index."""
-        out = []
+        """Points read by :func:`point`; a refusal names the point's index,
+        and a point equal as rationals to an earlier one names both."""
+        first = {}  # point: its index
         for i, xy in enumerate(pts, start=1):
             x, y = items(f"point {i}", xy, 2)
             try:
-                out.append(point(x, y))
+                p = point(x, y)
             except (TypeError, ValueError) as exc:
                 raise type(exc)(f"point {i}: {exc}") from None
-        return cls(tuple(out))
+            if p in first:
+                raise ValueError(f"point {i} {[str(x), str(y)]} repeats point {first[p]}")
+            first[p] = i
+        return cls(tuple(first))
 
     @classmethod
     def seeded(cls, r: int, seed: int) -> "GenericPointSet":
@@ -496,16 +500,3 @@ def _perm_mod(n: int, k: int, p: int) -> int:
     for i in range(k):
         r = r * ((n - i) % p) % p
     return r
-
-
-def monomials_up_to(degree: int):
-    """Exponent pairs (i, j) with i + j <= degree, lexicographic."""
-    return [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
-
-
-def points_on_curve(D: LatticeSet, degree: int) -> bool:
-    """Whether all exponent points of D satisfy a nonzero polynomial of
-    total degree at most ``degree`` (exact rank of the evaluation matrix)."""
-    mons = monomials_up_to(degree)
-    rows = [[Fraction(alpha**i * beta**j) for i, j in mons] for alpha, beta in D]
-    return fraction_free_rank(rows) < len(mons)

@@ -1,8 +1,8 @@
 """Exact monotone (increasing) rearrangement of piecewise-linear functions.
 
 A function is stored as breakpoints with linear interpolation in between,
-over exact rationals.  Rearrangements, sublevel measures and the
-identity-domination check therefore involve no tolerances at all: every
+over exact rationals.  Rearrangements, sublevel measures and the first
+crossing under the identity therefore involve no tolerances at all: every
 comparison is an exact rational comparison, and crossings are isolated as
 exact roots of linear pieces.  The rearrangement and the first crossing
 compute in ints over common denominators.
@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 from ._input import parsed, rational
 
@@ -76,41 +76,6 @@ class PiecewiseLinear:
         for i in range(len(self.breakpoints) - 1):
             yield (self.breakpoints[i], self.breakpoints[i + 1],
                    self.values[i], self.values[i + 1])
-
-    def is_nondecreasing(self) -> bool:
-        return all(a <= b for a, b in zip(self.values, self.values[1:]))
-
-    def integral(self) -> Fraction:
-        total = Fraction(0)
-        for t0, t1, v0, v1 in self.segments():
-            total += (t1 - t0) * (v0 + v1) / 2
-        return total
-
-    def translate(self, dt: RationalLike) -> "PiecewiseLinear":
-        dt = rational(dt)
-        return PiecewiseLinear(tuple(t + dt for t in self.breakpoints), self.values)
-
-    def restrict(self, lo: RationalLike, hi: RationalLike) -> "PiecewiseLinear":
-        lo, hi = rational(lo), rational(hi)
-        a, b = self.domain
-        if lo < a or hi > b or lo >= hi:
-            raise OutOfRange(f"[{lo}, {hi}] is not a sub-interval of [{a}, {b}]")
-        bps = [lo]
-        vals = [self(lo)]
-        for t, v in zip(self.breakpoints, self.values):
-            if lo < t < hi:
-                bps.append(t)
-                vals.append(v)
-        bps.append(hi)
-        vals.append(self(hi))
-        return PiecewiseLinear(tuple(bps), tuple(vals))
-
-    def equivalent(self, other: "PiecewiseLinear") -> bool:
-        """True when both represent the same function (domains included)."""
-        if self.domain != other.domain:
-            return False
-        grid = sorted(set(self.breakpoints) | set(other.breakpoints))
-        return all(self(t) == other(t) for t in grid)
 
     def to_json(self) -> dict:
         return {"breakpoints": [str(t) for t in self.breakpoints],
@@ -208,67 +173,12 @@ def monotone_reorder(f: PiecewiseLinear) -> PiecewiseLinear:
             t += masses[j + 1]
             bps.append(t)
             vals.append(levels[j + 1])
-    if len(bps) == 1:
-        # constant function: single level carrying the whole width
-        t += masses[0]
-        bps.append(t)
-        vals.append(levels[0])
     if Fraction(t, tden) != f.width:
         raise RuntimeError(f"rearrangement invariant broken: the level sets measure "
                            f"{Fraction(t, tden)}, not the domain width {f.width} "
                            "(equimeasurability)")
     return PiecewiseLinear(tuple([Fraction(b, tden) for b in bps]),
                            tuple([Fraction(v, vden) for v in vals]))
-
-
-@dataclass(frozen=True)
-class ReorderCriterion:
-    """Outcome of the f#(t) >= t check on (0, m]."""
-
-    m: Fraction
-    width: Fraction
-    verdict: bool
-    failure_t: Optional[Fraction] = None
-
-
-def dominates_identity(fsharp: PiecewiseLinear, m: RationalLike) -> ReorderCriterion:
-    """Decide exactly whether fsharp(t) >= t for every t in (0, m].
-
-    ``fsharp`` is expected on a domain starting at 0 (the rearrangement
-    convention); a shifted domain is handled by measuring t from its left
-    end.  Linearity makes breakpoint checks complete: the difference from
-    the identity is itself piecewise linear, so a sign change inside a
-    piece is excluded once both piece ends are nonnegative.
-    """
-    m = rational(m)
-    if m <= 0:
-        raise ValueError("m must be positive")
-    a = fsharp.breakpoints[0]
-    width = fsharp.width
-    if m > width:
-        raise OutOfRange(f"m = {m} exceeds domain length {width}")
-
-    def g(t):
-        return fsharp(a + t) - t
-
-    ts = sorted({bp - a for bp in fsharp.breakpoints if 0 < bp - a <= m} | {m})
-    if g(Fraction(0)) < 0:
-        # negative already at the left end: by continuity some t in (0, m]
-        # violates too; isolate the first root to exhibit one.
-        root = m
-        prev_t, prev_g = Fraction(0), g(Fraction(0))
-        for t in ts:
-            gt = g(t)
-            if gt >= 0:
-                root = prev_t + (t - prev_t) * prev_g / (prev_g - gt)
-                break
-            prev_t, prev_g = t, gt
-        witness = root / 2 if root > 0 else m
-        return ReorderCriterion(m, width, False, witness)
-    for t in ts:
-        if g(t) < 0:
-            return ReorderCriterion(m, width, False, t)
-    return ReorderCriterion(m, width, True, None)
 
 
 def sup_admissible(f: PiecewiseLinear) -> Fraction:
@@ -302,11 +212,3 @@ def _first_crossing(fs: PiecewiseLinear) -> Fraction:
         # t0 + (t1 - t0) * g0 / (g0 - g1)
         return Fraction(ts[i] * (g0 - g1) + (ts[i + 1] - ts[i]) * g0, tden * (g0 - g1))
     return fs.width
-
-
-def max_norm_distance(f: PiecewiseLinear, g: PiecewiseLinear) -> Fraction:
-    """Exact sup-norm of f - g on their common domain."""
-    if f.domain != g.domain:
-        raise ValueError("functions must share a domain")
-    grid = sorted(set(f.breakpoints) | set(g.breakpoints))
-    return max(abs(f(t) - g(t)) for t in grid)

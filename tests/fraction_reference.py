@@ -1,19 +1,28 @@
-"""The former ``Fraction`` bodies of the asymptotic geometry, kept as
-references for the integer versions in ``seshadri``.
+"""Exact references that the tests check the package against.
 
-A polygon here is its canonical vertex tuple: counterclockwise ``Point``s
+The first part holds the former ``Fraction`` bodies of the asymptotic
+geometry, kept as references for the integer versions in ``seshadri``.
+A polygon there is its canonical vertex tuple: counterclockwise ``Point``s
 starting at the lowest, then leftmost vertex, as ``ConvexPolygon.vertices``
 states it.  Each function computes what its namesake in the package does,
 in ``Fraction`` arithmetic throughout.
+
+The second part holds exact checks that no command runs: areas,
+containment, the identity-domination criterion, sup-norm distances and
+curve membership.  A former method takes its object as first argument.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
-from seshadri.geometry import Axis, DegenerateInput, Point
+from seshadri.geometry import Axis, ConvexPolygon, DegenerateInput, Interval, Point
 from seshadri._input import rational
-from seshadri.reorder import PiecewiseLinear
+from seshadri.lattice import LatticeSet
+from seshadri.oracle import fraction_free_rank
+from seshadri.reorder import OutOfRange, PiecewiseLinear, RationalLike
 
 
 def _cross(o, a, b):
@@ -74,7 +83,7 @@ def cut_polygon(vertices, F):
 
 def height_profile(vertices, axis=Axis.X):
     """Chord-length profile by one walk along both boundary chains."""
-    coords = [(axis.coord(v), axis.other(v)) for v in vertices]
+    coords = [(axis.coord(v), other(axis, v)) for v in vertices]
     n = len(coords)
     low = min(coords)
     lo, hi = low[0], max(coords)[0]
@@ -169,3 +178,136 @@ def first_crossing(fs):
             return t0
         return t0 + (t1 - t0) * g0 / (g0 - g1)
     return fs.width
+
+
+# --- exact checks that no command runs ----------------------------------------
+
+def other(axis: Axis, p: Point) -> Fraction:
+    return p.y if axis is Axis.X else p.x
+
+
+def interval_contains(interval: Interval, other: Interval) -> bool:
+    return interval.lo <= other.lo and other.hi <= interval.hi
+
+
+def area(P: ConvexPolygon) -> Fraction:
+    """Exact shoelace area; positive by the CCW convention."""
+    ps = P.pairs
+    twice = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(ps, ps[1:] + ps[:1]))
+    return Fraction(twice, 2 * P.den ** 2)
+
+
+def polygon_contains(P: ConvexPolygon, p: Point) -> bool:
+    """Closed containment test via edge cross products."""
+    return all(_cross(a, b, p) >= 0 for a, b in P.edges())
+
+
+def is_nondecreasing(f: PiecewiseLinear) -> bool:
+    return all(a <= b for a, b in zip(f.values, f.values[1:]))
+
+
+def integral(f: PiecewiseLinear) -> Fraction:
+    total = Fraction(0)
+    for t0, t1, v0, v1 in f.segments():
+        total += (t1 - t0) * (v0 + v1) / 2
+    return total
+
+
+def translate(f: PiecewiseLinear, dt: RationalLike) -> PiecewiseLinear:
+    dt = rational(dt)
+    return PiecewiseLinear(tuple(t + dt for t in f.breakpoints), f.values)
+
+
+def restrict(f: PiecewiseLinear, lo: RationalLike, hi: RationalLike) -> PiecewiseLinear:
+    lo, hi = rational(lo), rational(hi)
+    a, b = f.domain
+    if lo < a or hi > b or lo >= hi:
+        raise OutOfRange(f"[{lo}, {hi}] is not a sub-interval of [{a}, {b}]")
+    bps = [lo]
+    vals = [f(lo)]
+    for t, v in zip(f.breakpoints, f.values):
+        if lo < t < hi:
+            bps.append(t)
+            vals.append(v)
+    bps.append(hi)
+    vals.append(f(hi))
+    return PiecewiseLinear(tuple(bps), tuple(vals))
+
+
+def equivalent(f: PiecewiseLinear, other: PiecewiseLinear) -> bool:
+    """True when both represent the same function (domains included)."""
+    if f.domain != other.domain:
+        return False
+    grid = sorted(set(f.breakpoints) | set(other.breakpoints))
+    return all(f(t) == other(t) for t in grid)
+
+
+def max_norm_distance(f: PiecewiseLinear, g: PiecewiseLinear) -> Fraction:
+    """Exact sup-norm of f - g on their common domain."""
+    if f.domain != g.domain:
+        raise ValueError("functions must share a domain")
+    grid = sorted(set(f.breakpoints) | set(g.breakpoints))
+    return max(abs(f(t) - g(t)) for t in grid)
+
+
+@dataclass(frozen=True)
+class ReorderCriterion:
+    """Outcome of the f#(t) >= t check on (0, m]."""
+
+    m: Fraction
+    width: Fraction
+    verdict: bool
+    failure_t: Optional[Fraction] = None
+
+
+def dominates_identity(fsharp: PiecewiseLinear, m: RationalLike) -> ReorderCriterion:
+    """Decide exactly whether fsharp(t) >= t for every t in (0, m].
+
+    ``fsharp`` is expected on a domain starting at 0 (the rearrangement
+    convention); a shifted domain is handled by measuring t from its left
+    end.  Linearity makes breakpoint checks complete: the difference from
+    the identity is itself piecewise linear, so a sign change inside a
+    piece is excluded once both piece ends are nonnegative.
+    """
+    m = rational(m)
+    if m <= 0:
+        raise ValueError("m must be positive")
+    a = fsharp.breakpoints[0]
+    width = fsharp.width
+    if m > width:
+        raise OutOfRange(f"m = {m} exceeds domain length {width}")
+
+    def g(t):
+        return fsharp(a + t) - t
+
+    ts = sorted({bp - a for bp in fsharp.breakpoints if 0 < bp - a <= m} | {m})
+    if g(Fraction(0)) < 0:
+        # negative already at the left end: by continuity some t in (0, m]
+        # violates too; isolate the first root to exhibit one.
+        root = m
+        prev_t, prev_g = Fraction(0), g(Fraction(0))
+        for t in ts:
+            gt = g(t)
+            if gt >= 0:
+                root = prev_t + (t - prev_t) * prev_g / (prev_g - gt)
+                break
+            prev_t, prev_g = t, gt
+        witness = root / 2 if root > 0 else m
+        return ReorderCriterion(m, width, False, witness)
+    for t in ts:
+        if g(t) < 0:
+            return ReorderCriterion(m, width, False, t)
+    return ReorderCriterion(m, width, True, None)
+
+
+def monomials_up_to(degree: int):
+    """Exponent pairs (i, j) with i + j <= degree, lexicographic."""
+    return [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+
+
+def points_on_curve(D: LatticeSet, degree: int) -> bool:
+    """Whether all exponent points of D satisfy a nonzero polynomial of
+    total degree at most ``degree`` (exact rank of the evaluation matrix)."""
+    mons = monomials_up_to(degree)
+    rows = [[Fraction(alpha**i * beta**j) for i, j in mons] for alpha, beta in D]
+    return fraction_free_rank(rows) < len(mons)

@@ -28,6 +28,8 @@ from seshadri import lattice
 from seshadri.lattice import Direction, WitnessSelection, scaled_points
 from seshadri.oracle import OracleVerdict, SizeGuardrail
 
+import fraction_reference as ref
+
 ROOT = Path(__file__).resolve().parent.parent
 BUILTIN = builtin_dissection_eckl10()
 SIMPLEX = make_polygon([(0, 0), (1, 0), (0, 1)])
@@ -48,11 +50,11 @@ def _validate_reference(dis):
         if not poly.in_first_quadrant():
             v.append(f"P{idx} leaves the first quadrant")
         for vert in poly.vertices:
-            if not dis.region.contains(vert):
+            if not ref.polygon_contains(dis.region, vert):
                 v.append(f"P{idx} vertex {vert} lies outside the region")
-    total = sum((p.area for p in polys), F(0))
-    if total != dis.region.area:
-        v.append(f"areas sum to {total}, region has {dis.region.area}")
+    total = sum((ref.area(p) for p in polys), F(0))
+    if total != ref.area(dis.region):
+        v.append(f"areas sum to {total}, region has {ref.area(dis.region)}")
     for i, step in enumerate(dis.steps, start=1):
         vals = [step.cut(vert) for vert in step.peeled.vertices]
         if any(val > 0 for val in vals) or all(val == 0 for val in vals):
@@ -133,7 +135,7 @@ class TestBuiltin:
         assert report.ok and not report.violations
 
     def test_areas_sum_to_half(self):
-        assert sum(p.area for p in BUILTIN.polygons()) == F(1, 2)
+        assert sum(ref.area(p) for p in BUILTIN.polygons()) == F(1, 2)
 
     def test_flipped_cut_sign_detected(self):
         step2 = BUILTIN.steps[1]

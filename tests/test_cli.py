@@ -368,6 +368,20 @@ def test_oracle_names_a_malformed_point(tmp_path, capsys):
             assert captured.out == "" and shown in captured.err
 
 
+def test_oracle_names_a_repeated_point(tmp_path, capsys):
+    # points are compared as rationals, so "2/4" repeats "1/2"
+    system = {"D": [[0, 0], [1, 0], [0, 1]], "multiplicities": [1, 1, 1]}
+    for points, shown in (
+            ([["1/2", "1/3"], ["2", "5"], ["1/2", "1/3"]],
+             "malformed system file: point 3 ['1/2', '1/3'] repeats point 1"),
+            ([["1/2", "1/3"], ["2/4", "2/6"], ["2", "5"]],
+             "malformed system file: point 2 ['2/4', '2/6'] repeats point 1")):
+        for mode in ("exact", "modular"):
+            assert _oracle_on(tmp_path, dict(system, points=points), mode) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and shown in captured.err
+
+
 def test_oracle_reads_system_file_fields_strictly(tmp_path, capsys):
     # Each of these used to fail inside iteration or indexing, naming no
     # field ("'int' object is not iterable"), or, for a string D, read it

@@ -52,11 +52,11 @@ class TestRationalStrings:
 
 class TestMakePolygon:
     def test_unit_simplex(self):
-        assert SIMPLEX.area == F(1, 2)
+        assert ref.area(SIMPLEX) == F(1, 2)
         assert SIMPLEX.vertices[0] == Point(F(0), F(0))
 
     def test_table_triangle(self):
-        assert GKE.area == F(8, 169)
+        assert ref.area(GKE) == F(8, 169)
         assert Point(F(9, 13), F(4, 13)) in GKE.vertices
 
     def test_collinear_rejected(self):
@@ -83,19 +83,19 @@ class TestMakePolygon:
         rng = random.Random(5)
         for _ in range(100):
             p = random_polygon(rng)
-            assert p.area > 0
+            assert ref.area(p) > 0
             lowest = min(p.vertices, key=lambda v: (v.y, v.x))
             assert p.vertices[0] == lowest
 
 
 class TestArea:
     def test_square(self):
-        assert SQUARE.area == 1
+        assert ref.area(SQUARE) == 1
 
     def test_pentagon_piece(self):
         pent = make_polygon([("2/13", "2/13"), ("4/13", 0), ("5/13", 0),
                              ("6/13", "3/13"), ("9/26", "9/26")])
-        assert pent.area == F(41, 676)
+        assert ref.area(pent) == F(41, 676)
 
 
 class TestCutPolygon:
@@ -103,8 +103,8 @@ class TestCutPolygon:
         cut = AffineForm(F(-4, 13), 1, 1)
         neg, pos = cut_polygon(SIMPLEX, cut)
         assert neg == make_polygon([(0, 0), (F(4, 13), 0), (0, F(4, 13))])
-        assert neg.area == F(8, 169)
-        assert neg.area + pos.area == F(1, 2)
+        assert ref.area(neg) == F(8, 169)
+        assert ref.area(neg) + ref.area(pos) == F(1, 2)
         assert len(pos.vertices) == 4
 
     def test_missing_cut(self):
@@ -113,8 +113,8 @@ class TestCutPolygon:
 
     def test_symmetric_halves(self):
         neg, pos = cut_polygon(SIMPLEX, AffineForm(0, 1, -1))  # x - y
-        assert neg.area == F(1, 4)
-        assert pos.area == F(1, 4)
+        assert ref.area(neg) == F(1, 4)
+        assert ref.area(pos) == F(1, 4)
 
     def test_touching_cut_reports_absent_side(self):
         neg, pos = cut_polygon(SIMPLEX, AffineForm(-1, 1, 1))  # x + y - 1
@@ -131,13 +131,14 @@ class TestCutPolygon:
                 continue
             form = AffineForm(F(rng.randint(-8, 8), rng.randint(1, 3)), r1, r2)
             neg, pos = cut_polygon(p, form)
-            total = sum(q.area for q in (neg, pos) if q is not None)
-            assert total == p.area
+            total = sum(ref.area(q) for q in (neg, pos) if q is not None)
+            assert total == ref.area(p)
             for part in (neg, pos):
                 if part is None:
                     continue
                 for axis in (Axis.X, Axis.Y):
-                    assert x_projection(p, axis).contains(x_projection(part, axis))
+                    assert ref.interval_contains(x_projection(p, axis),
+                                                 x_projection(part, axis))
 
 
 class TestProjection:
@@ -177,7 +178,7 @@ class TestHeightProfile:
         for _ in range(150):
             p = random_polygon(rng)
             for axis in (Axis.X, Axis.Y):
-                assert height_profile(p, axis).integral() == p.area
+                assert ref.integral(height_profile(p, axis)) == ref.area(p)
 
     def test_concavity_sampled(self):
         rng = random.Random(13)
@@ -207,12 +208,12 @@ def _slice_length(P, axis, t):
         ca, cb = axis.coord(a), axis.coord(b)
         if ca == cb:
             if ca == t:
-                hits.append(axis.other(a))
-                hits.append(axis.other(b))
+                hits.append(ref.other(axis, a))
+                hits.append(ref.other(axis, b))
             continue
         if (ca - t) * (cb - t) <= 0:
             s = (t - ca) / (cb - ca)
-            hits.append(axis.other(a) + s * (axis.other(b) - axis.other(a)))
+            hits.append(ref.other(axis, a) + s * (ref.other(axis, b) - ref.other(axis, a)))
     return max(hits) - min(hits)
 
 

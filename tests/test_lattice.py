@@ -16,6 +16,7 @@ from seshadri.lattice import (ColumnProfile, Direction, EmptySet, LatticeSet,
                               max_parallel_witness, scaled_points,
                               select_witness_subset, split_by_affine)
 
+import fraction_reference as ref
 from conftest import random_polygon
 
 SIMPLEX = make_polygon([(0, 0), (1, 0), (0, 1)])
@@ -142,7 +143,7 @@ class TestScaledPoints:
                    for v in poly.vertices):
                 continue
             count = len(scaled_points(poly, n))
-            expected = n * n * poly.area + F(_boundary_points(poly, n), 2) + 1
+            expected = n * n * ref.area(poly) + F(_boundary_points(poly, n), 2) + 1
             assert count == expected
 
     def test_divisor_embedding(self):

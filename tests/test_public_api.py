@@ -9,8 +9,7 @@ PUBLIC = [
     "Point", "cut_polygon", "height_profile", "make_polygon", "parse_rational",
     "point", "x_projection",
     # reorder
-    "OutOfRange", "PiecewiseLinear", "ReorderCriterion", "dominates_identity",
-    "max_norm_distance", "monotone_reorder", "sublevel_measure",
+    "OutOfRange", "PiecewiseLinear", "monotone_reorder", "sublevel_measure",
     "sup_admissible",
     # lattice
     "ColumnProfile", "Direction", "EmptySet", "LatticeSet",
@@ -20,7 +19,7 @@ PUBLIC = [
     # oracle
     "ArityMismatch", "BadModulus", "GenericPointSet", "OracleVerdict",
     "PrimeTooSmall", "SizeGuardrail", "interpolation_matrix",
-    "points_on_curve", "system_dimension_exact", "system_dimension_modp",
+    "system_dimension_exact", "system_dimension_modp",
     # certify
     "AsymptoticReport", "CutStep", "Dissection", "EmptyPolygonAtScale",
     "FiniteCertificate", "InvalidDissection", "PolygonWitness",
