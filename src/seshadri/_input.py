@@ -67,16 +67,27 @@ def rational(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(*rational_pair(x))
 
 
+class _Object(dict):
+    """An object read from input: a missing key is refused by name."""
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.name} has no {key!r}")
+
+
 def field(name: str, value, kind: type, optional: bool = False, choices=None):
     """``value`` if its type is exactly ``kind`` (int, bool, str, list or dict) and
     it is one of ``choices``, if given, else ValueError; with ``optional``, None
-    passes."""
+    passes.  An object comes back as a dict that refuses a missing key naming
+    ``name`` and the key."""
     if optional and value is None:
         return None
     if type(value) is not kind:
         raise ValueError(f"{name} {_shown(value)} is not {_KINDS[kind]}")
     if choices is not None and value not in choices:
         raise ValueError(f"{name} {_shown(value)} is not one of {choices}")
+    if kind is dict:
+        value = _Object(value)
+        value.name = name
     return value
 
 

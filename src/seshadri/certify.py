@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from math import ceil, floor
@@ -140,43 +141,42 @@ class _AxisData:
     """What the checks read of one piece along one axis; none of it
     depends on the ratio m or the scale n."""
 
+    axis: Axis
     profile: PiecewiseLinear
     width: Fraction
     sup: Fraction
     reordered: PiecewiseLinear
 
+    @property
+    def score(self) -> Fraction:
+        """The supremum of the ratios this axis certifies."""
+        return min(self.width, self.sup)
+
+
+def _axis_data(poly: ConvexPolygon, axis: Axis) -> _AxisData:
+    profile = height_profile(poly, axis)
+    reordered = monotone_reorder(profile)
+    return _AxisData(axis, profile, x_projection(poly, axis).length,
+                     _first_crossing(reordered), reordered)
+
 
 class _Analysis:
-    """Per-piece axis data and the certified bound of a valid dissection,
-    each computed on first use."""
+    """The (x, y) axis data of every piece of a valid dissection, built
+    on first use, and its certified bound."""
 
     def __init__(self, polygons: Sequence[ConvexPolygon]) -> None:
         self.polygons = tuple(polygons)
-        self._axes: Dict[Tuple[int, Axis], _AxisData] = {}
-        self._bound: Optional[Fraction] = None
 
-    def axis(self, i: int, axis: Axis) -> _AxisData:
-        """Data of piece ``i`` (0-based, dissection order) along ``axis``."""
-        data = self._axes.get((i, axis))
-        if data is None:
-            poly = self.polygons[i]
-            profile = height_profile(poly, axis)
-            reordered = monotone_reorder(profile)
-            data = _AxisData(profile, x_projection(poly, axis).length,
-                             _first_crossing(reordered), reordered)
-            self._axes[(i, axis)] = data
-        return data
+    @cached_property
+    def pieces(self) -> Tuple[Tuple[_AxisData, _AxisData], ...]:
+        """One (x-axis, y-axis) pair per piece, in dissection order."""
+        return tuple([(_axis_data(p, Axis.X), _axis_data(p, Axis.Y))
+                      for p in self.polygons])
 
-    @property
+    @cached_property
     def bound(self) -> Fraction:
         """See :func:`certified_bound`."""
-        if self._bound is None:
-            scores = []
-            for i in range(len(self.polygons)):
-                axes = (self.axis(i, Axis.X), self.axis(i, Axis.Y))
-                scores.append(max(min(d.width, d.sup) for d in axes))
-            self._bound = min(scores)
-        return self._bound
+        return min(max(x.score, y.score) for x, y in self.pieces)
 
 
 def _require_valid(dis: Dissection) -> _Analysis:
@@ -268,18 +268,10 @@ class AsymptoticReport:
                         "not an attained maximum"}
 
 
-def _check_polygon(analysis: _Analysis, i: int, m: Fraction) -> PolygonCheck:
-    """Try the x-axis first, then the y-axis; keep the better failure."""
-    candidates = []
-    for axis in (Axis.X, Axis.Y):
-        d = analysis.axis(i, axis)
-        passed = m < d.width and m < d.sup
-        check = PolygonCheck(i + 1, axis, d.width, d.sup, passed, d.profile,
-                             d.reordered)
-        if passed:
-            return check
-        candidates.append((min(d.width, d.sup), check))
-    return max(candidates, key=lambda c: c[0])[1]
+def _check_polygon(i: int, x: _AxisData, y: _AxisData, m: Fraction) -> PolygonCheck:
+    """Piece ``i``'s row: the x-axis unless it fails and the y-axis scores higher."""
+    d = x if m < x.score or x.score >= y.score else y
+    return PolygonCheck(i, d.axis, d.width, d.sup, m < d.score, d.profile, d.reordered)
 
 
 def verify_asymptotic(dis: Dissection, m) -> AsymptoticReport:
@@ -292,8 +284,8 @@ def verify_asymptotic(dis: Dissection, m) -> AsymptoticReport:
     m = parsed("m", rational, m)
     if m <= 0:
         raise ValueError("m must be positive")
-    analysis = _require_valid(dis)
-    rows = tuple([_check_polygon(analysis, i, m) for i in range(dis.r)])
+    rows = tuple([_check_polygon(i, x, y, m)
+                  for i, (x, y) in enumerate(_require_valid(dis).pieces, start=1)])
     return AsymptoticReport(m, rows, all(r.passed for r in rows))
 
 
@@ -334,6 +326,7 @@ class PolygonWitness:
     def from_json(cls, data: dict) -> "PolygonWitness":
         """The row ``data``, refused unless its ``m`` is its witness's m and
         its ``lattice_count`` covers the witness's m(m+1)/2 points."""
+        data = field("per_polygon row", data, dict)
         row = cls(field("polygon", data["polygon"], int),
                   field("role", data["role"], str, choices=("dim-minus-one", "final")),
                   field("lattice_count", data["lattice_count"], int),
@@ -381,11 +374,13 @@ class FiniteCertificate:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteCertificate":
+        data = field("certificate", data, dict)
         return cls(field("dissection", data["dissection"], str),
                    field("scale", data["scale"], int), field("degree", data["degree"], int),
                    field("oracle_mode", data["oracle_mode"], str, choices=_ORACLE_MODES),
                    field("seed", data["seed"], int),
-                   tuple(PolygonWitness.from_json(p) for p in data["per_polygon"]),
+                   tuple(PolygonWitness.from_json(p)
+                         for p in field("per_polygon", data["per_polygon"], list)),
                    parsed("min_ratio", rational, data["min_ratio"]),
                    field("tool_version", data["tool_version"], str))
 
@@ -464,12 +459,15 @@ def dissection_to_json(dis: Dissection) -> dict:
 
 
 def dissection_from_json(data: dict) -> Dissection:
+    data = field("dissection", data, dict)
     name = field("name", data["name"], str)
     polygon = ConvexPolygon.from_json
-    steps = tuple([CutStep(parsed(f"step {i} cut", AffineForm.from_json, s["cut"]),
-                           parsed(f"step {i} polygon", polygon, s["polygon"]))
-                   for i, s in enumerate(data["steps"], start=1)])
-    return Dissection(name, parsed("region", polygon, data["region"]), steps,
+    steps = []
+    for i, s in enumerate(field("steps", data["steps"], list), start=1):
+        s = field(f"step {i}", s, dict)
+        steps.append(CutStep(parsed(f"step {i} cut", AffineForm.from_json, s["cut"]),
+                             parsed(f"step {i} polygon", polygon, s["polygon"])))
+    return Dissection(name, parsed("region", polygon, data["region"]), tuple(steps),
                       parsed("final", polygon, data["final"]))
 
 

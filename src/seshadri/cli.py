@@ -48,14 +48,17 @@ def _load_dissection(ref: str) -> cert.Dissection:
             return cert.dissection_from_json(json.load(fh))
     except OSError as exc:
         raise ValueError(f"cannot read dissection file: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed dissection file: {exc}") from None
 
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write output file: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -154,7 +157,7 @@ def _cmd_oracle(args) -> int:
         seed = field("seed", data.get("seed", 0), int) if args.seed is None else args.seed
         pts = field("points", data.get("points"), list, optional=True)
         points = GenericPointSet.explicit(pts) if pts else None
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed system file: {exc}") from None
     if points is not None and args.mode == "modular":
         raise ValueError("system file field 'points' is honoured only by "

@@ -18,7 +18,8 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence, Tuple
 
-from ._input import items, parse_rational, rational, rational_pair  # parse_rational: re-exported
+# parse_rational is re-exported
+from ._input import field, items, parse_rational, rational, rational_pair
 from .reorder import PiecewiseLinear
 
 
@@ -70,6 +71,7 @@ class AffineForm:
 
     @classmethod
     def from_json(cls, data: dict) -> "AffineForm":
+        data = field("cut", data, dict)
         return cls(data["r0"], data["r1"], data["r2"])
 
 

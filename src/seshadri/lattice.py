@@ -445,6 +445,7 @@ class WitnessSelection:
 
     @classmethod
     def from_json(cls, data: dict) -> "WitnessSelection":
+        data = field("witness", data, dict)
         directions = tuple(d.value for d in Direction)
         return cls(data["m"],
                    Direction(field("direction", data["direction"], str, choices=directions)),

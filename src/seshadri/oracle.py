@@ -34,8 +34,7 @@ from functools import lru_cache
 from math import comb, lcm, perm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-# CELL_CAP and SizeGuardrail live in _input and are re-exported here.
-from ._input import CELL_CAP, SizeGuardrail, _cell_cap, field, items
+from ._input import SizeGuardrail, _cell_cap, field, items  # SizeGuardrail: re-exported
 from ._kernels import modrank
 from .geometry import Point, point
 from .lattice import LatticeSet, _coerce_spec
@@ -103,14 +102,10 @@ class GenericPointSet:
         """r distinct points with 16-bit numerators over a fixed prime-ish
         denominator; the same seed always reproduces the same set."""
         rng = random.Random(seed)
-        pts = []
-        seen = set()
+        pts = {}  # an ordered set: a repeated point is drawn again
         while len(pts) < r:
-            p = Point(Fraction(rng.randint(1, _SEED_NUMERATOR_MAX), _SEED_DENOMINATOR),
-                      Fraction(rng.randint(1, _SEED_NUMERATOR_MAX), _SEED_DENOMINATOR))
-            if p not in seen:
-                seen.add(p)
-                pts.append(p)
+            pts[Point(Fraction(rng.randint(1, _SEED_NUMERATOR_MAX), _SEED_DENOMINATOR),
+                      Fraction(rng.randint(1, _SEED_NUMERATOR_MAX), _SEED_DENOMINATOR))] = None
         return cls(tuple(pts), source="seeded-random", seed=seed)
 
 
@@ -139,6 +134,7 @@ class OracleVerdict:
 
     @classmethod
     def from_json(cls, data: dict) -> "OracleVerdict":
+        data = field("oracle", data, dict)
         return cls(field("actual_dimension", data["actual_dimension"], int),
                    field("expected_dimension", data["expected_dimension"], int),
                    field("non_special", data["non_special"], bool),
@@ -472,31 +468,11 @@ def system_dimension_modp(D: LatticeSet, spec, seed: int = 0,
 def _random_point_rows(D: LatticeSet, spec, seed: int, prime: int) -> List[List[int]]:
     """Condition matrix over GF(prime) at seeded random points."""
     rng = random.Random(seed)
-    pts = []
-    seen = set()
+    pts = {}  # an ordered set: a repeated point is drawn again
     while len(pts) < len(spec):
-        p = (rng.randint(1, prime - 1), rng.randint(1, prime - 1))
-        if p not in seen:
-            seen.add(p)
-            pts.append(p)
+        pts[rng.randint(1, prime - 1), rng.randint(1, prime - 1)] = None
     cols = list(D)
-    rows = []
-    for (x, y), m in zip(pts, spec):
-        for a, b in _derivative_orders(m):
-            row = []
-            for alpha, beta in cols:
-                if a > alpha or b > beta:
-                    row.append(0)
-                else:
-                    coeff = _perm_mod(alpha, a, prime) * _perm_mod(beta, b, prime) % prime
-                    row.append(coeff * pow(x, alpha - a, prime)
-                               * pow(y, beta - b, prime) % prime)
-            rows.append(row)
-    return rows
-
-
-def _perm_mod(n: int, k: int, p: int) -> int:
-    r = 1
-    for i in range(k):
-        r = r * ((n - i) % p) % p
-    return r
+    return [[perm(alpha, a) * perm(beta, b) % prime * pow(x, alpha - a, prime)
+             * pow(y, beta - b, prime) % prime if a <= alpha and b <= beta else 0
+             for alpha, beta in cols]
+            for (x, y), m in zip(pts, spec) for a, b in _derivative_orders(m)]

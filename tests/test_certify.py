@@ -385,6 +385,13 @@ class TestAnalysedOnce:
                 assert check(ask(d))
         assert computed == before
 
+    def test_validate_and_render_build_no_profile(self, computed):
+        from seshadri.render import RenderSpec, render_svg
+        dis = dataclasses.replace(BUILTIN, name="never-analysed")
+        assert validate_dissection(dis).ok and dis._analysis is not None
+        assert render_svg(dis, RenderSpec()).startswith("<svg")
+        assert computed["height_profile"] == computed["monotone_reorder"] == 0
+
     def test_a_refused_copy_computes_nothing(self, computed):
         bad = _tampered(dataclasses.replace(BUILTIN, name="refused"))
         for ask, _check in self.QUESTIONS:
@@ -452,9 +459,10 @@ class TestRecordMatchesFreshComputation:
     def test_axis_data(self, dis):
         import seshadri.certify as certify
         analysis = certify._require_valid(dis)
-        for i, poly in enumerate(dis.polygons()):
-            for axis in (Axis.X, Axis.Y):
-                data = analysis.axis(i, axis)
+        pieces = zip(dis.polygons(), analysis.pieces, strict=True)
+        for i, (poly, pair) in enumerate(pieces):
+            for axis, data in zip((Axis.X, Axis.Y), pair, strict=True):
+                assert data.axis is axis, (i, axis)
                 profile = height_profile(poly, axis)
                 assert data.profile == profile, (i, axis)
                 assert data.width == x_projection(poly, axis).length, (i, axis)
@@ -464,7 +472,10 @@ class TestRecordMatchesFreshComputation:
     @pytest.mark.parametrize("dis, bound", [(BUILTIN, F(4, 13)), (diagonal_sliver(), 0)],
                              ids=["eckl10", "diagonal"])
     def test_reports_warm_cold_and_direct(self, dis, bound):
-        ms = _seeded_ms(13)
+        # eckl10's axis scores are 0, 3/13 and 4/13: at and just around the
+        # positive ones the strict < and the tie between axes decide the row
+        ms = _seeded_ms(13) + [s + d for s in (F(3, 13), F(4, 13))
+                               for d in (-F(1, 1300), 0, F(1, 1300))]
         assert certified_bound(dis) == bound
         warm = [dump_json(verify_asymptotic(dis, m).to_json()) for m in ms]
         for m, text in zip(ms, warm):
@@ -821,6 +832,37 @@ class TestStrictCertificateLoaders:
     def test_certificate_integers(self, field):
         for bad in self.BAD_INTS:
             self._refused(FiniteCertificate.from_json, self.CERT, [field], bad)
+
+    @pytest.mark.parametrize("path,bad,shown", [
+        (["per_polygon"], "P1", "per_polygon 'P1' is not a list"),
+        (["per_polygon"], {"polygon": 1}, "per_polygon {'polygon': 1} is not a list"),
+        (["per_polygon", 0], [1, "dim-minus-one"], "per_polygon row [1, 'dim-minus-one'] is not"),
+        (["per_polygon", 0, "witness"], [4], "witness [4] is not an object"),
+        (["per_polygon", 0, "oracle"], [-1], "oracle [-1] is not an object"),
+        (["min_ratio"], None, "certificate has no 'min_ratio'"),
+        (["per_polygon", 0, "deviation"], None, "per_polygon row has no 'deviation'"),
+        (["per_polygon", 0, "witness", "runs"], None, "witness has no 'runs'"),
+        (["per_polygon", 0, "oracle", "method"], None, "oracle has no 'method'"),
+    ], ids=["per_polygon string", "per_polygon object", "row list",
+            "witness list", "oracle list", "no min_ratio", "row without deviation",
+            "witness without runs", "oracle without method"])
+    def test_structure_refused_naming_the_field(self, path, bad, shown):
+        """A mistyped object or list, or a missing key (``bad`` None),
+        raises ValueError naming it, not TypeError or a bare KeyError."""
+        data = json.loads(json.dumps(self.CERT))
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        if bad is None:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = bad
+        with pytest.raises(ValueError, match=re.escape(shown)):
+            FiniteCertificate.from_json(data)
+
+    def test_certificate_must_be_an_object(self):
+        with pytest.raises(ValueError, match=r"^certificate \[\] is not an object"):
+            FiniteCertificate.from_json([])
 
     def test_nested_fields_refused_through_the_certificate(self):
         for path in (["per_polygon", 2, "oracle", "rank"],

@@ -296,6 +296,16 @@ def test_render_determinism(tmp_path):
     assert a.read_text() == b.read_text()
 
 
+@pytest.mark.parametrize("command", [["bound"], ["verify", "--m", "3/10"], ["render"]])
+def test_unwritable_out_is_invalid_input(command, tmp_path, capsys):
+    out = tmp_path / "missing" / "x"
+    assert run(command + ["--dissection", BUILTIN, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot write output file: " in captured.err and str(out) in captured.err
+    assert "internal error" not in captured.err and not out.parent.exists()
+
+
 def test_bad_usage_is_exit_two(capsys):
     assert run(["verify", "--dissection", BUILTIN]) == 2   # missing --m
     assert run(["frobnicate"]) == 2
@@ -489,6 +499,35 @@ def test_validate_names_a_polygon_that_is_no_convex_chain(name, tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "step 9 polygon" in captured.err and fault in captured.err
+
+
+def _without(key):
+    return lambda data: {k: v for k, v in data.items() if k != key}
+
+
+def _first_step(step):
+    return lambda data: dict(data, steps=[step] + data["steps"][1:])
+
+
+@pytest.mark.parametrize("edit,shown", [
+    (lambda data: [data], "malformed dissection file: dissection [{"),
+    (lambda data: dict(data, steps="P1 P2"), "steps 'P1 P2' is not a list"),
+    (lambda data: dict(data, steps={"cut": {}}), "steps {'cut': {}} is not a list"),
+    (_first_step([["0", "0"], ["4/13", "0"]]),
+     "step 1 [['0', '0'], ['4/13', '0']] is not an object"),
+    (_first_step({"cut": {"r0": "-4/13", "r1": "1", "r2": "1"}}), "step 1 has no 'polygon'"),
+    (_first_step({"cut": {"r1": "1", "r2": "1"}, "polygon": []}),
+     "step 1 cut {'r1': '1', 'r2': '1'} is not valid: cut has no 'r0'"),
+    (_without("final"), "dissection has no 'final'"),
+    (_without("name"), "dissection has no 'name'"),
+], ids=["top-level list", "steps string", "steps object", "step list", "step without polygon",
+        "cut without r0", "no final", "no name"])
+def test_validate_names_the_malformed_structure(edit, shown, tmp_path, capsys):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(edit(cert.dissection_to_json(cert.builtin_dissection_eckl10()))))
+    assert run(["validate", "--dissection", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and shown in captured.err
 
 
 def test_bool_cut_coefficient_refused(tmp_path, capsys):
