@@ -16,7 +16,7 @@ from .certify import (AsymptoticReport, CutStep, Dissection,
                       verify_asymptotic)
 from .geometry import (AffineForm, Axis, ConvexPolygon, DegenerateInput,
                        Interval, Point, cut_polygon, height_profile,
-                       make_polygon, parse_rational, point, x_projection)
+                       parse_rational, point, x_projection)
 from .lattice import (ColumnProfile, Direction, EmptySet, LatticeSet,
                       MultiplicitySpec, WitnessSelection, WitnessTooLarge,
                       column_profile, expected_dimension, max_parallel_witness,
@@ -25,18 +25,17 @@ from .oracle import (ArityMismatch, BadModulus, GenericPointSet, OracleVerdict,
                      PrimeTooSmall, SizeGuardrail, interpolation_matrix,
                      system_dimension_exact, system_dimension_modp)
 from .render import RenderSpec, render_svg
-from .reorder import (OutOfRange, PiecewiseLinear, monotone_reorder,
-                      sublevel_measure, sup_admissible)
+from .reorder import (PiecewiseLinear, monotone_reorder, sublevel_measure,
+                      sup_admissible)
 
 __all__ = [
     "__version__",
     # geometry
     "AffineForm", "Axis", "ConvexPolygon", "DegenerateInput", "Interval",
-    "Point", "cut_polygon", "height_profile", "make_polygon", "parse_rational",
-    "point", "x_projection",
+    "Point", "cut_polygon", "height_profile", "parse_rational", "point",
+    "x_projection",
     # reorder
-    "OutOfRange", "PiecewiseLinear", "monotone_reorder", "sublevel_measure",
-    "sup_admissible",
+    "PiecewiseLinear", "monotone_reorder", "sublevel_measure", "sup_admissible",
     # lattice
     "ColumnProfile", "Direction", "EmptySet", "LatticeSet",
     "MultiplicitySpec", "WitnessSelection", "WitnessTooLarge",

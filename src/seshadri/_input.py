@@ -12,13 +12,18 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
-from reprlib import repr as _shown
+from reprlib import Repr
 from typing import Tuple
 
 _RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([1-9][0-9]*))?$")
 _KINDS = {int: "an integer", bool: "a boolean", str: "a string", list: "a list",
           dict: "an object"}
 CELL_CAP = 4_000_000
+
+# a refused value is shown abridged, and nested at most two levels deep
+_REPR = Repr()
+_REPR.maxlevel = 2
+_shown = _REPR.repr
 
 
 class SizeGuardrail(RuntimeError):

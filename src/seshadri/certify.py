@@ -15,16 +15,15 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from math import ceil, floor
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import __about__
 from ._input import SizeGuardrail, _cell_cap, field, parsed, rational
+# select_witness_subset, sup_admissible and x_projection are not called
+# here but stay module attributes, like every lattice, geometry and
+# rearrangement step, so that tracing can rebind them.
 from .geometry import (AffineForm, Axis, ConvexPolygon, Point, cut_polygon,
-                       height_profile, make_polygon, point, x_projection)
-# select_witness_subset and sup_admissible are not called here but stay
-# module attributes, like every lattice and rearrangement step, so that
-# tracing can rebind them.
+                       height_profile, point, x_projection)
 from .lattice import (Direction, LatticeSet, WitnessSelection, _witness_from_profile,
                       column_profile, expected_dimension, max_parallel_witness,
                       scaled_points, select_witness_subset, split_by_affine)
@@ -139,25 +138,21 @@ def validate_dissection(dis: Dissection) -> DissectionValidation:
 @dataclass(frozen=True)
 class _AxisData:
     """What the checks read of one piece along one axis; none of it
-    depends on the ratio m or the scale n."""
+    depends on the ratio m or the scale n.  ``score``, the supremum of the
+    ratios this axis certifies, is the first crossing of the rearranged
+    profile under the identity: the rearrangement lives on [0, width], so
+    the crossing never exceeds the projection width ``profile.width``."""
 
     axis: Axis
     profile: PiecewiseLinear
-    width: Fraction
-    sup: Fraction
+    score: Fraction
     reordered: PiecewiseLinear
-
-    @property
-    def score(self) -> Fraction:
-        """The supremum of the ratios this axis certifies."""
-        return min(self.width, self.sup)
 
 
 def _axis_data(poly: ConvexPolygon, axis: Axis) -> _AxisData:
     profile = height_profile(poly, axis)
     reordered = monotone_reorder(profile)
-    return _AxisData(axis, profile, x_projection(poly, axis).length,
-                     _first_crossing(reordered), reordered)
+    return _AxisData(axis, profile, _first_crossing(reordered), reordered)
 
 
 class _Analysis:
@@ -223,7 +218,7 @@ def builtin_dissection_eckl10() -> Dissection:
             AffineForm(5 * _T, 1, -1), AffineForm(15 * _T, -3, 1),
             AffineForm(15 * _T, 1, -3), AffineForm(9 * _T, -1, -1),
             AffineForm(0, -1, 1))
-    region = make_polygon([(0, 0), (1, 0), (0, 1)])
+    region = ConvexPolygon.from_json([[0, 0], [1, 0], [0, 1]])
     peeled = list(_peel(region, cuts))
     return Dissection("eckl10", region, tuple(step for step, _ in peeled),
                       peeled[-1][1])
@@ -258,9 +253,6 @@ class AsymptoticReport:
     per_polygon: Tuple[PolygonCheck, ...]
     overall: bool
 
-    def failing(self) -> List[int]:
-        return [c.polygon for c in self.per_polygon if not c.passed]
-
     def to_json(self) -> dict:
         return {"m": str(self.m), "overall": self.overall,
                 "per_polygon": [c.to_json() for c in self.per_polygon],
@@ -271,15 +263,16 @@ class AsymptoticReport:
 def _check_polygon(i: int, x: _AxisData, y: _AxisData, m: Fraction) -> PolygonCheck:
     """Piece ``i``'s row: the x-axis unless it fails and the y-axis scores higher."""
     d = x if m < x.score or x.score >= y.score else y
-    return PolygonCheck(i, d.axis, d.width, d.sup, m < d.score, d.profile, d.reordered)
+    return PolygonCheck(i, d.axis, d.profile.width, d.score, m < d.score, d.profile,
+                        d.reordered)
 
 
 def verify_asymptotic(dis: Dissection, m) -> AsymptoticReport:
     """Strict per-piece verification of the target ratio m.
 
-    A piece passes on an axis when m is strictly below both the projection
-    width and the first crossing of the rearranged profile under the
-    identity; the y-axis is consulted when the x-axis fails.
+    A piece passes on an axis when m is strictly below the first crossing
+    of the rearranged profile under the identity, which the projection
+    width caps; the y-axis is consulted when the x-axis fails.
     """
     m = parsed("m", rational, m)
     if m <= 0:
@@ -292,9 +285,9 @@ def verify_asymptotic(dis: Dissection, m) -> AsymptoticReport:
 def certified_bound(dis: Dissection) -> Fraction:
     """Supremum of the ratios accepted by :func:`verify_asymptotic`.
 
-    Per piece the best axis contributes min(projection width, first
-    identity crossing of the rearranged profile); the bound is the minimum
-    over pieces and is approached but not attained.
+    Per piece the best axis contributes the first identity crossing of
+    the rearranged profile, at most the projection width; the bound is the
+    minimum over pieces and is approached but not attained.
     """
     return _require_valid(dis).bound
 
@@ -404,10 +397,9 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
         raise ValueError("scale must be a positive integer")
     field("oracle_mode", oracle_mode, str, choices=_ORACLE_MODES)
     target = _require_valid(dis).bound
-    box = 1
-    for axis in Axis:
-        cs = [axis.coord(v) for v in dis.region.vertices]
-        box *= floor(n * max(cs)) - ceil(n * min(cs)) + 1
+    box, d = 1, dis.region.den
+    for cs in zip(*dis.region.pairs):
+        box *= n * max(cs) // d + (-n * min(cs)) // d + 1  # floor(n*max) - ceil(n*min) + 1
     if box > _cell_cap():
         raise SizeGuardrail(f"scale n = {n}: the scaled region's bounding box holds "
                             f"{box} integer points, more than the cell cap; "

@@ -16,11 +16,11 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 # parse_rational is re-exported
 from ._input import field, items, parse_rational, rational, rational_pair
-from .reorder import PiecewiseLinear
+from .reorder import PiecewiseLinear, _over_common
 
 
 class DegenerateInput(ValueError):
@@ -39,9 +39,6 @@ def point(x, y) -> Point:
 class Axis(Enum):
     X = "x"
     Y = "y"
-
-    def coord(self, p: Point) -> Fraction:
-        return p.x if self is Axis.X else p.y
 
 
 @dataclass(frozen=True)
@@ -86,13 +83,9 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError("interval endpoints out of order")
 
-    @property
-    def length(self) -> Fraction:
-        return self.hi - self.lo
-
 
 def _cross(o, a, b):
-    """Cross product of a - o and b - o, for Points or int pairs alike."""
+    """Cross product of a - o and b - o, for int pairs."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
@@ -101,10 +94,10 @@ class ConvexPolygon:
     """Strictly convex closed polygon: vertices (x / den, y / den) for the
     int ``pairs``, counterclockwise from the lowest, then leftmost one, and
     ``den`` > 0 in lowest terms against them, so equal polygons have equal
-    fields.  Built by :func:`make_polygon` from any points, by
-    :meth:`from_json` from a vertex chain, or by :func:`cut_polygon`;
-    every function here relies on those canonical fields.  ``vertices``,
-    as ``Point``s, is built on first use.
+    fields.  Built by :meth:`from_json` from a vertex chain, the one way
+    in from points, or by :func:`cut_polygon`; every function here
+    relies on those canonical fields.  ``vertices``, as ``Point``s, is
+    built on first use, for output only.
     """
 
     den: int
@@ -119,10 +112,6 @@ class ConvexPolygon:
         return tuple([Point(Fraction(x, self.den), Fraction(y, self.den))
                       for x, y in self.pairs])
 
-    def edges(self):
-        vs = self.vertices
-        return zip(vs, vs[1:] + vs[:1])
-
     def in_first_quadrant(self) -> bool:
         return all(x >= 0 and y >= 0 for x, y in self.pairs)
 
@@ -134,8 +123,10 @@ class ConvexPolygon:
         """The polygon whose vertices ``data`` lists in order, from any one
         and either way round: one pass checks that it turns one way only and
         winds once, without a hull; else DegenerateInput names the fault."""
-        den, ring = _cleared([[rational_pair(c) for c in items(f"vertex {i}", xy, 2)]
-                              for i, xy in enumerate(data, start=1)])
+        pairs = [[rational_pair(c) for c in items(f"vertex {i}", xy, 2)]
+                 for i, xy in enumerate(data, start=1)]
+        den = lcm(*[q for xy in pairs for _, q in xy])  # a list: see PiecewiseLinear
+        ring = [(p * (den // q), r * (den // s)) for (p, q), (r, s) in pairs]
         if len(ring) < 3:
             raise DegenerateInput("polygon needs at least three vertices")
         # along a chain winding w times, the edges switch between pointing
@@ -159,36 +150,6 @@ class ConvexPolygon:
         return _polygon(den, ring if sign > 0 else ring[::-1])
 
 
-def _cleared(pairs) -> Tuple[int, list]:
-    """The points of ``pairs`` ((p, q), (r, s)), each p/q, r/s, as int
-    pairs over their least common denominator, and that denominator."""
-    den = lcm(*[q for xy in pairs for _, q in xy])  # a list: see PiecewiseLinear
-    return den, [(p * (den // q), r * (den // s)) for (p, q), (r, s) in pairs]
-
-
-def make_polygon(points: Iterable) -> ConvexPolygon:
-    """Canonical CCW convex hull of the inputs; rejects zero-area hulls."""
-    den, pts = _cleared([(rational_pair(p[0]), rational_pair(p[1])) for p in points])
-    pts = sorted(set(pts))
-    if len(pts) < 3:
-        raise DegenerateInput("need at least three distinct points")
-
-    def chain(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = chain(pts)
-    upper = chain(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
-        raise DegenerateInput("points are collinear (zero-area hull)")
-    return _polygon(den, hull)
-
-
 def _polygon(den: int, ring: list) -> ConvexPolygon:
     """The polygon of a strictly convex CCW ring of int pairs over den."""
     g = gcd(den, *[c for pair in ring for c in pair])
@@ -202,10 +163,8 @@ def _cleared_form(r0, r1, r2, scale: int) -> Tuple[int, int, int]:
     """Integers (c0, c1, c2) with c0 + c1*alpha + c2*beta equal to L times
     scale*r0 + r1*alpha + r2*beta, for the positive lcm L of the
     denominators of the rationals r0, r1, r2; the sign is unchanged."""
-    L = lcm(r0.denominator, r1.denominator, r2.denominator)
-    return (scale * r0.numerator * (L // r0.denominator),
-            r1.numerator * (L // r1.denominator),
-            r2.numerator * (L // r2.denominator))
+    (c0, c1, c2), _ = _over_common((r0, r1, r2))
+    return scale * c0, c1, c2
 
 
 def cut_polygon(P: ConvexPolygon, F: AffineForm):
@@ -256,8 +215,8 @@ def x_projection(P: ConvexPolygon, axis: Axis = Axis.X) -> Interval:
 def height_profile(P: ConvexPolygon, axis: Axis = Axis.X) -> PiecewiseLinear:
     """Slice-length profile f(t) = length of the axis-perpendicular chord.
 
-    P must be strictly convex and canonical, as :func:`make_polygon` and
-    :func:`cut_polygon` build it.  Its two boundary chains from a vertex of
+    P must be strictly convex and canonical, as :meth:`ConvexPolygon.from_json`
+    and :func:`cut_polygon` build it.  Its two boundary chains from a vertex of
     least coordinate to one of greatest are linear between vertex
     coordinates, so f is piecewise linear with breakpoints exactly at the
     distinct vertex coordinates, concave, nonnegative, and integrates to

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain, compress, groupby, repeat
-from math import ceil, comb, floor
+from math import comb
 from operator import itemgetter
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -97,15 +97,6 @@ class LatticeSet:
     def __iter__(self):
         return iter(self.points)
 
-    def __contains__(self, pt):
-        pt = tuple(pt)
-        if len(pt) != 2:
-            return False
-        a, b = pt
-        # the last run starting at or before (a, b)
-        i = bisect_left(self.runs, (a, b + 1)) - 1
-        return i >= 0 and self.runs[i][0] == a and b < self.runs[i][1] + self.runs[i][2]
-
     def issubset(self, other: "LatticeSet") -> bool:
         # Both run lists are sorted, and a run, being consecutive points,
         # lies in other only inside one run of other: one merge pass.
@@ -119,9 +110,6 @@ class LatticeSet:
             if line != a or start > first or first + count > end:
                 return False
         return True
-
-    def to_json(self) -> list:
-        return [list(p) for p in self.points]
 
     @classmethod
     def from_json(cls, data: Sequence) -> "LatticeSet":
@@ -219,25 +207,27 @@ def scaled_points(P: ConvexPolygon, n: int) -> LatticeSet:
     """Integer points of the closed scaled polygon n*P.
 
     Membership is decided column by column: each edge (a, b) of the CCW
-    polygon contributes the half-plane (b - a) x (q - a) >= 0, cleared of
-    denominators once, so every integer first coordinate alpha gets an
-    integer bound on the second coordinate by floor division.
+    polygon contributes the half-plane (b - a) x (q - a) >= 0, in ints
+    over P's denominator d, so every integer first coordinate alpha gets
+    an integer bound on the second coordinate by floor division.
     """
     if n < 1:
         raise ValueError("scale must be a positive integer")
     if not P.in_first_quadrant():
         raise ValueError("polygon must lie in the first quadrant")
+    d, ps = P.den, P.pairs
     lower, upper, walls = [], [], []
-    for a, b in P.edges():
-        # -dy*x + dx*y + (dy*a.x - dx*a.y) >= 0 inside, with (dx, dy) = b - a
-        dx, dy = b.x - a.x, b.y - a.y
-        c0, c1, c2 = _cleared_form(dy * a.x - dx * a.y, -dy, dx, n)
+    for (ax, ay), (bx, by) in zip(ps, ps[1:] + ps[:1]):
+        # -dy*x + dx*y + (dy*a.x - dx*a.y) >= 0 inside, with (dx, dy) = b - a,
+        # at (x, y) = (alpha, beta) / n and times n * d^2
+        dx, dy = bx - ax, by - ay
+        c0, c1, c2 = n * (dy * ax - dx * ay), -dy * d, dx * d
         # c2 > 0 bounds beta from below, c2 < 0 from above, c2 = 0 is a wall
         (lower if c2 > 0 else upper if c2 < 0 else walls).append((c0, c1, c2))
-    xs = [v.x for v in P.vertices]
+    xs = [x for x, _ in ps]
     runs = []
     size = 0
-    for alpha in range(ceil(n * min(xs)), floor(n * max(xs)) + 1):
+    for alpha in range(-(-n * min(xs) // d), n * max(xs) // d + 1):
         if any(c0 + c1 * alpha < 0 for c0, c1, _ in walls):
             continue
         lo = max(0, max(-((c0 + c1 * alpha) // c2) for c0, c1, c2 in lower))
@@ -429,14 +419,6 @@ class WitnessSelection:
     def subset(self) -> LatticeSet:
         """The witness points as a lattice set."""
         return _expand(self.direction, self.runs)
-
-    @property
-    def assignment(self) -> Tuple[Tuple[int, int], ...]:
-        """(line, assigned size) of the chosen lines, largest size first."""
-        totals: Dict[int, int] = {}
-        for line, _first, count in self.runs:
-            totals[line] = totals.get(line, 0) + count
-        return tuple(sorted(totals.items(), key=lambda lc: -lc[1]))
 
     def to_json(self) -> dict:
         return {"m": self.m,

@@ -31,13 +31,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, perm
+from math import comb, perm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ._input import SizeGuardrail, _cell_cap, field, items  # SizeGuardrail: re-exported
 from ._kernels import modrank
 from .geometry import Point, point
 from .lattice import LatticeSet, _coerce_spec
+from .reorder import _over_common
 
 Matrix = List[List[Fraction]]
 
@@ -101,12 +102,20 @@ class GenericPointSet:
     def seeded(cls, r: int, seed: int) -> "GenericPointSet":
         """r distinct points with 16-bit numerators over a fixed prime-ish
         denominator; the same seed always reproduces the same set."""
-        rng = random.Random(seed)
-        pts = {}  # an ordered set: a repeated point is drawn again
-        while len(pts) < r:
-            pts[Point(Fraction(rng.randint(1, _SEED_NUMERATOR_MAX), _SEED_DENOMINATOR),
-                      Fraction(rng.randint(1, _SEED_NUMERATOR_MAX), _SEED_DENOMINATOR))] = None
+        pts = [Point(Fraction(a, _SEED_DENOMINATOR), Fraction(b, _SEED_DENOMINATOR))
+               for a, b in _distinct_pairs(r, seed, _SEED_NUMERATOR_MAX)]
         return cls(tuple(pts), source="seeded-random", seed=seed)
+
+
+def _distinct_pairs(r: int, seed: int, top: int) -> List[Tuple[int, int]]:
+    """r distinct pairs of ints in [1, top], drawn in order from a generator
+    seeded with ``seed``; a repeated pair is drawn again, so r must not
+    exceed top^2."""
+    rng = random.Random(seed)
+    pairs = {}  # an ordered set
+    while len(pairs) < r:
+        pairs[rng.randint(1, top), rng.randint(1, top)] = None
+    return list(pairs)
 
 
 @dataclass(frozen=True)
@@ -311,10 +320,7 @@ def fraction_free_rank(rows: Matrix) -> int:
     elimination keeps every intermediate entry an exact minor of the integer
     matrix, so divisions are exact and there is no rational blow-up mid-run.
     """
-    m = []
-    for row in rows:
-        den = lcm(*(e.denominator for e in row)) if row else 1
-        m.append([int(e * den) for e in row])
+    m = [_over_common(row)[0] for row in rows]
     if not m:
         return 0
     nrows, ncols = len(m), len(m[0])
@@ -453,6 +459,9 @@ def system_dimension_modp(D: LatticeSet, spec, seed: int = 0,
     if prime <= max(max_exp, 2):
         raise PrimeTooSmall(
             f"prime {prime} must exceed every derivative factor (max exponent {max_exp})")
+    if len(spec) > (prime - 1) ** 2:
+        raise PrimeTooSmall(f"prime {prime} leaves {(prime - 1) ** 2} distinct points with "
+                            f"nonzero coordinates, fewer than the system's {len(spec)} points")
     _check_cells(spec.conditions(), len(D), "modular")
     rows = _random_point_rows(D, spec, seed, prime)
     rank = modrank(rows, prime) if rows else 0
@@ -467,10 +476,7 @@ def system_dimension_modp(D: LatticeSet, spec, seed: int = 0,
 
 def _random_point_rows(D: LatticeSet, spec, seed: int, prime: int) -> List[List[int]]:
     """Condition matrix over GF(prime) at seeded random points."""
-    rng = random.Random(seed)
-    pts = {}  # an ordered set: a repeated point is drawn again
-    while len(pts) < len(spec):
-        pts[rng.randint(1, prime - 1), rng.randint(1, prime - 1)] = None
+    pts = _distinct_pairs(len(spec), seed, prime - 1)
     cols = list(D)
     return [[perm(alpha, a) * perm(beta, b) % prime * pow(x, alpha - a, prime)
              * pow(y, beta - b, prime) % prime if a <= alpha and b <= beta else 0

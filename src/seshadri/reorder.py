@@ -10,19 +10,14 @@ compute in ints over common denominators.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Tuple, Union
 
-from ._input import parsed, rational
+from ._input import rational
 
 RationalLike = Union[Fraction, int, str]
-
-
-class OutOfRange(ValueError):
-    """A parameter lies outside the function's domain."""
 
 
 @dataclass(frozen=True)
@@ -52,24 +47,8 @@ class PiecewiseLinear:
         object.__setattr__(self, "values", vals)
 
     @property
-    def domain(self) -> tuple:
-        return (self.breakpoints[0], self.breakpoints[-1])
-
-    @property
     def width(self) -> Fraction:
         return self.breakpoints[-1] - self.breakpoints[0]
-
-    def __call__(self, t: RationalLike) -> Fraction:
-        t = rational(t)
-        a, b = self.domain
-        if t < a or t > b:
-            raise OutOfRange(f"{t} outside domain [{a}, {b}]")
-        i = bisect_right(self.breakpoints, t) - 1
-        if i == len(self.breakpoints) - 1:
-            return self.values[-1]
-        t0, t1 = self.breakpoints[i], self.breakpoints[i + 1]
-        v0, v1 = self.values[i], self.values[i + 1]
-        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
     def segments(self):
         """Yield (t0, t1, v0, v1) for each linear piece."""
@@ -80,11 +59,6 @@ class PiecewiseLinear:
     def to_json(self) -> dict:
         return {"breakpoints": [str(t) for t in self.breakpoints],
                 "values": [str(v) for v in self.values]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PiecewiseLinear":
-        return cls(tuple(parsed("breakpoint", rational, t) for t in data["breakpoints"]),
-                   tuple(parsed("value", rational, v) for v in data["values"]))
 
 
 def _over_common(xs) -> Tuple[list, int]:

@@ -5,8 +5,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from seshadri.geometry import DegenerateInput, make_polygon
+from seshadri.geometry import DegenerateInput
 from seshadri.reorder import PiecewiseLinear
+
+from fraction_reference import polygon
 
 
 def random_pl(rng: random.Random, max_breaks: int = 12, domain=None,
@@ -56,7 +58,7 @@ def random_polygon(rng: random.Random, span: int = 8, tries: int = 100):
                 Fraction(rng.randint(0, span), rng.randint(1, 3)))
                for _ in range(k)]
         try:
-            return make_polygon(pts)
+            return polygon(pts)
         except DegenerateInput:
             continue
     raise AssertionError("failed to sample a convex polygon")

@@ -5,24 +5,33 @@ geometry, kept as references for the integer versions in ``seshadri``.
 A polygon there is its canonical vertex tuple: counterclockwise ``Point``s
 starting at the lowest, then leftmost vertex, as ``ConvexPolygon.vertices``
 states it.  Each function computes what its namesake in the package does,
-in ``Fraction`` arithmetic throughout.
+in ``Fraction`` arithmetic throughout; the convex hull ``make_polygon`` has
+no namesake, and ``polygon`` loads its chain through the package's one
+loader, ``ConvexPolygon.from_json``, to build test polygons from points.
 
-The second part holds exact checks that no command runs: areas,
-containment, the identity-domination criterion, sup-norm distances and
-curve membership.  A former method takes its object as first argument.
+The second part holds exact checks and accessors that no command runs:
+areas, containment, evaluation of a piecewise-linear function, the
+identity-domination criterion, sup-norm distances and curve membership.
+A former method takes its object as first argument.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
+from seshadri.certify import AsymptoticReport
 from seshadri.geometry import Axis, ConvexPolygon, DegenerateInput, Interval, Point
-from seshadri._input import rational
-from seshadri.lattice import LatticeSet
+from seshadri._input import parsed, rational
+from seshadri.lattice import LatticeSet, WitnessSelection
 from seshadri.oracle import fraction_free_rank
-from seshadri.reorder import OutOfRange, PiecewiseLinear, RationalLike
+from seshadri.reorder import PiecewiseLinear, RationalLike
+
+
+class OutOfRange(ValueError):
+    """A parameter lies outside the function's domain."""
 
 
 def _cross(o, a, b):
@@ -49,6 +58,12 @@ def make_polygon(points):
     if len(hull) < 3:
         raise DegenerateInput("points are collinear (zero-area hull)")
     return _canonical(hull)
+
+
+def polygon(points) -> ConvexPolygon:
+    """The package polygon of the hull of ``points``, loaded through
+    ``ConvexPolygon.from_json``, the package's one way in from points."""
+    return ConvexPolygon.from_json([list(v) for v in make_polygon(points)])
 
 
 def _canonical(chain):
@@ -83,7 +98,7 @@ def cut_polygon(vertices, F):
 
 def height_profile(vertices, axis=Axis.X):
     """Chord-length profile by one walk along both boundary chains."""
-    coords = [(axis.coord(v), other(axis, v)) for v in vertices]
+    coords = [(coord(axis, v), other(axis, v)) for v in vertices]
     n = len(coords)
     low = min(coords)
     lo, hi = low[0], max(coords)[0]
@@ -182,8 +197,22 @@ def first_crossing(fs):
 
 # --- exact checks that no command runs ----------------------------------------
 
+def coord(axis: Axis, p: Point) -> Fraction:
+    return p.x if axis is Axis.X else p.y
+
+
 def other(axis: Axis, p: Point) -> Fraction:
     return p.y if axis is Axis.X else p.x
+
+
+def edges(P: ConvexPolygon):
+    """The (a, b) vertex pairs of P's edges, counterclockwise."""
+    vs = P.vertices
+    return zip(vs, vs[1:] + vs[:1])
+
+
+def length(interval: Interval) -> Fraction:
+    return interval.hi - interval.lo
 
 
 def interval_contains(interval: Interval, other: Interval) -> bool:
@@ -199,7 +228,31 @@ def area(P: ConvexPolygon) -> Fraction:
 
 def polygon_contains(P: ConvexPolygon, p: Point) -> bool:
     """Closed containment test via edge cross products."""
-    return all(_cross(a, b, p) >= 0 for a, b in P.edges())
+    return all(_cross(a, b, p) >= 0 for a, b in edges(P))
+
+
+def domain(f: PiecewiseLinear) -> tuple:
+    return (f.breakpoints[0], f.breakpoints[-1])
+
+
+def evaluate(f: PiecewiseLinear, t: RationalLike) -> Fraction:
+    """f(t) by linear interpolation; OutOfRange outside f's domain."""
+    t = rational(t)
+    a, b = domain(f)
+    if t < a or t > b:
+        raise OutOfRange(f"{t} outside domain [{a}, {b}]")
+    i = bisect_right(f.breakpoints, t) - 1
+    if i == len(f.breakpoints) - 1:
+        return f.values[-1]
+    t0, t1 = f.breakpoints[i], f.breakpoints[i + 1]
+    v0, v1 = f.values[i], f.values[i + 1]
+    return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+
+
+def pl_from_json(data: dict) -> PiecewiseLinear:
+    """The function of ``PiecewiseLinear.to_json``'s output."""
+    return PiecewiseLinear(tuple(parsed("breakpoint", rational, t) for t in data["breakpoints"]),
+                           tuple(parsed("value", rational, v) for v in data["values"]))
 
 
 def is_nondecreasing(f: PiecewiseLinear) -> bool:
@@ -220,34 +273,34 @@ def translate(f: PiecewiseLinear, dt: RationalLike) -> PiecewiseLinear:
 
 def restrict(f: PiecewiseLinear, lo: RationalLike, hi: RationalLike) -> PiecewiseLinear:
     lo, hi = rational(lo), rational(hi)
-    a, b = f.domain
+    a, b = domain(f)
     if lo < a or hi > b or lo >= hi:
         raise OutOfRange(f"[{lo}, {hi}] is not a sub-interval of [{a}, {b}]")
     bps = [lo]
-    vals = [f(lo)]
+    vals = [evaluate(f, lo)]
     for t, v in zip(f.breakpoints, f.values):
         if lo < t < hi:
             bps.append(t)
             vals.append(v)
     bps.append(hi)
-    vals.append(f(hi))
+    vals.append(evaluate(f, hi))
     return PiecewiseLinear(tuple(bps), tuple(vals))
 
 
 def equivalent(f: PiecewiseLinear, other: PiecewiseLinear) -> bool:
     """True when both represent the same function (domains included)."""
-    if f.domain != other.domain:
+    if domain(f) != domain(other):
         return False
     grid = sorted(set(f.breakpoints) | set(other.breakpoints))
-    return all(f(t) == other(t) for t in grid)
+    return all(evaluate(f, t) == evaluate(other, t) for t in grid)
 
 
 def max_norm_distance(f: PiecewiseLinear, g: PiecewiseLinear) -> Fraction:
     """Exact sup-norm of f - g on their common domain."""
-    if f.domain != g.domain:
+    if domain(f) != domain(g):
         raise ValueError("functions must share a domain")
     grid = sorted(set(f.breakpoints) | set(g.breakpoints))
-    return max(abs(f(t) - g(t)) for t in grid)
+    return max(abs(evaluate(f, t) - evaluate(g, t)) for t in grid)
 
 
 @dataclass(frozen=True)
@@ -278,7 +331,7 @@ def dominates_identity(fsharp: PiecewiseLinear, m: RationalLike) -> ReorderCrite
         raise OutOfRange(f"m = {m} exceeds domain length {width}")
 
     def g(t):
-        return fsharp(a + t) - t
+        return evaluate(fsharp, a + t) - t
 
     ts = sorted({bp - a for bp in fsharp.breakpoints if 0 < bp - a <= m} | {m})
     if g(Fraction(0)) < 0:
@@ -311,3 +364,31 @@ def points_on_curve(D: LatticeSet, degree: int) -> bool:
     mons = monomials_up_to(degree)
     rows = [[Fraction(alpha**i * beta**j) for i, j in mons] for alpha, beta in D]
     return fraction_free_rank(rows) < len(mons)
+
+
+def lattice_contains(D: LatticeSet, pt) -> bool:
+    """Whether ``pt`` is a point of D, by bisecting its runs."""
+    pt = tuple(pt)
+    if len(pt) != 2:
+        return False
+    a, b = pt
+    # the last run starting at or before (a, b)
+    i = bisect_left(D.runs, (a, b + 1)) - 1
+    return i >= 0 and D.runs[i][0] == a and b < D.runs[i][1] + D.runs[i][2]
+
+
+def lattice_to_json(D: LatticeSet) -> list:
+    return [list(p) for p in D.points]
+
+
+def assignment(w: WitnessSelection) -> Tuple[Tuple[int, int], ...]:
+    """(line, assigned size) of the chosen lines, largest size first."""
+    totals: Dict[int, int] = {}
+    for line, _first, count in w.runs:
+        totals[line] = totals.get(line, 0) + count
+    return tuple(sorted(totals.items(), key=lambda lc: -lc[1]))
+
+
+def failing(report: AsymptoticReport) -> list:
+    """The pieces, by 1-based index, that fail the report's ratio."""
+    return [c.polygon for c in report.per_polygon if not c.passed]

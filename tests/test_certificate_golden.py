@@ -38,8 +38,10 @@ from seshadri.certify import (BUILTIN_POINT_TABLE, CutStep, Dissection,
                               dissection_to_json, dump_json, finite_certificate,
                               validate_dissection, verify_asymptotic)
 from seshadri.cli import run
-from seshadri.geometry import AffineForm, make_polygon
+from seshadri.geometry import AffineForm
 from seshadri.render import RenderSpec, render_svg
+
+import fraction_reference as ref
 
 GOLDEN_TOOL_VERSION = "0.2.0"
 GOLDEN = {
@@ -126,9 +128,9 @@ REFUSAL_GOLDEN = {
 
 def _sliver() -> Dissection:
     """The simplex with a width-1/100 sliver peeled off its left edge."""
-    neg = make_polygon([(0, 0), (F(1, 100), 0), (F(1, 100), F(99, 100)), (0, 1)])
-    pos = make_polygon([(F(1, 100), 0), (1, 0), (F(1, 100), F(99, 100))])
-    return Dissection("sliver", make_polygon([(0, 0), (1, 0), (0, 1)]),
+    neg = ref.polygon([(0, 0), (F(1, 100), 0), (F(1, 100), F(99, 100)), (0, 1)])
+    pos = ref.polygon([(F(1, 100), 0), (1, 0), (F(1, 100), F(99, 100))])
+    return Dissection("sliver", ref.polygon([(0, 0), (1, 0), (0, 1)]),
                       (CutStep(AffineForm(F(-1, 100), 1, 0), neg),), pos)
 
 

@@ -20,19 +20,20 @@ from seshadri.certify import (BUILTIN_POINT_TABLE, CutStep, Dissection,
                               dump_json, finite_certificate,
                               validate_dissection, verify_asymptotic,
                               FiniteCertificate)
-from seshadri.geometry import (AffineForm, Axis, height_profile, make_polygon,
+from seshadri.geometry import (AffineForm, Axis, ConvexPolygon, height_profile,
                                point, x_projection)
 from seshadri.certify import AsymptoticReport, PolygonCheck, PolygonWitness
-from seshadri.reorder import PiecewiseLinear, monotone_reorder, sup_admissible
+from seshadri.reorder import monotone_reorder, sup_admissible
 from seshadri import lattice
 from seshadri.lattice import Direction, WitnessSelection, scaled_points
 from seshadri.oracle import OracleVerdict, SizeGuardrail
 
 import fraction_reference as ref
+from conftest import random_polygon
 
 ROOT = Path(__file__).resolve().parent.parent
 BUILTIN = builtin_dissection_eckl10()
-SIMPLEX = make_polygon([(0, 0), (1, 0), (0, 1)])
+SIMPLEX = ref.polygon([(0, 0), (1, 0), (0, 1)])
 
 
 def _validate_reference(dis):
@@ -94,22 +95,22 @@ def _mutated_eckl10(rng):
 def toy_half_split():
     """Simplex peeled once by x + y - 1/2; certified ratio is 1/2."""
     cut = AffineForm(F(-1, 2), 1, 1)
-    neg = make_polygon([(0, 0), (F(1, 2), 0), (0, F(1, 2))])
-    pos = make_polygon([(F(1, 2), 0), (1, 0), (0, 1), (0, F(1, 2))])
+    neg = ref.polygon([(0, 0), (F(1, 2), 0), (0, F(1, 2))])
+    pos = ref.polygon([(F(1, 2), 0), (1, 0), (0, 1), (0, F(1, 2))])
     return Dissection("half", SIMPLEX, (CutStep(cut, neg),), pos)
 
 
 def toy_sliver():
     """Simplex with a width-1/100 sliver peeled off the left edge."""
     cut = AffineForm(F(-1, 100), 1, 0)
-    neg = make_polygon([(0, 0), (F(1, 100), 0), (F(1, 100), F(99, 100)), (0, 1)])
-    pos = make_polygon([(F(1, 100), 0), (1, 0), (F(1, 100), F(99, 100))])
+    neg = ref.polygon([(0, 0), (F(1, 100), 0), (F(1, 100), F(99, 100)), (0, 1)])
+    pos = ref.polygon([(F(1, 100), 0), (1, 0), (F(1, 100), F(99, 100))])
     return Dissection("sliver", SIMPLEX, (CutStep(cut, neg),), pos)
 
 
 def diagonal_sliver():
     """One thin diagonal piece whose certified bound is 0."""
-    sliver = make_polygon([(0, 0), (F(7, 13), F(5, 13)), (F(5, 13), F(7, 13))])
+    sliver = ref.polygon([(0, 0), (F(7, 13), F(5, 13)), (F(5, 13), F(7, 13))])
     return Dissection("diagonal", sliver, (), sliver)
 
 
@@ -190,7 +191,7 @@ class TestVerifyAsymptotic:
     def test_bound_itself_fails_strictly(self):
         report = verify_asymptotic(BUILTIN, F(4, 13))
         assert not report.overall
-        failing = report.failing()
+        failing = ref.failing(report)
         assert failing
         assert set(failing) & {1, 6, 7, 8, 9, 10}
 
@@ -201,7 +202,7 @@ class TestVerifyAsymptotic:
         report = verify_asymptotic(BUILTIN, F(3, 10))
         for check in report.per_polygon:
             poly = BUILTIN.polygons()[check.polygon - 1]
-            assert x_projection(poly, check.axis).length > F(3, 10)
+            assert ref.length(x_projection(poly, check.axis)) > F(3, 10)
             assert max(height_profile(poly, check.axis).values) > F(3, 10)
 
     def test_rejects_bad_m(self):
@@ -401,36 +402,30 @@ class TestAnalysedOnce:
 
 
 class TestNoRehulling:
-    """Loading checks each stated chain and cutting builds each side as the
-    chain it walks: a hull is built only for the builtin's region, never
-    for a stated or derived piece."""
+    """A polygon enters from points only through ``ConvexPolygon.from_json``,
+    which checks the stated chain without a hull; cutting builds each side
+    as the chain it walks, so validation enters no polygon from points."""
 
     @pytest.fixture
-    def hulls(self, monkeypatch):
-        import seshadri.certify as certify
-        import seshadri.geometry as geometry
+    def entered(self, monkeypatch):
         calls = []
+        real = ConvexPolygon.from_json
 
-        def counted(module):
-            real = module.make_polygon
-
-            def wrapper(points):
-                calls.append(module.__name__)
-                return real(points)
-            return wrapper
-        for module in (geometry, certify):
-            monkeypatch.setattr(module, "make_polygon", counted(module))
+        def counted(cls, data):
+            calls.append(len(data))
+            return real(data)
+        monkeypatch.setattr(ConvexPolygon, "from_json", classmethod(counted))
         return calls
 
-    def test_validation_builds_no_hull(self, hulls):
+    def test_validation_builds_no_hull(self, entered):
         copy = dissection_from_json(dissection_to_json(BUILTIN))
-        assert hulls == []  # loading checks each stated chain in one pass
+        assert len(entered) == 11  # the region, nine steps and the final piece
         assert validate_dissection(copy).ok
-        assert hulls == []
+        assert len(entered) == 11
 
-    def test_builtin_builds_one_hull_for_its_region(self, hulls):
+    def test_builtin_enters_only_its_region_from_points(self, entered):
         assert builtin_dissection_eckl10() == BUILTIN
-        assert hulls == ["seshadri.certify"]
+        assert entered == [3]
 
 
 def _report_reference(dis, m):
@@ -440,7 +435,7 @@ def _report_reference(dis, m):
         candidates = []
         for axis in (Axis.X, Axis.Y):
             profile = height_profile(poly, axis)
-            width, sup = x_projection(poly, axis).length, sup_admissible(profile)
+            width, sup = ref.length(x_projection(poly, axis)), sup_admissible(profile)
             passed = m < width and m < sup
             check = PolygonCheck(idx, axis, width, sup, passed, profile,
                                  monotone_reorder(profile))
@@ -465,9 +460,25 @@ class TestRecordMatchesFreshComputation:
                 assert data.axis is axis, (i, axis)
                 profile = height_profile(poly, axis)
                 assert data.profile == profile, (i, axis)
-                assert data.width == x_projection(poly, axis).length, (i, axis)
-                assert data.sup == sup_admissible(profile), (i, axis)
+                assert data.score == sup_admissible(profile), (i, axis)
                 assert data.reordered == monotone_reorder(profile), (i, axis)
+
+    def test_first_crossing_is_within_the_projection(self):
+        # an axis's score is its first crossing alone: the profile spans
+        # the projection, and the crossing never passes its end
+        rng = random.Random(43)
+        polygons = BUILTIN.polygons() + [diagonal_sliver().region]
+        polygons += [random_polygon(rng) for _ in range(1000)]
+        uncrossed = 0
+        for poly in polygons:
+            for axis in Axis:
+                profile = height_profile(poly, axis)
+                width = ref.length(x_projection(poly, axis))
+                assert profile.width == width, (poly, axis)
+                sup = sup_admissible(profile)
+                assert sup <= width, (poly, axis)
+                uncrossed += sup == width
+        assert uncrossed > 100
 
     @pytest.mark.parametrize("dis, bound", [(BUILTIN, F(4, 13)), (diagonal_sliver(), 0)],
                              ids=["eckl10", "diagonal"])
@@ -643,6 +654,14 @@ class TestDissectionFiles:
         with pytest.raises(ValueError, match=r"vertex 1 \['0', '0', '0'\] is not a list"):
             dissection_from_json(data)
 
+    def test_refused_value_is_shown_abridged(self):
+        # eckl10's whole file given where its object belongs
+        with pytest.raises(ValueError) as refusal:
+            dissection_from_json([dissection_to_json(BUILTIN)])
+        message = str(refusal.value)
+        assert message.startswith("dissection [{'final': [...], 'name': 'eckl10', ")
+        assert message.endswith(" is not an object") and len(message) < 120
+
     def test_rational_strings_in_file(self):
         data = dissection_to_json(BUILTIN)
         assert data["region"][0] == ["0", "0"]
@@ -731,10 +750,10 @@ class TestStrictCertificateLoaders:
         assert FiniteCertificate.from_json(data).per_polygon[0].deviation == 0
 
     @pytest.mark.parametrize("loader,data,path,name", [
-        (PiecewiseLinear.from_json, {"breakpoints": ["0", "1/2", "1"],
-                                     "values": ["0", "1", "0"]}, ["breakpoints", 1],
+        (ref.pl_from_json, {"breakpoints": ["0", "1/2", "1"],
+                            "values": ["0", "1", "0"]}, ["breakpoints", 1],
          "breakpoint"),
-        (PiecewiseLinear.from_json, {"breakpoints": ["0", "1"], "values": ["0", "1"]},
+        (ref.pl_from_json, {"breakpoints": ["0", "1"], "values": ["0", "1"]},
          ["values", 0], "value"),
         (lambda d: verify_asymptotic(BUILTIN, d["m"]), {"m": "3/10"}, ["m"], "m"),
     ], ids=["breakpoints", "values", "verify_asymptotic"])
@@ -786,7 +805,7 @@ class TestStrictCertificateLoaders:
         w = WitnessSelection.from_json(dict(self.WITNESS, runs=[
             [0, 0, 2], [0, 3, 2], [1, 0, 3], [2, 0, 2], [3, 0, 1]]))
         assert (0, 2) not in w.subset and (0, 4) in w.subset
-        assert w.assignment == ((0, 4), (1, 3), (2, 2), (3, 1))
+        assert ref.assignment(w) == ((0, 4), (1, 3), (2, 2), (3, 1))
 
     def test_witness_over_the_cell_cap(self, monkeypatch):
         expanded = []

@@ -13,7 +13,7 @@ import pytest
 from seshadri import certify as cert
 from seshadri import oracle
 from seshadri.cli import run
-from seshadri.geometry import AffineForm, cut_polygon, make_polygon
+from seshadri.geometry import AffineForm, ConvexPolygon, cut_polygon
 from seshadri.lattice import LatticeSet, MultiplicitySpec
 from seshadri.oracle import system_dimension_exact, system_dimension_modp
 from test_canonical_json import _dump_json_reference
@@ -271,7 +271,7 @@ def test_render_labels_only_the_builtin(tmp_path):
     builtin = tmp_path / "eckl10.json"
     assert run(["builtin", "--name", "eckl10", "--out", str(builtin)]) == 0
     # a valid dissection of the doubled simplex that only borrows the name
-    region = make_polygon([(0, 0), (2, 0), (0, 2)])
+    region = ConvexPolygon.from_json([[0, 0], [2, 0], [0, 2]])
     cut = AffineForm(-1, 1, 1)
     peeled, final = cut_polygon(region, cut)
     impostor = tmp_path / "impostor.json"
@@ -577,6 +577,25 @@ def test_oracle_small_prime_guards_only_random_points(tmp_path, capsys):
                 "--prime", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "derivative factor" in captured.err
+
+
+def test_oracle_refuses_more_points_than_a_small_prime_leaves(tmp_path):
+    # Mod 3 only 4 points have both coordinates nonzero, so five distinct
+    # random points are never drawn: refused before the draw, in a child
+    # process that a timeout ends if the draw starts.
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"D": [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]],
+                                "multiplicities": [1] * 5}))
+    argv = [sys.executable, "-m", "seshadri.cli", "oracle", "--system", str(path),
+            "--mode", "modular", "--prime"]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    refused = subprocess.run(argv + ["3"], capture_output=True, text=True, timeout=60, env=env)
+    assert refused.returncode == 2 and refused.stdout == ""
+    assert ("prime 3 leaves 4 distinct points with nonzero coordinates, "
+            "fewer than the system's 5 points") in refused.stderr
+    answered = subprocess.run(argv + ["5"], capture_output=True, text=True, timeout=60, env=env)
+    assert answered.returncode in (0, 1), answered.stderr
+    assert json.loads(answered.stdout)["prime"] == 5
 
 
 _SYSTEMS = {

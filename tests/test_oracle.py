@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from seshadri._kernels import pyref
-from seshadri.geometry import Point, make_polygon
+from seshadri.geometry import Point
 from seshadri.lattice import (Direction, LatticeSet, column_profile,
                               max_parallel_witness, scaled_points,
                               select_witness_subset)
@@ -198,7 +198,7 @@ class TestModularOracle:
                 system_dimension_modp(big, spec, seed=0, prime=9)
 
     def test_witness_from_scaled_triangle(self):
-        gke = make_polygon([("5/13", 0), ("7/13", "6/13"), ("9/13", "4/13")])
+        gke = ref.polygon([("5/13", 0), ("7/13", "6/13"), ("9/13", "4/13")])
         pts = scaled_points(gke, 26)
         m = max_parallel_witness(column_profile(pts, Direction.VERTICAL))
         assert m == 8

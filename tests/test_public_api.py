@@ -6,11 +6,10 @@ PUBLIC = [
     "__version__",
     # geometry
     "AffineForm", "Axis", "ConvexPolygon", "DegenerateInput", "Interval",
-    "Point", "cut_polygon", "height_profile", "make_polygon", "parse_rational",
-    "point", "x_projection",
+    "Point", "cut_polygon", "height_profile", "parse_rational", "point",
+    "x_projection",
     # reorder
-    "OutOfRange", "PiecewiseLinear", "monotone_reorder", "sublevel_measure",
-    "sup_admissible",
+    "PiecewiseLinear", "monotone_reorder", "sublevel_measure", "sup_admissible",
     # lattice
     "ColumnProfile", "Direction", "EmptySet", "LatticeSet",
     "MultiplicitySpec", "WitnessSelection", "WitnessTooLarge",
