@@ -4,7 +4,8 @@ from the package.  A rational is a ``Fraction``, an ``int`` that is not a
 strings are refused.  A typed field must have exactly its type, so a bool
 is never an integer.  Every refusal names the value.  The cell cap, which
 bounds every size a request may claim, lives here too, so that every module
-can refuse an oversized request without importing another.
+can refuse an oversized request without importing another; so does
+``_over_common``, which clears rationals to ints over one denominator.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
+from math import lcm
 from reprlib import Repr
 from typing import Tuple
 
@@ -70,6 +72,13 @@ def rational_pair(x) -> Tuple[int, int]:
 def rational(x) -> Fraction:
     """A Fraction as is, or the Fraction of :func:`rational_pair`."""
     return x if type(x) is Fraction else Fraction(*rational_pair(x))
+
+
+def _over_common(xs) -> Tuple[list, int]:
+    """The rationals ``xs`` (Fractions or ints) as ints over their least
+    common denominator."""
+    den = lcm(*[x.denominator for x in xs])
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 class _Object(dict):

@@ -19,8 +19,8 @@ from operator import itemgetter
 from typing import NamedTuple, Sequence, Tuple
 
 # parse_rational is re-exported
-from ._input import field, items, parse_rational, rational, rational_pair
-from .reorder import PiecewiseLinear, _over_common
+from ._input import _over_common, field, items, parse_rational, rational, rational_pair
+from .reorder import PiecewiseLinear, _from_ints
 
 
 class DegenerateInput(ValueError):
@@ -222,8 +222,9 @@ def height_profile(P: ConvexPolygon, axis: Axis = Axis.X) -> PiecewiseLinear:
     distinct vertex coordinates, concave, nonnegative, and integrates to
     the polygon area.  One walk along both chains finds every breakpoint
     in order, in time linear in the vertex count, in ints over P's
-    denominator.  At an extreme coordinate each chain ends at its own end
-    of the axis-parallel edge there, if any, so the chord is that edge.
+    denominator; the chords go over one lcm.  At an extreme coordinate
+    each chain ends at its own end of the axis-parallel edge there, if
+    any, so the chord is that edge.
     """
     coords = list(P.pairs) if axis is Axis.X else [(y, x) for x, y in P.pairs]
     n = len(coords)
@@ -241,9 +242,8 @@ def height_profile(P: ConvexPolygon, axis: Axis = Axis.X) -> PiecewiseLinear:
             side.append(coords[i % n])
         chains.append(side)
     a, b = chains
-    d = P.den
     ts = [lo]
-    vals = [Fraction(abs(a[0][1] - b[0][1]), d)]
+    nums, dens = [abs(a[0][1] - b[0][1])], [1]  # chord i is nums[i] / (dens[i] * P.den)
     ia = ib = 0
     while ia + 1 < len(a):
         t = min(a[ia + 1][0], b[ib + 1][0])
@@ -253,8 +253,10 @@ def height_profile(P: ConvexPolygon, axis: Axis = Axis.X) -> PiecewiseLinear:
             ib += 1
         ts.append(t)
         (pa, qa), (pb, qb) = _chain_at(a, ia, t), _chain_at(b, ib, t)
-        vals.append(Fraction(abs(pa * qb - pb * qa), qa * qb * d))
-    return PiecewiseLinear(tuple([Fraction(t, d) for t in ts]), tuple(vals))
+        nums.append(abs(pa * qb - pb * qa))
+        dens.append(qa * qb)
+    den = lcm(*dens)
+    return _from_ints(P.den, ts, den * P.den, [c * (den // q) for c, q in zip(nums, dens)])
 
 
 def _chain_at(side, i: int, t: int) -> Tuple[int, int]:

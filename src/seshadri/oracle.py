@@ -34,11 +34,11 @@ from functools import lru_cache
 from math import comb, perm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ._input import SizeGuardrail, _cell_cap, field, items  # SizeGuardrail: re-exported
+# SizeGuardrail is re-exported
+from ._input import SizeGuardrail, _cell_cap, _over_common, field, items
 from ._kernels import modrank
 from .geometry import Point, point
 from .lattice import LatticeSet, _coerce_spec
-from .reorder import _over_common
 
 Matrix = List[List[Fraction]]
 

@@ -1,70 +1,123 @@
 """Exact monotone (increasing) rearrangement of piecewise-linear functions.
 
 A function is stored as breakpoints with linear interpolation in between,
-over exact rationals.  Rearrangements, sublevel measures and the first
-crossing under the identity therefore involve no tolerances at all: every
-comparison is an exact rational comparison, and crossings are isolated as
-exact roots of linear pieces.  The rearrangement and the first crossing
-compute in ints over common denominators.
+as ints over two denominators, one for the breakpoints and one for the
+values, checked once where the public constructor takes it in.
+Rearrangements, sublevel measures and the first crossing under the
+identity therefore involve no tolerances at all: every comparison is an
+exact int comparison, crossings are isolated as exact roots of linear
+pieces, and a ``Fraction`` is built only for what a caller reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 from typing import Tuple, Union
 
-from ._input import rational
+from ._input import _over_common, rational, rational_pair
 
 RationalLike = Union[Fraction, int, str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PiecewiseLinear:
     """Continuous piecewise-linear function given by breakpoint ordinates.
 
-    ``breakpoints`` are strictly increasing rationals t0 < ... < tk with
-    k >= 1; the function on [t0, tk] is the linear interpolation of the
-    pairs (ti, values[i]).
+    ``PiecewiseLinear(breakpoints, values)`` takes strictly increasing
+    rationals t0 < ... < tk with k >= 1 and as many values; the function on
+    [t0, tk] is the linear interpolation of the pairs (ti, values[i]).  It
+    is stored as the breakpoints ``ts`` over ``tden`` and the values ``vs``
+    over ``vden``, ints with each denominator in lowest terms against its
+    tuple, so equal functions have equal fields.  ``breakpoints``,
+    ``values`` and ``width`` are built from them on first use.
     """
 
-    breakpoints: tuple
-    values: tuple
+    tden: int
+    ts: Tuple[int, ...]
+    vden: int
+    vs: Tuple[int, ...]
 
-    def __post_init__(self):
-        # tuples of lists: a tuple built from an iterator of unknown length
-        # is resized, and CPython's tuple free lists then keep the freed copies
-        bps = tuple([rational(t) for t in self.breakpoints])
-        vals = tuple([rational(v) for v in self.values])
+    def __init__(self, breakpoints, values):
+        # tuples and star-arguments here are built from lists, not
+        # generators: a tuple built from an iterator of unknown length is
+        # resized, and CPython's tuple free lists then keep the freed copies
+        bps = [rational(t) for t in breakpoints]
+        vals = [rational(v) for v in values]
         if len(bps) < 2:
             raise ValueError("need at least two breakpoints")
         if len(bps) != len(vals):
             raise ValueError("breakpoints and values differ in length")
-        if any(a >= b for a, b in zip(bps, bps[1:])):
+        ts, tden = _over_common(bps)
+        if any(a >= b for a, b in zip(ts, ts[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "values", vals)
+        vs, vden = _over_common(vals)
+        # over the lcm of their lowest-terms denominators, rationals are in
+        # lowest terms already
+        _fill(self, tden, tuple(ts), vden, tuple(vs))
 
-    @property
+    @cached_property
+    def breakpoints(self) -> Tuple[Fraction, ...]:
+        return tuple([Fraction(t, self.tden) for t in self.ts])
+
+    @cached_property
+    def values(self) -> Tuple[Fraction, ...]:
+        return tuple([Fraction(v, self.vden) for v in self.vs])
+
+    @cached_property
     def width(self) -> Fraction:
-        return self.breakpoints[-1] - self.breakpoints[0]
+        return Fraction(self.ts[-1] - self.ts[0], self.tden)
 
-    def segments(self):
-        """Yield (t0, t1, v0, v1) for each linear piece."""
-        for i in range(len(self.breakpoints) - 1):
-            yield (self.breakpoints[i], self.breakpoints[i + 1],
-                   self.values[i], self.values[i + 1])
+    @cached_property
+    def _strings(self) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+        return (tuple([_text(t, self.tden) for t in self.ts]),
+                tuple([_text(v, self.vden) for v in self.vs]))
 
     def to_json(self) -> dict:
-        return {"breakpoints": [str(t) for t in self.breakpoints],
-                "values": [str(v) for v in self.values]}
+        # the object never changes, so its strings are written once; the
+        # lists are fresh for each caller
+        bps, vals = self._strings
+        return {"breakpoints": list(bps), "values": list(vals)}
 
 
-def _over_common(xs) -> Tuple[list, int]:
-    """The rationals ``xs`` as ints over their least common denominator."""
-    den = lcm(*[x.denominator for x in xs])
-    return [x.numerator * (den // x.denominator) for x in xs], den
+def _fill(f: PiecewiseLinear, tden: int, ts: tuple, vden: int, vs: tuple) -> None:
+    put = object.__setattr__
+    put(f, "tden", tden)
+    put(f, "ts", ts)
+    put(f, "vden", vden)
+    put(f, "vs", vs)
+
+
+def _lowest(den: int, xs: list) -> Tuple[int, tuple]:
+    """``den`` and ``xs`` divided by their greatest common divisor."""
+    g = gcd(den, *xs)
+    if g == 1:
+        return den, tuple(xs)
+    return den // g, tuple([x // g for x in xs])
+
+
+def _from_ints(tden: int, ts: list, vden: int, vs: list) -> PiecewiseLinear:
+    """The function with breakpoints ts / tden and values vs / vden, brought
+    to lowest terms without the constructor's checks: the caller supplies
+    positive denominators and as many strictly increasing ``ts`` as ``vs``."""
+    f = object.__new__(PiecewiseLinear)
+    _fill(f, *_lowest(tden, ts), *_lowest(vden, vs))
+    return f
+
+
+def _text(x: int, den: int) -> str:
+    """``str(Fraction(x, den))`` for den > 0, without building the Fraction."""
+    g = gcd(x, den)
+    if g == den:
+        return str(x // g)
+    return f"{x // g}/{den // g}"
+
+
+def _spans(vs) -> int:
+    """The lcm of the value spans |v1 - v0| of the sloped pieces, or 1."""
+    return lcm(*[abs(v1 - v0) for v0, v1 in zip(vs, vs[1:]) if v0 != v1])
 
 
 def _level_decomposition(f: PiecewiseLinear):
@@ -77,11 +130,10 @@ def _level_decomposition(f: PiecewiseLinear):
     pieces covering the gap (levels[j], levels[j+1]).  Widths are over tden,
     a multiple of every span, so each density times a gap is a width.
     """
-    ts, tden = _over_common(f.breakpoints)
-    vs, vden = _over_common(f.values)
+    ts, vs = f.ts, f.vs
     levels = sorted(set(vs))
     index = {v: i for i, v in enumerate(levels)}
-    spans = lcm(*[abs(v1 - v0) for v0, v1 in zip(vs, vs[1:]) if v0 != v1])
+    spans = _spans(vs)
     masses = [0] * len(levels)
     densities = [0] * (len(levels) - 1)
     for t0, t1, v0, v1 in zip(ts, ts[1:], vs, vs[1:]):
@@ -93,25 +145,22 @@ def _level_decomposition(f: PiecewiseLinear):
             rate = w // (hi - lo)
             for j in range(index[lo], index[hi]):
                 densities[j] += rate
-    return tuple(levels), tuple(masses), tuple(densities), (tden * spans, vden)
+    return tuple(levels), tuple(masses), tuple(densities), (f.tden * spans, f.vden)
 
 
 def sublevel_measure(f: PiecewiseLinear, s: RationalLike) -> Fraction:
     """Exact length of {t in dom(f) : f(t) <= s}."""
-    s = rational(s)
-    acc = Fraction(0)
-    for t0, t1, v0, v1 in f.segments():
-        w = t1 - t0
-        if v0 == v1:
-            if v0 <= s:
-                acc += w
-        else:
-            lo, hi = (v0, v1) if v0 < v1 else (v1, v0)
-            if s >= hi:
-                acc += w
-            elif s > lo:
-                acc += w * (s - lo) / (hi - lo)
-    return acc
+    p, q = rational_pair(s)
+    level = p * f.vden  # s, over vden * q like each value v * q
+    spans = _spans(f.vs)
+    acc = 0  # over tden * spans * q
+    for t0, t1, v0, v1 in zip(f.ts, f.ts[1:], f.vs, f.vs[1:]):
+        lo, hi = (v0, v1) if v0 < v1 else (v1, v0)
+        if level >= hi * q:
+            acc += (t1 - t0) * spans * q
+        elif level > lo * q:
+            acc += (t1 - t0) * (spans // (hi - lo)) * (level - lo * q)
+    return Fraction(acc, f.tden * spans * q)
 
 
 def monotone_reorder(f: PiecewiseLinear) -> PiecewiseLinear:
@@ -147,12 +196,11 @@ def monotone_reorder(f: PiecewiseLinear) -> PiecewiseLinear:
             t += masses[j + 1]
             bps.append(t)
             vals.append(levels[j + 1])
-    if Fraction(t, tden) != f.width:
+    if t * f.tden != (f.ts[-1] - f.ts[0]) * tden:
         raise RuntimeError(f"rearrangement invariant broken: the level sets measure "
                            f"{Fraction(t, tden)}, not the domain width {f.width} "
                            "(equimeasurability)")
-    return PiecewiseLinear(tuple([Fraction(b, tden) for b in bps]),
-                           tuple([Fraction(v, vden) for v in vals]))
+    return _from_ints(tden, bps, vden, vals)
 
 
 def sup_admissible(f: PiecewiseLinear) -> Fraction:
@@ -173,16 +221,15 @@ def _first_crossing(fs: PiecewiseLinear) -> Fraction:
     negative first value refuses the function as :func:`sup_admissible`
     does.
     """
-    if fs.values[0] < 0:
+    ts, tden, vs, vden = fs.ts, fs.tden, fs.vs, fs.vden
+    if vs[0] < 0:
         raise ValueError("profile must be nonnegative")
-    ts, tden = _over_common(fs.breakpoints)
-    vs, vden = _over_common(fs.values)
     gs = [v * tden - t * vden for t, v in zip(ts, vs)]  # f# - identity, over tden * vden
     for i, (g0, g1) in enumerate(zip(gs, gs[1:])):
         if g1 >= 0:
             continue
         if g0 < 0:
-            return fs.breakpoints[i]
+            return Fraction(ts[i], tden)
         # t0 + (t1 - t0) * g0 / (g0 - g1)
         return Fraction(ts[i] * (g0 - g1) + (ts[i + 1] - ts[i]) * g0, tden * (g0 - g1))
     return fs.width

@@ -141,7 +141,7 @@ def _level_decomposition(f):
     index = {v: i for i, v in enumerate(levels)}
     masses = [Fraction(0)] * len(levels)
     densities = [Fraction(0)] * (len(levels) - 1)
-    for t0, t1, v0, v1 in f.segments():
+    for t0, t1, v0, v1 in segments(f):
         w = t1 - t0
         if v0 == v1:
             masses[index[v0]] += w
@@ -185,7 +185,7 @@ def first_crossing(fs):
     """First crossing of the rearrangement ``fs`` under the identity."""
     if fs.values[0] < 0:
         raise ValueError("profile must be nonnegative")
-    for t0, t1, v0, v1 in fs.segments():
+    for t0, t1, v0, v1 in segments(fs):
         g0, g1 = v0 - t0, v1 - t1
         if g1 >= 0:
             continue
@@ -231,6 +231,13 @@ def polygon_contains(P: ConvexPolygon, p: Point) -> bool:
     return all(_cross(a, b, p) >= 0 for a, b in edges(P))
 
 
+def segments(f: PiecewiseLinear):
+    """Yield (t0, t1, v0, v1) for each linear piece."""
+    bps, vals = f.breakpoints, f.values
+    for i in range(len(bps) - 1):
+        yield (bps[i], bps[i + 1], vals[i], vals[i + 1])
+
+
 def domain(f: PiecewiseLinear) -> tuple:
     return (f.breakpoints[0], f.breakpoints[-1])
 
@@ -261,7 +268,7 @@ def is_nondecreasing(f: PiecewiseLinear) -> bool:
 
 def integral(f: PiecewiseLinear) -> Fraction:
     total = Fraction(0)
-    for t0, t1, v0, v1 in f.segments():
+    for t0, t1, v0, v1 in segments(f):
         total += (t1 - t0) * (v0 + v1) / 2
     return total
 

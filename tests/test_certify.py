@@ -401,6 +401,23 @@ class TestAnalysedOnce:
         assert computed == {"validate_dissection": len(self.QUESTIONS)}
 
 
+def test_analysis_builds_one_fraction_per_piece_and_axis(monkeypatch):
+    # profiles and rearrangements stay ints: the first crossing's score
+    # is the one Fraction a piece's axis needs
+    from seshadri import certify, geometry, reorder
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return F(*args)
+    for module in (geometry, reorder):
+        monkeypatch.setattr(module, "Fraction", counted)
+    pieces = certify._Analysis(BUILTIN.polygons()).pieces
+    assert len(pieces) == BUILTIN.r
+    assert 0 < len(made) <= 2 * BUILTIN.r
+    assert min(max(x.score, y.score) for x, y in pieces) == F(4, 13)
+
+
 class TestNoRehulling:
     """A polygon enters from points only through ``ConvexPolygon.from_json``,
     which checks the stated chain without a hull; cutting builds each side

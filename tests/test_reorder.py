@@ -1,21 +1,25 @@
 """Unit and property tests for the exact rearrangement machinery."""
 
+import dataclasses
 import json
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import gcd
 from pathlib import Path
 
 import pytest
 
+from seshadri import reorder
+from seshadri.geometry import Axis, height_profile
 from seshadri.reorder import (PiecewiseLinear, _first_crossing, monotone_reorder,
                               sublevel_measure, sup_admissible)
 
 import fraction_reference as ref
 from fraction_reference import OutOfRange
-from conftest import random_concave_profile, random_pl
+from conftest import random_concave_profile, random_pl, random_polygon
 
 IDENTITY = PiecewiseLinear((0, 1), (0, 1))
 TENT = PiecewiseLinear((0, 1, 2), (0, 2, 0))          # height 2 over [0, 2]
@@ -34,6 +38,12 @@ class TestPiecewiseLinear:
             PiecewiseLinear((1, 0), (1, 1))
         with pytest.raises(TypeError):
             PiecewiseLinear((0, 1.5), (0, 1))
+        with pytest.raises(TypeError):
+            PiecewiseLinear((0, 1), (True, 1))
+        with pytest.raises(ValueError):
+            PiecewiseLinear((0, 1, 2), (0, 1))
+        with pytest.raises(ValueError):
+            PiecewiseLinear((0, "1/2", "2/4"), (0, 1, 2))
 
     def test_evaluation(self):
         assert ref.evaluate(TENT, F(1, 2)) == 1
@@ -62,6 +72,23 @@ class TestPiecewiseLinear:
     def test_json_round_trip(self):
         again = ref.pl_from_json(P6_PROFILE.to_json())
         assert again == P6_PROFILE
+
+    def test_text_is_the_fraction_string(self):
+        rng = random.Random(59)
+        cases = [(0, 1), (0, 7), (-6, 3), (12, 4), (5, 1), (-5, 1), (-3, 9), (10**20, 10**19)]
+        cases += [(rng.randint(-10**6, 10**6), rng.randint(1, 60)) for _ in range(2000)]
+        for x, d in cases:
+            assert reorder._text(x, d) == str(F(x, d)), (x, d)
+
+    def test_json_lists_are_fresh_each_call(self):
+        f = PiecewiseLinear((F(-3, 2), 0, 4), (F(7, 6), -2, 0))
+        first, second = f.to_json(), f.to_json()
+        assert first == second == {"breakpoints": ["-3/2", "0", "4"],
+                                    "values": ["7/6", "-2", "0"]}
+        for key in first:
+            assert first[key] is not second[key]
+        first["values"].append("1")
+        assert f.to_json() == second
 
 
 class TestMonotoneReorder:
@@ -129,7 +156,7 @@ class TestMonotoneReorder:
         for _ in range(40):
             f = random_pl(rng, max_breaks=8)
             a, b = ref.domain(f)
-            lmax = max(abs(v1 - v0) / (t1 - t0) for t0, t1, v0, v1 in f.segments())
+            lmax = max(abs(v1 - v0) / (t1 - t0) for t0, t1, v0, v1 in ref.segments(f))
             delta = (b - a) / 4
             prev_bound = None
             while delta >= (b - a) / 64:
@@ -245,6 +272,69 @@ class TestEqualsFractionReference:
                 assert _first_crossing(fs) == ref.first_crossing(fs), fs
             if min(f.values) >= 0:
                 assert _first_crossing(f) == ref.first_crossing(f), f
+
+
+def _int_form_faults(seed: int, count: int) -> list:
+    """Where the profiles and rearrangements of ``count`` seeded polygons
+    break the int form: fields that are not in lowest terms, that the
+    constructor refuses or that break a check downstream, or a function,
+    rearrangement or crossing that differs from the ``Fraction`` reference."""
+    rng = random.Random(seed)
+    faults = []
+    for _ in range(count):
+        poly = random_polygon(rng)
+        for axis in Axis:
+            try:
+                faults += _axis_faults(poly, axis)
+            except (ValueError, RuntimeError) as exc:
+                faults.append((str(exc), poly, axis))
+    return faults
+
+
+def _axis_faults(poly, axis) -> list:
+    faults = []
+    f = height_profile(poly, axis)
+    fs = monotone_reorder(f)
+    for g in (f, fs):
+        again = PiecewiseLinear(g.breakpoints, g.values)
+        if again != g or hash(again) != hash(g):
+            faults.append(("not in lowest terms", g))
+    if f != ref.height_profile(poly.vertices, axis):
+        faults.append(("profile", poly, axis))
+    if fs != ref.monotone_reorder(f):
+        faults.append(("rearrangement", f))
+    if _first_crossing(fs) != ref.first_crossing(fs):
+        faults.append(("crossing", fs))
+    return faults
+
+
+class TestIntForm:
+    """A function is ints over two denominators, each in lowest terms
+    against its tuple, so equal functions have equal fields."""
+
+    def test_pipeline_functions_are_canonical(self):
+        assert _int_form_faults(61, 300) == []
+
+    def test_every_field_is_frozen(self):
+        f = monotone_reorder(height_profile(random_polygon(random.Random(67))))
+        for name in ("tden", "ts", "vden", "vs", "breakpoints", "values", "width"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(f, name, getattr(f, name))
+
+    def test_public_and_unchecked_ways_in_agree(self):
+        f = PiecewiseLinear(("2/4", F(3, 4), 1), (0, "-6/8", 3))
+        assert (f.tden, f.ts, f.vden, f.vs) == (4, (2, 3, 4), 4, (0, -3, 12))
+        assert reorder._from_ints(12, [6, 9, 12], 8, [0, -6, 24]) == f
+
+    @pytest.mark.parametrize("plant", ["skip the last item", "keep a factor of 2"])
+    def test_a_planted_reduction_fault_is_caught(self, plant, monkeypatch):
+        def lowest(den, xs):
+            g = gcd(den, *xs[:-1]) if plant == "skip the last item" else gcd(den, *xs)
+            if plant == "keep a factor of 2" and g % 2 == 0:
+                g //= 2
+            return den // g, tuple([x // g for x in xs])
+        monkeypatch.setattr(reorder, "_lowest", lowest)
+        assert _int_form_faults(61, 300) != []
 
 
 # Run under ``python -O``: each fake decomposition breaks one invariant of
