@@ -3,9 +3,10 @@ from the package.  A rational is a ``Fraction``, an ``int`` that is not a
 ``bool``, or a ``"p/q"`` or ``"p"`` string: floats, booleans and decimal
 strings are refused.  A typed field must have exactly its type, so a bool
 is never an integer.  Every refusal names the value.  The cell cap, which
-bounds every size a request may claim, lives here too, so that every module
-can refuse an oversized request without importing another; so does
-``_over_common``, which clears rationals to ints over one denominator.
+bounds every size a request may claim, lives here too, with its one guard
+``check_cells``, so that every module can refuse an oversized request
+without importing another; so does ``_over_common``, which clears
+rationals to ints over one denominator.
 """
 
 from __future__ import annotations
@@ -32,13 +33,15 @@ class SizeGuardrail(RuntimeError):
     """A request exceeds the desk-scale cell cap."""
 
 
-def _cell_cap() -> int:
+def check_cells(cells: int, what: str) -> None:
+    """Refuse with SizeGuardrail a request of more ``cells`` than the cap;
+    ``what`` states the request, and the message goes on "exceeds the cell
+    cap"."""
     env = os.environ.get("SESHADRI_MAX_CELLS")
-    if not env:
-        return CELL_CAP
-    if not (env.isascii() and env.isdigit() and int(env) > 0):
+    if env and not (env.isascii() and env.isdigit() and int(env) > 0):
         raise ValueError(f"SESHADRI_MAX_CELLS={env!r} is not a positive integer")
-    return int(env)
+    if cells > (int(env) if env else CELL_CAP):
+        raise SizeGuardrail(f"{what} exceeds the cell cap; set SESHADRI_MAX_CELLS")
 
 
 def parse_pair(text: str) -> Tuple[int, int]:

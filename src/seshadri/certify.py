@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import __about__
-from ._input import SizeGuardrail, _cell_cap, field, parsed, rational
+from ._input import field, parsed, rational
 # select_witness_subset, sup_admissible and x_projection are not called
 # here but stay module attributes, like every lattice, geometry and
 # rearrangement step, so that tracing can rebind them.
@@ -388,22 +388,15 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
     verdict on the witness system.  The final piece additionally records
     whether its full lattice set pads the witness to expected dimension
     at least 0.  A scale at which the scaled region's bounding box holds
-    more integer points than the cell cap raises SizeGuardrail before any
-    point is enumerated.  ``seed`` is recorded in the certificate and
-    reaches no verdict: every witness is a one-point system, ranked
-    point-free.
+    more integer points than the cell cap raises SizeGuardrail, from
+    :func:`scaled_points`, before any point is enumerated.  ``seed`` is
+    recorded in the certificate and reaches no verdict: every witness is a
+    one-point system, ranked point-free.
     """
     if field("n", n, int) < 1:
         raise ValueError("scale must be a positive integer")
     field("oracle_mode", oracle_mode, str, choices=_ORACLE_MODES)
     target = _require_valid(dis).bound
-    box, d = 1, dis.region.den
-    for cs in zip(*dis.region.pairs):
-        box *= n * max(cs) // d + (-n * min(cs)) // d + 1  # floor(n*max) - ceil(n*min) + 1
-    if box > _cell_cap():
-        raise SizeGuardrail(f"scale n = {n}: the scaled region's bounding box holds "
-                            f"{box} integer points, more than the cell cap; "
-                            "set SESHADRI_MAX_CELLS")
     remaining = scaled_points(dis.region, n)
     pieces: List[Tuple[int, str, LatticeSet]] = []
     for i, step in enumerate(dis.steps, start=1):

@@ -156,7 +156,7 @@ def _cmd_oracle(args) -> int:
         spec = MultiplicitySpec(tuple(field("multiplicities", data["multiplicities"], list)))
         seed = field("seed", data.get("seed", 0), int) if args.seed is None else args.seed
         pts = field("points", data.get("points"), list, optional=True)
-        points = GenericPointSet.explicit(pts) if pts else None
+        points = None if pts is None else GenericPointSet.explicit(pts)
     except (OSError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed system file: {exc}") from None
     if points is not None and args.mode == "modular":

@@ -15,9 +15,9 @@ from functools import cached_property
 from itertools import accumulate, chain, compress, groupby, repeat
 from math import comb
 from operator import itemgetter
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from ._input import SizeGuardrail, _cell_cap, field, items
+from ._input import check_cells, field, items
 from .geometry import AffineForm, ConvexPolygon, _cleared_form
 
 
@@ -209,13 +209,20 @@ def scaled_points(P: ConvexPolygon, n: int) -> LatticeSet:
     Membership is decided column by column: each edge (a, b) of the CCW
     polygon contributes the half-plane (b - a) x (q - a) >= 0, in ints
     over P's denominator d, so every integer first coordinate alpha gets
-    an integer bound on the second coordinate by floor division.
+    an integer bound on the second coordinate by floor division.  A scale
+    at which n*P's bounding box holds more integer points than the cell
+    cap raises SizeGuardrail before any point is enumerated.
     """
     if n < 1:
         raise ValueError("scale must be a positive integer")
     if not P.in_first_quadrant():
         raise ValueError("polygon must lie in the first quadrant")
     d, ps = P.den, P.pairs
+    box = 1
+    for cs in zip(*ps):
+        box *= n * max(cs) // d + (-n * min(cs)) // d + 1  # floor(n*max) - ceil(n*min) + 1
+    check_cells(box, f"scale n = {n}: the scaled polygon's bounding box holds "
+                     f"{box} integer points, a count that")
     lower, upper, walls = [], [], []
     for (ax, ay), (bx, by) in zip(ps, ps[1:] + ps[:1]):
         # -dy*x + dx*y + (dy*a.x - dx*a.y) >= 0 inside, with (dx, dy) = b - a,
@@ -391,9 +398,8 @@ class WitnessSelection:
 
     def __post_init__(self):
         m = field("m", self.m, int)
-        if m * (m + 1) // 2 > _cell_cap():
-            raise SizeGuardrail(f"witness of size m = {m} states {m * (m + 1) // 2} "
-                                "points, more than the cell cap; set SESHADRI_MAX_CELLS")
+        check_cells(m * (m + 1) // 2,
+                    f"witness of size m = {m} states {m * (m + 1) // 2} points, a count that")
         runs = []
         totals: Dict[int, int] = {}
         last = (-1, -1, 0)
@@ -434,18 +440,7 @@ class WitnessSelection:
                    tuple(field("runs", data["runs"], list)))
 
 
-def expected_dimension(spec, *, degree: Optional[int] = None,
-                       count: Optional[int] = None) -> int:
-    """max(-1, #monomials - 1 - sum of binom(mi+1, 2)).
-
-    The monomial budget is either all monomials of total degree <= degree,
-    i.e. (degree+1)(degree+2)/2 of them, or an explicit count.
-    """
-    if (degree is None) == (count is None):
-        raise ValueError("pass exactly one of degree= or count=")
-    spec = _coerce_spec(spec) if spec else MultiplicitySpec(())
-    if degree is not None:
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        count = (degree + 1) * (degree + 2) // 2
-    return max(-1, count - 1 - spec.conditions())
+def expected_dimension(spec, *, count: int) -> int:
+    """max(-1, count - 1 - sum of binom(mi+1, 2)) for a system of ``count``
+    monomials; all monomials of degree <= d are (d+1)(d+2)/2 of them."""
+    return max(-1, count - 1 - _coerce_spec(spec).conditions())

@@ -21,31 +21,35 @@ first and keyed by lowest set bit.  A full rank mod 2 forces full rank
 over Q, so that verdict is conclusive in either mode.  Only when the GF(2)
 rank falls short does the modular mode rank B modulo its prime and the
 exact mode rank it over Q.  Every finite-scale witness is a one-point
-system and is ranked this way, without a seed.  Systems of several points
-keep seeded random points.
+system and is ranked this way, without a seed.
+
+A system of several points is ranked at its points, explicit or seeded,
+by one integer condition matrix in both modes.  Explicit rational points
+are first scaled by the lcm L of their denominators: that multiplies the
+entry in row (a, b) and column (alpha, beta) by L^(alpha+beta) / L^(a+b),
+a row scaling times a column scaling, which keeps the rank.  Seeded points
+are ints already; the modular mode draws its own and reduces mod its prime.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, perm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 # SizeGuardrail is re-exported
-from ._input import SizeGuardrail, _cell_cap, _over_common, field, items
+from ._input import SizeGuardrail, _over_common, check_cells, field, items
 from ._kernels import modrank
-from .geometry import Point, point
-from .lattice import LatticeSet, _coerce_spec
+from .geometry import point
+from .lattice import LatticeSet, MultiplicitySpec, _coerce_spec, expected_dimension
 
-Matrix = List[List[Fraction]]
+Matrix = List[List[int]]
 
 MODULAR_DEFAULT_PRIME = 2**61 - 1
 MODULUS_LIMIT = 2**63  # bound on a modulus from outside input (`oracle --prime`)
-_SEED_NUMERATOR_MAX = 2**16
-_SEED_DENOMINATOR = 2**16 + 1
+_SEED_COORDINATE_MAX = 2**16
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # every composite below this fails Miller-Rabin to one of the bases above
 _MILLER_RABIN_PROVEN = 318_665_857_834_031_151_167_461
@@ -69,10 +73,10 @@ class BadModulus(ValueError):
 
 @dataclass(frozen=True)
 class GenericPointSet:
-    """Plane points standing in for points in general position."""
+    """Plane points standing in for points in general position: explicit
+    ``Point``s, or int pairs drawn with ``seed``, which is None otherwise."""
 
-    points: Tuple[Point, ...]
-    source: str = "explicit"
+    points: Tuple[Tuple, ...]
     seed: Optional[int] = None
 
     def __post_init__(self):
@@ -100,11 +104,9 @@ class GenericPointSet:
 
     @classmethod
     def seeded(cls, r: int, seed: int) -> "GenericPointSet":
-        """r distinct points with 16-bit numerators over a fixed prime-ish
-        denominator; the same seed always reproduces the same set."""
-        pts = [Point(Fraction(a, _SEED_DENOMINATOR), Fraction(b, _SEED_DENOMINATOR))
-               for a, b in _distinct_pairs(r, seed, _SEED_NUMERATOR_MAX)]
-        return cls(tuple(pts), source="seeded-random", seed=seed)
+        """r distinct int points with coordinates in [1, 2^16]; the same
+        seed always reproduces the same set."""
+        return cls(tuple(_distinct_pairs(r, seed, _SEED_COORDINATE_MAX)), seed=seed)
 
 
 def _distinct_pairs(r: int, seed: int, top: int) -> List[Tuple[int, int]]:
@@ -163,28 +165,34 @@ def _derivative_orders(m: int):
 
 
 def interpolation_matrix(D: LatticeSet, points: GenericPointSet, spec) -> Matrix:
-    """Condition matrix of the system: one row per point and derivative
-    order below its multiplicity, one column per exponent in D.
+    """Integer condition matrix of the system (see ``_condition_rows``) at
+    ``points`` scaled by the lcm of their denominators, which keeps the rank
+    (see the module docstring)."""
+    spec = _coerce_spec(spec)
+    if len(points) != len(spec):
+        raise ArityMismatch(f"{len(points)} points for {len(spec)} multiplicities")
+    coords, _ = _over_common([c for xy in points.points for c in xy])
+    return _condition_rows(D, zip(coords[::2], coords[1::2]), spec)
+
+
+def _condition_rows(D: LatticeSet, pairs, spec: MultiplicitySpec,
+                    prime: Optional[int] = None) -> Matrix:
+    """Condition matrix at the int points ``pairs``, over Z or mod ``prime``:
+    one row per point and derivative order below its multiplicity, one
+    column per exponent in D.
 
     The row for point (x, y) and order (a, b) holds the (a, b)-partial of
     each monomial: perm(alpha, a) * perm(beta, b) * x^(alpha-a) * y^(beta-b),
     zero whenever a > alpha or b > beta.
     """
-    spec = _coerce_spec(spec)
-    if len(points) != len(spec):
-        raise ArityMismatch(f"{len(points)} points for {len(spec)} multiplicities")
     cols = list(D)
-    rows: Matrix = []
-    for pt, m in zip(points.points, spec):
+    rows = []
+    for (x, y), m in zip(pairs, spec):
         for a, b in _derivative_orders(m):
-            row = []
-            for alpha, beta in cols:
-                if a > alpha or b > beta:
-                    row.append(Fraction(0))
-                else:
-                    row.append(perm(alpha, a) * perm(beta, b)
-                               * pt.x ** (alpha - a) * pt.y ** (beta - b))
-            rows.append(row)
+            row = [perm(alpha, a) * perm(beta, b) * pow(x, alpha - a, prime)
+                   * pow(y, beta - b, prime) if a <= alpha and b <= beta else 0
+                   for alpha, beta in cols]
+            rows.append(row if prime is None else [e % prime for e in row])
     return rows
 
 
@@ -287,10 +295,20 @@ def _gf2_rank(rows: Sequence[int]) -> int:
     return len(basis)
 
 
-def _point_free_verdict(D: LatticeSet, m: int, method: str, prime: Optional[int],
-                        caveat: str, fallback_rank: Callable[[List[List[int]]], int]
-                        ) -> OracleVerdict:
-    """Verdict of the one-point system (D, m) from its point-free matrix B.
+def _verdict(D: LatticeSet, spec: MultiplicitySpec, rank: int, method: str,
+             prime: Optional[int], caveat: Optional[str],
+             seed: Optional[int]) -> OracleVerdict:
+    """The verdict of the system (D, spec) whose condition matrix has ``rank``."""
+    actual = len(D) - 1 - rank
+    expected = expected_dimension(spec, count=len(D))
+    return OracleVerdict(actual, expected, actual == expected, method, prime,
+                         caveat, rank, seed)
+
+
+def _point_free_verdict(D: LatticeSet, spec: MultiplicitySpec, method: str,
+                        prime: Optional[int], caveat: str,
+                        fallback_rank: Callable[[Matrix], int]) -> OracleVerdict:
+    """Verdict of the one-point system (D, spec) from its point-free matrix B.
 
     B has integer entries, so its rank mod 2 is at most its rank over Q: a
     full rank mod 2 is full rank over Q and the verdict, recorded with
@@ -299,6 +317,7 @@ def _point_free_verdict(D: LatticeSet, m: int, method: str, prime: Optional[int]
     before each matrix is built, in both modes: the GF(2) rows count one
     cell per 64-bit word, B one cell per entry.
     """
+    m = spec.multiplicities[0]
     conditions = comb(m + 1, 2)
     _check_cells(conditions, -(-len(D) // 64), "GF(2) word")
     rank = _gf2_rank(_lucas_rows(D, m))
@@ -307,10 +326,7 @@ def _point_free_verdict(D: LatticeSet, m: int, method: str, prime: Optional[int]
     else:
         _check_cells(conditions, len(D), "point-free")
         rank = fallback_rank(_binomial_matrix(D, m))
-    actual = len(D) - 1 - rank
-    expected = max(-1, len(D) - 1 - conditions)
-    return OracleVerdict(actual, expected, actual == expected, method, prime,
-                         caveat, rank, None)
+    return _verdict(D, spec, rank, method, prime, caveat, None)
 
 
 def fraction_free_rank(rows: Matrix) -> int:
@@ -350,9 +366,7 @@ def fraction_free_rank(rows: Matrix) -> int:
 
 def _check_cells(rows: int, cols: int, kind: str) -> None:
     """Refuse a rows x cols matrix of more cells than the cap."""
-    if rows * cols > _cell_cap():
-        raise SizeGuardrail(f"{rows}x{cols} {kind} matrix exceeds the cell cap; "
-                            "set SESHADRI_MAX_CELLS")
+    check_cells(rows * cols, f"{rows}x{cols} {kind} matrix")
 
 
 def system_dimension_exact(D: LatticeSet, spec,
@@ -371,30 +385,26 @@ def system_dimension_exact(D: LatticeSet, spec,
     spec = _coerce_spec(spec)
     if points is None and len(spec) == 1:
         caveat = _POINT_FREE + "; its rank over Q is exact: either verdict is conclusive"
-        return _point_free_verdict(D, spec.multiplicities[0], "exact-rational", None,
-                                   caveat, fraction_free_rank)
+        return _point_free_verdict(D, spec, "exact-rational", None, caveat,
+                                   fraction_free_rank)
     _check_cells(spec.conditions(), len(D), "exact")
-    expected = max(-1, len(D) - 1 - spec.conditions())
     if points is None:
         points = GenericPointSet.seeded(len(spec), seed)
 
-    def run(ps: GenericPointSet):
-        rank = fraction_free_rank(interpolation_matrix(D, ps, spec))
-        return rank, len(D) - 1 - rank
+    def rank_at(ps: GenericPointSet) -> int:
+        return fraction_free_rank(interpolation_matrix(D, ps, spec))
 
-    rank, actual = run(points)
-    caveat = None
-    used_seed = points.seed
-    if actual > expected and points.source == "seeded-random":
-        retry_seed = (points.seed or 0) + 1
-        rank2, actual2 = run(GenericPointSet.seeded(len(spec), retry_seed))
-        if actual2 != actual:
-            caveat = (f"seed {points.seed} sampled a non-generic configuration "
-                      f"(dimension {actual}); seed {retry_seed} gives {actual2}")
-            if actual2 < actual:
-                rank, actual, used_seed = rank2, actual2, retry_seed
-    return OracleVerdict(actual, expected, actual == expected,
-                         "exact-rational", None, caveat, rank, used_seed)
+    rank, caveat, used_seed = rank_at(points), None, points.seed
+    if used_seed is not None and rank < min(len(D), spec.conditions()):
+        retry_seed = used_seed + 1
+        rank2 = rank_at(GenericPointSet.seeded(len(spec), retry_seed))
+        if rank2 != rank:
+            caveat = (f"seed {used_seed} sampled a non-generic configuration "
+                      f"(dimension {len(D) - 1 - rank}); seed {retry_seed} gives "
+                      f"{len(D) - 1 - rank2}")
+            if rank2 > rank:
+                rank, used_seed = rank2, retry_seed
+    return _verdict(D, spec, rank, "exact-rational", None, caveat, used_seed)
 
 
 @lru_cache(maxsize=8)
@@ -453,7 +463,7 @@ def system_dimension_modp(D: LatticeSet, spec, seed: int = 0,
         caveat = (_POINT_FREE + "; its rank mod p never exceeds that rank: a non-special "
                   "verdict is a certificate; a special verdict is inconclusive")
         # modrank reduces B's entries mod prime
-        return _point_free_verdict(D, spec.multiplicities[0], "modular", prime, caveat,
+        return _point_free_verdict(D, spec, "modular", prime, caveat,
                                    lambda rows: modrank(rows, prime))
     max_exp = max((max(a, b) for a, b in D), default=0)
     if prime <= max(max_exp, 2):
@@ -463,22 +473,8 @@ def system_dimension_modp(D: LatticeSet, spec, seed: int = 0,
         raise PrimeTooSmall(f"prime {prime} leaves {(prime - 1) ** 2} distinct points with "
                             f"nonzero coordinates, fewer than the system's {len(spec)} points")
     _check_cells(spec.conditions(), len(D), "modular")
-    rows = _random_point_rows(D, spec, seed, prime)
-    rank = modrank(rows, prime) if rows else 0
-    actual = len(D) - 1 - rank
-    expected = max(-1, len(D) - 1 - spec.conditions())
+    rows = _condition_rows(D, _distinct_pairs(len(spec), seed, prime - 1), spec, prime)
     caveat = ("rank over a prime field at random points never exceeds the generic "
               "rank: a non-special verdict is a certificate; a special verdict is "
               "inconclusive")
-    return OracleVerdict(actual, expected, actual == expected, "modular", prime,
-                         caveat, rank, seed)
-
-
-def _random_point_rows(D: LatticeSet, spec, seed: int, prime: int) -> List[List[int]]:
-    """Condition matrix over GF(prime) at seeded random points."""
-    pts = _distinct_pairs(len(spec), seed, prime - 1)
-    cols = list(D)
-    return [[perm(alpha, a) * perm(beta, b) % prime * pow(x, alpha - a, prime)
-             * pow(y, beta - b, prime) % prime if a <= alpha and b <= beta else 0
-             for alpha, beta in cols]
-            for (x, y), m in zip(pts, spec) for a, b in _derivative_orders(m)]
+    return _verdict(D, spec, modrank(rows, prime), "modular", prime, caveat, seed)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from seshadri.geometry import DegenerateInput
+from seshadri.certify import Dissection, _peel
+from seshadri.geometry import AffineForm, ConvexPolygon, DegenerateInput, cut_polygon
 from seshadri.reorder import PiecewiseLinear
 
 from fraction_reference import polygon
@@ -62,3 +63,28 @@ def random_polygon(rng: random.Random, span: int = 8, tries: int = 100):
         except DegenerateInput:
             continue
     raise AssertionError("failed to sample a convex polygon")
+
+
+def random_dissection(rng: random.Random, name: str = "random") -> Dissection:
+    """Seeded dissection of the standard simplex into 2 to 10 pieces.
+
+    Each cut is c + a*x + b*y with a, b in -3..3, not both 0, and c = p/q
+    with |p| <= 12 and 1 <= q <= 13.  A cut is kept when it leaves area on
+    both sides of the remainder; after 200 draws the dissection stops with
+    the cuts it has.  The pieces are peeled by the package's one cutter.
+    """
+    region = ConvexPolygon.from_json([[0, 0], [1, 0], [0, 1]])
+    cuts, remainder, wanted = [], region, rng.randint(1, 9)
+    for _ in range(200):
+        if len(cuts) == wanted:
+            break
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        if not (a or b):
+            continue
+        cut = AffineForm(Fraction(rng.randint(-12, 12), rng.randint(1, 13)), a, b)
+        peeled, rest = cut_polygon(remainder, cut)
+        if peeled is not None and rest is not None:
+            cuts.append(cut)
+            remainder = rest
+    steps = tuple(step for step, _ in _peel(region, cuts))
+    return Dissection(name, region, steps, remainder)

@@ -1,7 +1,8 @@
 """Exact references that the tests check the package against.
 
 The first part holds the former ``Fraction`` bodies of the asymptotic
-geometry, kept as references for the integer versions in ``seshadri``.
+geometry and of the oracle's condition matrix, kept as references for the
+integer versions in ``seshadri``.
 A polygon there is its canonical vertex tuple: counterclockwise ``Point``s
 starting at the lowest, then leftmost vertex, as ``ConvexPolygon.vertices``
 states it.  Each function computes what its namesake in the package does,
@@ -20,13 +21,14 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import perm
 from typing import Dict, Optional, Tuple
 
 from seshadri.certify import AsymptoticReport
 from seshadri.geometry import Axis, ConvexPolygon, DegenerateInput, Interval, Point
 from seshadri._input import parsed, rational
 from seshadri.lattice import LatticeSet, WitnessSelection
-from seshadri.oracle import fraction_free_rank
+from seshadri.oracle import ArityMismatch, GenericPointSet, fraction_free_rank
 from seshadri.reorder import PiecewiseLinear, RationalLike
 
 
@@ -193,6 +195,28 @@ def first_crossing(fs):
             return t0
         return t0 + (t1 - t0) * g0 / (g0 - g1)
     return fs.width
+
+
+def interpolation_matrix(D: LatticeSet, points: GenericPointSet, spec):
+    """Condition matrix of the system at ``points`` themselves, in
+    ``Fraction`` arithmetic: one row per point and derivative order (a, b)
+    below its multiplicity, by total order, then by a, and one column per
+    exponent (alpha, beta) of D, holding the (a, b)-partial of the monomial,
+    perm(alpha, a) * perm(beta, b) * x^(alpha-a) * y^(beta-b), zero whenever
+    a > alpha or b > beta."""
+    ms = tuple(spec)
+    if len(points) != len(ms):
+        raise ArityMismatch(f"{len(points)} points for {len(ms)} multiplicities")
+    rows = []
+    for (x, y), m in zip(points.points, ms):
+        x, y = Fraction(x), Fraction(y)
+        for order in range(m):
+            for a in range(order + 1):
+                b = order - a
+                rows.append([perm(alpha, a) * perm(beta, b) * x ** (alpha - a)
+                             * y ** (beta - b) if a <= alpha and b <= beta else Fraction(0)
+                             for alpha, beta in D])
+    return rows
 
 
 # --- exact checks that no command runs ----------------------------------------

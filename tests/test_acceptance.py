@@ -180,8 +180,10 @@ def test_criterion_10_expected_dimension_formula():
         ms = tuple(rng.randint(1, 10) for _ in range(rng.randint(0, 10)))
         monomials = sum(1 for i in range(d + 1) for j in range(d + 1 - i))
         conditions = sum(m * (m + 1) // 2 for m in ms)
-        ok = ok and expected_dimension(ms, degree=d) == max(-1, monomials - 1 - conditions)
-    hard_example = expected_dimension((7,) * 6 + (6,) * 4 + (1,), degree=21)
+        ok = ok and (expected_dimension(ms, count=(d + 1) * (d + 2) // 2)
+                     == max(-1, monomials - 1 - conditions))
+    # the 253 monomials of degree <= 21
+    hard_example = expected_dimension((7,) * 6 + (6,) * 4 + (1,), count=253)
     ok = ok and hard_example == -1
     _verdict(10, ok, "formula matches direct summation on 50 inputs and the "
                      "degree-21 example gives -1")

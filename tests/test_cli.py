@@ -343,6 +343,21 @@ def test_oracle_modular_refuses_explicit_points(tmp_path, capsys):
     assert "'points'" in captured.err and "--mode exact" in captured.err
 
 
+def test_oracle_honours_an_empty_points_list(tmp_path, capsys):
+    # an explicit empty list states zero points: it is not a request to
+    # rank at seeded random points
+    system = {"D": [[0, 0], [1, 0], [0, 1], [2, 0]], "multiplicities": [2, 1],
+              "points": []}
+    for mode, shown in (("exact", "0 points for 2 multiplicities"),
+                        ("modular", "honoured only by --mode exact")):
+        assert _oracle_on(tmp_path, system, mode) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and shown in captured.err
+    # a single point for the same system is refused the same way
+    assert _oracle_on(tmp_path, dict(system, points=[[1, 2]])) == 2
+    assert "1 points for 2 multiplicities" in capsys.readouterr().err
+
+
 def _oracle_on(tmp_path, system, mode="exact"):
     path = tmp_path / "sys.json"
     path.write_text(json.dumps(system))

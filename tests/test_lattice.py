@@ -388,10 +388,12 @@ class TestSelectWitness:
 
 class TestExpectedDimension:
     def test_formula_examples(self):
-        assert expected_dimension((2,) * 5, degree=4) == -1
+        # all monomials of degree <= d are (d + 1)(d + 2)/2: 15 at d = 4,
+        # 253 at d = 21 and 21 at d = 5
+        assert expected_dimension((2,) * 5, count=15) == -1
         assert expected_dimension((3,), count=6) == -1
-        assert expected_dimension((7,) * 6 + (6,) * 4 + (1,), degree=21) == -1
-        assert expected_dimension((), degree=5) == 20
+        assert expected_dimension((7,) * 6 + (6,) * 4 + (1,), count=253) == -1
+        assert expected_dimension((), count=21) == 20
 
     def test_independent_summation(self):
         rng = random.Random(13)
@@ -400,13 +402,12 @@ class TestExpectedDimension:
             ms = tuple(rng.randint(1, 9) for _ in range(rng.randint(0, 8)))
             monomials = sum(1 for i in range(d + 1) for j in range(d + 1 - i))
             conditions = sum(comb(m + 1, 2) for m in ms)
-            assert expected_dimension(ms, degree=d) == max(-1, monomials - 1 - conditions)
+            assert (expected_dimension(ms, count=(d + 1) * (d + 2) // 2)
+                    == max(-1, monomials - 1 - conditions))
 
     def test_argument_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             expected_dimension((1,))
-        with pytest.raises(ValueError):
-            expected_dimension((1,), degree=2, count=5)
         with pytest.raises(ValueError):
             MultiplicitySpec((0,))
 

@@ -1,0 +1,122 @@
+"""The oracle on systems of several points.
+
+``MULTI_POINT_GOLDEN`` pins the sha256 of ``oracle --system`` stdout for a
+few multi-point system files, recorded while the matrix at explicit or
+seeded points was still built in ``Fraction`` arithmetic.  The cases cover
+both modes at seeded points, three primes, a special system whose exact
+verdict goes through the seed retry, and exact mode at explicit points with
+zero and negative coordinates.  The integer matrix must leave every byte
+as it was.
+
+The other tests check the integer condition matrix against the ``Fraction``
+reference in ``fraction_reference``: entry for entry at the points scaled
+by the lcm of their denominators, in rank at the points themselves, and
+reduced mod p for the modular mode.
+"""
+
+import hashlib
+import json
+import random
+from fractions import Fraction as F
+from math import lcm
+
+import pytest
+
+from seshadri.cli import run
+from seshadri.lattice import LatticeSet
+from seshadri.oracle import (GenericPointSet, _condition_rows, _distinct_pairs,
+                             fraction_free_rank, interpolation_matrix)
+
+import fraction_reference as ref
+
+
+def _simplex(d):
+    return [[a, b] for a in range(d + 1) for b in range(d + 1 - a)]
+
+
+SYSTEMS = {
+    "quartic_2211": {"D": _simplex(4), "multiplicities": [2, 2, 1, 1], "seed": 3},
+    # a quartic with two triple points contains their line twice: special
+    "quartic_33": {"D": _simplex(4), "multiplicities": [3, 3], "seed": 5},
+    "quintic_explicit": {"D": _simplex(5), "multiplicities": [3, 2, 1],
+                         "points": [[0, "1/2"], ["-3/4", 2], ["5/3", "-1/7"]]},
+    # four of five points on the line y = x: the conics through them form a pencil
+    "conic_collinear_explicit": {"D": _simplex(2), "multiplicities": [1, 1, 1, 1, 1],
+                                 "points": [[0, 0], [-1, -1], [2, 2], ["1/2", "1/2"],
+                                            [1, 5]]},
+}
+
+# (system, mode, prime or None): (exit code, sha256 of stdout)
+MULTI_POINT_GOLDEN = {
+    ("conic_collinear_explicit", "exact", None):
+        (1, "9991b5d30ecfef133479fa1a30761094f74198cfb0afebfcc2f8e8f2aa4761cf"),
+    ("quartic_2211", "exact", None):
+        (0, "49242138f81eeea9f7113f3aaa5f7a25a5b546632a10ca63f47ba56202153a6b"),
+    ("quartic_2211", "modular", 101):
+        (0, "a981758e5933b0ce4b1b9923b6d4b67143fa45528172e6ba763b128810393b58"),
+    ("quartic_2211", "modular", 65521):
+        (0, "08c9cfe2a96831f4aca6112886062795a5d5f07fc332c8c9df00592cd356329f"),
+    ("quartic_2211", "modular", None):
+        (0, "d905766b50d3c31b0226393c238ecd80df06db31796e92366fea5569024a1b78"),
+    ("quartic_33", "exact", None):
+        (1, "447a82241e5df9c4a51f79a32deb01403c039ef7235f09256e342fcc952ad63c"),
+    ("quartic_33", "modular", None):
+        (1, "fc8e08f9b06ba72284d5c0d1b5d0777ff5b7789726d1ec77c2a75670b1480884"),
+    ("quintic_explicit", "exact", None):
+        (0, "1b4af16993822b6a0d8d1a297b7da8c279f2e411f807d920fe1b7c8ea6b333e1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_POINT_GOLDEN, key=str), ids=str)
+def test_oracle_system_output_is_pinned(case, tmp_path, capsys):
+    name, mode, prime = case
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(SYSTEMS[name]))
+    argv = ["oracle", "--system", str(path), "--mode", mode]
+    code = run(argv + (["--prime", str(prime)] if prime else []))
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == MULTI_POINT_GOLDEN[case]
+
+
+def _random_system(rng):
+    D = LatticeSet([(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(rng.randint(1, 20))])
+    spec = tuple(rng.randint(1, 3) for _ in range(rng.randint(2, 4)))
+    pts = set()
+    while len(pts) < len(spec):
+        pts.add((F(rng.randint(-5, 5), rng.randint(1, 6)),
+                 F(rng.randint(-5, 5), rng.randint(1, 6))))
+    return D, spec, GenericPointSet.explicit(sorted(pts))
+
+
+def test_integer_matrix_is_the_reference_at_cleared_points():
+    rng = random.Random(22)
+    for _ in range(60):
+        D, spec, points = _random_system(rng)
+        mat = interpolation_matrix(D, points, spec)
+        assert all(type(e) is int for row in mat for e in row)
+        L = lcm(*[c.denominator for xy in points.points for c in xy])
+        cleared = GenericPointSet.explicit([(x * L, y * L) for x, y in points.points])
+        assert mat == ref.interpolation_matrix(D, cleared, spec)
+        assert fraction_free_rank(mat) == fraction_free_rank(
+            ref.interpolation_matrix(D, points, spec))
+
+
+def test_seeded_points_are_the_reference_points():
+    rng = random.Random(23)
+    for seed in range(20):
+        D, spec, _ = _random_system(rng)
+        points = GenericPointSet.seeded(len(spec), seed)
+        assert points.seed == seed and all(type(c) is int for xy in points.points for c in xy)
+        assert interpolation_matrix(D, points, spec) == ref.interpolation_matrix(D, points, spec)
+
+
+@pytest.mark.parametrize("prime", [101, 65521, 2**61 - 1])
+def test_modular_rows_are_the_integer_rows_mod_p(prime):
+    rng = random.Random(prime)
+    for seed in range(20):
+        D, spec, _ = _random_system(rng)
+        pairs = _distinct_pairs(len(spec), seed, prime - 1)
+        integer = _condition_rows(D, pairs, spec)
+        assert integer == ref.interpolation_matrix(D, GenericPointSet(tuple(pairs)), spec)
+        assert _condition_rows(D, pairs, spec, prime) == [[e % prime for e in row]
+                                                          for row in integer]

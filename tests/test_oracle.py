@@ -122,7 +122,7 @@ class TestExactOracle:
         # four of five points on the line y = x: every conic through them
         # contains that line, so the sample leaves a pencil (dimension 1)
         collinear = GenericPointSet(tuple(Point(F(k), F(k)) for k in (1, 2, 3, 4))
-                                    + (Point(F(1), F(5)),), "seeded-random", 0)
+                                    + (Point(F(1), F(5)),), seed=0)
 
         def fake(cls, r, seed):
             return collinear if seed == 0 else seeded(r, seed)

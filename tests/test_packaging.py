@@ -1,9 +1,14 @@
-"""The package is pure Python: nothing to compile, nothing generated in the tree."""
+"""The package is pure Python: nothing to compile, nothing generated in the
+tree, and one version, stated alike in ``pyproject.toml`` and the package."""
 
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import seshadri
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "seshadri"
@@ -27,3 +32,10 @@ def test_build_ext_in_place_is_a_no_op(tmp_path):
     built = [str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")
              if p.suffix in (".so", ".c")]
     assert built == []
+
+
+def test_project_version_is_the_package_version():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["version"] == seshadri.__version__
