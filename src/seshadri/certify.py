@@ -317,16 +317,17 @@ class PolygonWitness:
 
     @classmethod
     def from_json(cls, data: dict) -> "PolygonWitness":
-        """The row ``data``, refused unless its ``m`` is its witness's m and
-        its ``lattice_count`` covers the witness's m(m+1)/2 points."""
+        """The row ``data``, refused unless it states every key, its ``m``
+        is its witness's m and its ``lattice_count`` covers the witness's
+        m(m+1)/2 points; only a null ``oracle`` means no verdict."""
         data = field("per_polygon row", data, dict)
         row = cls(field("polygon", data["polygon"], int),
                   field("role", data["role"], str, choices=("dim-minus-one", "final")),
                   field("lattice_count", data["lattice_count"], int),
                   field("m", data["m"], int), WitnessSelection.from_json(data["witness"]),
                   parsed("deviation", rational, data["deviation"]),
-                  field("padding_ok", data.get("padding_ok"), bool, optional=True),
-                  OracleVerdict.from_json(data["oracle"]) if data.get("oracle") else None)
+                  field("padding_ok", data["padding_ok"], bool, optional=True),
+                  None if data["oracle"] is None else OracleVerdict.from_json(data["oracle"]))
         w = row.witness.m
         if row.m != w:
             raise ValueError(f"polygon {row.polygon}: m {row.m} is not its witness's m {w}")
@@ -367,8 +368,11 @@ class FiniteCertificate:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteCertificate":
+        """The certificate ``data``, refused where it contradicts itself: a
+        scale below 1, a degree other than the scale, no rows, or a
+        ``min_ratio`` other than the least row m over the scale."""
         data = field("certificate", data, dict)
-        return cls(field("dissection", data["dissection"], str),
+        cert = cls(field("dissection", data["dissection"], str),
                    field("scale", data["scale"], int), field("degree", data["degree"], int),
                    field("oracle_mode", data["oracle_mode"], str, choices=_ORACLE_MODES),
                    field("seed", data["seed"], int),
@@ -376,6 +380,18 @@ class FiniteCertificate:
                          for p in field("per_polygon", data["per_polygon"], list)),
                    parsed("min_ratio", rational, data["min_ratio"]),
                    field("tool_version", data["tool_version"], str))
+        n = cert.scale
+        if n < 1:
+            raise ValueError(f"scale {n} is not positive")
+        if cert.degree != n:
+            raise ValueError(f"degree {cert.degree} is not the scale {n}")
+        if not cert.per_polygon:
+            raise ValueError("per_polygon is empty")
+        least = Fraction(min(row.m for row in cert.per_polygon), n)
+        if cert.min_ratio != least:
+            raise ValueError(f"min_ratio {cert.min_ratio} is not the least row m over "
+                             f"the scale, {least}")
+        return cert
 
 
 def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",

@@ -1,7 +1,8 @@
 """Finite monomial-exponent sets and the parallel-lines witness.
 
-Covers extraction of the integer points of a scaled polygon, splitting a
-set by an affine form at a given scale, per-line count profiles, and the
+Covers splitting a set by an affine form at a given scale, which is also
+how the integer points of a scaled polygon are found (its bounding box,
+split by each slanted edge, ties kept), per-line count profiles, and the
 deterministic selection of a subset whose columns carry exactly
 1, 2, ..., m points on m parallel lines.
 """
@@ -206,44 +207,33 @@ class ColumnProfile:
 def scaled_points(P: ConvexPolygon, n: int) -> LatticeSet:
     """Integer points of the closed scaled polygon n*P.
 
-    Membership is decided column by column: each edge (a, b) of the CCW
-    polygon contributes the half-plane (b - a) x (q - a) >= 0, in ints
-    over P's denominator d, so every integer first coordinate alpha gets
-    an integer bound on the second coordinate by floor division.  A scale
-    at which n*P's bounding box holds more integer points than the cell
-    cap raises SizeGuardrail before any point is enumerated.
+    n*P is its bounding box, one run per column, split by each slanted
+    edge (a, b) of the CCW polygon through :func:`split_by_affine` at the
+    form (b - a) x (q - a), in ints over P's denominator d; ties go to the
+    nonnegative part, which is kept, so the points on an edge stay.  A
+    horizontal or vertical edge lies on the box and cuts nothing.  A scale
+    at which the box holds more integer points than the cell cap raises
+    SizeGuardrail before any run is built.
     """
     if n < 1:
         raise ValueError("scale must be a positive integer")
     if not P.in_first_quadrant():
         raise ValueError("polygon must lie in the first quadrant")
     d, ps = P.den, P.pairs
-    box = 1
-    for cs in zip(*ps):
-        box *= n * max(cs) // d + (-n * min(cs)) // d + 1  # floor(n*max) - ceil(n*min) + 1
+    # ceil(n*min) and floor(n*max) of each coordinate
+    (x0, x1), (y0, y1) = [(-(-n * min(cs) // d), n * max(cs) // d) for cs in zip(*ps)]
+    box = (x1 - x0 + 1) * (y1 - y0 + 1)
     check_cells(box, f"scale n = {n}: the scaled polygon's bounding box holds "
                      f"{box} integer points, a count that")
-    lower, upper, walls = [], [], []
+    if not box:  # columns without a row, or no column: no split would drop them
+        return LatticeSet()
+    kept = LatticeSet._of_runs(tuple([(alpha, y0, y1 - y0 + 1) for alpha in range(x0, x1 + 1)]),
+                               box)
     for (ax, ay), (bx, by) in zip(ps, ps[1:] + ps[:1]):
-        # -dy*x + dx*y + (dy*a.x - dx*a.y) >= 0 inside, with (dx, dy) = b - a,
-        # at (x, y) = (alpha, beta) / n and times n * d^2
         dx, dy = bx - ax, by - ay
-        c0, c1, c2 = n * (dy * ax - dx * ay), -dy * d, dx * d
-        # c2 > 0 bounds beta from below, c2 < 0 from above, c2 = 0 is a wall
-        (lower if c2 > 0 else upper if c2 < 0 else walls).append((c0, c1, c2))
-    xs = [x for x, _ in ps]
-    runs = []
-    size = 0
-    for alpha in range(-(-n * min(xs) // d), n * max(xs) // d + 1):
-        if any(c0 + c1 * alpha < 0 for c0, c1, _ in walls):
-            continue
-        lo = max(0, max(-((c0 + c1 * alpha) // c2) for c0, c1, c2 in lower))
-        hi = min((c0 + c1 * alpha) // -c2 for c0, c1, c2 in upper)
-        if hi >= lo:
-            runs.append((alpha, lo, hi - lo + 1))
-            size += hi - lo + 1
-    # one run per nonempty column, in increasing alpha
-    return LatticeSet._of_runs(tuple(runs), size)
+        if dx and dy:
+            kept = split_by_affine(kept, AffineForm(dy * ax - dx * ay, -dy * d, dx * d), n)[1]
+    return kept
 
 
 def split_by_affine(D: LatticeSet, F: AffineForm, scale: int):
@@ -398,6 +388,8 @@ class WitnessSelection:
 
     def __post_init__(self):
         m = field("m", self.m, int)
+        if m < 1:
+            raise ValueError(f"witness size m = {m} is not positive")
         check_cells(m * (m + 1) // 2,
                     f"witness of size m = {m} states {m * (m + 1) // 2} points, a count that")
         runs = []

@@ -145,16 +145,23 @@ class OracleVerdict:
 
     @classmethod
     def from_json(cls, data: dict) -> "OracleVerdict":
+        """The verdict ``data``, refused unless it states every key and its
+        ``non_special`` is whether its two dimensions agree."""
         data = field("oracle", data, dict)
-        return cls(field("actual_dimension", data["actual_dimension"], int),
-                   field("expected_dimension", data["expected_dimension"], int),
-                   field("non_special", data["non_special"], bool),
-                   field("method", data["method"], str,
-                         choices=("exact-rational", "modular")),
-                   field("prime", data.get("prime"), int, optional=True),
-                   field("caveat", data.get("caveat"), str, optional=True),
-                   field("rank", data.get("rank", 0), int),
-                   field("seed", data.get("seed"), int, optional=True))
+        verdict = cls(field("actual_dimension", data["actual_dimension"], int),
+                      field("expected_dimension", data["expected_dimension"], int),
+                      field("non_special", data["non_special"], bool),
+                      field("method", data["method"], str,
+                            choices=("exact-rational", "modular")),
+                      field("prime", data["prime"], int, optional=True),
+                      field("caveat", data["caveat"], str, optional=True),
+                      field("rank", data["rank"], int),
+                      field("seed", data["seed"], int, optional=True))
+        if verdict.non_special != (verdict.actual_dimension == verdict.expected_dimension):
+            raise ValueError(f"oracle non_special {verdict.non_special} contradicts "
+                             f"actual_dimension {verdict.actual_dimension} and "
+                             f"expected_dimension {verdict.expected_dimension}")
+        return verdict
 
 
 def _derivative_orders(m: int):

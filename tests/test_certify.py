@@ -879,9 +879,17 @@ class TestStrictCertificateLoaders:
         (["per_polygon", 0, "deviation"], None, "per_polygon row has no 'deviation'"),
         (["per_polygon", 0, "witness", "runs"], None, "witness has no 'runs'"),
         (["per_polygon", 0, "oracle", "method"], None, "oracle has no 'method'"),
+        (["per_polygon", 0, "oracle", "rank"], None, "oracle has no 'rank'"),
+        (["per_polygon", 0, "oracle", "prime"], None, "oracle has no 'prime'"),
+        (["per_polygon", 0, "oracle", "caveat"], None, "oracle has no 'caveat'"),
+        (["per_polygon", 0, "oracle", "seed"], None, "oracle has no 'seed'"),
+        (["per_polygon", 0, "padding_ok"], None, "per_polygon row has no 'padding_ok'"),
+        (["per_polygon", 0, "oracle"], None, "per_polygon row has no 'oracle'"),
     ], ids=["per_polygon string", "per_polygon object", "row list",
             "witness list", "oracle list", "no min_ratio", "row without deviation",
-            "witness without runs", "oracle without method"])
+            "witness without runs", "oracle without method", "oracle without rank",
+            "oracle without prime", "oracle without caveat", "oracle without seed",
+            "row without padding_ok", "row without oracle"])
     def test_structure_refused_naming_the_field(self, path, bad, shown):
         """A mistyped object or list, or a missing key (``bad`` None),
         raises ValueError naming it, not TypeError or a bare KeyError."""
@@ -894,6 +902,52 @@ class TestStrictCertificateLoaders:
         else:
             target[path[-1]] = bad
         with pytest.raises(ValueError, match=re.escape(shown)):
+            FiniteCertificate.from_json(data)
+
+    @pytest.mark.parametrize("bad,shown", [
+        (0, "oracle 0 is not an object"),
+        (False, "oracle False is not an object"),
+        ("", "oracle '' is not an object"),
+        ([], "oracle [] is not an object"),
+        ({}, "oracle has no 'actual_dimension'"),
+    ], ids=["zero", "false", "empty string", "empty list", "empty object"])
+    def test_only_null_oracle_means_no_verdict(self, bad, shown):
+        assert PolygonWitness.from_json(dict(self.ROW, oracle=None)).oracle is None
+        with pytest.raises(ValueError, match=re.escape(shown)):
+            PolygonWitness.from_json(dict(self.ROW, oracle=bad))
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_empty_witness_refused(self, m):
+        witness = {"m": m, "direction": "vertical", "runs": []}
+        message = f"witness size m = {m} is not positive"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WitnessSelection.from_json(witness)
+        data = json.loads(json.dumps(self.CERT))
+        data["per_polygon"][0].update(m=m, lattice_count=0, witness=witness)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FiniteCertificate.from_json(data)
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"degree": 99}, "degree 99 is not the scale 13"),
+        ({"scale": 0, "degree": 0}, "scale 0 is not positive"),
+        ({"min_ratio": "4/13"}, "min_ratio 4/13 is not the least row m over the scale, 3/13"),
+        ({"min_ratio": "3/26"}, "min_ratio 3/26 is not the least row m over the scale, 3/13"),
+        ({"per_polygon": []}, "per_polygon is empty"),
+    ], ids=["degree", "scale", "min_ratio above", "min_ratio below", "no rows"])
+    def test_certificate_contradicting_itself_refused(self, changes, message):
+        assert FiniteCertificate.from_json(self.CERT).min_ratio == F(3, 13)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FiniteCertificate.from_json(dict(self.CERT, **changes))
+
+    def test_verdict_contradicting_its_dimensions_refused(self):
+        assert self.VERDICT["non_special"] is True
+        message = ("oracle non_special False contradicts actual_dimension -1 "
+                   "and expected_dimension -1")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OracleVerdict.from_json(dict(self.VERDICT, non_special=False))
+        data = json.loads(json.dumps(self.CERT))
+        data["per_polygon"][0]["oracle"]["expected_dimension"] = 0
+        with pytest.raises(ValueError, match="oracle non_special True contradicts"):
             FiniteCertificate.from_json(data)
 
     def test_certificate_must_be_an_object(self):

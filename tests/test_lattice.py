@@ -82,6 +82,20 @@ def _rational_polygon(rng):
             continue
 
 
+# rectangles and polygons with horizontal and vertical edges, which lie on
+# the scaled bounding box
+AXIS_PARALLEL = [ref.polygon(pts) for pts in (
+    [("1/5", "1/5"), ("9/5", "1/5"), ("9/5", "4/5"), ("1/5", "4/5")],
+    [("1/5", "1/5"), ("4/5", "1/5"), ("4/5", "9/5"), ("1/5", "9/5")],
+    [(0, 0), (1, 0), (1, 1), (0, 1)],
+    [(0, "1/3"), ("3/2", "1/3"), ("3/2", "7/4"), (0, "7/4")],
+    [(0, 0), (2, 0), ("3/2", 1), ("1/2", 1)],
+    [("1/3", "1/7"), ("5/3", "1/7"), ("1/3", "9/7")],
+    [(0, 0), (2, 0), (2, 1), (1, 2), (0, 1)],
+    [("1/7", "2/7"), ("13/7", "2/7"), ("13/7", "5/7"), ("5/7", "11/7")],
+)]
+
+
 def _coordinate(direction):
     """Index into a point (alpha, beta) of the coordinate fixed on a line."""
     return 0 if direction is Direction.VERTICAL else 1
@@ -165,6 +179,17 @@ class TestScaledPoints:
             vertical += any(a.x == b.x for a, b in ref.edges(poly))
             on_axis += any(v.x == 0 or v.y == 0 for v in poly.vertices)
         assert vertical >= 100 and on_axis >= 150
+        for poly in AXIS_PARALLEL:
+            for n in list(range(1, 16)) + [47, 120]:
+                assert scaled_points(poly, n).points == _scaled_points_reference(poly, n)
+
+    @pytest.mark.parametrize("poly", [
+        AXIS_PARALLEL[0],                                  # one column, no row
+        AXIS_PARALLEL[1],                                  # one row, no column
+        ref.polygon([("1/5", 0), ("4/5", 0), ("1/2", 3)]),  # no column
+    ], ids=["columns without a row", "transpose", "triangle"])
+    def test_empty_bounding_box_is_the_empty_set(self, poly):
+        assert scaled_points(poly, 1) == LatticeSet(())
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
