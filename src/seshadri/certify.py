@@ -369,8 +369,11 @@ class FiniteCertificate:
     @classmethod
     def from_json(cls, data: dict) -> "FiniteCertificate":
         """The certificate ``data``, refused where it contradicts itself: a
-        scale below 1, a degree other than the scale, no rows, or a
-        ``min_ratio`` other than the least row m over the scale."""
+        scale below 1, a degree other than the scale, no rows, a
+        ``min_ratio`` other than the least row m over the scale, a row whose
+        polygon, role or ``padding_ok`` is not its place's, or whose verdict
+        its ``oracle_mode`` would not give (a one-point system's, ranked
+        point-free), or a ``statement`` other than its rows'."""
         data = field("certificate", data, dict)
         cert = cls(field("dissection", data["dissection"], str),
                    field("scale", data["scale"], int), field("degree", data["degree"], int),
@@ -391,6 +394,25 @@ class FiniteCertificate:
         if cert.min_ratio != least:
             raise ValueError(f"min_ratio {cert.min_ratio} is not the least row m over "
                              f"the scale, {least}")
+        method = {"modular": "modular", "exact": "exact-rational"}.get(cert.oracle_mode)
+        for i, row in enumerate(cert.per_polygon, start=1):
+            last, v = i == len(cert.per_polygon), row.oracle
+            checks = [("polygon", row.polygon, i),
+                      ("role", row.role, "final" if last else "dim-minus-one"),
+                      ("padding_ok", "null" if row.padding_ok is None else "stated",
+                       "stated" if last else "null"),
+                      ("oracle method", v and v.method, method)]
+            if v:  # a one-point system, ranked point-free
+                checks += [("oracle expected_dimension", v.expected_dimension, -1),
+                           ("oracle actual_dimension", v.actual_dimension,
+                            row.m * (row.m + 1) // 2 - 1 - v.rank),
+                           ("oracle seed", v.seed, None)]
+            for name, got, want in checks:
+                if got != want:
+                    raise ValueError(f"row {i}: {name} {got} is not {want}")
+        stated = field("statement", data["statement"], str)
+        if stated != cert.statement:
+            raise ValueError(f"statement {stated!r} is not its rows', {cert.statement!r}")
         return cert
 
 

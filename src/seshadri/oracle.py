@@ -6,12 +6,15 @@ conditions are independent to the expected extent; this module builds the
 condition matrix and computes its rank, either exactly over the rationals
 (fraction-free elimination) or over a prime field.
 
-A one-point system (D, m) needs no point at all.  At any point (x, y) with
-xy != 0, scaling row (a, b) of the interpolation matrix by
-x^a y^b / (a! b!) and column (alpha, beta) by x^-alpha y^-beta turns it
-into the integer matrix B[(a, b), (alpha, beta)] = C(alpha, a) * C(beta, b).
-So rank over Q of B is the rank at every such point, the generic rank, and
-as B has integer entries its rank modulo any prime is at most that.
+Row (a, b) of a condition matrix at (x, y) holds Hasse derivatives, the
+(a, b)-partials over a! b!: C(alpha, a) * C(beta, b) * x^(alpha-a) *
+y^(beta-b) in column (alpha, beta).  A one-point system (D, m) needs no
+point at all.  At any (x, y) with xy != 0, scaling row (a, b) by x^a y^b
+and column (alpha, beta) by x^-alpha y^-beta gives the matrix at (1, 1),
+B[(a, b), (alpha, beta)] = C(alpha, a) * C(beta, b).  So rank over Q of B
+is the generic rank, and as B has integer entries its rank modulo any
+prime is at most that.  B is built after moving D to touch both axes: a
+monomial factor is a unit near such a point, and the binomials stay small.
 
 Both modes rank B over GF(2) first.  By Lucas's theorem C(x, k) is odd
 exactly when k & ~x == 0, so with one bit per column of D every row of B
@@ -34,10 +37,10 @@ are ints already; the modular mode draws its own and reduces mod its prime.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
-from math import comb, perm
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from math import comb
+from typing import Dict, List, Optional, Sequence, Tuple
 
 # SizeGuardrail is re-exported
 from ._input import SizeGuardrail, _over_common, check_cells, field, items
@@ -134,14 +137,7 @@ class OracleVerdict:
     seed: Optional[int] = None
 
     def to_json(self) -> dict:
-        return {"actual_dimension": self.actual_dimension,
-                "expected_dimension": self.expected_dimension,
-                "non_special": self.non_special,
-                "method": self.method,
-                "prime": self.prime,
-                "caveat": self.caveat,
-                "rank": self.rank,
-                "seed": self.seed}
+        return asdict(self)  # the fields in their order
 
     @classmethod
     def from_json(cls, data: dict) -> "OracleVerdict":
@@ -164,13 +160,6 @@ class OracleVerdict:
         return verdict
 
 
-def _derivative_orders(m: int):
-    """All (a, b) with a + b < m, ordered by total order, then by a."""
-    for order in range(m):
-        for a in range(order + 1):
-            yield (a, order - a)
-
-
 def interpolation_matrix(D: LatticeSet, points: GenericPointSet, spec) -> Matrix:
     """Integer condition matrix of the system (see ``_condition_rows``) at
     ``points`` scaled by the lcm of their denominators, which keeps the rank
@@ -185,37 +174,26 @@ def interpolation_matrix(D: LatticeSet, points: GenericPointSet, spec) -> Matrix
 def _condition_rows(D: LatticeSet, pairs, spec: MultiplicitySpec,
                     prime: Optional[int] = None) -> Matrix:
     """Condition matrix at the int points ``pairs``, over Z or mod ``prime``:
-    one row per point and derivative order below its multiplicity, one
-    column per exponent in D.
+    one row per point and derivative order (a, b) below its multiplicity,
+    by total order, then by a, and one column per exponent in D.
 
-    The row for point (x, y) and order (a, b) holds the (a, b)-partial of
-    each monomial: perm(alpha, a) * perm(beta, b) * x^(alpha-a) * y^(beta-b),
-    zero whenever a > alpha or b > beta.
+    The row for point (x, y) and order (a, b) holds the (a, b) Hasse
+    derivative of each monomial: C(alpha, a) * C(beta, b) * x^(alpha-a)
+    * y^(beta-b), zero whenever a > alpha or b > beta.  Each point's
+    factors in x and in y are tabled once per order.
     """
     cols = list(D)
     rows = []
     for (x, y), m in zip(pairs, spec):
-        for a, b in _derivative_orders(m):
-            row = [perm(alpha, a) * perm(beta, b) * pow(x, alpha - a, prime)
-                   * pow(y, beta - b, prime) if a <= alpha and b <= beta else 0
-                   for alpha, beta in cols]
-            rows.append(row if prime is None else [e % prime for e in row])
+        xs = [[comb(alpha, a) * pow(x, alpha - a, prime) if a <= alpha else 0
+               for alpha, _ in cols] for a in range(m)]
+        ys = [[comb(beta, b) * pow(y, beta - b, prime) if b <= beta else 0
+               for _, beta in cols] for b in range(m)]
+        for order in range(m):
+            for a in range(order + 1):
+                row = [u * v for u, v in zip(xs[a], ys[order - a])]
+                rows.append(row if prime is None else [e % prime for e in row])
     return rows
-
-
-def _binomial_matrix(D: LatticeSet, m: int) -> List[List[int]]:
-    """Point-free condition matrix of the one-point system (D, m).
-
-    Row (a, b), in the order of ``_derivative_orders``, holds
-    C(alpha, a) * C(beta, b) for each exponent of D, in its order, after
-    shifting D to touch both axes.
-    """
-    cols = list(D)
-    s = min((alpha for alpha, _ in cols), default=0)
-    t = min((beta for _, beta in cols), default=0)
-    xs = [[comb(alpha - s, a) for alpha, _ in cols] for a in range(m)]
-    ys = [[comb(beta - t, b) for _, beta in cols] for b in range(m)]
-    return [[u * v for u, v in zip(xs[a], ys[b])] for a, b in _derivative_orders(m)]
 
 
 def _odd_masks(masks: Dict[int, int], m: int) -> List[int]:
@@ -239,8 +217,9 @@ def _odd_masks(masks: Dict[int, int], m: int) -> List[int]:
 
 
 def _lucas_rows(D: LatticeSet, m: int) -> List[int]:
-    """Rows of ``_binomial_matrix(D, m)`` mod 2, bit j standing for the
-    j-th point of D.
+    """Rows of B mod 2, the condition matrix at (1, 1) of the one-point
+    system (D, m) after moving D to touch both axes, bit j standing for
+    the j-th point of D.
 
     By Lucas's theorem C(x, k) is odd exactly when k & ~x == 0, so row
     (a, b) is the mask of points whose shifted alpha passes that test for
@@ -275,7 +254,7 @@ def _lucas_rows(D: LatticeSet, m: int) -> List[int]:
         mask = (mask & ~ends.get(row, 0)) << 1
         row += 1
     xs, ys = _odd_masks(by_alpha, m), _odd_masks(by_beta, m)
-    # (a, b) in the order of _derivative_orders: a rises as b falls
+    # (a, b) in the order of _condition_rows: a rises as b falls
     return [x & y for order in range(m) for x, y in zip(xs, ys[order::-1])]
 
 
@@ -313,17 +292,13 @@ def _verdict(D: LatticeSet, spec: MultiplicitySpec, rank: int, method: str,
 
 
 def _point_free_verdict(D: LatticeSet, spec: MultiplicitySpec, method: str,
-                        prime: Optional[int], caveat: str,
-                        fallback_rank: Callable[[Matrix], int]) -> OracleVerdict:
-    """Verdict of the one-point system (D, spec) from its point-free matrix B.
-
-    B has integer entries, so its rank mod 2 is at most its rank over Q: a
-    full rank mod 2 is full rank over Q and the verdict, recorded with
-    prime 2, is conclusive.  Otherwise ``fallback_rank(B)`` decides, and
-    the verdict records ``prime`` and ``caveat``.  The cell cap is checked
-    before each matrix is built, in both modes: the GF(2) rows count one
-    cell per 64-bit word, B one cell per entry.
-    """
+                        prime: Optional[int], caveat: str) -> OracleVerdict:
+    """Verdict of the one-point system (D, spec) from its point-free matrix
+    B: a full rank mod 2 is conclusive and recorded with prime 2; else B
+    is built over Z (``modrank`` reduces each entry once) and ranked by
+    ``_rank`` at ``prime``, and the verdict records ``prime`` and
+    ``caveat``.  The cell cap is checked before each matrix is built: the
+    GF(2) rows count one cell per 64-bit word, B one cell per entry."""
     m = spec.multiplicities[0]
     conditions = comb(m + 1, 2)
     _check_cells(conditions, -(-len(D) // 64), "GF(2) word")
@@ -332,8 +307,16 @@ def _point_free_verdict(D: LatticeSet, spec: MultiplicitySpec, method: str,
         prime, caveat = 2, _GF2_FULL
     else:
         _check_cells(conditions, len(D), "point-free")
-        rank = fallback_rank(_binomial_matrix(D, m))
+        s, t = D.runs[0][0], min(first for _, first, _ in D.runs)
+        moved = LatticeSet._of_runs(tuple((alpha - s, first - t, count)
+                                          for alpha, first, count in D.runs), len(D))
+        rank = _rank(_condition_rows(moved, [(1, 1)], spec), prime)
     return _verdict(D, spec, rank, method, prime, caveat, None)
+
+
+def _rank(rows: Matrix, prime: Optional[int]) -> int:
+    """Rank of ``rows`` over Q when ``prime`` is None, else mod ``prime``."""
+    return fraction_free_rank(rows) if prime is None else modrank(rows, prime)
 
 
 def fraction_free_rank(rows: Matrix) -> int:
@@ -392,19 +375,16 @@ def system_dimension_exact(D: LatticeSet, spec,
     spec = _coerce_spec(spec)
     if points is None and len(spec) == 1:
         caveat = _POINT_FREE + "; its rank over Q is exact: either verdict is conclusive"
-        return _point_free_verdict(D, spec, "exact-rational", None, caveat,
-                                   fraction_free_rank)
+        return _point_free_verdict(D, spec, "exact-rational", None, caveat)
     _check_cells(spec.conditions(), len(D), "exact")
     if points is None:
         points = GenericPointSet.seeded(len(spec), seed)
-
-    def rank_at(ps: GenericPointSet) -> int:
-        return fraction_free_rank(interpolation_matrix(D, ps, spec))
-
-    rank, caveat, used_seed = rank_at(points), None, points.seed
+    rank = _rank(interpolation_matrix(D, points, spec), None)
+    caveat, used_seed = None, points.seed
     if used_seed is not None and rank < min(len(D), spec.conditions()):
         retry_seed = used_seed + 1
-        rank2 = rank_at(GenericPointSet.seeded(len(spec), retry_seed))
+        retry = GenericPointSet.seeded(len(spec), retry_seed)
+        rank2 = _rank(interpolation_matrix(D, retry, spec), None)
         if rank2 != rank:
             caveat = (f"seed {used_seed} sampled a non-generic configuration "
                       f"(dimension {len(D) - 1 - rank}); seed {retry_seed} gives "
@@ -450,16 +430,14 @@ def system_dimension_modp(D: LatticeSet, spec, seed: int = 0,
     """Dimension via rank over GF(prime), an upper bound for the generic one.
 
     ``prime`` must be a prime below MODULUS_LIMIT.  A one-point system is
-    ranked point-free (see the module docstring) and ignores ``seed``: over
-    GF(2) first, and over GF(prime) only when the rank mod 2 is short, so
-    the verdict records the field that decided it.  Its matrix has integer
-    entries, so any prime will do.  Several points are placed at seeded
-    random points of GF(prime)^2, and there the prime must also exceed
-    every exponent in D, so that no derivative factor vanishes mod prime.
-    Either way the rank never exceeds the generic rank over Q, so a
-    non-special verdict is a genuine certificate, while a special verdict
-    may just mean an unlucky prime or sample (Schwartz-Zippel).  The
-    caveat field records this asymmetry.
+    ranked point-free and ignores ``seed``, over GF(2) first and over
+    GF(prime) only when the rank mod 2 is short; any prime will do.
+    Several points are placed at seeded random points of GF(prime)^2, and
+    there the prime must also exceed every exponent in D, so that no a! b!
+    of a Hasse row vanishes.  Either way the rank never exceeds the generic
+    rank over Q: a non-special verdict is a certificate, while a special
+    one may mean an unlucky prime or sample (Schwartz-Zippel), as the
+    caveat records.
     """
     spec = _coerce_spec(spec)
     if prime >= MODULUS_LIMIT:
@@ -469,9 +447,7 @@ def system_dimension_modp(D: LatticeSet, spec, seed: int = 0,
     if len(spec) == 1:
         caveat = (_POINT_FREE + "; its rank mod p never exceeds that rank: a non-special "
                   "verdict is a certificate; a special verdict is inconclusive")
-        # modrank reduces B's entries mod prime
-        return _point_free_verdict(D, spec, "modular", prime, caveat,
-                                   lambda rows: modrank(rows, prime))
+        return _point_free_verdict(D, spec, "modular", prime, caveat)
     max_exp = max((max(a, b) for a, b in D), default=0)
     if prime <= max(max_exp, 2):
         raise PrimeTooSmall(
@@ -484,4 +460,4 @@ def system_dimension_modp(D: LatticeSet, spec, seed: int = 0,
     caveat = ("rank over a prime field at random points never exceeds the generic "
               "rank: a non-special verdict is a certificate; a special verdict is "
               "inconclusive")
-    return _verdict(D, spec, modrank(rows, prime), "modular", prime, caveat, seed)
+    return _verdict(D, spec, _rank(rows, prime), "modular", prime, caveat, seed)

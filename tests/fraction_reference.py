@@ -2,7 +2,10 @@
 
 The first part holds the former ``Fraction`` bodies of the asymptotic
 geometry and of the oracle's condition matrix, kept as references for the
-integer versions in ``seshadri``.
+integer versions in ``seshadri``.  The condition matrix comes in two forms:
+``interpolation_matrix`` writes ordinary partial derivatives, as the
+package once did, and ``hasse_matrix`` writes Hasse derivatives, each row
+the partial-derivative row over a! b!, as the package does now.
 A polygon there is its canonical vertex tuple: counterclockwise ``Point``s
 starting at the lowest, then leftmost vertex, as ``ConvexPolygon.vertices``
 states it.  Each function computes what its namesake in the package does,
@@ -21,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import perm
+from math import comb, perm
 from typing import Dict, Optional, Tuple
 
 from seshadri.certify import AsymptoticReport
@@ -204,6 +207,17 @@ def interpolation_matrix(D: LatticeSet, points: GenericPointSet, spec):
     exponent (alpha, beta) of D, holding the (a, b)-partial of the monomial,
     perm(alpha, a) * perm(beta, b) * x^(alpha-a) * y^(beta-b), zero whenever
     a > alpha or b > beta."""
+    return _derivative_rows(D, points, spec, perm)
+
+
+def hasse_matrix(D: LatticeSet, points: GenericPointSet, spec):
+    """``interpolation_matrix`` with Hasse derivatives, the form the package
+    builds: row (a, b) is the (a, b)-partial row over a! b!, holding
+    C(alpha, a) * C(beta, b) * x^(alpha-a) * y^(beta-b)."""
+    return _derivative_rows(D, points, spec, comb)
+
+
+def _derivative_rows(D: LatticeSet, points: GenericPointSet, spec, factor):
     ms = tuple(spec)
     if len(points) != len(ms):
         raise ArityMismatch(f"{len(points)} points for {len(ms)} multiplicities")
@@ -213,7 +227,7 @@ def interpolation_matrix(D: LatticeSet, points: GenericPointSet, spec):
         for order in range(m):
             for a in range(order + 1):
                 b = order - a
-                rows.append([perm(alpha, a) * perm(beta, b) * x ** (alpha - a)
+                rows.append([factor(alpha, a) * factor(beta, b) * x ** (alpha - a)
                              * y ** (beta - b) if a <= alpha and b <= beta else Fraction(0)
                              for alpha, beta in D])
     return rows

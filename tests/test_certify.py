@@ -950,6 +950,72 @@ class TestStrictCertificateLoaders:
         with pytest.raises(ValueError, match="oracle non_special True contradicts"):
             FiniteCertificate.from_json(data)
 
+    LAST = len(CERT["per_polygon"])
+
+    @staticmethod
+    def _set(path, value):
+        def edit(data):
+            target = data
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        return edit
+
+    @staticmethod
+    def _swap_rows(data):
+        rows = data["per_polygon"]
+        rows[0], rows[1] = rows[1], rows[0]
+
+    @pytest.mark.parametrize("mode,edit,message", [
+        ("modular", _set(["per_polygon", 1, "polygon"], 3), "row 2: polygon 3 is not 2"),
+        ("modular", _swap_rows, "row 1: polygon 2 is not 1"),
+        ("modular", _set(["per_polygon", 0, "role"], "final"),
+         "row 1: role final is not dim-minus-one"),
+        ("modular", _set(["per_polygon", LAST - 1, "role"], "dim-minus-one"),
+         f"row {LAST}: role dim-minus-one is not final"),
+        ("modular", _set(["per_polygon", 0, "padding_ok"], True),
+         "row 1: padding_ok stated is not null"),
+        ("modular", _set(["per_polygon", LAST - 1, "padding_ok"], None),
+         f"row {LAST}: padding_ok null is not stated"),
+        ("none", _set(["per_polygon", 2, "oracle"], VERDICT),
+         "row 3: oracle method modular is not None"),
+        ("modular", _set(["per_polygon", 2, "oracle"], None),
+         "row 3: oracle method None is not modular"),
+        ("exact", _set(["per_polygon", 0, "oracle"], None),
+         "row 1: oracle method None is not exact-rational"),
+        ("modular", _set(["per_polygon", 0, "oracle", "method"], "exact-rational"),
+         "row 1: oracle method exact-rational is not modular"),
+        ("exact", _set(["per_polygon", 0, "oracle", "method"], "modular"),
+         "row 1: oracle method modular is not exact-rational"),
+        ("modular", _set(["per_polygon", 0, "oracle", "rank"], 9),
+         "row 1: oracle actual_dimension -1 is not 0"),
+        ("modular", _set(["per_polygon", 0, "oracle", "seed"], 0),
+         "row 1: oracle seed 0 is not None"),
+        ("modular", _set(["statement"], CERT["statement"].replace("3, 4, 4)", "4, 4, 4)")),
+         "4, 4, 4) at 10 very general points is non-special of dimension >= 0' is not "
+         "its rows', 'the degree-13 plane system with multiplicities "
+         "(4, 4, 4, 4, 4, 4, 4, 3, 4, 4) at"),
+        ("modular", _set(["statement"], 13), "statement 13 is not a string"),
+    ], ids=["polygon", "rows swapped", "final early", "last not final", "padding early",
+            "padding missing", "verdict in none", "no verdict in modular",
+            "no verdict in exact", "method in modular", "method in exact",
+            "actual_dimension", "seed", "statement", "statement type"])
+    def test_rows_that_contradict_the_certificate_refused(self, mode, edit, message):
+        data = finite_certificate(BUILTIN, 13, oracle_mode=mode).to_json()
+        FiniteCertificate.from_json(data)
+        edit(data)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FiniteCertificate.from_json(data)
+
+    def test_verdict_of_a_one_point_system(self):
+        # expected_dimension 0 with actual_dimension 0 passes the non_special
+        # check, but a witness system's expected dimension is -1
+        data = json.loads(json.dumps(self.CERT))
+        data["per_polygon"][0]["oracle"].update(expected_dimension=0, actual_dimension=0)
+        with pytest.raises(ValueError,
+                           match=re.escape("row 1: oracle expected_dimension 0 is not -1")):
+            FiniteCertificate.from_json(data)
+
     def test_certificate_must_be_an_object(self):
         with pytest.raises(ValueError, match=r"^certificate \[\] is not an object"):
             FiniteCertificate.from_json([])

@@ -2,13 +2,16 @@
 
 Both oracle modes rank the binomial matrix B of a one-point system mod 2
 first, from Lucas bitmask rows, and fall back to their own field only when
-that rank is short.  These tests pin the masks and the XOR rank against the
-integer matrix and the reference kernel, drive both fallbacks, and check
-the eckl10 witnesses by a second route: det B = +-1 over the integers.
+that rank is short.  B is the condition matrix at (1, 1) of the set moved
+to touch both axes.  These tests pin that matrix against its binomial
+form, the masks and the XOR rank against it and the reference kernel,
+drive both fallbacks, and check the eckl10 witnesses by a second route:
+det B = +-1 over the integers.
 """
 
 import itertools
 import random
+from math import comb
 
 import pytest
 
@@ -16,7 +19,7 @@ import seshadri.oracle as oracle
 from seshadri._kernels import pyref
 from seshadri.certify import builtin_dissection_eckl10, finite_certificate
 from seshadri.lattice import LatticeSet
-from seshadri.oracle import (_binomial_matrix, _gf2_rank, _lucas_rows,
+from seshadri.oracle import (_condition_rows, _gf2_rank, _lucas_rows,
                              fraction_free_rank, system_dimension_exact,
                              system_dimension_modp)
 
@@ -25,6 +28,23 @@ BUILTIN = builtin_dissection_eckl10()
 SHORT_MOD_2 = LatticeSet(((0, 0), (2, 0), (0, 2)))
 # rank 2 over Q as well: three points on a line cannot carry multiplicity 2
 SPECIAL = LatticeSet(((0, 0), (1, 0), (2, 0)))
+
+
+def point_free_matrix(D, m, prime=None):
+    """B: the condition rows at (1, 1) of D moved to touch both axes, over
+    Z or mod ``prime``."""
+    s, t = min(alpha for alpha, _ in D), min(beta for _, beta in D)
+    moved = LatticeSet([(alpha - s, beta - t) for alpha, beta in D])
+    return _condition_rows(moved, [(1, 1)], (m,), prime)
+
+
+def binomial_matrix(D, m):
+    """B written out: row (a, b) holds C(alpha - s, a) * C(beta - t, b) for
+    each exponent of D, in its order, where (s, t) moves D to touch both
+    axes."""
+    s, t = min(alpha for alpha, _ in D), min(beta for _, beta in D)
+    return [[comb(alpha - s, a) * comb(beta - t, order - a) for alpha, beta in D]
+            for order in range(m) for a in range(order + 1)]
 
 
 def seeded_systems(count, seed, offset):
@@ -136,20 +156,25 @@ class TestLucasRows:
         for D, m in systems:
             assert _lucas_rows(D, m) == lucas_rows_per_point(D, m), (D.runs, m)
 
+    def test_builder_at_one_one_is_the_binomial_matrix(self):
+        for D, m in (seeded_systems(150, seed=37, offset=(0, 40))
+                     + seeded_staircases(50, seed=41)):
+            assert point_free_matrix(D, m) == binomial_matrix(D, m), (D.runs, m)
+
     def test_masks_equal_binomial_matrix_mod_2(self):
         for D, m in seeded_systems(150, seed=31, offset=(1, 5)):
-            B = _binomial_matrix(D, m)
+            B = point_free_matrix(D, m, 2)
             masks = _lucas_rows(D, m)
             assert len(masks) == len(B)
             for mask, row in zip(masks, B):
-                assert [mask >> j & 1 for j in range(len(row))] == [e % 2 for e in row]
+                assert [mask >> j & 1 for j in range(len(row))] == row
                 assert mask >> len(row) == 0
 
     def test_rank_equals_reference_kernel_mod_2(self):
         systems = seeded_systems(300, seed=47, offset=(0, 3))
         short = 0
         for D, m in systems:
-            B = _binomial_matrix(D, m)
+            B = point_free_matrix(D, m)
             rank = _gf2_rank(_lucas_rows(D, m))
             assert rank == pyref.modrank(B, 2), (D, m)
             short += rank < min(len(D), m * (m + 1) // 2)
@@ -161,7 +186,7 @@ class TestLucasRows:
         systems = seeded_staircases(200, seed=59)
         short = 0
         for D, m in systems:
-            B = _binomial_matrix(D, m)
+            B = point_free_matrix(D, m)
             masks = _lucas_rows(D, m)
             assert masks == [sum((e & 1) << j for j, e in enumerate(row)) for row in B]
             rank = _gf2_rank(masks)
@@ -182,7 +207,7 @@ class TestLucasRows:
 class TestFallback:
     def test_short_rank_mod_2_is_not_final(self):
         assert _gf2_rank(_lucas_rows(SHORT_MOD_2, 2)) == 1
-        assert fraction_free_rank(_binomial_matrix(SHORT_MOD_2, 2)) == 3
+        assert fraction_free_rank(point_free_matrix(SHORT_MOD_2, 2)) == 3
 
     def test_both_modes_fall_back_to_full_rank(self):
         modular = system_dimension_modp(SHORT_MOD_2, (2,), prime=97)
@@ -194,6 +219,20 @@ class TestFallback:
         assert exact.prime is None and exact.to_json()["prime"] is None
         assert system_dimension_modp(SHORT_MOD_2, (2,)).prime == oracle.MODULAR_DEFAULT_PRIME
 
+    def test_fallback_ranks_the_set_moved_to_touch_both_axes(self, monkeypatch):
+        seen = []
+
+        def spy(D, pairs, spec, prime=None):
+            seen.append((D.points, list(pairs)))
+            return _condition_rows(D, pairs, spec, prime)
+        monkeypatch.setattr(oracle, "_condition_rows", spy)
+        # SHORT_MOD_2 moved off both axes: the rank mod 2 still falls short
+        D = LatticeSet(((3, 5), (5, 5), (3, 7)))
+        modular = system_dimension_modp(D, (2,), prime=97)
+        exact = system_dimension_exact(D, (2,))
+        assert seen == [(SHORT_MOD_2.points, [(1, 1)])] * 2
+        assert modular.rank == exact.rank == 3 and modular.prime == 97
+
     def test_special_system_stays_special(self):
         for v in (system_dimension_modp(SPECIAL, (2,), prime=97),
                   system_dimension_exact(SPECIAL, (2,))):
@@ -203,7 +242,8 @@ class TestFallback:
 
     def test_full_rank_mod_2_decides_without_the_fallback(self, monkeypatch):
         def refuse(*_args):
-            raise AssertionError("fallback rank ran on a full GF(2) rank")
+            raise AssertionError("the fallback ran on a full GF(2) rank")
+        monkeypatch.setattr(oracle, "_condition_rows", refuse)
         monkeypatch.setattr(oracle, "modrank", refuse)
         monkeypatch.setattr(oracle, "fraction_free_rank", refuse)
         for mode in ("modular", "exact"):
@@ -256,7 +296,7 @@ class TestCellCap:
         def refuse(*_args):
             raise AssertionError("a row was built")
         monkeypatch.setattr(oracle, "_lucas_rows", refuse)
-        monkeypatch.setattr(oracle, "_binomial_matrix", refuse)
+        monkeypatch.setattr(oracle, "_condition_rows", refuse)
         D = LatticeSet(((0, 0), (1, 0), (2, 0)))
         for mode in (system_dimension_modp, system_dimension_exact):
             with pytest.raises(oracle.SizeGuardrail, match="^200010000x1 GF"):
@@ -269,7 +309,7 @@ def test_eckl10_witness_matrices_are_unimodular(n):
     # GF(2) rank alone.
     cert = finite_certificate(BUILTIN, n, "none")
     for row in cert.per_polygon:
-        B = _binomial_matrix(row.witness.subset, row.m)
+        B = point_free_matrix(row.witness.subset, row.m)
         assert len(B) == len(row.witness.subset)
         assert bareiss_det(B) in (1, -1), (n, row.polygon)
 

@@ -9,9 +9,12 @@ zero and negative coordinates.  The integer matrix must leave every byte
 as it was.
 
 The other tests check the integer condition matrix against the ``Fraction``
-reference in ``fraction_reference``: entry for entry at the points scaled
-by the lcm of their denominators, in rank at the points themselves, and
-reduced mod p for the modular mode.
+references in ``fraction_reference``: entry for entry against the Hasse
+form at the points scaled by the lcm of their denominators, in rank
+against the ordinary partials at the points themselves, and reduced mod p
+for the modular mode.  The Hasse rows are the partial-derivative rows over
+a! b!, so the two forms have one rank over Q, and mod every prime above
+every exponent.
 """
 
 import hashlib
@@ -22,6 +25,7 @@ from math import lcm
 
 import pytest
 
+from seshadri._kernels import pyref
 from seshadri.cli import run
 from seshadri.lattice import LatticeSet
 from seshadri.oracle import (GenericPointSet, _condition_rows, _distinct_pairs,
@@ -96,7 +100,7 @@ def test_integer_matrix_is_the_reference_at_cleared_points():
         assert all(type(e) is int for row in mat for e in row)
         L = lcm(*[c.denominator for xy in points.points for c in xy])
         cleared = GenericPointSet.explicit([(x * L, y * L) for x, y in points.points])
-        assert mat == ref.interpolation_matrix(D, cleared, spec)
+        assert mat == ref.hasse_matrix(D, cleared, spec)
         assert fraction_free_rank(mat) == fraction_free_rank(
             ref.interpolation_matrix(D, points, spec))
 
@@ -107,7 +111,7 @@ def test_seeded_points_are_the_reference_points():
         D, spec, _ = _random_system(rng)
         points = GenericPointSet.seeded(len(spec), seed)
         assert points.seed == seed and all(type(c) is int for xy in points.points for c in xy)
-        assert interpolation_matrix(D, points, spec) == ref.interpolation_matrix(D, points, spec)
+        assert interpolation_matrix(D, points, spec) == ref.hasse_matrix(D, points, spec)
 
 
 @pytest.mark.parametrize("prime", [101, 65521, 2**61 - 1])
@@ -117,6 +121,33 @@ def test_modular_rows_are_the_integer_rows_mod_p(prime):
         D, spec, _ = _random_system(rng)
         pairs = _distinct_pairs(len(spec), seed, prime - 1)
         integer = _condition_rows(D, pairs, spec)
-        assert integer == ref.interpolation_matrix(D, GenericPointSet(tuple(pairs)), spec)
+        assert integer == ref.hasse_matrix(D, GenericPointSet(tuple(pairs)), spec)
         assert _condition_rows(D, pairs, spec, prime) == [[e % prime for e in row]
                                                           for row in integer]
+
+
+def test_hasse_rows_have_the_rank_of_the_partials():
+    """Over Q for every system, and mod each prime that exceeds every
+    exponent of D, at int points with zero and negative coordinates."""
+    rng = random.Random(25)
+    primes = (101, 65521, 2**61 - 1)
+    checked = dict.fromkeys(primes, 0)
+    for _ in range(150):
+        top = rng.choice((6, 6, 6, 150))
+        D = LatticeSet([(rng.randint(0, top), rng.randint(0, 6))
+                        for _ in range(rng.randint(1, 16))])
+        spec = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
+        pts = set()
+        while len(pts) < len(spec):
+            pts.add((rng.randint(-4, 4), rng.randint(-4, 4)))
+        pairs = sorted(pts)
+        hasse = _condition_rows(D, pairs, spec)
+        partials = [[int(e) for e in row]
+                    for row in ref.interpolation_matrix(D, GenericPointSet(tuple(pairs)), spec)]
+        assert fraction_free_rank(hasse) == fraction_free_rank(partials), (D, spec, pairs)
+        for prime in primes:
+            if prime > max(max(a, b) for a, b in D):
+                rank = pyref.modrank(_condition_rows(D, pairs, spec, prime), prime)
+                assert rank == pyref.modrank(partials, prime), (D, spec, pairs, prime)
+                checked[prime] += 1
+    assert 0 < checked[101] < checked[65521] == checked[2**61 - 1] == 150

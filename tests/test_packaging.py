@@ -1,6 +1,8 @@
 """The package is pure Python: nothing to compile, nothing generated in the
-tree, and one version, stated alike in ``pyproject.toml`` and the package."""
+tree, one version, stated alike in ``pyproject.toml`` and the package, and
+one console script, ``seshadri``, that runs the command line."""
 
+import importlib
 import shutil
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import seshadri
+from seshadri import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "seshadri"
@@ -39,3 +42,12 @@ def test_project_version_is_the_package_version():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["version"] == seshadri.__version__
+
+
+def test_console_script_is_the_cli_main():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"seshadri": "seshadri.cli:main"}
+    module, attr = scripts["seshadri"].split(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main
