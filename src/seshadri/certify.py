@@ -27,7 +27,8 @@ from .geometry import (AffineForm, Axis, ConvexPolygon, Point, cut_polygon,
 from .lattice import (Direction, LatticeSet, WitnessSelection, _witness_from_profile,
                       column_profile, expected_dimension, max_parallel_witness,
                       scaled_points, select_witness_subset, split_by_affine)
-from .oracle import OracleVerdict, system_dimension_exact, system_dimension_modp
+from .oracle import (MODULUS_LIMIT, OracleVerdict, is_prime, system_dimension_exact,
+                     system_dimension_modp)
 from .reorder import (PiecewiseLinear, _first_crossing, monotone_reorder,
                       sup_admissible)
 
@@ -109,18 +110,24 @@ class DissectionValidation:
 def validate_dissection(dis: Dissection) -> DissectionValidation:
     """Re-derive every piece by cutting the region with the cuts.
 
-    The region must lie in the first quadrant, every cut must leave area
-    on both sides, and each stated piece must equal the derived one.
+    The region must lie in the standard simplex: in the first quadrant,
+    with no vertex beyond x + y = 1 (each such vertex is named).  Every cut
+    must leave area on both sides, and each stated piece must equal the
+    derived one.
     Every violation is reported; an empty list means the dissection
     satisfies the hypotheses the verification pipeline relies on, and
     gives the dissection its analysis unless it has one already.
     """
     v: List[str] = []
-    if not dis.region.in_first_quadrant():
+    region = dis.region
+    if not region.in_first_quadrant():
         v.append("region leaves the first quadrant")
-    final = dis.region
+    d = region.den
+    v += [f"region vertex ({Fraction(x, d)}, {Fraction(y, d)}) lies beyond x + y = 1"
+          for x, y in region.pairs if x + y > d]
+    final = region
     try:
-        derived = _peel(dis.region, (s.cut for s in dis.steps))
+        derived = _peel(region, (s.cut for s in dis.steps))
         for i, (stated, (step, final)) in enumerate(zip(dis.steps, derived),
                                                     start=1):
             if stated != step:
@@ -373,7 +380,9 @@ class FiniteCertificate:
         ``min_ratio`` other than the least row m over the scale, a row whose
         polygon, role or ``padding_ok`` is not its place's, or whose verdict
         its ``oracle_mode`` would not give (a one-point system's, ranked
-        point-free), or a ``statement`` other than its rows'."""
+        point-free: a rank in 0..m(m+1)/2, and a prime that is 2 or, for a
+        modular verdict, a prime below 2^63, or, for an exact one, null),
+        or a ``statement`` other than its rows'."""
         data = field("certificate", data, dict)
         cert = cls(field("dissection", data["dissection"], str),
                    field("scale", data["scale"], int), field("degree", data["degree"], int),
@@ -410,10 +419,29 @@ class FiniteCertificate:
             for name, got, want in checks:
                 if got != want:
                     raise ValueError(f"row {i}: {name} {got} is not {want}")
+            if v:
+                _check_rank_and_prime(i, row.m, v)
         stated = field("statement", data["statement"], str)
         if stated != cert.statement:
             raise ValueError(f"statement {stated!r} is not its rows', {cert.statement!r}")
         return cert
+
+
+def _check_rank_and_prime(i: int, m: int, v: OracleVerdict) -> None:
+    """Refuse row ``i``'s verdict ``v`` on a witness of size ``m`` unless its
+    rank is one a matrix of m(m+1)/2 rows can have and its prime is one its
+    method records: 2 after a full rank mod 2, else null for an exact
+    verdict and a prime below 2^63 for a modular one."""
+    top = m * (m + 1) // 2
+    if not 0 <= v.rank <= top:
+        raise ValueError(f"row {i}: oracle rank {v.rank} is outside 0..{top}")
+    prime = "null" if v.prime is None else v.prime
+    if v.method == "exact-rational":
+        if v.prime not in (None, 2):
+            raise ValueError(f"row {i}: oracle prime {prime} is neither null nor 2")
+    elif v.prime is None or not (v.prime < MODULUS_LIMIT and is_prime(v.prime)):
+        raise ValueError(f"row {i}: oracle prime {prime} is neither 2 nor a prime "
+                         "below 2^63")
 
 
 def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
@@ -435,6 +463,7 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
         raise ValueError("scale must be a positive integer")
     field("oracle_mode", oracle_mode, str, choices=_ORACLE_MODES)
     target = _require_valid(dis).bound
+    p, q = target.numerator, target.denominator
     remaining = scaled_points(dis.region, n)
     pieces: List[Tuple[int, str, LatticeSet]] = []
     for i, step in enumerate(dis.steps, start=1):
@@ -462,8 +491,8 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
         if role == "final":
             padding = (witness.subset.issubset(pts)
                        and expected_dimension((best_m,), count=len(pts)) >= 0)
-        deviation = (abs(Fraction(best_m) - n * target) / (n * target)
-                     if target > 0 else Fraction(0))
+        # |m - n*p/q| / (n*p/q) for the target p/q
+        deviation = Fraction(abs(best_m * q - n * p), n * p) if p > 0 else Fraction(0)
         rows.append(PolygonWitness(idx, role, len(pts), best_m, witness,
                                    deviation, padding, verdict))
     min_ratio = Fraction(min(r.m for r in rows), n)
@@ -540,13 +569,13 @@ def _encode(o, nl: str, out) -> None:
         inner = nl + "  "
         if set(map(type, o)) == {list}:
             widths = set(map(len, o))
-            if len(widths) == 1 and set(map(type, chain.from_iterable(o))) == {int}:
-                # Equal-length int rows: one %-template per row; exact
-                # ints only, so a bool never prints as 1.
+            flat = tuple(chain.from_iterable(o))
+            if len(widths) == 1 and set(map(type, flat)) == {int}:
+                # Equal-length int rows: one %-template for all of them;
+                # exact ints only, so a bool never prints as 1.
                 cell = "," + inner + "  "
                 row = "[" + inner + "  " + cell.join(["%d"] * widths.pop()) + inner + "]"
-                out("[" + inner + ("," + inner).join(map(row.__mod__, map(tuple, o)))
-                    + nl + "]")
+                out("[" + inner + ("," + inner).join([row] * len(o)) % flat + nl + "]")
                 return
         sep = "[" + inner
         for item in o:

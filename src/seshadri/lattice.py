@@ -122,23 +122,24 @@ def _points_of(runs: Sequence[Run]) -> Tuple[Tuple[int, int], ...]:
     return tuple(chain.from_iterable(zip(repeat(a), range(f, f + c)) for a, f, c in runs))
 
 
-def _minus(spans, other) -> list:
-    """The parts of the sorted disjoint half-open intervals ``spans`` that
-    the sorted disjoint intervals ``other`` do not cover."""
-    out = []
-    j = 0
+def _uncovered(keys: list, spans, other, w: int, line: int) -> None:
+    """Append ``b * w + line`` to ``keys`` for each coordinate b that the
+    sorted disjoint half-open intervals ``spans`` cover and the sorted
+    disjoint intervals ``other`` do not, in one merge pass."""
+    j, end = 0, len(other)
     for lo, hi in spans:
-        while j < len(other) and other[j][1] <= lo:
+        while j < end and other[j][1] <= lo:
             j += 1
         k = j
-        while lo < hi and k < len(other) and other[k][0] < hi:
-            if other[k][0] > lo:
-                out.append((lo, other[k][0]))
-            lo = max(lo, other[k][1])
+        while lo < hi and k < end:
+            olo, ohi = other[k]
+            if olo >= hi:
+                break
+            keys.extend(range(lo * w + line, olo * w, w))  # empty unless lo < olo
+            if ohi > lo:
+                lo = ohi
             k += 1
-        if lo < hi:
-            out.append((lo, hi))
-    return out
+        keys.extend(range(lo * w + line, hi * w, w))
 
 
 def _transpose(runs: Sequence[Run]) -> Tuple[Run, ...]:
@@ -149,18 +150,21 @@ def _transpose(runs: Sequence[Run]) -> Tuple[Run, ...]:
     covers it where the line after does not.  Sorted, the k-th opening and
     the k-th closing on one coordinate bound its k-th run, so one pass over
     the lines finds all runs, in time linear in input and output runs.
+    Each opening and closing is one int, coordinate times w plus line for
+    a w above every line, so that ints sort as (coordinate, line) pairs.
     """
+    if not runs:
+        return ()
     lines = {line: [(f, f + c) for _, f, c in group]
              for line, group in groupby(runs, itemgetter(0))}
-    opens, closes = [], []  # (coordinate, line)
+    w = runs[-1][0] + 1
+    opens, closes = [], []
     for line, spans in lines.items():
-        for lo, hi in _minus(spans, lines.get(line - 1, ())):
-            opens.extend(zip(range(lo, hi), repeat(line)))
-        for lo, hi in _minus(spans, lines.get(line + 1, ())):
-            closes.extend(zip(range(lo, hi), repeat(line)))
+        _uncovered(opens, spans, lines.get(line - 1, ()), w, line)
+        _uncovered(closes, spans, lines.get(line + 1, ()), w, line)
     opens.sort()
     closes.sort()
-    return tuple([(b, start, end - start + 1) for (b, start), (_, end) in zip(opens, closes)])
+    return tuple([(o // w, o % w, c - o + 1) for o, c in zip(opens, closes)])
 
 
 @dataclass(frozen=True)
@@ -195,13 +199,22 @@ def _coerce_spec(spec) -> MultiplicitySpec:
 
 @dataclass(frozen=True)
 class ColumnProfile:
-    """Counts of set points per parallel line in the chosen direction."""
+    """Counts of set points per parallel line in the chosen direction.
+
+    ``by_count`` holds the same (line, count) pairs sorted once, by count
+    descending, ties in line order: the witness size and the witness's
+    lines are both read from it.
+    """
 
     direction: Direction
     counts: Tuple[Tuple[int, int], ...]  # (line index, count), sorted by index
+    by_count: Tuple[Tuple[int, int], ...] = dataclass_field(init=False, repr=False,
+                                                             compare=False)
 
-    def count_list(self) -> list:
-        return [c for _, c in self.counts]
+    def __post_init__(self):
+        # a stable sort keeps equal counts in the order of their lines
+        object.__setattr__(self, "by_count",
+                           tuple(sorted(self.counts, key=itemgetter(1), reverse=True)))
 
 
 def scaled_points(P: ConvexPolygon, n: int) -> LatticeSet:
@@ -244,33 +257,36 @@ def split_by_affine(D: LatticeSet, F: AffineForm, scale: int):
     lcm L of its denominators, so a point's side is the sign of the integer
     c0 + c1*alpha + c2*beta, which is L times the scaled value.  Along one
     column that sign changes at most once, so each run of D is cut once,
-    at an integer threshold on beta.
+    at an integer threshold on beta: one list holds every column's
+    threshold, and each run is cut by comparing its ends with it.
     """
     if scale < 1:
         raise ValueError("scale must be a positive integer")
     c0, c1, c2 = _cleared_form(F.r0, F.r1, F.r2, scale)
-    d1, d2 = [], []
-    # the k lowest points of a run go to `low`, the rest to `high`
-    low, high = (d1, d2) if c2 > 0 else (d2, d1)
-    size = 0  # of low
-    for alpha, first, count in D.runs:
-        v = c0 + c1 * alpha
-        if c2 > 0:
-            k = -(v // c2) - first      # v + c2*beta < 0 iff beta < ceil(-v / c2)
-        elif c2 < 0:
-            k = v // -c2 + 1 - first    # v + c2*beta < 0 iff beta > floor(v / -c2)
+    runs = D.runs
+    # each column's threshold t: its points below t go to `low`, the rest
+    # to `high`, and `low` is the negative part unless c2 < 0
+    if c2 > 0:    # v + c2*beta < 0 iff beta < ceil(-v / c2)
+        cuts = [-((c0 + c1 * alpha) // c2) for alpha, _, _ in runs]
+    elif c2 < 0:  # v + c2*beta < 0 iff beta > floor(v / -c2)
+        cuts = [(c0 + c1 * alpha) // -c2 + 1 for alpha, _, _ in runs]
+    else:         # the whole column goes one way
+        cuts = [first + count if c0 + c1 * alpha < 0 else first
+                for alpha, first, count in runs]
+    low, high = [], []
+    for run, t in zip(runs, cuts):
+        alpha, first, count = run
+        if t <= first:
+            high.append(run)
+        elif t >= first + count:
+            low.append(run)
         else:
-            k = count if v >= 0 else 0  # the whole column goes one way
-        k = min(max(k, 0), count)
-        if k:
-            low.append((alpha, first, k))
-        if k < count:
-            high.append((alpha, first + k, count - k))
-        size += k
+            low.append((alpha, first, t - first))
+            high.append((alpha, t, first + count - t))
     # both parts keep D's order, and a cut run stays apart from its neighbours
-    sizes = (size, len(D) - size) if c2 > 0 else (len(D) - size, size)
-    return (LatticeSet._of_runs(tuple(d1), sizes[0]),
-            LatticeSet._of_runs(tuple(d2), sizes[1]))
+    low_set = LatticeSet._of_runs(tuple(low), sum(map(itemgetter(2), low)))
+    high_set = LatticeSet._of_runs(tuple(high), len(D) - len(low_set))
+    return (high_set, low_set) if c2 < 0 else (low_set, high_set)
 
 
 def column_profile(D: LatticeSet, direction: Direction) -> ColumnProfile:
@@ -306,13 +322,13 @@ def max_parallel_witness(profile: ColumnProfile) -> int:
     falls as m grows, so the feasible sizes run from 1 up to the answer,
     and one pass finds the first infeasible size.
     """
-    counts = sorted(profile.count_list(), reverse=True)
-    low = len(counts)  # m never exceeds the number of lines
-    for j, h in enumerate(counts):
-        low = min(low, h + j)
+    low = len(profile.by_count)  # m never exceeds the number of lines
+    for j, (_line, h) in enumerate(profile.by_count):
+        if h + j < low:
+            low = h + j
         if low <= j:
             return j
-    return len(counts)
+    return len(profile.by_count)
 
 
 def select_witness_subset(D: LatticeSet, direction: Direction, m: int) -> "WitnessSelection":
@@ -338,17 +354,19 @@ def _witness_from_profile(D: LatticeSet, profile: ColumnProfile,
     cut to the assigned size, without visiting the rest of D.
     """
     direction = profile.direction
-    ordered = sorted(profile.counts, key=lambda ic: (-ic[1], ic[0]))
-    chosen = sorted((line, m - j) for j, (line, _count) in enumerate(ordered[:m]))
+    # the j-th fullest line gets m - j points
+    chosen = sorted(zip(map(itemgetter(0), profile.by_count[:m]), range(m, 0, -1)))
     lines = D.runs if direction is Direction.VERTICAL else _transpose(D.runs)
     runs = []
     for line, size in chosen:
         i = bisect_left(lines, (line,))
-        while size:  # the line holds at least `size` points from run i on
-            _line, first, count = lines[i]
-            runs.append((line, first, min(count, size)))
-            size -= runs[-1][2]
+        _line, first, count = lines[i]
+        while count < size:  # the line holds at least `size` points from run i on
+            runs.append(lines[i])
+            size -= count
             i += 1
+            _line, first, count = lines[i]
+        runs.append((line, first, size))
     return WitnessSelection(m, direction, tuple(runs))
 
 

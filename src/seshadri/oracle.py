@@ -37,7 +37,7 @@ are ints already; the modular mode draws its own and reduces mod its prime.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -137,7 +137,12 @@ class OracleVerdict:
     seed: Optional[int] = None
 
     def to_json(self) -> dict:
-        return asdict(self)  # the fields in their order
+        # the fields in their order
+        return {"actual_dimension": self.actual_dimension,
+                "expected_dimension": self.expected_dimension,
+                "non_special": self.non_special, "method": self.method,
+                "prime": self.prime, "caveat": self.caveat, "rank": self.rank,
+                "seed": self.seed}
 
     @classmethod
     def from_json(cls, data: dict) -> "OracleVerdict":

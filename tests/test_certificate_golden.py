@@ -18,6 +18,15 @@ points recorded then.  ``GOLDEN_0_5_0`` pins today's bytes.
 modes are pinned as well: a change to how the point-free matrix is built
 or ranked must leave every verdict as it was.
 
+``SWEEP_GOLDEN`` pins, in one digest each, eckl10's certificates in mode
+``none`` at every scale 1..150 and the random corpus of
+``conftest.random_dissection`` (seeds 0..59) at scales 13, 26 and 52, a
+scale with an empty piece standing as its refusal.  The seeded
+equivalence tests at the end compare the lattice layer's run-based steps
+(split, profiles, witness size and selection, transposition) with
+point-by-point references on scattered sets, so a change there must state
+the same points as well as the same bytes.
+
 ``REFUSAL_GOLDEN`` pins the ``validate`` reports of refused copies of
 eckl10's file, and ``CLI_GOLDEN`` the ``bound`` and ``verify --m`` output
 of a valid dissection whose pieces are not on eckl10's grid of 1/26: a
@@ -28,20 +37,25 @@ what is refused, and why, as it was.
 import copy
 import dataclasses
 import hashlib
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from seshadri import __version__
 from seshadri.certify import (BUILTIN_POINT_TABLE, CutStep, Dissection,
-                              builtin_dissection_eckl10, dissection_from_json,
-                              dissection_to_json, dump_json, finite_certificate,
-                              validate_dissection, verify_asymptotic)
+                              EmptyPolygonAtScale, builtin_dissection_eckl10,
+                              dissection_from_json, dissection_to_json, dump_json,
+                              finite_certificate, validate_dissection, verify_asymptotic)
 from seshadri.cli import run
 from seshadri.geometry import AffineForm
+from seshadri.lattice import (Direction, LatticeSet, _transpose, _witness_from_profile,
+                              column_profile, max_parallel_witness, split_by_affine)
 from seshadri.render import RenderSpec, render_svg
 
 import fraction_reference as ref
+from conftest import random_dissection
 
 GOLDEN_TOOL_VERSION = "0.2.0"
 GOLDEN = {
@@ -66,6 +80,12 @@ ORACLE_GOLDEN = {
     ("modular", 65): "77bcd079284bcc2d9da9f2fc6c46d7f856ae4210c306fc4b07fe43801344e064",
     ("exact", 13): "3d4ddfbc7b068f5e371f1afb778ed99faddd1b3b05f92e46171b0aeeb16de6ed",
     ("exact", 26): "281c00ebab608cdc7c9fa574a982ef86940f71bee9c049a4c22789f214524a5f",
+}
+# mode none, tool_version 0.5.0: eckl10 at n = 1..150, and random-0..59 at
+# n = 13, 26, 52 (59 of those 180 certificates meet an empty piece)
+SWEEP_GOLDEN = {
+    "eckl10": "1046647f6edc9de396c157e10f6a74d46d28c0d6f5f628d6bb4a9c5684974007",
+    "random corpus": "c3c30aaf84c46911dfb5357d7dc2fb6a0984db02905084c4415d21c0e3931803",
 }
 
 BUILTIN = builtin_dissection_eckl10()
@@ -211,3 +231,118 @@ def test_cli_output_on_another_grid_pinned(args, tmp_path, capsys):
     path.write_text(dump_json(dissection_to_json(_sliver())), encoding="utf-8")
     rc = run([args[0], "--dissection", str(path), *args[1:]])
     assert (rc, _sha256(capsys.readouterr().out)) == CLI_GOLDEN[args]
+
+
+def _certificate_texts(dis, scales):
+    """The pinned text of ``dis``'s mode-``none`` certificate at each scale,
+    with tool_version 0.5.0; a scale at which a piece is empty writes the
+    refusal instead."""
+    for n in scales:
+        try:
+            cert = finite_certificate(dis, n, "none")
+        except EmptyPolygonAtScale as exc:
+            yield f"{dis.name} n = {n}: EmptyPolygonAtScale: {exc}\n"
+        else:
+            yield dump_json(dataclasses.replace(cert, tool_version=RUNS_TOOL_VERSION).to_json())
+
+
+SWEEPS = {
+    "eckl10": lambda: _certificate_texts(BUILTIN, range(1, 151)),
+    "random corpus": lambda: (text for seed in range(60)
+                              for text in _certificate_texts(
+                                  random_dissection(random.Random(seed), f"random-{seed}"),
+                                  (13, 26, 52))),
+}
+
+
+@pytest.mark.parametrize("what", sorted(SWEEP_GOLDEN))
+def test_certificate_sweep_bytes_pinned(what):
+    assert _sha256("".join(SWEEPS[what]())) == SWEEP_GOLDEN[what]
+
+
+# --- the lattice layer against point-by-point references ---------------------
+
+def _scattered_sets(seed, count, side=14):
+    """Seeded lattice sets with several runs on most columns: unions of
+    short vertical stretches, about one in ten empty."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        pts = []
+        if rng.random() > 0.1:
+            for _ in range(rng.randint(1, 3 * side)):
+                a, b = rng.randint(0, side), rng.randint(0, 2 * side)
+                pts += [(a, b + k) for k in range(rng.randint(1, 4))]
+        yield LatticeSet(pts)
+
+
+def _form(rng, D, scale, trial):
+    """A form with small rational coefficients, r2 = 0 on every third trial;
+    its constant puts a point of D on the cut, or every point on one side
+    (a threshold outside every run), or is drawn at random."""
+    def small():
+        return F(rng.randint(-6, 6), rng.randint(1, 5))
+
+    r1, r2 = small(), small() if trial % 3 else F(0)
+    if not (r1 or r2):
+        r1 = F(rng.choice([-1, 1]), rng.randint(1, 5))
+    kind = rng.randrange(3)
+    if kind == 0 and len(D):
+        a, b = rng.choice(D.points)
+        return AffineForm(-(r1 * a + r2 * b) / scale, r1, r2)
+    if kind == 1:
+        return AffineForm(rng.choice([-1000, 1000]), r1, r2)
+    return AffineForm(F(rng.randint(-200, 200), rng.randint(1, 9)), r1, r2)
+
+
+def _reflected(points):
+    return LatticeSet([(b, a) for a, b in points])
+
+
+def test_split_matches_the_sign_of_each_point():
+    """Ties go to the second part, and a threshold outside every run sends
+    each run whole to one side."""
+    rng = random.Random(31)
+    ties = whole = 0
+    for trial, D in enumerate(_scattered_sets(31, 400)):
+        scale = rng.randint(1, 9)
+        form = _form(rng, D, scale, trial)
+        values = [form.scaled_eval(scale, a, b) for a, b in D]
+        neg = LatticeSet([p for p, v in zip(D, values) if v < 0])
+        rest = LatticeSet([p for p, v in zip(D, values) if v >= 0])
+        d1, d2 = split_by_affine(D, form, scale)
+        assert (d1.runs, len(d1), d2.runs, len(d2)) == (neg.runs, len(neg),
+                                                        rest.runs, len(rest))
+        ties += 0 in values
+        whole += len(D) > 0 and not (len(neg) and len(rest))
+    assert ties > 100 and whole > 100
+
+
+def test_profiles_witnesses_and_transposition_match_the_points():
+    """Profiles count points per line; the witness size is the largest m
+    whose m fullest lines hold at least m, m - 1, ..., 1 points; a witness
+    of each feasible size takes the fullest lines (ties by index) and the
+    lowest points on each; transposition reflects the points."""
+    gaps = 0
+    for D in _scattered_sets(32, 300):
+        assert _transpose(D.runs) == _reflected(D).runs
+        if not len(D):
+            continue
+        for direction, k in ((Direction.VERTICAL, 0), (Direction.HORIZONTAL, 1)):
+            counts = Counter(p[k] for p in D)
+            profile = column_profile(D, direction)
+            assert profile.counts == tuple(sorted(counts.items()))
+            heights = sorted(counts.values(), reverse=True)
+            top = max(m for m in range(len(heights) + 1)
+                      if all(heights[j] >= m - j for j in range(m)))
+            assert max_parallel_witness(profile) == top
+            fullest = sorted(counts, key=lambda line: (-counts[line], line))
+            for m in range(1, top + 1):
+                chosen = []
+                for j, line in enumerate(fullest[:m]):
+                    chosen += sorted((p for p in D if p[k] == line),
+                                     key=lambda p: p[1 - k])[:m - j]
+                want = LatticeSet(chosen) if k == 0 else _reflected(chosen)
+                w = _witness_from_profile(D, profile, m)
+                assert (w.direction, w.runs) == (direction, want.runs)
+                gaps += len(w.runs) > m
+    assert gaps > 500

@@ -1007,6 +1007,28 @@ class TestStrictCertificateLoaders:
         with pytest.raises(ValueError, match=re.escape(message)):
             FiniteCertificate.from_json(data)
 
+    @pytest.mark.parametrize("mode,changes,message", [
+        ("exact", {"prime": 97}, "row 1: oracle prime 97 is neither null nor 2"),
+        ("modular", {"prime": None},
+         "row 1: oracle prime null is neither 2 nor a prime below 2^63"),
+        ("modular", {"prime": 4}, "row 1: oracle prime 4 is neither 2 nor a prime below 2^63"),
+        ("modular", {"prime": 2**89 - 1},
+         f"row 1: oracle prime {2**89 - 1} is neither 2 nor a prime below 2^63"),
+        ("modular", {"rank": 11, "actual_dimension": -2, "non_special": False},
+         "row 1: oracle rank 11 is outside 0..10"),
+        ("exact", {"rank": -1, "actual_dimension": 10, "non_special": False},
+         "row 1: oracle rank -1 is outside 0..10"),
+    ], ids=["exact prime 97", "modular prime null", "modular prime 4",
+            "modular prime above 2^63", "rank 11 of 10 points", "rank -1"])
+    def test_verdict_prime_and_rank_checked(self, mode, changes, message):
+        # row 1's witness at n = 13 has m = 4: 10 points, and ranks 0..10
+        data = finite_certificate(BUILTIN, 13, oracle_mode=mode).to_json()
+        assert data["per_polygon"][0]["m"] == 4
+        FiniteCertificate.from_json(data)
+        data["per_polygon"][0]["oracle"].update(changes)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FiniteCertificate.from_json(data)
+
     def test_verdict_of_a_one_point_system(self):
         # expected_dimension 0 with actual_dimension 0 passes the non_special
         # check, but a witness system's expected dimension is -1

@@ -267,16 +267,40 @@ def test_render_no_labels(tmp_path):
     assert out.read_text().count("<text") == 0
 
 
+def _simplex_cut_by(name, region, r0):
+    """The region peeled once, by the cut r0 + x + y."""
+    region = ConvexPolygon.from_json(region)
+    cut = AffineForm(r0, 1, 1)
+    peeled, final = cut_polygon(region, cut)
+    return cert.Dissection(name, region, (cert.CutStep(cut, peeled),), final)
+
+
+def test_region_beyond_the_simplex_refused(tmp_path, capsys):
+    """The doubled simplex cut by x + y - 1 is a dissection of a region
+    outside the simplex: its scaled points are no degree-n monomials, so
+    validate refutes it naming the vertices, and no command certifies it."""
+    path = tmp_path / "doubled.json"
+    path.write_text(cert.dump_json(cert.dissection_to_json(
+        _simplex_cut_by("doubled", [[0, 0], [2, 0], [0, 2]], -1))))
+    assert run(["validate", "--dissection", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"ok": False, "violations": [
+        "region vertex (2, 0) lies beyond x + y = 1",
+        "region vertex (0, 2) lies beyond x + y = 1"]}
+    for argv in (["bound"], ["verify", "--m", "1/3"],
+                 ["certify", "--n", "4", "--oracle", "exact"]):
+        assert run([argv[0], "--dissection", str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "region vertex (2, 0) lies beyond x + y = 1" in captured.err
+
+
 def test_render_labels_only_the_builtin(tmp_path):
     builtin = tmp_path / "eckl10.json"
     assert run(["builtin", "--name", "eckl10", "--out", str(builtin)]) == 0
-    # a valid dissection of the doubled simplex that only borrows the name
-    region = ConvexPolygon.from_json([[0, 0], [2, 0], [0, 2]])
-    cut = AffineForm(-1, 1, 1)
-    peeled, final = cut_polygon(region, cut)
+    # a valid dissection of the simplex, not eckl10, that only borrows the name
     impostor = tmp_path / "impostor.json"
     impostor.write_text(cert.dump_json(cert.dissection_to_json(
-        cert.Dissection("eckl10", region, (cert.CutStep(cut, peeled),), final))))
+        _simplex_cut_by("eckl10", [[0, 0], [1, 0], [0, 1]], Fraction(-1, 2)))))
     for path, labels in ((builtin, 19), (impostor, 0)):
         out = tmp_path / "d.svg"
         assert run(["render", "--dissection", str(path), "--out", str(out)]) == 0

@@ -58,3 +58,19 @@ def test_fallback_verdicts_agree_between_modes(corpus):
     # 71 of the 120 (dissection, scale) pairs certify, and 22 witnesses
     # fall short mod 2
     assert certified > 50 and fallbacks > 10
+
+
+def test_witness_points_are_monomials_of_degree_n(corpus):
+    """Every witness point (alpha, beta) of every certificate has
+    alpha + beta <= n: it is an exponent of a degree-n monomial."""
+    certified = 0
+    for dis in corpus:
+        for n in SCALES:
+            try:
+                cert = finite_certificate(dis, n, "none")
+            except EmptyPolygonAtScale:
+                continue
+            certified += 1
+            for row in cert.per_polygon:
+                assert all(a + b <= n for a, b in row.witness.subset)
+    assert certified > 50
