@@ -25,8 +25,8 @@ from ._input import field, parsed, rational
 from .geometry import (AffineForm, Axis, ConvexPolygon, Point, cut_polygon,
                        height_profile, point, x_projection)
 from .lattice import (Direction, LatticeSet, WitnessSelection, _witness_from_profile,
-                      column_profile, expected_dimension, max_parallel_witness,
-                      scaled_points, select_witness_subset, split_by_affine)
+                      column_profile, max_parallel_witness, scaled_points,
+                      select_witness_subset, split_by_affine)
 from .oracle import (MODULUS_LIMIT, OracleVerdict, is_prime, system_dimension_exact,
                      system_dimension_modp)
 from .reorder import (PiecewiseLinear, _first_crossing, monotone_reorder,
@@ -49,7 +49,7 @@ class CutStep:
     """One peeling step: the cut and the piece on its negative side.
 
     The cut must be negative on the peeled piece's interior and
-    nonnegative on everything peeled later (dimension -1 role).
+    nonnegative on everything peeled later (see :func:`finite_certificate`).
     """
 
     cut: AffineForm
@@ -306,20 +306,16 @@ class PolygonWitness:
     """Scale-n record for one piece: its lattice set size and witness."""
 
     polygon: int
-    role: str                 # "dim-minus-one" | "final"
     lattice_count: int
     m: int
     witness: WitnessSelection
     deviation: Fraction       # |m - n*target| / (n*target)
-    padding_ok: Optional[bool] = None   # final piece only
     oracle: Optional[OracleVerdict] = None
 
     def to_json(self) -> dict:
-        return {"polygon": self.polygon, "role": self.role,
-                "lattice_count": self.lattice_count, "m": self.m,
-                "witness": self.witness.to_json(),
+        return {"polygon": self.polygon, "lattice_count": self.lattice_count,
+                "m": self.m, "witness": self.witness.to_json(),
                 "deviation": str(self.deviation),
-                "padding_ok": self.padding_ok,
                 "oracle": self.oracle.to_json() if self.oracle else None}
 
     @classmethod
@@ -329,11 +325,9 @@ class PolygonWitness:
         m(m+1)/2 points; only a null ``oracle`` means no verdict."""
         data = field("per_polygon row", data, dict)
         row = cls(field("polygon", data["polygon"], int),
-                  field("role", data["role"], str, choices=("dim-minus-one", "final")),
                   field("lattice_count", data["lattice_count"], int),
                   field("m", data["m"], int), WitnessSelection.from_json(data["witness"]),
                   parsed("deviation", rational, data["deviation"]),
-                  field("padding_ok", data["padding_ok"], bool, optional=True),
                   None if data["oracle"] is None else OracleVerdict.from_json(data["oracle"]))
         w = row.witness.m
         if row.m != w:
@@ -359,11 +353,13 @@ class FiniteCertificate:
 
     @property
     def statement(self) -> str:
-        """The claim the cut-order assembly plus final-piece padding yields."""
-        ms = ", ".join(str(p.m) for p in self.per_polygon)
-        return (f"the degree-{self.degree} plane system with multiplicities "
-                f"({ms}) at {len(self.per_polygon)} very general points is "
-                f"non-special of dimension >= 0")
+        """The claim the witnesses prove; :func:`finite_certificate` states why."""
+        ms = [p.m for p in self.per_polygon]
+        n = self.degree
+        dim = (n + 1) * (n + 2) // 2 - 1 - sum(m * (m + 1) // 2 for m in ms)
+        return (f"the degree-{n} plane system with multiplicities "
+                f"({', '.join(map(str, ms))}) at {len(ms)} very general points is "
+                f"non-special of dimension {dim}")
 
     def to_json(self) -> dict:
         return {"tool_version": self.tool_version, "dissection": self.dissection,
@@ -375,23 +371,25 @@ class FiniteCertificate:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteCertificate":
-        """The certificate ``data``, refused where it contradicts itself: a
-        scale below 1, a degree other than the scale, no rows, a
-        ``min_ratio`` other than the least row m over the scale, a row whose
-        polygon, role or ``padding_ok`` is not its place's, or whose verdict
-        its ``oracle_mode`` would not give (a one-point system's, ranked
-        point-free: a rank in 0..m(m+1)/2, and a prime that is 2 or, for a
-        modular verdict, a prime below 2^63, or, for an exact one, null),
-        or a ``statement`` other than its rows'."""
+        """The certificate ``data``, refused unless its ``tool_version`` is
+        the package's, and where it contradicts itself: a scale below 1, a
+        degree other than the scale, no rows, ``lattice_count``s that do
+        not sum to the (n+1)(n+2)/2 monomials, a ``min_ratio`` other than
+        the least row m over the scale, a row whose polygon is not its
+        place, or whose verdict its ``oracle_mode`` would not give (a
+        one-point system's, ranked point-free: a rank in 0..m(m+1)/2, and a
+        prime that is 2 or, for a modular verdict, a prime below 2^63, or,
+        for an exact one, null), or a ``statement`` other than its rows'."""
         data = field("certificate", data, dict)
+        version = field("tool_version", data["tool_version"], str,
+                        choices=(__about__.__version__,))
         cert = cls(field("dissection", data["dissection"], str),
                    field("scale", data["scale"], int), field("degree", data["degree"], int),
                    field("oracle_mode", data["oracle_mode"], str, choices=_ORACLE_MODES),
                    field("seed", data["seed"], int),
                    tuple(PolygonWitness.from_json(p)
                          for p in field("per_polygon", data["per_polygon"], list)),
-                   parsed("min_ratio", rational, data["min_ratio"]),
-                   field("tool_version", data["tool_version"], str))
+                   parsed("min_ratio", rational, data["min_ratio"]), version)
         n = cert.scale
         if n < 1:
             raise ValueError(f"scale {n} is not positive")
@@ -399,18 +397,18 @@ class FiniteCertificate:
             raise ValueError(f"degree {cert.degree} is not the scale {n}")
         if not cert.per_polygon:
             raise ValueError("per_polygon is empty")
+        total = sum(row.lattice_count for row in cert.per_polygon)
+        if total != (n + 1) * (n + 2) // 2:
+            raise ValueError(f"lattice_count sum {total} is not the "
+                             f"{(n + 1) * (n + 2) // 2} monomials of degree {n}")
         least = Fraction(min(row.m for row in cert.per_polygon), n)
         if cert.min_ratio != least:
             raise ValueError(f"min_ratio {cert.min_ratio} is not the least row m over "
                              f"the scale, {least}")
         method = {"modular": "modular", "exact": "exact-rational"}.get(cert.oracle_mode)
         for i, row in enumerate(cert.per_polygon, start=1):
-            last, v = i == len(cert.per_polygon), row.oracle
-            checks = [("polygon", row.polygon, i),
-                      ("role", row.role, "final" if last else "dim-minus-one"),
-                      ("padding_ok", "null" if row.padding_ok is None else "stated",
-                       "stated" if last else "null"),
-                      ("oracle method", v and v.method, method)]
+            v = row.oracle
+            checks = [("polygon", row.polygon, i), ("oracle method", v and v.method, method)]
             if v:  # a one-point system, ranked point-free
                 checks += [("oracle expected_dimension", v.expected_dimension, -1),
                            ("oracle actual_dimension", v.actual_dimension,
@@ -448,13 +446,30 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
                        seed: int = 0) -> FiniteCertificate:
     """Instantiate the dissection at scale n and certify every piece.
 
-    The integer points of the scaled region are consumed cut by cut (ties
-    stay with the remainder), each piece gets its best parallel-lines
-    witness over both directions, and optionally an oracle
-    verdict on the witness system.  The final piece additionally records
-    whether its full lattice set pads the witness to expected dimension
-    at least 0.  A scale at which the scaled region's bounding box holds
-    more integer points than the cell cap raises SizeGuardrail, from
+    The integer points of n times the region are consumed cut by cut (ties
+    stay with the remainder); each piece gets its best parallel-lines
+    witness W_i, of size m_i, over both directions, and optionally an
+    oracle verdict on the one-point system L_{W_i}(m_i) of polynomials
+    supported on W_i.  The witnesses prove ``statement``:
+
+    1. W_i is m_i parallel lines carrying 1, ..., m_i points, so
+       L_{W_i}(m_i) is non-special of dimension -1 (Dumnicki's
+       parallel-lines lemma; a verdict re-checks it by rank).
+    2. If a line splits D into D_1 and D_2, L_{D_1}(m_1, ..., m_k) is
+       non-special of dimension -1 and L_{D_2}(m_{k+1}, ..., m_r) is
+       non-special, then L_D(m_1, ..., m_r) is non-special (Dumnicki's
+       reduction; either side may carry the dimension -1 part).  Cut i
+       has W_i on its negative side and W_{i+1}, ..., W_r on its
+       nonnegative side, so r - 1 reductions make the system on the union
+       W of the witnesses non-special of dimension -1: its square
+       condition matrix is nonsingular at very general points.
+    3. W lies in n times the simplex, so those conditions stay independent
+       on all N = (n+1)(n+2)/2 monomials of degree n: L_n(m_1, ..., m_r)
+       is non-special of dimension N - 1 - sum of m_i(m_i+1)/2, which is
+       -1 exactly when W holds every monomial.  No piece size enters.
+
+    A scale at which the scaled region's bounding box holds more integer
+    points than the cell cap raises SizeGuardrail, from
     :func:`scaled_points`, before any point is enumerated.  ``seed`` is
     recorded in the certificate and reaches no verdict: every witness is a
     one-point system, ranked point-free.
@@ -465,14 +480,14 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
     target = _require_valid(dis).bound
     p, q = target.numerator, target.denominator
     remaining = scaled_points(dis.region, n)
-    pieces: List[Tuple[int, str, LatticeSet]] = []
-    for i, step in enumerate(dis.steps, start=1):
+    pieces: List[LatticeSet] = []
+    for step in dis.steps:
         mine, remaining = split_by_affine(remaining, step.cut, n)
-        pieces.append((i, "dim-minus-one", mine))
-    pieces.append((dis.r, "final", remaining))
+        pieces.append(mine)
+    pieces.append(remaining)
 
     rows: List[PolygonWitness] = []
-    for idx, role, pts in pieces:
+    for idx, pts in enumerate(pieces, start=1):
         if len(pts) == 0:
             raise EmptyPolygonAtScale(f"P{idx} holds no lattice points at scale {n}")
         best_m, best_profile = 0, None
@@ -487,14 +502,9 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
             verdict = system_dimension_exact(witness.subset, (best_m,))
         elif oracle_mode == "modular":
             verdict = system_dimension_modp(witness.subset, (best_m,))
-        padding = None
-        if role == "final":
-            padding = (witness.subset.issubset(pts)
-                       and expected_dimension((best_m,), count=len(pts)) >= 0)
         # |m - n*p/q| / (n*p/q) for the target p/q
         deviation = Fraction(abs(best_m * q - n * p), n * p) if p > 0 else Fraction(0)
-        rows.append(PolygonWitness(idx, role, len(pts), best_m, witness,
-                                   deviation, padding, verdict))
+        rows.append(PolygonWitness(idx, len(pts), best_m, witness, deviation, verdict))
     min_ratio = Fraction(min(r.m for r in rows), n)
     return FiniteCertificate(dis.name, n, n, oracle_mode, seed,
                              tuple(rows), min_ratio)

@@ -98,20 +98,6 @@ class LatticeSet:
     def __iter__(self):
         return iter(self.points)
 
-    def issubset(self, other: "LatticeSet") -> bool:
-        # Both run lists are sorted, and a run, being consecutive points,
-        # lies in other only inside one run of other: one merge pass.
-        theirs = iter(other.runs)
-        line = end = -1
-        for a, first, count in self.runs:
-            while (line, end) <= (a, first):  # that run ends before this one
-                # past other's last run, a line after a refuses this run
-                line, start, n = next(theirs, (a + 1, 0, 0))
-                end = start + n
-            if line != a or start > first or first + count > end:
-                return False
-        return True
-
     @classmethod
     def from_json(cls, data: Sequence) -> "LatticeSet":
         return cls(tuple(data))

@@ -7,18 +7,23 @@ the rendered SVG.  A change to the lattice layer (enumeration,
 cut-by-cut split, witness selection) or to how the pieces are derived,
 checked, scored or drawn that alters any byte changes a digest.
 
-Certificates are pinned twice.  ``GOLDEN`` holds the digests recorded in
-the 0.2.0 layout, where a witness listed its ``subset`` point by point with
-its ``assignment``; a certificate is turned back into that layout by
-:func:`_as_0_2_0`, so the runs of today's witnesses must state exactly the
-points recorded then.  ``GOLDEN_0_5_0`` pins today's bytes.
+Certificates are pinned three times.  ``GOLDEN_0_6_0`` pins today's
+bytes.  ``GOLDEN_0_5_0`` holds the digests recorded in the 0.5.0 layout,
+whose rows also stated a ``role`` and a final-piece ``padding_ok`` and
+whose statement read "dimension >= 0"; :func:`_as_0_5_0` turns a
+certificate back into that layout.  ``GOLDEN`` holds the digests recorded
+in the 0.2.0 layout, where a witness listed its ``subset`` point by point
+with its ``assignment``; :func:`_as_0_2_0` turns a 0.5.0 certificate back
+into that layout, so the runs of today's witnesses must state exactly the
+points recorded then.
 
 ``ORACLE_GOLDEN`` pins certificates whose rows carry an oracle verdict
-(seed 1), so the ``rank``, ``prime`` and ``caveat`` bytes of both oracle
-modes are pinned as well: a change to how the point-free matrix is built
-or ranked must leave every verdict as it was.
+(seed 1), in the 0.5.0 layout, so the ``rank``, ``prime`` and ``caveat``
+bytes of both oracle modes are pinned as well: a change to how the
+point-free matrix is built or ranked must leave every verdict as it was.
 
-``SWEEP_GOLDEN`` pins, in one digest each, eckl10's certificates in mode
+``SWEEP_GOLDEN`` pins, in one digest each and in the 0.5.0 layout,
+eckl10's certificates in mode
 ``none`` at every scale 1..150 and the random corpus of
 ``conftest.random_dissection`` (seeds 0..59) at scales 13, 26 and 52, a
 scale with an empty piece standing as its refusal.  The seeded
@@ -35,9 +40,9 @@ what is refused, and why, as it was.
 """
 
 import copy
-import dataclasses
 import hashlib
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 
@@ -45,7 +50,8 @@ import pytest
 
 from seshadri import __version__
 from seshadri.certify import (BUILTIN_POINT_TABLE, CutStep, Dissection,
-                              EmptyPolygonAtScale, builtin_dissection_eckl10,
+                              EmptyPolygonAtScale, FiniteCertificate,
+                              builtin_dissection_eckl10,
                               dissection_from_json, dissection_to_json, dump_json,
                               finite_certificate, validate_dissection, verify_asymptotic)
 from seshadri.cli import run
@@ -72,6 +78,13 @@ GOLDEN_0_5_0 = {
     52: "4f9678848663fde4e32db82392302c1e8d5b928aa57bc971da975e4c990d49e7",
     104: "0e7592c8d368428fa89a108275ad54e6b404e3b93ebc036eace16b9567a264dd",
     208: "1207be9cd3646fed30c6beabc8580310c148674af68124864ebf9cf7ca4d129c",
+}
+GOLDEN_0_6_0 = {
+    13: "7d68a36e10954c67720ae2723fdd1df01aef6a6189f05c8f790fe44ed360fe15",
+    26: "fd42369d1db504cfa2a6668cdc86a46bafb555282ee7d8690f2b96fb5659a7a5",
+    52: "759345b933841d22cb2d6a7e284adedba6623235f4aa91532415aeea7599972b",
+    104: "f40852c63736579e6c9583339155985e517dad4bc2ea3a6d5ef0b17736fe9084",
+    208: "0fe296d2b367b8c363fa50c5781e25c4574f6f4a696c1dc05ff8590c962d4d2b",
 }
 ORACLE_GOLDEN = {
     ("modular", 26): "d45de5154e226c9fe95894207220521554845ebdee04eeed0f5faf30dee514f8",
@@ -170,10 +183,28 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _as_0_5_0(data: dict) -> dict:
+    """The certificate JSON ``data`` in the 0.5.0 layout: each row's
+    ``role`` restored by its place, ``padding_ok`` on the last row whether
+    its piece holds more points than its witness and null elsewhere, the
+    statement's "dimension >= 0" and the tool version 0.5.0."""
+    old = copy.deepcopy(data)
+    old["tool_version"] = RUNS_TOOL_VERSION
+    old["statement"] = old["statement"].rsplit(" ", 1)[0] + " >= 0"
+    rows = old["per_polygon"]
+    for row in rows:
+        row["role"], row["padding_ok"] = "dim-minus-one", None
+    last = rows[-1]
+    last["role"] = "final"
+    last["padding_ok"] = last["lattice_count"] > last["m"] * (last["m"] + 1) // 2
+    return old
+
+
 def _as_0_2_0(data: dict) -> dict:
-    """The certificate JSON ``data`` in the 0.2.0 layout: each witness's
-    runs expanded into its sorted ``subset`` points, its ``assignment``
-    restored as (line, size) largest first, and the tool version 0.2.0."""
+    """The 0.5.0 certificate JSON ``data`` in the 0.2.0 layout: each
+    witness's runs expanded into its sorted ``subset`` points, its
+    ``assignment`` restored as (line, size) largest first, and the tool
+    version 0.2.0."""
     old = copy.deepcopy(data)
     old["tool_version"] = GOLDEN_TOOL_VERSION
     for row in old["per_polygon"]:
@@ -193,22 +224,32 @@ def _as_0_2_0(data: dict) -> dict:
 @pytest.mark.parametrize("n", sorted(GOLDEN))
 def test_certificate_bytes_pinned(n):
     cert = finite_certificate(BUILTIN, n, "none")
-    assert cert.tool_version == __version__
-    assert _sha256(dump_json(_as_0_2_0(cert.to_json()))) == GOLDEN[n]
+    assert _sha256(dump_json(_as_0_2_0(_as_0_5_0(cert.to_json())))) == GOLDEN[n]
 
 
 @pytest.mark.parametrize("n", sorted(GOLDEN_0_5_0))
 def test_certificate_runs_bytes_pinned(n):
     cert = finite_certificate(BUILTIN, n, "none")
-    pinned = dataclasses.replace(cert, tool_version=RUNS_TOOL_VERSION)
-    assert _sha256(dump_json(pinned.to_json())) == GOLDEN_0_5_0[n]
+    assert _sha256(dump_json(_as_0_5_0(cert.to_json()))) == GOLDEN_0_5_0[n]
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_0_6_0))
+def test_certificate_0_6_0_bytes_pinned(n):
+    cert = finite_certificate(BUILTIN, n, "none")
+    assert cert.tool_version == __version__
+    assert _sha256(dump_json(cert.to_json())) == GOLDEN_0_6_0[n]
+
+
+def test_0_5_0_certificate_refused_by_its_version():
+    data = _as_0_5_0(finite_certificate(BUILTIN, 13, "modular").to_json())
+    with pytest.raises(ValueError, match=re.escape("tool_version '0.5.0' is not one of")):
+        FiniteCertificate.from_json(data)
 
 
 @pytest.mark.parametrize("mode,n", sorted(ORACLE_GOLDEN))
 def test_oracle_certificate_bytes_pinned(mode, n):
     cert = finite_certificate(BUILTIN, n, mode, seed=1)
-    pinned = dataclasses.replace(cert, tool_version=RUNS_TOOL_VERSION)
-    assert _sha256(dump_json(pinned.to_json())) == ORACLE_GOLDEN[mode, n]
+    assert _sha256(dump_json(_as_0_5_0(cert.to_json()))) == ORACLE_GOLDEN[mode, n]
 
 
 @pytest.mark.parametrize("what", sorted(ASYMPTOTIC_GOLDEN))
@@ -235,7 +276,7 @@ def test_cli_output_on_another_grid_pinned(args, tmp_path, capsys):
 
 def _certificate_texts(dis, scales):
     """The pinned text of ``dis``'s mode-``none`` certificate at each scale,
-    with tool_version 0.5.0; a scale at which a piece is empty writes the
+    in the 0.5.0 layout; a scale at which a piece is empty writes the
     refusal instead."""
     for n in scales:
         try:
@@ -243,7 +284,7 @@ def _certificate_texts(dis, scales):
         except EmptyPolygonAtScale as exc:
             yield f"{dis.name} n = {n}: EmptyPolygonAtScale: {exc}\n"
         else:
-            yield dump_json(dataclasses.replace(cert, tool_version=RUNS_TOOL_VERSION).to_json())
+            yield dump_json(_as_0_5_0(cert.to_json()))
 
 
 SWEEPS = {

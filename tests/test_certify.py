@@ -24,7 +24,7 @@ from seshadri.geometry import (AffineForm, Axis, ConvexPolygon, height_profile,
                                point, x_projection)
 from seshadri.certify import AsymptoticReport, PolygonCheck, PolygonWitness
 from seshadri.reorder import monotone_reorder, sup_admissible
-from seshadri import lattice
+from seshadri import __version__, lattice
 from seshadri.lattice import Direction, WitnessSelection, scaled_points
 from seshadri.oracle import OracleVerdict, SizeGuardrail
 
@@ -522,8 +522,12 @@ class TestFiniteCertificate:
         for p in cert.per_polygon:
             assert p.oracle is not None
             assert p.oracle.non_special and p.oracle.actual_dimension == -1
-        assert cert.per_polygon[-1].role == "final"
-        assert cert.per_polygon[-1].padding_ok is True
+
+    @pytest.mark.parametrize("n,dimension", [(13, 8), (104, 316)])
+    def test_statement_states_the_exact_dimension(self, n, dimension):
+        # (n+1)(n+2)/2 - 1 - sum of m(m+1)/2: 105 - 1 - 96 = 8 at n = 13
+        cert = finite_certificate(BUILTIN, n)
+        assert cert.statement.endswith(f" is non-special of dimension {dimension}")
 
     def test_scale_26_exact_cross_validation(self):
         cert = finite_certificate(BUILTIN, 26, oracle_mode="exact")
@@ -535,7 +539,7 @@ class TestFiniteCertificate:
         cert = finite_certificate(BUILTIN, 13)
         for row, poly in zip(cert.per_polygon, BUILTIN.polygons()):
             closure = scaled_points(poly, 13)
-            assert row.witness.subset.issubset(closure)
+            assert set(row.witness.subset) <= set(closure)
             assert row.lattice_count <= len(closure)
 
     def test_ratio_within_slack_of_bound(self):
@@ -570,9 +574,9 @@ class TestFiniteCertificate:
         assert {p.witness.direction for p in again.per_polygon} == set(Direction)
 
     def test_cost_guard_at_208(self, monkeypatch):
-        """Witnesses are written as runs, mode none builds no witness subset
-        except the final piece's, for its padding check, and it expands the
-        points of no lattice set: every step works on runs."""
+        """Witnesses are written as runs, mode none builds no witness subset,
+        and it expands the points of no lattice set: every step works on
+        runs."""
         expanded, points = [], []
         expand, points_of = lattice._expand, lattice._points_of
 
@@ -588,9 +592,8 @@ class TestFiniteCertificate:
         monkeypatch.setattr(lattice, "_points_of", counted_points)
         cert = finite_certificate(BUILTIN, 208, "none")
         assert len(dump_json(cert.to_json())) < 100_000
-        assert len(expanded) <= 1
+        assert expanded == []
         assert points == []
-        assert cert.per_polygon[-1].padding_ok is True
 
     def test_modular_cost_guard_at_208(self, monkeypatch):
         """The GF(2) step reads each witness's runs: a modular certificate
@@ -734,21 +737,19 @@ class TestStrictCertificateLoaders:
     @pytest.mark.parametrize("loader,data,key,bads", [
         (OracleVerdict.from_json, VERDICT, "method", BAD_STRS),
         (OracleVerdict.from_json, VERDICT, "caveat", (7, ["x"])),
-        (PolygonWitness.from_json, ROW, "role", BAD_STRS),
         (FiniteCertificate.from_json, CERT, "dissection", BAD_STRS),
         (FiniteCertificate.from_json, CERT, "oracle_mode", BAD_STRS),
         (FiniteCertificate.from_json, CERT, "tool_version", BAD_STRS),
-    ], ids=["method", "caveat", "role", "dissection", "oracle_mode", "tool_version"])
+    ], ids=["method", "caveat", "dissection", "oracle_mode", "tool_version"])
     def test_strings(self, loader, data, key, bads):
         for bad in bads:
             self._refused(loader, data, [key], bad)
 
     @pytest.mark.parametrize("loader,data,key,bad", [
         (OracleVerdict.from_json, VERDICT, "method", "exact"),
-        (PolygonWitness.from_json, ROW, "role", "final-ish"),
         (FiniteCertificate.from_json, CERT, "oracle_mode", "fast"),
         (WitnessSelection.from_json, WITNESS, "direction", "diagonal"),
-    ], ids=["method", "role", "oracle_mode", "direction"])
+    ], ids=["method", "oracle_mode", "direction"])
     def test_choices(self, loader, data, key, bad):
         self._refused(loader, data, [key], bad)
 
@@ -858,12 +859,6 @@ class TestStrictCertificateLoaders:
         for bad in self.BAD_INTS:
             self._refused(PolygonWitness.from_json, row, [field], bad)
 
-    def test_polygon_padding_ok(self):
-        row = self.CERT["per_polygon"][-1]
-        assert row["padding_ok"] is True
-        for bad in ("true", 1):
-            self._refused(PolygonWitness.from_json, row, ["padding_ok"], bad)
-
     @pytest.mark.parametrize("field", ["scale", "degree", "seed"])
     def test_certificate_integers(self, field):
         for bad in self.BAD_INTS:
@@ -872,7 +867,7 @@ class TestStrictCertificateLoaders:
     @pytest.mark.parametrize("path,bad,shown", [
         (["per_polygon"], "P1", "per_polygon 'P1' is not a list"),
         (["per_polygon"], {"polygon": 1}, "per_polygon {'polygon': 1} is not a list"),
-        (["per_polygon", 0], [1, "dim-minus-one"], "per_polygon row [1, 'dim-minus-one'] is not"),
+        (["per_polygon", 0], [1, 10], "per_polygon row [1, 10] is not"),
         (["per_polygon", 0, "witness"], [4], "witness [4] is not an object"),
         (["per_polygon", 0, "oracle"], [-1], "oracle [-1] is not an object"),
         (["min_ratio"], None, "certificate has no 'min_ratio'"),
@@ -883,13 +878,12 @@ class TestStrictCertificateLoaders:
         (["per_polygon", 0, "oracle", "prime"], None, "oracle has no 'prime'"),
         (["per_polygon", 0, "oracle", "caveat"], None, "oracle has no 'caveat'"),
         (["per_polygon", 0, "oracle", "seed"], None, "oracle has no 'seed'"),
-        (["per_polygon", 0, "padding_ok"], None, "per_polygon row has no 'padding_ok'"),
         (["per_polygon", 0, "oracle"], None, "per_polygon row has no 'oracle'"),
     ], ids=["per_polygon string", "per_polygon object", "row list",
             "witness list", "oracle list", "no min_ratio", "row without deviation",
             "witness without runs", "oracle without method", "oracle without rank",
             "oracle without prime", "oracle without caveat", "oracle without seed",
-            "row without padding_ok", "row without oracle"])
+            "row without oracle"])
     def test_structure_refused_naming_the_field(self, path, bad, shown):
         """A mistyped object or list, or a missing key (``bad`` None),
         raises ValueError naming it, not TypeError or a bare KeyError."""
@@ -969,14 +963,12 @@ class TestStrictCertificateLoaders:
     @pytest.mark.parametrize("mode,edit,message", [
         ("modular", _set(["per_polygon", 1, "polygon"], 3), "row 2: polygon 3 is not 2"),
         ("modular", _swap_rows, "row 1: polygon 2 is not 1"),
-        ("modular", _set(["per_polygon", 0, "role"], "final"),
-         "row 1: role final is not dim-minus-one"),
-        ("modular", _set(["per_polygon", LAST - 1, "role"], "dim-minus-one"),
-         f"row {LAST}: role dim-minus-one is not final"),
-        ("modular", _set(["per_polygon", 0, "padding_ok"], True),
-         "row 1: padding_ok stated is not null"),
-        ("modular", _set(["per_polygon", LAST - 1, "padding_ok"], None),
-         f"row {LAST}: padding_ok null is not stated"),
+        ("modular", _set(["tool_version"], "0.5.0"),
+         f"tool_version '0.5.0' is not one of ({__version__!r},)"),
+        ("modular", _set(["per_polygon", 0, "lattice_count"], 11),
+         "lattice_count sum 106 is not the 105 monomials of degree 13"),
+        ("modular", _set(["per_polygon", LAST - 1, "lattice_count"], 14),
+         "lattice_count sum 104 is not the 105 monomials of degree 13"),
         ("none", _set(["per_polygon", 2, "oracle"], VERDICT),
          "row 3: oracle method modular is not None"),
         ("modular", _set(["per_polygon", 2, "oracle"], None),
@@ -992,14 +984,17 @@ class TestStrictCertificateLoaders:
         ("modular", _set(["per_polygon", 0, "oracle", "seed"], 0),
          "row 1: oracle seed 0 is not None"),
         ("modular", _set(["statement"], CERT["statement"].replace("3, 4, 4)", "4, 4, 4)")),
-         "4, 4, 4) at 10 very general points is non-special of dimension >= 0' is not "
+         "4, 4, 4) at 10 very general points is non-special of dimension 8' is not "
          "its rows', 'the degree-13 plane system with multiplicities "
          "(4, 4, 4, 4, 4, 4, 4, 3, 4, 4) at"),
+        ("modular", _set(["statement"], CERT["statement"].replace("dimension 8", "dimension 9")),
+         "non-special of dimension 9' is not its rows', 'the degree-13 plane system "),
         ("modular", _set(["statement"], 13), "statement 13 is not a string"),
-    ], ids=["polygon", "rows swapped", "final early", "last not final", "padding early",
-            "padding missing", "verdict in none", "no verdict in modular",
+    ], ids=["polygon", "rows swapped", "tool_version", "lattice_count sum above",
+            "lattice_count sum below", "verdict in none", "no verdict in modular",
             "no verdict in exact", "method in modular", "method in exact",
-            "actual_dimension", "seed", "statement", "statement type"])
+            "actual_dimension", "seed", "statement", "statement dimension",
+            "statement type"])
     def test_rows_that_contradict_the_certificate_refused(self, mode, edit, message):
         data = finite_certificate(BUILTIN, 13, oracle_mode=mode).to_json()
         FiniteCertificate.from_json(data)

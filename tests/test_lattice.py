@@ -383,7 +383,7 @@ class TestSelectWitness:
             w = select_witness_subset(pts, direction, m)
             assert len(w.subset) == m * (m + 1) // 2
             assert expected_dimension((m,), count=len(w.subset)) == -1
-            assert w.subset.issubset(pts)
+            assert set(w.subset) <= set(pts)
 
     def test_runs_state_the_lowest_points_of_each_line(self):
         """Runs built by bisection equal a one-pass fill of the chosen lines
@@ -484,16 +484,11 @@ class TestLatticeSet:
         with pytest.raises(ValueError, match=r"^point 3 \[0, -1\]: .* nonnegative"):
             LatticeSet.from_json([[0, 0], [1, 0], [0, -1]])
 
-    def test_membership_and_inclusion_match_sets(self):
+    def test_membership_matches_sets(self):
         rng = random.Random(41)
         for _ in range(300):
             a = LatticeSet(tuple((rng.randint(0, 5), rng.randint(0, 5))
                                  for _ in range(rng.randint(0, 12))))
-            b = LatticeSet(tuple((rng.randint(0, 5), rng.randint(0, 5))
-                                 for _ in range(rng.randint(0, 12))))
-            sub = LatticeSet(tuple(p for p in b if rng.random() < 0.6))
-            assert a.issubset(b) == (set(a) <= set(b))
-            assert sub.issubset(b) and LatticeSet(()).issubset(a)
             for q in [(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(5)]:
                 assert ref.lattice_contains(a, q) == (q in set(a))
                 assert ref.lattice_contains(a, list(q)) == (q in set(a))

@@ -1,8 +1,10 @@
 """The package is pure Python: nothing to compile, nothing generated in the
-tree, one version, stated alike in ``pyproject.toml`` and the package, and
-one console script, ``seshadri``, that runs the command line."""
+tree, one version, stated alike in ``pyproject.toml``, the package and the
+README's certificate format, and one console script, ``seshadri``, that
+runs the command line."""
 
 import importlib
+import re
 import shutil
 import subprocess
 import sys
@@ -42,6 +44,11 @@ def test_project_version_is_the_package_version():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["version"] == seshadri.__version__
+
+
+def test_readme_states_the_certificate_format_of_the_package():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert re.findall(r"\(`certify`, format ([0-9.]+)\)", readme) == [seshadri.__version__]
 
 
 def test_console_script_is_the_cli_main():

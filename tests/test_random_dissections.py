@@ -4,7 +4,12 @@ Every other pipeline test runs on eckl10, its tampered copies or the
 diagonal sliver.  Random dissections have pieces that hold no lattice
 point at small scales, and witnesses whose point-free matrix falls short
 of full rank mod 2, so that the oracle's fallback decides them: over
-GF(p) in modular mode, over Q in exact mode.
+GF(p) in modular mode, over Q in exact mode.  At the smallest scales some
+witnesses use every monomial, and the statement's dimension is -1.
+
+The statement is also proved by a second route here, on this corpus and
+on eckl10: the condition matrix of all r points on the union of the
+witnesses has full rank, with no appeal to Dumnicki's lemma or reduction.
 """
 
 import json
@@ -12,14 +17,18 @@ import random
 
 import pytest
 
-from seshadri.certify import (EmptyPolygonAtScale, certified_bound, dissection_from_json,
-                              dissection_to_json, dump_json, finite_certificate,
-                              validate_dissection)
+from seshadri.certify import (EmptyPolygonAtScale, FiniteCertificate,
+                              builtin_dissection_eckl10, certified_bound,
+                              dissection_from_json, dissection_to_json, dump_json,
+                              finite_certificate, validate_dissection)
+from seshadri.lattice import LatticeSet
+from seshadri.oracle import _condition_rows, _distinct_pairs, _rank
 
 from conftest import random_dissection
 
 SEEDS = range(60)
 SCALES = (13, 26)
+PRIME = 65521
 
 
 @pytest.fixture(scope="module")
@@ -74,3 +83,42 @@ def test_witness_points_are_monomials_of_degree_n(corpus):
             for row in cert.per_polygon:
                 assert all(a + b <= n for a, b in row.witness.subset)
     assert certified > 50
+
+
+def test_statement_is_minus_one_when_the_witnesses_use_every_monomial(corpus):
+    """Every certificate loads, so its witnesses use at most the
+    (n+1)(n+2)/2 monomials; where they use all of them, it states dimension
+    -1.  Two corpus certificates at n = 1 do."""
+    full = 0
+    for dis in corpus:
+        for n in (1, 2, 3):
+            try:
+                cert = finite_certificate(dis, n, "none")
+            except EmptyPolygonAtScale:
+                continue
+            assert FiniteCertificate.from_json(cert.to_json()) == cert
+            used = sum(row.m * (row.m + 1) // 2 for row in cert.per_polygon)
+            if used == (n + 1) * (n + 2) // 2:
+                full += 1
+                assert cert.statement.endswith(" is non-special of dimension -1")
+    assert full >= 1
+
+
+def test_the_union_of_the_witnesses_has_full_rank(corpus):
+    """The r-point condition matrix on the union W of the witnesses, at
+    seeded integer points mod 65521, is square of full rank: so
+    L_W(m_1, ..., m_r) has dimension -1 at those points, hence at very
+    general points, and the statement follows as W lies in n times the
+    simplex.  No stored verdict is read."""
+    certs = [finite_certificate(builtin_dissection_eckl10(), 13, "none")]
+    for dis in corpus:
+        try:
+            certs.append(finite_certificate(dis, 13, "none"))
+        except EmptyPolygonAtScale:
+            pass
+    assert len(certs) == 33
+    for seed, cert in enumerate(certs):
+        W = LatticeSet([p for row in cert.per_polygon for p in row.witness.subset])
+        ms = tuple(row.m for row in cert.per_polygon)
+        rows = _condition_rows(W, _distinct_pairs(len(ms), seed, PRIME - 1), ms, PRIME)
+        assert len(rows) == len(W) == _rank(rows, PRIME)
