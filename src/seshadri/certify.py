@@ -35,6 +35,10 @@ from .reorder import (PiecewiseLinear, _first_crossing, monotone_reorder,
 
 _ORACLE_MODES = ("none", "modular", "exact")
 
+# every dissection peels the standard simplex, whose scaled integer points
+# are the exponents of the degree-n monomials
+SIMPLEX = ConvexPolygon.from_json([[0, 0], [1, 0], [0, 1]])
+
 
 class InvalidDissection(ValueError):
     """Dissection fails its structural validation."""
@@ -58,7 +62,7 @@ class CutStep:
 
 @dataclass(frozen=True)
 class Dissection:
-    """Ordered peeling of a region into r pieces by r - 1 affine cuts.
+    """Ordered peeling of :data:`SIMPLEX` into r pieces by r - 1 affine cuts.
 
     ``_analysis`` is set by the first successful validation of this
     object; it takes no part in equality, and ``dataclasses.replace``
@@ -66,7 +70,6 @@ class Dissection:
     """
 
     name: str
-    region: ConvexPolygon
     steps: Tuple[CutStep, ...]
     final: ConvexPolygon
     _analysis: Optional["_Analysis"] = dataclass_field(default=None, init=False,
@@ -80,15 +83,15 @@ class Dissection:
         return [s.peeled for s in self.steps] + [self.final]
 
 
-def _peel(region: ConvexPolygon, cuts: Iterable[AffineForm]
-          ) -> Iterator[Tuple[CutStep, ConvexPolygon]]:
-    """Yield (step, remainder) as each cut in turn peels the remainder.
+def _peel(cuts: Iterable[AffineForm]) -> Iterator[Tuple[CutStep, ConvexPolygon]]:
+    """Yield (step, remainder) as each cut in turn peels the remainder,
+    starting from the simplex.
 
     Cut i peels the part of the remainder where it is negative and leaves
     the rest to cut i + 1; a cut that leaves either side without area is
     refused, naming it.  This is the one place a dissection is cut.
     """
-    remainder = region
+    remainder = SIMPLEX
     for i, cut in enumerate(cuts, start=1):
         peeled, remainder = cut_polygon(remainder, cut)
         if peeled is None or remainder is None:
@@ -108,26 +111,18 @@ class DissectionValidation:
 
 
 def validate_dissection(dis: Dissection) -> DissectionValidation:
-    """Re-derive every piece by cutting the region with the cuts.
+    """Re-derive every piece by cutting the simplex with the cuts.
 
-    The region must lie in the standard simplex: in the first quadrant,
-    with no vertex beyond x + y = 1 (each such vertex is named).  Every cut
-    must leave area on both sides, and each stated piece must equal the
-    derived one.
-    Every violation is reported; an empty list means the dissection
-    satisfies the hypotheses the verification pipeline relies on, and
-    gives the dissection its analysis unless it has one already.
+    Every cut must leave area on both sides, and each stated piece must
+    equal the derived one.  Every violation is reported; an empty list
+    means the dissection satisfies the hypotheses the verification
+    pipeline relies on, and gives the dissection its analysis unless it
+    has one already.
     """
     v: List[str] = []
-    region = dis.region
-    if not region.in_first_quadrant():
-        v.append("region leaves the first quadrant")
-    d = region.den
-    v += [f"region vertex ({Fraction(x, d)}, {Fraction(y, d)}) lies beyond x + y = 1"
-          for x, y in region.pairs if x + y > d]
-    final = region
+    final = SIMPLEX
     try:
-        derived = _peel(region, (s.cut for s in dis.steps))
+        derived = _peel(s.cut for s in dis.steps)
         for i, (stated, (step, final)) in enumerate(zip(dis.steps, derived),
                                                     start=1):
             if stated != step:
@@ -225,10 +220,8 @@ def builtin_dissection_eckl10() -> Dissection:
             AffineForm(5 * _T, 1, -1), AffineForm(15 * _T, -3, 1),
             AffineForm(15 * _T, 1, -3), AffineForm(9 * _T, -1, -1),
             AffineForm(0, -1, 1))
-    region = ConvexPolygon.from_json([[0, 0], [1, 0], [0, 1]])
-    peeled = list(_peel(region, cuts))
-    return Dissection("eckl10", region, tuple(step for step, _ in peeled),
-                      peeled[-1][1])
+    peeled = list(_peel(cuts))
+    return Dissection("eckl10", tuple(step for step, _ in peeled), peeled[-1][1])
 
 
 # --- asymptotic verification -----------------------------------------------
@@ -321,8 +314,9 @@ class PolygonWitness:
     @classmethod
     def from_json(cls, data: dict) -> "PolygonWitness":
         """The row ``data``, refused unless it states every key, its ``m``
-        is its witness's m and its ``lattice_count`` covers the witness's
-        m(m+1)/2 points; only a null ``oracle`` means no verdict."""
+        is its witness's m, its ``lattice_count`` covers the witness's
+        m(m+1)/2 points and its ``deviation``, a ratio of absolute values,
+        is not negative; only a null ``oracle`` means no verdict."""
         data = field("per_polygon row", data, dict)
         row = cls(field("polygon", data["polygon"], int),
                   field("lattice_count", data["lattice_count"], int),
@@ -335,6 +329,8 @@ class PolygonWitness:
         if row.lattice_count < w * (w + 1) // 2:
             raise ValueError(f"polygon {row.polygon}: lattice_count {row.lattice_count} "
                              f"is below the {w * (w + 1) // 2} points of its witness")
+        if row.deviation < 0:
+            raise ValueError(f"polygon {row.polygon}: deviation {row.deviation} is negative")
         return row
 
 
@@ -446,7 +442,7 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
                        seed: int = 0) -> FiniteCertificate:
     """Instantiate the dissection at scale n and certify every piece.
 
-    The integer points of n times the region are consumed cut by cut (ties
+    The integer points of n times the simplex are consumed cut by cut (ties
     stay with the remainder); each piece gets its best parallel-lines
     witness W_i, of size m_i, over both directions, and optionally an
     oracle verdict on the one-point system L_{W_i}(m_i) of polynomials
@@ -468,7 +464,7 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
        is non-special of dimension N - 1 - sum of m_i(m_i+1)/2, which is
        -1 exactly when W holds every monomial.  No piece size enters.
 
-    A scale at which the scaled region's bounding box holds more integer
+    A scale at which the scaled simplex's bounding box holds more integer
     points than the cell cap raises SizeGuardrail, from
     :func:`scaled_points`, before any point is enumerated.  ``seed`` is
     recorded in the certificate and reaches no verdict: every witness is a
@@ -479,7 +475,7 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
     field("oracle_mode", oracle_mode, str, choices=_ORACLE_MODES)
     target = _require_valid(dis).bound
     p, q = target.numerator, target.denominator
-    remaining = scaled_points(dis.region, n)
+    remaining = scaled_points(SIMPLEX, n)
     pieces: List[LatticeSet] = []
     for step in dis.steps:
         mine, remaining = split_by_affine(remaining, step.cut, n)
@@ -514,13 +510,15 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
 
 def dissection_to_json(dis: Dissection) -> dict:
     return {"name": dis.name,
-            "region": dis.region.to_json(),
+            "region": SIMPLEX.to_json(),
             "steps": [{"polygon": s.peeled.to_json(), "cut": s.cut.to_json()}
                       for s in dis.steps],
             "final": dis.final.to_json()}
 
 
 def dissection_from_json(data: dict) -> Dissection:
+    """The dissection ``data``, refused unless its ``region`` is the simplex,
+    stated from any vertex and either way round."""
     data = field("dissection", data, dict)
     name = field("name", data["name"], str)
     polygon = ConvexPolygon.from_json
@@ -529,8 +527,11 @@ def dissection_from_json(data: dict) -> Dissection:
         s = field(f"step {i}", s, dict)
         steps.append(CutStep(parsed(f"step {i} cut", AffineForm.from_json, s["cut"]),
                              parsed(f"step {i} polygon", polygon, s["polygon"])))
-    return Dissection(name, parsed("region", polygon, data["region"]), tuple(steps),
-                      parsed("final", polygon, data["final"]))
+    region = parsed("region", polygon, data["region"])
+    if region != SIMPLEX:
+        shown = ", ".join(f"({x}, {y})" for x, y in region.vertices)
+        raise ValueError(f"region {shown} is not the standard simplex (0, 0), (1, 0), (0, 1)")
+    return Dissection(name, tuple(steps), parsed("final", polygon, data["final"]))
 
 
 def dump_json(data: dict) -> str:

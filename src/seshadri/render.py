@@ -1,6 +1,6 @@
 """Deterministic SVG rendering of a dissection diagram.
 
-One path per piece, dashed cut lines across the region, and text labels
+One path per piece, dashed cut lines across the simplex, and text labels
 for named points when a name table is supplied (the builtin dissection
 carries one).  Geometry coordinates are written with six exact decimal
 places; labels keep the exact rational strings in a data attribute.
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .certify import Dissection, _require_valid
+from .certify import SIMPLEX, Dissection, _require_valid
 from .geometry import Point, cut_polygon
 
 
@@ -39,18 +39,15 @@ def render_svg(dis: Dissection, spec: RenderSpec,
                point_names: Optional[Dict[str, Point]] = None) -> str:
     """Render the dissection to an SVG document string."""
     _require_valid(dis)
-    xs = [v.x for v in dis.region.vertices]
-    ys = [v.y for v in dis.region.vertices]
-    lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
-    span = max(hi_x - lo_x, hi_y - lo_y)
+    # the simplex spans the unit square, drawn inside a margin
     margin = Fraction(spec.size, 12)
-    scale = (spec.size - 2 * margin) / span
+    scale = spec.size - 2 * margin
 
     def sx(x: Fraction) -> str:
-        return _decimal6(margin + (x - lo_x) * scale)
+        return _decimal6(margin + x * scale)
 
     def sy(y: Fraction) -> str:
-        return _decimal6(spec.size - margin - (y - lo_y) * scale)
+        return _decimal6(spec.size - margin - y * scale)
 
     stroke = "#1d1d1d"
     lines: List[str] = [
@@ -68,9 +65,9 @@ def render_svg(dis: Dissection, spec: RenderSpec,
     lines.append(f'  <g stroke="{stroke}" stroke-width="0.8" '
                  'stroke-dasharray="6 4">')
     for idx, step in enumerate(dis.steps, start=1):
-        # a valid cut splits the region too: the chord is the edge of its
+        # a valid cut splits the simplex too: the chord is the edge of its
         # negative part that lies on the cut line
-        part = cut_polygon(dis.region, step.cut)[0]
+        part = cut_polygon(SIMPLEX, step.cut)[0]
         a, b = sorted(v for v in part.vertices if step.cut(v) == 0)
         lines.append(f'    <line id="cut-{idx}" x1="{sx(a.x)}" y1="{sy(a.y)}" '
                      f'x2="{sx(b.x)}" y2="{sy(b.y)}"/>')

@@ -5,8 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from seshadri.certify import Dissection, _peel
-from seshadri.geometry import AffineForm, ConvexPolygon, DegenerateInput, cut_polygon
+from seshadri.certify import SIMPLEX, Dissection, _peel
+from seshadri.geometry import AffineForm, DegenerateInput, cut_polygon
 from seshadri.reorder import PiecewiseLinear
 
 from fraction_reference import polygon
@@ -73,8 +73,7 @@ def random_dissection(rng: random.Random, name: str = "random") -> Dissection:
     both sides of the remainder; after 200 draws the dissection stops with
     the cuts it has.  The pieces are peeled by the package's one cutter.
     """
-    region = ConvexPolygon.from_json([[0, 0], [1, 0], [0, 1]])
-    cuts, remainder, wanted = [], region, rng.randint(1, 9)
+    cuts, remainder, wanted = [], SIMPLEX, rng.randint(1, 9)
     for _ in range(200):
         if len(cuts) == wanted:
             break
@@ -86,5 +85,5 @@ def random_dissection(rng: random.Random, name: str = "random") -> Dissection:
         if peeled is not None and rest is not None:
             cuts.append(cut)
             remainder = rest
-    steps = tuple(step for step, _ in _peel(region, cuts))
-    return Dissection(name, region, steps, remainder)
+    steps = tuple(step for step, _ in _peel(cuts))
+    return Dissection(name, steps, remainder)

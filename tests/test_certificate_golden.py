@@ -33,7 +33,8 @@ point-by-point references on scattered sets, so a change there must state
 the same points as well as the same bytes.
 
 ``REFUSAL_GOLDEN`` pins the ``validate`` reports of refused copies of
-eckl10's file, and ``CLI_GOLDEN`` the ``bound`` and ``verify --m`` output
+eckl10's file (a copy moved off the simplex is refused at load, before
+any report), and ``CLI_GOLDEN`` the ``bound`` and ``verify --m`` output
 of a valid dissection whose pieces are not on eckl10's grid of 1/26: a
 change to how files are read, pieces cut or profiles computed must leave
 what is refused, and why, as it was.
@@ -138,8 +139,8 @@ def _moved_cut(data: dict) -> dict:
 
 
 def _shifted(data: dict) -> dict:
-    """Every vertex and cut moved left by 1/7: a dissection that is valid
-    but for its region leaving the first quadrant."""
+    """Every vertex and cut moved left by 1/7: a dissection of a region
+    other than the simplex, which no load accepts."""
     def moved(poly):
         return [[str(F(x) - F(1, 7)), y] for x, y in poly]
     data["region"], data["final"] = moved(data["region"]), moved(data["final"])
@@ -154,8 +155,6 @@ REFUSAL_GOLDEN = {
                       _nudged),
     "cut off the grid": ("7260a7f7caaddc710394ffe4293465c1fbb59c1e732ec55bcafd7b4efb5a5ce3",
                          _moved_cut),
-    "region outside the quadrant": (
-        "8abc88482e1b959577c8e6f159efbfa70ebacb1cfe97f46cc3ccdcaa4a4466b4", _shifted),
 }
 
 
@@ -163,8 +162,7 @@ def _sliver() -> Dissection:
     """The simplex with a width-1/100 sliver peeled off its left edge."""
     neg = ref.polygon([(0, 0), (F(1, 100), 0), (F(1, 100), F(99, 100)), (0, 1)])
     pos = ref.polygon([(F(1, 100), 0), (1, 0), (F(1, 100), F(99, 100))])
-    return Dissection("sliver", ref.polygon([(0, 0), (1, 0), (0, 1)]),
-                      (CutStep(AffineForm(F(-1, 100), 1, 0), neg),), pos)
+    return Dissection("sliver", (CutStep(AffineForm(F(-1, 100), 1, 0), neg),), pos)
 
 
 # (arguments after --dissection): (exit code, sha256 of stdout)
@@ -264,6 +262,12 @@ def test_refusal_bytes_pinned(what):
     report = validate_dissection(dissection_from_json(tamper(dissection_to_json(BUILTIN))))
     assert not report.ok
     assert _sha256(dump_json(report.to_json())) == digest
+
+
+def test_shifted_region_refused_at_load():
+    with pytest.raises(ValueError, match=r"^region \(-1/7, 0\), \(6/7, 0\), \(-1/7, 1\) "
+                                         r"is not the standard simplex"):
+        dissection_from_json(_shifted(dissection_to_json(BUILTIN)))
 
 
 @pytest.mark.parametrize("args", sorted(CLI_GOLDEN))

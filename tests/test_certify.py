@@ -17,7 +17,7 @@ from seshadri.certify import (BUILTIN_POINT_TABLE, CutStep, Dissection,
                               EmptyPolygonAtScale, InvalidDissection,
                               builtin_dissection_eckl10, certified_bound,
                               dissection_from_json, dissection_to_json,
-                              dump_json, finite_certificate,
+                              _peel, dump_json, finite_certificate,
                               validate_dissection, verify_asymptotic,
                               FiniteCertificate)
 from seshadri.geometry import (AffineForm, Axis, ConvexPolygon, height_profile,
@@ -37,7 +37,8 @@ SIMPLEX = ref.polygon([(0, 0), (1, 0), (0, 1)])
 
 
 def _validate_reference(dis):
-    """The former validator: cut signs, area partition and containment.
+    """The former validator: cut signs, area partition of the simplex and
+    containment in it.
 
     It reconciles the stated pieces with the cuts instead of re-deriving
     them; a dissection passes it exactly when every stated piece is the
@@ -45,17 +46,15 @@ def _validate_reference(dis):
     """
     v = []
     polys = dis.polygons()
-    if not dis.region.in_first_quadrant():
-        v.append("region leaves the first quadrant")
     for idx, poly in enumerate(polys, start=1):
         if not poly.in_first_quadrant():
             v.append(f"P{idx} leaves the first quadrant")
         for vert in poly.vertices:
-            if not ref.polygon_contains(dis.region, vert):
-                v.append(f"P{idx} vertex {vert} lies outside the region")
+            if not ref.polygon_contains(SIMPLEX, vert):
+                v.append(f"P{idx} vertex {vert} lies outside the simplex")
     total = sum((ref.area(p) for p in polys), F(0))
-    if total != ref.area(dis.region):
-        v.append(f"areas sum to {total}, region has {ref.area(dis.region)}")
+    if total != ref.area(SIMPLEX):
+        v.append(f"areas sum to {total}, the simplex has {ref.area(SIMPLEX)}")
     for i, step in enumerate(dis.steps, start=1):
         vals = [step.cut(vert) for vert in step.peeled.vertices]
         if any(val > 0 for val in vals) or all(val == 0 for val in vals):
@@ -97,7 +96,7 @@ def toy_half_split():
     cut = AffineForm(F(-1, 2), 1, 1)
     neg = ref.polygon([(0, 0), (F(1, 2), 0), (0, F(1, 2))])
     pos = ref.polygon([(F(1, 2), 0), (1, 0), (0, 1), (0, F(1, 2))])
-    return Dissection("half", SIMPLEX, (CutStep(cut, neg),), pos)
+    return Dissection("half", (CutStep(cut, neg),), pos)
 
 
 def toy_sliver():
@@ -105,13 +104,16 @@ def toy_sliver():
     cut = AffineForm(F(-1, 100), 1, 0)
     neg = ref.polygon([(0, 0), (F(1, 100), 0), (F(1, 100), F(99, 100)), (0, 1)])
     pos = ref.polygon([(F(1, 100), 0), (1, 0), (F(1, 100), F(99, 100))])
-    return Dissection("sliver", SIMPLEX, (CutStep(cut, neg),), pos)
+    return Dissection("sliver", (CutStep(cut, neg),), pos)
 
 
 def diagonal_sliver():
-    """One thin diagonal piece whose certified bound is 0."""
-    sliver = ref.polygon([(0, 0), (F(7, 13), F(5, 13)), (F(5, 13), F(7, 13))])
-    return Dissection("diagonal", sliver, (), sliver)
+    """The simplex peeled by 12/13 - x - y, 7y - 5x and 5y - 7x: P3 is the
+    thin diagonal sliver (0, 0), (7/13, 5/13), (5/13, 7/13), whose
+    certified bound, and so the dissection's, is 0."""
+    cuts = (AffineForm(F(12, 13), -1, -1), AffineForm(0, -5, 7), AffineForm(0, -7, 5))
+    peeled = list(_peel(cuts))
+    return Dissection("diagonal", tuple(step for step, _ in peeled), peeled[-1][1])
 
 
 class TestBuiltin:
@@ -142,7 +144,7 @@ class TestBuiltin:
         step2 = BUILTIN.steps[1]
         flipped = CutStep(AffineForm(-step2.cut.r0, -step2.cut.r1, -step2.cut.r2),
                           step2.peeled)
-        bad = Dissection(BUILTIN.name, BUILTIN.region,
+        bad = Dissection(BUILTIN.name,
                          BUILTIN.steps[:1] + (flipped,) + BUILTIN.steps[2:],
                          BUILTIN.final)
         report = validate_dissection(bad)
@@ -150,13 +152,13 @@ class TestBuiltin:
         assert any("cut 2" in v for v in report.violations)
 
     def test_overlap_detected(self):
-        bad = Dissection("overlap", SIMPLEX, BUILTIN.steps[:1], SIMPLEX)
+        bad = Dissection("overlap", BUILTIN.steps[:1], SIMPLEX)
         report = validate_dissection(bad)
         assert not report.ok
         assert any("P2 is not the remainder" in v for v in report.violations)
 
     def test_repeated_cut_named(self):
-        bad = Dissection(BUILTIN.name, BUILTIN.region,
+        bad = Dissection(BUILTIN.name,
                          BUILTIN.steps[:1] + BUILTIN.steps[:1] + BUILTIN.steps[2:],
                          BUILTIN.final)
         report = validate_dissection(bad)
@@ -210,7 +212,7 @@ class TestVerifyAsymptotic:
             verify_asymptotic(BUILTIN, 0)
 
     def test_rejects_invalid_dissection(self):
-        bad = Dissection("overlap", SIMPLEX, BUILTIN.steps[:1], SIMPLEX)
+        bad = Dissection("overlap", BUILTIN.steps[:1], SIMPLEX)
         with pytest.raises(InvalidDissection):
             verify_asymptotic(bad, F(1, 13))
 
@@ -237,13 +239,17 @@ class TestCertifiedBound:
     def test_zero_bound_dissection_still_certifies_finitely(self):
         # thin diagonal sliver: the rearranged profile drops below the
         # identity immediately on both axes, so no positive m is accepted,
-        # yet scale-n witnesses still exist
+        # yet scale-n witnesses still exist, and the oracle confirms them
         dis = diagonal_sliver()
         assert validate_dissection(dis).ok
+        assert dis.polygons()[2] == ref.polygon([(0, 0), (F(7, 13), F(5, 13)),
+                                                 (F(5, 13), F(7, 13))])
         assert certified_bound(dis) == 0
-        cert = finite_certificate(dis, 13)
-        assert cert.per_polygon[0].m >= 1
-        assert cert.per_polygon[0].deviation == 0
+        for n in (13, 26, 52):
+            cert = finite_certificate(dis, n, oracle_mode="exact")
+            for row in cert.per_polygon:
+                assert row.m >= 1 and row.deviation == 0
+                assert row.oracle.non_special and row.oracle.actual_dimension == -1
 
     def test_is_supremum_of_accepted(self):
         bound = certified_bound(BUILTIN)
@@ -440,9 +446,10 @@ class TestNoRehulling:
         assert validate_dissection(copy).ok
         assert len(entered) == 11
 
-    def test_builtin_enters_only_its_region_from_points(self, entered):
+    def test_builtin_enters_no_polygon_from_points(self, entered):
+        # it peels the simplex constant, built once at import
         assert builtin_dissection_eckl10() == BUILTIN
-        assert entered == [3]
+        assert entered == []
 
 
 def _report_reference(dis, m):
@@ -484,7 +491,7 @@ class TestRecordMatchesFreshComputation:
         # an axis's score is its first crossing alone: the profile spans
         # the projection, and the crossing never passes its end
         rng = random.Random(43)
-        polygons = BUILTIN.polygons() + [diagonal_sliver().region]
+        polygons = BUILTIN.polygons() + diagonal_sliver().polygons()
         polygons += [random_polygon(rng) for _ in range(1000)]
         uncrossed = 0
         for poly in polygons:
@@ -674,6 +681,19 @@ class TestDissectionFiles:
         with pytest.raises(ValueError, match=r"vertex 1 \['0', '0', '0'\] is not a list"):
             dissection_from_json(data)
 
+    @pytest.mark.parametrize("region", [
+        [["1", "0"], ["0", "1"], ["0", "0"]],
+        [["0", "0"], ["0", "1"], ["1", "0"]],
+        [["0", "1"], ["1", "0"], ["0", "0"]],
+        [["0/5", "0"], ["2/2", "0"], ["0", "3/3"]],
+    ], ids=["rotated", "clockwise", "rotated clockwise", "unreduced"])
+    def test_simplex_stated_any_way_round_loads(self, region):
+        data = dissection_to_json(BUILTIN)
+        data["region"] = region
+        copy = dissection_from_json(data)
+        assert copy == BUILTIN and validate_dissection(copy).ok
+        assert dissection_to_json(copy)["region"] == [["0", "0"], ["1", "0"], ["0", "1"]]
+
     def test_refused_value_is_shown_abridged(self):
         # eckl10's whole file given where its object belongs
         with pytest.raises(ValueError) as refusal:
@@ -843,7 +863,8 @@ class TestStrictCertificateLoaders:
         ({"m": 3}, "polygon 1: m 3 is not its witness's m 4"),
         ({"lattice_count": 9}, "polygon 1: lattice_count 9 is below the 10 points"),
         ({"m": 5, "lattice_count": 1}, "polygon 1: m 5 is not its witness's m 4"),
-    ], ids=["m above", "m below", "lattice_count", "both"])
+        ({"deviation": "-5"}, "polygon 1: deviation -5 is negative"),
+    ], ids=["m above", "m below", "lattice_count", "both", "negative deviation"])
     def test_row_agrees_with_its_witness(self, changes, message):
         assert PolygonWitness.from_json(dict(self.ROW, lattice_count=10)).lattice_count == 10
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -267,31 +267,37 @@ def test_render_no_labels(tmp_path):
     assert out.read_text().count("<text") == 0
 
 
-def _simplex_cut_by(name, region, r0):
-    """The region peeled once, by the cut r0 + x + y."""
-    region = ConvexPolygon.from_json(region)
+def _simplex_cut_by(name, r0):
+    """The simplex peeled once, by the cut r0 + x + y."""
     cut = AffineForm(r0, 1, 1)
-    peeled, final = cut_polygon(region, cut)
-    return cert.Dissection(name, region, (cert.CutStep(cut, peeled),), final)
+    peeled, final = cut_polygon(cert.SIMPLEX, cut)
+    return cert.Dissection(name, (cert.CutStep(cut, peeled),), final)
 
 
-def test_region_beyond_the_simplex_refused(tmp_path, capsys):
-    """The doubled simplex cut by x + y - 1 is a dissection of a region
-    outside the simplex: its scaled points are no degree-n monomials, so
-    validate refutes it naming the vertices, and no command certifies it."""
-    path = tmp_path / "doubled.json"
-    path.write_text(cert.dump_json(cert.dissection_to_json(
-        _simplex_cut_by("doubled", [[0, 0], [2, 0], [0, 2]], -1))))
-    assert run(["validate", "--dissection", str(path)]) == 1
-    assert json.loads(capsys.readouterr().out) == {"ok": False, "violations": [
-        "region vertex (2, 0) lies beyond x + y = 1",
-        "region vertex (0, 2) lies beyond x + y = 1"]}
-    for argv in (["bound"], ["verify", "--m", "1/3"],
-                 ["certify", "--n", "4", "--oracle", "exact"]):
+@pytest.mark.parametrize("region, r0", [
+    ([["0", "0"], ["1/2", "0"], ["0", "1/2"]], Fraction(-1, 4)),
+    ([["0", "0"], ["2", "0"], ["0", "2"]], -1),
+], ids=["half simplex", "doubled simplex"])
+def test_region_other_than_the_simplex_refused(region, r0, tmp_path, capsys):
+    """A file whose region is not the simplex, though its pieces are the
+    ones its cut peels off that region, is refused at load by every command
+    that reads a dissection: the scaled points of a smaller region miss
+    some degree-n monomials, and those of a larger one include exponents
+    that are none."""
+    cut = AffineForm(r0, 1, 1)
+    peeled, final = cut_polygon(ConvexPolygon.from_json(region), cut)
+    path = tmp_path / "region.json"
+    path.write_text(cert.dump_json({"name": "region", "region": region, "final": final.to_json(),
+                                    "steps": [{"cut": cut.to_json(),
+                                               "polygon": peeled.to_json()}]}))
+    out = tmp_path / "d.svg"
+    for argv in (["validate"], ["bound"], ["verify", "--m", "1/8"],
+                 ["certify", "--n", "8", "--oracle", "exact"], ["render", "--out", str(out)]):
         assert run([argv[0], "--dissection", str(path), *argv[1:]]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "region vertex (2, 0) lies beyond x + y = 1" in captured.err
+        assert "region" in captured.err and "is not the standard simplex" in captured.err
+    assert not out.exists()
 
 
 def test_render_labels_only_the_builtin(tmp_path):
@@ -300,7 +306,7 @@ def test_render_labels_only_the_builtin(tmp_path):
     # a valid dissection of the simplex, not eckl10, that only borrows the name
     impostor = tmp_path / "impostor.json"
     impostor.write_text(cert.dump_json(cert.dissection_to_json(
-        _simplex_cut_by("eckl10", [[0, 0], [1, 0], [0, 1]], Fraction(-1, 2)))))
+        _simplex_cut_by("eckl10", Fraction(-1, 2)))))
     for path, labels in ((builtin, 19), (impostor, 0)):
         out = tmp_path / "d.svg"
         assert run(["render", "--dissection", str(path), "--out", str(out)]) == 0

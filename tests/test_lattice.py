@@ -126,7 +126,7 @@ def _random_sets(seed, count, side=12):
 def _eckl10_lattice_sets(n):
     """Every set the finite certificate builds for eckl10 at scale n."""
     dis = builtin_dissection_eckl10()
-    remaining = scaled_points(dis.region, n)
+    remaining = scaled_points(SIMPLEX, n)
     sets = [remaining]
     for step in dis.steps:
         mine, remaining = split_by_affine(remaining, step.cut, n)

@@ -104,6 +104,21 @@ def test_statement_is_minus_one_when_the_witnesses_use_every_monomial(corpus):
     assert full >= 1
 
 
+@pytest.mark.parametrize("mode", ["none", "modular"])
+def test_every_certificate_at_13_reloads_equal_to_itself(corpus, mode):
+    """Each piece's lattice set is its share of the degree-13 monomials, so
+    the loader's count of them holds on every certificate written."""
+    certified = 0
+    for dis in corpus:
+        try:
+            cert = finite_certificate(dis, 13, mode)
+        except EmptyPolygonAtScale:
+            continue
+        certified += 1
+        assert FiniteCertificate.from_json(json.loads(dump_json(cert.to_json()))) == cert
+    assert certified == 32
+
+
 def test_the_union_of_the_witnesses_has_full_rank(corpus):
     """The r-point condition matrix on the union W of the witnesses, at
     seeded integer points mod 65521, is square of full rank: so
