@@ -24,7 +24,7 @@ from ._input import field, parsed, rational
 # rearrangement step, so that tracing can rebind them.
 from .geometry import (AffineForm, Axis, ConvexPolygon, Point, cut_polygon,
                        height_profile, point, x_projection)
-from .lattice import (Direction, LatticeSet, WitnessSelection, _witness_from_profile,
+from .lattice import (Direction, LatticeSet, Run, WitnessSelection, _witness_from_profile,
                       column_profile, max_parallel_witness, scaled_points,
                       select_witness_subset, split_by_affine)
 from .oracle import (MODULUS_LIMIT, OracleVerdict, is_prime, system_dimension_exact,
@@ -438,6 +438,12 @@ def _check_rank_and_prime(i: int, m: int, v: OracleVerdict) -> None:
                          "below 2^63")
 
 
+def _shape(runs: Tuple[Run, ...]) -> Tuple[Run, ...]:
+    """Witness ``runs`` moved so that their least line and least first are 0."""
+    line, first = runs[0][0], min(f for _, f, _ in runs)  # runs are sorted by line
+    return tuple([(a - line, b - first, c) for a, b, c in runs])
+
+
 def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
                        seed: int = 0) -> FiniteCertificate:
     """Instantiate the dissection at scale n and certify every piece.
@@ -450,7 +456,12 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
 
     1. W_i is m_i parallel lines carrying 1, ..., m_i points, so
        L_{W_i}(m_i) is non-special of dimension -1 (Dumnicki's
-       parallel-lines lemma; a verdict re-checks it by rank).
+       parallel-lines lemma; a verdict re-checks it by rank).  Witnesses
+       whose runs are equal once their least line and least first are 0
+       share the verdict of the first of them: their systems differ by a
+       shift, which the oracle undoes, and, when their directions differ,
+       by a swap of the coordinates, which permutes the rows and the
+       columns of the point-free matrix.  Neither changes its rank.
     2. If a line splits D into D_1 and D_2, L_{D_1}(m_1, ..., m_k) is
        non-special of dimension -1 and L_{D_2}(m_{k+1}, ..., m_r) is
        non-special, then L_D(m_1, ..., m_r) is non-special (Dumnicki's
@@ -483,6 +494,7 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
     pieces.append(remaining)
 
     rows: List[PolygonWitness] = []
+    verdicts: Dict[Tuple[Run, ...], OracleVerdict] = {}  # witness shape: its verdict
     for idx, pts in enumerate(pieces, start=1):
         if len(pts) == 0:
             raise EmptyPolygonAtScale(f"P{idx} holds no lattice points at scale {n}")
@@ -494,10 +506,13 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
                 best_m, best_profile = m_d, profile
         witness = _witness_from_profile(pts, best_profile, best_m)
         verdict = None
-        if oracle_mode == "exact":
-            verdict = system_dimension_exact(witness.subset, (best_m,))
-        elif oracle_mode == "modular":
-            verdict = system_dimension_modp(witness.subset, (best_m,))
+        if oracle_mode != "none":
+            shape = _shape(witness.runs)
+            verdict = verdicts.get(shape)
+            if verdict is None:
+                oracle = (system_dimension_exact if oracle_mode == "exact"
+                          else system_dimension_modp)
+                verdict = verdicts[shape] = oracle(witness.subset, (best_m,))
         # |m - n*p/q| / (n*p/q) for the target p/q
         deviation = Fraction(abs(best_m * q - n * p), n * p) if p > 0 else Fraction(0)
         rows.append(PolygonWitness(idx, len(pts), best_m, witness, deviation, verdict))

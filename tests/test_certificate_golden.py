@@ -22,6 +22,13 @@ points recorded then.
 bytes of both oracle modes are pinned as well: a change to how the
 point-free matrix is built or ranked must leave every verdict as it was.
 
+``ORACLE_SWEEP_GOLDEN`` pins, in one digest and in the 0.6.0 layout,
+eckl10's ``modular`` and ``exact`` certificates at every scale 1..65 and
+the random corpus's at scales 13 and 26: these reach the fallback past
+GF(2), which none of the ``ORACLE_GOLDEN`` certificates does, and a
+certificate that shares one verdict between witnesses of one shape must
+state the bytes of one that ranks every witness.
+
 ``SWEEP_GOLDEN`` pins, in one digest each and in the 0.5.0 layout,
 eckl10's certificates in mode
 ``none`` at every scale 1..150 and the random corpus of
@@ -101,6 +108,10 @@ SWEEP_GOLDEN = {
     "eckl10": "1046647f6edc9de396c157e10f6a74d46d28c0d6f5f628d6bb4a9c5684974007",
     "random corpus": "c3c30aaf84c46911dfb5357d7dc2fb6a0984db02905084c4415d21c0e3931803",
 }
+# modular then exact, seed 1, tool_version 0.6.0: eckl10 at n = 1..65, and
+# random-0..59 at n = 13, 26 (53 of each mode's 185 certificates meet an
+# empty piece, and 23 of the other 924 rows rank B beyond GF(2))
+ORACLE_SWEEP_GOLDEN = "f7fe489d589a9b0a2283a3d6131fd33315f619bc9792a8b797aa64cfba833daf"
 
 BUILTIN = builtin_dissection_eckl10()
 
@@ -278,31 +289,43 @@ def test_cli_output_on_another_grid_pinned(args, tmp_path, capsys):
     assert (rc, _sha256(capsys.readouterr().out)) == CLI_GOLDEN[args]
 
 
-def _certificate_texts(dis, scales):
-    """The pinned text of ``dis``'s mode-``none`` certificate at each scale,
-    in the 0.5.0 layout; a scale at which a piece is empty writes the
-    refusal instead."""
+def _certificate_texts(dis, scales, mode="none", seed=0, layout=_as_0_5_0):
+    """The pinned text of ``dis``'s certificate in ``mode`` at each scale,
+    in ``layout``; a scale at which a piece is empty writes the refusal
+    instead."""
     for n in scales:
         try:
-            cert = finite_certificate(dis, n, "none")
+            cert = finite_certificate(dis, n, mode, seed)
         except EmptyPolygonAtScale as exc:
             yield f"{dis.name} n = {n}: EmptyPolygonAtScale: {exc}\n"
         else:
-            yield dump_json(_as_0_5_0(cert.to_json()))
+            yield dump_json(layout(cert.to_json()))
+
+
+def _corpus():
+    return [random_dissection(random.Random(seed), f"random-{seed}") for seed in range(60)]
 
 
 SWEEPS = {
     "eckl10": lambda: _certificate_texts(BUILTIN, range(1, 151)),
-    "random corpus": lambda: (text for seed in range(60)
-                              for text in _certificate_texts(
-                                  random_dissection(random.Random(seed), f"random-{seed}"),
-                                  (13, 26, 52))),
+    "random corpus": lambda: (text for dis in _corpus()
+                              for text in _certificate_texts(dis, (13, 26, 52))),
 }
 
 
 @pytest.mark.parametrize("what", sorted(SWEEP_GOLDEN))
 def test_certificate_sweep_bytes_pinned(what):
     assert _sha256("".join(SWEEPS[what]())) == SWEEP_GOLDEN[what]
+
+
+def test_oracle_sweep_bytes_pinned():
+    """Every verdict of both modes, fallbacks to the prime or to Q
+    included, in the 0.6.0 layout."""
+    corpus = _corpus()
+    texts = (text for mode in ("modular", "exact")
+             for dis, scales in [(BUILTIN, range(1, 66))] + [(d, (13, 26)) for d in corpus]
+             for text in _certificate_texts(dis, scales, mode, 1, lambda data: data))
+    assert _sha256("".join(texts)) == ORACLE_SWEEP_GOLDEN
 
 
 # --- the lattice layer against point-by-point references ---------------------

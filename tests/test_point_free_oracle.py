@@ -2,20 +2,27 @@
 
 One-point systems are ranked through the binomial matrix C(alpha,a)*C(beta,b)
 instead of a sampled point; these tests reach the same ranks by other
-routes (explicit points, translation, the other field) and pin the
-primality check that guards every modular verdict.
+routes (explicit points, translation, transposition, the other field),
+check each verdict a certificate shares between witnesses of one shape
+against a fresh rank of the row's own witness, and pin the primality
+check that guards every modular verdict.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from seshadri.certify import builtin_dissection_eckl10, finite_certificate
+from seshadri import certify
+from seshadri.certify import (EmptyPolygonAtScale, builtin_dissection_eckl10,
+                              finite_certificate)
 from seshadri.lattice import LatticeSet
 from seshadri.oracle import (MODULUS_LIMIT, BadModulus, GenericPointSet,
                              fraction_free_rank, interpolation_matrix, is_prime,
                              system_dimension_exact, system_dimension_modp)
+
+from conftest import random_dissection
 
 BUILTIN = builtin_dissection_eckl10()
 DEG2 = LatticeSet(((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
@@ -48,12 +55,23 @@ class TestPointFreeRank:
                     == verdict.rank, (D, m, pt)
 
     def test_translation_leaves_verdict_unchanged(self):
+        """A shift, and a swap of the two coordinates of every point, give
+        the verdict of the system itself: a certificate shares one verdict
+        between witnesses that differ by either."""
         rng = random.Random(7)
-        for D, m in SYSTEMS[:100]:
+        kinds = Counter()
+        for D, m in SYSTEMS:
             s, t = rng.randint(0, 9), rng.randint(0, 9)
             moved = LatticeSet(tuple((a + s, b + t) for a, b in D))
-            assert system_dimension_exact(moved, (m,)) == system_dimension_exact(D, (m,))
-            assert system_dimension_modp(moved, (m,)) == system_dimension_modp(D, (m,))
+            swapped = LatticeSet(tuple((b, a) for a, b in D))
+            for oracle in (system_dimension_exact, system_dimension_modp):
+                verdict = oracle(D, (m,))
+                assert oracle(moved, (m,)) == verdict, (D, m, s, t)
+                assert oracle(swapped, (m,)) == verdict, (D, m)
+                kinds[verdict.method, verdict.prime == 2, verdict.non_special] += 1
+        # special systems, and ranks mod 2 short of full in both modes
+        assert kinds["exact-rational", False, False] and kinds["modular", False, False]
+        assert kinds["exact-rational", False, True] and kinds["modular", False, True]
 
     def test_modular_agrees_with_exact(self):
         specials = 0
@@ -88,6 +106,46 @@ def test_eckl10_witnesses_full_rank(mode, n):
         assert v.rank == len(row.witness.subset) == row.m * (row.m + 1) // 2
         assert v.non_special and v.actual_dimension == -1
         assert v.seed is None
+
+
+FRESH = {"modular": system_dimension_modp, "exact": system_dimension_exact}
+
+
+@pytest.mark.parametrize("mode", sorted(FRESH))
+def test_shared_verdicts_match_a_fresh_rank(mode):
+    """Witnesses with equal runs up to a shift share one verdict; each
+    row's must be the one its own witness gets, ranked afresh."""
+    cases = [(BUILTIN, n) for n in (13, 26, 52)] + [
+        (random_dissection(random.Random(seed), f"random-{seed}"), n)
+        for seed in range(60) for n in (13, 26)]
+    rows = 0
+    for dis, n in cases:
+        try:
+            cert = finite_certificate(dis, n, oracle_mode=mode)
+        except EmptyPolygonAtScale:
+            continue
+        for row in cert.per_polygon:
+            assert row.oracle == FRESH[mode](row.witness.subset, (row.m,)), \
+                (dis.name, n, row.polygon)
+            rows += 1
+    assert rows > 300  # 344 rows, the rest meet an empty piece
+
+
+@pytest.mark.parametrize("mode", sorted(FRESH))
+@pytest.mark.parametrize("n", [13, 26, 52, 104])
+def test_eckl10_ranks_seven_witness_shapes(mode, n, monkeypatch):
+    """P2 and P3 repeat P1's shape shifted, and P7's horizontal witness
+    has P6's vertical runs, so ten pieces take seven oracle calls."""
+    name = FRESH[mode].__name__
+    ranked = []
+
+    def counted(D, spec):
+        ranked.append(D)
+        return FRESH[mode](D, spec)
+
+    monkeypatch.setattr(certify, name, counted)
+    cert = finite_certificate(BUILTIN, n, oracle_mode=mode)
+    assert len(cert.per_polygon) == 10 and len(ranked) == 7
 
 
 class TestModulus:
