@@ -456,7 +456,9 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
 
     1. W_i is m_i parallel lines carrying 1, ..., m_i points, so
        L_{W_i}(m_i) is non-special of dimension -1 (Dumnicki's
-       parallel-lines lemma; a verdict re-checks it by rank).  Witnesses
+       parallel-lines lemma; a verdict re-checks it, from the parity of
+       the closed-form determinant of W_i's point-free matrix, and past
+       an even one by rank in the mode's field).  Witnesses
        whose runs are equal once their least line and least first are 0
        share the verdict of the first of them: their systems differ by a
        shift, which the oracle undoes, and, when their directions differ,
@@ -477,7 +479,9 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
 
     A scale at which the scaled simplex's bounding box holds more integer
     points than the cell cap raises SizeGuardrail, from
-    :func:`scaled_points`, before any point is enumerated.  ``seed`` is
+    :func:`scaled_points`, before any point is enumerated; one at which a
+    piece holds no point raises EmptyPolygonAtScale, naming the first such
+    piece, before any witness is chosen or ranked.  ``seed`` is
     recorded in the certificate and reaches no verdict: every witness is a
     one-point system, ranked point-free.
     """
@@ -492,12 +496,13 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
         mine, remaining = split_by_affine(remaining, step.cut, n)
         pieces.append(mine)
     pieces.append(remaining)
+    for idx, pts in enumerate(pieces, start=1):  # before any witness is ranked
+        if len(pts) == 0:
+            raise EmptyPolygonAtScale(f"P{idx} holds no lattice points at scale {n}")
 
     rows: List[PolygonWitness] = []
     verdicts: Dict[Tuple[Run, ...], OracleVerdict] = {}  # witness shape: its verdict
     for idx, pts in enumerate(pieces, start=1):
-        if len(pts) == 0:
-            raise EmptyPolygonAtScale(f"P{idx} holds no lattice points at scale {n}")
         best_m, best_profile = 0, None
         for d in (Direction.VERTICAL, Direction.HORIZONTAL):
             profile = column_profile(pts, d)

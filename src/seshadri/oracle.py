@@ -16,15 +16,51 @@ is the generic rank, and as B has integer entries its rank modulo any
 prime is at most that.  B is built after moving D to touch both axes: a
 monomial factor is a unit near such a point, and the binomials stay small.
 
-Both modes rank B over GF(2) first.  By Lucas's theorem C(x, k) is odd
-exactly when k & ~x == 0, so with one bit per column of D every row of B
-mod 2 is the AND of a mask for a and a mask for b.  The masks are read off
-D's vertical runs, and the rank is an XOR basis of the rows, taken last
-first and keyed by lowest set bit.  A full rank mod 2 forces full rank
-over Q, so that verdict is conclusive in either mode.  Only when the GF(2)
-rank falls short does the modular mode rank B modulo its prime and the
-exact mode rank it over Q.  Every finite-scale witness is a one-point
+Both modes decide B over GF(2) first.  A full rank mod 2 forces full
+rank over Q, so that verdict is conclusive in either mode.  Only when the
+GF(2) rank falls short does the modular mode rank B modulo its prime and
+the exact mode rank it over Q.  Every finite-scale witness is a one-point
 system and is ranked this way, without a seed.
+
+Every certificate witness is a staircase: m distinct parallel lines,
+columns or rows, carrying exactly 1, ..., m points.  Then B is square,
+and its determinant has a closed form, so its parity decides GF(2).  Take columns
+(for rows, swapping the coordinates permutes B's rows and columns) in
+order of decreasing count: line j lies at alpha_j and holds the set S_j
+of m - j exponents beta.  Then
+
+    det B = +-prod_{k=1..m} Delta_k * prod_{j<m} V(S_j), where
+    Delta_k = det[C(alpha_i, a)]_{a,i<k}
+            = prod_{i<i'<k} (alpha_i' - alpha_i) / prod_{a<k} a!,
+    V(S)    = det[C(beta, b)]_{b<|S|, beta in S}
+            = prod_{beta<beta' in S} (beta' - beta) / prod_{b<|S|} b!.
+
+Both quotients are Vandermonde's determinant, as C(x, a) is a polynomial
+of degree a with leading coefficient 1/a!.  Proof of the product: the
+leading minors Delta_k of X = [C(alpha_j, a)]_{a,j<m} are nonzero, so
+X = LU over Q, L unit lower triangular and U_jj = Delta_{j+1} / Delta_j.
+The rows (a, b) of B with one b, a < m - b, are the first m - b rows of
+X, entry (a, j) times C(beta, b) in column (alpha_j, beta); the inverse of
+L's leading (m - b) x (m - b) block turns entry (a, j) into U_aj, which
+is 0 for j < a.  With the rows ordered by a and the columns by line, B is
+then block upper triangular, and its diagonal block a = j is U_jj times
+[C(beta, b)]_{b<m-j, beta in S_j}, square of side m - j.  So det B is
++-prod_j U_jj^(m-j) V(S_j), and the powers of U_jj telescope to the
+product of the Delta_k.  Every Delta_k and V(S) is the determinant of an
+integer matrix, so det B is odd exactly when all of them are: when
+v2(prod_{i<k} (alpha_k - alpha_i)) = v2(k!) for every k < m, the 2-adic
+valuation of Delta_{k+1} / Delta_k with Delta_1 = 1, and when each line's
+prod (beta' - beta) has the valuation of prod_{b<|S|} b!, as a line of
+one run does: its V is 1.  Only differences enter, so the shift that
+moves D to touch both axes changes nothing.  An odd determinant is full
+rank mod 2; an even one sends the system straight to its mode's field.
+
+Other sets, such as a system read by ``oracle --system``, are ranked mod
+2 by elimination.  By Lucas's theorem C(x, k) is odd exactly when
+k & ~x == 0, so with one bit per column of D every row of B mod 2 is the
+AND of a mask for a and a mask for b.  The masks are read off D's
+vertical runs, and the rank is an XOR basis of the rows, taken last first
+and keyed by lowest set bit.
 
 A system of several points is ranked at its points, explicit or seeded,
 by one integer condition matrix in both modes.  Explicit rational points
@@ -39,14 +75,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 # SizeGuardrail is re-exported
 from ._input import SizeGuardrail, _over_common, check_cells, field, items
 from ._kernels import modrank
 from .geometry import point
-from .lattice import LatticeSet, MultiplicitySpec, _coerce_spec, expected_dimension
+from .lattice import (LatticeSet, MultiplicitySpec, Run, _coerce_spec, _transpose,
+                      expected_dimension)
 
 Matrix = List[List[int]]
 
@@ -286,6 +325,52 @@ def _gf2_rank(rows: Sequence[int]) -> int:
     return len(basis)
 
 
+def _excesses(xs: Sequence[int]) -> Iterator[int]:
+    """For each k from 1 on, v2(prod_{i<k} (xs[k] - xs[i])) - v2(k!), the
+    2-adic valuation of the k-th factor of the Vandermonde quotient of
+    ``xs`` (distinct ints); v2(k!) is k less the set bits of k."""
+    for k in range(1, len(xs)):
+        x, p = xs[k], 1
+        for y in xs[:k]:
+            p *= x - y
+        yield (p & -p).bit_length() - 1 - k + k.bit_count()
+
+
+def _odd_staircase_det(runs: Sequence[Run], m: int) -> Optional[bool]:
+    """Whether det B of the one-point system (D, m) is odd, when D's
+    canonical ``runs`` along one direction lie on m lines carrying 1, ...,
+    m points; None when they do not.
+
+    By the module docstring's identity it is odd exactly when the line
+    positions, by decreasing count, have every factor of their Delta
+    quotients odd, and each line of several runs an odd V.
+    """
+    sizes: Dict[int, int] = {}
+    for line, _first, count in runs:
+        sizes[line] = sizes.get(line, 0) + count
+    if len(sizes) != m or set(sizes.values()) != set(range(1, m + 1)):
+        return None
+    if any(_excesses(sorted(sizes, key=sizes.__getitem__, reverse=True))):
+        return False
+    if len(runs) > m:  # some line holds several runs
+        for _line, group in groupby(runs, itemgetter(0)):
+            group = list(group)
+            if len(group) > 1 and sum(_excesses([b for _, first, count in group
+                                                 for b in range(first, first + count)])):
+                return False
+    return True
+
+
+def _staircase_full_mod_2(D: LatticeSet, m: int) -> Optional[bool]:
+    """Whether B of the one-point system (D, m) has full rank mod 2, when
+    D is a staircase along its columns or else its rows; None when it is
+    neither.  B of a staircase is square, so full rank is an odd det B."""
+    if len(D) != comb(m + 1, 2):  # a staircase has as many points as conditions
+        return None
+    odd = _odd_staircase_det(D.runs, m)
+    return _odd_staircase_det(_transpose(D.runs), m) if odd is None else odd
+
+
 def _verdict(D: LatticeSet, spec: MultiplicitySpec, rank: int, method: str,
              prime: Optional[int], caveat: Optional[str],
              seed: Optional[int]) -> OracleVerdict:
@@ -302,13 +387,19 @@ def _point_free_verdict(D: LatticeSet, spec: MultiplicitySpec, method: str,
     B: a full rank mod 2 is conclusive and recorded with prime 2; else B
     is built over Z (``modrank`` reduces each entry once) and ranked by
     ``_rank`` at ``prime``, and the verdict records ``prime`` and
-    ``caveat``.  The cell cap is checked before each matrix is built: the
-    GF(2) rows count one cell per 64-bit word, B one cell per entry."""
+    ``caveat``.  The rank mod 2 of a staircase along either direction is
+    the parity of det B (``_staircase_full_mod_2``); any other D has its
+    Lucas rows eliminated.  The cell cap is checked before each matrix
+    is built, or would be: the GF(2) rows count one cell per 64-bit word,
+    B one cell per entry."""
     m = spec.multiplicities[0]
     conditions = comb(m + 1, 2)
+    rank = min(len(D), conditions)
     _check_cells(conditions, -(-len(D) // 64), "GF(2) word")
-    rank = _gf2_rank(_lucas_rows(D, m))
-    if rank == min(len(D), conditions):
+    full = _staircase_full_mod_2(D, m)
+    if full is None:
+        full = _gf2_rank(_lucas_rows(D, m)) == rank
+    if full:
         prime, caveat = 2, _GF2_FULL
     else:
         _check_cells(conditions, len(D), "point-free")

@@ -1,27 +1,33 @@
 """The GF(2) step of the point-free one-point oracle.
 
-Both oracle modes rank the binomial matrix B of a one-point system mod 2
-first, from Lucas bitmask rows, and fall back to their own field only when
-that rank is short.  B is the condition matrix at (1, 1) of the set moved
-to touch both axes.  These tests pin that matrix against its binomial
-form, the masks and the XOR rank against it and the reference kernel,
-drive both fallbacks, and check the eckl10 witnesses by a second route:
-det B = +-1 over the integers.
+Both oracle modes decide the binomial matrix B of a one-point system mod 2
+first, and fall back to their own field only when its rank there is short.
+B is the condition matrix at (1, 1) of the set moved to touch both axes.
+A staircase (m lines carrying 1, ..., m points) is decided by the parity
+of det B's closed form, any other set by an XOR elimination of Lucas
+bitmask rows.  These tests pin B against its binomial form, the masks and
+the XOR rank against it and the reference kernel, the closed form against
+the elimination and, as an integer identity, against det B itself, the
+route each system takes, and drive both fallbacks.
 """
 
 import itertools
 import random
-from math import comb
+from collections import Counter
+from math import comb, factorial, prod
 
 import pytest
 
 import seshadri.oracle as oracle
 from seshadri._kernels import pyref
-from seshadri.certify import builtin_dissection_eckl10, finite_certificate
+from seshadri.certify import (EmptyPolygonAtScale, builtin_dissection_eckl10,
+                              finite_certificate)
 from seshadri.lattice import LatticeSet
 from seshadri.oracle import (_condition_rows, _gf2_rank, _lucas_rows,
-                             fraction_free_rank, system_dimension_exact,
-                             system_dimension_modp)
+                             _staircase_full_mod_2, fraction_free_rank,
+                             system_dimension_exact, system_dimension_modp)
+
+from conftest import random_dissection
 
 BUILTIN = builtin_dissection_eckl10()
 # GF(2) rank 1, rank 3 over Q: C(2, 1) = 2 vanishes mod 2
@@ -79,6 +85,70 @@ def seeded_staircases(count, seed):
             for along in range(first, first + size):
                 points.append((line, along) if vertical else (along, line))
         systems.append((LatticeSet(points), m))
+    return systems
+
+
+def seeded_gapped_staircases(count, seed, top=12):
+    """Seeded staircases (D, m), m up to ``top``, in either direction,
+    whose lines may hold several runs: a line of k points draws them from
+    a window of k to 2k consecutive places."""
+    rng = random.Random(seed)
+    systems = []
+    for _ in range(count):
+        m = rng.randint(2, top)
+        lines = (range(m) if rng.random() < 0.3
+                 else sorted(rng.sample(range(3 * m), m)))
+        counts = list(range(1, m + 1))
+        rng.shuffle(counts)
+        vertical = rng.random() < 0.5
+        points = []
+        for line, size in zip(lines, counts):
+            first = rng.randint(0, 8)
+            for along in rng.sample(range(first, first + size + rng.randint(0, size)), size):
+                points.append((line, along) if vertical else (along, line))
+        systems.append((LatticeSet(points), m))
+    return systems
+
+
+def staircase_lines(D):
+    """D's lines as (position, sorted exponents along it), by decreasing
+    count, along the first direction, columns then rows, in which they
+    carry 1, ..., m points; None if neither does."""
+    for pairs in (D.points, [(beta, alpha) for alpha, beta in D.points]):
+        lines = {}
+        for line, along in pairs:
+            lines.setdefault(line, []).append(along)
+        if sorted(map(len, lines.values())) == list(range(1, len(lines) + 1)):
+            return sorted(lines.items(), key=lambda item: -len(item[1]))
+    return None
+
+
+def vandermonde_quotient(xs):
+    """prod_{i<j} (xs[j] - xs[i]) / prod_{a<len(xs)} a!, an exact int."""
+    num = prod(xs[j] - xs[i] for j in range(len(xs)) for i in range(j))
+    den = prod(factorial(a) for a in range(len(xs)))
+    assert num % den == 0
+    return num // den
+
+
+def closed_form_factors(D):
+    """The Delta_k, k = 1..m, and the V(S_j) of the staircase D."""
+    lines = staircase_lines(D)
+    alphas = [line for line, _ in lines]
+    return ([vandermonde_quotient(alphas[:k]) for k in range(1, len(alphas) + 1)],
+            [vandermonde_quotient(along) for _, along in lines])
+
+
+def certificate_witnesses(dis, scales):
+    """(D, m) of every witness of ``dis``'s mode-none certificates at
+    ``scales``, skipping a scale with an empty piece."""
+    systems = []
+    for n in scales:
+        try:
+            cert = finite_certificate(dis, n)
+        except EmptyPolygonAtScale:
+            continue
+        systems += [(row.witness.subset, row.m) for row in cert.per_polygon]
     return systems
 
 
@@ -204,6 +274,87 @@ class TestLucasRows:
                                                        for row in rows], 2)
 
 
+class TestClosedForm:
+    """A staircase's rank mod 2 is read from the parity of det B, which is
+    +-prod Delta_k * prod V(S_j) (the ``seshadri.oracle`` docstring)."""
+
+    def test_parity_equals_the_elimination(self):
+        """On eckl10's witnesses at n = 1..150, the corpus's at n = 13, 26,
+        40 and 52, and staircases whose lines hold several runs, in both
+        directions.  Beyond eckl10, whose determinants are odd but one,
+        the sweep holds odd determinants, even Delta factors and, with
+        every Delta odd, even line Vandermondes, each counted by the
+        factors themselves; so dropping v2(k!), taking the lines by
+        ascending count or skipping a line's V each fail it."""
+        for D, m in certificate_witnesses(BUILTIN, range(1, 151)):
+            assert _staircase_full_mod_2(D, m) == (_gf2_rank(_lucas_rows(D, m)) == len(D)), \
+                (D.runs, m)
+        systems = seeded_gapped_staircases(3000, seed=83)
+        for seed in range(60):
+            systems += certificate_witnesses(random_dissection(random.Random(seed)),
+                                             (13, 26, 40, 52))
+        kinds = Counter()
+        for D, m in systems:
+            full = _staircase_full_mod_2(D, m)
+            assert full == (_gf2_rank(_lucas_rows(D, m)) == len(D)), (D.runs, m)
+            deltas, vs = closed_form_factors(D)
+            kind = all(d % 2 for d in deltas), all(v % 2 for v in vs)
+            assert full == all(kind), (D.runs, m)
+            kinds[kind] += 1
+        assert kinds[True, True] and kinds[False, True] and kinds[True, False], kinds
+
+    def test_determinant_identity(self):
+        """det B = +-prod Delta_k * prod V(S_j) over the integers."""
+        systems = (certificate_witnesses(BUILTIN, (13, 26))
+                   + seeded_gapped_staircases(200, seed=89, top=6))
+        for D, m in systems:
+            deltas, vs = closed_form_factors(D)
+            det = prod(deltas) * prod(vs)
+            assert det and bareiss_det(point_free_matrix(D, m)) in (det, -det), (D.runs, m)
+
+    def test_sets_that_are_not_staircases_are_none(self):
+        for D, m in seeded_systems(200, seed=97, offset=(0, 20)):
+            lines = staircase_lines(D)
+            if lines is None or len(lines) != m:
+                assert _staircase_full_mod_2(D, m) is None
+
+
+class TestRoute:
+    """Which GF(2) step a one-point system takes."""
+
+    def test_certificates_build_no_lucas_row(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("a Lucas row was built")
+        monkeypatch.setattr(oracle, "_lucas_rows", refuse)
+        for mode in ("modular", "exact"):
+            for n in range(13, 105):
+                cert = finite_certificate(BUILTIN, n, oracle_mode=mode)
+                assert all(row.oracle.prime == 2 for row in cert.per_polygon), (mode, n)
+
+    def test_other_sets_are_eliminated(self, monkeypatch):
+        built = []
+
+        def spy(D, m):
+            built.append(D)
+            return _lucas_rows(D, m)
+        monkeypatch.setattr(oracle, "_lucas_rows", spy)
+        square = LatticeSet(((0, 0), (1, 0), (0, 1), (1, 1)))  # 4 points, 3 conditions
+        for D in (SPECIAL, square):  # SPECIAL: 3 points, but on 3 columns or 1 row
+            modular, exact = _both_modes(D, 2)
+            assert built[-2:] == [D, D]
+            assert modular.rank == exact.rank == (2 if D is SPECIAL else 3)
+
+    def test_even_staircase_goes_straight_to_the_fallback(self, monkeypatch):
+        # SHORT_MOD_2: columns of 2 and 1 points, Delta_2 = 2 and V({0, 2}) = 2
+        def refuse(*_args):
+            raise AssertionError("a Lucas row was built")
+        monkeypatch.setattr(oracle, "_lucas_rows", refuse)
+        modular, exact = _both_modes(SHORT_MOD_2, 2)
+        for v, prime in ((modular, 97), (exact, None)):
+            assert (v.rank, v.actual_dimension, v.non_special, v.prime) == (3, -1, True, prime)
+            assert v.caveat.startswith("point-free:") and "mod 2" not in v.caveat
+
+
 class TestFallback:
     def test_short_rank_mod_2_is_not_final(self):
         assert _gf2_rank(_lucas_rows(SHORT_MOD_2, 2)) == 1
@@ -306,7 +457,10 @@ class TestCellCap:
 @pytest.mark.parametrize("n", [13, 26])
 def test_eckl10_witness_matrices_are_unimodular(n):
     # An independent route to full rank over Q; soundness rests on the
-    # GF(2) rank alone.
+    # GF(2) step alone.  The determinant identity explains the +-1: each
+    # eckl10 witness's lines, by decreasing count, grow a block of
+    # consecutive positions, and each line is one run, so every Delta_k
+    # and every V(S_j) is +-1.
     cert = finite_certificate(BUILTIN, n, "none")
     for row in cert.per_polygon:
         B = point_free_matrix(row.witness.subset, row.m)

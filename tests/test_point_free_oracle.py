@@ -4,7 +4,8 @@ One-point systems are ranked through the binomial matrix C(alpha,a)*C(beta,b)
 instead of a sampled point; these tests reach the same ranks by other
 routes (explicit points, translation, transposition, the other field),
 check each verdict a certificate shares between witnesses of one shape
-against a fresh rank of the row's own witness, and pin the primality
+against a fresh rank of the row's own witness, check that a piece with no
+point is refused before any witness is ranked, and pin the primality
 check that guards every modular verdict.
 """
 
@@ -129,6 +130,19 @@ def test_shared_verdicts_match_a_fresh_rank(mode):
                 (dis.name, n, row.polygon)
             rows += 1
     assert rows > 300  # 344 rows, the rest meet an empty piece
+
+
+@pytest.mark.parametrize("mode", sorted(FRESH))
+def test_empty_piece_refused_before_any_rank(mode, monkeypatch):
+    """Seed 0 of the corpus at n = 13 splits into pieces of 95, 1, 0, 8,
+    1 and 0 points: the refusal names P3, and neither P1's nor P2's
+    witness reaches the oracle."""
+    def refuse(*_args):
+        raise AssertionError("a witness was ranked")
+    monkeypatch.setattr(certify, FRESH[mode].__name__, refuse)
+    dis = random_dissection(random.Random(0), "random-0")
+    with pytest.raises(EmptyPolygonAtScale, match="^P3 holds no lattice points at scale 13$"):
+        finite_certificate(dis, 13, oracle_mode=mode)
 
 
 @pytest.mark.parametrize("mode", sorted(FRESH))
