@@ -27,7 +27,7 @@ from .geometry import (AffineForm, Axis, ConvexPolygon, Point, cut_polygon,
 from .lattice import (Direction, LatticeSet, Run, WitnessSelection, _witness_from_profile,
                       column_profile, max_parallel_witness, scaled_points,
                       select_witness_subset, split_by_affine)
-from .oracle import (MODULUS_LIMIT, OracleVerdict, is_prime, system_dimension_exact,
+from .oracle import (OracleVerdict, _staircase_verdict, system_dimension_exact,
                      system_dimension_modp)
 from .reorder import (PiecewiseLinear, _first_crossing, monotone_reorder,
                       sup_admissible)
@@ -302,26 +302,22 @@ class PolygonWitness:
     lattice_count: int
     m: int
     witness: WitnessSelection
-    deviation: Fraction       # |m - n*target| / (n*target)
     oracle: Optional[OracleVerdict] = None
 
     def to_json(self) -> dict:
         return {"polygon": self.polygon, "lattice_count": self.lattice_count,
                 "m": self.m, "witness": self.witness.to_json(),
-                "deviation": str(self.deviation),
                 "oracle": self.oracle.to_json() if self.oracle else None}
 
     @classmethod
     def from_json(cls, data: dict) -> "PolygonWitness":
         """The row ``data``, refused unless it states every key, its ``m``
-        is its witness's m, its ``lattice_count`` covers the witness's
-        m(m+1)/2 points and its ``deviation``, a ratio of absolute values,
-        is not negative; only a null ``oracle`` means no verdict."""
+        is its witness's m and its ``lattice_count`` covers the witness's
+        m(m+1)/2 points; only a null ``oracle`` means no verdict."""
         data = field("per_polygon row", data, dict)
         row = cls(field("polygon", data["polygon"], int),
                   field("lattice_count", data["lattice_count"], int),
                   field("m", data["m"], int), WitnessSelection.from_json(data["witness"]),
-                  parsed("deviation", rational, data["deviation"]),
                   None if data["oracle"] is None else OracleVerdict.from_json(data["oracle"]))
         w = row.witness.m
         if row.m != w:
@@ -329,8 +325,6 @@ class PolygonWitness:
         if row.lattice_count < w * (w + 1) // 2:
             raise ValueError(f"polygon {row.polygon}: lattice_count {row.lattice_count} "
                              f"is below the {w * (w + 1) // 2} points of its witness")
-        if row.deviation < 0:
-            raise ValueError(f"polygon {row.polygon}: deviation {row.deviation} is negative")
         return row
 
 
@@ -372,10 +366,11 @@ class FiniteCertificate:
         degree other than the scale, no rows, ``lattice_count``s that do
         not sum to the (n+1)(n+2)/2 monomials, a ``min_ratio`` other than
         the least row m over the scale, a row whose polygon is not its
-        place, or whose verdict its ``oracle_mode`` would not give (a
-        one-point system's, ranked point-free: a rank in 0..m(m+1)/2, and a
-        prime that is 2 or, for a modular verdict, a prime below 2^63, or,
-        for an exact one, null), or a ``statement`` other than its rows'."""
+        place, or whose verdict is not the one its ``oracle_mode`` gives
+        its witness, or a ``statement`` other than its rows'.  Every
+        witness is a staircase, so its verdict is re-derived from its m
+        alone (``seshadri.oracle._staircase_verdict``), and a refusal
+        names the first field that differs."""
         data = field("certificate", data, dict)
         version = field("tool_version", data["tool_version"], str,
                         choices=(__about__.__version__,))
@@ -405,37 +400,17 @@ class FiniteCertificate:
         for i, row in enumerate(cert.per_polygon, start=1):
             v = row.oracle
             checks = [("polygon", row.polygon, i), ("oracle method", v and v.method, method)]
-            if v:  # a one-point system, ranked point-free
-                checks += [("oracle expected_dimension", v.expected_dimension, -1),
-                           ("oracle actual_dimension", v.actual_dimension,
-                            row.m * (row.m + 1) // 2 - 1 - v.rank),
-                           ("oracle seed", v.seed, None)]
+            if v and method:
+                want = _staircase_verdict(row.m, method).to_json()
+                checks += [(f"oracle {key}", got, want[key])
+                           for key, got in v.to_json().items()]
             for name, got, want in checks:
                 if got != want:
                     raise ValueError(f"row {i}: {name} {got} is not {want}")
-            if v:
-                _check_rank_and_prime(i, row.m, v)
         stated = field("statement", data["statement"], str)
         if stated != cert.statement:
             raise ValueError(f"statement {stated!r} is not its rows', {cert.statement!r}")
         return cert
-
-
-def _check_rank_and_prime(i: int, m: int, v: OracleVerdict) -> None:
-    """Refuse row ``i``'s verdict ``v`` on a witness of size ``m`` unless its
-    rank is one a matrix of m(m+1)/2 rows can have and its prime is one its
-    method records: 2 after a full rank mod 2, else null for an exact
-    verdict and a prime below 2^63 for a modular one."""
-    top = m * (m + 1) // 2
-    if not 0 <= v.rank <= top:
-        raise ValueError(f"row {i}: oracle rank {v.rank} is outside 0..{top}")
-    prime = "null" if v.prime is None else v.prime
-    if v.method == "exact-rational":
-        if v.prime not in (None, 2):
-            raise ValueError(f"row {i}: oracle prime {prime} is neither null nor 2")
-    elif v.prime is None or not (v.prime < MODULUS_LIMIT and is_prime(v.prime)):
-        raise ValueError(f"row {i}: oracle prime {prime} is neither 2 nor a prime "
-                         "below 2^63")
 
 
 def _shape(runs: Tuple[Run, ...]) -> Tuple[Run, ...]:
@@ -456,9 +431,10 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
 
     1. W_i is m_i parallel lines carrying 1, ..., m_i points, so
        L_{W_i}(m_i) is non-special of dimension -1 (Dumnicki's
-       parallel-lines lemma; a verdict re-checks it, from the parity of
-       the closed-form determinant of W_i's point-free matrix, and past
-       an even one by rank in the mode's field).  Witnesses
+       parallel-lines lemma).  A verdict states it without building a
+       matrix: the determinant of W_i's point-free matrix is a product of
+       nonzero Vandermonde quotients (the ``seshadri.oracle``
+       docstring).  Witnesses
        whose runs are equal once their least line and least first are 0
        share the verdict of the first of them: their systems differ by a
        shift, which the oracle undoes, and, when their directions differ,
@@ -488,8 +464,7 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
     if field("n", n, int) < 1:
         raise ValueError("scale must be a positive integer")
     field("oracle_mode", oracle_mode, str, choices=_ORACLE_MODES)
-    target = _require_valid(dis).bound
-    p, q = target.numerator, target.denominator
+    _require_valid(dis)
     remaining = scaled_points(SIMPLEX, n)
     pieces: List[LatticeSet] = []
     for step in dis.steps:
@@ -518,9 +493,7 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
                 oracle = (system_dimension_exact if oracle_mode == "exact"
                           else system_dimension_modp)
                 verdict = verdicts[shape] = oracle(witness.subset, (best_m,))
-        # |m - n*p/q| / (n*p/q) for the target p/q
-        deviation = Fraction(abs(best_m * q - n * p), n * p) if p > 0 else Fraction(0)
-        rows.append(PolygonWitness(idx, len(pts), best_m, witness, deviation, verdict))
+        rows.append(PolygonWitness(idx, len(pts), best_m, witness, verdict))
     min_ratio = Fraction(min(r.m for r in rows), n)
     return FiniteCertificate(dis.name, n, n, oracle_mode, seed,
                              tuple(rows), min_ratio)

@@ -380,42 +380,15 @@ class WitnessSelection:
     consecutive points from ``first`` on along the line ``line`` of the
     direction.  Runs are sorted by (line, first), and runs on one line
     neither overlap nor touch, so each subset has exactly one list of
-    runs.  Construction checks all of this, and that the lines carry 1..m
-    points, in one pass over the runs; before that it refuses with
-    SizeGuardrail a witness whose m(m+1)/2 points exceed the cell cap.
-    ``subset``, the witness as a lattice set, is built on first use.
+    runs.  The constructor trusts its caller, as the witness selection
+    builds exactly this; :meth:`from_json` checks it of a witness read
+    from outside.  ``subset``, the witness as a lattice set, is built on
+    first use.
     """
 
     m: int
     direction: Direction
     runs: Tuple[Run, ...]
-
-    def __post_init__(self):
-        m = field("m", self.m, int)
-        if m < 1:
-            raise ValueError(f"witness size m = {m} is not positive")
-        check_cells(m * (m + 1) // 2,
-                    f"witness of size m = {m} states {m * (m + 1) // 2} points, a count that")
-        runs = []
-        totals: Dict[int, int] = {}
-        last = (-1, -1, 0)
-        for i, run in enumerate(self.runs, start=1):
-            if type(run) is not tuple or len(run) != 3:
-                run = items(f"run {i}", run, 3)
-            line, first, count = run
-            if not (type(line) is type(first) is type(count) is int
-                    and line >= 0 and first >= 0 and count >= 1):
-                _refuse_run_values(i, run)
-            if line == last[0] and first <= last[1] + last[2] or line < last[0]:
-                fault = "is out of order" if run[:2] <= last[:2] else \
-                    "overlaps or touches the run before it"
-                raise ValueError(f"run {i} {list(run)!r} {fault}")
-            totals[line] = totals.get(line, 0) + count
-            runs.append(run)
-            last = run
-        if len(totals) != m or set(totals.values()) != set(range(1, m + 1)):
-            raise ValueError("witness lines must carry exactly 1..m points")
-        object.__setattr__(self, "runs", tuple(runs))
 
     @cached_property
     def subset(self) -> LatticeSet:
@@ -429,11 +402,37 @@ class WitnessSelection:
 
     @classmethod
     def from_json(cls, data: dict) -> "WitnessSelection":
+        """The witness ``data``, refused unless its runs are canonical and
+        its lines carry exactly 1..m points, checked in one pass over the
+        runs; before that it refuses with SizeGuardrail a witness whose
+        m(m+1)/2 points exceed the cell cap."""
         data = field("witness", data, dict)
-        directions = tuple(d.value for d in Direction)
-        return cls(data["m"],
-                   Direction(field("direction", data["direction"], str, choices=directions)),
-                   tuple(field("runs", data["runs"], list)))
+        m, directions = data["m"], tuple(d.value for d in Direction)
+        direction = Direction(field("direction", data["direction"], str, choices=directions))
+        stated = field("runs", data["runs"], list)
+        if field("m", m, int) < 1:
+            raise ValueError(f"witness size m = {m} is not positive")
+        check_cells(m * (m + 1) // 2,
+                    f"witness of size m = {m} states {m * (m + 1) // 2} points, a count that")
+        runs = []
+        totals: Dict[int, int] = {}
+        last = (-1, -1, 0)
+        for i, run in enumerate(stated, start=1):
+            run = items(f"run {i}", run, 3)
+            line, first, count = run
+            if not (type(line) is type(first) is type(count) is int
+                    and line >= 0 and first >= 0 and count >= 1):
+                _refuse_run_values(i, run)
+            if line == last[0] and first <= last[1] + last[2] or line < last[0]:
+                fault = "is out of order" if run[:2] <= last[:2] else \
+                    "overlaps or touches the run before it"
+                raise ValueError(f"run {i} {list(run)!r} {fault}")
+            totals[line] = totals.get(line, 0) + count
+            runs.append(run)
+            last = run
+        if len(totals) != m or set(totals.values()) != set(range(1, m + 1)):
+            raise ValueError("witness lines must carry exactly 1..m points")
+        return cls(m, direction, tuple(runs))
 
 
 def expected_dimension(spec, *, count: int) -> int:

@@ -16,18 +16,12 @@ is the generic rank, and as B has integer entries its rank modulo any
 prime is at most that.  B is built after moving D to touch both axes: a
 monomial factor is a unit near such a point, and the binomials stay small.
 
-Both modes decide B over GF(2) first.  A full rank mod 2 forces full
-rank over Q, so that verdict is conclusive in either mode.  Only when the
-GF(2) rank falls short does the modular mode rank B modulo its prime and
-the exact mode rank it over Q.  Every finite-scale witness is a one-point
-system and is ranked this way, without a seed.
-
 Every certificate witness is a staircase: m distinct parallel lines,
 columns or rows, carrying exactly 1, ..., m points.  Then B is square,
-and its determinant has a closed form, so its parity decides GF(2).  Take columns
-(for rows, swapping the coordinates permutes B's rows and columns) in
-order of decreasing count: line j lies at alpha_j and holds the set S_j
-of m - j exponents beta.  Then
+and its determinant has a closed form.  Take columns (for rows, swapping
+the coordinates permutes B's rows and columns) in order of decreasing
+count: line j lies at alpha_j and holds the set S_j of m - j exponents
+beta.  Then
 
     det B = +-prod_{k=1..m} Delta_k * prod_{j<m} V(S_j), where
     Delta_k = det[C(alpha_i, a)]_{a,i<k}
@@ -46,21 +40,24 @@ is 0 for j < a.  With the rows ordered by a and the columns by line, B is
 then block upper triangular, and its diagonal block a = j is U_jj times
 [C(beta, b)]_{b<m-j, beta in S_j}, square of side m - j.  So det B is
 +-prod_j U_jj^(m-j) V(S_j), and the powers of U_jj telescope to the
-product of the Delta_k.  Every Delta_k and V(S) is the determinant of an
-integer matrix, so det B is odd exactly when all of them are: when
-v2(prod_{i<k} (alpha_k - alpha_i)) = v2(k!) for every k < m, the 2-adic
-valuation of Delta_{k+1} / Delta_k with Delta_1 = 1, and when each line's
-prod (beta' - beta) has the valuation of prod_{b<|S|} b!, as a line of
-one run does: its V is 1.  Only differences enter, so the shift that
-moves D to touch both axes changes nothing.  An odd determinant is full
-rank mod 2; an even one sends the system straight to its mode's field.
+product of the Delta_k.
 
-Other sets, such as a system read by ``oracle --system``, are ranked mod
-2 by elimination.  By Lucas's theorem C(x, k) is odd exactly when
-k & ~x == 0, so with one bit per column of D every row of B mod 2 is the
-AND of a mask for a and a mask for b.  The masks are read off D's
-vertical runs, and the rank is an XOR basis of the rows, taken last first
-and keyed by lowest set bit.
+Corollary: every factor is a quotient of differences of distinct ints,
+so det B != 0 and B has full rank over Q.  The one-point system of a
+staircase is non-special of dimension -1 at every point with xy != 0
+(Dumnicki's parallel-lines lemma).  Both modes state that verdict for
+every staircase, at any prime asked for, without building B: it records
+no prime, as the rank it states is the rank over Q.
+
+Any other set, such as a system read by ``oracle --system``, is ranked
+mod 2 first.  A full rank mod 2 forces full rank over Q, so that verdict
+is conclusive in either mode.  Only when the GF(2) rank falls short does
+the modular mode rank B modulo its prime and the exact mode rank it over
+Q.  By Lucas's theorem C(x, k) is odd exactly when k & ~x == 0, so with
+one bit per column of D every row of B mod 2 is the AND of a mask for a
+and a mask for b.  The masks are read off D's vertical runs, and the rank
+is an XOR basis of the rows, taken last first and keyed by lowest set
+bit.
 
 A system of several points is ranked at its points, explicit or seeded,
 by one integer condition matrix in both modes.  Explicit rational points
@@ -75,17 +72,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 from math import comb
-from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 # SizeGuardrail is re-exported
 from ._input import SizeGuardrail, _over_common, check_cells, field, items
 from ._kernels import modrank
 from .geometry import point
-from .lattice import (LatticeSet, MultiplicitySpec, Run, _coerce_spec, _transpose,
-                      expected_dimension)
+from .lattice import (Direction, LatticeSet, MultiplicitySpec, _coerce_spec,
+                      column_profile, expected_dimension)
 
 Matrix = List[List[int]]
 
@@ -99,6 +94,10 @@ _POINT_FREE = ("point-free: the binomial matrix C(alpha,a)*C(beta,b) has the ran
                "of the one-point system at every point with xy != 0")
 _GF2_FULL = (_POINT_FREE + "; it has full rank mod 2, which forces full rank over Q: "
              "the verdict is conclusive")
+_STAIRCASE = ("staircase: m parallel lines carrying 1, ..., m points, whose point-free "
+              "binomial matrix has determinant +-prod Delta_k * prod V(S_j), a product of "
+              "nonzero Vandermonde quotients: it has full rank over Q, the generic rank, "
+              "and the verdict is conclusive")
 
 
 class ArityMismatch(ValueError):
@@ -325,50 +324,41 @@ def _gf2_rank(rows: Sequence[int]) -> int:
     return len(basis)
 
 
-def _excesses(xs: Sequence[int]) -> Iterator[int]:
-    """For each k from 1 on, v2(prod_{i<k} (xs[k] - xs[i])) - v2(k!), the
-    2-adic valuation of the k-th factor of the Vandermonde quotient of
-    ``xs`` (distinct ints); v2(k!) is k less the set bits of k."""
-    for k in range(1, len(xs)):
-        x, p = xs[k], 1
-        for y in xs[:k]:
-            p *= x - y
-        yield (p & -p).bit_length() - 1 - k + k.bit_count()
+def _is_staircase(D: LatticeSet, m: int) -> bool:
+    """Whether D is m(m+1)/2 points on m columns or m rows carrying
+    exactly 1, ..., m of them.
 
-
-def _odd_staircase_det(runs: Sequence[Run], m: int) -> Optional[bool]:
-    """Whether det B of the one-point system (D, m) is odd, when D's
-    canonical ``runs`` along one direction lie on m lines carrying 1, ...,
-    m points; None when they do not.
-
-    By the module docstring's identity it is odd exactly when the line
-    positions, by decreasing count, have every factor of their Delta
-    quotients odd, and each line of several runs an odd V.
+    Columns are counted by their profile.  Rows are counted by a sweep
+    over the runs' ends, as a row profile would list every row between
+    rows that may lie far apart: a run adds 1 to the rows from its first
+    to its last, and the count is constant between two ends.  A stretch
+    of several rows of one count is not a staircase.
     """
-    sizes: Dict[int, int] = {}
-    for line, _first, count in runs:
-        sizes[line] = sizes.get(line, 0) + count
-    if len(sizes) != m or set(sizes.values()) != set(range(1, m + 1)):
-        return None
-    if any(_excesses(sorted(sizes, key=sizes.__getitem__, reverse=True))):
+    if len(D) != comb(m + 1, 2):
         return False
-    if len(runs) > m:  # some line holds several runs
-        for _line, group in groupby(runs, itemgetter(0)):
-            group = list(group)
-            if len(group) > 1 and sum(_excesses([b for _, first, count in group
-                                                 for b in range(first, first + count)])):
+    sizes = list(range(m, 0, -1))
+    if [count for _, count in column_profile(D, Direction.VERTICAL).by_count] == sizes:
+        return True
+    steps: Dict[int, int] = {}
+    for _alpha, first, count in D.runs:
+        steps[first] = steps.get(first, 0) + 1
+        steps[first + count] = steps.get(first + count, 0) - 1
+    counts, level, last = [], 0, 0
+    for row in sorted(steps):
+        if level:
+            if row - last > 1:
                 return False
-    return True
+            counts.append(level)
+        level += steps[row]
+        last = row
+    return sorted(counts, reverse=True) == sizes
 
 
-def _staircase_full_mod_2(D: LatticeSet, m: int) -> Optional[bool]:
-    """Whether B of the one-point system (D, m) has full rank mod 2, when
-    D is a staircase along its columns or else its rows; None when it is
-    neither.  B of a staircase is square, so full rank is an odd det B."""
-    if len(D) != comb(m + 1, 2):  # a staircase has as many points as conditions
-        return None
-    odd = _odd_staircase_det(D.runs, m)
-    return _odd_staircase_det(_transpose(D.runs), m) if odd is None else odd
+def _staircase_verdict(m: int, method: str) -> OracleVerdict:
+    """The verdict of ``method`` on a staircase of size m: by the module
+    docstring's corollary its m(m+1)/2 conditions are independent, so its
+    one-point system is non-special of dimension -1."""
+    return OracleVerdict(-1, -1, True, method, None, _STAIRCASE, comb(m + 1, 2), None)
 
 
 def _verdict(D: LatticeSet, spec: MultiplicitySpec, rank: int, method: str,
@@ -384,22 +374,20 @@ def _verdict(D: LatticeSet, spec: MultiplicitySpec, rank: int, method: str,
 def _point_free_verdict(D: LatticeSet, spec: MultiplicitySpec, method: str,
                         prime: Optional[int], caveat: str) -> OracleVerdict:
     """Verdict of the one-point system (D, spec) from its point-free matrix
-    B: a full rank mod 2 is conclusive and recorded with prime 2; else B
-    is built over Z (``modrank`` reduces each entry once) and ranked by
-    ``_rank`` at ``prime``, and the verdict records ``prime`` and
-    ``caveat``.  The rank mod 2 of a staircase along either direction is
-    the parity of det B (``_staircase_full_mod_2``); any other D has its
-    Lucas rows eliminated.  The cell cap is checked before each matrix
-    is built, or would be: the GF(2) rows count one cell per 64-bit word,
-    B one cell per entry."""
+    B.  A staircase gets :func:`_staircase_verdict`, and no matrix is
+    built.  Any other D has its Lucas rows eliminated: a full rank mod 2
+    is conclusive and recorded with prime 2; else B is built over Z
+    (``modrank`` reduces each entry once) and ranked by ``_rank`` at
+    ``prime``, and the verdict records ``prime`` and ``caveat``.  The
+    cell cap is checked before each matrix is built: the GF(2) rows count
+    one cell per 64-bit word, B one cell per entry."""
     m = spec.multiplicities[0]
+    if _is_staircase(D, m):
+        return _staircase_verdict(m, method)
     conditions = comb(m + 1, 2)
     rank = min(len(D), conditions)
     _check_cells(conditions, -(-len(D) // 64), "GF(2) word")
-    full = _staircase_full_mod_2(D, m)
-    if full is None:
-        full = _gf2_rank(_lucas_rows(D, m)) == rank
-    if full:
+    if _gf2_rank(_lucas_rows(D, m)) == rank:
         prime, caveat = 2, _GF2_FULL
     else:
         _check_cells(conditions, len(D), "point-free")
@@ -461,8 +449,9 @@ def system_dimension_exact(D: LatticeSet, spec,
     """Projective dimension of the system over Q, |D| - 1 - rank.
 
     With no explicit points, a one-point system is ranked point-free, which
-    gives the generic rank exactly and ignores ``seed``: over GF(2) when
-    that rank is full (the verdict then records prime 2), else over Q.
+    gives the generic rank exactly and ignores ``seed``: a staircase by
+    its determinant identity, any other set over GF(2) when that rank is
+    full (the verdict then records prime 2), else over Q.
     Several points without explicit coordinates are a seeded sample; if
     the sampled rank falls short of making the system non-special, one
     retry with a fresh seed guards against an unlucky (non-generic)
@@ -526,8 +515,10 @@ def system_dimension_modp(D: LatticeSet, spec, seed: int = 0,
     """Dimension via rank over GF(prime), an upper bound for the generic one.
 
     ``prime`` must be a prime below MODULUS_LIMIT.  A one-point system is
-    ranked point-free and ignores ``seed``, over GF(2) first and over
-    GF(prime) only when the rank mod 2 is short; any prime will do.
+    ranked point-free and ignores ``seed``: a staircase by its determinant
+    identity, which states its rank over Q and records no prime, any
+    other set over GF(2) first and over GF(prime) only when the rank mod 2
+    is short; any prime will do.
     Several points are placed at seeded random points of GF(prime)^2, and
     there the prime must also exceed every exponent in D, so that no a! b!
     of a Hasse row vanishes.  Either way the rank never exceeds the generic

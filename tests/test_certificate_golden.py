@@ -7,27 +7,30 @@ the rendered SVG.  A change to the lattice layer (enumeration,
 cut-by-cut split, witness selection) or to how the pieces are derived,
 checked, scored or drawn that alters any byte changes a digest.
 
-Certificates are pinned three times.  ``GOLDEN_0_6_0`` pins today's
-bytes.  ``GOLDEN_0_5_0`` holds the digests recorded in the 0.5.0 layout,
-whose rows also stated a ``role`` and a final-piece ``padding_ok`` and
-whose statement read "dimension >= 0"; :func:`_as_0_5_0` turns a
-certificate back into that layout.  ``GOLDEN`` holds the digests recorded
-in the 0.2.0 layout, where a witness listed its ``subset`` point by point
-with its ``assignment``; :func:`_as_0_2_0` turns a 0.5.0 certificate back
-into that layout, so the runs of today's witnesses must state exactly the
+Certificates are pinned four times.  ``GOLDEN_0_7_0`` pins today's
+bytes.  ``GOLDEN_0_6_0`` holds the digests recorded in the 0.6.0 layout,
+whose rows also stated a ``deviation`` from the certified bound and
+whose witness verdicts came from a rank mod 2, then in the mode's field;
+:func:`_as_0_6_0` turns a certificate back into that layout, ranking
+every witness by that route, Lucas rows and all, so each golden
+witness's verdict is checked against elimination.  ``GOLDEN_0_5_0``
+holds the digests recorded in the 0.5.0 layout, whose rows also stated a
+``role`` and a final-piece ``padding_ok`` and whose statement read
+"dimension >= 0"; :func:`_as_0_5_0` turns a 0.6.0 certificate back into
+that layout.  ``GOLDEN`` holds the digests recorded in the 0.2.0 layout,
+where a witness listed its ``subset`` point by point with its
+``assignment``; :func:`_as_0_2_0` turns a 0.5.0 certificate back into
+that layout, so the runs of today's witnesses must state exactly the
 points recorded then.
 
 ``ORACLE_GOLDEN`` pins certificates whose rows carry an oracle verdict
 (seed 1), in the 0.5.0 layout, so the ``rank``, ``prime`` and ``caveat``
-bytes of both oracle modes are pinned as well: a change to how the
-point-free matrix is built or ranked must leave every verdict as it was.
+bytes that elimination gives in both oracle modes are pinned as well.
 
 ``ORACLE_SWEEP_GOLDEN`` pins, in one digest and in the 0.6.0 layout,
 eckl10's ``modular`` and ``exact`` certificates at every scale 1..65 and
 the random corpus's at scales 13 and 26: these reach the fallback past
-GF(2), which none of the ``ORACLE_GOLDEN`` certificates does, and a
-certificate that shares one verdict between witnesses of one shape must
-state the bytes of one that ranks every witness.
+GF(2), which none of the ``ORACLE_GOLDEN`` certificates does.
 
 ``SWEEP_GOLDEN`` pins, in one digest each and in the 0.5.0 layout,
 eckl10's certificates in mode
@@ -57,15 +60,19 @@ from fractions import Fraction as F
 import pytest
 
 from seshadri import __version__
+from seshadri._kernels import modrank
 from seshadri.certify import (BUILTIN_POINT_TABLE, CutStep, Dissection,
                               EmptyPolygonAtScale, FiniteCertificate,
-                              builtin_dissection_eckl10,
+                              builtin_dissection_eckl10, certified_bound,
                               dissection_from_json, dissection_to_json, dump_json,
                               finite_certificate, validate_dissection, verify_asymptotic)
 from seshadri.cli import run
 from seshadri.geometry import AffineForm
-from seshadri.lattice import (Direction, LatticeSet, _transpose, _witness_from_profile,
-                              column_profile, max_parallel_witness, split_by_affine)
+from seshadri.lattice import (Direction, LatticeSet, WitnessSelection, _transpose,
+                              _witness_from_profile, column_profile,
+                              max_parallel_witness, split_by_affine)
+from seshadri.oracle import (MODULAR_DEFAULT_PRIME, _condition_rows, _gf2_rank,
+                             _lucas_rows, fraction_free_rank)
 from seshadri.render import RenderSpec, render_svg
 
 import fraction_reference as ref
@@ -87,12 +94,20 @@ GOLDEN_0_5_0 = {
     104: "0e7592c8d368428fa89a108275ad54e6b404e3b93ebc036eace16b9567a264dd",
     208: "1207be9cd3646fed30c6beabc8580310c148674af68124864ebf9cf7ca4d129c",
 }
+PRE_IDENTITY_TOOL_VERSION = "0.6.0"
 GOLDEN_0_6_0 = {
     13: "7d68a36e10954c67720ae2723fdd1df01aef6a6189f05c8f790fe44ed360fe15",
     26: "fd42369d1db504cfa2a6668cdc86a46bafb555282ee7d8690f2b96fb5659a7a5",
     52: "759345b933841d22cb2d6a7e284adedba6623235f4aa91532415aeea7599972b",
     104: "f40852c63736579e6c9583339155985e517dad4bc2ea3a6d5ef0b17736fe9084",
     208: "0fe296d2b367b8c363fa50c5781e25c4574f6f4a696c1dc05ff8590c962d4d2b",
+}
+GOLDEN_0_7_0 = {
+    13: "77a015d0a855924fab0b10c62a9bbb21fbbcdb6e10c69384453cca03f3e12172",
+    26: "9d9c3605c5cfbabf3cbddc1f8090105d167bd60210e3865b6c9a898b68ecdc5e",
+    52: "aa5f4c405183a876be0a895763e9becde58259fa1b58389fb5e05f1e25a2a3e0",
+    104: "dfcdee1fbaddd499e7a891541c00ddda951fd6fb620c1cc12152169dc5136024",
+    208: "5fca5a15e66f4cb0b6b38fcffe59178d5a0b72056c60646bb5779b9ba82aa06f",
 }
 ORACLE_GOLDEN = {
     ("modular", 26): "d45de5154e226c9fe95894207220521554845ebdee04eeed0f5faf30dee514f8",
@@ -192,8 +207,57 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+# the caveats of the 0.6.0 point-free verdicts
+_POINT_FREE = ("point-free: the binomial matrix C(alpha,a)*C(beta,b) has the rank "
+               "of the one-point system at every point with xy != 0")
+_CAVEATS_0_6_0 = {
+    "gf2": _POINT_FREE + ("; it has full rank mod 2, which forces full rank over Q: "
+                          "the verdict is conclusive"),
+    "exact-rational": _POINT_FREE + "; its rank over Q is exact: either verdict is conclusive",
+    "modular": _POINT_FREE + ("; its rank mod p never exceeds that rank: a non-special "
+                              "verdict is a certificate; a special verdict is inconclusive"),
+}
+def _verdict_0_6_0(witness: dict, m: int, method: str) -> dict:
+    """The verdict 0.6.0 gave the one-point system of ``witness``, ranked
+    afresh: the Lucas rows of its set moved to touch both axes over GF(2),
+    and when their rank is short, B in the mode's field at the default
+    prime, or over Q."""
+    D = WitnessSelection.from_json(witness).subset
+    s, t = min(alpha for alpha, _ in D), min(beta for _, beta in D)
+    D = LatticeSet([(alpha - s, beta - t) for alpha, beta in D])
+    if _gf2_rank(_lucas_rows(D, m)) == len(D):
+        prime, caveat, rank = 2, _CAVEATS_0_6_0["gf2"], len(D)
+    else:
+        B = _condition_rows(D, [(1, 1)], (m,))
+        prime = MODULAR_DEFAULT_PRIME if method == "modular" else None
+        caveat = _CAVEATS_0_6_0[method]
+        rank = fraction_free_rank(B) if prime is None else modrank(B, prime)
+    actual = len(D) - 1 - rank
+    return {"actual_dimension": actual, "expected_dimension": -1,
+            "non_special": actual == -1, "method": method, "prime": prime,
+            "caveat": caveat, "rank": rank, "seed": None}
+
+
+def _as_0_6_0(data: dict, dis: Dissection) -> dict:
+    """The certificate JSON ``data`` of ``dis`` in the 0.6.0 layout: each
+    row's ``deviation`` |m - n t| / (n t) from the certified bound t
+    (0 when t is), each verdict ranked by :func:`_verdict_0_6_0`, which
+    must agree with the identity's rank, and the tool version 0.6.0."""
+    old = copy.deepcopy(data)
+    old["tool_version"] = PRE_IDENTITY_TOOL_VERSION
+    n, bound = old["scale"], certified_bound(dis)
+    for row in old["per_polygon"]:
+        target = n * bound
+        row["deviation"] = str(abs(row["m"] - target) / target if target else F(0))
+        verdict = row["oracle"]
+        if verdict is not None:
+            row["oracle"] = _verdict_0_6_0(row["witness"], row["m"], verdict["method"])
+            assert row["oracle"]["rank"] == verdict["rank"], (data["dissection"], n, row)
+    return old
+
+
 def _as_0_5_0(data: dict) -> dict:
-    """The certificate JSON ``data`` in the 0.5.0 layout: each row's
+    """The 0.6.0 certificate JSON ``data`` in the 0.5.0 layout: each row's
     ``role`` restored by its place, ``padding_ok`` on the last row whether
     its piece holds more points than its witness and null elsewhere, the
     statement's "dimension >= 0" and the tool version 0.5.0."""
@@ -230,35 +294,48 @@ def _as_0_2_0(data: dict) -> dict:
     return old
 
 
+def _as_0_5_0_of(data: dict, dis: Dissection) -> dict:
+    return _as_0_5_0(_as_0_6_0(data, dis))
+
+
 @pytest.mark.parametrize("n", sorted(GOLDEN))
 def test_certificate_bytes_pinned(n):
     cert = finite_certificate(BUILTIN, n, "none")
-    assert _sha256(dump_json(_as_0_2_0(_as_0_5_0(cert.to_json())))) == GOLDEN[n]
+    assert _sha256(dump_json(_as_0_2_0(_as_0_5_0_of(cert.to_json(), BUILTIN)))) == GOLDEN[n]
 
 
 @pytest.mark.parametrize("n", sorted(GOLDEN_0_5_0))
 def test_certificate_runs_bytes_pinned(n):
     cert = finite_certificate(BUILTIN, n, "none")
-    assert _sha256(dump_json(_as_0_5_0(cert.to_json()))) == GOLDEN_0_5_0[n]
+    assert _sha256(dump_json(_as_0_5_0_of(cert.to_json(), BUILTIN))) == GOLDEN_0_5_0[n]
 
 
 @pytest.mark.parametrize("n", sorted(GOLDEN_0_6_0))
 def test_certificate_0_6_0_bytes_pinned(n):
     cert = finite_certificate(BUILTIN, n, "none")
+    assert _sha256(dump_json(_as_0_6_0(cert.to_json(), BUILTIN))) == GOLDEN_0_6_0[n]
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_0_7_0))
+def test_certificate_0_7_0_bytes_pinned(n):
+    cert = finite_certificate(BUILTIN, n, "none")
     assert cert.tool_version == __version__
-    assert _sha256(dump_json(cert.to_json())) == GOLDEN_0_6_0[n]
+    assert _sha256(dump_json(cert.to_json())) == GOLDEN_0_7_0[n]
 
 
-def test_0_5_0_certificate_refused_by_its_version():
-    data = _as_0_5_0(finite_certificate(BUILTIN, 13, "modular").to_json())
-    with pytest.raises(ValueError, match=re.escape("tool_version '0.5.0' is not one of")):
+@pytest.mark.parametrize("version", ["0.5.0", "0.6.0"])
+def test_old_certificate_refused_by_its_version(version):
+    data = _as_0_6_0(finite_certificate(BUILTIN, 13, "modular").to_json(), BUILTIN)
+    if version == "0.5.0":
+        data = _as_0_5_0(data)
+    with pytest.raises(ValueError, match=re.escape(f"tool_version '{version}' is not one of")):
         FiniteCertificate.from_json(data)
 
 
 @pytest.mark.parametrize("mode,n", sorted(ORACLE_GOLDEN))
 def test_oracle_certificate_bytes_pinned(mode, n):
     cert = finite_certificate(BUILTIN, n, mode, seed=1)
-    assert _sha256(dump_json(_as_0_5_0(cert.to_json()))) == ORACLE_GOLDEN[mode, n]
+    assert _sha256(dump_json(_as_0_5_0_of(cert.to_json(), BUILTIN))) == ORACLE_GOLDEN[mode, n]
 
 
 @pytest.mark.parametrize("what", sorted(ASYMPTOTIC_GOLDEN))
@@ -289,7 +366,7 @@ def test_cli_output_on_another_grid_pinned(args, tmp_path, capsys):
     assert (rc, _sha256(capsys.readouterr().out)) == CLI_GOLDEN[args]
 
 
-def _certificate_texts(dis, scales, mode="none", seed=0, layout=_as_0_5_0):
+def _certificate_texts(dis, scales, mode="none", seed=0, layout=_as_0_5_0_of):
     """The pinned text of ``dis``'s certificate in ``mode`` at each scale,
     in ``layout``; a scale at which a piece is empty writes the refusal
     instead."""
@@ -299,7 +376,7 @@ def _certificate_texts(dis, scales, mode="none", seed=0, layout=_as_0_5_0):
         except EmptyPolygonAtScale as exc:
             yield f"{dis.name} n = {n}: EmptyPolygonAtScale: {exc}\n"
         else:
-            yield dump_json(layout(cert.to_json()))
+            yield dump_json(layout(cert.to_json(), dis))
 
 
 def _corpus():
@@ -319,12 +396,12 @@ def test_certificate_sweep_bytes_pinned(what):
 
 
 def test_oracle_sweep_bytes_pinned():
-    """Every verdict of both modes, fallbacks to the prime or to Q
-    included, in the 0.6.0 layout."""
+    """Every verdict of both modes as elimination gives it, fallbacks to
+    the prime or to Q included, in the 0.6.0 layout."""
     corpus = _corpus()
     texts = (text for mode in ("modular", "exact")
              for dis, scales in [(BUILTIN, range(1, 66))] + [(d, (13, 26)) for d in corpus]
-             for text in _certificate_texts(dis, scales, mode, 1, lambda data: data))
+             for text in _certificate_texts(dis, scales, mode, 1, _as_0_6_0))
     assert _sha256("".join(texts)) == ORACLE_SWEEP_GOLDEN
 
 

@@ -26,7 +26,7 @@ from seshadri.certify import AsymptoticReport, PolygonCheck, PolygonWitness
 from seshadri.reorder import monotone_reorder, sup_admissible
 from seshadri import __version__, lattice
 from seshadri.lattice import Direction, WitnessSelection, scaled_points
-from seshadri.oracle import OracleVerdict, SizeGuardrail
+from seshadri.oracle import _GF2_FULL, OracleVerdict, SizeGuardrail, _staircase_verdict
 
 import fraction_reference as ref
 from conftest import random_polygon
@@ -244,11 +244,12 @@ class TestCertifiedBound:
         assert validate_dissection(dis).ok
         assert dis.polygons()[2] == ref.polygon([(0, 0), (F(7, 13), F(5, 13)),
                                                  (F(5, 13), F(7, 13))])
-        assert certified_bound(dis) == 0
+        bound = certified_bound(dis)
+        assert bound == 0
         for n in (13, 26, 52):
             cert = finite_certificate(dis, n, oracle_mode="exact")
             for row in cert.per_polygon:
-                assert row.m >= 1 and row.deviation == 0
+                assert row.m >= 1 and F(row.m, n) > bound
                 assert row.oracle.non_special and row.oracle.actual_dimension == -1
 
     def test_is_supremum_of_accepted(self):
@@ -603,8 +604,8 @@ class TestFiniteCertificate:
         assert points == []
 
     def test_modular_cost_guard_at_208(self, monkeypatch):
-        """The GF(2) step reads each witness's runs: a modular certificate
-        expands the points of no lattice set."""
+        """The staircase test reads each witness's runs: a modular
+        certificate expands the points of no lattice set."""
         points = []
         points_of = lattice._points_of
 
@@ -614,7 +615,7 @@ class TestFiniteCertificate:
 
         monkeypatch.setattr(lattice, "_points_of", counted_points)
         cert = finite_certificate(BUILTIN, 208, "modular")
-        assert all(row.oracle.non_special and row.oracle.prime == 2
+        assert all(row.oracle == _staircase_verdict(row.m, "modular")
                    for row in cert.per_polygon)
         assert points == []
 
@@ -773,19 +774,16 @@ class TestStrictCertificateLoaders:
     def test_choices(self, loader, data, key, bad):
         self._refused(loader, data, [key], bad)
 
-    @pytest.mark.parametrize("loader,data,path", [
-        (PolygonWitness.from_json, ROW, ["deviation"]),
-        (FiniteCertificate.from_json, CERT, ["min_ratio"]),
-        (FiniteCertificate.from_json, CERT, ["per_polygon", 0, "deviation"]),
-    ], ids=["deviation", "min_ratio", "nested deviation"])
-    def test_rationals(self, loader, data, path):
+    def test_rationals(self):
         for bad in self.BAD_RATIONALS:
-            self._refused(loader, data, path, bad, path[-1])
+            self._refused(FiniteCertificate.from_json, self.CERT, ["min_ratio"], bad)
 
     def test_rationals_accept_json_integers(self):
-        data = json.loads(json.dumps(self.CERT))
-        data["per_polygon"][0]["deviation"] = 0
-        assert FiniteCertificate.from_json(data).per_polygon[0].deviation == 0
+        # read as the rational 0, then refused for what it states
+        data = dict(self.CERT, min_ratio=0)
+        with pytest.raises(ValueError, match=re.escape(
+                "min_ratio 0 is not the least row m over the scale, 3/13")):
+            FiniteCertificate.from_json(data)
 
     @pytest.mark.parametrize("loader,data,path,name", [
         (ref.pl_from_json, {"breakpoints": ["0", "1/2", "1"],
@@ -863,8 +861,7 @@ class TestStrictCertificateLoaders:
         ({"m": 3}, "polygon 1: m 3 is not its witness's m 4"),
         ({"lattice_count": 9}, "polygon 1: lattice_count 9 is below the 10 points"),
         ({"m": 5, "lattice_count": 1}, "polygon 1: m 5 is not its witness's m 4"),
-        ({"deviation": "-5"}, "polygon 1: deviation -5 is negative"),
-    ], ids=["m above", "m below", "lattice_count", "both", "negative deviation"])
+    ], ids=["m above", "m below", "lattice_count", "both"])
     def test_row_agrees_with_its_witness(self, changes, message):
         assert PolygonWitness.from_json(dict(self.ROW, lattice_count=10)).lattice_count == 10
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -892,7 +889,7 @@ class TestStrictCertificateLoaders:
         (["per_polygon", 0, "witness"], [4], "witness [4] is not an object"),
         (["per_polygon", 0, "oracle"], [-1], "oracle [-1] is not an object"),
         (["min_ratio"], None, "certificate has no 'min_ratio'"),
-        (["per_polygon", 0, "deviation"], None, "per_polygon row has no 'deviation'"),
+        (["per_polygon", 0, "lattice_count"], None, "per_polygon row has no 'lattice_count'"),
         (["per_polygon", 0, "witness", "runs"], None, "witness has no 'runs'"),
         (["per_polygon", 0, "oracle", "method"], None, "oracle has no 'method'"),
         (["per_polygon", 0, "oracle", "rank"], None, "oracle has no 'rank'"),
@@ -901,7 +898,7 @@ class TestStrictCertificateLoaders:
         (["per_polygon", 0, "oracle", "seed"], None, "oracle has no 'seed'"),
         (["per_polygon", 0, "oracle"], None, "per_polygon row has no 'oracle'"),
     ], ids=["per_polygon string", "per_polygon object", "row list",
-            "witness list", "oracle list", "no min_ratio", "row without deviation",
+            "witness list", "oracle list", "no min_ratio", "row without lattice_count",
             "witness without runs", "oracle without method", "oracle without rank",
             "oracle without prime", "oracle without caveat", "oracle without seed",
             "row without oracle"])
@@ -1001,7 +998,7 @@ class TestStrictCertificateLoaders:
         ("exact", _set(["per_polygon", 0, "oracle", "method"], "modular"),
          "row 1: oracle method modular is not exact-rational"),
         ("modular", _set(["per_polygon", 0, "oracle", "rank"], 9),
-         "row 1: oracle actual_dimension -1 is not 0"),
+         "row 1: oracle rank 9 is not 10"),
         ("modular", _set(["per_polygon", 0, "oracle", "seed"], 0),
          "row 1: oracle seed 0 is not None"),
         ("modular", _set(["statement"], CERT["statement"].replace("3, 4, 4)", "4, 4, 4)")),
@@ -1014,7 +1011,7 @@ class TestStrictCertificateLoaders:
     ], ids=["polygon", "rows swapped", "tool_version", "lattice_count sum above",
             "lattice_count sum below", "verdict in none", "no verdict in modular",
             "no verdict in exact", "method in modular", "method in exact",
-            "actual_dimension", "seed", "statement", "statement dimension",
+            "rank", "seed", "statement", "statement dimension",
             "statement type"])
     def test_rows_that_contradict_the_certificate_refused(self, mode, edit, message):
         data = finite_certificate(BUILTIN, 13, oracle_mode=mode).to_json()
@@ -1023,21 +1020,27 @@ class TestStrictCertificateLoaders:
         with pytest.raises(ValueError, match=re.escape(message)):
             FiniteCertificate.from_json(data)
 
+    # the caveat of row 1's 0.6.0 verdict at n = 13, from an odd determinant
+    GF2_CAVEAT = _GF2_FULL
+
     @pytest.mark.parametrize("mode,changes,message", [
-        ("exact", {"prime": 97}, "row 1: oracle prime 97 is neither null nor 2"),
-        ("modular", {"prime": None},
-         "row 1: oracle prime null is neither 2 nor a prime below 2^63"),
-        ("modular", {"prime": 4}, "row 1: oracle prime 4 is neither 2 nor a prime below 2^63"),
-        ("modular", {"prime": 2**89 - 1},
-         f"row 1: oracle prime {2**89 - 1} is neither 2 nor a prime below 2^63"),
+        ("exact", {"prime": 97}, "row 1: oracle prime 97 is not None"),
+        ("modular", {"prime": 2}, "row 1: oracle prime 2 is not None"),
+        ("modular", {"prime": 2**61 - 1}, f"row 1: oracle prime {2**61 - 1} is not None"),
+        ("exact", {"prime": 2, "caveat": GF2_CAVEAT}, "row 1: oracle prime 2 is not None"),
+        ("modular", {"caveat": GF2_CAVEAT}, f"row 1: oracle caveat {GF2_CAVEAT} is not "
+                                            "staircase: m parallel lines"),
+        ("modular", {"caveat": None}, "row 1: oracle caveat None is not staircase:"),
         ("modular", {"rank": 11, "actual_dimension": -2, "non_special": False},
-         "row 1: oracle rank 11 is outside 0..10"),
+         "row 1: oracle actual_dimension -2 is not -1"),
         ("exact", {"rank": -1, "actual_dimension": 10, "non_special": False},
-         "row 1: oracle rank -1 is outside 0..10"),
-    ], ids=["exact prime 97", "modular prime null", "modular prime 4",
-            "modular prime above 2^63", "rank 11 of 10 points", "rank -1"])
-    def test_verdict_prime_and_rank_checked(self, mode, changes, message):
-        # row 1's witness at n = 13 has m = 4: 10 points, and ranks 0..10
+         "row 1: oracle actual_dimension 10 is not -1"),
+        ("exact", {"rank": 9}, "row 1: oracle rank 9 is not 10"),
+    ], ids=["exact prime 97", "modular prime 2", "modular prime 2^61 - 1",
+            "0.6.0 verdict", "modular caveat", "no caveat", "rank 11 of 10 points",
+            "rank -1", "rank 9 in exact"])
+    def test_verdict_is_re_derived(self, mode, changes, message):
+        # row 1's witness at n = 13 has m = 4: 10 points, and rank 10
         data = finite_certificate(BUILTIN, 13, oracle_mode=mode).to_json()
         assert data["per_polygon"][0]["m"] == 4
         FiniteCertificate.from_json(data)
@@ -1047,11 +1050,11 @@ class TestStrictCertificateLoaders:
 
     def test_verdict_of_a_one_point_system(self):
         # expected_dimension 0 with actual_dimension 0 passes the non_special
-        # check, but a witness system's expected dimension is -1
+        # check, but a witness system's dimensions are -1
         data = json.loads(json.dumps(self.CERT))
         data["per_polygon"][0]["oracle"].update(expected_dimension=0, actual_dimension=0)
         with pytest.raises(ValueError,
-                           match=re.escape("row 1: oracle expected_dimension 0 is not -1")):
+                           match=re.escape("row 1: oracle actual_dimension 0 is not -1")):
             FiniteCertificate.from_json(data)
 
     def test_certificate_must_be_an_object(self):

@@ -193,11 +193,12 @@ def test_oracle_guardrail_exit_code(tmp_path, monkeypatch):
     monkeypatch.setenv("SESHADRI_MAX_CELLS", "2")
     system = tmp_path / "sys.json"
     system.write_text(json.dumps({
-        "D": [[0, 0], [1, 0], [0, 1]],
+        "D": [[0, 0], [2, 1], [1, 2]],
         "multiplicities": [2],
         "seed": 0,
     }))
-    # three GF(2) rows of one word each
+    # no staircase (three columns and three rows of one point each): three
+    # GF(2) rows of one word each, of full rank
     for mode in ("exact", "modular"):
         assert run(["oracle", "--system", str(system), "--mode", mode]) == 3
     monkeypatch.setenv("SESHADRI_MAX_CELLS", "3")
@@ -221,19 +222,20 @@ def test_oracle_huge_multiplicity_guardrail_both_modes(tmp_path, monkeypatch, ca
 
 
 def test_certify_exact_at_208_matches_modular(capsys):
-    """GF(2) decides every witness at n = 208, so exact mode certifies
-    what modular mode does, although a rational 2080x2080 matrix would
-    exceed the cell cap."""
+    """The staircase identity decides every witness in both modes, so
+    exact mode certifies what modular mode does, although a rational
+    2080x2080 matrix would exceed the cell cap, and the verdicts differ
+    only in their method."""
     certs = {}
     for mode in ("exact", "modular"):
         assert run(["certify", "--dissection", BUILTIN, "--n", "208",
                     "--oracle", mode]) == 0
         certs[mode] = json.loads(capsys.readouterr().out)
     for c in certs.values():
-        del c["tool_version"], c["oracle_mode"]
+        del c["oracle_mode"]
         for row in c["per_polygon"]:
-            assert row["oracle"]["non_special"] and row["oracle"]["prime"] == 2
-            del row["oracle"]["method"], row["oracle"]["caveat"]
+            assert row["oracle"]["non_special"] and row["oracle"]["prime"] is None
+            del row["oracle"]["method"]
     assert certs["exact"] == certs["modular"]
 
 
@@ -591,11 +593,14 @@ def test_non_string_name_refused(tmp_path, capsys):
 
 
 def test_oracle_modular_records_the_field_that_decided(tmp_path, capsys):
-    # Full rank mod 2 decides without the requested prime; a system whose
+    # A staircase, even one of rank 1 mod 2, is decided by its determinant
+    # identity, over Q with no prime; on a set that is no staircase, full
+    # rank mod 2 decides without the requested prime, and a system whose
     # rank mod 2 is short is ranked mod that prime instead.
-    full = {"D": [[0, 0], [1, 0], [0, 1]], "multiplicities": [2]}
-    short = {"D": [[0, 0], [2, 0], [0, 2]], "multiplicities": [2]}
-    for system, prime in ((full, 2), (short, 97)):
+    staircase = {"D": [[0, 0], [2, 0], [0, 2]], "multiplicities": [2]}
+    full = {"D": [[0, 0], [2, 1], [1, 2]], "multiplicities": [2]}
+    short = {"D": [[0, 0], [2, 4], [4, 2]], "multiplicities": [2]}
+    for system, prime in ((staircase, "null"), (full, 2), (short, 97)):
         path = tmp_path / "sys.json"
         path.write_text(json.dumps(system))
         assert run(["oracle", "--system", str(path), "--mode", "modular",

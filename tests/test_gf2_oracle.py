@@ -1,19 +1,22 @@
-"""The GF(2) step of the point-free one-point oracle.
+"""The staircase identity and the GF(2) step of the point-free oracle.
 
-Both oracle modes decide the binomial matrix B of a one-point system mod 2
-first, and fall back to their own field only when its rank there is short.
-B is the condition matrix at (1, 1) of the set moved to touch both axes.
-A staircase (m lines carrying 1, ..., m points) is decided by the parity
-of det B's closed form, any other set by an XOR elimination of Lucas
-bitmask rows.  These tests pin B against its binomial form, the masks and
-the XOR rank against it and the reference kernel, the closed form against
-the elimination and, as an integer identity, against det B itself, the
-route each system takes, and drive both fallbacks.
+B is the condition matrix at (1, 1) of a one-point system's set moved to
+touch both axes.  A staircase (m lines carrying 1, ..., m points) is
+decided by the identity det B = +-prod Delta_k * prod V(S_j), a nonzero
+integer, with no matrix built.  Any other set is ranked mod 2 by an XOR
+elimination of Lucas bitmask rows, and both modes fall back to their own
+field only when that rank is short.  These tests pin B against its
+binomial form, the masks and the XOR rank against it and the reference
+kernel, the identity against det B itself and against a fresh rank of B,
+which staircases take the identity, the route each system takes, and
+drive both fallbacks.
 """
 
 import itertools
 import random
+import re
 from collections import Counter
+from fractions import Fraction
 from math import comb, factorial, prod
 
 import pytest
@@ -23,15 +26,20 @@ from seshadri._kernels import pyref
 from seshadri.certify import (EmptyPolygonAtScale, builtin_dissection_eckl10,
                               finite_certificate)
 from seshadri.lattice import LatticeSet
-from seshadri.oracle import (_condition_rows, _gf2_rank, _lucas_rows,
-                             _staircase_full_mod_2, fraction_free_rank,
-                             system_dimension_exact, system_dimension_modp)
+from seshadri.oracle import (MODULAR_DEFAULT_PRIME, _condition_rows, _gf2_rank,
+                             _is_staircase, _lucas_rows, _staircase_verdict,
+                             fraction_free_rank, system_dimension_exact,
+                             system_dimension_modp)
 
 from conftest import random_dissection
 
 BUILTIN = builtin_dissection_eckl10()
-# GF(2) rank 1, rank 3 over Q: C(2, 1) = 2 vanishes mod 2
-SHORT_MOD_2 = LatticeSet(((0, 0), (2, 0), (0, 2)))
+# no staircase: three columns and three rows of one point each; GF(2)
+# rank 1, rank 3 over Q: C(2, 1) and C(4, 1) vanish mod 2
+SHORT_MOD_2 = LatticeSet(((0, 0), (2, 4), (4, 2)))
+# a staircase of columns of 2 and 1 points whose det B = Delta_2 * V({0, 2})
+# = 2 * 2 is even: GF(2) rank 1, decided by the identity
+EVEN_STAIRCASE = LatticeSet(((0, 0), (2, 0), (0, 2)))
 # rank 2 over Q as well: three points on a line cannot carry multiplicity 2
 SPECIAL = LatticeSet(((0, 0), (1, 0), (2, 0)))
 
@@ -278,29 +286,28 @@ class TestClosedForm:
     """A staircase's rank mod 2 is read from the parity of det B, which is
     +-prod Delta_k * prod V(S_j) (the ``seshadri.oracle`` docstring)."""
 
-    def test_parity_equals_the_elimination(self):
-        """On eckl10's witnesses at n = 1..150, the corpus's at n = 13, 26,
-        40 and 52, and staircases whose lines hold several runs, in both
-        directions.  Beyond eckl10, whose determinants are odd but one,
-        the sweep holds odd determinants, even Delta factors and, with
-        every Delta odd, even line Vandermondes, each counted by the
-        factors themselves; so dropping v2(k!), taking the lines by
-        ascending count or skipping a line's V each fail it."""
-        for D, m in certificate_witnesses(BUILTIN, range(1, 151)):
-            assert _staircase_full_mod_2(D, m) == (_gf2_rank(_lucas_rows(D, m)) == len(D)), \
-                (D.runs, m)
-        systems = seeded_gapped_staircases(3000, seed=83)
+    def test_fresh_rank_is_full(self):
+        """A second route to the identity's verdict: B of every staircase
+        has full rank mod 2^61 - 1, and over Q where m <= 8, on eckl10's
+        witnesses at n = 1..40, the corpus's at n = 13 and 26, and
+        staircases whose lines hold several runs, in both directions.
+        The sweep holds even determinants, both from an even Delta and,
+        with every Delta odd, from an even line Vandermonde, counted by
+        the factors themselves."""
+        systems = certificate_witnesses(BUILTIN, range(1, 41))
         for seed in range(60):
             systems += certificate_witnesses(random_dissection(random.Random(seed)),
-                                             (13, 26, 40, 52))
+                                             (13, 26))
+        systems += seeded_gapped_staircases(300, seed=83, top=10)
         kinds = Counter()
         for D, m in systems:
-            full = _staircase_full_mod_2(D, m)
-            assert full == (_gf2_rank(_lucas_rows(D, m)) == len(D)), (D.runs, m)
+            assert _is_staircase(D, m), (D.runs, m)
+            B = point_free_matrix(D, m)
+            assert pyref.modrank(B, MODULAR_DEFAULT_PRIME) == len(D), (D.runs, m)
+            if m <= 8:
+                assert fraction_free_rank(B) == len(D), (D.runs, m)
             deltas, vs = closed_form_factors(D)
-            kind = all(d % 2 for d in deltas), all(v % 2 for v in vs)
-            assert full == all(kind), (D.runs, m)
-            kinds[kind] += 1
+            kinds[all(d % 2 for d in deltas), all(v % 2 for v in vs)] += 1
         assert kinds[True, True] and kinds[False, True] and kinds[True, False], kinds
 
     def test_determinant_identity(self):
@@ -312,24 +319,55 @@ class TestClosedForm:
             det = prod(deltas) * prod(vs)
             assert det and bareiss_det(point_free_matrix(D, m)) in (det, -det), (D.runs, m)
 
-    def test_sets_that_are_not_staircases_are_none(self):
-        for D, m in seeded_systems(200, seed=97, offset=(0, 20)):
+    def test_staircases_are_recognised_in_both_directions(self):
+        """``_is_staircase`` holds exactly when the columns, or else the
+        rows, carry 1, ..., m points, on seeded sets, their transposes and
+        sets of m(m+1)/2 points that are not staircases."""
+        systems = (seeded_systems(200, seed=97, offset=(0, 20))
+                   + seeded_staircases(200, seed=101)
+                   + seeded_gapped_staircases(200, seed=103, top=8))
+        systems += [(LatticeSet([(b, a) for a, b in D]), m) for D, m in systems]
+        # m(m+1)/2 points, but not 1, ..., m on any m parallel lines
+        systems += [(SPECIAL, 2), (SHORT_MOD_2, 2),
+                    (LatticeSet(((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 5))), 3),
+                    (LatticeSet(((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (3, 0))), 3)]
+        kinds = Counter()
+        for D, m in systems:
             lines = staircase_lines(D)
-            if lines is None or len(lines) != m:
-                assert _staircase_full_mod_2(D, m) is None
+            want = lines is not None and len(lines) == m
+            assert _is_staircase(D, m) == want, (D.runs, m)
+            columns = sorted(Counter(alpha for alpha, _ in D).values())
+            kinds[want, len(D) == m * (m + 1) // 2, columns == list(range(1, m + 1))] += 1
+        # staircases of rows only, and sets of the size of one that are not
+        assert kinds[True, True, False] and kinds[False, True, False], kinds
+
+    def test_rows_far_apart_are_swept_not_listed(self):
+        """Rows 10^15 apart: a row staircase is found by a sweep over its
+        runs' ends, and a stretch of rows of one count is none."""
+        far = 10**15
+        rows = LatticeSet(((0, 0), (1, 0), (5, far)))
+        assert _is_staircase(rows, 2)
+        assert not _is_staircase(LatticeSet(((0, 0), (0, 1), (0, far))), 2)
+        assert not _is_staircase(LatticeSet(((0, 0), (1, 1), (2, far))), 2)
+        for v in _both_modes(rows, 2):
+            assert v == _staircase_verdict(2, v.method)
 
 
 class TestRoute:
-    """Which GF(2) step a one-point system takes."""
+    """Which route a one-point system takes: the identity or elimination."""
 
     def test_certificates_build_no_lucas_row(self, monkeypatch):
         def refuse(*_args):
-            raise AssertionError("a Lucas row was built")
-        monkeypatch.setattr(oracle, "_lucas_rows", refuse)
-        for mode in ("modular", "exact"):
+            raise AssertionError("a row was built or ranked")
+        for name in ("_lucas_rows", "_condition_rows", "modrank", "fraction_free_rank"):
+            monkeypatch.setattr(oracle, name, refuse)
+        for mode, method in (("modular", "modular"), ("exact", "exact-rational")):
             for n in range(13, 105):
                 cert = finite_certificate(BUILTIN, n, oracle_mode=mode)
-                assert all(row.oracle.prime == 2 for row in cert.per_polygon), (mode, n)
+                for row in cert.per_polygon:
+                    assert row.oracle == _staircase_verdict(row.m, method), (mode, n)
+                    assert row.oracle.prime is None and row.oracle.caveat.startswith(
+                        "staircase:")
 
     def test_other_sets_are_eliminated(self, monkeypatch):
         built = []
@@ -344,18 +382,23 @@ class TestRoute:
             assert built[-2:] == [D, D]
             assert modular.rank == exact.rank == (2 if D is SPECIAL else 3)
 
-    def test_even_staircase_goes_straight_to_the_fallback(self, monkeypatch):
-        # SHORT_MOD_2: columns of 2 and 1 points, Delta_2 = 2 and V({0, 2}) = 2
+    def test_even_staircase_takes_the_identity(self, monkeypatch):
+        # EVEN_STAIRCASE: columns of 2 and 1 points, Delta_2 = 2 and V({0, 2}) = 2
         def refuse(*_args):
-            raise AssertionError("a Lucas row was built")
+            raise AssertionError("a row was built")
         monkeypatch.setattr(oracle, "_lucas_rows", refuse)
-        modular, exact = _both_modes(SHORT_MOD_2, 2)
-        for v, prime in ((modular, 97), (exact, None)):
-            assert (v.rank, v.actual_dimension, v.non_special, v.prime) == (3, -1, True, prime)
-            assert v.caveat.startswith("point-free:") and "mod 2" not in v.caveat
+        monkeypatch.setattr(oracle, "_condition_rows", refuse)
+        assert _gf2_rank(_lucas_rows(EVEN_STAIRCASE, 2)) == 1
+        modular, exact = _both_modes(EVEN_STAIRCASE, 2)
+        for v in (modular, exact):
+            assert (v.rank, v.actual_dimension, v.non_special, v.prime) == (3, -1, True, None)
+            assert v == _staircase_verdict(2, v.method)
+        assert system_dimension_modp(EVEN_STAIRCASE, (2,), prime=2) == modular
 
 
 class TestFallback:
+    """Sets that are not staircases: GF(2) first, then the mode's field."""
+
     def test_short_rank_mod_2_is_not_final(self):
         assert _gf2_rank(_lucas_rows(SHORT_MOD_2, 2)) == 1
         assert fraction_free_rank(point_free_matrix(SHORT_MOD_2, 2)) == 3
@@ -378,7 +421,7 @@ class TestFallback:
             return _condition_rows(D, pairs, spec, prime)
         monkeypatch.setattr(oracle, "_condition_rows", spy)
         # SHORT_MOD_2 moved off both axes: the rank mod 2 still falls short
-        D = LatticeSet(((3, 5), (5, 5), (3, 7)))
+        D = LatticeSet(((3, 5), (5, 9), (7, 7)))
         modular = system_dimension_modp(D, (2,), prime=97)
         exact = system_dimension_exact(D, (2,))
         assert seen == [(SHORT_MOD_2.points, [(1, 1)])] * 2
@@ -392,16 +435,19 @@ class TestFallback:
         assert system_dimension_modp(SPECIAL, (2,), prime=97).prime == 97
 
     def test_full_rank_mod_2_decides_without_the_fallback(self, monkeypatch):
+        full = [(D, m) for D, m in seeded_systems(200, seed=107, offset=(0, 20))
+                if not _is_staircase(D, m)
+                and _gf2_rank(_lucas_rows(D, m)) == min(len(D), m * (m + 1) // 2)]
+        assert len(full) > 20
+
         def refuse(*_args):
             raise AssertionError("the fallback ran on a full GF(2) rank")
         monkeypatch.setattr(oracle, "_condition_rows", refuse)
         monkeypatch.setattr(oracle, "modrank", refuse)
         monkeypatch.setattr(oracle, "fraction_free_rank", refuse)
-        for mode in ("modular", "exact"):
-            cert = finite_certificate(BUILTIN, 26, oracle_mode=mode)
-            for row in cert.per_polygon:
-                v = row.oracle
-                assert v.non_special and v.prime == 2 and v.seed is None
+        for D, m in full:
+            for v in _both_modes(D, m):
+                assert v.prime == 2 and v.seed is None and v.rank == min(len(D), m * (m + 1) // 2)
                 assert v.caveat.startswith("point-free:")
                 assert "full rank mod 2" in v.caveat
 
@@ -412,7 +458,27 @@ def _both_modes(D, m):
 
 class TestCellCap:
     """The cap counts the matrix each step of a one-point system builds,
-    the same in both modes: GF(2) rows in 64-bit words, then B in cells."""
+    the same in both modes: none for a staircase, else GF(2) rows in
+    64-bit words, then B in cells."""
+
+    def test_staircases_build_nothing_to_count(self, monkeypatch):
+        # 210 points: 210 GF(2) rows of 4 words, and B of 44,100 cells
+        D = LatticeSet([(line, along) for line in range(20) for along in range(line + 1)])
+        monkeypatch.setenv("SESHADRI_MAX_CELLS", "1")
+        for v in _both_modes(D, 20):
+            assert v == _staircase_verdict(20, v.method)
+
+    @pytest.mark.parametrize("mode", ["modular", "exact"])
+    def test_eckl10_certifies_up_to_the_bounding_box_cap(self, mode):
+        """n = 1999 is the last scale whose bounding box, 2000^2 points,
+        is within the default cap; the witnesses add nothing to count."""
+        cert = finite_certificate(BUILTIN, 1999, oracle_mode=mode)
+        assert cert.min_ratio == Fraction(614, 1999)
+        assert all(row.oracle.non_special for row in cert.per_polygon)
+        with pytest.raises(oracle.SizeGuardrail, match=re.escape(
+                "scale n = 2000: the scaled polygon's bounding box holds 4004001 integer "
+                "points, a count that exceeds the cell cap; set SESHADRI_MAX_CELLS")):
+            finite_certificate(BUILTIN, 2000, oracle_mode=mode)
 
     def test_gf2_rows_count_64_bit_words(self, monkeypatch):
         wide = LatticeSet(tuple((a, 0) for a in range(65)))
@@ -426,7 +492,8 @@ class TestCellCap:
             assert v.non_special and v.prime == 2
 
     def test_fallback_matrix_counts_cells(self, monkeypatch):
-        # GF(2) needs 3 words, the fallback a 3x3 matrix
+        # GF(2) needs 3 words, the fallback a 3x3 matrix (SHORT_MOD_2 is
+        # no staircase, so both are built)
         monkeypatch.setenv("SESHADRI_MAX_CELLS", "8")
         for mode in (system_dimension_modp, system_dimension_exact):
             with pytest.raises(oracle.SizeGuardrail, match="^3x3 point-free matrix"):
@@ -457,7 +524,7 @@ class TestCellCap:
 @pytest.mark.parametrize("n", [13, 26])
 def test_eckl10_witness_matrices_are_unimodular(n):
     # An independent route to full rank over Q; soundness rests on the
-    # GF(2) step alone.  The determinant identity explains the +-1: each
+    # determinant identity, which also explains the +-1: each
     # eckl10 witness's lines, by decreasing count, grow a block of
     # consecutive positions, and each line is one run, so every Delta_k
     # and every V(S_j) is +-1.

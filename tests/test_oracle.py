@@ -19,6 +19,8 @@ import fraction_reference as ref
 
 DEG2 = LatticeSet(((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
 COLLINEAR = LatticeSet(((0, 0), (1, 0), (2, 0)))
+# seven points for the six conditions of multiplicity 3: no staircase
+DEG2_AND_ONE = LatticeSet(DEG2.points + ((3, 0),))
 
 
 class TestInterpolationMatrix:
@@ -105,12 +107,14 @@ class TestExactOracle:
         assert v1 == v2
 
     def test_guardrail(self, monkeypatch):
-        # one point: the 6 GF(2) rows of one word each are what is counted
+        # one point on a set that is no staircase: the 6 GF(2) rows of one
+        # word each are what is counted
         monkeypatch.setenv("SESHADRI_MAX_CELLS", "5")
-        with pytest.raises(SizeGuardrail, match="set SESHADRI_MAX_CELLS$"):
-            system_dimension_exact(DEG2, (3,), seed=0)
+        with pytest.raises(SizeGuardrail, match="^6x1 GF\\(2\\) word matrix .* "
+                                                "set SESHADRI_MAX_CELLS$"):
+            system_dimension_exact(DEG2_AND_ONE, (3,), seed=0)
         monkeypatch.setenv("SESHADRI_MAX_CELLS", "10")
-        assert system_dimension_exact(DEG2, (3,), seed=0).non_special
+        assert system_dimension_exact(DEG2_AND_ONE, (3,), seed=0).non_special
         # several points: the 4x6 rational matrix
         with pytest.raises(SizeGuardrail, match="^4x6 exact matrix"):
             system_dimension_exact(DEG2, (2, 1), seed=0)

@@ -85,11 +85,13 @@ class TestPointFreeRank:
         assert 0 < specials < len(SYSTEMS)  # both verdicts are exercised
 
     def test_seed_is_ignored_and_null(self):
+        # DEG2 with multiplicity 3 is a staircase, with multiplicity 2 not
         for oracle in (system_dimension_exact, system_dimension_modp):
-            a, b = oracle(DEG2, (3,), seed=0), oracle(DEG2, (3,), seed=99)
-            assert a == b
-            assert a.seed is None and a.to_json()["seed"] is None
-            assert a.caveat.startswith("point-free")
+            for m, route in ((3, "staircase:"), (2, "point-free:")):
+                a, b = oracle(DEG2, (m,), seed=0), oracle(DEG2, (m,), seed=99)
+                assert a == b
+                assert a.seed is None and a.to_json()["seed"] is None
+                assert a.caveat.startswith(route)
 
     def test_multi_point_systems_keep_their_seed(self):
         assert system_dimension_modp(DEG2, (1, 1), seed=5).seed == 5

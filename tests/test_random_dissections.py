@@ -2,16 +2,17 @@
 
 Every other pipeline test runs on eckl10, its tampered copies or the
 diagonal sliver.  Random dissections have pieces that hold no lattice
-point at small scales, and witnesses whose point-free matrix falls short
-of full rank mod 2, so that the oracle's fallback decides them: over
-GF(p) in modular mode, over Q in exact mode.  At the smallest scales some
-witnesses use every monomial, and the statement's dimension is -1.
+point at small scales, and witnesses whose point-free matrix has an even
+determinant, which the staircase identity decides as it does the odd
+ones, in both modes alike.  At the smallest scales some witnesses use
+every monomial, and the statement's dimension is -1.
 
 The statement is also proved by a second route here, on this corpus and
 on eckl10: the condition matrix of all r points on the union of the
 witnesses has full rank, with no appeal to Dumnicki's lemma or reduction.
 """
 
+import dataclasses
 import json
 import random
 
@@ -22,7 +23,7 @@ from seshadri.certify import (EmptyPolygonAtScale, FiniteCertificate,
                               dissection_from_json, dissection_to_json, dump_json,
                               finite_certificate, validate_dissection)
 from seshadri.lattice import LatticeSet
-from seshadri.oracle import _condition_rows, _distinct_pairs, _rank
+from seshadri.oracle import _condition_rows, _distinct_pairs, _gf2_rank, _lucas_rows, _rank
 
 from conftest import random_dissection
 
@@ -45,8 +46,8 @@ def test_round_trip_validates_with_the_same_bound(corpus):
         assert certified_bound(copy) == certified_bound(dis)
 
 
-def test_fallback_verdicts_agree_between_modes(corpus):
-    certified = fallbacks = 0
+def test_verdicts_differ_between_modes_only_in_method(corpus):
+    certified = even = 0
     for dis in corpus:
         for n in SCALES:
             try:
@@ -59,14 +60,13 @@ def test_fallback_verdicts_agree_between_modes(corpus):
             certified += 1
             for mod, ex in zip(modular.per_polygon, exact.per_polygon, strict=True):
                 assert mod.witness == ex.witness
-                assert ((mod.oracle.rank, mod.oracle.actual_dimension, mod.oracle.non_special)
-                        == (ex.oracle.rank, ex.oracle.actual_dimension, ex.oracle.non_special))
-                if mod.oracle.prime != 2:  # short mod 2: the fallback decided
-                    fallbacks += 1
-                    assert ex.oracle.prime is None and mod.oracle.non_special
+                assert dataclasses.replace(mod.oracle, method="exact-rational") == ex.oracle
+                assert ex.oracle.non_special and ex.oracle.prime is None
+                D = mod.witness.subset
+                even += _gf2_rank(_lucas_rows(D, mod.m)) < len(D)
     # 71 of the 120 (dissection, scale) pairs certify, and 22 witnesses
-    # fall short mod 2
-    assert certified > 50 and fallbacks > 10
+    # have an even determinant: their rank mod 2 falls short
+    assert certified > 50 and even > 10
 
 
 def test_witness_points_are_monomials_of_degree_n(corpus):
