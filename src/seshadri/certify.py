@@ -24,7 +24,7 @@ from ._input import field, parsed, rational
 # rearrangement step, so that tracing can rebind them.
 from .geometry import (AffineForm, Axis, ConvexPolygon, Point, cut_polygon,
                        height_profile, point, x_projection)
-from .lattice import (Direction, LatticeSet, Run, WitnessSelection, _witness_from_profile,
+from .lattice import (Direction, LatticeSet, WitnessSelection, _witness_from_profile,
                       column_profile, max_parallel_witness, scaled_points,
                       select_witness_subset, split_by_affine)
 from .oracle import (OracleVerdict, _staircase_verdict, system_dimension_exact,
@@ -413,12 +413,6 @@ class FiniteCertificate:
         return cert
 
 
-def _shape(runs: Tuple[Run, ...]) -> Tuple[Run, ...]:
-    """Witness ``runs`` moved so that their least line and least first are 0."""
-    line, first = runs[0][0], min(f for _, f, _ in runs)  # runs are sorted by line
-    return tuple([(a - line, b - first, c) for a, b, c in runs])
-
-
 def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
                        seed: int = 0) -> FiniteCertificate:
     """Instantiate the dissection at scale n and certify every piece.
@@ -433,13 +427,9 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
        L_{W_i}(m_i) is non-special of dimension -1 (Dumnicki's
        parallel-lines lemma).  A verdict states it without building a
        matrix: the determinant of W_i's point-free matrix is a product of
-       nonzero Vandermonde quotients (the ``seshadri.oracle``
-       docstring).  Witnesses
-       whose runs are equal once their least line and least first are 0
-       share the verdict of the first of them: their systems differ by a
-       shift, which the oracle undoes, and, when their directions differ,
-       by a swap of the coordinates, which permutes the rows and the
-       columns of the point-free matrix.  Neither changes its rank.
+       nonzero Vandermonde quotients (the ``seshadri.oracle`` docstring).
+       So the verdict is a function of m_i alone: the oracle is asked
+       once per size, and witnesses of one size share its verdict.
     2. If a line splits D into D_1 and D_2, L_{D_1}(m_1, ..., m_k) is
        non-special of dimension -1 and L_{D_2}(m_{k+1}, ..., m_r) is
        non-special, then L_D(m_1, ..., m_r) is non-special (Dumnicki's
@@ -476,7 +466,7 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
             raise EmptyPolygonAtScale(f"P{idx} holds no lattice points at scale {n}")
 
     rows: List[PolygonWitness] = []
-    verdicts: Dict[Tuple[Run, ...], OracleVerdict] = {}  # witness shape: its verdict
+    verdicts: Dict[int, OracleVerdict] = {}  # witness size: its verdict
     for idx, pts in enumerate(pieces, start=1):
         best_m, best_profile = 0, None
         for d in (Direction.VERTICAL, Direction.HORIZONTAL):
@@ -487,12 +477,11 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
         witness = _witness_from_profile(pts, best_profile, best_m)
         verdict = None
         if oracle_mode != "none":
-            shape = _shape(witness.runs)
-            verdict = verdicts.get(shape)
+            verdict = verdicts.get(best_m)
             if verdict is None:
                 oracle = (system_dimension_exact if oracle_mode == "exact"
                           else system_dimension_modp)
-                verdict = verdicts[shape] = oracle(witness.subset, (best_m,))
+                verdict = verdicts[best_m] = oracle(witness.subset, (best_m,))
         rows.append(PolygonWitness(idx, len(pts), best_m, witness, verdict))
     min_ratio = Fraction(min(r.m for r in rows), n)
     return FiniteCertificate(dis.name, n, n, oracle_mode, seed,

@@ -277,7 +277,13 @@ def split_by_affine(D: LatticeSet, F: AffineForm, scale: int):
 
 def column_profile(D: LatticeSet, direction: Direction) -> ColumnProfile:
     """Exact per-line counts of D along the given direction, in time
-    linear in runs and lines."""
+    linear in runs and lines.
+
+    The row profile steps through every row from D's lowest to one past
+    its highest: when D spans more rows than it has points, their number
+    is checked against the cell cap, and refused with SizeGuardrail,
+    before any step is allocated.
+    """
     if len(D) == 0:
         raise EmptySet("cannot profile an empty set")
     if direction is Direction.VERTICAL:
@@ -288,7 +294,10 @@ def column_profile(D: LatticeSet, direction: Direction) -> ColumnProfile:
     # a run adds 1 to each of its rows: sum its ends as steps +1 and -1,
     # then add up the steps row by row
     low = min(map(itemgetter(1), D.runs))
-    steps = [0] * (max(f + c for _, f, c in D.runs) - low + 1)
+    rows = max(f + c for _, f, c in D.runs) - low
+    if rows > len(D):
+        check_cells(rows, f"a row profile of {len(D)} points spanning {rows} rows, a count that")
+    steps = [0] * (rows + 1)
     for _alpha, first, count in D.runs:
         steps[first - low] += 1
         steps[first + count - low] -= 1

@@ -54,10 +54,10 @@ mod 2 first.  A full rank mod 2 forces full rank over Q, so that verdict
 is conclusive in either mode.  Only when the GF(2) rank falls short does
 the modular mode rank B modulo its prime and the exact mode rank it over
 Q.  By Lucas's theorem C(x, k) is odd exactly when k & ~x == 0, so with
-one bit per column of D every row of B mod 2 is the AND of a mask for a
-and a mask for b.  The masks are read off D's vertical runs, and the rank
-is an XOR basis of the rows, taken last first and keyed by lowest set
-bit.
+one bit per point of D every row of B mod 2 is the AND of a mask for a
+and a mask for b.  Each point of D sets its bit in the tables of its
+alpha and its beta, and the rank is an XOR basis of the rows, taken last
+first and keyed by lowest set bit.
 
 A system of several points is ranked at its points, explicit or seeded,
 by one integer condition matrix in both modes.  Explicit rational points
@@ -267,35 +267,16 @@ def _lucas_rows(D: LatticeSet, m: int) -> List[int]:
     By Lucas's theorem C(x, k) is odd exactly when k & ~x == 0, so row
     (a, b) is the mask of points whose shifted alpha passes that test for
     a, ANDed with the mask of those whose shifted beta passes it for b.
-    Both tables are read off D's vertical runs, without expanding a point:
-    a run is one block of bits in its column's alpha mask.  The beta table
-    comes from one sweep up the covered rows: a run starting at bit j on
-    row r holds bit j + k on row r + k, so the next row's mask is this
-    row's shifted left by one, less the runs that end here, plus the runs
-    that start there; a row no run covers is skipped.
+    Each point sets its bit in the alpha and the beta table.
     """
-    runs = D.runs
-    s = runs[0][0] if runs else 0
-    t = min((first for _, first, _ in runs), default=0)
+    pts = D.points
+    s = pts[0][0] if pts else 0  # the points are sorted by alpha
+    t = min((beta for _, beta in pts), default=0)
     by_alpha: Dict[int, int] = {}
-    starts: Dict[int, int] = {}  # row: the first bits of the runs starting there
-    ends: Dict[int, int] = {}    # row: the last bits of the runs ending there
-    j = 0
-    for alpha, first, count in runs:
-        by_alpha[alpha - s] = by_alpha.get(alpha - s, 0) | ((1 << count) - 1) << j
-        starts[first - t] = starts.get(first - t, 0) | 1 << j
-        ends[first - t + count - 1] = ends.get(first - t + count - 1, 0) | 1 << (j + count - 1)
-        j += count
     by_beta: Dict[int, int] = {}
-    todo, mask, row = sorted(starts, reverse=True), 0, 0
-    while todo or mask:
-        if not mask:
-            row = todo[-1]
-        if todo and todo[-1] == row:
-            mask |= starts[todo.pop()]
-        by_beta[row] = mask
-        mask = (mask & ~ends.get(row, 0)) << 1
-        row += 1
+    for j, (alpha, beta) in enumerate(pts):
+        by_alpha[alpha - s] = by_alpha.get(alpha - s, 0) | 1 << j
+        by_beta[beta - t] = by_beta.get(beta - t, 0) | 1 << j
     xs, ys = _odd_masks(by_alpha, m), _odd_masks(by_beta, m)
     # (a, b) in the order of _condition_rows: a rises as b falls
     return [x & y for order in range(m) for x, y in zip(xs, ys[order::-1])]
@@ -306,11 +287,9 @@ def _gf2_rank(rows: Sequence[int]) -> int:
 
     The rows are taken last first and each is reduced against an XOR basis
     keyed by the index of its lowest set bit, joining it when something is
-    left.  The rank depends on neither the row order nor the pivots; on
-    the Lucas rows of eckl10's witnesses, the highest derivative orders
-    first with low-bit pivots take about a quarter of the reduction steps
-    of the natural order with top-bit pivots.  The key is a bit index, not
-    the bit itself: hashing a wide int costs a pass over its words.
+    left.  The rank depends on neither the row order nor the pivots.  The
+    key is a bit index, not the bit itself: hashing a wide int costs a
+    pass over its words.
     """
     basis: Dict[int, int] = {}
     for v in reversed(rows):

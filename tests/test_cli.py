@@ -416,6 +416,21 @@ def test_oracle_on_two_points_far_apart_in_beta(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["non_special"] is True
 
 
+def test_oracle_on_the_empty_set(tmp_path, capsys):
+    # no monomial, so no condition: dimension -1 and rank 0 in both modes;
+    # a one-point system's GF(2) rows are all empty, a full rank of 0,
+    # which its verdict records with prime 2
+    for multiplicities in ([2], [1, 1]):
+        for mode in ("exact", "modular"):
+            system = {"D": [], "multiplicities": multiplicities}
+            assert _oracle_on(tmp_path, system, mode) == 0, (multiplicities, mode)
+            verdict = json.loads(capsys.readouterr().out)
+            assert verdict["actual_dimension"] == verdict["expected_dimension"] == -1
+            assert verdict["rank"] == 0 and verdict["non_special"] is True
+            if len(multiplicities) == 1:
+                assert verdict["prime"] == 2 and verdict["caveat"] == oracle._GF2_FULL
+
+
 def test_oracle_names_a_malformed_point(tmp_path, capsys):
     for D, shown in (([[0, 0, 0], [1, 0]], "point 1 [0, 0, 0] is not a list of 2 items"),
                      (["12"], "point 1 '12' is not a list of 2 items")):

@@ -190,57 +190,18 @@ def leibniz_det(rows):
     return total
 
 
-def lucas_rows_per_point(D, m):
-    """``_lucas_rows`` as it was built before its beta table came from one
-    sweep over the rows: each point's bit is added to its row in turn."""
-    runs = D.runs
-    s = runs[0][0] if runs else 0
-    t = min((first for _, first, _ in runs), default=0)
-    by_alpha, by_beta = {}, {}
-    j = 0
-    for alpha, first, count in runs:
-        by_alpha[alpha - s] = by_alpha.get(alpha - s, 0) | ((1 << count) - 1) << j
-        for beta in range(first - t, first - t + count):
-            by_beta[beta] = by_beta.get(beta, 0) | 1 << j
-            j += 1
-    xs, ys = oracle._odd_masks(by_alpha, m), oracle._odd_masks(by_beta, m)
-    return [x & y for order in range(m) for x, y in zip(xs, ys[order::-1])]
-
-
-def seeded_run_sets(count, seed):
-    """Seeded (D, m) whose columns hold up to three runs each, with rows
-    that runs of other columns start, end, skip or leave uncovered."""
-    rng = random.Random(seed)
-    systems = []
-    for _ in range(count):
-        points = []
-        for alpha in rng.sample(range(12), rng.randint(1, 6)):
-            beta = rng.randint(0, 6)
-            for _ in range(rng.randint(1, 3)):
-                size = rng.randint(1, 5)
-                points += [(alpha, b) for b in range(beta, beta + size)]
-                beta += size + rng.randint(1, 4)
-        systems.append((LatticeSet(points), rng.randint(1, 7)))
-    return systems
-
-
 class TestLucasRows:
-    def test_row_sweep_equals_per_point_tables(self):
-        systems = (seeded_run_sets(300, seed=61) + seeded_staircases(100, seed=67)
-                   + seeded_systems(100, seed=71, offset=(0, 50)))
-        # two points far apart in beta, as an ``oracle --system`` file may state
-        systems += [(LatticeSet(((0, 0), (1, 10**12))), m) for m in (1, 2)]
-        systems += [(LatticeSet(((5, 10**15), (5, 10**15 + 1), (0, 3))), 2)]
-        for D, m in systems:
-            assert _lucas_rows(D, m) == lucas_rows_per_point(D, m), (D.runs, m)
-
     def test_builder_at_one_one_is_the_binomial_matrix(self):
         for D, m in (seeded_systems(150, seed=37, offset=(0, 40))
                      + seeded_staircases(50, seed=41)):
             assert point_free_matrix(D, m) == binomial_matrix(D, m), (D.runs, m)
 
     def test_masks_equal_binomial_matrix_mod_2(self):
-        for D, m in seeded_systems(150, seed=31, offset=(1, 5)):
+        systems = seeded_systems(150, seed=31, offset=(1, 5))
+        # points far apart in beta, as an ``oracle --system`` file may state
+        systems += [(LatticeSet(((0, 0), (1, 10**12))), m) for m in (1, 2)]
+        systems += [(LatticeSet(((5, 10**15), (5, 10**15 + 1), (0, 3))), 2)]
+        for D, m in systems:
             B = point_free_matrix(D, m, 2)
             masks = _lucas_rows(D, m)
             assert len(masks) == len(B)
@@ -259,8 +220,9 @@ class TestLucasRows:
         assert 0 < short < len(systems)  # full and short ranks both occur
 
     def test_staircase_witnesses(self):
-        # Witness shapes are what the certificate ranks; most of these fall
-        # short mod 2, so both the full and the short path are checked.
+        # Staircases, the shape of every witness, which the identity
+        # decides; most of these fall short mod 2, so both the full and
+        # the short path are checked.
         systems = seeded_staircases(200, seed=59)
         short = 0
         for D, m in systems:

@@ -9,6 +9,7 @@ from math import ceil, comb, floor, gcd
 import pytest
 
 from seshadri.certify import builtin_dissection_eckl10
+from seshadri import SizeGuardrail
 from seshadri.geometry import AffineForm, DegenerateInput
 from seshadri.lattice import (ColumnProfile, Direction, EmptySet, LatticeSet,
                               MultiplicitySpec, WitnessSelection, WitnessTooLarge,
@@ -305,6 +306,20 @@ class TestColumnProfile:
     def test_empty_rejected(self):
         with pytest.raises(EmptySet):
             column_profile(LatticeSet(()), Direction.VERTICAL)
+
+    def test_rows_far_apart_refused_before_allocating(self):
+        """A row profile lists every row between D's lowest and highest:
+        rows 10^9 apart are refused by the cell cap, through the public
+        witness selection too, while a span the cap allows is profiled."""
+        far = LatticeSet(((0, 0), (1, 10**9), (2, 5)))
+        shown = "^a row profile of 3 points spanning 1000000001 rows, a count that exceeds"
+        with pytest.raises(SizeGuardrail, match=shown):
+            column_profile(far, Direction.HORIZONTAL)
+        with pytest.raises(SizeGuardrail, match=shown):
+            select_witness_subset(far, Direction.HORIZONTAL, 1)
+        assert column_profile(far, Direction.VERTICAL).counts == ((0, 1), (1, 1), (2, 1))
+        near = LatticeSet(((0, 0), (1, 10**3)))
+        assert column_profile(near, Direction.HORIZONTAL).counts == ((0, 1), (1000, 1))
 
 
 def _max_witness_by_matching(counts):

@@ -3,10 +3,11 @@
 One-point systems are ranked through the binomial matrix C(alpha,a)*C(beta,b)
 instead of a sampled point; these tests reach the same ranks by other
 routes (explicit points, translation, transposition, the other field),
-check each verdict a certificate shares between witnesses of one shape
-against a fresh rank of the row's own witness, check that a piece with no
-point is refused before any witness is ranked, and pin the primality
-check that guards every modular verdict.
+check each verdict a certificate shares between witnesses of one size
+against a fresh rank of the row's own witness, count one oracle call per
+witness size, check that a piece with no point is refused before any
+witness is ranked, and pin the primality check that guards every modular
+verdict.
 """
 
 import random
@@ -57,8 +58,7 @@ class TestPointFreeRank:
 
     def test_translation_leaves_verdict_unchanged(self):
         """A shift, and a swap of the two coordinates of every point, give
-        the verdict of the system itself: a certificate shares one verdict
-        between witnesses that differ by either."""
+        the verdict of the system itself."""
         rng = random.Random(7)
         kinds = Counter()
         for D, m in SYSTEMS:
@@ -147,11 +147,8 @@ def test_empty_piece_refused_before_any_rank(mode, monkeypatch):
         finite_certificate(dis, 13, oracle_mode=mode)
 
 
-@pytest.mark.parametrize("mode", sorted(FRESH))
-@pytest.mark.parametrize("n", [13, 26, 52, 104])
-def test_eckl10_ranks_seven_witness_shapes(mode, n, monkeypatch):
-    """P2 and P3 repeat P1's shape shifted, and P7's horizontal witness
-    has P6's vertical runs, so ten pieces take seven oracle calls."""
+def _count_oracle_calls(mode, monkeypatch):
+    """The list of sets that ``certify``'s oracle of ``mode`` is asked about."""
     name = FRESH[mode].__name__
     ranked = []
 
@@ -160,8 +157,40 @@ def test_eckl10_ranks_seven_witness_shapes(mode, n, monkeypatch):
         return FRESH[mode](D, spec)
 
     monkeypatch.setattr(certify, name, counted)
+    return ranked
+
+
+@pytest.mark.parametrize("mode", sorted(FRESH))
+@pytest.mark.parametrize("n", [13, 26, 52, 104])
+def test_eckl10_ranks_one_witness_per_size(mode, n, monkeypatch):
+    """A witness's verdict is a function of its size, and eckl10's ten
+    pieces have witnesses of two sizes: two oracle calls."""
+    ranked = _count_oracle_calls(mode, monkeypatch)
     cert = finite_certificate(BUILTIN, n, oracle_mode=mode)
-    assert len(cert.per_polygon) == 10 and len(ranked) == 7
+    assert len(cert.per_polygon) == 10 and len(ranked) == 2
+    assert len({row.m for row in cert.per_polygon}) == 2
+
+
+@pytest.mark.parametrize("mode", sorted(FRESH))
+def test_corpus_ranks_one_witness_per_size(mode, monkeypatch):
+    """On the random corpus, a certificate makes as many oracle calls as
+    its witnesses have distinct sizes."""
+    ranked = _count_oracle_calls(mode, monkeypatch)
+    certs = shared = 0
+    for seed in range(60):
+        dis = random_dissection(random.Random(seed), f"random-{seed}")
+        for n in (13, 26):
+            ranked.clear()
+            try:
+                cert = finite_certificate(dis, n, oracle_mode=mode)
+            except EmptyPolygonAtScale:
+                continue
+            sizes = [row.m for row in cert.per_polygon]
+            assert len(ranked) == len(set(sizes)), (dis.name, n)
+            assert [len(D) for D in ranked] == [m * (m + 1) // 2 for m in dict.fromkeys(sizes)]
+            certs += 1
+            shared += len(ranked) < len(sizes)
+    assert certs > 50 and shared > 20  # 71 certificates, 31 with a size twice
 
 
 class TestModulus:
