@@ -4,53 +4,60 @@ The package dissects the standard simplex into convex pieces by affine
 cuts, verifies per-piece projection and rearrangement criteria over exact
 rationals, and produces finite-scale certificates whose parallel-lines
 witnesses an interpolation-rank oracle can confirm independently.
+
+Importing the package imports none of its modules: each public name is
+imported from its home module on first access, so the asymptotic half
+never loads the lattice, the oracle or the renderer.
 """
 
-from .__about__ import __version__
-from .certify import (AsymptoticReport, CutStep, Dissection,
-                      EmptyPolygonAtScale, FiniteCertificate,
-                      InvalidDissection, PolygonWitness,
-                      builtin_dissection_eckl10, certified_bound,
-                      dissection_from_json, dissection_to_json,
-                      finite_certificate, validate_dissection,
-                      verify_asymptotic)
-from .geometry import (AffineForm, Axis, ConvexPolygon, DegenerateInput,
-                       Interval, Point, cut_polygon, height_profile,
-                       parse_rational, point, x_projection)
-from .lattice import (ColumnProfile, Direction, EmptySet, LatticeSet,
-                      MultiplicitySpec, WitnessSelection, WitnessTooLarge,
-                      column_profile, expected_dimension, max_parallel_witness,
-                      scaled_points, select_witness_subset, split_by_affine)
-from .oracle import (ArityMismatch, BadModulus, GenericPointSet, OracleVerdict,
-                     PrimeTooSmall, SizeGuardrail, interpolation_matrix,
-                     system_dimension_exact, system_dimension_modp)
-from .render import RenderSpec, render_svg
-from .reorder import (PiecewiseLinear, monotone_reorder, sublevel_measure,
-                      sup_admissible)
+from importlib import import_module
 
-__all__ = [
-    "__version__",
+# public name -> the module that defines it; __all__ is its keys, in order
+_HOME = {
+    "__version__": "__about__",
     # geometry
-    "AffineForm", "Axis", "ConvexPolygon", "DegenerateInput", "Interval",
-    "Point", "cut_polygon", "height_profile", "parse_rational", "point",
-    "x_projection",
+    "AffineForm": "geometry", "Axis": "geometry", "ConvexPolygon": "geometry",
+    "DegenerateInput": "geometry", "Interval": "geometry", "Point": "geometry",
+    "cut_polygon": "geometry", "height_profile": "geometry",
+    "parse_rational": "_input", "point": "geometry", "x_projection": "geometry",
     # reorder
-    "PiecewiseLinear", "monotone_reorder", "sublevel_measure", "sup_admissible",
+    "PiecewiseLinear": "reorder", "monotone_reorder": "reorder",
+    "sublevel_measure": "reorder", "sup_admissible": "reorder",
     # lattice
-    "ColumnProfile", "Direction", "EmptySet", "LatticeSet",
-    "MultiplicitySpec", "WitnessSelection", "WitnessTooLarge",
-    "column_profile", "expected_dimension", "max_parallel_witness",
-    "scaled_points", "select_witness_subset", "split_by_affine",
+    "ColumnProfile": "lattice", "Direction": "lattice", "EmptySet": "lattice",
+    "LatticeSet": "lattice", "MultiplicitySpec": "lattice",
+    "WitnessSelection": "lattice", "WitnessTooLarge": "lattice",
+    "column_profile": "lattice", "expected_dimension": "lattice",
+    "max_parallel_witness": "lattice", "scaled_points": "lattice",
+    "select_witness_subset": "lattice", "split_by_affine": "lattice",
     # oracle
-    "ArityMismatch", "BadModulus", "GenericPointSet", "OracleVerdict",
-    "PrimeTooSmall", "SizeGuardrail", "interpolation_matrix",
-    "system_dimension_exact", "system_dimension_modp",
-    # certify
-    "AsymptoticReport", "CutStep", "Dissection", "EmptyPolygonAtScale",
-    "FiniteCertificate", "InvalidDissection", "PolygonWitness",
-    "builtin_dissection_eckl10", "certified_bound", "dissection_from_json",
-    "dissection_to_json", "finite_certificate", "validate_dissection",
-    "verify_asymptotic",
+    "ArityMismatch": "oracle", "BadModulus": "oracle", "GenericPointSet": "oracle",
+    "OracleVerdict": "oracle", "PrimeTooSmall": "oracle", "SizeGuardrail": "_input",
+    "interpolation_matrix": "oracle", "system_dimension_exact": "oracle",
+    "system_dimension_modp": "oracle",
+    # dissection and certify
+    "AsymptoticReport": "dissection", "CutStep": "dissection",
+    "Dissection": "dissection", "EmptyPolygonAtScale": "certify",
+    "FiniteCertificate": "certify", "InvalidDissection": "dissection",
+    "PolygonWitness": "certify", "builtin_dissection_eckl10": "dissection",
+    "certified_bound": "dissection", "dissection_from_json": "dissection",
+    "dissection_to_json": "dissection", "finite_certificate": "certify",
+    "validate_dissection": "dissection", "verify_asymptotic": "dissection",
     # render
-    "RenderSpec", "render_svg",
-]
+    "RenderSpec": "render", "render_svg": "render",
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module("." + home, __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

@@ -6,7 +6,9 @@ is never an integer.  Every refusal names the value.  The cell cap, which
 bounds every size a request may claim, lives here too, with its one guard
 ``check_cells``, so that every module can refuse an oversized request
 without importing another; so does ``_over_common``, which clears
-rationals to ints over one denominator.
+rationals to ints over one denominator, and so does ``_ORACLE_MODES``,
+the oracle modes a certificate may name, which the command line offers
+without importing the certificate code.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ _RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([1-9][0-9]*))?$")
 _KINDS = {int: "an integer", bool: "a boolean", str: "a string", list: "a list",
           dict: "an object"}
 CELL_CAP = 4_000_000
+_ORACLE_MODES = ("none", "modular", "exact")
 
 # a refused value is shown abridged, and nested at most two levels deep
 _REPR = Repr()

@@ -14,12 +14,10 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import certify as cert
-from ._input import field, parse_rational
-from .lattice import LatticeSet, MultiplicitySpec
-from .oracle import (GenericPointSet, SizeGuardrail, MODULAR_DEFAULT_PRIME,
-                     system_dimension_exact, system_dimension_modp)
-from .render import RenderSpec, render_svg
+# the asymptotic commands need only this; certify, oracle and render
+# import the rest of the package when they run
+from . import dissection
+from ._input import _ORACLE_MODES, SizeGuardrail, field, parse_rational
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -27,7 +25,7 @@ EXIT_INVALID = 2
 EXIT_GUARDRAIL = 3
 EXIT_INTERNAL = 4
 
-_BUILTINS = {"eckl10": cert.builtin_dissection_eckl10}
+_BUILTINS = {"eckl10": dissection.builtin_dissection_eckl10}
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -37,7 +35,7 @@ def _rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _load_dissection(ref: str) -> cert.Dissection:
+def _load_dissection(ref: str) -> dissection.Dissection:
     if ref.startswith("builtin:"):
         name = ref.split(":", 1)[1]
         if name not in _BUILTINS:
@@ -45,7 +43,7 @@ def _load_dissection(ref: str) -> cert.Dissection:
         return _BUILTINS[name]()
     try:
         with open(ref, "r", encoding="utf-8") as fh:
-            return cert.dissection_from_json(json.load(fh))
+            return dissection.dissection_from_json(json.load(fh))
     except OSError as exc:
         raise ValueError(f"cannot read dissection file: {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -90,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="generate a finite certificate at scale n")
     p.add_argument("--dissection", required=True)
     p.add_argument("--n", required=True, type=int)
-    p.add_argument("--oracle", choices=cert._ORACLE_MODES, default="modular")
+    p.add_argument("--oracle", choices=_ORACLE_MODES, default="modular")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
 
@@ -98,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True)
     p.add_argument("--mode", choices=["exact", "modular"], default="exact")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--prime", type=int, default=MODULAR_DEFAULT_PRIME)
+    p.add_argument("--prime", type=int)
     p.add_argument("--out")
 
     p = sub.add_parser("render", help="render a dissection to SVG")
@@ -112,43 +110,47 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_builtin(args) -> int:
     dis = _load_dissection("builtin:" + args.name)
-    _emit(cert.dump_json(cert.dissection_to_json(dis)), args.out)
+    _emit(dissection.dump_json(dissection.dissection_to_json(dis)), args.out)
     return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
     dis = _load_dissection(args.dissection)
-    report = cert.validate_dissection(dis)
-    _emit(cert.dump_json(report.to_json()), args.out)
+    report = dissection.validate_dissection(dis)
+    _emit(dissection.dump_json(report.to_json()), args.out)
     return EXIT_OK if report.ok else EXIT_REFUTED
 
 
 def _cmd_verify(args) -> int:
     dis = _load_dissection(args.dissection)
-    report = cert.verify_asymptotic(dis, args.m)
-    _emit(cert.dump_json(report.to_json()), args.out)
+    report = dissection.verify_asymptotic(dis, args.m)
+    _emit(dissection.dump_json(report.to_json()), args.out)
     return EXIT_OK if report.overall else EXIT_REFUTED
 
 
 def _cmd_bound(args) -> int:
     dis = _load_dissection(args.dissection)
-    _emit(str(cert.certified_bound(dis)) + "\n", args.out)
+    _emit(str(dissection.certified_bound(dis)) + "\n", args.out)
     return EXIT_OK
 
 
 def _cmd_certify(args) -> int:
+    from . import certify
     dis = _load_dissection(args.dissection)
     try:
-        c = cert.finite_certificate(dis, args.n, oracle_mode=args.oracle,
-                                    seed=args.seed)
-    except cert.EmptyPolygonAtScale as exc:
+        c = certify.finite_certificate(dis, args.n, oracle_mode=args.oracle,
+                                       seed=args.seed)
+    except certify.EmptyPolygonAtScale as exc:
         print(f"refuted: {exc}", file=sys.stderr)
         return EXIT_REFUTED
-    _emit(cert.dump_json(c.to_json()), args.out)
+    _emit(dissection.dump_json(c.to_json()), args.out)
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
+    from .lattice import LatticeSet, MultiplicitySpec
+    from .oracle import (GenericPointSet, MODULAR_DEFAULT_PRIME,
+                         system_dimension_exact, system_dimension_modp)
     try:
         with open(args.system, "r", encoding="utf-8") as fh:
             data = field("system file", json.load(fh), dict)
@@ -162,20 +164,22 @@ def _cmd_oracle(args) -> int:
     if points is not None and args.mode == "modular":
         raise ValueError("system file field 'points' is honoured only by "
                          "--mode exact; --mode modular ranks at random points")
+    prime = MODULAR_DEFAULT_PRIME if args.prime is None else args.prime
     verdict = (system_dimension_exact(D, spec, points=points, seed=seed)
                if args.mode == "exact"
-               else system_dimension_modp(D, spec, seed=seed, prime=args.prime))
-    _emit(cert.dump_json(verdict.to_json()), args.out)
+               else system_dimension_modp(D, spec, seed=seed, prime=prime))
+    _emit(dissection.dump_json(verdict.to_json()), args.out)
     return EXIT_OK if verdict.non_special else EXIT_REFUTED
 
 
 def _cmd_render(args) -> int:
+    from .render import RenderSpec, render_svg
     dis = _load_dissection(args.dissection)
     spec = RenderSpec(size=args.size, labels=not args.no_labels)
     names = None
-    if dis == cert.builtin_dissection_eckl10():
+    if dis == dissection.builtin_dissection_eckl10():
         # the table names eckl10's vertices: label by equality, not by name
-        names = cert.BUILTIN_POINT_TABLE
+        names = dissection.BUILTIN_POINT_TABLE
     svg = render_svg(dis, spec, point_names=names)
     _emit(svg, args.out)
     return EXIT_OK

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .certify import SIMPLEX, Dissection, _require_valid
+from .dissection import SIMPLEX, Dissection, _require_valid
 from .geometry import Point, cut_polygon
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from seshadri.certify import SIMPLEX, Dissection, _peel
+from seshadri.dissection import SIMPLEX, Dissection, _peel
 from seshadri.geometry import AffineForm, DegenerateInput, cut_polygon
 from seshadri.reorder import PiecewiseLinear
 

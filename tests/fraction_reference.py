@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb, perm
 from typing import Dict, Optional, Tuple
 
-from seshadri.certify import AsymptoticReport
+from seshadri.dissection import AsymptoticReport
 from seshadri.geometry import Axis, ConvexPolygon, DegenerateInput, Interval, Point
 from seshadri._input import parsed, rational
 from seshadri.lattice import LatticeSet, WitnessSelection

@@ -11,9 +11,9 @@ from fractions import Fraction as F
 from itertools import combinations
 from math import comb
 
-from seshadri.certify import (builtin_dissection_eckl10, certified_bound,
-                              finite_certificate, validate_dissection,
-                              verify_asymptotic)
+from seshadri.certify import finite_certificate
+from seshadri.dissection import (builtin_dissection_eckl10, certified_bound,
+                                 validate_dissection, verify_asymptotic)
 from seshadri.geometry import Axis, Interval, height_profile, x_projection
 from seshadri.lattice import LatticeSet, expected_dimension
 from seshadri.oracle import system_dimension_exact

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from seshadri.certify import dump_json
+from seshadri.dissection import dump_json
 
 
 def _dump_json_reference(data) -> str:

@@ -61,11 +61,11 @@ import pytest
 
 from seshadri import __version__
 from seshadri._kernels import modrank
-from seshadri.certify import (BUILTIN_POINT_TABLE, CutStep, Dissection,
-                              EmptyPolygonAtScale, FiniteCertificate,
-                              builtin_dissection_eckl10, certified_bound,
-                              dissection_from_json, dissection_to_json, dump_json,
-                              finite_certificate, validate_dissection, verify_asymptotic)
+from seshadri.certify import EmptyPolygonAtScale, FiniteCertificate, finite_certificate
+from seshadri.dissection import (BUILTIN_POINT_TABLE, CutStep, Dissection,
+                                 builtin_dissection_eckl10, certified_bound,
+                                 dissection_from_json, dissection_to_json, dump_json,
+                                 validate_dissection, verify_asymptotic)
 from seshadri.cli import run
 from seshadri.geometry import AffineForm
 from seshadri.lattice import (Direction, LatticeSet, WitnessSelection, _transpose,

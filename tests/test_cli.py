@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from seshadri import certify as cert
+from seshadri import certify, dissection
 from seshadri import oracle
 from seshadri.cli import run
 from seshadri.geometry import AffineForm, ConvexPolygon, cut_polygon
@@ -272,8 +272,8 @@ def test_render_no_labels(tmp_path):
 def _simplex_cut_by(name, r0):
     """The simplex peeled once, by the cut r0 + x + y."""
     cut = AffineForm(r0, 1, 1)
-    peeled, final = cut_polygon(cert.SIMPLEX, cut)
-    return cert.Dissection(name, (cert.CutStep(cut, peeled),), final)
+    peeled, final = cut_polygon(dissection.SIMPLEX, cut)
+    return dissection.Dissection(name, (dissection.CutStep(cut, peeled),), final)
 
 
 @pytest.mark.parametrize("region, r0", [
@@ -289,9 +289,10 @@ def test_region_other_than_the_simplex_refused(region, r0, tmp_path, capsys):
     cut = AffineForm(r0, 1, 1)
     peeled, final = cut_polygon(ConvexPolygon.from_json(region), cut)
     path = tmp_path / "region.json"
-    path.write_text(cert.dump_json({"name": "region", "region": region, "final": final.to_json(),
-                                    "steps": [{"cut": cut.to_json(),
-                                               "polygon": peeled.to_json()}]}))
+    path.write_text(dissection.dump_json({"name": "region", "region": region,
+                                          "final": final.to_json(),
+                                          "steps": [{"cut": cut.to_json(),
+                                                     "polygon": peeled.to_json()}]}))
     out = tmp_path / "d.svg"
     for argv in (["validate"], ["bound"], ["verify", "--m", "1/8"],
                  ["certify", "--n", "8", "--oracle", "exact"], ["render", "--out", str(out)]):
@@ -307,7 +308,7 @@ def test_render_labels_only_the_builtin(tmp_path):
     assert run(["builtin", "--name", "eckl10", "--out", str(builtin)]) == 0
     # a valid dissection of the simplex, not eckl10, that only borrows the name
     impostor = tmp_path / "impostor.json"
-    impostor.write_text(cert.dump_json(cert.dissection_to_json(
+    impostor.write_text(dissection.dump_json(dissection.dissection_to_json(
         _simplex_cut_by("eckl10", Fraction(-1, 2)))))
     for path, labels in ((builtin, 19), (impostor, 0)):
         out = tmp_path / "d.svg"
@@ -517,7 +518,7 @@ def test_cell_cap_must_be_positive(tmp_path, monkeypatch, capsys):
 
 def _edited_builtin(tmp_path, edit):
     """Path of eckl10's dissection file after ``edit(data)``."""
-    data = cert.dissection_to_json(cert.builtin_dissection_eckl10())
+    data = dissection.dissection_to_json(dissection.builtin_dissection_eckl10())
     edit(data)
     path = tmp_path / "d.json"
     path.write_text(json.dumps(data))
@@ -586,7 +587,8 @@ def _first_step(step):
         "cut without r0", "no final", "no name"])
 def test_validate_names_the_malformed_structure(edit, shown, tmp_path, capsys):
     path = tmp_path / "d.json"
-    path.write_text(json.dumps(edit(cert.dissection_to_json(cert.builtin_dissection_eckl10()))))
+    builtin = dissection.builtin_dissection_eckl10()
+    path.write_text(json.dumps(edit(dissection.dissection_to_json(builtin))))
     assert run(["validate", "--dissection", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and shown in captured.err
@@ -624,6 +626,25 @@ def test_oracle_modular_records_the_field_that_decided(tmp_path, capsys):
         assert f'"prime": {prime},' in out
         verdict = json.loads(out)
         assert verdict["non_special"] is True and verdict["rank"] == 3
+
+
+def test_oracle_default_prime_is_stated_once(tmp_path, capsys):
+    # --prime left out means the oracle's default prime, resolved when the
+    # oracle runs: the same bytes as stating it, on a one-point system
+    # ranked mod the prime and on two points placed at random points
+    default = "2305843009213693951"
+    assert int(default) == oracle.MODULAR_DEFAULT_PRIME
+    path = tmp_path / "sys.json"
+    for system in ({"D": [[0, 0], [2, 4], [4, 2]], "multiplicities": [2]},
+                   {"D": [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1]],
+                    "multiplicities": [1, 2], "seed": 5}):
+        path.write_text(json.dumps(system))
+        argv = ["oracle", "--system", str(path), "--mode", "modular"]
+        outs = []
+        for extra in ([], ["--prime", default]):
+            assert run(argv + extra) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and f'"prime": {default},' in outs[0]
 
 
 def test_oracle_small_prime_guards_only_random_points(tmp_path, capsys):
@@ -673,16 +694,16 @@ _SYSTEMS = {
 
 def _in_process(argv):
     """The value each byte-identity command prints, computed in process."""
-    dis = cert.builtin_dissection_eckl10()
+    dis = dissection.builtin_dissection_eckl10()
     command = argv[0]
     if command == "builtin":
-        return cert.dissection_to_json(dis)
+        return dissection.dissection_to_json(dis)
     if command == "validate":
-        return cert.validate_dissection(dis).to_json()
+        return dissection.validate_dissection(dis).to_json()
     if command == "verify":
-        return cert.verify_asymptotic(dis, Fraction(argv[-1])).to_json()
+        return dissection.verify_asymptotic(dis, Fraction(argv[-1])).to_json()
     if command == "certify":
-        return cert.finite_certificate(dis, int(argv[4]), argv[6], seed=3).to_json()
+        return certify.finite_certificate(dis, int(argv[4]), argv[6], seed=3).to_json()
     system = _SYSTEMS[argv[2]]
     D, spec = LatticeSet.from_json(system["D"]), MultiplicitySpec(tuple(system["multiplicities"]))
     if argv[4] == "exact":

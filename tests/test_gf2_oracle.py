@@ -23,8 +23,8 @@ import pytest
 
 import seshadri.oracle as oracle
 from seshadri._kernels import pyref
-from seshadri.certify import (EmptyPolygonAtScale, builtin_dissection_eckl10,
-                              finite_certificate)
+from seshadri.certify import EmptyPolygonAtScale, finite_certificate
+from seshadri.dissection import builtin_dissection_eckl10
 from seshadri.lattice import LatticeSet
 from seshadri.oracle import (MODULAR_DEFAULT_PRIME, _condition_rows, _gf2_rank,
                              _is_staircase, _lucas_rows, _staircase_verdict,

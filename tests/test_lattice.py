@@ -8,7 +8,7 @@ from math import ceil, comb, floor, gcd
 
 import pytest
 
-from seshadri.certify import builtin_dissection_eckl10
+from seshadri.dissection import builtin_dissection_eckl10
 from seshadri import SizeGuardrail
 from seshadri.geometry import AffineForm, DegenerateInput
 from seshadri.lattice import (ColumnProfile, Direction, EmptySet, LatticeSet,

@@ -17,8 +17,8 @@ from fractions import Fraction as F
 import pytest
 
 from seshadri import certify
-from seshadri.certify import (EmptyPolygonAtScale, builtin_dissection_eckl10,
-                              finite_certificate)
+from seshadri.certify import EmptyPolygonAtScale, finite_certificate
+from seshadri.dissection import builtin_dissection_eckl10
 from seshadri.lattice import LatticeSet
 from seshadri.oracle import (MODULUS_LIMIT, BadModulus, GenericPointSet,
                              fraction_free_rank, interpolation_matrix, is_prime,

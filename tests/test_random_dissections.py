@@ -18,10 +18,10 @@ import random
 
 import pytest
 
-from seshadri.certify import (EmptyPolygonAtScale, FiniteCertificate,
-                              builtin_dissection_eckl10, certified_bound,
-                              dissection_from_json, dissection_to_json, dump_json,
-                              finite_certificate, validate_dissection)
+from seshadri.certify import EmptyPolygonAtScale, FiniteCertificate, finite_certificate
+from seshadri.dissection import (builtin_dissection_eckl10, certified_bound,
+                                 dissection_from_json, dissection_to_json, dump_json,
+                                 validate_dissection)
 from seshadri.lattice import LatticeSet
 from seshadri.oracle import _condition_rows, _distinct_pairs, _gf2_rank, _lucas_rows, _rank
 
