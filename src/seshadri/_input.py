@@ -6,9 +6,11 @@ is never an integer.  Every refusal names the value.  The cell cap, which
 bounds every size a request may claim, lives here too, with its one guard
 ``check_cells``, so that every module can refuse an oversized request
 without importing another; so does ``_over_common``, which clears
-rationals to ints over one denominator, and so does ``_ORACLE_MODES``,
+rationals to ints over one denominator, so does ``_ORACLE_MODES``,
 the oracle modes a certificate may name, which the command line offers
-without importing the certificate code.
+without importing the certificate code, and so do ``lazy`` and
+``_read_only``, which the asymptotic records share (see
+:mod:`seshadri.geometry`).
 """
 
 from __future__ import annotations
@@ -85,6 +87,30 @@ def _over_common(xs) -> Tuple[list, int]:
     common denominator."""
     den = lcm(*[x.denominator for x in xs])
     return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+class lazy:
+    """A record's derived value: computed from the record on first read and
+    kept in its ``__dict__``, where later reads find it before this
+    descriptor.  Unlike ``functools.cached_property`` before Python 3.12,
+    it takes no lock."""
+
+    def __init__(self, compute) -> None:
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
+def _read_only(self, name: str, value=None):
+    """``__setattr__`` and ``__delattr__`` of a record that keeps derived
+    values in a ``__dict__``: neither its fields nor those values change."""
+    raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
 
 
 class _Object(dict):

@@ -8,18 +8,21 @@ validation, the per-piece analysis and the bound, the builtin ten-piece
 dissection, the dissection file format and the canonical JSON writer of
 all machine output.  It imports no lattice or oracle code: the finite
 certificates are :mod:`seshadri.certify`'s.
+
+Its records are ``typing.NamedTuple``s, as in :mod:`seshadri.geometry`;
+``Dissection`` is a subclass of one whose ``__dict__`` keeps the
+analysis of its first successful validation.  A record is a tuple, so
+:func:`dump_json` refuses one by its class rather than write it as a list.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from ._input import field, parsed, rational
+from ._input import _read_only, field, lazy, parsed, rational
 from .geometry import (AffineForm, Axis, ConvexPolygon, Point, cut_polygon,
                        height_profile, point)
 from .reorder import PiecewiseLinear, _first_crossing, monotone_reorder
@@ -34,8 +37,7 @@ class InvalidDissection(ValueError):
     """Dissection fails its structural validation."""
 
 
-@dataclass(frozen=True)
-class CutStep:
+class CutStep(NamedTuple):
     """One peeling step: the cut and the piece on its negative side.
 
     The cut must be negative on the peeled piece's interior and
@@ -47,20 +49,17 @@ class CutStep:
     peeled: ConvexPolygon
 
 
-@dataclass(frozen=True)
-class Dissection:
+class Dissection(NamedTuple("Dissection", [("name", str), ("steps", Tuple[CutStep, ...]),
+                                           ("final", ConvexPolygon)])):
     """Ordered peeling of :data:`SIMPLEX` into r pieces by r - 1 affine cuts.
 
     ``_analysis`` is set by the first successful validation of this
-    object; it takes no part in equality, and ``dataclasses.replace``
-    leaves the new object unvalidated.
+    object; it lives in the ``__dict__``, so it takes no part in equality,
+    hash or repr, and ``_replace`` leaves the new object unvalidated.
     """
 
-    name: str
-    steps: Tuple[CutStep, ...]
-    final: ConvexPolygon
-    _analysis: Optional["_Analysis"] = dataclass_field(default=None, init=False,
-                                                       compare=False, repr=False)
+    _analysis: Optional["_Analysis"] = None
+    __setattr__ = __delattr__ = _read_only
 
     @property
     def r(self) -> int:
@@ -88,8 +87,7 @@ def _peel(cuts: Iterable[AffineForm]) -> Iterator[Tuple[CutStep, ConvexPolygon]]
         yield CutStep(cut, peeled), remainder
 
 
-@dataclass(frozen=True)
-class DissectionValidation:
+class DissectionValidation(NamedTuple):
     ok: bool
     violations: Tuple[str, ...]
 
@@ -120,12 +118,11 @@ def validate_dissection(dis: Dissection) -> DissectionValidation:
         if dis.final != final:
             v.append(f"P{dis.r} is not the remainder the cuts leave")
     if not v and dis._analysis is None:
-        object.__setattr__(dis, "_analysis", _Analysis(dis.polygons()))
+        dis.__dict__["_analysis"] = _Analysis(dis.polygons())
     return DissectionValidation(not v, tuple(v))
 
 
-@dataclass(frozen=True)
-class _AxisData:
+class _AxisData(NamedTuple):
     """What the checks read of one piece along one axis; none of it
     depends on the ratio m or the scale n.  ``score``, the supremum of the
     ratios this axis certifies, is the first crossing of the rearranged
@@ -151,13 +148,13 @@ class _Analysis:
     def __init__(self, polygons: Sequence[ConvexPolygon]) -> None:
         self.polygons = tuple(polygons)
 
-    @cached_property
+    @lazy
     def pieces(self) -> Tuple[Tuple[_AxisData, _AxisData], ...]:
         """One (x-axis, y-axis) pair per piece, in dissection order."""
         return tuple([(_axis_data(p, Axis.X), _axis_data(p, Axis.Y))
                       for p in self.polygons])
 
-    @cached_property
+    @lazy
     def bound(self) -> Fraction:
         """See :func:`certified_bound`."""
         return min(max(x.score, y.score) for x, y in self.pieces)
@@ -213,8 +210,7 @@ def builtin_dissection_eckl10() -> Dissection:
 
 # --- asymptotic verification -----------------------------------------------
 
-@dataclass(frozen=True)
-class PolygonCheck:
+class PolygonCheck(NamedTuple):
     """Per-piece outcome of the projection-width and domination checks."""
 
     polygon: int          # 1-based index in dissection order
@@ -234,8 +230,7 @@ class PolygonCheck:
                 "reordered": self.reordered.to_json()}
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(NamedTuple):
     m: Fraction
     per_polygon: Tuple[PolygonCheck, ...]
     overall: bool

@@ -6,20 +6,26 @@ denominator and its int vertex pairs, stored closed and canonical
 (counterclockwise, starting at the lowest-then-leftmost vertex, in lowest
 terms), so structural equality is function equality; cuts and profiles
 compute in ints and build ``Fraction``s only for what they return.
+
+Every record here is a ``typing.NamedTuple``, as ``Point`` is: cheap to
+define at import, to build and to compare.  A record that checks or
+normalises its input is a subclass of one with its own ``__new__``; one
+with derived values, such as ``ConvexPolygon.vertices``, keeps them in a
+``__dict__`` (:class:`seshadri._input.lazy`) that takes no part in
+equality, and refuses assignment.  ``_replace`` skips the checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
 from typing import NamedTuple, Sequence, Tuple
 
 # parse_rational is re-exported
-from ._input import _over_common, field, items, parse_rational, rational, rational_pair
+from ._input import (_over_common, _read_only, field, items, lazy, parse_rational,
+                     rational, rational_pair)
 from .reorder import PiecewiseLinear, _from_ints
 
 
@@ -41,20 +47,17 @@ class Axis(Enum):
     Y = "y"
 
 
-@dataclass(frozen=True)
-class AffineForm:
+class AffineForm(NamedTuple("AffineForm", [("r0", Fraction), ("r1", Fraction),
+                                             ("r2", Fraction)])):
     """Affine map (x, y) -> r0 + r1*x + r2*y with (r1, r2) != (0, 0)."""
 
-    r0: Fraction
-    r1: Fraction
-    r2: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "r0", rational(self.r0))
-        object.__setattr__(self, "r1", rational(self.r1))
-        object.__setattr__(self, "r2", rational(self.r2))
+    def __new__(cls, r0, r1, r2):
+        self = tuple.__new__(cls, (rational(r0), rational(r1), rational(r2)))
         if self.r1 == 0 and self.r2 == 0:
             raise DegenerateInput("affine form must have a nonzero linear part")
+        return self
 
     def __call__(self, p: Point) -> Fraction:
         return self.r0 + self.r1 * p.x + self.r2 * p.y
@@ -72,16 +75,14 @@ class AffineForm:
         return cls(data["r0"], data["r1"], data["r2"])
 
 
-@dataclass(frozen=True)
-class Interval:
-    lo: Fraction
-    hi: Fraction
+class Interval(NamedTuple("Interval", [("lo", Fraction), ("hi", Fraction)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", rational(self.lo))
-        object.__setattr__(self, "hi", rational(self.hi))
+    def __new__(cls, lo, hi):
+        self = tuple.__new__(cls, (rational(lo), rational(hi)))
         if self.lo > self.hi:
             raise ValueError("interval endpoints out of order")
+        return self
 
 
 def _cross(o, a, b):
@@ -89,8 +90,8 @@ def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-@dataclass(frozen=True)
-class ConvexPolygon:
+class ConvexPolygon(NamedTuple("ConvexPolygon", [("den", int),
+                                                   ("pairs", Tuple[Tuple[int, int], ...])])):
     """Strictly convex closed polygon: vertices (x / den, y / den) for the
     int ``pairs``, counterclockwise from the lowest, then leftmost one, and
     ``den`` > 0 in lowest terms against them, so equal polygons have equal
@@ -100,14 +101,14 @@ class ConvexPolygon:
     built on first use, for output only.
     """
 
-    den: int
-    pairs: Tuple[Tuple[int, int], ...]
-
-    def __post_init__(self):
-        if len(self.pairs) < 3:
+    def __new__(cls, den: int, pairs: Tuple[Tuple[int, int], ...]):
+        if len(pairs) < 3:
             raise DegenerateInput("polygon needs at least three vertices")
+        return tuple.__new__(cls, (den, pairs))
 
-    @cached_property
+    __setattr__ = __delattr__ = _read_only
+
+    @lazy
     def vertices(self) -> Tuple[Point, ...]:
         return tuple([Point(Fraction(x, self.den), Fraction(y, self.den))
                       for x, y in self.pairs])

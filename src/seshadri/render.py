@@ -8,22 +8,20 @@ places; labels keep the exact rational strings in a data attribute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from .dissection import SIMPLEX, Dissection, _require_valid
 from .geometry import Point, cut_polygon
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    size: int = 600
-    labels: bool = True
+class RenderSpec(NamedTuple("RenderSpec", [("size", int), ("labels", bool)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.size < 100:
+    def __new__(cls, size: int = 600, labels: bool = True):
+        if size < 100:
             raise ValueError("canvas must be at least 100 px")
+        return tuple.__new__(cls, (size, labels))
 
 
 def _decimal6(x: Fraction) -> str:

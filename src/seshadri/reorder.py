@@ -7,23 +7,26 @@ Rearrangements, sublevel measures and the first crossing under the
 identity therefore involve no tolerances at all: every comparison is an
 exact int comparison, crossings are isolated as exact roots of linear
 pieces, and a ``Fraction`` is built only for what a caller reads.
+
+A function is a ``typing.NamedTuple`` of those four fields in the record
+idiom :mod:`seshadri.geometry` states: a subclass whose ``__new__``
+checks its input, whose derived values are lazy, and which refuses
+assignment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
-from typing import Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
-from ._input import _over_common, rational, rational_pair
+from ._input import _over_common, _read_only, lazy, rational, rational_pair
 
 RationalLike = Union[Fraction, int, str]
 
 
-@dataclass(frozen=True, init=False)
-class PiecewiseLinear:
+class PiecewiseLinear(NamedTuple("PiecewiseLinear", [("tden", int), ("ts", Tuple[int, ...]),
+                                                       ("vden", int), ("vs", Tuple[int, ...])])):
     """Continuous piecewise-linear function given by breakpoint ordinates.
 
     ``PiecewiseLinear(breakpoints, values)`` takes strictly increasing
@@ -35,12 +38,7 @@ class PiecewiseLinear:
     ``values`` and ``width`` are built from them on first use.
     """
 
-    tden: int
-    ts: Tuple[int, ...]
-    vden: int
-    vs: Tuple[int, ...]
-
-    def __init__(self, breakpoints, values):
+    def __new__(cls, breakpoints, values):
         # tuples and star-arguments here are built from lists, not
         # generators: a tuple built from an iterator of unknown length is
         # resized, and CPython's tuple free lists then keep the freed copies
@@ -56,21 +54,27 @@ class PiecewiseLinear:
         vs, vden = _over_common(vals)
         # over the lcm of their lowest-terms denominators, rationals are in
         # lowest terms already
-        _fill(self, tden, tuple(ts), vden, tuple(vs))
+        return tuple.__new__(cls, (tden, tuple(ts), vden, tuple(vs)))
 
-    @cached_property
+    __setattr__ = __delattr__ = _read_only
+
+    def __reduce__(self):
+        # copy and pickle rebuild from the fields, which __new__ does not take
+        return _from_ints, tuple(self)
+
+    @lazy
     def breakpoints(self) -> Tuple[Fraction, ...]:
         return tuple([Fraction(t, self.tden) for t in self.ts])
 
-    @cached_property
+    @lazy
     def values(self) -> Tuple[Fraction, ...]:
         return tuple([Fraction(v, self.vden) for v in self.vs])
 
-    @cached_property
+    @lazy
     def width(self) -> Fraction:
         return Fraction(self.ts[-1] - self.ts[0], self.tden)
 
-    @cached_property
+    @lazy
     def _strings(self) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
         return (tuple([_text(t, self.tden) for t in self.ts]),
                 tuple([_text(v, self.vden) for v in self.vs]))
@@ -80,14 +84,6 @@ class PiecewiseLinear:
         # lists are fresh for each caller
         bps, vals = self._strings
         return {"breakpoints": list(bps), "values": list(vals)}
-
-
-def _fill(f: PiecewiseLinear, tden: int, ts: tuple, vden: int, vs: tuple) -> None:
-    put = object.__setattr__
-    put(f, "tden", tden)
-    put(f, "ts", ts)
-    put(f, "vden", vden)
-    put(f, "vs", vs)
 
 
 def _lowest(den: int, xs: list) -> Tuple[int, tuple]:
@@ -102,9 +98,7 @@ def _from_ints(tden: int, ts: list, vden: int, vs: list) -> PiecewiseLinear:
     """The function with breakpoints ts / tden and values vs / vden, brought
     to lowest terms without the constructor's checks: the caller supplies
     positive denominators and as many strictly increasing ``ts`` as ``vs``."""
-    f = object.__new__(PiecewiseLinear)
-    _fill(f, *_lowest(tden, ts), *_lowest(vden, vs))
-    return f
+    return tuple.__new__(PiecewiseLinear, _lowest(tden, ts) + _lowest(vden, vs))
 
 
 def _text(x: int, den: int) -> str:

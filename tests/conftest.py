@@ -5,9 +5,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from seshadri.dissection import SIMPLEX, Dissection, _peel
-from seshadri.geometry import AffineForm, DegenerateInput, cut_polygon
+from seshadri.dissection import (SIMPLEX, Dissection, _peel, _require_valid,
+                                 builtin_dissection_eckl10, validate_dissection,
+                                 verify_asymptotic)
+from seshadri.geometry import (AffineForm, Axis, DegenerateInput, cut_polygon,
+                               height_profile, x_projection)
 from seshadri.reorder import PiecewiseLinear
+from seshadri.render import RenderSpec
 
 from fraction_reference import polygon
 
@@ -87,3 +91,22 @@ def random_dissection(rng: random.Random, name: str = "random") -> Dissection:
             remainder = rest
     steps = tuple(step for step, _ in _peel(cuts))
     return Dissection(name, steps, remainder)
+
+
+# the records of the asymptotic half and the derived values each keeps
+DERIVED = {"ConvexPolygon": ("vertices",),
+           "PiecewiseLinear": ("breakpoints", "values", "width", "_strings"),
+           "Dissection": ("_analysis",)}
+
+
+def asymptotic_records() -> dict:
+    """One new instance of each record of the asymptotic half, and of
+    ``RenderSpec``, by class name, taken from a new eckl10; the
+    dissection is validated, and no derived value of the others is read."""
+    dis = builtin_dissection_eckl10()
+    report = verify_asymptotic(dis, Fraction(3, 13))
+    records = [dis.steps[0].cut, x_projection(dis.final), dis.steps[2].peeled,
+               height_profile(dis.steps[4].peeled, Axis.Y), dis.steps[1], dis,
+               validate_dissection(dis), _require_valid(dis).pieces[0][1],
+               report.per_polygon[3], report, RenderSpec(300, False)]
+    return {type(r).__name__: r for r in records}

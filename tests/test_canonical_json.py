@@ -14,6 +14,8 @@ import pytest
 
 from seshadri.dissection import dump_json
 
+from conftest import asymptotic_records
+
 
 def _dump_json_reference(data) -> str:
     """The former ``dump_json``: Python's indenting encoder."""
@@ -120,3 +122,20 @@ def test_bools_print_as_json_bools(doc):
 def test_values_outside_json_are_refused(doc, name):
     with pytest.raises(TypeError, match=name):
         dump_json(doc)
+
+
+@pytest.mark.parametrize("name", sorted(asymptotic_records()))
+def test_a_record_nested_anywhere_is_refused_by_its_class(name):
+    """A record is a NamedTuple, so a tuple; ``json.dumps`` writes one of
+    JSON values as a list, and ``dump_json`` must refuse it instead."""
+    record = asymptotic_records()[name]
+    for doc in (record, {"row": record}, [1, record], [[1, 2], record],
+                {"rows": [[0], [{"deep": [record]}]]}):
+        with pytest.raises(TypeError, match=f"type {name} is not"):
+            dump_json(doc)
+
+
+def test_the_reference_would_write_a_record_as_a_list():
+    records = asymptotic_records()
+    for name, written in (("RenderSpec", [300, False]), ("DissectionValidation", [True, []])):
+        assert json.loads(_dump_json_reference({"r": records[name]})) == {"r": written}

@@ -3,8 +3,11 @@
 ``import seshadri`` imports none of the package's modules: a public name
 is imported from its home module on first access.  The asymptotic
 commands (``bound``, ``verify``, ``validate``, ``builtin``) never load the
-finite half, and ``render`` loads no lattice or oracle.  Each check runs
-in a fresh interpreter, where no other test has imported anything yet.
+finite half, and ``render`` loads no lattice or oracle.  None of them,
+nor the benchmark's set-up, loads ``dataclasses`` or ``inspect``, which
+cost several milliseconds of every cold start: the asymptotic half's
+records are ``NamedTuple``s.  Each check runs in a fresh interpreter,
+where no other test has imported anything yet.
 """
 
 import importlib
@@ -31,6 +34,27 @@ from seshadri.cli import run
 with contextlib.redirect_stdout(io.StringIO()):
     code = run(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("seshadri"))]))
+"""
+
+
+# Runs ``seshadri.cli`` on the arguments that follow, requiring exit 0
+_RUN = """
+import contextlib, io, sys
+from seshadri.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    assert run(sys.argv[1:]) == 0
+"""
+
+# What the benchmark's set-up child does
+_SETUP = """
+import seshadri
+assert seshadri.validate_dissection(seshadri.builtin_dissection_eckl10()).ok
+"""
+
+# Prints which of dataclasses and inspect are loaded
+_SLOW = """
+import json, sys
+print(json.dumps(sorted({"dataclasses", "inspect"} & set(sys.modules))))
 """
 
 
@@ -91,3 +115,17 @@ def test_an_unknown_name_is_refused_by_name():
         seshadri.no_such_name
     with pytest.raises(ImportError, match="no_such_name"):
         from seshadri import no_such_name
+
+
+@pytest.mark.parametrize("code, argv", [
+    (_RUN, ["bound", "--dissection", "builtin:eckl10"]),
+    (_RUN, ["verify", "--dissection", "builtin:eckl10", "--m", "3/13"]),
+    (_RUN, ["validate", "--dissection", "builtin:eckl10"]),
+    (_RUN, ["builtin", "--name", "eckl10"]),
+    (_RUN, ["render", "--dissection", "builtin:eckl10", "--out", "d.svg"]),
+    (_SETUP, []),
+], ids=["bound", "verify", "validate", "builtin", "render", "setup"])
+def test_asymptotic_runs_load_no_dataclasses_or_inspect(code, argv, tmp_path):
+    argv = [str(tmp_path / a) if a.endswith(".svg") else a for a in argv]
+    bare = _child(_SLOW)
+    assert set(_child(code + _SLOW, *argv)) <= set(bare)
