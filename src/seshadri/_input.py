@@ -8,9 +8,9 @@ bounds every size a request may claim, lives here too, with its one guard
 without importing another; so does ``_over_common``, which clears
 rationals to ints over one denominator, so does ``_ORACLE_MODES``,
 the oracle modes a certificate may name, which the command line offers
-without importing the certificate code, and so do ``lazy`` and
-``_read_only``, which the asymptotic records share (see
-:mod:`seshadri.geometry`).
+without importing the certificate code, and so do ``lazy``, the one
+way a record keeps a derived value, and ``_read_only``, which the
+asymptotic records share (see :mod:`seshadri.geometry`).
 """
 
 from __future__ import annotations

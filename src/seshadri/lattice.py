@@ -12,13 +12,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
-from functools import cached_property
 from itertools import accumulate, chain, compress, groupby, repeat
 from math import comb
 from operator import itemgetter
 from typing import Dict, Sequence, Tuple
 
-from ._input import check_cells, field, items
+from ._input import check_cells, field, items, lazy
 from .geometry import AffineForm, ConvexPolygon, _cleared_form
 
 
@@ -87,7 +86,7 @@ class LatticeSet:
         object.__setattr__(obj, "size", size)
         return obj
 
-    @cached_property
+    @lazy
     def points(self) -> Tuple[Tuple[int, int], ...]:
         """The points, sorted by (alpha, beta)."""
         return _points_of(self.runs)
@@ -399,7 +398,7 @@ class WitnessSelection:
     direction: Direction
     runs: Tuple[Run, ...]
 
-    @cached_property
+    @lazy
     def subset(self) -> LatticeSet:
         """The witness points as a lattice set."""
         return _expand(self.direction, self.runs)

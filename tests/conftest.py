@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from seshadri._input import lazy
 from seshadri.dissection import (SIMPLEX, Dissection, _peel, _require_valid,
                                  builtin_dissection_eckl10, validate_dissection,
                                  verify_asymptotic)
@@ -93,10 +94,12 @@ def random_dissection(rng: random.Random, name: str = "random") -> Dissection:
     return Dissection(name, steps, remainder)
 
 
-# the records of the asymptotic half and the derived values each keeps
-DERIVED = {"ConvexPolygon": ("vertices",),
-           "PiecewiseLinear": ("breakpoints", "values", "width", "_strings"),
-           "Dissection": ("_analysis",)}
+def derived(record) -> tuple:
+    """The derived values a record keeps in its ``__dict__``: each ``lazy``
+    value of its class, and a ``Dissection``'s analysis."""
+    names = tuple(name for cls in type(record).__mro__ for name, value in vars(cls).items()
+                  if isinstance(value, lazy))
+    return names + ("_analysis",) * isinstance(record, Dissection)
 
 
 def asymptotic_records() -> dict:

@@ -117,6 +117,12 @@ def test_an_unknown_name_is_refused_by_name():
         from seshadri import no_such_name
 
 
+@pytest.fixture(scope="module")
+def bare_slow():
+    """Which of dataclasses and inspect a bare interpreter loads."""
+    return set(_child(_SLOW))
+
+
 @pytest.mark.parametrize("code, argv", [
     (_RUN, ["bound", "--dissection", "builtin:eckl10"]),
     (_RUN, ["verify", "--dissection", "builtin:eckl10", "--m", "3/13"]),
@@ -125,7 +131,6 @@ def test_an_unknown_name_is_refused_by_name():
     (_RUN, ["render", "--dissection", "builtin:eckl10", "--out", "d.svg"]),
     (_SETUP, []),
 ], ids=["bound", "verify", "validate", "builtin", "render", "setup"])
-def test_asymptotic_runs_load_no_dataclasses_or_inspect(code, argv, tmp_path):
+def test_asymptotic_runs_load_no_dataclasses_or_inspect(code, argv, tmp_path, bare_slow):
     argv = [str(tmp_path / a) if a.endswith(".svg") else a for a in argv]
-    bare = _child(_SLOW)
-    assert set(_child(code + _SLOW, *argv)) <= set(bare)
+    assert set(_child(code + _SLOW, *argv)) <= bare_slow

@@ -18,7 +18,7 @@ from seshadri.geometry import AffineForm, ConvexPolygon, DegenerateInput, Interv
 from seshadri.reorder import PiecewiseLinear
 from seshadri.render import RenderSpec
 
-from conftest import DERIVED, asymptotic_records
+from conftest import asymptotic_records, derived
 
 NAMES = sorted(asymptotic_records())
 
@@ -42,20 +42,20 @@ def test_every_record_is_a_named_tuple(name):
     assert isinstance(record, tuple) and tuple(record) == tuple(getattr(record, f)
                                                                 for f in record._fields)
     # only a record with derived values carries a __dict__
-    assert hasattr(record, "__dict__") == (name in DERIVED)
+    assert hasattr(record, "__dict__") == bool(derived(record))
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_copy_and_pickle_give_an_equal_record(name):
     unread, read = asymptotic_records()[name], asymptotic_records()[name]
-    for attr in DERIVED.get(name, ()):
+    for attr in derived(read):
         getattr(read, attr)
     for record in (unread, read):
         for how, make in _copies():
             again = make(record)
             assert type(again) is type(record), how
             assert again == record and hash(again) == hash(record), how
-            for attr in DERIVED.get(name, ()):
+            for attr in derived(record):
                 if attr != "_analysis":
                     assert getattr(again, attr) == getattr(record, attr), (how, attr)
             if name == "Dissection":
@@ -65,7 +65,7 @@ def test_copy_and_pickle_give_an_equal_record(name):
 @pytest.mark.parametrize("name", NAMES)
 def test_fields_and_derived_values_are_frozen(name):
     sample = asymptotic_records()[name]
-    for attr in sample._fields + DERIVED.get(name, ()) + ("extra",):
+    for attr in sample._fields + derived(sample) + ("extra",):
         record, twin = asymptotic_records()[name], asymptotic_records()[name]
         for change in (lambda: setattr(record, attr, None), lambda: delattr(record, attr)):
             with pytest.raises(AttributeError):
