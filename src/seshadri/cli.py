@@ -26,6 +26,7 @@ EXIT_GUARDRAIL = 3
 EXIT_INTERNAL = 4
 
 _BUILTINS = {"eckl10": dissection.builtin_dissection_eckl10}
+_SYSTEM_KEYS = ("D", "multiplicities", "points", "seed")
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -151,9 +152,15 @@ def _cmd_oracle(args) -> int:
     from .lattice import LatticeSet, MultiplicitySpec
     from .oracle import (GenericPointSet, MODULAR_DEFAULT_PRIME,
                          system_dimension_exact, system_dimension_modp)
+    if args.prime is not None and args.mode == "exact":
+        raise ValueError("--prime is honoured only by --mode modular; "
+                         "--mode exact ranks over the rationals")
     try:
         with open(args.system, "r", encoding="utf-8") as fh:
             data = field("system file", json.load(fh), dict)
+        for key in data:
+            if key not in _SYSTEM_KEYS:
+                raise ValueError(f"unknown key {key!r}, not one of {_SYSTEM_KEYS}")
         D = LatticeSet.from_json(field("D", data["D"], list))
         spec = MultiplicitySpec(tuple(field("multiplicities", data["multiplicities"], list)))
         seed = field("seed", data.get("seed", 0), int) if args.seed is None else args.seed

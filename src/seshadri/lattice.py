@@ -99,7 +99,16 @@ class LatticeSet:
 
     @classmethod
     def from_json(cls, data: Sequence) -> "LatticeSet":
-        return cls(tuple(data))
+        """The set of the points ``data``, where a point that repeats an
+        earlier one is refused, naming both, rather than dropped."""
+        D = cls(tuple(data))
+        if len(D) != len(data):
+            first = {}  # point: its index
+            for i, pt in enumerate(map(tuple, data), start=1):
+                if pt in first:
+                    raise ValueError(f"point {i} {list(pt)!r} repeats point {first[pt]}")
+                first[pt] = i
+        return D
 
 
 def _points_of(runs: Sequence[Run]) -> Tuple[Tuple[int, int], ...]:

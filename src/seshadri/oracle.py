@@ -49,15 +49,11 @@ staircase is non-special of dimension -1 at every point with xy != 0
 every staircase, at any prime asked for, without building B: it records
 no prime, as the rank it states is the rank over Q.
 
-Any other set, such as a system read by ``oracle --system``, is ranked
-mod 2 first.  A full rank mod 2 forces full rank over Q, so that verdict
-is conclusive in either mode.  Only when the GF(2) rank falls short does
-the modular mode rank B modulo its prime and the exact mode rank it over
-Q.  By Lucas's theorem C(x, k) is odd exactly when k & ~x == 0, so with
-one bit per point of D every row of B mod 2 is the AND of a mask for a
-and a mask for b.  Each point of D sets its bit in the tables of its
-alpha and its beta, and the rank is an XOR basis of the rows, taken last
-first and keyed by lowest set bit.
+Any other set, such as a system read by ``oracle --system``, has B built
+once and ranked mod 2 first, by the same kernel as at any other prime.
+A full rank mod 2 forces full rank over Q, so that verdict is conclusive
+in either mode.  Only when the rank mod 2 falls short does the modular
+mode rank B modulo its prime and the exact mode rank it over Q.
 
 A system of several points is ranked at its points, explicit or seeded,
 by one integer condition matrix in both modes.  Explicit rational points
@@ -73,13 +69,13 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 # SizeGuardrail is re-exported
 from ._input import SizeGuardrail, _over_common, check_cells, field, items
 from ._kernels import modrank
 from .geometry import point
-from .lattice import (Direction, LatticeSet, MultiplicitySpec, _coerce_spec,
+from .lattice import (Direction, LatticeSet, MultiplicitySpec, _coerce_spec, _transpose,
                       column_profile, expected_dimension)
 
 Matrix = List[List[int]]
@@ -239,98 +235,22 @@ def _condition_rows(D: LatticeSet, pairs, spec: MultiplicitySpec,
     return rows
 
 
-def _odd_masks(masks: Dict[int, int], m: int) -> List[int]:
-    """For each k < m, the OR of ``masks[x]`` over the keys x with C(x, k) odd.
-
-    By Lucas's theorem those are the x of which k is a submask, so each key
-    hands its mask to the submasks of x below m.  They all lie among the
-    submasks of x's low bits up to m's length, at most 2m of them.
-    """
-    out = [0] * m
-    low = (1 << (m - 1).bit_length()) - 1
-    for x, mask in masks.items():
-        k = x = x & low
-        while True:
-            if k < m:
-                out[k] |= mask
-            if not k:
-                break
-            k = (k - 1) & x
-    return out
-
-
-def _lucas_rows(D: LatticeSet, m: int) -> List[int]:
-    """Rows of B mod 2, the condition matrix at (1, 1) of the one-point
-    system (D, m) after moving D to touch both axes, bit j standing for
-    the j-th point of D.
-
-    By Lucas's theorem C(x, k) is odd exactly when k & ~x == 0, so row
-    (a, b) is the mask of points whose shifted alpha passes that test for
-    a, ANDed with the mask of those whose shifted beta passes it for b.
-    Each point sets its bit in the alpha and the beta table.
-    """
-    pts = D.points
-    s = pts[0][0] if pts else 0  # the points are sorted by alpha
-    t = min((beta for _, beta in pts), default=0)
-    by_alpha: Dict[int, int] = {}
-    by_beta: Dict[int, int] = {}
-    for j, (alpha, beta) in enumerate(pts):
-        by_alpha[alpha - s] = by_alpha.get(alpha - s, 0) | 1 << j
-        by_beta[beta - t] = by_beta.get(beta - t, 0) | 1 << j
-    xs, ys = _odd_masks(by_alpha, m), _odd_masks(by_beta, m)
-    # (a, b) in the order of _condition_rows: a rises as b falls
-    return [x & y for order in range(m) for x, y in zip(xs, ys[order::-1])]
-
-
-def _gf2_rank(rows: Sequence[int]) -> int:
-    """Rank over GF(2) of rows packed one bit per column into ints.
-
-    The rows are taken last first and each is reduced against an XOR basis
-    keyed by the index of its lowest set bit, joining it when something is
-    left.  The rank depends on neither the row order nor the pivots.  The
-    key is a bit index, not the bit itself: hashing a wide int costs a
-    pass over its words.
-    """
-    basis: Dict[int, int] = {}
-    for v in reversed(rows):
-        while v:
-            low = (v & -v).bit_length()
-            w = basis.get(low)
-            if w is None:
-                basis[low] = v
-                break
-            v ^= w
-    return len(basis)
-
-
 def _is_staircase(D: LatticeSet, m: int) -> bool:
     """Whether D is m(m+1)/2 points on m columns or m rows carrying
     exactly 1, ..., m of them.
 
-    Columns are counted by their profile.  Rows are counted by a sweep
-    over the runs' ends, as a row profile would list every row between
-    rows that may lie far apart: a run adds 1 to the rows from its first
-    to its last, and the count is constant between two ends.  A stretch
-    of several rows of one count is not a staircase.
+    Both are counted by a column profile: the rows of D are the columns
+    of its transposition, which lists only the rows that hold points,
+    however far apart they lie.  It is built only when the columns fail.
     """
     if len(D) != comb(m + 1, 2):
         return False
     sizes = list(range(m, 0, -1))
-    if [count for _, count in column_profile(D, Direction.VERTICAL).by_count] == sizes:
-        return True
-    steps: Dict[int, int] = {}
-    for _alpha, first, count in D.runs:
-        steps[first] = steps.get(first, 0) + 1
-        steps[first + count] = steps.get(first + count, 0) - 1
-    counts, level, last = [], 0, 0
-    for row in sorted(steps):
-        if level:
-            if row - last > 1:
-                return False
-            counts.append(level)
-        level += steps[row]
-        last = row
-    return sorted(counts, reverse=True) == sizes
+
+    def counts(S: LatticeSet) -> List[int]:
+        return [count for _, count in column_profile(S, Direction.VERTICAL).by_count]
+    return (counts(D) == sizes
+            or counts(LatticeSet._of_runs(_transpose(D.runs), len(D))) == sizes)
 
 
 def _staircase_verdict(m: int, method: str) -> OracleVerdict:
@@ -354,26 +274,26 @@ def _point_free_verdict(D: LatticeSet, spec: MultiplicitySpec, method: str,
                         prime: Optional[int], caveat: str) -> OracleVerdict:
     """Verdict of the one-point system (D, spec) from its point-free matrix
     B.  A staircase gets :func:`_staircase_verdict`, and no matrix is
-    built.  Any other D has its Lucas rows eliminated: a full rank mod 2
-    is conclusive and recorded with prime 2; else B is built over Z
-    (``modrank`` reduces each entry once) and ranked by ``_rank`` at
-    ``prime``, and the verdict records ``prime`` and ``caveat``.  The
-    cell cap is checked before each matrix is built: the GF(2) rows count
-    one cell per 64-bit word, B one cell per entry."""
+    built.  Any other D has B built once over Z, after the cell cap is
+    checked for its entries, and ranked by ``modrank`` mod 2: a full rank
+    is conclusive and recorded with prime 2; else ``_rank`` ranks B at
+    ``prime``, and the verdict records ``prime`` and ``caveat``."""
     m = spec.multiplicities[0]
     if _is_staircase(D, m):
         return _staircase_verdict(m, method)
     conditions = comb(m + 1, 2)
-    rank = min(len(D), conditions)
-    _check_cells(conditions, -(-len(D) // 64), "GF(2) word")
-    if _gf2_rank(_lucas_rows(D, m)) == rank:
+    _check_cells(conditions, len(D), "point-free")
+    runs = D.runs
+    s = runs[0][0] if runs else 0  # the runs are sorted by alpha
+    t = min((first for _, first, _ in runs), default=0)
+    moved = LatticeSet._of_runs(tuple((alpha - s, first - t, count)
+                                      for alpha, first, count in runs), len(D))
+    B = _condition_rows(moved, [(1, 1)], spec)
+    rank = modrank(B, 2)
+    if rank == min(len(D), conditions):
         prime, caveat = 2, _GF2_FULL
     else:
-        _check_cells(conditions, len(D), "point-free")
-        s, t = D.runs[0][0], min(first for _, first, _ in D.runs)
-        moved = LatticeSet._of_runs(tuple((alpha - s, first - t, count)
-                                          for alpha, first, count in D.runs), len(D))
-        rank = _rank(_condition_rows(moved, [(1, 1)], spec), prime)
+        rank = _rank(B, prime)
     return _verdict(D, spec, rank, method, prime, caveat, None)
 
 
@@ -429,8 +349,8 @@ def system_dimension_exact(D: LatticeSet, spec,
 
     With no explicit points, a one-point system is ranked point-free, which
     gives the generic rank exactly and ignores ``seed``: a staircase by
-    its determinant identity, any other set over GF(2) when that rank is
-    full (the verdict then records prime 2), else over Q.
+    its determinant identity, any other set by its matrix B, mod 2 when
+    that rank is full (the verdict then records prime 2), else over Q.
     Several points without explicit coordinates are a seeded sample; if
     the sampled rank falls short of making the system non-special, one
     retry with a fresh seed guards against an unlucky (non-generic)
@@ -496,8 +416,8 @@ def system_dimension_modp(D: LatticeSet, spec, seed: int = 0,
     ``prime`` must be a prime below MODULUS_LIMIT.  A one-point system is
     ranked point-free and ignores ``seed``: a staircase by its determinant
     identity, which states its rank over Q and records no prime, any
-    other set over GF(2) first and over GF(prime) only when the rank mod 2
-    is short; any prime will do.
+    other set by its matrix B, mod 2 first and mod ``prime`` only when the
+    rank mod 2 is short; any prime will do.
     Several points are placed at seeded random points of GF(prime)^2, and
     there the prime must also exceed every exponent in D, so that no a! b!
     of a Hasse row vanishes.  Either way the rank never exceeds the generic

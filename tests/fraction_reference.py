@@ -12,6 +12,10 @@ states it.  Each function computes what its namesake in the package does,
 in ``Fraction`` arithmetic throughout; the convex hull ``make_polygon`` has
 no namesake, and ``polygon`` loads its chain through the package's one
 loader, ``ConvexPolygon.from_json``, to build test polygons from points.
+It also holds the bit-packed GF(2) elimination that the point-free oracle
+once ran on a set that is not a staircase: ``_lucas_rows`` writes B mod 2
+from Lucas's theorem, one bit per point of D, and ``_gf2_rank`` ranks
+those rows by an XOR basis, a second route to ``modrank(B, 2)``.
 
 The second part holds exact checks and accessors that no command runs:
 areas, containment, evaluation of a piecewise-linear function, the
@@ -25,7 +29,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, perm
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from seshadri.dissection import AsymptoticReport
 from seshadri.geometry import Axis, ConvexPolygon, DegenerateInput, Interval, Point
@@ -231,6 +235,72 @@ def _derivative_rows(D: LatticeSet, points: GenericPointSet, spec, factor):
                              * y ** (beta - b) if a <= alpha and b <= beta else Fraction(0)
                              for alpha, beta in D])
     return rows
+
+
+# --- the former GF(2) step of the point-free oracle ---------------------------
+
+def _odd_masks(masks: Dict[int, int], m: int) -> List[int]:
+    """For each k < m, the OR of ``masks[x]`` over the keys x with C(x, k) odd.
+
+    By Lucas's theorem those are the x of which k is a submask, so each key
+    hands its mask to the submasks of x below m.  They all lie among the
+    submasks of x's low bits up to m's length, at most 2m of them.
+    """
+    out = [0] * m
+    low = (1 << (m - 1).bit_length()) - 1
+    for x, mask in masks.items():
+        k = x = x & low
+        while True:
+            if k < m:
+                out[k] |= mask
+            if not k:
+                break
+            k = (k - 1) & x
+    return out
+
+
+def _lucas_rows(D: LatticeSet, m: int) -> List[int]:
+    """Rows of B mod 2, the condition matrix at (1, 1) of the one-point
+    system (D, m) after moving D to touch both axes, bit j standing for
+    the j-th point of D.
+
+    By Lucas's theorem C(x, k) is odd exactly when k & ~x == 0, so row
+    (a, b) is the mask of points whose shifted alpha passes that test for
+    a, ANDed with the mask of those whose shifted beta passes it for b.
+    Each point sets its bit in the alpha and the beta table.
+    """
+    pts = D.points
+    s = pts[0][0] if pts else 0  # the points are sorted by alpha
+    t = min((beta for _, beta in pts), default=0)
+    by_alpha: Dict[int, int] = {}
+    by_beta: Dict[int, int] = {}
+    for j, (alpha, beta) in enumerate(pts):
+        by_alpha[alpha - s] = by_alpha.get(alpha - s, 0) | 1 << j
+        by_beta[beta - t] = by_beta.get(beta - t, 0) | 1 << j
+    xs, ys = _odd_masks(by_alpha, m), _odd_masks(by_beta, m)
+    # (a, b) in the order of _condition_rows: a rises as b falls
+    return [x & y for order in range(m) for x, y in zip(xs, ys[order::-1])]
+
+
+def _gf2_rank(rows: Sequence[int]) -> int:
+    """Rank over GF(2) of rows packed one bit per column into ints.
+
+    The rows are taken last first and each is reduced against an XOR basis
+    keyed by the index of its lowest set bit, joining it when something is
+    left.  The rank depends on neither the row order nor the pivots.  The
+    key is a bit index, not the bit itself: hashing a wide int costs a
+    pass over its words.
+    """
+    basis: Dict[int, int] = {}
+    for v in reversed(rows):
+        while v:
+            low = (v & -v).bit_length()
+            w = basis.get(low)
+            if w is None:
+                basis[low] = v
+                break
+            v ^= w
+    return len(basis)
 
 
 # --- exact checks that no command runs ----------------------------------------

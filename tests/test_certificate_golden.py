@@ -12,7 +12,7 @@ bytes.  ``GOLDEN_0_6_0`` holds the digests recorded in the 0.6.0 layout,
 whose rows also stated a ``deviation`` from the certified bound and
 whose witness verdicts came from a rank mod 2, then in the mode's field;
 :func:`_as_0_6_0` turns a certificate back into that layout, ranking
-every witness by that route, Lucas rows and all, so each golden
+every witness by that route, the reference Lucas rows and all, so each golden
 witness's verdict is checked against elimination.  ``GOLDEN_0_5_0``
 holds the digests recorded in the 0.5.0 layout, whose rows also stated a
 ``role`` and a final-piece ``padding_ok`` and whose statement read
@@ -71,11 +71,11 @@ from seshadri.geometry import AffineForm
 from seshadri.lattice import (Direction, LatticeSet, WitnessSelection, _transpose,
                               _witness_from_profile, column_profile,
                               max_parallel_witness, split_by_affine)
-from seshadri.oracle import (MODULAR_DEFAULT_PRIME, _condition_rows, _gf2_rank,
-                             _lucas_rows, fraction_free_rank)
+from seshadri.oracle import MODULAR_DEFAULT_PRIME, _condition_rows, fraction_free_rank
 from seshadri.render import RenderSpec, render_svg
 
 import fraction_reference as ref
+from fraction_reference import _gf2_rank, _lucas_rows
 from conftest import random_dissection
 
 GOLDEN_TOOL_VERSION = "0.2.0"

@@ -190,27 +190,28 @@ def test_internal_error_is_not_refuted():
 
 
 def test_oracle_guardrail_exit_code(tmp_path, monkeypatch):
-    monkeypatch.setenv("SESHADRI_MAX_CELLS", "2")
+    monkeypatch.setenv("SESHADRI_MAX_CELLS", "8")
     system = tmp_path / "sys.json"
     system.write_text(json.dumps({
         "D": [[0, 0], [2, 1], [1, 2]],
         "multiplicities": [2],
         "seed": 0,
     }))
-    # no staircase (three columns and three rows of one point each): three
-    # GF(2) rows of one word each, of full rank
+    # no staircase (three columns and three rows of one point each): B is
+    # 3x3, of full rank mod 2
     for mode in ("exact", "modular"):
         assert run(["oracle", "--system", str(system), "--mode", mode]) == 3
-    monkeypatch.setenv("SESHADRI_MAX_CELLS", "3")
+    monkeypatch.setenv("SESHADRI_MAX_CELLS", "9")
     for mode in ("exact", "modular"):
         assert run(["oracle", "--system", str(system), "--mode", mode]) == 0
 
 
 def test_oracle_huge_multiplicity_guardrail_both_modes(tmp_path, monkeypatch, capsys):
     def refuse(*_args):
-        raise AssertionError("a row was built")
+        raise AssertionError("a row was built or ranked")
     # 2 * 10^8 rows would exhaust memory, so building any is a failure
-    monkeypatch.setattr(oracle, "_lucas_rows", refuse)
+    monkeypatch.setattr(oracle, "_condition_rows", refuse)
+    monkeypatch.setattr(oracle, "modrank", refuse)
     system = tmp_path / "sys.json"
     system.write_text(json.dumps({"D": [[0, 0], [1, 0], [2, 0]],
                                   "multiplicities": [20000]}))
@@ -218,7 +219,7 @@ def test_oracle_huge_multiplicity_guardrail_both_modes(tmp_path, monkeypatch, ca
         t0 = time.perf_counter()
         assert run(["oracle", "--system", str(system), "--mode", mode]) == 3
         assert time.perf_counter() - t0 < 1.0
-        assert "200010000x1 GF(2) word matrix" in capsys.readouterr().err
+        assert "200010000x3 point-free matrix" in capsys.readouterr().err
 
 
 def test_certify_exact_at_208_matches_modular(capsys):
@@ -410,7 +411,7 @@ def test_oracle_refuses_non_integer_exponents(tmp_path, capsys):
 
 
 def test_oracle_on_two_points_far_apart_in_beta(tmp_path, capsys):
-    # the GF(2) rows visit the rows D covers, never the rows between
+    # the staircase check and B visit the rows D covers, never the rows between
     system = {"D": [[0, 0], [1, 10**18]], "multiplicities": [1]}
     for mode in ("exact", "modular"):
         assert _oracle_on(tmp_path, system, mode) == 0
@@ -419,8 +420,8 @@ def test_oracle_on_two_points_far_apart_in_beta(tmp_path, capsys):
 
 def test_oracle_on_the_empty_set(tmp_path, capsys):
     # no monomial, so no condition: dimension -1 and rank 0 in both modes;
-    # a one-point system's GF(2) rows are all empty, a full rank of 0,
-    # which its verdict records with prime 2
+    # a one-point system's B has rows but no column, a full rank of 0 mod
+    # 2, which its verdict records with prime 2
     for multiplicities in ([2], [1, 1]):
         for mode in ("exact", "modular"):
             system = {"D": [], "multiplicities": multiplicities}
@@ -453,6 +454,46 @@ def test_oracle_names_a_repeated_point(tmp_path, capsys):
             assert _oracle_on(tmp_path, dict(system, points=points), mode) == 2
             captured = capsys.readouterr()
             assert captured.out == "" and shown in captured.err
+
+
+def test_oracle_names_a_repeated_exponent(tmp_path, capsys):
+    # LatticeSet drops a repeat, so the verdict would speak of a smaller D
+    # than the file states
+    for D, shown in (([[0, 0], [1, 0], [0, 1], [0, 0]], "point 4 [0, 0] repeats point 1"),
+                     ([[5, 0], [2, 3], [2, 3], [5, 0]], "point 3 [2, 3] repeats point 2")):
+        for mode in ("exact", "modular"):
+            assert _oracle_on(tmp_path, {"D": D, "multiplicities": [1]}, mode) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: malformed system file: {shown}\n"
+
+
+def test_oracle_refuses_an_unknown_key(tmp_path, capsys):
+    # a misspelt "points" was ignored, and the system ranked at seeded points
+    good = {"D": [[0, 0], [1, 0], [0, 1]], "multiplicities": [1, 1]}
+    for key in ("point", "Seed", "d"):
+        for mode in ("exact", "modular"):
+            assert _oracle_on(tmp_path, dict(good, **{key: [[1, 2], [3, 4]]}), mode) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"malformed system file: unknown key {key!r}" in captured.err
+    for extra in ({}, {"seed": 3}, {"points": [[1, 2], [3, 4]]}):
+        assert _oracle_on(tmp_path, dict(good, **extra)) == 0
+
+
+def test_oracle_exact_refuses_prime(tmp_path, capsys):
+    # the exact mode ranks over Q and used to ignore --prime, even 4
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"D": [[0, 0], [2, 4], [4, 2]], "multiplicities": [2]}))
+    for prime in ("4", "97"):
+        for mode in ([], ["--mode", "exact"]):
+            assert run(["oracle", "--system", str(path), "--prime", prime] + mode) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == (
+                "error: --prime is honoured only by --mode modular; "
+                "--mode exact ranks over the rationals\n")
+    assert run(["oracle", "--system", str(path), "--mode", "modular", "--prime", "97"]) == 0
+    assert '"prime": 97,' in capsys.readouterr().out
 
 
 def test_oracle_reads_system_file_fields_strictly(tmp_path, capsys):

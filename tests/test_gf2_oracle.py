@@ -3,13 +3,14 @@
 B is the condition matrix at (1, 1) of a one-point system's set moved to
 touch both axes.  A staircase (m lines carrying 1, ..., m points) is
 decided by the identity det B = +-prod Delta_k * prod V(S_j), a nonzero
-integer, with no matrix built.  Any other set is ranked mod 2 by an XOR
-elimination of Lucas bitmask rows, and both modes fall back to their own
-field only when that rank is short.  These tests pin B against its
-binomial form, the masks and the XOR rank against it and the reference
-kernel, the identity against det B itself and against a fresh rank of B,
-which staircases take the identity, the route each system takes, and
-drive both fallbacks.
+integer, with no matrix built.  Any other set has B built once and
+ranked mod 2 by ``modrank``, and both modes fall back to their own field
+only when that rank is short.  These tests pin B against its binomial
+form, the reference Lucas masks and XOR rank (``fraction_reference``)
+against it and the kernel, the identity against det B itself and against
+a fresh rank of B, which staircases take the identity, the route each
+system takes, the verdicts against the XOR rank, and drive both
+fallbacks.
 """
 
 import itertools
@@ -26,12 +27,12 @@ from seshadri._kernels import pyref
 from seshadri.certify import EmptyPolygonAtScale, finite_certificate
 from seshadri.dissection import builtin_dissection_eckl10
 from seshadri.lattice import LatticeSet
-from seshadri.oracle import (MODULAR_DEFAULT_PRIME, _condition_rows, _gf2_rank,
-                             _is_staircase, _lucas_rows, _staircase_verdict,
-                             fraction_free_rank, system_dimension_exact,
-                             system_dimension_modp)
+from seshadri.oracle import (_GF2_FULL, MODULAR_DEFAULT_PRIME, _condition_rows,
+                             _is_staircase, _staircase_verdict, fraction_free_rank,
+                             system_dimension_exact, system_dimension_modp)
 
 from conftest import random_dissection
+from fraction_reference import _gf2_rank, _lucas_rows
 
 BUILTIN = builtin_dissection_eckl10()
 # no staircase: three columns and three rows of one point each; GF(2)
@@ -303,9 +304,10 @@ class TestClosedForm:
         # staircases of rows only, and sets of the size of one that are not
         assert kinds[True, True, False] and kinds[False, True, False], kinds
 
-    def test_rows_far_apart_are_swept_not_listed(self):
-        """Rows 10^15 apart: a row staircase is found by a sweep over its
-        runs' ends, and a stretch of rows of one count is none."""
+    def test_rows_far_apart_are_transposed_not_listed(self):
+        """Rows 10^15 apart: a row staircase is found among the columns of
+        the transposition, which lists only the rows that hold points, and
+        a stretch of rows of one count is none."""
         far = 10**15
         rows = LatticeSet(((0, 0), (1, 0), (5, far)))
         assert _is_staircase(rows, 2)
@@ -318,10 +320,10 @@ class TestClosedForm:
 class TestRoute:
     """Which route a one-point system takes: the identity or elimination."""
 
-    def test_certificates_build_no_lucas_row(self, monkeypatch):
+    def test_certificates_build_no_matrix(self, monkeypatch):
         def refuse(*_args):
             raise AssertionError("a row was built or ranked")
-        for name in ("_lucas_rows", "_condition_rows", "modrank", "fraction_free_rank"):
+        for name in ("_condition_rows", "modrank", "fraction_free_rank"):
             monkeypatch.setattr(oracle, name, refuse)
         for mode, method in (("modular", "modular"), ("exact", "exact-rational")):
             for n in range(13, 105):
@@ -332,24 +334,34 @@ class TestRoute:
                         "staircase:")
 
     def test_other_sets_are_eliminated(self, monkeypatch):
-        built = []
+        """B is built once per mode and ranked mod 2 first; only a short
+        rank takes the mode's own field."""
+        built, primes = [], []
 
-        def spy(D, m):
+        def build(D, pairs, spec, prime=None):
             built.append(D)
-            return _lucas_rows(D, m)
-        monkeypatch.setattr(oracle, "_lucas_rows", spy)
+            return _condition_rows(D, pairs, spec, prime)
+
+        def rank(rows, prime):
+            primes.append(prime)
+            return pyref.modrank(rows, prime)
+        monkeypatch.setattr(oracle, "_condition_rows", build)
+        monkeypatch.setattr(oracle, "modrank", rank)
         square = LatticeSet(((0, 0), (1, 0), (0, 1), (1, 1)))  # 4 points, 3 conditions
-        for D in (SPECIAL, square):  # SPECIAL: 3 points, but on 3 columns or 1 row
+        # SPECIAL: 3 points, but on 3 columns or 1 row, and short mod 2
+        for D, want in ((SPECIAL, [2, 97, 2]), (square, [2, 2])):
+            built.clear()
+            primes.clear()
             modular, exact = _both_modes(D, 2)
-            assert built[-2:] == [D, D]
+            assert built == [D, D] and primes == want
             assert modular.rank == exact.rank == (2 if D is SPECIAL else 3)
 
     def test_even_staircase_takes_the_identity(self, monkeypatch):
         # EVEN_STAIRCASE: columns of 2 and 1 points, Delta_2 = 2 and V({0, 2}) = 2
         def refuse(*_args):
-            raise AssertionError("a row was built")
-        monkeypatch.setattr(oracle, "_lucas_rows", refuse)
+            raise AssertionError("a row was built or ranked")
         monkeypatch.setattr(oracle, "_condition_rows", refuse)
+        monkeypatch.setattr(oracle, "modrank", refuse)
         assert _gf2_rank(_lucas_rows(EVEN_STAIRCASE, 2)) == 1
         modular, exact = _both_modes(EVEN_STAIRCASE, 2)
         for v in (modular, exact):
@@ -401,17 +413,48 @@ class TestFallback:
                 if not _is_staircase(D, m)
                 and _gf2_rank(_lucas_rows(D, m)) == min(len(D), m * (m + 1) // 2)]
         assert len(full) > 20
+        primes = []
+
+        def rank(rows, prime):
+            primes.append(prime)
+            return pyref.modrank(rows, prime)
 
         def refuse(*_args):
-            raise AssertionError("the fallback ran on a full GF(2) rank")
-        monkeypatch.setattr(oracle, "_condition_rows", refuse)
-        monkeypatch.setattr(oracle, "modrank", refuse)
+            raise AssertionError("the fallback ran on a full rank mod 2")
+        monkeypatch.setattr(oracle, "modrank", rank)
         monkeypatch.setattr(oracle, "fraction_free_rank", refuse)
         for D, m in full:
             for v in _both_modes(D, m):
                 assert v.prime == 2 and v.seed is None and v.rank == min(len(D), m * (m + 1) // 2)
                 assert v.caveat.startswith("point-free:")
                 assert "full rank mod 2" in v.caveat
+        assert primes == [2] * (2 * len(full))  # one rank mod 2 per mode, no other
+
+    def test_verdicts_follow_the_reference_xor_rank(self):
+        """A second route to the mod 2 step: on seeded sets that are not
+        staircases, rows and columns far apart included, both modes record
+        prime 2 and the full-rank caveat exactly when the reference XOR
+        rank of the Lucas rows is full, and otherwise rank at their own
+        field."""
+        far = 10**12
+        rng = random.Random(109)
+        systems = seeded_systems(300, seed=113, offset=(0, 20))
+        for _ in range(60):
+            lines = [rng.randint(0, 3) * far + rng.randint(0, 3) for _ in range(3)]
+            pts = [(rng.randint(0, 5), rng.choice(lines)) for _ in range(rng.randint(2, 16))]
+            D = LatticeSet(pts if rng.random() < 0.5 else [(b, a) for a, b in pts])
+            systems.append((D, rng.randint(1, 4)))
+        kinds = Counter()
+        for D, m in systems:
+            if _is_staircase(D, m):
+                continue
+            full = _gf2_rank(_lucas_rows(D, m)) == min(len(D), m * (m + 1) // 2)
+            for v, own in zip(_both_modes(D, m), (97, None)):
+                assert (v.prime, v.caveat == _GF2_FULL) == ((2, True) if full else (own, False)), \
+                    (D.runs, m)
+            kinds[full, max(b for _, b in D) >= far or max(a for a, _ in D) >= far] += 1
+        # full and short ranks, both near the axes and far apart
+        assert min(kinds[k] for k in itertools.product((True, False), repeat=2)) > 5, kinds
 
 
 def _both_modes(D, m):
@@ -419,12 +462,12 @@ def _both_modes(D, m):
 
 
 class TestCellCap:
-    """The cap counts the matrix each step of a one-point system builds,
-    the same in both modes: none for a staircase, else GF(2) rows in
-    64-bit words, then B in cells."""
+    """The cap counts the matrix a one-point system builds, the same in
+    both modes: none for a staircase, else B, one cell per entry, before
+    it is built."""
 
     def test_staircases_build_nothing_to_count(self, monkeypatch):
-        # 210 points: 210 GF(2) rows of 4 words, and B of 44,100 cells
+        # 210 points: B would be 44,100 cells
         D = LatticeSet([(line, along) for line in range(20) for along in range(line + 1)])
         monkeypatch.setenv("SESHADRI_MAX_CELLS", "1")
         for v in _both_modes(D, 20):
@@ -442,20 +485,21 @@ class TestCellCap:
                 "points, a count that exceeds the cell cap; set SESHADRI_MAX_CELLS")):
             finite_certificate(BUILTIN, 2000, oracle_mode=mode)
 
-    def test_gf2_rows_count_64_bit_words(self, monkeypatch):
+    def test_full_rank_mod_2_counts_the_cells_of_b(self, monkeypatch):
+        # B is 1x65: refused at 64 cells, decided mod 2 at 65
         wide = LatticeSet(tuple((a, 0) for a in range(65)))
-        monkeypatch.setenv("SESHADRI_MAX_CELLS", "1")
+        monkeypatch.setenv("SESHADRI_MAX_CELLS", "64")
         for mode in (system_dimension_modp, system_dimension_exact):
             with pytest.raises(oracle.SizeGuardrail,
-                               match="^1x2 GF\\(2\\) word matrix exceeds the cell cap"):
+                               match="^1x65 point-free matrix exceeds the cell cap"):
                 mode(wide, (1,))
-        monkeypatch.setenv("SESHADRI_MAX_CELLS", "2")
+        monkeypatch.setenv("SESHADRI_MAX_CELLS", "65")
         for v in _both_modes(wide, 1):
             assert v.non_special and v.prime == 2
 
     def test_fallback_matrix_counts_cells(self, monkeypatch):
-        # GF(2) needs 3 words, the fallback a 3x3 matrix (SHORT_MOD_2 is
-        # no staircase, so both are built)
+        # SHORT_MOD_2 is no staircase and short mod 2: B is 3x3, ranked
+        # mod 2 and then in the mode's field, and counted once
         monkeypatch.setenv("SESHADRI_MAX_CELLS", "8")
         for mode in (system_dimension_modp, system_dimension_exact):
             with pytest.raises(oracle.SizeGuardrail, match="^3x3 point-free matrix"):
@@ -464,22 +508,14 @@ class TestCellCap:
         for v in _both_modes(SHORT_MOD_2, 2):
             assert v.non_special and v.rank == 3
 
-    def test_gf2_decides_what_the_cells_of_b_would_refuse(self, monkeypatch):
-        # B is 3x4 = 12 cells; GF(2) ranks it in 3 words and decides
-        D = LatticeSet(((0, 0), (3, 0), (0, 1), (1, 1)))
-        monkeypatch.setenv("SESHADRI_MAX_CELLS", "5")
-        modular, exact = _both_modes(D, 2)
-        assert modular.non_special and exact.non_special
-        assert modular.prime == exact.prime == 2 and modular.rank == exact.rank == 3
-
     def test_huge_multiplicity_refused_before_any_row(self, monkeypatch):
         def refuse(*_args):
-            raise AssertionError("a row was built")
-        monkeypatch.setattr(oracle, "_lucas_rows", refuse)
+            raise AssertionError("a row was built or ranked")
         monkeypatch.setattr(oracle, "_condition_rows", refuse)
+        monkeypatch.setattr(oracle, "modrank", refuse)
         D = LatticeSet(((0, 0), (1, 0), (2, 0)))
         for mode in (system_dimension_modp, system_dimension_exact):
-            with pytest.raises(oracle.SizeGuardrail, match="^200010000x1 GF"):
+            with pytest.raises(oracle.SizeGuardrail, match="^200010000x3 point-free matrix"):
                 mode(D, (20000,))
 
 

@@ -499,6 +499,13 @@ class TestLatticeSet:
         with pytest.raises(ValueError, match=r"^point 3 \[0, -1\]: .* nonnegative"):
             LatticeSet.from_json([[0, 0], [1, 0], [0, -1]])
 
+    def test_json_refuses_a_repeated_point_that_the_constructor_drops(self):
+        with pytest.raises(ValueError, match=r"^point 4 \[0, 0\] repeats point 1$"):
+            LatticeSet.from_json([[0, 0], [1, 0], [0, 1], [0, 0]])
+        with pytest.raises(ValueError, match=r"^point 3 \[2, 3\] repeats point 2$"):
+            LatticeSet.from_json([(1, 0), [2, 3], (2, 3), [1, 0]])
+        assert LatticeSet([(0, 0), (1, 0), (0, 0)]) == LatticeSet([(0, 0), (1, 0)])
+
     def test_membership_matches_sets(self):
         rng = random.Random(41)
         for _ in range(300):

@@ -107,15 +107,16 @@ class TestExactOracle:
         assert v1 == v2
 
     def test_guardrail(self, monkeypatch):
-        # one point on a set that is no staircase: the 6 GF(2) rows of one
-        # word each are what is counted
-        monkeypatch.setenv("SESHADRI_MAX_CELLS", "5")
-        with pytest.raises(SizeGuardrail, match="^6x1 GF\\(2\\) word matrix .* "
+        # one point on a set that is no staircase: its 6x7 point-free
+        # matrix B is what is counted
+        monkeypatch.setenv("SESHADRI_MAX_CELLS", "41")
+        with pytest.raises(SizeGuardrail, match="^6x7 point-free matrix .* "
                                                 "set SESHADRI_MAX_CELLS$"):
             system_dimension_exact(DEG2_AND_ONE, (3,), seed=0)
-        monkeypatch.setenv("SESHADRI_MAX_CELLS", "10")
+        monkeypatch.setenv("SESHADRI_MAX_CELLS", "42")
         assert system_dimension_exact(DEG2_AND_ONE, (3,), seed=0).non_special
         # several points: the 4x6 rational matrix
+        monkeypatch.setenv("SESHADRI_MAX_CELLS", "23")
         with pytest.raises(SizeGuardrail, match="^4x6 exact matrix"):
             system_dimension_exact(DEG2, (2, 1), seed=0)
         monkeypatch.setenv("SESHADRI_MAX_CELLS", "1000000")

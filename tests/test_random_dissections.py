@@ -23,9 +23,10 @@ from seshadri.dissection import (builtin_dissection_eckl10, certified_bound,
                                  dissection_from_json, dissection_to_json, dump_json,
                                  validate_dissection)
 from seshadri.lattice import LatticeSet
-from seshadri.oracle import _condition_rows, _distinct_pairs, _gf2_rank, _lucas_rows, _rank
+from seshadri.oracle import _condition_rows, _distinct_pairs, _rank
 
 from conftest import random_dissection
+from fraction_reference import _gf2_rank, _lucas_rows
 
 SEEDS = range(60)
 SCALES = (13, 26)
