@@ -10,7 +10,7 @@ rationals to ints over one denominator, so does ``_ORACLE_MODES``,
 the oracle modes a certificate may name, which the command line offers
 without importing the certificate code, and so do ``lazy``, the one
 way a record keeps a derived value, and ``_read_only``, which the
-asymptotic records share (see :mod:`seshadri.geometry`).
+records that keep one share (see :mod:`seshadri.geometry`).
 """
 
 from __future__ import annotations

@@ -5,13 +5,15 @@ n: the integer points of each scaled piece host a parallel-lines witness
 whose non-specialty the rank oracle can confirm independently.  The
 certificate records the witnesses and the statement they prove, and its
 loader re-derives every verdict.
+
+Its records are ``typing.NamedTuple``s, as in :mod:`seshadri.geometry`, that
+trust their fields; ``from_json`` checks them.  ``_replace`` changes a field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import __about__
 from ._input import _ORACLE_MODES, field, parsed, rational
@@ -21,8 +23,8 @@ from .dissection import SIMPLEX, Dissection, _require_valid
 # builtin_dissection_eckl10, certified_bound, dissection_from_json,
 # dissection_to_json, dump_json, validate_dissection, verify_asymptotic,
 # height_profile, x_projection, monotone_reorder, sup_admissible and
-# select_witness_subset, which nothing here calls.  Item 2, step 3 of
-# ROADMAP.md retires them.
+# select_witness_subset, which nothing here calls.  Item 21 of ROADMAP.md
+# retires them.
 from .dissection import (AsymptoticReport, InvalidDissection,
                          builtin_dissection_eckl10, certified_bound,
                          dissection_from_json, dissection_to_json, dump_json,
@@ -40,8 +42,7 @@ class EmptyPolygonAtScale(ValueError):
     """Some piece contains no lattice points at the requested scale."""
 
 
-@dataclass(frozen=True)
-class PolygonWitness:
+class PolygonWitness(NamedTuple):
     """Scale-n record for one piece: its lattice set size and witness."""
 
     polygon: int
@@ -74,8 +75,7 @@ class PolygonWitness:
         return row
 
 
-@dataclass(frozen=True)
-class FiniteCertificate:
+class FiniteCertificate(NamedTuple):
     """Machine-checkable record of a scale-n reduction run."""
 
     dissection: str
@@ -98,11 +98,7 @@ class FiniteCertificate:
                 f"non-special of dimension {dim}")
 
     def to_json(self) -> dict:
-        return {"tool_version": self.tool_version, "dissection": self.dissection,
-                "scale": self.scale, "degree": self.degree,
-                "oracle_mode": self.oracle_mode, "seed": self.seed,
-                "min_ratio": str(self.min_ratio),
-                "statement": self.statement,
+        return {**self._asdict(), "min_ratio": str(self.min_ratio), "statement": self.statement,
                 "per_polygon": [p.to_json() for p in self.per_polygon]}
 
     @classmethod

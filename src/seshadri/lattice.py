@@ -5,19 +5,23 @@ how the integer points of a scaled polygon are found (its bounding box,
 split by each slanted edge, ties kept), per-line count profiles, and the
 deterministic selection of a subset whose columns carry exactly
 1, 2, ..., m points on m parallel lines.
+
+Its records are ``typing.NamedTuple``s, as in :mod:`seshadri.geometry`, but
+``LatticeSet``, whose ``len`` and iteration are its points': it is a plain
+read-only class, equal by its runs.  ``MultiplicitySpec`` checks its input
+in ``__new__``; ``by_count`` and ``subset`` are lazy, and refuse assignment.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from itertools import accumulate, chain, compress, groupby, repeat
 from math import comb
 from operator import itemgetter
-from typing import Dict, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
-from ._input import check_cells, field, items, lazy
+from ._input import _read_only, check_cells, field, items, lazy
 from .geometry import AffineForm, ConvexPolygon, _cleared_form
 
 
@@ -37,26 +41,23 @@ class Direction(Enum):
 Run = Tuple[int, int, int]
 
 
-@dataclass(frozen=True, init=False)
 class LatticeSet:
     """Finite subset of N^2, stored as its vertical runs.
 
     A run ``(alpha, first, count)`` holds the ``count`` points (alpha,
     first), ..., (alpha, first + count - 1).  Runs are sorted by (alpha,
     first), and runs on one column neither overlap nor touch, so each set
-    has exactly one list of runs: equal sets have equal runs.  ``size`` is
-    the number of points, and ``points``, the sorted tuple of points, is
-    expanded from the runs on first use.  A convex piece of n*P has about
-    n runs, so every step below costs time linear in runs, not points.
+    has exactly one list of runs: equal sets have equal runs, and equality
+    and hash read ``runs`` alone.  ``size`` is the number of points, and
+    ``points``, the sorted tuple of points, is expanded from the runs on
+    first use.  A convex piece of n*P has about n runs, so every step below
+    costs time linear in runs, not points.
 
     The public constructor takes untrusted points: each must be a pair of
     nonnegative ints (not bools, not floats); duplicates are dropped.
     Code whose output already has the run form builds sets through
     :meth:`_of_runs` instead.
     """
-
-    runs: Tuple[Run, ...]
-    size: int = dataclass_field(compare=False)
 
     def __init__(self, points: Sequence = ()):
         pts = set()
@@ -74,17 +75,25 @@ class LatticeSet:
                 runs[-1][2] += 1
             else:
                 runs.append([a, b, 1])
-        object.__setattr__(self, "runs", tuple(map(tuple, runs)))
-        object.__setattr__(self, "size", len(ordered))
-        self.__dict__["points"] = ordered
+        self.__dict__.update(runs=tuple(map(tuple, runs)), size=len(ordered), points=ordered)
 
     @classmethod
     def _of_runs(cls, runs: Tuple[Run, ...], size: int) -> "LatticeSet":
         """Wrap canonical runs of ``size`` points in total, without checking them."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "runs", runs)
-        object.__setattr__(obj, "size", size)
+        obj.__dict__.update(runs=runs, size=size)
         return obj
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other):
+        return self.runs == other.runs if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.runs)
+
+    def __repr__(self):
+        return f"LatticeSet(runs={self.runs!r}, size={self.size!r})"
 
     @lazy
     def points(self) -> Tuple[Tuple[int, int], ...]:
@@ -161,24 +170,17 @@ def _transpose(runs: Sequence[Run]) -> Tuple[Run, ...]:
     return tuple([(o // w, o % w, c - o + 1) for o, c in zip(opens, closes)])
 
 
-@dataclass(frozen=True)
-class MultiplicitySpec:
+class MultiplicitySpec(NamedTuple("MultiplicitySpec", [("multiplicities", Tuple[int, ...])])):
     """Prescribed multiplicities m1, ..., mr, each at least 1."""
 
-    multiplicities: Tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        ms = tuple(self.multiplicities)
+    def __new__(cls, multiplicities):
+        ms = tuple(multiplicities)
         for m in ms:
             if field("multiplicity", m, int) < 1:
                 raise ValueError(f"multiplicity {m!r} is not positive")
-        object.__setattr__(self, "multiplicities", ms)
-
-    def __len__(self):
-        return len(self.multiplicities)
-
-    def __iter__(self):
-        return iter(self.multiplicities)
+        return tuple.__new__(cls, (ms,))
 
     def conditions(self) -> int:
         """Total number of vanishing conditions imposed."""
@@ -186,29 +188,25 @@ class MultiplicitySpec:
 
 
 def _coerce_spec(spec) -> MultiplicitySpec:
-    if isinstance(spec, MultiplicitySpec):
-        return spec
-    return MultiplicitySpec(tuple(spec))
+    return spec if isinstance(spec, MultiplicitySpec) else MultiplicitySpec(spec)
 
 
-@dataclass(frozen=True)
-class ColumnProfile:
-    """Counts of set points per parallel line in the chosen direction.
+class ColumnProfile(NamedTuple("ColumnProfile", [("direction", Direction),
+                                                   ("counts", Tuple[Tuple[int, int], ...])])):
+    """Counts of set points per parallel line in the chosen direction:
+    ``counts`` holds (line index, count) pairs, sorted by index.
 
-    ``by_count`` holds the same (line, count) pairs sorted once, by count
-    descending, ties in line order: the witness size and the witness's
-    lines are both read from it.
+    ``by_count`` holds the same pairs sorted once, by count descending,
+    ties in line order: the witness size and the witness's lines are both
+    read from it.
     """
 
-    direction: Direction
-    counts: Tuple[Tuple[int, int], ...]  # (line index, count), sorted by index
-    by_count: Tuple[Tuple[int, int], ...] = dataclass_field(init=False, repr=False,
-                                                             compare=False)
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
+    @lazy
+    def by_count(self) -> Tuple[Tuple[int, int], ...]:
         # a stable sort keeps equal counts in the order of their lines
-        object.__setattr__(self, "by_count",
-                           tuple(sorted(self.counts, key=itemgetter(1), reverse=True)))
+        return tuple(sorted(self.counts, key=itemgetter(1), reverse=True))
 
 
 def scaled_points(P: ConvexPolygon, n: int) -> LatticeSet:
@@ -389,8 +387,8 @@ def _refuse_run_values(i: int, run: tuple) -> None:
     raise ValueError(f"run {i} count {run[2]!r} is not positive")
 
 
-@dataclass(frozen=True)
-class WitnessSelection:
+class WitnessSelection(NamedTuple("WitnessSelection", [("m", int), ("direction", Direction),
+                                                         ("runs", Tuple[Run, ...])])):
     """m parallel lines of D carrying exactly 1, ..., m of its points.
 
     The points are stated as runs ``(line, first, count)``: the ``count``
@@ -403,9 +401,7 @@ class WitnessSelection:
     first use.
     """
 
-    m: int
-    direction: Direction
-    runs: Tuple[Run, ...]
+    __setattr__ = __delattr__ = _read_only
 
     @lazy
     def subset(self) -> LatticeSet:

@@ -61,15 +61,18 @@ are first scaled by the lcm L of their denominators: that multiplies the
 entry in row (a, b) and column (alpha, beta) by L^(alpha+beta) / L^(a+b),
 a row scaling times a column scaling, which keeps the rank.  Seeded points
 are ints already; the modular mode draws its own and reduces mod its prime.
+
+Its records are ``typing.NamedTuple``s, as in :mod:`seshadri.geometry`;
+``GenericPointSet`` checks its points in ``__new__``, which ``_replace`` skips.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 # SizeGuardrail is re-exported
 from ._input import SizeGuardrail, _over_common, check_cells, field, items
@@ -108,20 +111,17 @@ class BadModulus(ValueError):
     """Modulus of the modular oracle is not a prime below MODULUS_LIMIT."""
 
 
-@dataclass(frozen=True)
-class GenericPointSet:
+class GenericPointSet(NamedTuple("GenericPointSet", [("points", Tuple[Tuple, ...]),
+                                                       ("seed", Optional[int])])):
     """Plane points standing in for points in general position: explicit
     ``Point``s, or int pairs drawn with ``seed``, which is None otherwise."""
 
-    points: Tuple[Tuple, ...]
-    seed: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(set(self.points)) != len(self.points):
+    def __new__(cls, points: Tuple[Tuple, ...], seed: Optional[int] = None):
+        if len(set(points)) != len(points):
             raise ValueError("points must be pairwise distinct")
-
-    def __len__(self):
-        return len(self.points)
+        return tuple.__new__(cls, (points, seed))
 
     @classmethod
     def explicit(cls, pts: Sequence) -> "GenericPointSet":
@@ -157,8 +157,7 @@ def _distinct_pairs(r: int, seed: int, top: int) -> List[Tuple[int, int]]:
     return list(pairs)
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
+class OracleVerdict(NamedTuple):
     """Dimension count of a system together with how it was obtained."""
 
     actual_dimension: int
@@ -171,7 +170,6 @@ class OracleVerdict:
     seed: Optional[int] = None
 
     def to_json(self) -> dict:
-        # the fields in their order
         return {"actual_dimension": self.actual_dimension,
                 "expected_dimension": self.expected_dimension,
                 "non_special": self.non_special, "method": self.method,
@@ -199,22 +197,28 @@ class OracleVerdict:
         return verdict
 
 
+# perfbench's self-test plants a wrong verdict through dataclasses.replace,
+# which reads only these attributes of each field (see ROADMAP.md)
+OracleVerdict.__dataclass_fields__ = {f: SimpleNamespace(name=f, init=True, _field_type=None)
+                                      for f in OracleVerdict._fields}
+
+
 def interpolation_matrix(D: LatticeSet, points: GenericPointSet, spec) -> Matrix:
     """Integer condition matrix of the system (see ``_condition_rows``) at
     ``points`` scaled by the lcm of their denominators, which keeps the rank
     (see the module docstring)."""
-    spec = _coerce_spec(spec)
-    if len(points) != len(spec):
-        raise ArityMismatch(f"{len(points)} points for {len(spec)} multiplicities")
+    ms = _coerce_spec(spec).multiplicities
+    if len(points.points) != len(ms):
+        raise ArityMismatch(f"{len(points.points)} points for {len(ms)} multiplicities")
     coords, _ = _over_common([c for xy in points.points for c in xy])
-    return _condition_rows(D, zip(coords[::2], coords[1::2]), spec)
+    return _condition_rows(D, zip(coords[::2], coords[1::2]), ms)
 
 
-def _condition_rows(D: LatticeSet, pairs, spec: MultiplicitySpec,
+def _condition_rows(D: LatticeSet, pairs, ms: Sequence[int],
                     prime: Optional[int] = None) -> Matrix:
     """Condition matrix at the int points ``pairs``, over Z or mod ``prime``:
-    one row per point and derivative order (a, b) below its multiplicity,
-    by total order, then by a, and one column per exponent in D.
+    one row per point and derivative order (a, b) below its multiplicity
+    in ``ms``, by total order, then by a, and one column per exponent in D.
 
     The row for point (x, y) and order (a, b) holds the (a, b) Hasse
     derivative of each monomial: C(alpha, a) * C(beta, b) * x^(alpha-a)
@@ -223,7 +227,7 @@ def _condition_rows(D: LatticeSet, pairs, spec: MultiplicitySpec,
     """
     cols = list(D)
     rows = []
-    for (x, y), m in zip(pairs, spec):
+    for (x, y), m in zip(pairs, ms):
         xs = [[comb(alpha, a) * pow(x, alpha - a, prime) if a <= alpha else 0
                for alpha, _ in cols] for a in range(m)]
         ys = [[comb(beta, b) * pow(y, beta - b, prime) if b <= beta else 0
@@ -277,7 +281,8 @@ def _point_free_verdict(D: LatticeSet, spec: MultiplicitySpec, method: str,
     built.  Any other D has B built once over Z, after the cell cap is
     checked for its entries, and ranked by ``modrank`` mod 2: a full rank
     is conclusive and recorded with prime 2; else ``_rank`` ranks B at
-    ``prime``, and the verdict records ``prime`` and ``caveat``."""
+    ``prime``, unless that is 2 again, and the verdict records ``prime``
+    and ``caveat``."""
     m = spec.multiplicities[0]
     if _is_staircase(D, m):
         return _staircase_verdict(m, method)
@@ -288,11 +293,11 @@ def _point_free_verdict(D: LatticeSet, spec: MultiplicitySpec, method: str,
     t = min((first for _, first, _ in runs), default=0)
     moved = LatticeSet._of_runs(tuple((alpha - s, first - t, count)
                                       for alpha, first, count in runs), len(D))
-    B = _condition_rows(moved, [(1, 1)], spec)
+    B = _condition_rows(moved, [(1, 1)], (m,))
     rank = modrank(B, 2)
     if rank == min(len(D), conditions):
         prime, caveat = 2, _GF2_FULL
-    else:
+    elif prime != 2:
         rank = _rank(B, prime)
     return _verdict(D, spec, rank, method, prime, caveat, None)
 
@@ -357,17 +362,17 @@ def system_dimension_exact(D: LatticeSet, spec,
     sample, and a differing outcome is recorded in the caveat.
     """
     spec = _coerce_spec(spec)
-    if points is None and len(spec) == 1:
+    if points is None and len(spec.multiplicities) == 1:
         caveat = _POINT_FREE + "; its rank over Q is exact: either verdict is conclusive"
         return _point_free_verdict(D, spec, "exact-rational", None, caveat)
     _check_cells(spec.conditions(), len(D), "exact")
     if points is None:
-        points = GenericPointSet.seeded(len(spec), seed)
+        points = GenericPointSet.seeded(len(spec.multiplicities), seed)
     rank = _rank(interpolation_matrix(D, points, spec), None)
     caveat, used_seed = None, points.seed
     if used_seed is not None and rank < min(len(D), spec.conditions()):
         retry_seed = used_seed + 1
-        retry = GenericPointSet.seeded(len(spec), retry_seed)
+        retry = GenericPointSet.seeded(len(spec.multiplicities), retry_seed)
         rank2 = _rank(interpolation_matrix(D, retry, spec), None)
         if rank2 != rank:
             caveat = (f"seed {used_seed} sampled a non-generic configuration "
@@ -430,7 +435,8 @@ def system_dimension_modp(D: LatticeSet, spec, seed: int = 0,
         raise BadModulus(f"modulus {prime} is not below 2^63, the oracle's limit")
     if not is_prime(prime):
         raise BadModulus(f"modulus {prime} is not prime")
-    if len(spec) == 1:
+    r = len(spec.multiplicities)
+    if r == 1:
         caveat = (_POINT_FREE + "; its rank mod p never exceeds that rank: a non-special "
                   "verdict is a certificate; a special verdict is inconclusive")
         return _point_free_verdict(D, spec, "modular", prime, caveat)
@@ -438,11 +444,11 @@ def system_dimension_modp(D: LatticeSet, spec, seed: int = 0,
     if prime <= max(max_exp, 2):
         raise PrimeTooSmall(
             f"prime {prime} must exceed every derivative factor (max exponent {max_exp})")
-    if len(spec) > (prime - 1) ** 2:
+    if r > (prime - 1) ** 2:
         raise PrimeTooSmall(f"prime {prime} leaves {(prime - 1) ** 2} distinct points with "
-                            f"nonzero coordinates, fewer than the system's {len(spec)} points")
+                            f"nonzero coordinates, fewer than the system's {r} points")
     _check_cells(spec.conditions(), len(D), "modular")
-    rows = _condition_rows(D, _distinct_pairs(len(spec), seed, prime - 1), spec, prime)
+    rows = _condition_rows(D, _distinct_pairs(r, seed, prime - 1), spec.multiplicities, prime)
     caveat = ("rank over a prime field at random points never exceeds the generic "
               "rank: a non-special verdict is a certificate; a special verdict is "
               "inconclusive")

@@ -6,11 +6,15 @@ import random
 from fractions import Fraction
 
 from seshadri._input import lazy
+from seshadri.certify import finite_certificate
 from seshadri.dissection import (SIMPLEX, Dissection, _peel, _require_valid,
                                  builtin_dissection_eckl10, validate_dissection,
                                  verify_asymptotic)
 from seshadri.geometry import (AffineForm, Axis, DegenerateInput, cut_polygon,
                                height_profile, x_projection)
+from seshadri.lattice import (Direction, MultiplicitySpec, column_profile, scaled_points,
+                              select_witness_subset)
+from seshadri.oracle import GenericPointSet
 from seshadri.reorder import PiecewiseLinear
 from seshadri.render import RenderSpec
 
@@ -112,4 +116,18 @@ def asymptotic_records() -> dict:
                height_profile(dis.steps[4].peeled, Axis.Y), dis.steps[1], dis,
                validate_dissection(dis), _require_valid(dis).pieces[0][1],
                report.per_polygon[3], report, RenderSpec(300, False)]
+    return {type(r).__name__: r for r in records}
+
+
+def finite_records() -> dict:
+    """One new instance of each record of the finite half, by class name:
+    a new eckl10 certificate at n = 13 in modular mode and parts of it, and
+    the points of 5 times the simplex with a profile and a witness of
+    them; no derived value is read."""
+    cert = finite_certificate(builtin_dissection_eckl10(), 13, "modular")
+    D = scaled_points(SIMPLEX, 5)
+    records = [D, MultiplicitySpec((3, 1, 1)), column_profile(D, Direction.HORIZONTAL),
+               select_witness_subset(D, Direction.HORIZONTAL, 4),
+               GenericPointSet.explicit([("1/2", 3), (2, "5/3")]), cert.per_polygon[2].oracle,
+               cert.per_polygon[2], cert]
     return {type(r).__name__: r for r in records}

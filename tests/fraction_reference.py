@@ -223,8 +223,8 @@ def hasse_matrix(D: LatticeSet, points: GenericPointSet, spec):
 
 def _derivative_rows(D: LatticeSet, points: GenericPointSet, spec, factor):
     ms = tuple(spec)
-    if len(points) != len(ms):
-        raise ArityMismatch(f"{len(points)} points for {len(ms)} multiplicities")
+    if len(points.points) != len(ms):
+        raise ArityMismatch(f"{len(points.points)} points for {len(ms)} multiplicities")
     rows = []
     for (x, y), m in zip(points.points, ms):
         x, y = Fraction(x), Fraction(y)

@@ -14,7 +14,7 @@ import pytest
 
 from seshadri.dissection import dump_json
 
-from conftest import asymptotic_records
+from conftest import asymptotic_records, finite_records
 
 
 def _dump_json_reference(data) -> str:
@@ -124,11 +124,14 @@ def test_values_outside_json_are_refused(doc, name):
         dump_json(doc)
 
 
-@pytest.mark.parametrize("name", sorted(asymptotic_records()))
+RECORDS = {**asymptotic_records(), **finite_records()}
+
+
+@pytest.mark.parametrize("name", sorted(n for n, r in RECORDS.items() if isinstance(r, tuple)))
 def test_a_record_nested_anywhere_is_refused_by_its_class(name):
     """A record is a NamedTuple, so a tuple; ``json.dumps`` writes one of
     JSON values as a list, and ``dump_json`` must refuse it instead."""
-    record = asymptotic_records()[name]
+    record = RECORDS[name]
     for doc in (record, {"row": record}, [1, record], [[1, 2], record],
                 {"rows": [[0], [{"deep": [record]}]]}):
         with pytest.raises(TypeError, match=f"type {name} is not"):

@@ -14,6 +14,7 @@ fallbacks.
 """
 
 import itertools
+import json
 import random
 import re
 from collections import Counter
@@ -25,6 +26,7 @@ import pytest
 import seshadri.oracle as oracle
 from seshadri._kernels import pyref
 from seshadri.certify import EmptyPolygonAtScale, finite_certificate
+from seshadri.cli import run
 from seshadri.dissection import builtin_dissection_eckl10
 from seshadri.lattice import LatticeSet
 from seshadri.oracle import (_GF2_FULL, MODULAR_DEFAULT_PRIME, _condition_rows,
@@ -400,6 +402,27 @@ class TestFallback:
         exact = system_dimension_exact(D, (2,))
         assert seen == [(SHORT_MOD_2.points, [(1, 1)])] * 2
         assert modular.rank == exact.rank == 3 and modular.prime == 97
+
+    def test_prime_2_ranks_b_mod_2_once(self, monkeypatch, tmp_path, capsys):
+        primes = []
+
+        def rank(rows, prime):
+            primes.append(prime)
+            return pyref.modrank(rows, prime)
+        monkeypatch.setattr(oracle, "modrank", rank)
+        system = tmp_path / "short.json"
+        system.write_text(json.dumps({"D": [list(p) for p in SHORT_MOD_2],
+                                      "multiplicities": [2]}))
+        assert run(["oracle", "--system", str(system), "--mode", "modular",
+                    "--prime", "2"]) == 1
+        assert primes == [2]
+        caveat = ("point-free: the binomial matrix C(alpha,a)*C(beta,b) has the rank of "
+                  "the one-point system at every point with xy != 0; its rank mod p never "
+                  "exceeds that rank: a non-special verdict is a certificate; a special "
+                  "verdict is inconclusive")
+        assert json.loads(capsys.readouterr().out) == {
+            "actual_dimension": 1, "caveat": caveat, "expected_dimension": -1,
+            "method": "modular", "non_special": False, "prime": 2, "rank": 1, "seed": None}
 
     def test_special_system_stays_special(self):
         for v in (system_dimension_modp(SPECIAL, (2,), prime=97),

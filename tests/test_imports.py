@@ -3,11 +3,11 @@
 ``import seshadri`` imports none of the package's modules: a public name
 is imported from its home module on first access.  The asymptotic
 commands (``bound``, ``verify``, ``validate``, ``builtin``) never load the
-finite half, and ``render`` loads no lattice or oracle.  None of them,
-nor the benchmark's set-up, loads ``dataclasses`` or ``inspect``, which
-cost several milliseconds of every cold start: the asymptotic half's
-records are ``NamedTuple``s.  Each check runs in a fresh interpreter,
-where no other test has imported anything yet.
+finite half, and ``render`` loads no lattice or oracle.  No command, nor
+the benchmark's set-up, loads ``dataclasses`` or ``inspect``, which cost
+several milliseconds of every cold start: the package's records are
+``NamedTuple``s or plain classes.  Each check runs in a fresh
+interpreter, where no other test has imported anything yet.
 """
 
 import importlib
@@ -130,7 +130,16 @@ def bare_slow():
     (_RUN, ["builtin", "--name", "eckl10"]),
     (_RUN, ["render", "--dissection", "builtin:eckl10", "--out", "d.svg"]),
     (_SETUP, []),
-], ids=["bound", "verify", "validate", "builtin", "render", "setup"])
-def test_asymptotic_runs_load_no_dataclasses_or_inspect(code, argv, tmp_path, bare_slow):
-    argv = [str(tmp_path / a) if a.endswith(".svg") else a for a in argv]
+    (_RUN, ["certify", "--dissection", "builtin:eckl10", "--n", "13", "--oracle", "none"]),
+    (_RUN, ["certify", "--dissection", "builtin:eckl10", "--n", "13", "--oracle", "modular"]),
+    (_RUN, ["certify", "--dissection", "builtin:eckl10", "--n", "13", "--oracle", "exact"]),
+    (_RUN, ["oracle", "--system", "system.json", "--mode", "modular"]),
+    (_RUN, ["oracle", "--system", "system.json", "--mode", "exact"]),
+], ids=["bound", "verify", "validate", "builtin", "render", "setup", "certify-none",
+        "certify-modular", "certify-exact", "oracle-modular", "oracle-exact"])
+def test_no_command_loads_dataclasses_or_inspect(code, argv, tmp_path, bare_slow):
+    # a set that is no staircase and has full rank mod 2, so B is built and ranked
+    (tmp_path / "system.json").write_text('{"D": [[0, 0], [2, 1], [1, 2]], '
+                                          '"multiplicities": [2]}')
+    argv = [str(tmp_path / a) if a.endswith((".svg", ".json")) else a for a in argv]
     assert set(_child(code + _SLOW, *argv)) <= bare_slow

@@ -1,26 +1,41 @@
-"""The records of the asymptotic half are frozen ``NamedTuple``s.
+"""The package's records are frozen ``NamedTuple``s, but ``LatticeSet``.
 
-Each converted record keeps its fields and derived values unchanged
-under assignment and deletion, round-trips through ``copy`` and
-``pickle`` to an equal object of its class, and, where it checks its
-input, still checks it in ``__new__``.  ``Dissection._replace`` leaves
-the copy unvalidated.
+Each record keeps its fields and derived values unchanged under
+assignment and deletion, round-trips through ``copy`` and ``pickle`` to
+an equal object of its class, and, where it checks its input, still
+checks it in ``__new__``.  ``Dissection._replace`` leaves the copy
+unvalidated.  ``LatticeSet``, whose ``len`` and iteration are its
+points', is a plain class that keeps the same promises.
 """
 
 import copy
+import dataclasses
 import pickle
 from fractions import Fraction as F
 
 import pytest
 
 from seshadri.dissection import certified_bound
-from seshadri.geometry import AffineForm, ConvexPolygon, DegenerateInput, Interval
+from seshadri.geometry import AffineForm, ConvexPolygon, DegenerateInput, Interval, Point
+from seshadri.lattice import LatticeSet, MultiplicitySpec
+from seshadri.oracle import GenericPointSet, OracleVerdict
 from seshadri.reorder import PiecewiseLinear
 from seshadri.render import RenderSpec
 
-from conftest import asymptotic_records, derived
+from conftest import asymptotic_records, derived, finite_records
 
-NAMES = sorted(asymptotic_records())
+ASYMPTOTIC = sorted(asymptotic_records())
+NAMES = ASYMPTOTIC + sorted(finite_records())
+TUPLES = [name for name in NAMES if name != "LatticeSet"]
+
+
+def _new(name: str):
+    """A new record of the class ``name``, no derived value read."""
+    return (asymptotic_records() if name in ASYMPTOTIC else finite_records())[name]
+
+
+def _fields(record) -> tuple:
+    return record._fields if isinstance(record, tuple) else ("runs", "size")
 
 
 def _copies():
@@ -31,14 +46,20 @@ def _copies():
 
 
 def test_there_are_eleven_records():
-    assert NAMES == sorted(["AffineForm", "Interval", "ConvexPolygon", "PiecewiseLinear",
-                            "CutStep", "Dissection", "DissectionValidation", "_AxisData",
-                            "PolygonCheck", "AsymptoticReport", "RenderSpec"])
+    assert ASYMPTOTIC == sorted([
+        "AffineForm", "Interval", "ConvexPolygon", "PiecewiseLinear", "CutStep", "Dissection",
+        "DissectionValidation", "_AxisData", "PolygonCheck", "AsymptoticReport", "RenderSpec"])
 
 
-@pytest.mark.parametrize("name", NAMES)
+def test_there_are_eight_finite_records():
+    assert sorted(finite_records()) == sorted([
+        "LatticeSet", "MultiplicitySpec", "ColumnProfile", "WitnessSelection",
+        "GenericPointSet", "OracleVerdict", "PolygonWitness", "FiniteCertificate"])
+
+
+@pytest.mark.parametrize("name", TUPLES)
 def test_every_record_is_a_named_tuple(name):
-    record = asymptotic_records()[name]
+    record = _new(name)
     assert isinstance(record, tuple) and tuple(record) == tuple(getattr(record, f)
                                                                 for f in record._fields)
     # only a record with derived values carries a __dict__
@@ -47,7 +68,7 @@ def test_every_record_is_a_named_tuple(name):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_copy_and_pickle_give_an_equal_record(name):
-    unread, read = asymptotic_records()[name], asymptotic_records()[name]
+    unread, read = _new(name), _new(name)
     for attr in derived(read):
         getattr(read, attr)
     for record in (unread, read):
@@ -64,9 +85,9 @@ def test_copy_and_pickle_give_an_equal_record(name):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_fields_and_derived_values_are_frozen(name):
-    sample = asymptotic_records()[name]
-    for attr in sample._fields + derived(sample) + ("extra",):
-        record, twin = asymptotic_records()[name], asymptotic_records()[name]
+    sample = _new(name)
+    for attr in _fields(sample) + derived(sample) + ("extra",):
+        record, twin = _new(name), _new(name)
         for change in (lambda: setattr(record, attr, None), lambda: delattr(record, attr)):
             with pytest.raises(AttributeError):
                 change()
@@ -106,3 +127,45 @@ def test_checked_records_check_in_new():
     assert RenderSpec() == (600, True) and RenderSpec(labels=False).size == 600
     with pytest.raises(ValueError, match="at least 100 px"):
         RenderSpec(99)
+
+
+def test_finite_checked_records_check_in_new():
+    spec = MultiplicitySpec([2, 1])
+    assert spec == ((2, 1),) and spec.multiplicities == (2, 1) and spec.conditions() == 4
+    for bad, fault in (((0,), "not positive"), ((True,), "not an integer"),
+                       ((2.0,), "not an integer")):
+        with pytest.raises(ValueError, match=fault):
+            MultiplicitySpec(bad)
+    points = GenericPointSet(((1, 2), (3, 4)))
+    assert points == (((1, 2), (3, 4)), None) and GenericPointSet.seeded(2, 5).seed == 5
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        GenericPointSet(((1, 2), (1, 2)), 0)
+    with pytest.raises(ValueError, match="repeats point 1"):
+        GenericPointSet.explicit([(1, 2), ("2/2", 2)])
+    assert GenericPointSet.explicit([("1/2", 1)]).points == (Point(F(1, 2), F(1)),)
+    for bad, fault in (([(1, -1)], "nonnegative"), ([(1.0, 2)], "integers"),
+                       ([(1, 2, 3)], "not a list of 2 items")):
+        with pytest.raises(ValueError, match=fault):
+            LatticeSet(bad)
+
+
+def test_a_lattice_set_is_its_points_and_equal_by_its_runs():
+    D = LatticeSet([(2, 0), (0, 1), (0, 0), (0, 1)])
+    assert len(D) == D.size == 3 and list(D) == [(0, 0), (0, 1), (2, 0)] == list(D.points)
+    assert D.runs == ((0, 0, 2), (2, 0, 1))
+    assert repr(D) == "LatticeSet(runs=((0, 0, 2), (2, 0, 1)), size=3)"
+    # size takes no part in equality or hash, and the set is no tuple
+    other = LatticeSet._of_runs(D.runs, 99)
+    assert other == D and hash(other) == hash(D) and len(other) == 99
+    assert D != LatticeSet([(0, 0)]) and D != D.runs and not isinstance(D, tuple)
+    assert LatticeSet() == LatticeSet._of_runs((), 0) and len(LatticeSet()) == 0
+
+
+def test_dataclasses_replace_gives_a_verdict():
+    """perfbench's self-test plants a wrong verdict through
+    ``dataclasses.replace``; ``_replace`` gives the same record."""
+    verdict = finite_records()["OracleVerdict"]
+    for wrong in (dataclasses.replace(verdict, non_special=False, rank=0),
+                  verdict._replace(non_special=False, rank=0)):
+        assert type(wrong) is OracleVerdict and wrong.to_json() == {
+            **verdict.to_json(), "non_special": False, "rank": 0}
