@@ -8,6 +8,9 @@ loader re-derives every verdict.
 
 Its records are ``typing.NamedTuple``s, as in :mod:`seshadri.geometry`, that
 trust their fields; ``from_json`` checks them.  ``_replace`` changes a field.
+A value the fields fix, such as a row's ``m`` or the ``min_ratio``, is a
+property, so a record cannot contradict itself, and the writer and the loader
+read it through one formula.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from .dissection import (AsymptoticReport, InvalidDissection,
                          validate_dissection, verify_asymptotic)
 from .geometry import height_profile, x_projection
 from .lattice import (Direction, LatticeSet, WitnessSelection, _witness_from_profile,
-                      column_profile, max_parallel_witness, scaled_points,
-                      select_witness_subset, split_by_affine)
+                      column_profile, expected_dimension, max_parallel_witness,
+                      scaled_points, select_witness_subset, split_by_affine)
 from .oracle import (OracleVerdict, _staircase_verdict, system_dimension_exact,
                      system_dimension_modp)
 from .reorder import monotone_reorder, sup_admissible
@@ -47,9 +50,13 @@ class PolygonWitness(NamedTuple):
 
     polygon: int
     lattice_count: int
-    m: int
     witness: WitnessSelection
     oracle: Optional[OracleVerdict] = None
+
+    @property
+    def m(self) -> int:
+        """The witness's size."""
+        return self.witness.m
 
     def to_json(self) -> dict:
         return {"polygon": self.polygon, "lattice_count": self.lattice_count,
@@ -62,43 +69,50 @@ class PolygonWitness(NamedTuple):
         is its witness's m and its ``lattice_count`` covers the witness's
         m(m+1)/2 points; only a null ``oracle`` means no verdict."""
         data = field("per_polygon row", data, dict)
-        row = cls(field("polygon", data["polygon"], int),
-                  field("lattice_count", data["lattice_count"], int),
-                  field("m", data["m"], int), WitnessSelection.from_json(data["witness"]),
+        polygon = field("polygon", data["polygon"], int)
+        count = field("lattice_count", data["lattice_count"], int)
+        m = field("m", data["m"], int)
+        row = cls(polygon, count, WitnessSelection.from_json(data["witness"]),
                   None if data["oracle"] is None else OracleVerdict.from_json(data["oracle"]))
-        w = row.witness.m
-        if row.m != w:
-            raise ValueError(f"polygon {row.polygon}: m {row.m} is not its witness's m {w}")
-        if row.lattice_count < w * (w + 1) // 2:
-            raise ValueError(f"polygon {row.polygon}: lattice_count {row.lattice_count} "
+        w = row.m
+        if m != w:
+            raise ValueError(f"polygon {polygon}: m {m} is not its witness's m {w}")
+        if count < w * (w + 1) // 2:
+            raise ValueError(f"polygon {polygon}: lattice_count {count} "
                              f"is below the {w * (w + 1) // 2} points of its witness")
         return row
 
 
 class FiniteCertificate(NamedTuple):
-    """Machine-checkable record of a scale-n reduction run."""
+    """Machine-checkable record of a scale-n reduction run; its file also
+    states the degree, which is the scale, and the ``tool_version``."""
 
     dissection: str
     scale: int
-    degree: int
     oracle_mode: str
     seed: int
     per_polygon: Tuple[PolygonWitness, ...]
-    min_ratio: Fraction
-    tool_version: str = __about__.__version__
+
+    tool_version = __about__.__version__  # the one version ``from_json`` accepts
+
+    @property
+    def min_ratio(self) -> Fraction:
+        """The least row m over the scale."""
+        return Fraction(min(row.m for row in self.per_polygon), self.scale)
 
     @property
     def statement(self) -> str:
         """The claim the witnesses prove; :func:`finite_certificate` states why."""
         ms = [p.m for p in self.per_polygon]
-        n = self.degree
-        dim = (n + 1) * (n + 2) // 2 - 1 - sum(m * (m + 1) // 2 for m in ms)
+        n = self.scale
+        dim = expected_dimension(ms, count=(n + 1) * (n + 2) // 2)
         return (f"the degree-{n} plane system with multiplicities "
                 f"({', '.join(map(str, ms))}) at {len(ms)} very general points is "
                 f"non-special of dimension {dim}")
 
     def to_json(self) -> dict:
-        return {**self._asdict(), "min_ratio": str(self.min_ratio), "statement": self.statement,
+        return {**self._asdict(), "degree": self.scale, "min_ratio": str(self.min_ratio),
+                "tool_version": self.tool_version, "statement": self.statement,
                 "per_polygon": [p.to_json() for p in self.per_polygon]}
 
     @classmethod
@@ -114,30 +128,29 @@ class FiniteCertificate(NamedTuple):
         alone (``seshadri.oracle._staircase_verdict``), and a refusal
         names the first field that differs."""
         data = field("certificate", data, dict)
-        version = field("tool_version", data["tool_version"], str,
-                        choices=(__about__.__version__,))
-        cert = cls(field("dissection", data["dissection"], str),
-                   field("scale", data["scale"], int), field("degree", data["degree"], int),
+        field("tool_version", data["tool_version"], str, choices=(cls.tool_version,))
+        dissection = field("dissection", data["dissection"], str)
+        n = field("scale", data["scale"], int)
+        degree = field("degree", data["degree"], int)
+        cert = cls(dissection, n,
                    field("oracle_mode", data["oracle_mode"], str, choices=_ORACLE_MODES),
                    field("seed", data["seed"], int),
                    tuple(PolygonWitness.from_json(p)
-                         for p in field("per_polygon", data["per_polygon"], list)),
-                   parsed("min_ratio", rational, data["min_ratio"]), version)
-        n = cert.scale
+                         for p in field("per_polygon", data["per_polygon"], list)))
+        min_ratio = parsed("min_ratio", rational, data["min_ratio"])
         if n < 1:
             raise ValueError(f"scale {n} is not positive")
-        if cert.degree != n:
-            raise ValueError(f"degree {cert.degree} is not the scale {n}")
+        if degree != n:
+            raise ValueError(f"degree {degree} is not the scale {n}")
         if not cert.per_polygon:
             raise ValueError("per_polygon is empty")
         total = sum(row.lattice_count for row in cert.per_polygon)
         if total != (n + 1) * (n + 2) // 2:
             raise ValueError(f"lattice_count sum {total} is not the "
                              f"{(n + 1) * (n + 2) // 2} monomials of degree {n}")
-        least = Fraction(min(row.m for row in cert.per_polygon), n)
-        if cert.min_ratio != least:
-            raise ValueError(f"min_ratio {cert.min_ratio} is not the least row m over "
-                             f"the scale, {least}")
+        if min_ratio != cert.min_ratio:
+            raise ValueError(f"min_ratio {min_ratio} is not the least row m over "
+                             f"the scale, {cert.min_ratio}")
         method = {"modular": "modular", "exact": "exact-rational"}.get(cert.oracle_mode)
         for i, row in enumerate(cert.per_polygon, start=1):
             v = row.oracle
@@ -224,8 +237,6 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
                 oracle = (system_dimension_exact if oracle_mode == "exact"
                           else system_dimension_modp)
                 verdict = verdicts[best_m] = oracle(witness.subset, (best_m,))
-        rows.append(PolygonWitness(idx, len(pts), best_m, witness, verdict))
-    min_ratio = Fraction(min(r.m for r in rows), n)
-    return FiniteCertificate(dis.name, n, n, oracle_mode, seed,
-                             tuple(rows), min_ratio)
+        rows.append(PolygonWitness(idx, len(pts), witness, verdict))
+    return FiniteCertificate(dis.name, n, oracle_mode, seed, tuple(rows))
 

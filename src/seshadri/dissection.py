@@ -88,8 +88,12 @@ def _peel(cuts: Iterable[AffineForm]) -> Iterator[Tuple[CutStep, ConvexPolygon]]
 
 
 class DissectionValidation(NamedTuple):
-    ok: bool
     violations: Tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        """Whether the dissection has no violation."""
+        return not self.violations
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "violations": list(self.violations)}
@@ -119,7 +123,7 @@ def validate_dissection(dis: Dissection) -> DissectionValidation:
             v.append(f"P{dis.r} is not the remainder the cuts leave")
     if not v and dis._analysis is None:
         dis.__dict__["_analysis"] = _Analysis(dis.polygons())
-    return DissectionValidation(not v, tuple(v))
+    return DissectionValidation(tuple(v))
 
 
 class _AxisData(NamedTuple):
@@ -211,11 +215,11 @@ def builtin_dissection_eckl10() -> Dissection:
 # --- asymptotic verification -----------------------------------------------
 
 class PolygonCheck(NamedTuple):
-    """Per-piece outcome of the projection-width and domination checks."""
+    """Per-piece outcome of the projection-width and domination checks;
+    the projection width is ``profile.width``."""
 
     polygon: int          # 1-based index in dissection order
     axis: Axis
-    width: Fraction
     sup_admissible: Fraction
     passed: bool
     profile: PiecewiseLinear
@@ -223,7 +227,7 @@ class PolygonCheck(NamedTuple):
 
     def to_json(self) -> dict:
         return {"polygon": self.polygon, "axis": self.axis.value,
-                "width": str(self.width),
+                "width": str(self.profile.width),
                 "sup_admissible": str(self.sup_admissible),
                 "pass": self.passed,
                 "profile": self.profile.to_json(),
@@ -233,7 +237,11 @@ class PolygonCheck(NamedTuple):
 class AsymptoticReport(NamedTuple):
     m: Fraction
     per_polygon: Tuple[PolygonCheck, ...]
-    overall: bool
+
+    @property
+    def overall(self) -> bool:
+        """Whether every piece passes."""
+        return all(row.passed for row in self.per_polygon)
 
     def to_json(self) -> dict:
         return {"m": str(self.m), "overall": self.overall,
@@ -245,8 +253,7 @@ class AsymptoticReport(NamedTuple):
 def _check_polygon(i: int, x: _AxisData, y: _AxisData, m: Fraction) -> PolygonCheck:
     """Piece ``i``'s row: the x-axis unless it fails and the y-axis scores higher."""
     d = x if m < x.score or x.score >= y.score else y
-    return PolygonCheck(i, d.axis, d.profile.width, d.score, m < d.score, d.profile,
-                        d.reordered)
+    return PolygonCheck(i, d.axis, d.score, m < d.score, d.profile, d.reordered)
 
 
 def verify_asymptotic(dis: Dissection, m) -> AsymptoticReport:
@@ -261,7 +268,7 @@ def verify_asymptotic(dis: Dissection, m) -> AsymptoticReport:
         raise ValueError("m must be positive")
     rows = tuple([_check_polygon(i, x, y, m)
                   for i, (x, y) in enumerate(_require_valid(dis).pieces, start=1)])
-    return AsymptoticReport(m, rows, all(r.passed for r in rows))
+    return AsymptoticReport(m, rows)
 
 
 def certified_bound(dis: Dissection) -> Fraction:

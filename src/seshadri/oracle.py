@@ -313,11 +313,14 @@ def fraction_free_rank(rows: Matrix) -> int:
     Entries are Fractions or ints.  Rows are first scaled to integers; the
     elimination keeps every intermediate entry an exact minor of the integer
     matrix, so divisions are exact and there is no rational blow-up mid-run.
+    Rows of unequal length raise ``ValueError``, as in ``modrank``.
     """
     m = [_over_common(row)[0] for row in rows]
     if not m:
         return 0
     nrows, ncols = len(m), len(m[0])
+    if any(len(row) != ncols for row in m):
+        raise ValueError("ragged matrix")
     rank = 0
     prev = 1
     for col in range(ncols):
@@ -342,9 +345,26 @@ def fraction_free_rank(rows: Matrix) -> int:
     return rank
 
 
-def _check_cells(rows: int, cols: int, kind: str) -> None:
-    """Refuse a rows x cols matrix of more cells than the cap."""
-    check_cells(rows * cols, f"{rows}x{cols} {kind} matrix")
+def _check_cells(rows: int, cols: int, kind: str, words: int = 1) -> None:
+    """Refuse a rows x cols matrix of more cells than the cap, each entry
+    of ``words`` 64-bit words counted as that many cells."""
+    size = f" of {words}-word entries" if words > 1 else ""
+    check_cells(rows * cols * words, f"{rows}x{cols} {kind} matrix{size}")
+
+
+def _entry_words(D: LatticeSet, points: Optional[GenericPointSet]) -> int:
+    """64-bit words of the largest entry of D's condition matrix at
+    ``points`` scaled as :func:`interpolation_matrix` scales them, or at
+    any seeded points when ``points`` is None, estimated as the largest
+    exponent in D times the bit length of the largest coordinate; at
+    least one."""
+    if points is None:
+        top = _SEED_COORDINATE_MAX
+    else:
+        coords, _ = _over_common([c for xy in points.points for c in xy])
+        top = max(map(abs, coords), default=0)
+    exponent = max((max(a, b) for a, b in D), default=0)
+    return max(1, -(-exponent * top.bit_length() // 64))
 
 
 def system_dimension_exact(D: LatticeSet, spec,
@@ -359,13 +379,15 @@ def system_dimension_exact(D: LatticeSet, spec,
     Several points without explicit coordinates are a seeded sample; if
     the sampled rank falls short of making the system non-special, one
     retry with a fresh seed guards against an unlucky (non-generic)
-    sample, and a differing outcome is recorded in the caveat.
+    sample, and a differing outcome is recorded in the caveat.  Before
+    that matrix is built, each of its entries is charged to the cell cap
+    as the 64-bit words :func:`_entry_words` estimates for it.
     """
     spec = _coerce_spec(spec)
     if points is None and len(spec.multiplicities) == 1:
         caveat = _POINT_FREE + "; its rank over Q is exact: either verdict is conclusive"
         return _point_free_verdict(D, spec, "exact-rational", None, caveat)
-    _check_cells(spec.conditions(), len(D), "exact")
+    _check_cells(spec.conditions(), len(D), "exact", _entry_words(D, points))
     if points is None:
         points = GenericPointSet.seeded(len(spec.multiplicities), seed)
     rank = _rank(interpolation_matrix(D, points, spec), None)

@@ -463,15 +463,16 @@ def _report_reference(dis, m):
             profile = height_profile(poly, axis)
             width, sup = ref.length(x_projection(poly, axis)), sup_admissible(profile)
             passed = m < width and m < sup
-            check = PolygonCheck(idx, axis, width, sup, passed, profile,
-                                 monotone_reorder(profile))
+            check = PolygonCheck(idx, axis, sup, passed, profile, monotone_reorder(profile))
+            # the row's width is its profile's: the projection's length
+            assert check.profile.width == width, (idx, axis)
             if passed:
                 break
             candidates.append((min(width, sup), check))
         else:
             check = max(candidates, key=lambda c: c[0])[1]
         rows.append(check)
-    return AsymptoticReport(m, tuple(rows), all(r.passed for r in rows))
+    return AsymptoticReport(m, tuple(rows))
 
 
 class TestRecordMatchesFreshComputation:

@@ -94,6 +94,14 @@ def test_certify_refuted_at_tiny_scale(capsys):
     assert "refuted" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_certify_refuses_a_scale_below_one(n, capsys):
+    assert run(["certify", "--dissection", BUILTIN, "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: scale must be a positive integer\n"
+
+
 def test_certify_scale_guardrail(capsys):
     t0 = time.perf_counter()
     assert run(["certify", "--dissection", BUILTIN, "--n", "5000",
@@ -220,6 +228,28 @@ def test_oracle_huge_multiplicity_guardrail_both_modes(tmp_path, monkeypatch, ca
         assert run(["oracle", "--system", str(system), "--mode", mode]) == 3
         assert time.perf_counter() - t0 < 1.0
         assert "200010000x3 point-free matrix" in capsys.readouterr().err
+
+
+def test_oracle_refuses_exact_entries_of_many_words(tmp_path, monkeypatch, capsys):
+    # 2x2, but x^(10^7) at a seeded coordinate below 2^17 is about 1.7 * 10^8
+    # bits: each of the four entries is charged 2656250 words, so the
+    # exact mode refuses before a row is built; the modular mode reduces
+    # every power mod its prime and answers
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps({"D": [[0, 0], [10**7, 0]], "multiplicities": [1, 1]}))
+    real = oracle._condition_rows
+
+    def refuse(*_args):
+        raise AssertionError("a row was built")
+    monkeypatch.setattr(oracle, "_condition_rows", refuse)
+    t0 = time.perf_counter()
+    assert run(["oracle", "--system", str(system), "--mode", "exact"]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == (
+        "guardrail: 2x2 exact matrix of 2656250-word entries exceeds the cell cap; "
+        "set SESHADRI_MAX_CELLS\n")
+    monkeypatch.setattr(oracle, "_condition_rows", real)
+    assert run(["oracle", "--system", str(system), "--mode", "modular"]) == 0
 
 
 def test_certify_exact_at_208_matches_modular(capsys):

@@ -1,10 +1,12 @@
-"""Parity of the pure-Python prime-field rank kernel with a plain elimination."""
+"""Parity of the pure-Python prime-field rank kernel with a plain elimination,
+and the contract it shares with the exact rank."""
 
 import random
 
 import pytest
 
 from seshadri._kernels import pyref
+from seshadri.oracle import fraction_free_rank
 
 PRIMES = (2, 3, 7, 2**61 - 1)
 
@@ -58,6 +60,12 @@ def test_pyref_matches_reference(p):
     assert deficient >= 30
 
 
+@pytest.mark.parametrize("p", [1, 0, -7])
+def test_pyref_refuses_a_modulus_below_two(p):
+    with pytest.raises(ValueError, match="^prime must be at least 2$"):
+        pyref.modrank([[1, 2], [3, 4]], p)
+
+
 def test_pyref_leaves_input_untouched():
     rows = [[4, -9, 2], [8, 5, -1], [12, -4, 1]]
     copy = [list(r) for r in rows]
@@ -65,7 +73,18 @@ def test_pyref_leaves_input_untouched():
     assert rows == copy
 
 
-@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]], [[], [1]]])
+# fraction_free_rank once failed on the first of these with an IndexError
+# and ranked the others 1, 0 and 1; both kernels keep one contract
+RAGGED = [[[1, 2], [3]], [[1], [2, 3]], [[], [1]], [[1], [0, 1]]]
+
+
+@pytest.mark.parametrize("rows", RAGGED)
 def test_pyref_refuses_ragged_rows(rows):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^ragged matrix$"):
         pyref.modrank(rows, 7)
+
+
+@pytest.mark.parametrize("rows", RAGGED)
+def test_fraction_free_rank_refuses_ragged_rows(rows):
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        fraction_free_rank(rows)

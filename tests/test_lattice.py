@@ -218,6 +218,11 @@ class TestSplitByAffine:
         d1, d2 = split_by_affine(SIMPLEX2, AffineForm(1, 1, 1), 2)
         assert len(d1) == 0 and d2 == SIMPLEX2
 
+    @pytest.mark.parametrize("scale", [0, -1])
+    def test_scale_below_one_refused(self, scale):
+        with pytest.raises(ValueError, match="^scale must be a positive integer$"):
+            split_by_affine(SIMPLEX2, self.CUT, scale)
+
     def test_partition_property(self):
         rng = random.Random(7)
         for _ in range(100):
@@ -383,6 +388,11 @@ class TestSelectWitness:
     def test_too_large(self):
         with pytest.raises(WitnessTooLarge):
             select_witness_subset(SIMPLEX2, Direction.VERTICAL, 4)
+
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_size_below_one_refused(self, m):
+        with pytest.raises(ValueError, match="^witness size must be positive$"):
+            select_witness_subset(SIMPLEX2, Direction.VERTICAL, m)
 
     def test_witness_certifies_dimension_minus_one(self):
         rng = random.Random(11)

@@ -122,6 +122,21 @@ class TestExactOracle:
         monkeypatch.setenv("SESHADRI_MAX_CELLS", "1000000")
         assert system_dimension_exact(DEG2, (3,), seed=0).non_special
 
+    def test_guardrail_charges_each_entry_its_words(self, monkeypatch):
+        # the cap counts 64-bit words: x^64 at a seeded coordinate, below
+        # 2^17, is charged 64 * 17 bits, 17 words; at the explicit points
+        # (1, 1) and (2, 3), of 2 bits, it is charged 2 words
+        far = LatticeSet(((0, 0), (64, 0)))
+        points = GenericPointSet.explicit([(1, 1), (2, 3)])
+        for cap, args, kwargs in ((67, (), {"seed": 0}), (7, (points,), {})):
+            monkeypatch.setenv("SESHADRI_MAX_CELLS", str(cap))
+            words = (cap + 1) // 4
+            with pytest.raises(SizeGuardrail, match=re.escape(
+                    f"2x2 exact matrix of {words}-word entries exceeds the cell cap")):
+                system_dimension_exact(far, (1, 1), *args, **kwargs)
+            monkeypatch.setenv("SESHADRI_MAX_CELLS", str(cap + 1))
+            assert system_dimension_exact(far, (1, 1), *args, **kwargs).non_special
+
     def test_seed_retry_replaces_a_non_generic_sample(self, monkeypatch):
         seeded = GenericPointSet.seeded
         # four of five points on the line y = x: every conic through them
@@ -201,6 +216,15 @@ class TestModularOracle:
         for spec in ((1,), (1, 1)):
             with pytest.raises(BadModulus):
                 system_dimension_modp(big, spec, seed=0, prime=9)
+
+    def test_more_points_than_the_field_holds(self):
+        # GF(3) has (3 - 1)^2 = 4 points with nonzero coordinates: four
+        # points fit, five are refused before any row is built
+        assert system_dimension_modp(DEG2, (1,) * 4, seed=0, prime=3).prime == 3
+        with pytest.raises(PrimeTooSmall, match=re.escape(
+                "prime 3 leaves 4 distinct points with nonzero coordinates, "
+                "fewer than the system's 5 points")):
+            system_dimension_modp(DEG2, (1,) * 5, seed=0, prime=3)
 
     def test_witness_from_scaled_triangle(self):
         gke = ref.polygon([("5/13", 0), ("7/13", "6/13"), ("9/13", "4/13")])

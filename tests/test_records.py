@@ -3,26 +3,35 @@
 Each record keeps its fields and derived values unchanged under
 assignment and deletion, round-trips through ``copy`` and ``pickle`` to
 an equal object of its class, and, where it checks its input, still
-checks it in ``__new__``.  ``Dissection._replace`` leaves the copy
-unvalidated.  ``LatticeSet``, whose ``len`` and iteration are its
+checks it in ``__new__``.  No record stores a value its other fields
+fix.  ``Dissection._replace`` leaves the copy unvalidated.  ``LatticeSet``, whose ``len`` and iteration are its
 points', is a plain class that keeps the same promises.
 """
 
 import copy
 import dataclasses
+import json
 import pickle
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from seshadri.dissection import certified_bound
-from seshadri.geometry import AffineForm, ConvexPolygon, DegenerateInput, Interval, Point
+from seshadri import __version__
+from seshadri.certify import (EmptyPolygonAtScale, FiniteCertificate, PolygonWitness,
+                              finite_certificate)
+from seshadri.dissection import (AsymptoticReport, DissectionValidation, PolygonCheck,
+                                 builtin_dissection_eckl10, certified_bound, dump_json,
+                                 validate_dissection, verify_asymptotic)
+from seshadri.geometry import (AffineForm, ConvexPolygon, DegenerateInput, Interval, Point,
+                               x_projection)
 from seshadri.lattice import LatticeSet, MultiplicitySpec
 from seshadri.oracle import GenericPointSet, OracleVerdict
 from seshadri.reorder import PiecewiseLinear
 from seshadri.render import RenderSpec
 
-from conftest import asymptotic_records, derived, finite_records
+import fraction_reference as ref
+from conftest import asymptotic_records, derived, finite_records, random_dissection
 
 ASYMPTOTIC = sorted(asymptotic_records())
 NAMES = ASYMPTOTIC + sorted(finite_records())
@@ -169,3 +178,63 @@ def test_dataclasses_replace_gives_a_verdict():
                   verdict._replace(non_special=False, rank=0)):
         assert type(wrong) is OracleVerdict and wrong.to_json() == {
             **verdict.to_json(), "non_special": False, "rank": 0}
+
+
+def test_records_store_no_value_their_fields_fix():
+    """A value the other fields fix is a property, or is written by
+    ``to_json`` alone, so no record can contradict itself; each matches
+    its recomputation on eckl10 and on the random corpus."""
+    assert DissectionValidation._fields == ("violations",)
+    assert PolygonCheck._fields == ("polygon", "axis", "sup_admissible", "passed", "profile",
+                                    "reordered")
+    assert AsymptoticReport._fields == ("m", "per_polygon")
+    assert PolygonWitness._fields == ("polygon", "lattice_count", "witness", "oracle")
+    assert FiniteCertificate._fields == ("dissection", "scale", "oracle_mode", "seed",
+                                         "per_polygon")
+    assert FiniteCertificate.tool_version == __version__
+    assert _check_derived_values(builtin_dissection_eckl10(), (13, 26)) == 2
+    certified = sum(_check_derived_values(random_dissection(random.Random(seed),
+                                                            f"random-{seed}"), (13, 26))
+                    for seed in range(60))
+    assert certified > 50
+
+
+def _check_derived_values(dis, ns) -> int:
+    """Check every derived value of the records of ``dis`` against its
+    recomputation from other fields; return how many certificates were
+    checked."""
+    check = validate_dissection(dis)
+    assert check.violations == () and check.ok is True
+    tampered = validate_dissection(dis._replace(final=dis.steps[0].peeled))
+    assert tampered.violations and tampered.ok is False
+    assert tampered.to_json() == {"ok": False, "violations": list(tampered.violations)}
+    bound, polygons = certified_bound(dis), dis.polygons()
+    for m in (bound - F(1, 97), bound, F(1, 997)):
+        if m <= 0:
+            continue
+        report = verify_asymptotic(dis, m)
+        assert report.overall is all(row.passed for row in report.per_polygon)
+        assert report.to_json()["overall"] is (m < bound)
+        for row, data in zip(report.per_polygon, report.to_json()["per_polygon"],
+                             strict=True):
+            width = ref.length(x_projection(polygons[row.polygon - 1], row.axis))
+            assert data["width"] == str(width), (dis.name, m, row.polygon)
+    certified = 0
+    for n in ns:
+        try:
+            cert = finite_certificate(dis, n, "modular")
+        except EmptyPolygonAtScale:
+            continue
+        certified += 1
+        ms = [row.witness.m for row in cert.per_polygon]
+        assert [row.m for row in cert.per_polygon] == ms
+        assert cert.min_ratio == F(min(ms), n)
+        data = cert.to_json()
+        assert data["degree"] == n and data["tool_version"] == __version__
+        assert data["min_ratio"] == str(F(min(ms), n))
+        assert [row["m"] for row in data["per_polygon"]] == ms
+        dim = (n + 1) * (n + 2) // 2 - 1 - sum(m * (m + 1) // 2 for m in ms)
+        assert data["statement"].endswith(f"non-special of dimension {dim}")
+        assert FiniteCertificate.from_json(json.loads(dump_json(data))) == cert
+    return certified
+
