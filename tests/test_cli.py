@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -20,6 +21,8 @@ from test_canonical_json import _dump_json_reference
 from test_certify import BAD_CHAINS, _p9
 
 BUILTIN = "builtin:eckl10"
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+SYNOPSIS = re.search(r"## Command line\n\n```\n(.*?)```", README, re.S)[1].splitlines()
 
 
 def test_bound_prints_ratio(capsys):
@@ -373,6 +376,108 @@ def test_unwritable_out_is_invalid_input(command, tmp_path, capsys):
 def test_bad_usage_is_exit_two(capsys):
     assert run(["verify", "--dissection", BUILTIN]) == 2   # missing --m
     assert run(["frobnicate"]) == 2
+
+
+# bad usage: argv, with OUT for a path in a fresh directory, and the item
+# the one line on stderr must name
+BAD_USAGE = [
+    ([], "no command"),
+    (["frobnicate"], "'frobnicate'"),
+    (["--dissection", BUILTIN], "'--dissection'"),
+    (["bound", "--dissection", BUILTIN, "--frob"], "'--frob'"),
+    (["bound", "--dissection", BUILTIN, "-x"], "'-x'"),
+    (["oracle", "--system", "OUT", "--s", "1"], "'--s'"),
+    (["bound", "--dissection"], "--dissection"),
+    (["verify", "--dissection", BUILTIN], "--m"),
+    (["render", "--dissection", BUILTIN], "--out"),
+    (["certify", "--dissection", BUILTIN, "--n", "1.5"], "--n '1.5'"),
+    (["certify", "--dissection", BUILTIN, "--n", "13", "--seed", "x"], "--seed 'x'"),
+    (["verify", "--dissection", BUILTIN, "--m", "0.31"],
+     "--m '0.31': not a rational 'p/q' literal: '0.31'"),
+    (["certify", "--dissection", BUILTIN, "--n", "13", "--oracle", "nope"], "--oracle 'nope'"),
+    (["oracle", "--system", "OUT", "--mode", "bogus"], "--mode 'bogus'"),
+    (["render", "--dissection", BUILTIN, "--out", "OUT", "--no-labels=x"], "--no-labels"),
+    (["render", "--dissection", BUILTIN, "--out", "OUT", "--no-labels", "x"], "'x'"),
+    (["bound", "--dissection", BUILTIN, "extra"], "'extra'"),
+]
+
+
+@pytest.mark.parametrize("argv, item", BAD_USAGE,
+                         ids=[" ".join(argv) or "(none)" for argv, _ in BAD_USAGE])
+def test_bad_usage_names_the_item(argv, item, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run([str(out) if a == "OUT" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert item in captured.err
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    (["verify", "--dissection", BUILTIN, "--m", "3/10"],
+     ["verify", f"--dissection={BUILTIN}", "--m=3/10"]),
+    (["certify", "--dissection", BUILTIN, "--n", "13", "--oracle", "none", "--seed", "2"],
+     ["certify", f"--dissection={BUILTIN}", "--n=13", "--oracle=none", "--seed=2"]),
+    (["render", "--dissection", BUILTIN, "--out", "OUT", "--size", "200", "--no-labels"],
+     ["render", f"--dissection={BUILTIN}", "--out=OUT", "--size=200", "--no-labels"]),
+], ids=lambda argv: argv[0])
+def test_an_option_and_its_value_may_be_joined_by_equals(spaced, joined, tmp_path, capsys):
+    out = tmp_path / "out"
+
+    def outputs(argv):
+        code = run([a.replace("OUT", str(out)) for a in argv])
+        return code, capsys.readouterr().out, out.read_text() if out.exists() else None
+
+    assert outputs(joined) == outputs(spaced)
+
+
+def test_prefixes_and_the_last_value_win(capsys):
+    assert run(["certify", "--dissection", BUILTIN, "--n", "13", "--oracle", "none",
+                "--seed", "-1"]) == 0
+    expected = capsys.readouterr().out
+    assert json.loads(expected)["seed"] == -1
+    assert run(["certify", "--dis", "builtin:nope", "--n", "26", "--or", "modular",
+                "--dissection", BUILTIN, "--n", "13", "--oracle=none", "--se", "5",
+                "--seed=-1"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_a_value_is_the_next_item_taken_verbatim(capsys):
+    # a negative m is the command's refusal, not a missing value
+    assert run(["verify", "--dissection", BUILTIN, "--m", "-3/13"]) == 2
+    assert capsys.readouterr() == ("", "error: m must be positive\n")
+    assert run(["bound", "--dissection", "--out"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cannot read dissection file" in captured.err
+
+
+def test_help_lists_every_command_and_option(capsys):
+    for flag in ("--help", "-h", "--he"):
+        assert run([flag]) == 0
+        top = capsys.readouterr()
+        assert top.err == "" and all(line in top.out.splitlines() for line in SYNOPSIS)
+    assert [line.split()[1] for line in SYNOPSIS] == [
+        "builtin", "validate", "verify", "bound", "certify", "oracle", "render"]
+    for line in SYNOPSIS:
+        command, options = line.split()[1], re.findall(r"--[a-z-]+", line)
+        assert options
+        for argv in ([command, "--help"], [command, "-h"], [command, "--he"],
+                     [command, "--out", "x", "--help", "--frob"]):
+            assert run(argv) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert captured.out.startswith(f"usage: seshadri {command} ")
+            assert all(option in captured.out for option in options)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["render", "-h"]],
+                         ids=" ".join)
+def test_help_returns_instead_of_exiting(argv, capsys):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        pytest.fail(f"run({argv}) raised SystemExit({exc.code})")
+    assert code == 0 and capsys.readouterr().out
 
 
 def test_oracle_composite_modulus_refused(tmp_path, capsys):

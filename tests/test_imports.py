@@ -6,7 +6,9 @@ commands (``bound``, ``verify``, ``validate``, ``builtin``) never load the
 finite half, and ``render`` loads no lattice or oracle.  No command, nor
 the benchmark's set-up, loads ``dataclasses`` or ``inspect``, which cost
 several milliseconds of every cold start: the package's records are
-``NamedTuple``s or plain classes.  Each check runs in a fresh
+``NamedTuple``s or plain classes.  Nor does any load ``argparse``, or the
+``gettext`` and ``locale`` it pulls in: the command line parses its
+arguments against its own option table.  Each check runs in a fresh
 interpreter, where no other test has imported anything yet.
 """
 
@@ -51,10 +53,13 @@ import seshadri
 assert seshadri.validate_dissection(seshadri.builtin_dissection_eckl10()).ok
 """
 
-# Prints which of dataclasses and inspect are loaded
-_SLOW = """
+RECORD_MODULES = {"dataclasses", "inspect"}
+PARSER_MODULES = {"argparse", "gettext", "locale"}
+
+# Prints which of RECORD_MODULES and PARSER_MODULES are loaded
+_SLOW = f"""
 import json, sys
-print(json.dumps(sorted({"dataclasses", "inspect"} & set(sys.modules))))
+print(json.dumps(sorted(set(sys.modules).intersection({sorted(RECORD_MODULES | PARSER_MODULES)}))))
 """
 
 
@@ -119,27 +124,56 @@ def test_an_unknown_name_is_refused_by_name():
 
 @pytest.fixture(scope="module")
 def bare_slow():
-    """Which of dataclasses and inspect a bare interpreter loads."""
+    """Which of the slow modules a bare interpreter loads."""
     return set(_child(_SLOW))
 
 
-@pytest.mark.parametrize("code, argv", [
-    (_RUN, ["bound", "--dissection", "builtin:eckl10"]),
-    (_RUN, ["verify", "--dissection", "builtin:eckl10", "--m", "3/13"]),
-    (_RUN, ["validate", "--dissection", "builtin:eckl10"]),
-    (_RUN, ["builtin", "--name", "eckl10"]),
-    (_RUN, ["render", "--dissection", "builtin:eckl10", "--out", "d.svg"]),
-    (_SETUP, []),
-    (_RUN, ["certify", "--dissection", "builtin:eckl10", "--n", "13", "--oracle", "none"]),
-    (_RUN, ["certify", "--dissection", "builtin:eckl10", "--n", "13", "--oracle", "modular"]),
-    (_RUN, ["certify", "--dissection", "builtin:eckl10", "--n", "13", "--oracle", "exact"]),
-    (_RUN, ["oracle", "--system", "system.json", "--mode", "modular"]),
-    (_RUN, ["oracle", "--system", "system.json", "--mode", "exact"]),
-], ids=["bound", "verify", "validate", "builtin", "render", "setup", "certify-none",
-        "certify-modular", "certify-exact", "oracle-modular", "oracle-exact"])
-def test_no_command_loads_dataclasses_or_inspect(code, argv, tmp_path, bare_slow):
+ROWS = {
+    "bound": (_RUN, ["bound", "--dissection", "builtin:eckl10"]),
+    "verify": (_RUN, ["verify", "--dissection", "builtin:eckl10", "--m", "3/13"]),
+    "validate": (_RUN, ["validate", "--dissection", "builtin:eckl10"]),
+    "builtin": (_RUN, ["builtin", "--name", "eckl10"]),
+    "render": (_RUN, ["render", "--dissection", "builtin:eckl10", "--out", "d.svg"]),
+    "setup": (_SETUP, []),
+    "certify-none": (_RUN, ["certify", "--dissection", "builtin:eckl10", "--n", "13",
+                            "--oracle", "none"]),
+    "certify-modular": (_RUN, ["certify", "--dissection", "builtin:eckl10", "--n", "13",
+                               "--oracle", "modular"]),
+    "certify-exact": (_RUN, ["certify", "--dissection", "builtin:eckl10", "--n", "13",
+                             "--oracle", "exact"]),
+    "oracle-modular": (_RUN, ["oracle", "--system", "system.json", "--mode", "modular"]),
+    "oracle-exact": (_RUN, ["oracle", "--system", "system.json", "--mode", "exact"]),
+}
+
+
+@pytest.fixture(scope="module")
+def slow_loaded(tmp_path_factory):
+    """The slow modules a row's child loads, by row; each row runs once."""
+    tmp = tmp_path_factory.mktemp("rows")
     # a set that is no staircase and has full rank mod 2, so B is built and ranked
-    (tmp_path / "system.json").write_text('{"D": [[0, 0], [2, 1], [1, 2]], '
-                                          '"multiplicities": [2]}')
-    argv = [str(tmp_path / a) if a.endswith((".svg", ".json")) else a for a in argv]
-    assert set(_child(code + _SLOW, *argv)) <= bare_slow
+    (tmp / "system.json").write_text('{"D": [[0, 0], [2, 1], [1, 2]], '
+                                     '"multiplicities": [2]}')
+    loaded = {}
+
+    def slow(row):
+        if row not in loaded:
+            code, argv = ROWS[row]
+            argv = [str(tmp / a) if a.endswith((".svg", ".json")) else a for a in argv]
+            loaded[row] = set(_child(code + _SLOW, *argv))
+        return loaded[row]
+    return slow
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_no_command_loads_dataclasses_or_inspect(row, slow_loaded, bare_slow):
+    assert slow_loaded(row) & RECORD_MODULES <= bare_slow
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_no_command_loads_argparse_gettext_or_locale(row, slow_loaded, bare_slow):
+    assert slow_loaded(row) & PARSER_MODULES <= bare_slow
+
+
+def test_the_package_never_imports_argparse():
+    package = ROOT / "src" / "seshadri"
+    assert [p.name for p in package.rglob("*.py") if "argparse" in p.read_text()] == []

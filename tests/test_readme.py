@@ -1,6 +1,7 @@
 """The README's examples run as written.
 
-Each ``$ seshadri ...`` line of its command-line examples runs through
+The command-line synopsis is what ``seshadri --help`` prints.  Each
+``$ seshadri ...`` line of its command-line examples runs through
 ``cli.run``: the lines after it are its stdout (``...`` elides it), and
 after ``; echo $?`` the last of them is its exit code, else 0.  The
 "Library entry points" block runs statement by statement, and each
@@ -48,6 +49,15 @@ def test_shell_example(argv, code, stdout, capsys):
     captured = capsys.readouterr()
     if stdout is not None:
         assert captured.out == stdout
+
+
+def test_the_synopsis_is_what_help_prints(capsys):
+    block = re.search(r"## Command line\n\n```\n(.*?)```", README, re.S)[1]
+    assert run(["--help"]) == 0
+    printed = capsys.readouterr().out
+    assert block in printed
+    assert [line for line in printed.splitlines() if line.startswith("seshadri ")] == \
+        block.splitlines()
 
 
 def _check(value, comment: str) -> None:
