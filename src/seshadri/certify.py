@@ -20,7 +20,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import __about__
 from ._input import _ORACLE_MODES, field, parsed, rational
-from .dissection import SIMPLEX, Dissection, _require_valid
+from .dissection import Dissection, _require_valid
 # Kept only for perfbench, which calls these as ``certify.X`` or rebinds
 # them here to trace them: AsymptoticReport, InvalidDissection,
 # builtin_dissection_eckl10, certified_bound, dissection_from_json,
@@ -209,8 +209,9 @@ def finite_certificate(dis: Dissection, n: int, oracle_mode: str = "none",
     if field("n", n, int) < 1:
         raise ValueError("scale must be a positive integer")
     field("oracle_mode", oracle_mode, str, choices=_ORACLE_MODES)
+    field("seed", seed, int)
     _require_valid(dis)
-    remaining = scaled_points(SIMPLEX, n)
+    remaining = scaled_points(n)
     pieces: List[LatticeSet] = []
     for step in dis.steps:
         mine, remaining = split_by_affine(remaining, step.cut, n)

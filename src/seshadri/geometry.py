@@ -113,9 +113,6 @@ class ConvexPolygon(NamedTuple("ConvexPolygon", [("den", int),
         return tuple([Point(Fraction(x, self.den), Fraction(y, self.den))
                       for x, y in self.pairs])
 
-    def in_first_quadrant(self) -> bool:
-        return all(x >= 0 and y >= 0 for x, y in self.pairs)
-
     def to_json(self) -> list:
         return [[str(v.x), str(v.y)] for v in self.vertices]
 
@@ -160,14 +157,6 @@ def _polygon(den: int, ring: list) -> ConvexPolygon:
     return ConvexPolygon(den, tuple(ring[start:] + ring[:start]))
 
 
-def _cleared_form(r0, r1, r2, scale: int) -> Tuple[int, int, int]:
-    """Integers (c0, c1, c2) with c0 + c1*alpha + c2*beta equal to L times
-    scale*r0 + r1*alpha + r2*beta, for the positive lcm L of the
-    denominators of the rationals r0, r1, r2; the sign is unchanged."""
-    (c0, c1, c2), _ = _over_common((r0, r1, r2))
-    return scale * c0, c1, c2
-
-
 def cut_polygon(P: ConvexPolygon, F: AffineForm):
     """Split the strictly convex canonical polygon P along F = 0 into
     (neg, pos) closed parts, in time linear in its vertex count.
@@ -181,7 +170,8 @@ def cut_polygon(P: ConvexPolygon, F: AffineForm):
     other point on one edge of P, so no three of its points are collinear
     and none repeats.  Chord ends off P's grid put both parts on a finer one.
     """
-    c0, c1, c2 = _cleared_form(F.r0, F.r1, F.r2, P.den)
+    (c0, c1, c2), _ = _over_common(F)  # L*F for the positive lcm L of its denominators
+    c0 *= P.den
     vals = [c0 + c1 * x + c2 * y for x, y in P.pairs]
     if min(vals) >= 0:
         return (None, P)

@@ -1,10 +1,9 @@
 """Finite monomial-exponent sets and the parallel-lines witness.
 
-Covers splitting a set by an affine form at a given scale, which is also
-how the integer points of a scaled polygon are found (its bounding box,
-split by each slanted edge, ties kept), per-line count profiles, and the
-deterministic selection of a subset whose columns carry exactly
-1, 2, ..., m points on m parallel lines.
+Covers the integer points of n times the simplex, one run per column,
+splitting a set by an affine form at a given scale, per-line count
+profiles, and the deterministic selection of a subset whose columns carry
+exactly 1, 2, ..., m points on m parallel lines.
 
 Its records are ``typing.NamedTuple``s, as in :mod:`seshadri.geometry`, but
 ``LatticeSet``, whose ``len`` and iteration are its points': it is a plain
@@ -21,8 +20,8 @@ from math import comb
 from operator import itemgetter
 from typing import Dict, NamedTuple, Sequence, Tuple
 
-from ._input import _read_only, check_cells, field, items, lazy
-from .geometry import AffineForm, ConvexPolygon, _cleared_form
+from ._input import _over_common, _read_only, check_cells, field, items, lazy
+from .geometry import AffineForm
 
 
 class EmptySet(ValueError):
@@ -209,36 +208,17 @@ class ColumnProfile(NamedTuple("ColumnProfile", [("direction", Direction),
         return tuple(sorted(self.counts, key=itemgetter(1), reverse=True))
 
 
-def scaled_points(P: ConvexPolygon, n: int) -> LatticeSet:
-    """Integer points of the closed scaled polygon n*P.
-
-    n*P is its bounding box, one run per column, split by each slanted
-    edge (a, b) of the CCW polygon through :func:`split_by_affine` at the
-    form (b - a) x (q - a), in ints over P's denominator d; ties go to the
-    nonnegative part, which is kept, so the points on an edge stay.  A
-    horizontal or vertical edge lies on the box and cuts nothing.  A scale
-    at which the box holds more integer points than the cell cap raises
-    SizeGuardrail before any run is built.
-    """
+def scaled_points(n: int) -> LatticeSet:
+    """Integer points of n times the simplex, the exponents of the monomials
+    of degree at most n: column alpha is the run beta = 0..n - alpha.  A
+    scale at which the unit square around it holds more integer points,
+    (n + 1)^2, than the cell cap raises SizeGuardrail before any run is built."""
     if n < 1:
         raise ValueError("scale must be a positive integer")
-    if not P.in_first_quadrant():
-        raise ValueError("polygon must lie in the first quadrant")
-    d, ps = P.den, P.pairs
-    # ceil(n*min) and floor(n*max) of each coordinate
-    (x0, x1), (y0, y1) = [(-(-n * min(cs) // d), n * max(cs) // d) for cs in zip(*ps)]
-    box = (x1 - x0 + 1) * (y1 - y0 + 1)
-    check_cells(box, f"scale n = {n}: the scaled polygon's bounding box holds "
-                     f"{box} integer points, a count that")
-    if not box:  # columns without a row, or no column: no split would drop them
-        return LatticeSet()
-    kept = LatticeSet._of_runs(tuple([(alpha, y0, y1 - y0 + 1) for alpha in range(x0, x1 + 1)]),
-                               box)
-    for (ax, ay), (bx, by) in zip(ps, ps[1:] + ps[:1]):
-        dx, dy = bx - ax, by - ay
-        if dx and dy:
-            kept = split_by_affine(kept, AffineForm(dy * ax - dx * ay, -dy * d, dx * d), n)[1]
-    return kept
+    check_cells((n + 1) ** 2, f"scale n = {n}: the scaled polygon's bounding box holds "
+                              f"{(n + 1) ** 2} integer points, a count that")
+    return LatticeSet._of_runs(tuple([(alpha, 0, n + 1 - alpha) for alpha in range(n + 1)]),
+                               (n + 1) * (n + 2) // 2)
 
 
 def split_by_affine(D: LatticeSet, F: AffineForm, scale: int):
@@ -254,7 +234,8 @@ def split_by_affine(D: LatticeSet, F: AffineForm, scale: int):
     """
     if scale < 1:
         raise ValueError("scale must be a positive integer")
-    c0, c1, c2 = _cleared_form(F.r0, F.r1, F.r2, scale)
+    (c0, c1, c2), _ = _over_common(F)
+    c0 *= scale
     runs = D.runs
     # each column's threshold t: its points below t go to `low`, the rest
     # to `high`, and `low` is the negative part unless c2 < 0

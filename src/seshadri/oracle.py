@@ -208,10 +208,15 @@ def interpolation_matrix(D: LatticeSet, points: GenericPointSet, spec) -> Matrix
     ``points`` scaled by the lcm of their denominators, which keeps the rank
     (see the module docstring)."""
     ms = _coerce_spec(spec).multiplicities
-    if len(points.points) != len(ms):
-        raise ArityMismatch(f"{len(points.points)} points for {len(ms)} multiplicities")
+    _check_arity(points, ms)
     coords, _ = _over_common([c for xy in points.points for c in xy])
     return _condition_rows(D, zip(coords[::2], coords[1::2]), ms)
+
+
+def _check_arity(points: Optional[GenericPointSet], ms: Sequence[int]) -> None:
+    """Refuse explicit ``points`` that are not one per multiplicity in ``ms``."""
+    if points is not None and len(points.points) != len(ms):
+        raise ArityMismatch(f"{len(points.points)} points for {len(ms)} multiplicities")
 
 
 def _condition_rows(D: LatticeSet, pairs, ms: Sequence[int],
@@ -380,13 +385,15 @@ def system_dimension_exact(D: LatticeSet, spec,
     the sampled rank falls short of making the system non-special, one
     retry with a fresh seed guards against an unlucky (non-generic)
     sample, and a differing outcome is recorded in the caveat.  Before
-    that matrix is built, each of its entries is charged to the cell cap
+    that matrix is built, explicit points that are not one per multiplicity
+    raise ArityMismatch, and each of its entries is charged to the cell cap
     as the 64-bit words :func:`_entry_words` estimates for it.
     """
     spec = _coerce_spec(spec)
     if points is None and len(spec.multiplicities) == 1:
         caveat = _POINT_FREE + "; its rank over Q is exact: either verdict is conclusive"
         return _point_free_verdict(D, spec, "exact-rational", None, caveat)
+    _check_arity(points, spec.multiplicities)
     _check_cells(spec.conditions(), len(D), "exact", _entry_words(D, points))
     if points is None:
         points = GenericPointSet.seeded(len(spec.multiplicities), seed)

@@ -125,7 +125,7 @@ def finite_records() -> dict:
     the points of 5 times the simplex with a profile and a witness of
     them; no derived value is read."""
     cert = finite_certificate(builtin_dissection_eckl10(), 13, "modular")
-    D = scaled_points(SIMPLEX, 5)
+    D = scaled_points(5)
     records = [D, MultiplicitySpec((3, 1, 1)), column_profile(D, Direction.HORIZONTAL),
                select_witness_subset(D, Direction.HORIZONTAL, 4),
                GenericPointSet.explicit([("1/2", 3), (2, "5/3")]), cert.per_polygon[2].oracle,

@@ -18,8 +18,9 @@ from Lucas's theorem, one bit per point of D, and ``_gf2_rank`` ranks
 those rows by an XOR basis, a second route to ``modrank(B, 2)``.
 
 The second part holds exact checks and accessors that no command runs:
-areas, containment, evaluation of a piecewise-linear function, the
-identity-domination criterion, sup-norm distances and curve membership.
+areas, containment, the integer points of a scaled polygon, evaluation of
+a piecewise-linear function, the identity-domination criterion, sup-norm
+distances and curve membership.
 A former method takes its object as first argument.
 """
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, perm
+from math import ceil, comb, floor, perm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from seshadri.dissection import AsymptoticReport
@@ -337,6 +338,34 @@ def area(P: ConvexPolygon) -> Fraction:
 def polygon_contains(P: ConvexPolygon, p: Point) -> bool:
     """Closed containment test via edge cross products."""
     return all(_cross(a, b, p) >= 0 for a, b in edges(P))
+
+
+def _scaled_points_reference(poly: ConvexPolygon, n: int) -> Tuple[Tuple[int, int], ...]:
+    """Integer points of n*poly, sorted, each column bounded by one Fraction
+    per edge; ``seshadri.lattice.scaled_points`` is its case of the simplex."""
+    xs = [v.x for v in poly.vertices]
+    pts = []
+    for alpha in range(ceil(n * min(xs)), floor(n * max(xs)) + 1):
+        lo, hi = None, None
+        empty = False
+        for a, b in edges(poly):
+            # inside n*poly iff (b-a) x (q - n*a) >= 0 for q = (alpha, y)
+            c = b.x - a.x
+            rhs = (b.y - a.y) * (alpha - n * a.x) + c * n * a.y
+            if c > 0:
+                bound = Fraction(rhs, c)
+                lo = bound if lo is None else max(lo, bound)
+            elif c < 0:
+                bound = Fraction(rhs, c)
+                hi = bound if hi is None else min(hi, bound)
+            elif (b.y - a.y) * (alpha - n * a.x) > 0:
+                empty = True
+                break
+        if empty or lo is None or hi is None:
+            continue
+        for beta in range(max(0, ceil(lo)), floor(hi) + 1):
+            pts.append((alpha, beta))
+    return tuple(pts)
 
 
 def segments(f: PiecewiseLinear):

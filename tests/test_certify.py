@@ -23,7 +23,7 @@ from seshadri.geometry import (AffineForm, Axis, ConvexPolygon, height_profile,
                                point, x_projection)
 from seshadri.reorder import monotone_reorder, sup_admissible
 from seshadri import __version__, lattice
-from seshadri.lattice import Direction, WitnessSelection, scaled_points
+from seshadri.lattice import Direction, WitnessSelection
 from seshadri.oracle import _GF2_FULL, OracleVerdict, SizeGuardrail, _staircase_verdict
 
 import fraction_reference as ref
@@ -45,7 +45,7 @@ def _validate_reference(dis):
     v = []
     polys = dis.polygons()
     for idx, poly in enumerate(polys, start=1):
-        if not poly.in_first_quadrant():
+        if any(p.x < 0 or p.y < 0 for p in poly.vertices):
             v.append(f"P{idx} leaves the first quadrant")
         for vert in poly.vertices:
             if not ref.polygon_contains(SIMPLEX, vert):
@@ -549,7 +549,7 @@ class TestFiniteCertificate:
     def test_witness_points_inside_scaled_polygons(self):
         cert = finite_certificate(BUILTIN, 13)
         for row, poly in zip(cert.per_polygon, BUILTIN.polygons()):
-            closure = scaled_points(poly, 13)
+            closure = ref._scaled_points_reference(poly, 13)
             assert set(row.witness.subset) <= set(closure)
             assert row.lattice_count <= len(closure)
 
@@ -573,6 +573,12 @@ class TestFiniteCertificate:
         a = finite_certificate(BUILTIN, 13, oracle_mode="modular", seed=5)
         b = finite_certificate(BUILTIN, 13, oracle_mode="modular", seed=5)
         assert a == b
+
+    @pytest.mark.parametrize("seed", [True, "7", 1.5])
+    def test_seed_of_another_type_refused(self, seed):
+        # the loader refuses what these would write, and dump_json fails on 1.5
+        with pytest.raises(ValueError, match="^seed .* is not an integer$"):
+            finite_certificate(BUILTIN, 13, oracle_mode="modular", seed=seed)
 
     def test_certificate_json_round_trip(self):
         cert = finite_certificate(BUILTIN, 13, oracle_mode="modular", seed=1)

@@ -527,6 +527,17 @@ def test_oracle_honours_an_empty_points_list(tmp_path, capsys):
     assert "1 points for 2 multiplicities" in capsys.readouterr().err
 
 
+def test_oracle_checks_the_points_before_the_cell_cap(tmp_path, capsys):
+    # a 3x2 matrix of huge entries would exceed the cap, but three
+    # multiplicities at two points are refused first, as bad input
+    system = {"D": [[0, 0], [100000000, 0]], "multiplicities": [1, 1, 1],
+              "points": [[1, 1], [2, 2]]}
+    assert _oracle_on(tmp_path, system) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "2 points for 3 multiplicities" in captured.err
+    assert "cell cap" not in captured.err
+
+
 def _oracle_on(tmp_path, system, mode="exact"):
     path = tmp_path / "sys.json"
     path.write_text(json.dumps(system))

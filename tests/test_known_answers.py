@@ -1,17 +1,23 @@
-"""Known answers the certified bound may not exceed.
+"""Known answers the tool's claims may not contradict.
 
 For r very general points of the plane the Seshadri constant ε_r is known
 for r <= 9, and it is at most 1/√r for every r.  The tool claims
 ε_r >= ``certified_bound``, so a bound above either value is a false
-claim.  These checks use no lattice, no matrix and no code of the
-pipeline beyond the bound itself.  The corpus is eckl10 and the seeded
-random dissections of ``conftest.random_dissection``.
+claim.  For r <= 9 the dimension of every plane system is known too (the
+SHGH conjecture is a theorem there), so a certificate's statement of a
+dimension can be checked against it.  These checks use no lattice, no
+matrix and no code of the pipeline beyond the bound and the statement.
+The corpus is eckl10 and the seeded random dissections of
+``conftest.random_dissection``.
 """
 
 import random
+import re
 from fractions import Fraction
+from functools import lru_cache
 
-from seshadri import dissection
+from seshadri import certify, dissection
+from seshadri.certify import EmptyPolygonAtScale, finite_certificate
 from seshadri.dissection import builtin_dissection_eckl10, certified_bound
 
 from conftest import random_dissection
@@ -47,3 +53,84 @@ def test_a_score_that_ignores_the_crossing_breaks_the_ceiling(monkeypatch):
     # crossing of its rearranged profile under the identity
     monkeypatch.setattr(dissection, "_first_crossing", lambda reordered: reordered.width)
     assert sum(map(_above_the_ceiling, _corpus())) > 0
+
+
+# a certificate's statement: its degree, its multiplicities and its dimension
+STATEMENT = re.compile(r"the degree-(\d+) plane system with multiplicities \(([\d, ]+)\) at "
+                       r"\d+ very general points is non-special of dimension (-?\d+)")
+
+
+def shgh_dimension(d: int, ms) -> int:
+    """Dimension of the degree-d system with multiplicities ``ms`` at r <= 9
+    very general points.
+
+    A Cremona move on the three largest multiplicities, with
+    k = d - m1 - m2 - m3 < 0, gives (d + k; m1 + k, m2 + k, m3 + k, ...)
+    and keeps the dimension.  A multiplicity -e < 0 makes the exceptional
+    curve over its point a fixed component e times, and the system without
+    it has multiplicity 0 there and the same dimension; d < 0 leaves no
+    curve.  The moves end in standard form,
+    d >= m1 + m2 + m3, where for r <= 9 the system is non-special (Nagata,
+    Harbourne, Gimigliano): its dimension is the expected one.
+    """
+    ms = list(ms) + [0, 0, 0]  # a move needs three points
+    while True:
+        ms = sorted((max(m, 0) for m in ms), reverse=True)
+        if d < 0:
+            return -1
+        k = d - ms[0] - ms[1] - ms[2]
+        if k >= 0:
+            return max(-1, (d + 1) * (d + 2) // 2 - 1 - sum(m * (m + 1) // 2 for m in ms))
+        d += k
+        ms[:3] = [m + k for m in ms[:3]]
+
+
+@lru_cache(maxsize=1)
+def _certificates() -> tuple:
+    """Certificates of the corpus's dissections with r <= 9 at a few scales;
+    a scale at which a piece holds no point is skipped."""
+    certs = []
+    for seed in range(100):
+        dis = random_dissection(random.Random(seed), f"random-{seed}")
+        if len(dis.steps) + 1 > 9:
+            continue
+        for n in (5, 13, 26, 40):
+            try:
+                certs.append(finite_certificate(dis, n))
+            except EmptyPolygonAtScale:
+                pass
+    return tuple(certs)
+
+
+def _contradicted() -> list:
+    """The statements of ``_certificates()`` whose dimension is not the
+    SHGH dimension of their degree and multiplicities."""
+    wrong = []
+    for cert in _certificates():
+        d, ms, dim = STATEMENT.fullmatch(cert.statement).groups()
+        if shgh_dimension(int(d), map(int, ms.split(", "))) != int(dim):
+            wrong.append(cert.statement)
+    return wrong
+
+
+def test_shgh_dimension_of_known_systems():
+    assert shgh_dimension(3, [1] * 9) == 0     # the cubic through nine points
+    assert shgh_dimension(2, [1] * 5) == 0     # the conic through five
+    assert shgh_dimension(1, [1, 1]) == 0      # the line through two
+    assert shgh_dimension(4, [2] * 5) == 0     # the conic, doubled: expected -1
+    assert shgh_dimension(4, [3, 3]) == 3      # the line through both fixed twice, expected 2
+    assert shgh_dimension(13, [4] * 9) == 14   # in standard form: the expected dimension
+
+
+def test_every_statement_below_ten_points_has_the_shgh_dimension():
+    certs = _certificates()
+    assert len(certs) > 150
+    assert {len(cert.per_polygon) for cert in certs} == set(range(2, 10))
+    assert _contradicted() == []
+
+
+def test_every_m_raised_by_one_is_caught(monkeypatch):
+    # planted fault: each row states one more than its witness proves
+    monkeypatch.setattr(certify.PolygonWitness, "m",
+                        property(lambda row: row.witness.m + 1))
+    assert len(_contradicted()) > len(_certificates()) // 4

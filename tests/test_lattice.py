@@ -4,13 +4,13 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
-from math import ceil, comb, floor, gcd
+from math import comb
 
 import pytest
 
 from seshadri.dissection import builtin_dissection_eckl10
 from seshadri import SizeGuardrail
-from seshadri.geometry import AffineForm, DegenerateInput
+from seshadri.geometry import AffineForm
 from seshadri.lattice import (ColumnProfile, Direction, EmptySet, LatticeSet,
                               MultiplicitySpec, WitnessSelection, WitnessTooLarge,
                               _transpose, column_profile, expected_dimension,
@@ -18,83 +18,10 @@ from seshadri.lattice import (ColumnProfile, Direction, EmptySet, LatticeSet,
                               select_witness_subset, split_by_affine)
 
 import fraction_reference as ref
-from conftest import random_polygon
 
 SIMPLEX = ref.polygon([(0, 0), (1, 0), (0, 1)])
 GKE = ref.polygon([("5/13", 0), ("7/13", "6/13"), ("9/13", "4/13")])
 SIMPLEX2 = LatticeSet(((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)))
-
-
-def _boundary_points(poly, n):
-    """Lattice points on the boundary of n*poly (integer vertices assumed)."""
-    total = 0
-    for a, b in ref.edges(poly):
-        dx, dy = n * (b.x - a.x), n * (b.y - a.y)
-        total += gcd(int(abs(dx)), int(abs(dy)))
-    return total
-
-
-def _scaled_points_reference(poly, n):
-    """Integer points of n*poly, each column bounded by one Fraction per edge."""
-    xs = [v.x for v in poly.vertices]
-    pts = []
-    for alpha in range(ceil(n * min(xs)), floor(n * max(xs)) + 1):
-        lo, hi = None, None
-        empty = False
-        for a, b in ref.edges(poly):
-            # inside n*poly iff (b-a) x (q - n*a) >= 0 for q = (alpha, y)
-            c = b.x - a.x
-            rhs = (b.y - a.y) * (alpha - n * a.x) + c * n * a.y
-            if c > 0:
-                bound = F(rhs, c)
-                lo = bound if lo is None else max(lo, bound)
-            elif c < 0:
-                bound = F(rhs, c)
-                hi = bound if hi is None else min(hi, bound)
-            elif (b.y - a.y) * (alpha - n * a.x) > 0:
-                empty = True
-                break
-        if empty or lo is None or hi is None:
-            continue
-        for beta in range(max(0, ceil(lo)), floor(hi) + 1):
-            pts.append((alpha, beta))
-    return tuple(pts)
-
-
-def _rational_polygon(rng):
-    """Convex polygon in the first quadrant, vertex denominators up to 60,
-    often with a vertical edge and with vertices on the axes."""
-    def coord():
-        den = rng.randint(1, 60)
-        return F(rng.randint(0, den), den)
-
-    while True:
-        pts = [(coord(), coord()) for _ in range(rng.randint(3, 7))]
-        if rng.random() < 0.5:  # a vertical edge on the left or right side
-            x = rng.choice([min, max])(p[0] for p in pts)
-            pts += [(x, coord()), (x, coord())]
-        if rng.random() < 0.5:
-            pts[0] = (F(0), pts[0][1])
-        if rng.random() < 0.5:
-            pts[1] = (pts[1][0], F(0))
-        try:
-            return ref.polygon(pts)
-        except DegenerateInput:
-            continue
-
-
-# rectangles and polygons with horizontal and vertical edges, which lie on
-# the scaled bounding box
-AXIS_PARALLEL = [ref.polygon(pts) for pts in (
-    [("1/5", "1/5"), ("9/5", "1/5"), ("9/5", "4/5"), ("1/5", "4/5")],
-    [("1/5", "1/5"), ("4/5", "1/5"), ("4/5", "9/5"), ("1/5", "9/5")],
-    [(0, 0), (1, 0), (1, 1), (0, 1)],
-    [(0, "1/3"), ("3/2", "1/3"), ("3/2", "7/4"), (0, "7/4")],
-    [(0, 0), (2, 0), ("3/2", 1), ("1/2", 1)],
-    [("1/3", "1/7"), ("5/3", "1/7"), ("1/3", "9/7")],
-    [(0, 0), (2, 0), (2, 1), (1, 2), (0, 1)],
-    [("1/7", "2/7"), ("13/7", "2/7"), ("13/7", "5/7"), ("5/7", "11/7")],
-)]
 
 
 def _coordinate(direction):
@@ -127,7 +54,7 @@ def _random_sets(seed, count, side=12):
 def _eckl10_lattice_sets(n):
     """Every set the finite certificate builds for eckl10 at scale n."""
     dis = builtin_dissection_eckl10()
-    remaining = scaled_points(SIMPLEX, n)
+    remaining = scaled_points(n)
     sets = [remaining]
     for step in dis.steps:
         mine, remaining = split_by_affine(remaining, step.cut, n)
@@ -141,63 +68,24 @@ def _eckl10_lattice_sets(n):
 
 class TestScaledPoints:
     def test_simplex_scale_two(self):
-        assert scaled_points(SIMPLEX, 2) == SIMPLEX2
+        assert scaled_points(2) == SIMPLEX2
+
+    def test_simplex_matches_fraction_reference(self):
+        # equal sets have equal runs, so the runs are checked canonical too
+        for n in [*range(1, 61), 208]:
+            pts = scaled_points(n)
+            assert pts == LatticeSet(ref._scaled_points_reference(SIMPLEX, n))
+            assert len(pts) == (n + 1) * (n + 2) // 2
 
     def test_table_triangle_scale_13(self):
-        pts = scaled_points(GKE, 13)
+        # the reference that tests read the points of other polygons from
+        pts = ref._scaled_points_reference(GKE, 13)
         assert (7, 2) in pts and (7, 6) in pts
         assert len(pts) == 13
 
-    def test_pick_equality_on_integer_scalings(self):
-        # for integer-vertex scalings, count = n^2 * area + boundary/2 + 1
-        rng = random.Random(3)
-        for _ in range(40):
-            poly = random_polygon(rng)
-            n = 6 * rng.randint(1, 3)   # clears the sampled denominators 1..3
-            if any((n * v.x).denominator != 1 or (n * v.y).denominator != 1
-                   for v in poly.vertices):
-                continue
-            count = len(scaled_points(poly, n))
-            expected = n * n * ref.area(poly) + F(_boundary_points(poly, n), 2) + 1
-            assert count == expected
-
-    def test_divisor_embedding(self):
-        rng = random.Random(5)
-        for _ in range(25):
-            poly = random_polygon(rng)
-            n, k = rng.randint(1, 4), rng.randint(2, 3)
-            small = scaled_points(poly, n)
-            big = scaled_points(poly, n * k)
-            assert all((k * a, k * b) in big for a, b in small)
-
-    def test_integer_bounds_match_fraction_reference(self):
-        rng = random.Random(60)
-        vertical = on_axis = 0
-        for trial in range(300):
-            poly = _rational_polygon(rng)
-            n = 300 if trial % 50 == 0 else rng.randint(1, 60)
-            assert scaled_points(poly, n).points == _scaled_points_reference(poly, n)
-            vertical += any(a.x == b.x for a, b in ref.edges(poly))
-            on_axis += any(v.x == 0 or v.y == 0 for v in poly.vertices)
-        assert vertical >= 100 and on_axis >= 150
-        for poly in AXIS_PARALLEL:
-            for n in list(range(1, 16)) + [47, 120]:
-                assert scaled_points(poly, n).points == _scaled_points_reference(poly, n)
-
-    @pytest.mark.parametrize("poly", [
-        AXIS_PARALLEL[0],                                  # one column, no row
-        AXIS_PARALLEL[1],                                  # one row, no column
-        ref.polygon([("1/5", 0), ("4/5", 0), ("1/2", 3)]),  # no column
-    ], ids=["columns without a row", "transpose", "triangle"])
-    def test_empty_bounding_box_is_the_empty_set(self, poly):
-        assert scaled_points(poly, 1) == LatticeSet(())
-
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            scaled_points(SIMPLEX, 0)
-        shifted = ref.polygon([(-1, 0), (1, 0), (0, 1)])
-        with pytest.raises(ValueError):
-            scaled_points(shifted, 2)
+        with pytest.raises(ValueError, match="^scale must be a positive integer$"):
+            scaled_points(0)
 
 
 class TestSplitByAffine:
@@ -305,7 +193,8 @@ class TestColumnProfile:
         assert horiz.counts == ((0, 3), (1, 2), (2, 1))
 
     def test_table_triangle_profile(self):
-        prof = column_profile(scaled_points(GKE, 13), Direction.VERTICAL)
+        pts = LatticeSet(ref._scaled_points_reference(GKE, 13))
+        prof = column_profile(pts, Direction.VERTICAL)
         assert dict(prof.counts) == {5: 1, 6: 3, 7: 5, 8: 3, 9: 1}
 
     def test_empty_rejected(self):

@@ -8,8 +8,7 @@ import pytest
 from seshadri._kernels import pyref
 from seshadri.geometry import Point
 from seshadri.lattice import (Direction, LatticeSet, column_profile,
-                              max_parallel_witness, scaled_points,
-                              select_witness_subset)
+                              max_parallel_witness, select_witness_subset)
 from seshadri.oracle import (ArityMismatch, BadModulus, GenericPointSet,
                              PrimeTooSmall, SizeGuardrail, MODULAR_DEFAULT_PRIME,
                              fraction_free_rank, interpolation_matrix,
@@ -228,7 +227,7 @@ class TestModularOracle:
 
     def test_witness_from_scaled_triangle(self):
         gke = ref.polygon([("5/13", 0), ("7/13", "6/13"), ("9/13", "4/13")])
-        pts = scaled_points(gke, 26)
+        pts = LatticeSet(ref._scaled_points_reference(gke, 26))
         m = max_parallel_witness(column_profile(pts, Direction.VERTICAL))
         assert m == 8
         w = select_witness_subset(pts, Direction.VERTICAL, 8)
