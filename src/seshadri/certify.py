@@ -59,9 +59,10 @@ class PolygonWitness(NamedTuple):
         return self.witness.m
 
     def to_json(self) -> dict:
-        return {"polygon": self.polygon, "lattice_count": self.lattice_count,
-                "m": self.m, "witness": self.witness.to_json(),
-                "oracle": self.oracle.to_json() if self.oracle else None}
+        polygon, lattice_count, witness, oracle = self
+        return {"polygon": polygon, "lattice_count": lattice_count,
+                "m": witness.m, "witness": witness.to_json(),
+                "oracle": oracle.to_json() if oracle else None}
 
     @classmethod
     def from_json(cls, data: dict) -> "PolygonWitness":
@@ -111,9 +112,11 @@ class FiniteCertificate(NamedTuple):
                 f"non-special of dimension {dim}")
 
     def to_json(self) -> dict:
-        return {**self._asdict(), "degree": self.scale, "min_ratio": str(self.min_ratio),
+        dissection, scale, oracle_mode, seed, per_polygon = self
+        return {"dissection": dissection, "scale": scale, "oracle_mode": oracle_mode,
+                "seed": seed, "degree": scale, "min_ratio": str(self.min_ratio),
                 "tool_version": self.tool_version, "statement": self.statement,
-                "per_polygon": [p.to_json() for p in self.per_polygon]}
+                "per_polygon": [p.to_json() for p in per_polygon]}
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteCertificate":

@@ -145,9 +145,17 @@ def _axis_data(poly: ConvexPolygon, axis: Axis) -> _AxisData:
     return _AxisData(axis, profile, _first_crossing(reordered), reordered)
 
 
+_Scored = Tuple[_AxisData, int, int]
+
+
+def _scored(d: _AxisData) -> _Scored:
+    """``d`` beside its score's numerator and denominator."""
+    return d, d.score.numerator, d.score.denominator
+
+
 class _Analysis:
     """The (x, y) axis data of every piece of a valid dissection, built
-    on first use, and its certified bound."""
+    on first use, each piece's better axis and its certified bound."""
 
     def __init__(self, polygons: Sequence[ConvexPolygon]) -> None:
         self.polygons = tuple(polygons)
@@ -159,9 +167,20 @@ class _Analysis:
                       for p in self.polygons])
 
     @lazy
+    def choices(self) -> Tuple[Tuple[_Scored, _Scored], ...]:
+        """One (x-axis, better axis) pair per piece, in dissection order;
+        the better axis is the x-axis unless the y-axis scores strictly
+        higher, decided by cross-multiplying the scores' ints."""
+        out = []
+        for x, y in self.pieces:
+            (_, a, b), (_, c, d) = xs, ys = _scored(x), _scored(y)
+            out.append((xs, ys if c * b > a * d else xs))
+        return tuple(out)
+
+    @lazy
     def bound(self) -> Fraction:
         """See :func:`certified_bound`."""
-        return min(max(x.score, y.score) for x, y in self.pieces)
+        return min(best.score for _, (best, _, _) in self.choices)
 
 
 def _require_valid(dis: Dissection) -> _Analysis:
@@ -226,12 +245,13 @@ class PolygonCheck(NamedTuple):
     reordered: PiecewiseLinear
 
     def to_json(self) -> dict:
-        return {"polygon": self.polygon, "axis": self.axis.value,
-                "width": str(self.profile.width),
-                "sup_admissible": str(self.sup_admissible),
-                "pass": self.passed,
-                "profile": self.profile.to_json(),
-                "reordered": self.reordered.to_json()}
+        polygon, axis, sup_admissible, passed, profile, reordered = self
+        return {"polygon": polygon, "axis": axis.value,
+                "width": str(profile.width),
+                "sup_admissible": str(sup_admissible),
+                "pass": passed,
+                "profile": profile.to_json(),
+                "reordered": reordered.to_json()}
 
 
 class AsymptoticReport(NamedTuple):
@@ -244,16 +264,23 @@ class AsymptoticReport(NamedTuple):
         return all(row.passed for row in self.per_polygon)
 
     def to_json(self) -> dict:
-        return {"m": str(self.m), "overall": self.overall,
-                "per_polygon": [c.to_json() for c in self.per_polygon],
+        m, per_polygon = self
+        return {"m": str(m), "overall": self.overall,
+                "per_polygon": [c.to_json() for c in per_polygon],
                 "note": "bounds are strict: the certified ratio is a supremum, "
                         "not an attained maximum"}
 
 
-def _check_polygon(i: int, x: _AxisData, y: _AxisData, m: Fraction) -> PolygonCheck:
-    """Piece ``i``'s row: the x-axis unless it fails and the y-axis scores higher."""
-    d = x if m < x.score or x.score >= y.score else y
-    return PolygonCheck(i, d.axis, d.score, m < d.score, d.profile, d.reordered)
+def _check_polygon(i: int, x: _Scored, best: _Scored, p: int, q: int) -> PolygonCheck:
+    """Piece ``i``'s row at m = p/q (q > 0): the x-axis unless it fails,
+    then the piece's better axis; m is compared with a score a/b by
+    cross-multiplying, as b > 0."""
+    d, a, b = x
+    passed = p * b < a * q
+    if not passed:
+        d, a, b = best
+        passed = p * b < a * q
+    return PolygonCheck(i, d.axis, d.score, passed, d.profile, d.reordered)
 
 
 def verify_asymptotic(dis: Dissection, m) -> AsymptoticReport:
@@ -261,13 +288,14 @@ def verify_asymptotic(dis: Dissection, m) -> AsymptoticReport:
 
     A piece passes on an axis when m is strictly below the first crossing
     of the rearranged profile under the identity, which the projection
-    width caps; the y-axis is consulted when the x-axis fails.
+    width caps; the piece's better axis is consulted when the x-axis fails.
     """
     m = parsed("m", rational, m)
-    if m <= 0:
+    p, q = m.numerator, m.denominator
+    if p <= 0:
         raise ValueError("m must be positive")
-    rows = tuple([_check_polygon(i, x, y, m)
-                  for i, (x, y) in enumerate(_require_valid(dis).pieces, start=1)])
+    rows = tuple([_check_polygon(i, x, best, p, q)
+                  for i, (x, best) in enumerate(_require_valid(dis).choices, start=1)])
     return AsymptoticReport(m, rows)
 
 
@@ -323,18 +351,19 @@ def dump_json(data: dict) -> str:
     return "".join(parts)
 
 
+# The writer of each JSON scalar's text, looked up by exact type, so that a
+# bool, or an int or str subclass such as an enum member, finds no writer
+# of ints or strs.
+_scalar = {str: _quote, int: int.__repr__,
+           bool: {True: "true", False: "false"}.__getitem__,
+           type(None): {None: "null"}.__getitem__}.get
+
+
 def _encode(o, nl: str, out) -> None:
-    """Append the canonical text of ``o``, whose lines start with ``nl``."""
+    """Append the canonical text of ``o``, whose lines start with ``nl``;
+    a scalar dict value or list item goes out with the text before it."""
     t = type(o)
-    if t is str:
-        out(_quote(o))
-    elif t is int:
-        out(str(o))
-    elif o is None:
-        out("null")
-    elif t is bool:
-        out("true" if o else "false")
-    elif t is dict:
+    if t is dict:
         if not o:
             out("{}")
             return
@@ -344,8 +373,13 @@ def _encode(o, nl: str, out) -> None:
         inner = nl + "  "
         sep = "{" + inner
         for key in sorted(o):
-            out(sep + _quote(key) + ": ")
-            _encode(o[key], inner, out)
+            value = o[key]
+            write = _scalar(type(value))
+            if write is None:
+                out(f"{sep}{_quote(key)}: ")
+                _encode(value, inner, out)
+            else:
+                out(f"{sep}{_quote(key)}: {write(value)}")
             sep = "," + inner
         out(nl + "}")
     elif t is list:
@@ -353,7 +387,7 @@ def _encode(o, nl: str, out) -> None:
             out("[]")
             return
         inner = nl + "  "
-        if set(map(type, o)) == {list}:
+        if type(o[0]) is list and set(map(type, o)) == {list}:
             widths = set(map(len, o))
             flat = tuple(chain.from_iterable(o))
             if len(widths) == 1 and set(map(type, flat)) == {int}:
@@ -365,9 +399,16 @@ def _encode(o, nl: str, out) -> None:
                 return
         sep = "[" + inner
         for item in o:
-            out(sep)
-            _encode(item, inner, out)
+            write = _scalar(type(item))
+            if write is None:
+                out(sep)
+                _encode(item, inner, out)
+            else:
+                out(sep + write(item))
             sep = "," + inner
         out(nl + "]")
     else:
-        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+        write = _scalar(t)
+        if write is None:
+            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+        out(write(o))

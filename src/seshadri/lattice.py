@@ -390,9 +390,8 @@ class WitnessSelection(NamedTuple("WitnessSelection", [("m", int), ("direction",
         return _expand(self.direction, self.runs)
 
     def to_json(self) -> dict:
-        return {"m": self.m,
-                "direction": self.direction.value,
-                "runs": [list(r) for r in self.runs]}
+        m, direction, runs = self
+        return {"m": m, "direction": direction.value, "runs": [list(r) for r in runs]}
 
     @classmethod
     def from_json(cls, data: dict) -> "WitnessSelection":

@@ -97,6 +97,8 @@ _STAIRCASE = ("staircase: m parallel lines carrying 1, ..., m points, whose poin
               "binomial matrix has determinant +-prod Delta_k * prod V(S_j), a product of "
               "nonzero Vandermonde quotients: it has full rank over Q, the generic rank, "
               "and the verdict is conclusive")
+_SEEDED_SPECIAL = ("rank over Q at seeded random points never exceeds the generic rank: "
+                   "a special verdict is inconclusive")
 
 
 class ArityMismatch(ValueError):
@@ -170,11 +172,10 @@ class OracleVerdict(NamedTuple):
     seed: Optional[int] = None
 
     def to_json(self) -> dict:
-        return {"actual_dimension": self.actual_dimension,
-                "expected_dimension": self.expected_dimension,
-                "non_special": self.non_special, "method": self.method,
-                "prime": self.prime, "caveat": self.caveat, "rank": self.rank,
-                "seed": self.seed}
+        actual, expected, non_special, method, prime, caveat, rank, seed = self
+        return {"actual_dimension": actual, "expected_dimension": expected,
+                "non_special": non_special, "method": method, "prime": prime,
+                "caveat": caveat, "rank": rank, "seed": seed}
 
     @classmethod
     def from_json(cls, data: dict) -> "OracleVerdict":
@@ -384,7 +385,9 @@ def system_dimension_exact(D: LatticeSet, spec,
     Several points without explicit coordinates are a seeded sample; if
     the sampled rank falls short of making the system non-special, one
     retry with a fresh seed guards against an unlucky (non-generic)
-    sample, and a differing outcome is recorded in the caveat.  Before
+    sample, and a differing outcome is recorded in the caveat.  A rank at
+    sampled points never exceeds the generic rank, so a seeded verdict
+    that stays special says in its caveat that it is inconclusive.  Before
     that matrix is built, explicit points that are not one per multiplicity
     raise ArityMismatch, and each of its entries is charged to the cell cap
     as the 64-bit words :func:`_entry_words` estimates for it.
@@ -399,7 +402,8 @@ def system_dimension_exact(D: LatticeSet, spec,
         points = GenericPointSet.seeded(len(spec.multiplicities), seed)
     rank = _rank(interpolation_matrix(D, points, spec), None)
     caveat, used_seed = None, points.seed
-    if used_seed is not None and rank < min(len(D), spec.conditions()):
+    full = min(len(D), spec.conditions())
+    if used_seed is not None and rank < full:
         retry_seed = used_seed + 1
         retry = GenericPointSet.seeded(len(spec.multiplicities), retry_seed)
         rank2 = _rank(interpolation_matrix(D, retry, spec), None)
@@ -409,6 +413,8 @@ def system_dimension_exact(D: LatticeSet, spec,
                       f"{len(D) - 1 - rank2}")
             if rank2 > rank:
                 rank, used_seed = rank2, retry_seed
+        if rank < full:
+            caveat = _SEEDED_SPECIAL if caveat is None else f"{caveat}; {_SEEDED_SPECIAL}"
     return _verdict(D, spec, rank, "exact-rational", None, caveat, used_seed)
 
 

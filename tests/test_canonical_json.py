@@ -8,6 +8,7 @@ dicts with str keys, lists, str, int, bool and None.
 
 import json
 import random
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,18 @@ def test_random_documents_match_the_reference():
     [[1, 2], [None, 3]],
     [[1, 2], {"k": 3}],
     {"中": 1, "\U0001f600": 2, "\x01": 3, "Z": 4, "a": 5},
+    # each scalar as a dict value, written with its key
+    {"true": True, "one": 1, "false": False, "zero": 0, "null": None, "empty": "",
+     "big": -(2**70), "text": "é\n"},
+    # a list is tested for int rows only when its first item is a list
+    [[1], 2],
+    [1, [2]],
+    ["a", ["b"]],
+    [["a"], ["b"]],
+    [["a", "b"], [1, 2]],
+    [True, False, True],
+    [None, None],
+    [None, 0, False, "", [], {}],
 ])
 def test_edge_documents_match_the_reference(doc):
     assert dump_json(doc) == _dump_json_reference(doc)
@@ -122,6 +135,25 @@ def test_bools_print_as_json_bools(doc):
 def test_values_outside_json_are_refused(doc, name):
     with pytest.raises(TypeError, match=name):
         dump_json(doc)
+
+
+class Level(IntEnum):
+    LOW = 1
+
+
+class Name(str):
+    pass
+
+
+@pytest.mark.parametrize("value, name", [
+    (0.5, "float"), (Fraction(1, 3), "Fraction"), (Level.LOW, "Level"), (Name("a"), "Name"),
+])
+def test_scalars_of_other_types_are_refused_in_place(value, name):
+    """Exact types only: an int or str subclass is refused, as a dict value
+    and as a list item, even where ``json.dumps`` would write it."""
+    for doc in ({"v": value}, {"a": 1, "v": value}, [value], ["a", value], [[1], value]):
+        with pytest.raises(TypeError, match=f"^Object of type {name} is not JSON serializable$"):
+            dump_json(doc)
 
 
 RECORDS = {**asymptotic_records(), **finite_records()}

@@ -5,9 +5,11 @@ for r <= 9, and it is at most 1/√r for every r.  The tool claims
 ε_r >= ``certified_bound``, so a bound above either value is a false
 claim.  For r <= 9 the dimension of every plane system is known too (the
 SHGH conjecture is a theorem there), so a certificate's statement of a
-dimension can be checked against it.  These checks use no lattice, no
-matrix and no code of the pipeline beyond the bound and the statement.
-The corpus is eckl10 and the seeded random dissections of
+dimension can be checked against it.  Each piece's score also has a
+ceiling of its own, √(2·area) on every axis (see ``_lemma_breaks``), with
+the area taken from the reference cutter.  These checks use no lattice, no
+matrix and no code of the pipeline beyond the scores, the bound and the
+statement.  The corpus is eckl10 and the seeded random dissections of
 ``conftest.random_dissection``.
 """
 
@@ -19,7 +21,9 @@ from functools import lru_cache
 from seshadri import certify, dissection
 from seshadri.certify import EmptyPolygonAtScale, finite_certificate
 from seshadri.dissection import builtin_dissection_eckl10, certified_bound
+from seshadri.geometry import ConvexPolygon, point
 
+import fraction_reference as ref
 from conftest import random_dissection
 
 # ε_r for r = 1..9 very general points (Nagata; see Bauer et al., "A primer
@@ -53,6 +57,78 @@ def test_a_score_that_ignores_the_crossing_breaks_the_ceiling(monkeypatch):
     # crossing of its rearranged profile under the identity
     monkeypatch.setattr(dissection, "_first_crossing", lambda reordered: reordered.width)
     assert sum(map(_above_the_ceiling, _corpus())) > 0
+
+
+def _piece_areas(dis) -> list:
+    """The area of each piece of ``dis``, re-cut from the simplex by the
+    reference cutter, independently of the package's peel."""
+    def area(vertices):
+        return ref.area(ConvexPolygon.from_json([list(v) for v in vertices]))
+    remainder, areas = (point(0, 0), point(1, 0), point(0, 1)), []
+    for step in dis.steps:
+        peeled, remainder = ref.cut_polygon(remainder, step.cut)
+        areas.append(area(peeled))
+    return areas + [area(remainder)]
+
+
+@lru_cache(maxsize=1)
+def _areas_corpus() -> tuple:
+    """(dissection, piece areas) for eckl10 and the corpus; a planted fault
+    reaches a score through a new analysis, never through these objects'."""
+    return tuple((dis, _piece_areas(dis)) for dis in [builtin_dissection_eckl10(), *_corpus()])
+
+
+def _lemma_breaks(dis, areas) -> list:
+    """Where the scores of ``dis`` break the area ceiling.
+
+    A piece's chord profile f on [0, ℓ] has score t* = inf{s > 0 :
+    |{f <= s}| > s}, capped at ℓ.  For s < t*, |{f > s}| >= ℓ - s >= t* - s,
+    so area = ∫ |{f > s}| ds >= ∫₀^t* (t* - s) ds = t*²/2: every axis
+    has score² <= 2·area.  The areas sum to 1/2, so the squares of the
+    pieces' best scores sum to at most 1.
+    """
+    pieces = dissection._Analysis(dis.polygons()).pieces
+    breaks = [f"{dis.name} P{i} {d.axis.value}"
+              for i, (pair, area) in enumerate(zip(pieces, areas, strict=True), start=1)
+              for d in pair if d.score ** 2 > 2 * area]
+    if sum(max(x.score, y.score) ** 2 for x, y in pieces) > 1:
+        breaks.append(f"{dis.name} sum")
+    return breaks
+
+
+def _broken() -> list:
+    """The names of the dissections whose scores break the area ceiling."""
+    return [dis.name for dis, areas in _areas_corpus() if _lemma_breaks(dis, areas)]
+
+
+def test_every_score_is_within_its_area_ceiling():
+    corpus = _areas_corpus()
+    assert len(corpus) == 301
+    assert all(sum(areas) == Fraction(1, 2) for _, areas in corpus)
+    assert _broken() == []
+    # eight of eckl10's ten pieces meet the ceiling on their better axis
+    eckl10, areas = corpus[0]
+    best = [max(x.score, y.score) for x, y in dissection._require_valid(eckl10).pieces]
+    assert sum(score ** 2 == 2 * area for score, area in zip(best, areas)) == 8
+
+
+def test_a_width_score_breaks_the_area_ceiling(monkeypatch):
+    # planted fault, as above: each axis scores its projection width
+    monkeypatch.setattr(dissection, "_first_crossing", lambda reordered: reordered.width)
+    assert len(_broken()) == len(_areas_corpus())
+
+
+def test_a_crossing_one_breakpoint_late_breaks_the_area_ceiling(monkeypatch):
+    # planted fault: each score is the first breakpoint of the rearranged
+    # profile past its true crossing, or the width when none is past it
+    crossing = dissection._first_crossing
+
+    def late(reordered):
+        t = crossing(reordered)
+        return next((b for b in reordered.breakpoints if b > t), reordered.width)
+    monkeypatch.setattr(dissection, "_first_crossing", late)
+    broken = _broken()
+    assert "eckl10" in broken and len(broken) > len(_areas_corpus()) * 9 // 10
 
 
 # a certificate's statement: its degree, its multiplicities and its dimension

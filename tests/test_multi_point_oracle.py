@@ -6,7 +6,8 @@ seeded points was still built in ``Fraction`` arithmetic.  The cases cover
 both modes at seeded points, three primes, a special system whose exact
 verdict goes through the seed retry, and exact mode at explicit points with
 zero and negative coordinates.  The integer matrix must leave every byte
-as it was.
+as it was; the one later change is the caveat that the seeded special
+exact verdict states, that it is inconclusive.
 
 The other tests check the integer condition matrix against the ``Fraction``
 references in ``fraction_reference``: entry for entry against the Hasse
@@ -63,7 +64,7 @@ MULTI_POINT_GOLDEN = {
     ("quartic_2211", "modular", None):
         (0, "d905766b50d3c31b0226393c238ecd80df06db31796e92366fea5569024a1b78"),
     ("quartic_33", "exact", None):
-        (1, "447a82241e5df9c4a51f79a32deb01403c039ef7235f09256e342fcc952ad63c"),
+        (1, "7b4faebd39606ae917243f27c85f6829b7406b09b86e1b714fb589f40cf8a272"),
     ("quartic_33", "modular", None):
         (1, "fc8e08f9b06ba72284d5c0d1b5d0777ff5b7789726d1ec77c2a75670b1480884"),
     ("quintic_explicit", "exact", None):
@@ -71,15 +72,32 @@ MULTI_POINT_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(MULTI_POINT_GOLDEN, key=str), ids=str)
-def test_oracle_system_output_is_pinned(case, tmp_path, capsys):
+def _oracle_output(case, tmp_path, capsys):
     name, mode, prime = case
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(SYSTEMS[name]))
     argv = ["oracle", "--system", str(path), "--mode", mode]
     code = run(argv + (["--prime", str(prime)] if prime else []))
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert (code, digest) == MULTI_POINT_GOLDEN[case]
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_POINT_GOLDEN, key=str), ids=str)
+def test_oracle_system_output_is_pinned(case, tmp_path, capsys):
+    code, out = _oracle_output(case, tmp_path, capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == MULTI_POINT_GOLDEN[case]
+
+
+def test_a_seeded_special_exact_verdict_changed_only_its_caveat(tmp_path, capsys):
+    # the verdict once stated no caveat, as if a rank at sampled points
+    # were the generic rank; with a null caveat it is that output again
+    code, out = _oracle_output(("quartic_33", "exact", None), tmp_path, capsys)
+    data = json.loads(out)
+    assert code == 1 and not data["non_special"] and data["seed"] == 5
+    assert data["caveat"] == ("rank over Q at seeded random points never exceeds the "
+                              "generic rank: a special verdict is inconclusive")
+    former = json.dumps({**data, "caveat": None}, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(former.encode()).hexdigest() == (
+        "447a82241e5df9c4a51f79a32deb01403c039ef7235f09256e342fcc952ad63c")
 
 
 def _random_system(rng):

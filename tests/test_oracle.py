@@ -154,10 +154,32 @@ class TestExactOracle:
 
     def test_special_system_keeps_its_seed(self):
         # two double points impose six conditions on conics, but the double
-        # line through them survives: special at every sample
+        # line through them survives: special at every sample, which a rank
+        # at sampled points cannot tell from an unlucky sample
         v = system_dimension_exact(DEG2, (2, 2), seed=0)
         assert v.actual_dimension == 0 and v.expected_dimension == -1
-        assert not v.non_special and v.seed == 0 and v.caveat is None
+        assert not v.non_special and v.seed == 0
+        assert v.caveat == ("rank over Q at seeded random points never exceeds the "
+                            "generic rank: a special verdict is inconclusive")
+
+    def test_special_verdict_after_a_retry_keeps_the_retry_note(self, monkeypatch):
+        seeded = GenericPointSet.seeded
+        # two triple points leave a quartic their line twice and a conic
+        # through both; a third point on that line puts no condition on the
+        # conic, so this sample leaves dimension 3 where a generic one leaves 2
+        collinear = GenericPointSet(tuple(Point(F(k), F(k)) for k in (1, 2, 3)), seed=0)
+
+        def fake(cls, r, seed):
+            return collinear if seed == 0 else seeded(r, seed)
+
+        monkeypatch.setattr(GenericPointSet, "seeded", classmethod(fake))
+        quartics = LatticeSet(tuple((a, b) for a in range(5) for b in range(5 - a)))
+        v = system_dimension_exact(quartics, (3, 3, 1), seed=0)
+        assert (v.actual_dimension, v.expected_dimension, v.seed) == (2, 1, 1)
+        assert not v.non_special
+        assert v.caveat == ("seed 0 sampled a non-generic configuration (dimension 3); "
+                            "seed 1 gives 2; rank over Q at seeded random points never "
+                            "exceeds the generic rank: a special verdict is inconclusive")
 
     def test_actual_at_least_expected(self):
         rng = random.Random(5)
