@@ -94,9 +94,10 @@ def _cmd_oracle(args) -> int:
     from .lattice import LatticeSet, MultiplicitySpec
     from .oracle import (GenericPointSet, MODULAR_DEFAULT_PRIME,
                          system_dimension_exact, system_dimension_modp)
-    if args.prime is not None and args.mode == "exact":
-        raise ValueError("--prime is honoured only by --mode modular; "
-                         "--mode exact ranks over the rationals")
+    for option in ("prime", "seed"):
+        if getattr(args, option) is not None and args.mode == "exact":
+            raise ValueError(f"--{option} is honoured only by --mode modular; "
+                             "--mode exact ranks over the rationals")
     try:
         with open(args.system, "r", encoding="utf-8") as fh:
             data = field("system file", json.load(fh), dict)
@@ -114,7 +115,7 @@ def _cmd_oracle(args) -> int:
         raise ValueError("system file field 'points' is honoured only by "
                          "--mode exact; --mode modular ranks at random points")
     prime = MODULAR_DEFAULT_PRIME if args.prime is None else args.prime
-    verdict = (system_dimension_exact(D, spec, points=points, seed=seed) if args.mode == "exact"
+    verdict = (system_dimension_exact(D, spec, points=points) if args.mode == "exact"
                else system_dimension_modp(D, spec, seed=seed, prime=prime))
     _emit(dissection.dump_json(verdict.to_json()), args.out)
     return EXIT_OK if verdict.non_special else EXIT_REFUTED

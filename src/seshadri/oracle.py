@@ -55,12 +55,15 @@ A full rank mod 2 forces full rank over Q, so that verdict is conclusive
 in either mode.  Only when the rank mod 2 falls short does the modular
 mode rank B modulo its prime and the exact mode rank it over Q.
 
-A system of several points is ranked at its points, explicit or seeded,
-by one integer condition matrix in both modes.  Explicit rational points
-are first scaled by the lcm L of their denominators: that multiplies the
-entry in row (a, b) and column (alpha, beta) by L^(alpha+beta) / L^(a+b),
-a row scaling times a column scaling, which keeps the rank.  Seeded points
-are ints already; the modular mode draws its own and reduces mod its prime.
+A system of several points is ranked at its points by one integer
+condition matrix in both modes.  The exact mode takes only the points it
+is given, where its rank is exact.  Their rational coordinates are first
+scaled by the lcm L of their denominators: that multiplies the entry in
+row (a, b) and column (alpha, beta) by L^(alpha+beta) / L^(a+b), a row
+scaling times a column scaling, which keeps the rank.  The modular mode
+draws seeded random points of its own and reduces mod its prime; a rank
+at sampled points only bounds the generic rank from below
+(Schwartz-Zippel), so only its non-special verdict is conclusive.
 
 Its records are ``typing.NamedTuple``s, as in :mod:`seshadri.geometry`;
 ``GenericPointSet`` checks its points in ``__new__``, which ``_replace`` skips.
@@ -85,7 +88,6 @@ Matrix = List[List[int]]
 
 MODULAR_DEFAULT_PRIME = 2**61 - 1
 MODULUS_LIMIT = 2**63  # bound on a modulus from outside input (`oracle --prime`)
-_SEED_COORDINATE_MAX = 2**16
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # every composite below this fails Miller-Rabin to one of the bases above
 _MILLER_RABIN_PROVEN = 318_665_857_834_031_151_167_461
@@ -97,8 +99,6 @@ _STAIRCASE = ("staircase: m parallel lines carrying 1, ..., m points, whose poin
               "binomial matrix has determinant +-prod Delta_k * prod V(S_j), a product of "
               "nonzero Vandermonde quotients: it has full rank over Q, the generic rank, "
               "and the verdict is conclusive")
-_SEEDED_SPECIAL = ("rank over Q at seeded random points never exceeds the generic rank: "
-                   "a special verdict is inconclusive")
 
 
 class ArityMismatch(ValueError):
@@ -113,17 +113,15 @@ class BadModulus(ValueError):
     """Modulus of the modular oracle is not a prime below MODULUS_LIMIT."""
 
 
-class GenericPointSet(NamedTuple("GenericPointSet", [("points", Tuple[Tuple, ...]),
-                                                       ("seed", Optional[int])])):
-    """Plane points standing in for points in general position: explicit
-    ``Point``s, or int pairs drawn with ``seed``, which is None otherwise."""
+class GenericPointSet(NamedTuple("GenericPointSet", [("points", Tuple[Tuple, ...])])):
+    """Pairwise distinct plane points at which the exact mode ranks a system."""
 
     __slots__ = ()
 
-    def __new__(cls, points: Tuple[Tuple, ...], seed: Optional[int] = None):
+    def __new__(cls, points: Tuple[Tuple, ...]):
         if len(set(points)) != len(points):
             raise ValueError("points must be pairwise distinct")
-        return tuple.__new__(cls, (points, seed))
+        return tuple.__new__(cls, (points,))
 
     @classmethod
     def explicit(cls, pts: Sequence) -> "GenericPointSet":
@@ -140,12 +138,6 @@ class GenericPointSet(NamedTuple("GenericPointSet", [("points", Tuple[Tuple, ...
                 raise ValueError(f"point {i} {[str(x), str(y)]} repeats point {first[p]}")
             first[p] = i
         return cls(tuple(first))
-
-    @classmethod
-    def seeded(cls, r: int, seed: int) -> "GenericPointSet":
-        """r distinct int points with coordinates in [1, 2^16]; the same
-        seed always reproduces the same set."""
-        return cls(tuple(_distinct_pairs(r, seed, _SEED_COORDINATE_MAX)), seed=seed)
 
 
 def _distinct_pairs(r: int, seed: int, top: int) -> List[Tuple[int, int]]:
@@ -214,10 +206,13 @@ def interpolation_matrix(D: LatticeSet, points: GenericPointSet, spec) -> Matrix
     return _condition_rows(D, zip(coords[::2], coords[1::2]), ms)
 
 
-def _check_arity(points: Optional[GenericPointSet], ms: Sequence[int]) -> None:
-    """Refuse explicit ``points`` that are not one per multiplicity in ``ms``."""
-    if points is not None and len(points.points) != len(ms):
-        raise ArityMismatch(f"{len(points.points)} points for {len(ms)} multiplicities")
+def _check_arity(points: GenericPointSet, ms: Sequence[int]) -> None:
+    """Refuse ``points`` that are not one per multiplicity in ``ms``; with
+    none at all, name the mode that ranks at random points."""
+    if len(points.points) != len(ms):
+        hint = ("; the exact mode ranks only at stated points: give 'points', or "
+                "use --mode modular, which ranks at random ones") if not points.points else ""
+        raise ArityMismatch(f"{len(points.points)} points for {len(ms)} multiplicities{hint}")
 
 
 def _condition_rows(D: LatticeSet, pairs, ms: Sequence[int],
@@ -358,64 +353,39 @@ def _check_cells(rows: int, cols: int, kind: str, words: int = 1) -> None:
     check_cells(rows * cols * words, f"{rows}x{cols} {kind} matrix{size}")
 
 
-def _entry_words(D: LatticeSet, points: Optional[GenericPointSet]) -> int:
+def _entry_words(D: LatticeSet, points: GenericPointSet) -> int:
     """64-bit words of the largest entry of D's condition matrix at
-    ``points`` scaled as :func:`interpolation_matrix` scales them, or at
-    any seeded points when ``points`` is None, estimated as the largest
-    exponent in D times the bit length of the largest coordinate; at
-    least one."""
-    if points is None:
-        top = _SEED_COORDINATE_MAX
-    else:
-        coords, _ = _over_common([c for xy in points.points for c in xy])
-        top = max(map(abs, coords), default=0)
+    ``points`` scaled as :func:`interpolation_matrix` scales them,
+    estimated as the largest exponent in D times the bit length of the
+    largest coordinate; at least one."""
+    coords, _ = _over_common([c for xy in points.points for c in xy])
+    top = max(map(abs, coords), default=0)
     exponent = max((max(a, b) for a, b in D), default=0)
     return max(1, -(-exponent * top.bit_length() // 64))
 
 
 def system_dimension_exact(D: LatticeSet, spec,
-                           points: Optional[GenericPointSet] = None,
-                           seed: int = 0) -> OracleVerdict:
+                           points: Optional[GenericPointSet] = None) -> OracleVerdict:
     """Projective dimension of the system over Q, |D| - 1 - rank.
 
-    With no explicit points, a one-point system is ranked point-free, which
-    gives the generic rank exactly and ignores ``seed``: a staircase by
-    its determinant identity, any other set by its matrix B, mod 2 when
-    that rank is full (the verdict then records prime 2), else over Q.
-    Several points without explicit coordinates are a seeded sample; if
-    the sampled rank falls short of making the system non-special, one
-    retry with a fresh seed guards against an unlucky (non-generic)
-    sample, and a differing outcome is recorded in the caveat.  A rank at
-    sampled points never exceeds the generic rank, so a seeded verdict
-    that stays special says in its caveat that it is inconclusive.  Before
-    that matrix is built, explicit points that are not one per multiplicity
-    raise ArityMismatch, and each of its entries is charged to the cell cap
-    as the 64-bit words :func:`_entry_words` estimates for it.
+    With no ``points``, a one-point system is ranked point-free, which
+    gives the generic rank exactly: a staircase by its determinant
+    identity, any other set by its matrix B, mod 2 when that rank is full
+    (the verdict then records prime 2), else over Q.  Any other system is
+    ranked over Q at ``points``, no points when None, where either verdict
+    is exact.  Before its matrix is built, points that are not one per
+    multiplicity raise ArityMismatch, and each of its entries is charged
+    to the cell cap as the 64-bit words :func:`_entry_words` estimates.
     """
     spec = _coerce_spec(spec)
     if points is None and len(spec.multiplicities) == 1:
         caveat = _POINT_FREE + "; its rank over Q is exact: either verdict is conclusive"
         return _point_free_verdict(D, spec, "exact-rational", None, caveat)
+    points = GenericPointSet(()) if points is None else points
     _check_arity(points, spec.multiplicities)
     _check_cells(spec.conditions(), len(D), "exact", _entry_words(D, points))
-    if points is None:
-        points = GenericPointSet.seeded(len(spec.multiplicities), seed)
     rank = _rank(interpolation_matrix(D, points, spec), None)
-    caveat, used_seed = None, points.seed
-    full = min(len(D), spec.conditions())
-    if used_seed is not None and rank < full:
-        retry_seed = used_seed + 1
-        retry = GenericPointSet.seeded(len(spec.multiplicities), retry_seed)
-        rank2 = _rank(interpolation_matrix(D, retry, spec), None)
-        if rank2 != rank:
-            caveat = (f"seed {used_seed} sampled a non-generic configuration "
-                      f"(dimension {len(D) - 1 - rank}); seed {retry_seed} gives "
-                      f"{len(D) - 1 - rank2}")
-            if rank2 > rank:
-                rank, used_seed = rank2, retry_seed
-        if rank < full:
-            caveat = _SEEDED_SPECIAL if caveat is None else f"{caveat}; {_SEEDED_SPECIAL}"
-    return _verdict(D, spec, rank, "exact-rational", None, caveat, used_seed)
+    return _verdict(D, spec, rank, "exact-rational", None, None, None)
 
 
 @lru_cache(maxsize=8)

@@ -211,9 +211,10 @@ def sup_admissible(f: PiecewiseLinear) -> Fraction:
 def _first_crossing(fs: PiecewiseLinear) -> Fraction:
     """:func:`sup_admissible` of the function whose rearrangement is ``fs``.
 
-    The rearrangement starts at the minimum of the function, so a
-    negative first value refuses the function as :func:`sup_admissible`
-    does.
+    ``fs`` must be a rearrangement: it starts at t = 0 with the minimum of
+    the function, and a negative minimum refuses the function as
+    :func:`sup_admissible` does.  So f# - identity starts nonnegative and
+    first goes negative inside a piece, at the crossing.
     """
     ts, tden, vs, vden = fs.ts, fs.tden, fs.vs, fs.vden
     if vs[0] < 0:
@@ -222,8 +223,6 @@ def _first_crossing(fs: PiecewiseLinear) -> Fraction:
     for i, (g0, g1) in enumerate(zip(gs, gs[1:])):
         if g1 >= 0:
             continue
-        if g0 < 0:
-            return Fraction(ts[i], tden)
-        # t0 + (t1 - t0) * g0 / (g0 - g1)
+        # t0 + (t1 - t0) * g0 / (g0 - g1), with g0 >= 0 > g1
         return Fraction(ts[i] * (g0 - g1) + (ts[i + 1] - ts[i]) * g0, tden * (g0 - g1))
     return fs.width

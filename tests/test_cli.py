@@ -16,7 +16,7 @@ from seshadri import oracle
 from seshadri.cli import run
 from seshadri.geometry import AffineForm, ConvexPolygon, cut_polygon
 from seshadri.lattice import LatticeSet, MultiplicitySpec
-from seshadri.oracle import system_dimension_exact, system_dimension_modp
+from seshadri.oracle import GenericPointSet, system_dimension_exact, system_dimension_modp
 from test_canonical_json import _dump_json_reference
 from test_certify import BAD_CHAINS, _p9
 
@@ -234,25 +234,24 @@ def test_oracle_huge_multiplicity_guardrail_both_modes(tmp_path, monkeypatch, ca
 
 
 def test_oracle_refuses_exact_entries_of_many_words(tmp_path, monkeypatch, capsys):
-    # 2x2, but x^(10^7) at a seeded coordinate below 2^17 is about 1.7 * 10^8
-    # bits: each of the four entries is charged 2656250 words, so the
-    # exact mode refuses before a row is built; the modular mode reduces
-    # every power mod its prime and answers
-    system = tmp_path / "sys.json"
-    system.write_text(json.dumps({"D": [[0, 0], [10**7, 0]], "multiplicities": [1, 1]}))
+    # 2x2, but x^(10^7) at the coordinate 100000, of 17 bits, is about
+    # 1.7 * 10^8 bits: each of the four entries is charged 2656250 words,
+    # so the exact mode refuses before a row is built; the modular mode
+    # reduces every power mod its prime and answers at its own points
+    system = {"D": [[0, 0], [10**7, 0]], "multiplicities": [1, 1]}
     real = oracle._condition_rows
 
     def refuse(*_args):
         raise AssertionError("a row was built")
     monkeypatch.setattr(oracle, "_condition_rows", refuse)
     t0 = time.perf_counter()
-    assert run(["oracle", "--system", str(system), "--mode", "exact"]) == 3
+    assert _oracle_on(tmp_path, dict(system, points=[[1, 1], [100000, 3]])) == 3
     assert time.perf_counter() - t0 < 1.0
     assert capsys.readouterr().err == (
         "guardrail: 2x2 exact matrix of 2656250-word entries exceeds the cell cap; "
         "set SESHADRI_MAX_CELLS\n")
     monkeypatch.setattr(oracle, "_condition_rows", real)
-    assert run(["oracle", "--system", str(system), "--mode", "modular"]) == 0
+    assert _oracle_on(tmp_path, system, "modular") == 0
 
 
 def test_certify_exact_at_208_matches_modular(capsys):
@@ -274,14 +273,11 @@ def test_certify_exact_at_208_matches_modular(capsys):
 
 
 def test_oracle_multi_point_guardrail_both_modes(tmp_path, capsys):
-    system = tmp_path / "sys.json"
-    system.write_text(json.dumps({
-        "D": [[a, b] for a in range(60) for b in range(60)],
-        "multiplicities": [40, 40, 40],
-    }))
-    for mode in ("exact", "modular"):
+    system = {"D": [[a, b] for a in range(60) for b in range(60)],
+              "multiplicities": [40, 40, 40]}
+    for mode, points in (("exact", {"points": [[1, 1], [1, 2], [2, 1]]}), ("modular", {})):
         t0 = time.perf_counter()
-        assert run(["oracle", "--system", str(system), "--mode", mode]) == 3
+        assert _oracle_on(tmp_path, dict(system, **points), mode) == 3
         assert time.perf_counter() - t0 < 1.0
         assert f"2460x3600 {mode} matrix" in capsys.readouterr().err
 
@@ -571,6 +567,8 @@ def test_oracle_on_the_empty_set(tmp_path, capsys):
     for multiplicities in ([2], [1, 1]):
         for mode in ("exact", "modular"):
             system = {"D": [], "multiplicities": multiplicities}
+            if mode == "exact" and len(multiplicities) > 1:
+                system["points"] = [[1, 2], [3, 4]]
             assert _oracle_on(tmp_path, system, mode) == 0, (multiplicities, mode)
             verdict = json.loads(capsys.readouterr().out)
             assert verdict["actual_dimension"] == verdict["expected_dimension"] == -1
@@ -623,8 +621,10 @@ def test_oracle_refuses_an_unknown_key(tmp_path, capsys):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert f"malformed system file: unknown key {key!r}" in captured.err
-    for extra in ({}, {"seed": 3}, {"points": [[1, 2], [3, 4]]}):
-        assert _oracle_on(tmp_path, dict(good, **extra)) == 0
+    for extra, mode in (({}, "modular"), ({"seed": 3}, "modular"),
+                        ({"points": [[1, 2], [3, 4]]}, "exact"),
+                        ({"points": [[1, 2], [3, 4]], "seed": 3}, "exact")):
+        assert _oracle_on(tmp_path, dict(good, **extra), mode) == 0
 
 
 def test_oracle_exact_refuses_prime(tmp_path, capsys):
@@ -640,6 +640,19 @@ def test_oracle_exact_refuses_prime(tmp_path, capsys):
                 "--mode exact ranks over the rationals\n")
     assert run(["oracle", "--system", str(path), "--mode", "modular", "--prime", "97"]) == 0
     assert '"prime": 97,' in capsys.readouterr().out
+
+
+def test_oracle_exact_refuses_seed(tmp_path, capsys):
+    # the exact mode draws no point, and used to ignore --seed
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"D": [[0, 0], [2, 4], [4, 2]], "multiplicities": [2]}))
+    for mode in ([], ["--mode", "exact"]):
+        assert run(["oracle", "--system", str(path), "--seed", "4"] + mode) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "error: --seed is honoured only by --mode modular; "
+            "--mode exact ranks over the rationals\n")
+    assert run(["oracle", "--system", str(path), "--mode", "modular", "--seed", "4"]) == 0
 
 
 def test_oracle_reads_system_file_fields_strictly(tmp_path, capsys):
@@ -670,14 +683,18 @@ def test_oracle_refuses_non_integer_multiplicities(tmp_path, capsys):
 
 
 def test_oracle_refuses_non_integer_seed(tmp_path, capsys):
+    # the file's seed is read in both modes, though only the modular mode
+    # draws points with it
     for bad in (1.5, False, "3"):
-        system = {"D": [[0, 0], [1, 0], [0, 1]], "multiplicities": [1, 1],
-                  "seed": bad}
-        assert _oracle_on(tmp_path, system) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and f"seed {bad!r}" in captured.err
+        for mode in ("exact", "modular"):
+            system = {"D": [[0, 0], [1, 0], [0, 1]], "multiplicities": [1, 1],
+                      "seed": bad}
+            assert _oracle_on(tmp_path, system, mode) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"seed {bad!r}" in captured.err
     system["seed"] = 4
-    assert _oracle_on(tmp_path, system) == 0
+    assert _oracle_on(tmp_path, system, "modular") == 0
+    assert _oracle_on(tmp_path, dict(system, points=[[1, 2], [3, 4]])) == 0
 
 
 def _one_point_system(tmp_path):
@@ -875,8 +892,17 @@ _SYSTEMS = {
     "one point": {"D": [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]],
                   "multiplicities": [3], "seed": 0},
     "three points": {"D": [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1]],
-                     "multiplicities": [1, 1, 2], "seed": 5},
+                     "multiplicities": [1, 1, 2], "seed": 5,
+                     "points": [[1, 2], ["-1/3", 0], [4, 1]]},
 }
+
+
+def _system(name, mode):
+    """The system file ``name`` as ``mode`` takes it: only exact takes points."""
+    system = dict(_SYSTEMS[name])
+    if mode == "modular":
+        system.pop("points", None)
+    return system
 
 
 def _in_process(argv):
@@ -891,10 +917,11 @@ def _in_process(argv):
         return dissection.verify_asymptotic(dis, Fraction(argv[-1])).to_json()
     if command == "certify":
         return certify.finite_certificate(dis, int(argv[4]), argv[6], seed=3).to_json()
-    system = _SYSTEMS[argv[2]]
+    system = _system(argv[2], argv[4])
     D, spec = LatticeSet.from_json(system["D"]), MultiplicitySpec(tuple(system["multiplicities"]))
     if argv[4] == "exact":
-        return system_dimension_exact(D, spec, seed=system["seed"]).to_json()
+        points = GenericPointSet.explicit(system["points"]) if "points" in system else None
+        return system_dimension_exact(D, spec, points).to_json()
     return system_dimension_modp(D, spec, seed=system["seed"]).to_json()
 
 
@@ -917,7 +944,7 @@ def test_stdout_is_the_reference_encoding(argv, tmp_path, capsys):
     expected = _dump_json_reference(_in_process(argv))
     if argv[0] == "oracle":
         path = tmp_path / "sys.json"
-        path.write_text(json.dumps(_SYSTEMS[argv[2]]))
+        path.write_text(json.dumps(_system(argv[2], argv[4])))
         argv = [argv[0], "--system", str(path)] + argv[3:]
     assert run(argv) in (0, 1)
     assert capsys.readouterr().out == expected

@@ -5,7 +5,9 @@ for r <= 9, and it is at most 1/√r for every r.  The tool claims
 ε_r >= ``certified_bound``, so a bound above either value is a false
 claim.  For r <= 9 the dimension of every plane system is known too (the
 SHGH conjecture is a theorem there), so a certificate's statement of a
-dimension can be checked against it.  Each piece's score also has a
+dimension can be checked against it.  For every r, a (-1)-class E that a
+stated system L meets with L·E <= -2 would make L special, so every
+statement meets every (-1)-class with L·E >= -1.  Each piece's score also has a
 ceiling of its own, √(2·area) on every axis (see ``_lemma_breaks``), with
 the area taken from the reference cutter.  These checks use no lattice, no
 matrix and no code of the pipeline beyond the scores, the bound and the
@@ -17,6 +19,7 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 from seshadri import certify, dissection
 from seshadri.certify import EmptyPolygonAtScale, finite_certificate
@@ -161,20 +164,26 @@ def shgh_dimension(d: int, ms) -> int:
         ms[:3] = [m + k for m in ms[:3]]
 
 
+def _scaled(dis, scales) -> list:
+    """Certificates of ``dis`` at ``scales``, but for a scale at which a
+    piece holds no point."""
+    certs = []
+    for n in scales:
+        try:
+            certs.append(finite_certificate(dis, n))
+        except EmptyPolygonAtScale:
+            pass
+    return certs
+
+
 @lru_cache(maxsize=1)
 def _certificates() -> tuple:
-    """Certificates of the corpus's dissections with r <= 9 at a few scales;
-    a scale at which a piece holds no point is skipped."""
+    """Certificates of the corpus's dissections with r <= 9 at a few scales."""
     certs = []
     for seed in range(100):
         dis = random_dissection(random.Random(seed), f"random-{seed}")
-        if len(dis.steps) + 1 > 9:
-            continue
-        for n in (5, 13, 26, 40):
-            try:
-                certs.append(finite_certificate(dis, n))
-            except EmptyPolygonAtScale:
-                pass
+        if len(dis.steps) + 1 <= 9:
+            certs += _scaled(dis, (5, 13, 26, 40))
     return tuple(certs)
 
 
@@ -210,3 +219,70 @@ def test_every_m_raised_by_one_is_caught(monkeypatch):
     monkeypatch.setattr(certify.PolygonWitness, "m",
                         property(lambda row: row.witness.m + 1))
     assert len(_contradicted()) > len(_certificates()) // 4
+
+
+# (-1)-classes (e; e_1, ..., e_k): e² - Σ e_i² = -1 and 3e - Σ e_i = 1
+MINUS_ONE_CLASSES = ((1, (1, 1)),              # the line through two points
+                     (2, (1,) * 5),            # the conic through five
+                     (3, (2,) + (1,) * 6))     # the cubic double at one of seven
+
+
+def least_intersection(d: int, ms, minus_one_class) -> int:
+    """The least L·E = d·e - Σ e_i·m_i over the ways to put E's points
+    among L's: by the rearrangement inequality, E's largest e_i meets L's
+    largest m_i, and a point of only one of them meets a 0."""
+    e, es = minus_one_class
+    return d * e - sum(a * b for a, b in zip(es, sorted(ms, reverse=True)))
+
+
+def _below_minus_one(cert) -> bool:
+    """Whether the system that ``cert`` states meets a (-1)-class with L·E <= -2."""
+    d, ms, _ = STATEMENT.fullmatch(cert.statement).groups()
+    return any(least_intersection(int(d), map(int, ms.split(", ")), E) <= -2
+               for E in MINUS_ONE_CLASSES)
+
+
+@lru_cache(maxsize=1)
+def _ten_point_certificates() -> tuple:
+    """Certificates of eckl10 at n = 5..40 and of the corpus's other
+    dissections with r = 10, which need larger scales, at n = 80 and 160."""
+    eckl10, *corpus = (dis for dis, _ in _areas_corpus() if len(dis.steps) + 1 == 10)
+    return tuple(_scaled(eckl10, range(5, 41))
+                 + [cert for dis in corpus for cert in _scaled(dis, (80, 160))])
+
+
+def test_the_classes_are_minus_one_classes_and_make_systems_special():
+    # L·E = -t <= -2 fixes E t times in L: dim L >= v(L - tE) = v(L) + t(t-1)/2,
+    # so a system of virtual dimension v >= -1 is special; SHGH agrees on
+    # every system of degree <= 8 with up to seven points of multiplicity <= 4
+    for e, es in MINUS_ONE_CLASSES:
+        assert e * e - sum(x * x for x in es) == -1 and 3 * e - sum(es) == 1
+    special = 0
+    for r in range(1, 8):
+        for ms in combinations_with_replacement(range(4, 0, -1), r):
+            for d in range(1, 9):
+                v = (d + 1) * (d + 2) // 2 - 1 - sum(m * (m + 1) // 2 for m in ms)
+                if v >= -1 and any(least_intersection(d, ms, E) <= -2
+                                   for E in MINUS_ONE_CLASSES):
+                    assert shgh_dimension(d, ms) > v, (d, ms)
+                    special += 1
+    assert special > 50
+
+
+def test_every_statement_meets_every_minus_one_class_at_least_minus_one():
+    # eckl10 and five of the corpus's seven; the other two hold an empty
+    # piece at both scales
+    ten = _ten_point_certificates()
+    assert len({cert.dissection for cert in ten}) == 6
+    assert [cert for cert in ten + _certificates() if _below_minus_one(cert)] == []
+
+
+def test_every_m_raised_by_one_meets_a_minus_one_class_below_minus_one(monkeypatch):
+    # planted fault, as above; eckl10 is caught at n = 5, its first scale
+    # with a point in every piece, and last at n = 14
+    monkeypatch.setattr(certify.PolygonWitness, "m",
+                        property(lambda row: row.witness.m + 1))
+    caught = [cert.scale for cert in _ten_point_certificates()
+              if cert.dissection == "eckl10" and _below_minus_one(cert)]
+    assert caught == [5, 6, 7, 8, 9, 10, 11, 12, 14]
+    assert sum(map(_below_minus_one, _certificates())) > len(_certificates()) // 2

@@ -1,13 +1,13 @@
 """The oracle on systems of several points.
 
-``MULTI_POINT_GOLDEN`` pins the sha256 of ``oracle --system`` stdout for a
-few multi-point system files, recorded while the matrix at explicit or
-seeded points was still built in ``Fraction`` arithmetic.  The cases cover
-both modes at seeded points, three primes, a special system whose exact
-verdict goes through the seed retry, and exact mode at explicit points with
-zero and negative coordinates.  The integer matrix must leave every byte
-as it was; the one later change is the caveat that the seeded special
-exact verdict states, that it is inconclusive.
+``MULTI_POINT_GOLDEN`` pins the exit code and the sha256 of ``oracle
+--system`` stdout for a few multi-point system files, recorded while the
+matrix was still built in ``Fraction`` arithmetic.  The cases cover the
+modular mode at seeded points and three primes, and the exact mode at
+explicit points with zero and negative coordinates.  The integer matrix
+must leave every byte as it was.  The exact mode once ranked the seeded
+files too, at seeded points, where a special verdict proved nothing; it
+now refuses them, with exit 2 and no output.
 
 The other tests check the integer condition matrix against the ``Fraction``
 references in ``fraction_reference``: entry for entry against the Hasse
@@ -21,11 +21,13 @@ every exponent.
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction as F
 from math import lcm
 
 import pytest
 
+from seshadri import oracle
 from seshadri._kernels import pyref
 from seshadri.cli import run
 from seshadri.lattice import LatticeSet
@@ -52,19 +54,18 @@ SYSTEMS = {
 }
 
 # (system, mode, prime or None): (exit code, sha256 of stdout)
+REFUSED = (2, hashlib.sha256(b"").hexdigest())
 MULTI_POINT_GOLDEN = {
     ("conic_collinear_explicit", "exact", None):
         (1, "9991b5d30ecfef133479fa1a30761094f74198cfb0afebfcc2f8e8f2aa4761cf"),
-    ("quartic_2211", "exact", None):
-        (0, "49242138f81eeea9f7113f3aaa5f7a25a5b546632a10ca63f47ba56202153a6b"),
+    ("quartic_2211", "exact", None): REFUSED,
     ("quartic_2211", "modular", 101):
         (0, "a981758e5933b0ce4b1b9923b6d4b67143fa45528172e6ba763b128810393b58"),
     ("quartic_2211", "modular", 65521):
         (0, "08c9cfe2a96831f4aca6112886062795a5d5f07fc332c8c9df00592cd356329f"),
     ("quartic_2211", "modular", None):
         (0, "d905766b50d3c31b0226393c238ecd80df06db31796e92366fea5569024a1b78"),
-    ("quartic_33", "exact", None):
-        (1, "7b4faebd39606ae917243f27c85f6829b7406b09b86e1b714fb589f40cf8a272"),
+    ("quartic_33", "exact", None): REFUSED,
     ("quartic_33", "modular", None):
         (1, "fc8e08f9b06ba72284d5c0d1b5d0777ff5b7789726d1ec77c2a75670b1480884"),
     ("quintic_explicit", "exact", None):
@@ -87,17 +88,27 @@ def test_oracle_system_output_is_pinned(case, tmp_path, capsys):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == MULTI_POINT_GOLDEN[case]
 
 
-def test_a_seeded_special_exact_verdict_changed_only_its_caveat(tmp_path, capsys):
-    # the verdict once stated no caveat, as if a rank at sampled points
-    # were the generic rank; with a null caveat it is that output again
-    code, out = _oracle_output(("quartic_33", "exact", None), tmp_path, capsys)
-    data = json.loads(out)
-    assert code == 1 and not data["non_special"] and data["seed"] == 5
-    assert data["caveat"] == ("rank over Q at seeded random points never exceeds the "
-                              "generic rank: a special verdict is inconclusive")
-    former = json.dumps({**data, "caveat": None}, indent=2, sort_keys=True) + "\n"
-    assert hashlib.sha256(former.encode()).hexdigest() == (
-        "447a82241e5df9c4a51f79a32deb01403c039ef7235f09256e342fcc952ad63c")
+def test_several_points_without_points_are_refused_in_exact_mode(tmp_path, capsys,
+                                                                 monkeypatch):
+    # the seeded exact rank took 12.8 s on this file (x^2000000 at a
+    # coordinate below 2^17), to give the modular mode's verdict; a
+    # special one it could not prove.  Now no row is built
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"D": [[0, 0], [2000000, 0]], "multiplicities": [1, 1]}))
+    real = oracle._condition_rows
+
+    def refuse(*_args):
+        raise AssertionError("a row was built")
+    monkeypatch.setattr(oracle, "_condition_rows", refuse)
+    t0 = time.perf_counter()
+    assert run(["oracle", "--system", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "--mode modular" in captured.err
+    monkeypatch.setattr(oracle, "_condition_rows", real)
+    assert run(["oracle", "--system", str(path), "--mode", "modular"]) == 0
+    assert json.loads(capsys.readouterr().out)["non_special"] is True
 
 
 def _random_system(rng):
@@ -121,15 +132,6 @@ def test_integer_matrix_is_the_reference_at_cleared_points():
         assert mat == ref.hasse_matrix(D, cleared, spec)
         assert fraction_free_rank(mat) == fraction_free_rank(
             ref.interpolation_matrix(D, points, spec))
-
-
-def test_seeded_points_are_the_reference_points():
-    rng = random.Random(23)
-    for seed in range(20):
-        D, spec, _ = _random_system(rng)
-        points = GenericPointSet.seeded(len(spec), seed)
-        assert points.seed == seed and all(type(c) is int for xy in points.points for c in xy)
-        assert interpolation_matrix(D, points, spec) == ref.hasse_matrix(D, points, spec)
 
 
 @pytest.mark.parametrize("prime", [101, 65521, 2**61 - 1])

@@ -6,7 +6,6 @@ from fractions import Fraction as F
 import pytest
 
 from seshadri._kernels import pyref
-from seshadri.geometry import Point
 from seshadri.lattice import (Direction, LatticeSet, column_profile,
                               max_parallel_witness, select_witness_subset)
 from seshadri.oracle import (ArityMismatch, BadModulus, GenericPointSet,
@@ -20,20 +19,20 @@ DEG2 = LatticeSet(((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
 COLLINEAR = LatticeSet(((0, 0), (1, 0), (2, 0)))
 # seven points for the six conditions of multiplicity 3: no staircase
 DEG2_AND_ONE = LatticeSet(DEG2.points + ((3, 0),))
+ONE_POINT = GenericPointSet(((3, 5),))
 
 
 class TestInterpolationMatrix:
     def test_single_constant(self):
-        mat = interpolation_matrix(LatticeSet(((0, 0),)),
-                                   GenericPointSet.seeded(1, 0), (1,))
+        mat = interpolation_matrix(LatticeSet(((0, 0),)), ONE_POINT, (1,))
         assert mat == [[1]]
 
     def test_shape_six_by_six(self):
-        mat = interpolation_matrix(DEG2, GenericPointSet.seeded(1, 0), (3,))
+        mat = interpolation_matrix(DEG2, ONE_POINT, (3,))
         assert len(mat) == 6 and len(mat[0]) == 6
 
     def test_collinear_exponents_rank_two(self):
-        mat = interpolation_matrix(COLLINEAR, GenericPointSet.seeded(1, 0), (2,))
+        mat = interpolation_matrix(COLLINEAR, ONE_POINT, (2,))
         assert len(mat) == 3
         # the y-derivative row vanishes identically on beta = 0 exponents
         assert any(all(e == 0 for e in row) for row in mat)
@@ -41,7 +40,7 @@ class TestInterpolationMatrix:
 
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):
-            interpolation_matrix(DEG2, GenericPointSet.seeded(2, 0), (3,))
+            interpolation_matrix(DEG2, GenericPointSet(((1, 2), (3, 4))), (3,))
 
 
 class TestFractionFreeRank:
@@ -69,12 +68,12 @@ class TestFractionFreeRank:
 
 class TestExactOracle:
     def test_simplex_monomials_triple_point(self):
-        v = system_dimension_exact(DEG2, (3,), seed=0)
+        v = system_dimension_exact(DEG2, (3,))
         assert v.actual_dimension == -1 and v.non_special
         assert v.method == "exact-rational"
 
     def test_collinear_exponents_special(self):
-        v = system_dimension_exact(COLLINEAR, (2,), seed=0)
+        v = system_dimension_exact(COLLINEAR, (2,))
         assert v.expected_dimension == -1
         assert v.actual_dimension == 0
         assert not v.non_special
@@ -83,9 +82,9 @@ class TestExactOracle:
         d = 3
         full = LatticeSet(tuple((i, j) for i in range(d + 1)
                                 for j in range(d + 1 - i)))
-        v = system_dimension_exact(full, (), seed=0)
+        v = system_dimension_exact(full, ())
         assert v.actual_dimension == d * (d + 3) // 2
-        assert v.non_special
+        assert v.non_special and v.seed is None
 
     def test_explicit_points_reject_floats(self):
         with pytest.raises(TypeError):
@@ -111,75 +110,47 @@ class TestExactOracle:
         monkeypatch.setenv("SESHADRI_MAX_CELLS", "41")
         with pytest.raises(SizeGuardrail, match="^6x7 point-free matrix .* "
                                                 "set SESHADRI_MAX_CELLS$"):
-            system_dimension_exact(DEG2_AND_ONE, (3,), seed=0)
+            system_dimension_exact(DEG2_AND_ONE, (3,))
         monkeypatch.setenv("SESHADRI_MAX_CELLS", "42")
-        assert system_dimension_exact(DEG2_AND_ONE, (3,), seed=0).non_special
+        assert system_dimension_exact(DEG2_AND_ONE, (3,)).non_special
         # several points: the 4x6 rational matrix
         monkeypatch.setenv("SESHADRI_MAX_CELLS", "23")
         with pytest.raises(SizeGuardrail, match="^4x6 exact matrix"):
-            system_dimension_exact(DEG2, (2, 1), seed=0)
+            system_dimension_exact(DEG2, (2, 1), GenericPointSet(((1, 2), (3, 4))))
         monkeypatch.setenv("SESHADRI_MAX_CELLS", "1000000")
-        assert system_dimension_exact(DEG2, (3,), seed=0).non_special
+        assert system_dimension_exact(DEG2, (3,)).non_special
 
     def test_guardrail_charges_each_entry_its_words(self, monkeypatch):
-        # the cap counts 64-bit words: x^64 at a seeded coordinate, below
-        # 2^17, is charged 64 * 17 bits, 17 words; at the explicit points
-        # (1, 1) and (2, 3), of 2 bits, it is charged 2 words
+        # the cap counts 64-bit words: x^64 at a coordinate below 2^17 is
+        # charged 64 * 17 bits, 17 words; at the points (1, 1) and (2, 3),
+        # of 2 bits, it is charged 2 words
         far = LatticeSet(((0, 0), (64, 0)))
-        points = GenericPointSet.explicit([(1, 1), (2, 3)])
-        for cap, args, kwargs in ((67, (), {"seed": 0}), (7, (points,), {})):
+        for cap, top in ((67, 2**17 - 1), (7, 3)):
+            points = GenericPointSet.explicit([(1, 1), (2, top)])
             monkeypatch.setenv("SESHADRI_MAX_CELLS", str(cap))
             words = (cap + 1) // 4
             with pytest.raises(SizeGuardrail, match=re.escape(
                     f"2x2 exact matrix of {words}-word entries exceeds the cell cap")):
-                system_dimension_exact(far, (1, 1), *args, **kwargs)
+                system_dimension_exact(far, (1, 1), points)
             monkeypatch.setenv("SESHADRI_MAX_CELLS", str(cap + 1))
-            assert system_dimension_exact(far, (1, 1), *args, **kwargs).non_special
+            assert system_dimension_exact(far, (1, 1), points).non_special
 
-    def test_seed_retry_replaces_a_non_generic_sample(self, monkeypatch):
-        seeded = GenericPointSet.seeded
-        # four of five points on the line y = x: every conic through them
-        # contains that line, so the sample leaves a pencil (dimension 1)
-        collinear = GenericPointSet(tuple(Point(F(k), F(k)) for k in (1, 2, 3, 4))
-                                    + (Point(F(1), F(5)),), seed=0)
+    def test_several_points_are_ranked_only_where_stated(self):
+        # no rank at sampled points, which could not prove a special
+        # verdict: refused, naming the mode that ranks at random points
+        for ms in ((1, 1), (2, 2, 1)):
+            with pytest.raises(ArityMismatch, match=re.escape(
+                    f"0 points for {len(ms)} multiplicities; the exact mode ranks only "
+                    "at stated points: give 'points', or use --mode modular")):
+                system_dimension_exact(DEG2, ms)
 
-        def fake(cls, r, seed):
-            return collinear if seed == 0 else seeded(r, seed)
-
-        monkeypatch.setattr(GenericPointSet, "seeded", classmethod(fake))
-        v = system_dimension_exact(DEG2, (1, 1, 1, 1, 1), seed=0)
-        assert v.non_special and v.actual_dimension == 0 and v.seed == 1
-        assert v.caveat == ("seed 0 sampled a non-generic configuration "
-                            "(dimension 1); seed 1 gives 0")
-
-    def test_special_system_keeps_its_seed(self):
+    def test_special_system_at_stated_points(self):
         # two double points impose six conditions on conics, but the double
-        # line through them survives: special at every sample, which a rank
-        # at sampled points cannot tell from an unlucky sample
-        v = system_dimension_exact(DEG2, (2, 2), seed=0)
+        # line through them survives; at stated points the rank is exact,
+        # so the special verdict needs no caveat and names no seed
+        v = system_dimension_exact(DEG2, (2, 2), GenericPointSet.explicit([(1, 2), (3, 5)]))
         assert v.actual_dimension == 0 and v.expected_dimension == -1
-        assert not v.non_special and v.seed == 0
-        assert v.caveat == ("rank over Q at seeded random points never exceeds the "
-                            "generic rank: a special verdict is inconclusive")
-
-    def test_special_verdict_after_a_retry_keeps_the_retry_note(self, monkeypatch):
-        seeded = GenericPointSet.seeded
-        # two triple points leave a quartic their line twice and a conic
-        # through both; a third point on that line puts no condition on the
-        # conic, so this sample leaves dimension 3 where a generic one leaves 2
-        collinear = GenericPointSet(tuple(Point(F(k), F(k)) for k in (1, 2, 3)), seed=0)
-
-        def fake(cls, r, seed):
-            return collinear if seed == 0 else seeded(r, seed)
-
-        monkeypatch.setattr(GenericPointSet, "seeded", classmethod(fake))
-        quartics = LatticeSet(tuple((a, b) for a in range(5) for b in range(5 - a)))
-        v = system_dimension_exact(quartics, (3, 3, 1), seed=0)
-        assert (v.actual_dimension, v.expected_dimension, v.seed) == (2, 1, 1)
-        assert not v.non_special
-        assert v.caveat == ("seed 0 sampled a non-generic configuration (dimension 3); "
-                            "seed 1 gives 2; rank over Q at seeded random points never "
-                            "exceeds the generic rank: a special verdict is inconclusive")
+        assert not v.non_special and v.seed is None and v.caveat is None
 
     def test_actual_at_least_expected(self):
         rng = random.Random(5)
@@ -189,7 +160,9 @@ class TestExactOracle:
             if len(pts) == 0:
                 continue
             ms = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 2)))
-            v = system_dimension_exact(pts, ms, seed=17)
+            points = None if len(ms) == 1 else GenericPointSet.explicit(
+                [(rng.randint(-5, 5), rng.randint(1, 5)), (rng.randint(-5, 5), 0)])
+            v = system_dimension_exact(pts, ms, points)
             assert v.actual_dimension >= v.expected_dimension >= -1
 
 
@@ -202,7 +175,7 @@ class TestModularOracle:
             if len(pts) == 0:
                 continue
             ms = (rng.randint(1, 3),)
-            exact = system_dimension_exact(pts, ms, seed=seed)
+            exact = system_dimension_exact(pts, ms)
             modular = system_dimension_modp(pts, ms, seed=seed)
             assert modular.actual_dimension == exact.actual_dimension
 
@@ -275,7 +248,7 @@ class TestCurveMembership:
         rng = random.Random(11)
         for _ in range(60):
             pts = LatticeSet(tuple(rng.sample(grid, 6)))
-            v = system_dimension_exact(pts, (3,), seed=2)
+            v = system_dimension_exact(pts, (3,))
             assert v.non_special == (not ref.points_on_curve(pts, 2))
 
 
@@ -292,7 +265,7 @@ class TestWitnessSoundness:
             if m == 0:
                 continue
             w = select_witness_subset(pts, direction, m)
-            v = system_dimension_exact(w.subset, (m,), seed=3)
+            v = system_dimension_exact(w.subset, (m,))
             assert v.non_special and v.actual_dimension == -1
 
 

@@ -85,17 +85,20 @@ class TestPointFreeRank:
         assert 0 < specials < len(SYSTEMS)  # both verdicts are exercised
 
     def test_seed_is_ignored_and_null(self):
-        # DEG2 with multiplicity 3 is a staircase, with multiplicity 2 not
-        for oracle in (system_dimension_exact, system_dimension_modp):
-            for m, route in ((3, "staircase:"), (2, "point-free:")):
-                a, b = oracle(DEG2, (m,), seed=0), oracle(DEG2, (m,), seed=99)
-                assert a == b
-                assert a.seed is None and a.to_json()["seed"] is None
-                assert a.caveat.startswith(route)
+        # DEG2 with multiplicity 3 is a staircase, with multiplicity 2 not;
+        # the exact mode takes no seed
+        for m, route in ((3, "staircase:"), (2, "point-free:")):
+            a, b = (system_dimension_modp(DEG2, (m,), seed=seed) for seed in (0, 99))
+            assert a == b
+            for v in (a, system_dimension_exact(DEG2, (m,))):
+                assert v.seed is None and v.to_json()["seed"] is None
+                assert v.caveat.startswith(route)
 
     def test_multi_point_systems_keep_their_seed(self):
         assert system_dimension_modp(DEG2, (1, 1), seed=5).seed == 5
-        assert system_dimension_exact(DEG2, (1, 1), seed=5).seed == 5
+        # the exact mode ranks only at stated points, which no seed draws
+        points = GenericPointSet(((1, 2), (3, 4)))
+        assert system_dimension_exact(DEG2, (1, 1), points).seed is None
 
 
 @pytest.mark.parametrize("mode,n", [("exact", 13), ("exact", 26),
