@@ -18,7 +18,7 @@ _HOME = {
     # geometry
     "AffineForm": "geometry", "Axis": "geometry", "ConvexPolygon": "geometry",
     "DegenerateInput": "geometry", "Interval": "geometry", "Point": "geometry",
-    "cut_polygon": "geometry", "height_profile": "geometry",
+    "cut_polygon": "geometry", "height_profile": "reorder",
     "parse_rational": "_input", "point": "geometry", "x_projection": "geometry",
     # reorder
     "PiecewiseLinear": "reorder", "monotone_reorder": "reorder",

@@ -32,13 +32,13 @@ from .dissection import (AsymptoticReport, InvalidDissection,
                          builtin_dissection_eckl10, certified_bound,
                          dissection_from_json, dissection_to_json, dump_json,
                          validate_dissection, verify_asymptotic)
-from .geometry import height_profile, x_projection
+from .geometry import x_projection
 from .lattice import (Direction, LatticeSet, WitnessSelection, _witness_from_profile,
                       column_profile, expected_dimension, max_parallel_witness,
                       scaled_points, select_witness_subset, split_by_affine)
 from .oracle import (OracleVerdict, _staircase_verdict, system_dimension_exact,
                      system_dimension_modp)
-from .reorder import monotone_reorder, sup_admissible
+from .reorder import height_profile, monotone_reorder, sup_admissible
 
 
 class EmptyPolygonAtScale(ValueError):
@@ -96,26 +96,25 @@ class FiniteCertificate(NamedTuple):
 
     tool_version = __about__.__version__  # the one version ``from_json`` accepts
 
-    @property
-    def min_ratio(self) -> Fraction:
-        """The least row m over the scale."""
-        return Fraction(min(row.m for row in self.per_polygon), self.scale)
-
-    @property
-    def statement(self) -> str:
-        """The claim the witnesses prove; :func:`finite_certificate` states why."""
-        ms = [p.m for p in self.per_polygon]
+    def _claims(self) -> Tuple[Fraction, str]:
+        """``min_ratio`` and ``statement``, from one list of the row sizes."""
+        ms = [row.m for row in self.per_polygon]
         n = self.scale
         dim = expected_dimension(ms, count=(n + 1) * (n + 2) // 2)
-        return (f"the degree-{n} plane system with multiplicities "
-                f"({', '.join(map(str, ms))}) at {len(ms)} very general points is "
-                f"non-special of dimension {dim}")
+        return Fraction(min(ms), n), (f"the degree-{n} plane system with multiplicities "
+                                      f"({', '.join(map(str, ms))}) at {len(ms)} very "
+                                      f"general points is non-special of dimension {dim}")
+
+    min_ratio = property(lambda self: self._claims()[0], doc="The least row m over the scale.")
+    statement = property(lambda self: self._claims()[1], doc="The claim the witnesses "
+                         "prove; :func:`finite_certificate` states why.")
 
     def to_json(self) -> dict:
         dissection, scale, oracle_mode, seed, per_polygon = self
+        min_ratio, statement = self._claims()
         return {"dissection": dissection, "scale": scale, "oracle_mode": oracle_mode,
-                "seed": seed, "degree": scale, "min_ratio": str(self.min_ratio),
-                "tool_version": self.tool_version, "statement": self.statement,
+                "seed": seed, "degree": scale, "min_ratio": str(min_ratio),
+                "tool_version": self.tool_version, "statement": statement,
                 "per_polygon": [p.to_json() for p in per_polygon]}
 
     @classmethod
@@ -151,9 +150,10 @@ class FiniteCertificate(NamedTuple):
         if total != (n + 1) * (n + 2) // 2:
             raise ValueError(f"lattice_count sum {total} is not the "
                              f"{(n + 1) * (n + 2) // 2} monomials of degree {n}")
-        if min_ratio != cert.min_ratio:
+        least, statement = cert._claims()
+        if min_ratio != least:
             raise ValueError(f"min_ratio {min_ratio} is not the least row m over "
-                             f"the scale, {cert.min_ratio}")
+                             f"the scale, {least}")
         method = {"modular": "modular", "exact": "exact-rational"}.get(cert.oracle_mode)
         for i, row in enumerate(cert.per_polygon, start=1):
             v = row.oracle
@@ -166,8 +166,8 @@ class FiniteCertificate(NamedTuple):
                 if got != want:
                     raise ValueError(f"row {i}: {name} {got} is not {want}")
         stated = field("statement", data["statement"], str)
-        if stated != cert.statement:
-            raise ValueError(f"statement {stated!r} is not its rows', {cert.statement!r}")
+        if stated != statement:
+            raise ValueError(f"statement {stated!r} is not its rows', {statement!r}")
         return cert
 
 

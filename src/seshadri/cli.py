@@ -8,7 +8,6 @@ or --out; diagnostics go to stderr.  Exit codes: 0 verified/success,
 
 from __future__ import annotations
 
-import json
 import sys
 from types import SimpleNamespace
 from typing import Optional
@@ -34,6 +33,7 @@ def _load_dissection(ref: str) -> dissection.Dissection:
         if name not in _BUILTINS:
             raise ValueError(f"unknown builtin dissection {name!r}")
         return _BUILTINS[name]()
+    import json  # only a file is parsed
     try:
         with open(ref, "r", encoding="utf-8") as fh:
             return dissection.dissection_from_json(json.load(fh))
@@ -98,6 +98,7 @@ def _cmd_oracle(args) -> int:
         if getattr(args, option) is not None and args.mode == "exact":
             raise ValueError(f"--{option} is honoured only by --mode modular; "
                              "--mode exact ranks over the rationals")
+    import json
     try:
         with open(args.system, "r", encoding="utf-8") as fh:
             data = field("system file", json.load(fh), dict)

@@ -7,7 +7,8 @@ the identity up to m.  This module holds the dissection, its one
 validation, the per-piece analysis and the bound, the builtin ten-piece
 dissection, the dissection file format and the canonical JSON writer of
 all machine output.  It imports no lattice or oracle code: the finite
-certificates are :mod:`seshadri.certify`'s.
+certificates are :mod:`seshadri.certify`'s.  It loads the analysis code,
+:mod:`seshadri.reorder`, only when a dissection is first analysed.
 
 Its records are ``typing.NamedTuple``s, as in :mod:`seshadri.geometry`;
 ``Dissection`` is a subclass of one whose ``__dict__`` keeps the
@@ -17,15 +18,17 @@ analysis of its first successful validation.  A record is a tuple, so
 
 from __future__ import annotations
 
+from _json import encode_basestring_ascii as _quote  # json.dumps's, without json
 from fractions import Fraction
 from itertools import chain
-from json.encoder import encode_basestring_ascii as _quote
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from ._input import _read_only, field, lazy, parsed, rational
-from .geometry import (AffineForm, Axis, ConvexPolygon, Point, cut_polygon,
-                       height_profile, point)
-from .reorder import PiecewiseLinear, _first_crossing, monotone_reorder
+from .geometry import AffineForm, Axis, ConvexPolygon, Point, cut_polygon, point
+
+if TYPE_CHECKING:  # reorder loads with a first analysis, in _Analysis.pieces
+    from .reorder import PiecewiseLinear
 
 
 # every dissection peels the standard simplex, whose scaled integer points
@@ -139,18 +142,7 @@ class _AxisData(NamedTuple):
     reordered: PiecewiseLinear
 
 
-def _axis_data(poly: ConvexPolygon, axis: Axis) -> _AxisData:
-    profile = height_profile(poly, axis)
-    reordered = monotone_reorder(profile)
-    return _AxisData(axis, profile, _first_crossing(reordered), reordered)
-
-
-_Scored = Tuple[_AxisData, int, int]
-
-
-def _scored(d: _AxisData) -> _Scored:
-    """``d`` beside its score's numerator and denominator."""
-    return d, d.score.numerator, d.score.denominator
+_Scored = Tuple[_AxisData, int, int]  # beside its score's numerator and denominator
 
 
 class _Analysis:
@@ -163,8 +155,14 @@ class _Analysis:
     @lazy
     def pieces(self) -> Tuple[Tuple[_AxisData, _AxisData], ...]:
         """One (x-axis, y-axis) pair per piece, in dissection order."""
-        return tuple([(_axis_data(p, Axis.X), _axis_data(p, Axis.Y))
-                      for p in self.polygons])
+        from .reorder import _first_crossing, height_profile, monotone_reorder
+        data = []
+        for p in self.polygons:
+            for axis in (Axis.X, Axis.Y):
+                profile = height_profile(p, axis)
+                reordered = monotone_reorder(profile)
+                data.append(_AxisData(axis, profile, _first_crossing(reordered), reordered))
+        return tuple(zip(data[::2], data[1::2]))
 
     @lazy
     def choices(self) -> Tuple[Tuple[_Scored, _Scored], ...]:
@@ -173,9 +171,20 @@ class _Analysis:
         higher, decided by cross-multiplying the scores' ints."""
         out = []
         for x, y in self.pieces:
-            (_, a, b), (_, c, d) = xs, ys = _scored(x), _scored(y)
+            (_, a, b), (_, c, d) = xs, ys = ((x, x.score.numerator, x.score.denominator),
+                                             (y, y.score.numerator, y.score.denominator))
             out.append((xs, ys if c * b > a * d else xs))
         return tuple(out)
+
+    @lazy
+    def rows(self) -> Tuple[Tuple["PolygonCheck", ...], ...]:
+        """Per piece, the rows a report can give it: the x-axis passing, then
+        the better axis failing and passing.  Every report of the analysis
+        shares them, so a row builds its texts once."""
+        return tuple([(PolygonCheck(i, x.axis, x.score, True, x.profile, x.reordered),
+                       PolygonCheck(i, b.axis, b.score, False, b.profile, b.reordered),
+                       PolygonCheck(i, b.axis, b.score, True, b.profile, b.reordered))
+                      for i, ((x, _, _), (b, _, _)) in enumerate(self.choices, start=1)])
 
     @lazy
     def bound(self) -> Fraction:
@@ -233,25 +242,25 @@ def builtin_dissection_eckl10() -> Dissection:
 
 # --- asymptotic verification -----------------------------------------------
 
-class PolygonCheck(NamedTuple):
+class PolygonCheck(NamedTuple("PolygonCheck", [
+        ("polygon", int), ("axis", Axis), ("sup_admissible", Fraction), ("passed", bool),
+        ("profile", "PiecewiseLinear"), ("reordered", "PiecewiseLinear")])):
     """Per-piece outcome of the projection-width and domination checks;
-    the projection width is ``profile.width``."""
+    ``polygon`` is the 1-based index in dissection order, and the projection
+    width is ``profile.width``."""
 
-    polygon: int          # 1-based index in dissection order
-    axis: Axis
-    sup_admissible: Fraction
-    passed: bool
-    profile: PiecewiseLinear
-    reordered: PiecewiseLinear
+    __setattr__ = __delattr__ = _read_only
+
+    @lazy
+    def _texts(self) -> Tuple[str, str, str]:
+        """The axis, width and ``sup_admissible`` texts of the row."""
+        return self.axis.value, str(self.profile.width), str(self.sup_admissible)
 
     def to_json(self) -> dict:
-        polygon, axis, sup_admissible, passed, profile, reordered = self
-        return {"polygon": polygon, "axis": axis.value,
-                "width": str(profile.width),
-                "sup_admissible": str(sup_admissible),
-                "pass": passed,
-                "profile": profile.to_json(),
-                "reordered": reordered.to_json()}
+        axis, width, sup_admissible = self._texts
+        return {"polygon": self.polygon, "axis": axis, "width": width,
+                "sup_admissible": sup_admissible, "pass": self.passed,
+                "profile": self.profile.to_json(), "reordered": self.reordered.to_json()}
 
 
 class AsymptoticReport(NamedTuple):
@@ -271,18 +280,6 @@ class AsymptoticReport(NamedTuple):
                         "not an attained maximum"}
 
 
-def _check_polygon(i: int, x: _Scored, best: _Scored, p: int, q: int) -> PolygonCheck:
-    """Piece ``i``'s row at m = p/q (q > 0): the x-axis unless it fails,
-    then the piece's better axis; m is compared with a score a/b by
-    cross-multiplying, as b > 0."""
-    d, a, b = x
-    passed = p * b < a * q
-    if not passed:
-        d, a, b = best
-        passed = p * b < a * q
-    return PolygonCheck(i, d.axis, d.score, passed, d.profile, d.reordered)
-
-
 def verify_asymptotic(dis: Dissection, m) -> AsymptoticReport:
     """Strict per-piece verification of the target ratio m.
 
@@ -294,9 +291,11 @@ def verify_asymptotic(dis: Dissection, m) -> AsymptoticReport:
     p, q = m.numerator, m.denominator
     if p <= 0:
         raise ValueError("m must be positive")
-    rows = tuple([_check_polygon(i, x, best, p, q)
-                  for i, (x, best) in enumerate(_require_valid(dis).choices, start=1)])
-    return AsymptoticReport(m, rows)
+    analysis, rows = _require_valid(dis), []
+    # m < a/b exactly when p * b < a * q, as b and q are positive
+    for ((_, a, b), (_, c, d)), (x, fail, win) in zip(analysis.choices, analysis.rows):
+        rows.append(x if p * b < a * q else win if p * d < c * q else fail)
+    return AsymptoticReport(m, tuple(rows))
 
 
 def certified_bound(dis: Dissection) -> Fraction:

@@ -1,10 +1,10 @@
 """Exact rational planar primitives.
 
-Points, affine forms, convex polygons, half-plane cuts, axis projections
-and vertical-chord height profiles, all exact.  A polygon is one
-denominator and its int vertex pairs, stored closed and canonical
-(counterclockwise, starting at the lowest-then-leftmost vertex, in lowest
-terms), so structural equality is function equality; cuts and profiles
+Points, affine forms, convex polygons, half-plane cuts and axis
+projections, all exact (chord profiles are :mod:`seshadri.reorder`'s).  A
+polygon is one denominator and its int vertex pairs, stored closed and
+canonical (counterclockwise, starting at the lowest-then-leftmost vertex,
+in lowest terms), so structural equality is function equality; cuts
 compute in ints and build ``Fraction``s only for what they return.
 
 Every record here is a ``typing.NamedTuple``, as ``Point`` is: cheap to
@@ -26,7 +26,6 @@ from typing import NamedTuple, Sequence, Tuple
 # parse_rational is re-exported
 from ._input import (_over_common, _read_only, field, items, lazy, parse_rational,
                      rational, rational_pair)
-from .reorder import PiecewiseLinear, _from_ints
 
 
 class DegenerateInput(ValueError):
@@ -201,60 +200,3 @@ def x_projection(P: ConvexPolygon, axis: Axis = Axis.X) -> Interval:
     k = 0 if axis is Axis.X else 1
     coords = [pair[k] for pair in P.pairs]
     return Interval(Fraction(min(coords), P.den), Fraction(max(coords), P.den))
-
-
-def height_profile(P: ConvexPolygon, axis: Axis = Axis.X) -> PiecewiseLinear:
-    """Slice-length profile f(t) = length of the axis-perpendicular chord.
-
-    P must be strictly convex and canonical, as :meth:`ConvexPolygon.from_json`
-    and :func:`cut_polygon` build it.  Its two boundary chains from a vertex of
-    least coordinate to one of greatest are linear between vertex
-    coordinates, so f is piecewise linear with breakpoints exactly at the
-    distinct vertex coordinates, concave, nonnegative, and integrates to
-    the polygon area.  One walk along both chains finds every breakpoint
-    in order, in time linear in the vertex count, in ints over P's
-    denominator; the chords go over one lcm.  At an extreme coordinate
-    each chain ends at its own end of the axis-parallel edge there, if
-    any, so the chord is that edge.
-    """
-    coords = list(P.pairs) if axis is Axis.X else [(y, x) for x, y in P.pairs]
-    n = len(coords)
-    low = min(coords)
-    lo, hi = low[0], max(coords)[0]
-    first = coords.index(low)
-    chains = []
-    for step in (1, -1):
-        i = first
-        if coords[(i + step) % n][0] == lo:
-            i += step
-        side = [coords[i % n]]
-        while side[-1][0] != hi:
-            i += step
-            side.append(coords[i % n])
-        chains.append(side)
-    a, b = chains
-    ts = [lo]
-    nums, dens = [abs(a[0][1] - b[0][1])], [1]  # chord i is nums[i] / (dens[i] * P.den)
-    ia = ib = 0
-    while ia + 1 < len(a):
-        t = min(a[ia + 1][0], b[ib + 1][0])
-        if a[ia + 1][0] == t:
-            ia += 1
-        if b[ib + 1][0] == t:
-            ib += 1
-        ts.append(t)
-        (pa, qa), (pb, qb) = _chain_at(a, ia, t), _chain_at(b, ib, t)
-        nums.append(abs(pa * qb - pb * qa))
-        dens.append(qa * qb)
-    den = lcm(*dens)
-    return _from_ints(P.den, ts, den * P.den, [c * (den // q) for c, q in zip(nums, dens)])
-
-
-def _chain_at(side, i: int, t: int) -> Tuple[int, int]:
-    """(p, q > 0): p/q is the other coordinate of the chain at coordinate t,
-    given side[i][0] <= t < side[i + 1][0] or t == side[i][0]."""
-    c0, o0 = side[i]
-    if t == c0:
-        return o0, 1
-    c1, o1 = side[i + 1]
-    return o0 * (c1 - c0) + (t - c0) * (o1 - o0), c1 - c0

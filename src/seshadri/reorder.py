@@ -1,4 +1,4 @@
-"""Exact monotone (increasing) rearrangement of piecewise-linear functions.
+"""Chord profiles and their exact monotone (increasing) rearrangement.
 
 A function is stored as breakpoints with linear interpolation in between,
 as ints over two denominators, one for the breakpoints and one for the
@@ -21,6 +21,7 @@ from math import gcd, lcm
 from typing import NamedTuple, Tuple, Union
 
 from ._input import _over_common, _read_only, lazy, rational, rational_pair
+from .geometry import Axis, ConvexPolygon
 
 RationalLike = Union[Fraction, int, str]
 
@@ -226,3 +227,60 @@ def _first_crossing(fs: PiecewiseLinear) -> Fraction:
         # t0 + (t1 - t0) * g0 / (g0 - g1), with g0 >= 0 > g1
         return Fraction(ts[i] * (g0 - g1) + (ts[i + 1] - ts[i]) * g0, tden * (g0 - g1))
     return fs.width
+
+
+def height_profile(P: ConvexPolygon, axis: Axis = Axis.X) -> PiecewiseLinear:
+    """Slice-length profile f(t) = length of the axis-perpendicular chord.
+
+    P must be strictly convex and canonical, as :meth:`ConvexPolygon.from_json`
+    and :func:`cut_polygon` build it.  Its two boundary chains from a vertex of
+    least coordinate to one of greatest are linear between vertex
+    coordinates, so f is piecewise linear with breakpoints exactly at the
+    distinct vertex coordinates, concave, nonnegative, and integrates to
+    the polygon area.  One walk along both chains finds every breakpoint
+    in order, in time linear in the vertex count, in ints over P's
+    denominator; the chords go over one lcm.  At an extreme coordinate
+    each chain ends at its own end of the axis-parallel edge there, if
+    any, so the chord is that edge.
+    """
+    coords = list(P.pairs) if axis is Axis.X else [(y, x) for x, y in P.pairs]
+    n = len(coords)
+    low = min(coords)
+    lo, hi = low[0], max(coords)[0]
+    first = coords.index(low)
+    chains = []
+    for step in (1, -1):
+        i = first
+        if coords[(i + step) % n][0] == lo:
+            i += step
+        side = [coords[i % n]]
+        while side[-1][0] != hi:
+            i += step
+            side.append(coords[i % n])
+        chains.append(side)
+    a, b = chains
+    ts = [lo]
+    nums, dens = [abs(a[0][1] - b[0][1])], [1]  # chord i is nums[i] / (dens[i] * P.den)
+    ia = ib = 0
+    while ia + 1 < len(a):
+        t = min(a[ia + 1][0], b[ib + 1][0])
+        if a[ia + 1][0] == t:
+            ia += 1
+        if b[ib + 1][0] == t:
+            ib += 1
+        ts.append(t)
+        (pa, qa), (pb, qb) = _chain_at(a, ia, t), _chain_at(b, ib, t)
+        nums.append(abs(pa * qb - pb * qa))
+        dens.append(qa * qb)
+    den = lcm(*dens)
+    return _from_ints(P.den, ts, den * P.den, [c * (den // q) for c, q in zip(nums, dens)])
+
+
+def _chain_at(side, i: int, t: int) -> Tuple[int, int]:
+    """(p, q > 0): p/q is the other coordinate of the chain at coordinate t,
+    given side[i][0] <= t < side[i + 1][0] or t == side[i][0]."""
+    c0, o0 = side[i]
+    if t == c0:
+        return o0, 1
+    c1, o1 = side[i + 1]
+    return o0 * (c1 - c0) + (t - c0) * (o1 - o0), c1 - c0

@@ -10,12 +10,11 @@ from seshadri.certify import finite_certificate
 from seshadri.dissection import (SIMPLEX, Dissection, _peel, _require_valid,
                                  builtin_dissection_eckl10, validate_dissection,
                                  verify_asymptotic)
-from seshadri.geometry import (AffineForm, Axis, DegenerateInput, cut_polygon,
-                               height_profile, x_projection)
+from seshadri.geometry import AffineForm, Axis, DegenerateInput, cut_polygon, x_projection
 from seshadri.lattice import (Direction, MultiplicitySpec, column_profile, scaled_points,
                               select_witness_subset)
 from seshadri.oracle import GenericPointSet
-from seshadri.reorder import PiecewiseLinear
+from seshadri.reorder import PiecewiseLinear, height_profile
 from seshadri.render import RenderSpec
 
 from fraction_reference import polygon

@@ -14,10 +14,10 @@ from math import comb
 from seshadri.certify import finite_certificate
 from seshadri.dissection import (builtin_dissection_eckl10, certified_bound,
                                  validate_dissection, verify_asymptotic)
-from seshadri.geometry import Axis, Interval, height_profile, x_projection
+from seshadri.geometry import Axis, Interval, x_projection
 from seshadri.lattice import LatticeSet, expected_dimension
 from seshadri.oracle import system_dimension_exact
-from seshadri.reorder import monotone_reorder, sublevel_measure
+from seshadri.reorder import height_profile, monotone_reorder, sublevel_measure
 
 import fraction_reference as ref
 from conftest import random_concave_profile, random_pl

@@ -19,9 +19,8 @@ from seshadri.dissection import (BUILTIN_POINT_TABLE, AsymptoticReport, CutStep,
                                  builtin_dissection_eckl10, certified_bound,
                                  dissection_from_json, dissection_to_json, _peel,
                                  dump_json, validate_dissection, verify_asymptotic)
-from seshadri.geometry import (AffineForm, Axis, ConvexPolygon, height_profile,
-                               point, x_projection)
-from seshadri.reorder import monotone_reorder, sup_admissible
+from seshadri.geometry import AffineForm, Axis, ConvexPolygon, point, x_projection
+from seshadri.reorder import height_profile, monotone_reorder, sup_admissible
 from seshadri import __version__, lattice
 from seshadri.lattice import Direction, WitnessSelection
 from seshadri.oracle import _GF2_FULL, OracleVerdict, SizeGuardrail, _staircase_verdict
@@ -353,7 +352,9 @@ class TestAnalysedOnce:
 
     @pytest.fixture
     def computed(self, monkeypatch):
+        # the analysis reads the profile and rearrangement from reorder
         import seshadri.dissection as dissection
+        import seshadri.reorder as reorder
         calls = Counter()
 
         def counted(name, fn):
@@ -361,8 +362,9 @@ class TestAnalysedOnce:
                 calls[name] += 1
                 return fn(*args)
             return wrapper
-        for name in ("validate_dissection", "height_profile", "monotone_reorder"):
-            monkeypatch.setattr(dissection, name, counted(name, getattr(dissection, name)))
+        for module, name in ((dissection, "validate_dissection"), (reorder, "height_profile"),
+                             (reorder, "monotone_reorder")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         return calls
 
     # (question, check of its answer on eckl10)

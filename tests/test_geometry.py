@@ -7,10 +7,10 @@ from fractions import Fraction as F
 import pytest
 
 from seshadri.geometry import (AffineForm, Axis, ConvexPolygon, DegenerateInput,
-                               Interval, Point, cut_polygon, height_profile,
-                               parse_rational, point, x_projection)
+                               Interval, Point, cut_polygon, parse_rational, point,
+                               x_projection)
 from seshadri._input import rational
-from seshadri.reorder import PiecewiseLinear, monotone_reorder
+from seshadri.reorder import PiecewiseLinear, height_profile, monotone_reorder
 
 import fraction_reference as ref
 from conftest import random_polygon

@@ -8,7 +8,12 @@ the benchmark's set-up, loads ``dataclasses`` or ``inspect``, which cost
 several milliseconds of every cold start: the package's records are
 ``NamedTuple``s or plain classes.  Nor does any load ``argparse``, or the
 ``gettext`` and ``locale`` it pulls in: the command line parses its
-arguments against its own option table.  Each check runs in a fresh
+arguments against its own option table.  Building or validating a
+dissection, and so the benchmark's set-up and the ``validate``,
+``builtin`` and ``render`` commands, loads neither the analysis
+(``seshadri.reorder``) nor the ``json`` package, and ``certify`` loads no
+``json``: the writer quotes with the C module ``_json``, and the command
+line imports ``json`` only to read a file.  Each check runs in a fresh
 interpreter, where no other test has imported anything yet.
 """
 
@@ -55,11 +60,15 @@ assert seshadri.validate_dissection(seshadri.builtin_dissection_eckl10()).ok
 
 RECORD_MODULES = {"dataclasses", "inspect"}
 PARSER_MODULES = {"argparse", "gettext", "locale"}
+ANALYSIS, JSON = "seshadri.reorder", "json"
+WATCHED = RECORD_MODULES | PARSER_MODULES | {ANALYSIS, JSON}
 
-# Prints which of RECORD_MODULES and PARSER_MODULES are loaded
-_SLOW = f"""
-import json, sys
-print(json.dumps(sorted(set(sys.modules).intersection({sorted(RECORD_MODULES | PARSER_MODULES)}))))
+# Prints which of WATCHED are loaded, read before json is imported to print them
+_WATCHED = f"""
+import sys
+loaded = sorted(set(sys.modules).intersection({sorted(WATCHED)}))
+import json
+print(json.dumps(loaded))
 """
 
 
@@ -124,8 +133,8 @@ def test_an_unknown_name_is_refused_by_name():
 
 @pytest.fixture(scope="module")
 def bare_slow():
-    """Which of the slow modules a bare interpreter loads."""
-    return set(_child(_SLOW))
+    """Which of the watched modules a bare interpreter loads."""
+    return set(_child(_WATCHED))
 
 
 ROWS = {
@@ -148,7 +157,7 @@ ROWS = {
 
 @pytest.fixture(scope="module")
 def slow_loaded(tmp_path_factory):
-    """The slow modules a row's child loads, by row; each row runs once."""
+    """The watched modules a row's child loads, by row; each row runs once."""
     tmp = tmp_path_factory.mktemp("rows")
     # a set that is no staircase and has full rank mod 2, so B is built and ranked
     (tmp / "system.json").write_text('{"D": [[0, 0], [2, 1], [1, 2]], '
@@ -159,7 +168,7 @@ def slow_loaded(tmp_path_factory):
         if row not in loaded:
             code, argv = ROWS[row]
             argv = [str(tmp / a) if a.endswith((".svg", ".json")) else a for a in argv]
-            loaded[row] = set(_child(code + _SLOW, *argv))
+            loaded[row] = set(_child(code + _WATCHED, *argv))
         return loaded[row]
     return slow
 
@@ -177,3 +186,20 @@ def test_no_command_loads_argparse_gettext_or_locale(row, slow_loaded, bare_slow
 def test_the_package_never_imports_argparse():
     package = ROOT / "src" / "seshadri"
     assert [p.name for p in package.rglob("*.py") if "argparse" in p.read_text()] == []
+
+
+@pytest.mark.parametrize("row", ["setup", "validate", "builtin", "render"])
+def test_building_a_dissection_loads_no_analysis_or_json(row, slow_loaded, bare_slow):
+    assert ANALYSIS not in slow_loaded(row)
+    assert slow_loaded(row) & {JSON} <= bare_slow
+
+
+@pytest.mark.parametrize("row", ["certify-none", "certify-modular", "certify-exact"])
+def test_certify_loads_no_json(row, slow_loaded, bare_slow):
+    assert slow_loaded(row) & {JSON} <= bare_slow
+
+
+def test_the_checks_see_what_they_refuse(slow_loaded, bare_slow):
+    # the analysis loads reorder, and reading a system file loads json
+    assert ANALYSIS in slow_loaded("bound") and ANALYSIS in slow_loaded("verify")
+    assert JSON not in bare_slow and JSON in slow_loaded("oracle-modular")

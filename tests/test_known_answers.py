@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from seshadri import certify, dissection
+from seshadri import certify, dissection, reorder
 from seshadri.certify import EmptyPolygonAtScale, finite_certificate
 from seshadri.dissection import builtin_dissection_eckl10, certified_bound
 from seshadri.geometry import ConvexPolygon, point
@@ -58,7 +58,7 @@ def test_no_bound_exceeds_the_known_constant():
 def test_a_score_that_ignores_the_crossing_breaks_the_ceiling(monkeypatch):
     # planted fault: each axis scores its projection width, not the first
     # crossing of its rearranged profile under the identity
-    monkeypatch.setattr(dissection, "_first_crossing", lambda reordered: reordered.width)
+    monkeypatch.setattr(reorder, "_first_crossing", lambda reordered: reordered.width)
     assert sum(map(_above_the_ceiling, _corpus())) > 0
 
 
@@ -117,19 +117,19 @@ def test_every_score_is_within_its_area_ceiling():
 
 def test_a_width_score_breaks_the_area_ceiling(monkeypatch):
     # planted fault, as above: each axis scores its projection width
-    monkeypatch.setattr(dissection, "_first_crossing", lambda reordered: reordered.width)
+    monkeypatch.setattr(reorder, "_first_crossing", lambda reordered: reordered.width)
     assert len(_broken()) == len(_areas_corpus())
 
 
 def test_a_crossing_one_breakpoint_late_breaks_the_area_ceiling(monkeypatch):
     # planted fault: each score is the first breakpoint of the rearranged
     # profile past its true crossing, or the width when none is past it
-    crossing = dissection._first_crossing
+    crossing = reorder._first_crossing
 
     def late(reordered):
         t = crossing(reordered)
         return next((b for b in reordered.breakpoints if b > t), reordered.width)
-    monkeypatch.setattr(dissection, "_first_crossing", late)
+    monkeypatch.setattr(reorder, "_first_crossing", late)
     broken = _broken()
     assert "eckl10" in broken and len(broken) > len(_areas_corpus()) * 9 // 10
 

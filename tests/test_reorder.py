@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 from seshadri import reorder
-from seshadri.geometry import Axis, height_profile
-from seshadri.reorder import (PiecewiseLinear, _first_crossing, monotone_reorder,
-                              sublevel_measure, sup_admissible)
+from seshadri.geometry import Axis
+from seshadri.reorder import (PiecewiseLinear, _first_crossing, height_profile,
+                              monotone_reorder, sublevel_measure, sup_admissible)
 
 import fraction_reference as ref
 from fraction_reference import OutOfRange
